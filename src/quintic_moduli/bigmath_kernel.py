@@ -14,29 +14,23 @@ Quantities handled here:
                      K(k') / K(k) = sqrt(r),  k' = sqrt(1 - k^2)
     f(-q)            Euler-type product prod_{n>=1} (1 - q^n)
 
-The solver never forms 1 - k'^2.  With k' = sqrt((1-k)(1+k)) one has
+The solver evaluates k_r in closed form as a theta quotient and certifies it
+through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
 
     K(k)  = pi / (2 agm(1, k')),     K(k') = pi / (2 agm(1, k)),
 
-so the certified ratio F(k) = K(k')/K(k) = agm(1, k')/agm(1, k) is assembled
-from the two AGM legs directly.  F is strictly decreasing on (0,1) and maps
-onto (0, inf), hence sqrt(r) is hit exactly once; we bracket the root
-(expanding the bracket adaptively, since k_r for large r sinks below any fixed
-epsilon), bisect to roughly 50 relative bits, and finish with safeguarded
-Newton steps using a centered finite-difference derivative.
+so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
+the two AGM legs directly, without ever forming 1 - k'^2.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from mpmath import mp, mpf, workprec
-
-log = logging.getLogger(__name__)
 
 #: Anything convertible to an mpf at context precision.
 Real = Union[int, float, str, Fraction, mpf]
@@ -64,15 +58,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to reach its target within the iteration budget.
-
-    ``bracket`` holds the best (lo, hi) enclosure known at failure, when the
-    failing iteration was a root search; otherwise it is None.
-    """
-
-    def __init__(self, message: str, bracket: Optional[Tuple[mpf, mpf]] = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """An iteration failed to reach its target within the iteration budget,
+    or a computed value left a residual above tolerance."""
 
 
 class CertificationError(RuntimeError):
@@ -240,146 +227,53 @@ class SingularModulusRecord:
     q: mpf          # nome exp(-pi sqrt(r))
     K_k: mpf        # K(k)
     K_kcomp: mpf    # K(k_comp)
-    residual: mpf   # |K(k_comp)/K(k) - sqrt(r)| evaluated at the stored k
-
-
-def _kratio_raw(k: mpf, ctx: PrecisionContext) -> mpf:
-    """F(k) = K(k')/K(k) = agm(1, k')/agm(1, k); ambient precision assumed."""
-    return _agm_raw(mpf(1), _complement_raw(k), ctx) / _agm_raw(mpf(1), k, ctx)
+    residual: mpf   # |K(k_comp)/K(k) - sqrt(r)| evaluated at the stored pair
 
 
 def solve_singular_modulus(
     r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
 ) -> SingularModulusRecord:
-    """Solve K(k')/K(k) = sqrt(r) for k in (0,1) and certify the residual.
+    """Evaluate k_r at exact rational r and certify its K-ratio residual.
 
-    Strategy (F below is the strictly decreasing K-ratio):
-
-    1. Bracket.  Start from [eps, 1-eps] with eps = 2^(-precision_bits/2).
-       If F(lo) < sqrt(r), the root lies below lo: substitute lo <- lo^2 until
-       enclosed (F grows like (2/pi) log(4/k) as k -> 0, so squaring lo adds a
-       constant to F(lo) per step).  Mirror with hi <- 1 - (1-hi)^2 above.
-    2. Bisect to ~50 relative bits, using geometric midpoints sqrt(lo*hi)
-       while the bracket spans more than a factor 2 (the root's magnitude is
-       unknown a priori: k_r ranges over hundreds of orders of magnitude).
-    3. Newton-polish with the centered finite-difference derivative at
-       relative spacing 2^(-precision_bits/3), falling back to the bracket
-       midpoint whenever a step would leave the enclosure.
+    Evaluation is the theta quotient k = (theta2(q)/theta3(q))^2 at the nome
+    q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi.  That gives the
+    modulus nearer 0; its complement comes from the cancellation-free
+    sqrt((1-k)(1+k)).  For r < 1 the pair is swapped (k_r = k'_(1/r)), so
+    the small modulus of either orientation keeps its relative precision.
 
     The returned record stores values rounded to ``precision_bits``; the
-    residual field certifies the *rounded* modulus, so equal-precision solves
-    are bit-identical and reproducible.
+    residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
+    pair, and the same two AGM legs give K(k) and K(k').
     """
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
     with workprec(ctx.work_bits):
         target = mp.sqrt(mpf(r_num) / mpf(r_den))
+        reflect = r_num < r_den
+        hi_num, hi_den = (r_den, r_num) if reflect else (r_num, r_den)
+        q = mp.exp(-mp.pi * mp.sqrt(mpf(hi_num) / mpf(hi_den)))
+        small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
+        big = _round_to(ctx, _complement_raw(small))
+        k, k_comp = (big, small) if reflect else (small, big)
 
-        def F(k: mpf) -> mpf:
-            return _kratio_raw(k, ctx)
-
-        # ---- phase 1: (adaptive) bracket -------------------------------
-        eps = mpf(2) ** (-(ctx.precision_bits // 2))
-        lo, hi = eps, 1 - eps
-        f_lo, f_hi = F(lo), F(hi)
-        spent = 0
-        while f_lo < target:
-            spent += 1
-            lo = lo * lo
-            if spent > ctx.max_iter or lo == 0:
-                raise ConvergenceError(
-                    "cannot enclose modulus from below for r=%s/%s" % (r_num, r_den),
-                    bracket=(mpf(0), lo),
-                )
-            f_lo = F(lo)
-        while f_hi > target:
-            spent += 1
-            gap = 1 - hi
-            hi = 1 - gap * gap
-            if spent > ctx.max_iter or hi == 1:
-                raise ConvergenceError(
-                    "cannot enclose modulus from above for r=%s/%s" % (r_num, r_den),
-                    bracket=(hi, mpf(1)),
-                )
-            f_hi = F(hi)
-
-        # ---- phase 2: bisection to ~50 relative bits --------------------
-        rel_50 = mpf(2) ** -50
-        while hi - lo > lo * rel_50:
-            spent += 1
-            if spent > ctx.max_iter:
-                raise ConvergenceError(
-                    "bisection exceeded max_iter for r=%s/%s" % (r_num, r_den),
-                    bracket=(lo, hi),
-                )
-            mid = mp.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
-            if F(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-
-        # ---- phase 3: safeguarded Newton --------------------------------
-        k = (lo + hi) / 2
-        fd_scale = mpf(2) ** (-(ctx.precision_bits // 3))
-        stop_tight = mpf(2) ** (-(ctx.work_bits - 8))
-        stop_noise = mpf(2) ** (-(ctx.precision_bits - 8))
-        prev_step = None
-        for _ in range(80):
-            spent += 1
-            if spent > ctx.max_iter:
-                raise ConvergenceError(
-                    "Newton polish exceeded max_iter for r=%s/%s" % (r_num, r_den),
-                    bracket=(lo, hi),
-                )
-            f0 = F(k) - target
-            if f0 == 0:
-                break
-            if f0 > 0:  # F decreasing: still left of the root
-                lo = max(lo, k)
-            else:
-                hi = min(hi, k)
-            h = k * fd_scale
-            if k + h >= 1:  # keep the stencil inside (0,1)
-                h = (1 - k) * fd_scale
-            deriv = (F(k + h) - F(k - h)) / (2 * h)
-            step = f0 / deriv
-            k_next = k - step
-            s = abs(step)
-            if s <= k * stop_tight:
-                # at the working-precision floor the update can round to k
-                # itself (== a bracket edge); that is convergence, not escape
-                if lo < k_next < hi:
-                    k = k_next
-                break
-            if not (lo < k_next < hi):
-                k_next = mp.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
-                s = abs(k_next - k)
-            k = k_next
-            if prev_step is not None and s >= prev_step / 2 and s < k * stop_noise:
-                break  # dithering at the arithmetic noise floor
-            prev_step = s
-
-        # ---- certify the value that will actually be returned -----------
-        k_out = _round_to(ctx, k)
-        residual = abs(F(+k_out) - target)
+        agm_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))
+        agm_comp = _agm_raw(mpf(1), k_comp, ctx)  # pi / (2 K(k))
+        residual = abs(agm_comp / agm_k - target)
         if not residual < ctx.tolerance():
             raise ConvergenceError(
                 "solve at r=%s/%s left residual %s above tolerance"
-                % (r_num, r_den, mp.nstr(residual, 8)),
-                bracket=(lo, hi),
+                % (r_num, r_den, mp.nstr(residual, 8))
             )
-        comp = _complement_raw(+k_out)
-        record = SingularModulusRecord(
+        return SingularModulusRecord(
             r_num=r_num,
             r_den=r_den,
-            k=k_out,
-            k_comp=_round_to(ctx, comp),
+            k=k,
+            k_comp=k_comp,
             q=_round_to(ctx, mp.exp(-mp.pi * target)),
-            K_k=_round_to(ctx, _K_from_complement_raw(comp, ctx)),
-            K_kcomp=_round_to(ctx, _K_from_complement_raw(+k_out, ctx)),
+            K_k=_round_to(ctx, mp.pi / (2 * agm_comp)),
+            K_kcomp=_round_to(ctx, mp.pi / (2 * agm_k)),
             residual=_round_to(ctx, residual),
         )
-    return record
 
 
 #: hard cap on eta-product terms; reached only for q pathologically close to 1

@@ -24,6 +24,7 @@ from .bigmath_kernel import (
 )
 from .modular_core import (
     a_value,
+    a_via_eta,
     descend_a,
     multiplier_M5,
     rrcf_converged,
@@ -80,7 +81,7 @@ def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
         q = nome(rn, rd, ctx)
         r_cf, _ = rrcf_converged(q, ctx)
         lhs = 1 / r_cf ** 5 - 11 - r_cf ** 5
-        rhs = eta_f(q, ctx) ** 6 / (q * eta_f(q ** 5, ctx) ** 6)
+        rhs = a_via_eta(q, ctx)
         return _entry(ctx, "eq5-eta-quotient", lhs - rhs)
 
 
@@ -151,10 +152,10 @@ def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     # a-value descent r -> r/25 against the eta quotient at r/25
     with workprec(ctx.work_bits):
         q_hi = nome(rn, rd, ctx)
-        a_hi = eta_f(q_hi, ctx) ** 6 / (q_hi * eta_f(q_hi ** 5, ctx) ** 6)
+        a_hi = a_via_eta(q_hi, ctx)
         n_lo, d_lo = scale_rational(rn, rd, 1, 25)
         q_lo = nome(n_lo, d_lo, ctx)
-        a_lo = eta_f(q_lo, ctx) ** 6 / (q_lo * eta_f(q_lo ** 5, ctx) ** 6)
+        a_lo = a_via_eta(q_lo, ctx)
         return _entry(ctx, "eq24-q-descent", descend_a(a_hi, ctx) - a_lo)
 
 
@@ -198,6 +199,9 @@ def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
 
 
 def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
+    # k_(1/r) = k'_r holds by construction: both solves evaluate the same
+    # theta quotient at max(r, 1/r) and swap the pair.  Each side is still
+    # certified by its own K-ratio residual inside the solver.
     rec = solve_singular_modulus(rn, rd, ctx)
     rec_inv = solve_singular_modulus(rd, rn, ctx)
     with workprec(ctx.work_bits):

@@ -5,8 +5,10 @@
     quintic-moduli rrcf   --r 4
     quintic-moduli verify --r 1 [--ids eq5-eta-quotient,k-reciprocal]
 
-Global flags: --prec BITS, --tol-exp E, --digits D, --json, --cache PATH.
-Exit codes: 0 success, 2 usage, 3 convergence failure, 4 certification
+Global flags: --prec BITS, --tol-exp E, --digits D, --json.
+Every modulus is solved fresh; a solve is a theta quotient plus two AGMs.
+Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
+of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
 crosses as a decimal string with full round-trip digits, so --digits only
 affects the human-readable text mode.
@@ -19,7 +21,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from mpmath import mp, mpf, workprec
 
@@ -28,20 +30,16 @@ from .bigmath_kernel import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
-    SingularModulusRecord,
     _round_to,
-    agm,
-    complement,
-    elliptic_K,
     nome,
     solve_singular_modulus,
 )
 from .certify import REGISTRY, UsageError, run_suite
 from .modular_core import a_value, closed_form_R, rrcf_converged, scale_rational
 from .quintic_ladder import BranchError, LadderTrace, ladder
-from .report import big_to_str, roundtrip_digits, str_to_big
+from .report import big_to_str, str_to_big
 
-__all__ = ["main", "JSON_SCHEMA", "ModulusCache"]
+__all__ = ["main", "JSON_SCHEMA"]
 
 
 _DECIMAL = {"type": "string", "pattern": "^-?\\d+(\\.\\d+)?(e[+-]?\\d+)?$"}
@@ -188,115 +186,6 @@ def _decimal_arg(s: str) -> str:
     return s
 
 
-class ModulusCache:
-    """Line-oriented cache of solved moduli: `p/q <precision_bits> <k_decimal>`.
-
-    Read at start; new solves are appended on exit (last writer wins, no
-    locking).  An entry is reused only when the requested precision does not
-    exceed the stored one; the decimal carries full round-trip digits for its
-    stored precision, so equal-precision hits are bit-identical to a fresh
-    solve.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.entries: Dict[Tuple[int, int], Tuple[int, str]] = {}
-        self._new: List[str] = []
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return
-        for ln, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            ok = len(parts) == 3 and _RATIONAL_RE.match(parts[0])
-            if ok:
-                try:
-                    bits = int(parts[1])
-                    mpf(parts[2])
-                except (ValueError, TypeError):
-                    ok = False
-            if not ok:
-                print(
-                    "[cache] %s:%d: skipping unrecognized line" % (self.path, ln),
-                    file=sys.stderr,
-                )
-                continue
-            num, den = _rational_arg(parts[0])
-            key = (num, den)
-            if key not in self.entries or self.entries[key][0] < bits:
-                self.entries[key] = (bits, parts[2])
-
-    def lookup(self, r_num: int, r_den: int, precision_bits: int) -> Optional[mpf]:
-        hit = self.entries.get((r_num, r_den))
-        if hit is None or hit[0] < precision_bits:
-            return None
-        stored = str_to_big(hit[1], hit[0])
-        with workprec(precision_bits):
-            return +stored
-
-    def record(self, r_num: int, r_den: int, precision_bits: int, k: mpf) -> None:
-        key = (r_num, r_den)
-        if key in self.entries and self.entries[key][0] >= precision_bits:
-            return
-        dec = big_to_str(k, precision_bits)
-        self.entries[key] = (precision_bits, dec)
-        self._new.append("%d/%d %d %s" % (r_num, r_den, precision_bits, dec))
-
-    def flush(self) -> None:
-        if not self._new:
-            return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for line in self._new:
-                fh.write(line + "\n")
-        self._new = []
-
-
-def _record_from_k(
-    r_num: int, r_den: int, k: mpf, ctx: PrecisionContext
-) -> SingularModulusRecord:
-    """Rebuild the full record around a known k, re-certifying the residual."""
-    with workprec(ctx.work_bits):
-        comp = complement(k, ctx)
-        residual = abs(agm(1, comp, ctx) / agm(1, k, ctx) - mp.sqrt(mpf(r_num) / r_den))
-        return SingularModulusRecord(
-            r_num=r_num,
-            r_den=r_den,
-            k=k,
-            k_comp=comp,
-            q=nome(r_num, r_den, ctx),
-            K_k=elliptic_K(k, ctx),
-            K_kcomp=elliptic_K(comp, ctx),
-            residual=_round_to(ctx, residual),
-        )
-
-
-def _solve_cached(
-    r_num: int, r_den: int, ctx: PrecisionContext, cache: Optional[ModulusCache]
-) -> SingularModulusRecord:
-    if cache is not None:
-        k = cache.lookup(r_num, r_den, ctx.precision_bits)
-        if k is not None:
-            rec = _record_from_k(r_num, r_den, k, ctx)
-            if rec.residual < ctx.tolerance():
-                return rec
-            print(
-                "[cache] stale entry for %d/%d (residual %s); re-solving"
-                % (r_num, r_den, mp.nstr(rec.residual, 6)),
-                file=sys.stderr,
-            )
-    rec = solve_singular_modulus(r_num, r_den, ctx)
-    if cache is not None:
-        cache.record(r_num, r_den, ctx.precision_bits, rec.k)
-    return rec
-
-
 def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -314,9 +203,9 @@ def _fmt_rational(num: int, den: int) -> str:
     return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
-def cmd_kr(args, ctx: PrecisionContext, cache: Optional[ModulusCache]) -> int:
+def cmd_kr(args, ctx: PrecisionContext) -> int:
     rn, rd = args.r
-    rec = _solve_cached(rn, rd, ctx, cache)
+    rec = solve_singular_modulus(rn, rd, ctx)
     if args.json:
         out = _top("kr", rn, rd, ctx)
         out["modulus"] = {
@@ -354,7 +243,7 @@ def _render_trace_text(trace: LadderTrace, r0: Fraction, digits: int) -> None:
         )
 
 
-def cmd_ladder(args, ctx: PrecisionContext, cache: Optional[ModulusCache]) -> int:
+def cmd_ladder(args, ctx: PrecisionContext) -> int:
     rn, rd = args.r0
     r0 = Fraction(rn, rd)
     if r0 * 25 < 1:
@@ -369,12 +258,12 @@ def cmd_ladder(args, ctx: PrecisionContext, cache: Optional[ModulusCache]) -> in
     if args.seed_k is not None:
         k_hi = str_to_big(args.seed_k, ctx.precision_bits)
     else:
-        k_hi = _solve_cached(rn, rd, ctx, cache).k
+        k_hi = solve_singular_modulus(rn, rd, ctx).k
     lo_n, lo_d = scale_rational(rn, rd, 1, 25)
     if args.seed_k25 is not None:
         k_lo = str_to_big(args.seed_k25, ctx.precision_bits)
     else:
-        k_lo = _solve_cached(lo_n, lo_d, ctx, cache).k
+        k_lo = solve_singular_modulus(lo_n, lo_d, ctx).k
 
     try:
         trace = ladder(rn, rd, k_hi, k_lo, args.n, ctx)
@@ -501,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="display digits in text mode (default 50)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
-    common.add_argument("--cache", metavar="PATH",
-                        help="modulus cache file (read at start, appended on exit)")
 
     parser = argparse.ArgumentParser(
         prog="quintic-moduli",
@@ -556,12 +443,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
 
-    cache = ModulusCache(args.cache) if args.cache else None
     try:
         if args.command == "kr":
-            return cmd_kr(args, ctx, cache)
+            return cmd_kr(args, ctx)
         if args.command == "ladder":
-            return cmd_ladder(args, ctx, cache)
+            return cmd_ladder(args, ctx)
         if args.command == "rrcf":
             return cmd_rrcf(args, ctx)
         if args.command == "verify":
@@ -583,9 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CertificationError as exc:
         print("certification failure: %s" % exc, file=sys.stderr)
         return 4
-    finally:
-        if cache is not None:
-            cache.flush()
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ __all__ = [
     "descend_a",
     "verify_thm22",
     "scale_rational",
+    "a_via_eta",
 ]
 
 #: refuse continued fractions deeper than this (memoryless recurrence, but a
@@ -62,6 +63,13 @@ def scale_rational(r_num: int, r_den: int, mul_num: int, mul_den: int) -> Tuple[
     """Exact rational r*(mul_num/mul_den) in lowest terms."""
     f = Fraction(r_num, r_den) * Fraction(mul_num, mul_den)
     return f.numerator, f.denominator
+
+
+def a_via_eta(q: mpf, ctx: PrecisionContext) -> mpf:
+    """The eta quotient a = f(-q)^6 / (q f(-q^5)^6), unrounded, at the
+    context's working precision."""
+    with workprec(ctx.work_bits):
+        return eta_f(q, ctx) ** 6 / (q * eta_f(q ** 5, ctx) ** 6)
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def a_value(
     rec25 = solve_singular_modulus(n25, d25, ctx)
     with workprec(ctx.work_bits):
         q = nome(r_num, r_den, ctx)
-        via_eta = eta_f(q, ctx) ** 6 / (q * eta_f(q ** 5, ctx) ** 6)
+        via_eta = a_via_eta(q, ctx)
         m5 = rec25.K_k / rec.K_k
         via_moduli = (
             (rec.k_comp / rec25.k_comp) ** 2
@@ -323,7 +331,7 @@ def verify_thm22(
         wp = mp.sqrt(kp * kp25)
 
         q = nome(r_num, r_den, ctx)
-        a_ref = eta_f(q, ctx) ** 6 / (q * eta_f(q ** 5, ctx) ** 6)
+        a_ref = a_via_eta(q, ctx)
         w_form = (
             k ** 3 * (k ** 2 - 1) / (w ** 5 - k ** 2 * w)
             * (w / k + wp / kp - w * wp / (k * kp)) ** 3

@@ -22,7 +22,6 @@ the say-so of the radicals alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -61,8 +60,6 @@ __all__ = [
     "verify_thm32",
     "audit_example_forms",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class BranchError(RuntimeError):
@@ -118,20 +115,6 @@ def u_defining_residual(
         )
 
 
-def _u_radical(x: mpf) -> mpc:
-    # closed cubic formula with principal complex branches; cross-check only
-    xc = mpc(x)
-    inner = mp.sqrt(mpc(-125 * xc ** 6 - 22 * xc ** 12 - xc ** 18))
-    h = (-125 - 9 * xc ** 6 + 3 * mp.sqrt(mpf(3)) * inner) ** (mpf(1) / 3)
-    y2 = (
-        -5 / (3 * xc ** 2)
-        + 25 / (3 * xc ** 2 * h)
-        + xc ** 4 / h
-        + h / (3 * xc ** 2)
-    )
-    return mp.sqrt(y2)
-
-
 def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
@@ -144,10 +127,6 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     (p(x/10) < 0 < p(10x) identically) and polished by safeguarded Newton.
     The returned Y must satisfy the defining relation below tolerance or a
     BranchError is raised carrying all three candidate roots.
-
-    A closed radical formula for the same root (principal complex branches
-    throughout) is evaluated as a cross-check; disagreement beyond
-    2^(-precision_bits/2) is logged as a warning, never silently patched.
     """
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
@@ -209,15 +188,6 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
                     mp.nstr(res, 6),
                     [mp.nstr(o, 8) for o in others],
                 )
-            )
-
-        y_rad = _u_radical(xv)
-        drift = abs(y_rad - y)
-        if drift > mpf(2) ** (-ctx.precision_bits // 2):
-            log.warning(
-                "u_map(%s): radical cross-check drifted by %s from the certified root",
-                mp.nstr(xv, 12),
-                mp.nstr(drift, 6),
             )
         return _round_to(ctx, y)
 

@@ -1,12 +1,18 @@
 """Frozen and radical oracle values shared by the tests.
 
-Frozen decimal strings were produced by routes independent of the library
-(numerical quadrature for K, theta quotients for moduli, direct backward
-recurrence for the continued fraction) and pinned here; radical builders
-evaluate printed closed forms live at whatever precision the test needs.
+The independent gate is the radical builders (printed closed forms
+evaluated live at whatever precision a test needs), the quadrature value
+of K, the backward-recurrence continued fraction, and the two live
+oracles at the bottom: the K-ratio through mpmath's ``ellipk`` and the
+cubic formula for u_map.  None of them shares code with the library.
+
+The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
+values, and the library's solver evaluates the same theta quotient, so
+they pin the solver's output against drift but do not certify it on their
+own; the radical builders do.
 """
 
-from mpmath import jtheta, mp, mpf, sqrt, workprec
+from mpmath import ellipk, mp, mpc, mpf, sqrt, workprec
 
 # complete elliptic integral K(1/sqrt2) via tanh-sinh quadrature of
 # 1/sqrt(1 - x^2/2)/sqrt(1-x^2) on [0,1], 160 digits
@@ -84,11 +90,33 @@ def a4_radical():
     return 250 + 125 * sqrt(mpf(5))
 
 
-def k_theta(r_num, r_den=1, bits=700):
-    """Independent modulus oracle: theta quotient (t2/t3)^2 at the nome.
+def k_ratio_ellipk(k, k_comp, bits):
+    """K(k')/K(k) from mpmath's ``ellipk`` at ``bits`` plus whatever the
+    parameter 1 - m needs to keep m = min(k, k')^2 exactly.
 
-    Shares nothing with the library's agm/bisection route.
+    Only the smaller modulus s enters: K(s) = ellipk(s^2) and
+    K(s') = ellipk(1 - s^2), so a modulus near 1 never has to be squared
+    and subtracted from 1.  Shares no code with the library.
     """
+    small = min(k, k_comp)
+    with workprec(bits + max(0, -2 * mp.mag(small))):
+        m = mpf(small) ** 2
+        K_small, K_big = ellipk(m), ellipk(1 - m)
+        return K_big / K_small if small == k else K_small / K_big
+
+
+def u_radical(x, bits=700):
+    """u_map by the closed cubic formula with principal complex branches.
+
+    Shares nothing with the library's bracketed cubic solve."""
     with workprec(bits):
-        q = mp.exp(-mp.pi * mp.sqrt(mpf(r_num) / r_den))
-        return (jtheta(2, 0, q) / jtheta(3, 0, q)) ** 2
+        xc = mpc(x)
+        inner = mp.sqrt(mpc(-125 * xc ** 6 - 22 * xc ** 12 - xc ** 18))
+        h = (-125 - 9 * xc ** 6 + 3 * mp.sqrt(mpf(3)) * inner) ** (mpf(1) / 3)
+        y2 = (
+            -5 / (3 * xc ** 2)
+            + 25 / (3 * xc ** 2 * h)
+            + xc ** 4 / h
+            + h / (3 * xc ** 2)
+        )
+        return mp.sqrt(y2)

@@ -1,9 +1,13 @@
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, quad, sqrt, workprec
 
 from quintic_moduli import (
+    BranchError,
+    CertificationError,
     ConvergenceError,
     DomainError,
     PrecisionContext,
@@ -19,6 +23,23 @@ from quintic_moduli import (
 import oracle_values as ov
 
 TOL = mpf(10) ** -120
+
+#: a certifiable tol_exp for each precision the solver must cover
+TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
+
+#: r well below 1: k_r lies within 1e-37 of 1, so only k'_r carries its digits
+DEEP_RECIPROCALS = [(1, 800), (1, 2500), (1, 10000)]
+
+
+def _ctx_at(bits):
+    return PrecisionContext(precision_bits=bits, tol_exp=TOL_EXP[bits])
+
+
+def _ellipk_residual(rec, bits):
+    """|K(k')/K(k) - sqrt(r)| through mpmath's ellipk at twice ``bits``."""
+    ratio = ov.k_ratio_ellipk(rec.k, rec.k_comp, 2 * bits)
+    with workprec(2 * bits):
+        return abs(ratio - sqrt(mpf(rec.r_num) / rec.r_den))
 
 
 class TestPrecisionContext:
@@ -169,12 +190,16 @@ class TestSolver:
             assert abs(solve_singular_modulus(1, 5).k - mpf(ov.K_FIFTH)) < mpf(10) ** -138
             assert abs(solve_singular_modulus(25, 1).k - mpf(ov.K25)) < mpf(10) ** -138
 
-    @pytest.mark.parametrize("rn,rd", [(2, 1), (7, 1), (10, 3)])
-    def test_theta_quotient_oracle(self, rn, rd):
-        # jtheta-based oracle shares nothing with the agm solver
-        rec = solve_singular_modulus(rn, rd)
-        with workprec(700):
-            assert abs(rec.k - ov.k_theta(rn, rd)) < TOL
+    @pytest.mark.parametrize(
+        "rn,rd,bits",
+        [(2, 1, 512), (7, 1, 512), (10, 3, 512)]
+        + [(rn, rd, bits) for bits in (512, 4096) for rn, rd in DEEP_RECIPROCALS],
+    )
+    def test_ellipk_ratio_oracle(self, rn, rd, bits):
+        # mpmath's ellipk shares no code with the solver's theta/agm route
+        ctx = _ctx_at(bits)
+        rec = solve_singular_modulus(rn, rd, ctx)
+        assert _ellipk_residual(rec, bits) < ctx.tolerance()
 
     def test_record_invariants(self):
         rec = solve_singular_modulus(3, 2)
@@ -184,12 +209,26 @@ class TestSolver:
             assert abs(rec.k ** 2 + rec.k_comp ** 2 - 1) < mpf(10) ** -150
             # K(k')/K(k) must reproduce sqrt(r)
             assert abs(rec.K_kcomp / rec.K_k - sqrt(mpf(3) / 2)) < mpf(10) ** -150
+        for bits in (512, 4096):
+            ctx = _ctx_at(bits)
+            for rn, rd in DEEP_RECIPROCALS:
+                rec = solve_singular_modulus(rn, rd, ctx)
+                assert 0 < rec.k_comp < rec.k < 1
+                assert rec.residual < ctx.tolerance()
+                with workprec(2 * bits):
+                    ratio = rec.K_kcomp / rec.K_k
+                    assert abs(ratio - sqrt(mpf(rn) / rd)) < ctx.tolerance()
 
     def test_reciprocal_symmetry(self):
-        for rn, rd in [(5, 1), (3, 2), (7, 1)]:
-            rec = solve_singular_modulus(rn, rd)
-            inv = solve_singular_modulus(rd, rn)
-            assert abs(inv.k - rec.k_comp) < TOL
+        # k'_r = k_(1/r), relative to the size of k'_r (it is tiny for small r)
+        cases = [(rn, rd, 512) for rn, rd in [(5, 1), (3, 2), (7, 1)]]
+        cases += [(rn, rd, bits) for bits in (512, 4096) for rn, rd in DEEP_RECIPROCALS]
+        for rn, rd, bits in cases:
+            ctx = _ctx_at(bits)
+            rec = solve_singular_modulus(rn, rd, ctx)
+            inv = solve_singular_modulus(rd, rn, ctx)
+            with workprec(2 * bits):
+                assert abs(inv.k - rec.k_comp) <= rec.k_comp * ctx.tolerance()
 
     def test_monotone_decreasing_in_r(self):
         ks = [solve_singular_modulus(n, d).k for n, d in [(1, 1), (3, 2), (2, 1), (5, 1), (7, 1)]]
@@ -228,6 +267,23 @@ class TestSolver:
         rec = solve_singular_modulus(5, 1, ctx)
         with workprec(300):
             assert abs(rec.k - ov.k5_radical()) < mpf(10) ** -55
+
+
+class TestSolverDomain:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        r=st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 6, max_denominator=10 ** 4),
+        bits=st.sampled_from(sorted(TOL_EXP)),
+    )
+    @example(r=Fraction(10 ** 6), bits=256)
+    @example(r=Fraction(10 ** 6), bits=4096)
+    def test_certified_or_typed_error(self, r, bits):
+        ctx = _ctx_at(bits)
+        try:
+            rec = solve_singular_modulus(r.numerator, r.denominator, ctx)
+        except (DomainError, ConvergenceError, BranchError, CertificationError):
+            return
+        assert _ellipk_residual(rec, bits) < ctx.tolerance()
 
 
 class TestEtaF:

@@ -47,6 +47,10 @@ class TestRunSuite:
             assert e.residual < tol
             assert e.elapsed_ms >= 0
 
+    def test_full_suite_at_r_one_hundredth(self):
+        # the r/25 = 1/2500 solve sits far below r = 1
+        assert run_suite(1, 100).all_pass
+
     def test_subset_single(self):
         report = run_suite(2, 1, ids=["k-reciprocal"])
         assert [e.id for e in report.entries] == ["k-reciprocal"]

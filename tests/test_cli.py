@@ -206,53 +206,3 @@ class TestExitCode3:
         code, _, err = run_cli(capsys, "kr", "--r", "3")
         assert code == 3
         assert "convergence failure" in err
-
-
-class TestCache:
-    def test_write_then_bit_identical_hit(self, capsys, tmp_path):
-        path = tmp_path / "moduli.cache"
-        _, first, _ = run_json(capsys, "kr", "--r", "13", "--json", "--cache", str(path))
-        text = path.read_text()
-        assert text.startswith("13/1 512 ")
-        _, second, _ = run_json(capsys, "kr", "--r", "13", "--json", "--cache", str(path))
-        assert second["modulus"]["k"] == first["modulus"]["k"]
-        # hit did not add a second line
-        assert path.read_text() == text
-
-    def test_lower_precision_reuses_stored(self, capsys, tmp_path):
-        path = tmp_path / "moduli.cache"
-        run_json(capsys, "kr", "--r", "6", "--json", "--cache", str(path))
-        _, low, _ = run_json(
-            capsys, "kr", "--r", "6", "--json", "--cache", str(path),
-            "--prec", "384", "--tol-exp", "90",
-        )
-        _, fresh, _ = run_json(capsys, "kr", "--r", "6", "--json", "--prec", "384", "--tol-exp", "90")
-        assert low["modulus"]["k"] == fresh["modulus"]["k"]
-        # still one line: nothing of higher quality to append
-        assert len(path.read_text().strip().splitlines()) == 1
-
-    def test_higher_precision_appends(self, capsys, tmp_path):
-        path = tmp_path / "moduli.cache"
-        run_json(capsys, "kr", "--r", "6", "--json", "--prec", "384", "--tol-exp", "90",
-                 "--cache", str(path))
-        run_json(capsys, "kr", "--r", "6", "--json", "--prec", "768", "--tol-exp", "180",
-                 "--cache", str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("6/1 768 ")
-
-    def test_corrupt_line_warns_and_continues(self, capsys, tmp_path):
-        path = tmp_path / "moduli.cache"
-        path.write_text("not a cache line\n")
-        code, out, err = run_cli(capsys, "kr", "--r", "1", "--cache", str(path))
-        assert code == 0
-        assert "cache" in err.lower()
-        assert "0.70710678" in out
-
-    def test_cache_used_by_ladder_seeds(self, capsys, tmp_path):
-        path = tmp_path / "moduli.cache"
-        run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--cache", str(path))
-        body = path.read_text()
-        # both seeds and nothing else were solved fresh and recorded
-        assert body.count("\n") == 2
-        assert body.startswith("5/1 512 ") and "\n1/5 512 " in body
