@@ -1,5 +1,6 @@
 """Arbitrary-precision kernel: AGM, complete elliptic integrals, the certified
-singular-modulus solver, and the q-product eta function.
+singular-modulus solver, and the eta function f(-q) by Euler's pentagonal
+series.
 
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
 governing :class:`PrecisionContext`; intermediates carry ``guard_bits`` extra.
@@ -12,7 +13,8 @@ Quantities handled here:
     nome(p, q)       q-series variable e^(-pi sqrt(r)) for exact rational r = p/q
     k_r              singular modulus: the unique k in (0,1) with
                      K(k') / K(k) = sqrt(r),  k' = sqrt(1 - k^2)
-    f(-q)            Euler-type product prod_{n>=1} (1 - q^n)
+    f(-q)            Euler-type product prod_{n>=1} (1 - q^n), summed as
+                     Euler's pentagonal series
 
 The solver evaluates k_r in closed form as a theta quotient and certifies it
 through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
@@ -276,30 +278,60 @@ def solve_singular_modulus(
         )
 
 
-#: hard cap on eta-product terms; reached only for q pathologically close to 1
+#: hard cap on the largest power q^n the eta series may have to reach;
+#: reached only for q pathologically close to 1
 _ETA_TERM_CAP = 10_000_000
 
 
-def eta_f(q: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
-    """The product f(-q) = prod_{n>=1} (1 - q^n) for 0 < q < 1.
+def _neg_ln(x: mpf) -> float:
+    """-ln x as a float for 0 < x < 1, from x's mantissa and exponent.
 
-    Terms are multiplied until q^n < 2^(-precision_bits - guard_bits); the
-    neglected tail changes log f by less than q^(n+1)/(1-q), which the guard
-    bits absorb for every q this artifact ever feeds in.
+    Only sizes a truncation or a precision, so float accuracy suffices, and it
+    avoids mpmath's log (whose Taylor cache costs a series per new argument
+    range).  Near 1 it uses log1p of the exact 1 - x; it returns 0.0 when x
+    is within 2^-1074 of 1.
+    """
+    if x > 0.5:
+        return -math.log1p(-float(1 - x))
+    return -(math.log(x.man) + x.exp * math.log(2))
+
+
+def eta_f(q: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+    """f(-q) = prod_{n>=1} (1 - q^n) for 0 < q < 1, by Euler's pentagonal series
+
+        f(-q) = 1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
+
+    which reaches q^n with about sqrt(2n/3) terms where the product needs n
+    factors.  Near q = 1 the terms (up to about 1) cancel down to
+    f(-q) ~ exp(-pi^2 / (6 |ln q|)), so the sum runs at work_bits plus
+    ceil(pi^2 / (6 ln2 |ln q|)) + 8 bits, and stops at the first term below
+    2^-(that precision).
     """
     ctx = _ctx(ctx)
-    with workprec(ctx.work_bits):
-        qv = to_big(q, ctx)
-        if not (0 < qv < 1):
-            raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
-        cutoff = mpf(2) ** (-(ctx.precision_bits + ctx.guard_bits))
+    qv = to_big(q, ctx)
+    if not (0 < qv < 1):
+        raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
+    t = _neg_ln(qv)
+    # the sum reaches q^n < 2^-bits at n = bits ln2 / t; the cap test is
+    # that bound times t^2, so that t = 0 is refused too
+    pi2_6 = math.pi ** 2 / 6
+    if (ctx.work_bits + 9) * math.log(2) * t + pi2_6 > _ETA_TERM_CAP * t * t:
+        raise ConvergenceError("eta series needs too many terms (q ~ 1?)")
+    bits = ctx.work_bits + math.ceil(pi2_6 / (math.log(2) * t)) + 8
+    with workprec(bits):
+        cutoff = mp.ldexp(1, -bits)
         acc = mpf(1)
-        qn = qv
-        n = 1
-        while qn >= cutoff:
-            acc *= 1 - qn
-            qn *= qv
-            n += 1
-            if n > _ETA_TERM_CAP:
-                raise ConvergenceError("eta product needs too many terms (q ~ 1?)")
-        return _round_to(ctx, acc)
+        a = qv  # q^(k(3k-1)/2), from k = 1
+        if a >= cutoff:
+            q3 = qv * qv * qv
+            qk = qv          # q^k
+            step = q3 * qv   # a_(k+1) / a_k = q^(3k+1)
+            odd = True
+            while a >= cutoff:
+                term = a + a * qk
+                acc = acc - term if odd else acc + term
+                a *= step
+                step *= q3
+                qk *= qv
+                odd = not odd
+    return _round_to(ctx, acc)

@@ -17,6 +17,7 @@ Route map (everything is certified by cross-route residuals, never trusted):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -25,10 +26,12 @@ from mpmath import mp, mpf, workprec
 
 from .bigmath_kernel import (
     CertificationError,
+    ConvergenceError,
     DomainError,
     PrecisionContext,
     Real,
     _ctx,
+    _neg_ln,
     _round_to,
     eta_f,
     nome,
@@ -186,26 +189,33 @@ def rrcf_truncated(
             t = 1 + p / t
             p /= qv
         # after the loop p == q^0; t is the full ascending tail
-        return _round_to(ctx, qv ** (mpf(1) / 5) / t)
+        return _round_to(ctx, mp.root(qv, 5) / t)
 
 
 def rrcf_converged(
     q: Real, ctx: Optional[PrecisionContext] = None
 ) -> Tuple[mpf, int]:
-    """(R(q), depth): double the truncation depth until two successive
-    evaluations agree below tolerance, starting at depth = precision_bits."""
+    """(R(q), depth) with the truncation depth chosen before evaluating.
+
+    The truncation error at depth d decays like q^(d(d+1)/2), so d is the
+    smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2.  The value at
+    d + 2 is returned only if it agrees with the value at d below tolerance;
+    otherwise, or if d + 2 would pass the depth cap (q too close to 1),
+    ConvergenceError is raised.
+    """
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
-        depth = ctx.precision_bits
-        prev = rrcf_truncated(q, depth, ctx)
-        while depth <= _DEPTH_CAP // 2:
-            depth *= 2
-            cur = rrcf_truncated(q, depth, ctx)
-            if abs(cur - prev) < ctx.tolerance():
+        qv = to_big(q, ctx)
+        if not (0 < qv < 1):
+            raise DomainError("rrcf_converged requires 0 < q < 1")
+        t = _neg_ln(qv)
+        need = ctx.work_bits * math.log(2)
+        top = _DEPTH_CAP - 2
+        if top * (top + 1) / 2 * t >= need:
+            depth = math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
+            cur = rrcf_truncated(qv, depth, ctx)
+            if abs(cur - rrcf_truncated(qv, depth - 2, ctx)) < ctx.tolerance():
                 return cur, depth
-            prev = cur
-    from .bigmath_kernel import ConvergenceError
-
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 
@@ -222,7 +232,7 @@ def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         base = (-11 - av + mp.sqrt(disc)) / 2
         if base <= 0:
             raise RuntimeError("internal: non-positive fifth-power base at a=%s" % av)
-        return _round_to(ctx, base ** (mpf(1) / 5))
+        return _round_to(ctx, mp.root(base, 5))
 
 
 def rrcf_closed(
@@ -266,7 +276,7 @@ def descend_v(v: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         den = 1 + 3 * vv + 4 * vv ** 2 + 2 * vv ** 3 + vv ** 4
         if den == 0:  # unreachable for v in (0,1); defensive
             raise DomainError("descend_v denominator vanished")
-        return _round_to(ctx, (vv * num / den) ** (mpf(1) / 5))
+        return _round_to(ctx, mp.root(vv * num / den, 5))
 
 
 def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:

@@ -2,9 +2,10 @@
 
 The independent gate is the radical builders (printed closed forms
 evaluated live at whatever precision a test needs), the quadrature value
-of K, the backward-recurrence continued fraction, and the two live
-oracles at the bottom: the K-ratio through mpmath's ``ellipk`` and the
-cubic formula for u_map.  None of them shares code with the library.
+of K, the backward-recurrence continued fraction, and the three live
+oracles at the bottom: the K-ratio through mpmath's ``ellipk``, the Euler
+product for f(-q), and the cubic formula for u_map.  None of them shares
+code with the library.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -13,6 +14,9 @@ own; the radical builders do.
 """
 
 from mpmath import ellipk, mp, mpc, mpf, sqrt, workprec
+
+#: a certifiable tol_exp for each precision the tests sweep
+TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
 
 # complete elliptic integral K(1/sqrt2) via tanh-sinh quadrature of
 # 1/sqrt(1 - x^2/2)/sqrt(1-x^2) on [0,1], 160 digits
@@ -103,6 +107,22 @@ def k_ratio_ellipk(k, k_comp, bits):
         m = mpf(small) ** 2
         K_small, K_big = ellipk(m), ellipk(1 - m)
         return K_big / K_small if small == k else K_small / K_big
+
+
+def eta_product(q, bits):
+    """f(-q) = prod_{n>=1} (1 - q^n) by direct multiplication at ``bits``,
+    until q^n < 2^-bits.
+
+    Shares nothing with the library's pentagonal series; about
+    bits ln2 / |ln q| factors, so slow for q near 1."""
+    with workprec(bits):
+        q = mpf(q)
+        cutoff = mpf(2) ** -bits
+        acc, qn = mpf(1), q
+        while qn >= cutoff:
+            acc *= 1 - qn
+            qn *= q
+        return acc
 
 
 def u_radical(x, bits=700):

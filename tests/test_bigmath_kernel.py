@@ -24,15 +24,12 @@ import oracle_values as ov
 
 TOL = mpf(10) ** -120
 
-#: a certifiable tol_exp for each precision the solver must cover
-TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
-
 #: r well below 1: k_r lies within 1e-37 of 1, so only k'_r carries its digits
 DEEP_RECIPROCALS = [(1, 800), (1, 2500), (1, 10000)]
 
 
 def _ctx_at(bits):
-    return PrecisionContext(precision_bits=bits, tol_exp=TOL_EXP[bits])
+    return PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
 
 
 def _ellipk_residual(rec, bits):
@@ -273,7 +270,7 @@ class TestSolverDomain:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         r=st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 6, max_denominator=10 ** 4),
-        bits=st.sampled_from(sorted(TOL_EXP)),
+        bits=st.sampled_from(sorted(ov.TOL_EXP)),
     )
     @example(r=Fraction(10 ** 6), bits=256)
     @example(r=Fraction(10 ** 6), bits=4096)
@@ -315,10 +312,35 @@ class TestEtaF:
             rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * sqrt(rec.q))
             assert abs(lhs - rhs) < TOL
 
+    @pytest.mark.parametrize("bits", [512, 1024, 4096])
+    @pytest.mark.parametrize(
+        "r", [Fraction(1, 2500), Fraction(1, 100), Fraction(1), Fraction(5), Fraction(10 ** 4)]
+    )
+    def test_matches_euler_product(self, r, bits):
+        # the series against the product, at q = nome(r)^j.  With only 8
+        # guard bits the cancellation near q = 1 (about 38 bits at the
+        # q of r = 1/2500) would show unless the series adds that much
+        # precision of its own.
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits], guard_bits=8)
+        q = nome(r.numerator, r.denominator, ctx)
+        for j in (1, 2, 5, 10):
+            with workprec(ctx.work_bits):
+                qj = q ** j
+            ref = ov.eta_product(qj, ctx.work_bits + 64)
+            got = eta_f(qj, ctx)
+            with workprec(ctx.work_bits + 64):
+                assert abs(got - ref) <= abs(ref) * mpf(2) ** (1 - bits), (j, got, ref)
+
     def test_domain(self):
         for bad in (0, 1, "1.5", -0.25):
             with pytest.raises(DomainError):
                 eta_f(bad)
+
+    def test_q_too_close_to_one(self):
+        with workprec(600):
+            q = 1 - mpf(2) ** -100
+        with pytest.raises(ConvergenceError):
+            eta_f(q)
 
     def test_deterministic(self):
         assert eta_f("0.25") == eta_f("0.25")

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf, workprec
 
-from quintic_moduli import ConvergenceError, solve_singular_modulus
+from quintic_moduli import ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
 from quintic_moduli.cli import JSON_SCHEMA, main
 from quintic_moduli.report import str_to_big
 
@@ -164,7 +164,11 @@ class TestRrcf:
         assert code == 0
         rr = payload["rrcf"]
         assert set(rr) == {"closed", "truncated", "depth", "difference", "a"}
-        assert rr["depth"] >= 512
+        # the reported truncation has converged: doubling the depth moves it
+        # by less than the tolerance
+        deeper = rrcf_truncated(nome(4, 1), 2 * rr["depth"])
+        with workprec(600):
+            assert abs(str_to_big(rr["truncated"], 512) - deeper) < mpf(10) ** -120
         assert str_to_big(rr["difference"], 512) < mpf(10) ** -100
         # a(4) = 250 + 125 sqrt(5)
         assert rr["a"].startswith("529.5084971874737")

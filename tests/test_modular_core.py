@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf, sqrt, workprec
 
 from quintic_moduli import (
     CertificationError,
+    ConvergenceError,
     DomainError,
+    PrecisionContext,
     a_value,
     closed_form_R,
     descend_a,
@@ -108,9 +112,51 @@ class TestRRCFTruncated:
 class TestRRCFConverged:
     def test_agrees_with_radical(self):
         val, depth = rrcf_converged(nome(4, 1))
-        assert depth >= 512
+        deeper = rrcf_truncated(nome(4, 1), 2 * depth)
         with workprec(600):
+            assert abs(val - deeper) < TOL
             assert abs(val - ov.r4_radical()) < mpf(10) ** -100
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize(
+        "r", [Fraction(1, 10 ** 4), Fraction(1, 37), Fraction(1), Fraction(22, 7),
+              Fraction(10 ** 3), Fraction(10 ** 6)]
+    )
+    def test_depth_is_minimal_and_converged(self, r, bits):
+        # the depth is chosen a priori: at most two past the smallest d with
+        # q^(d(d+1)/2) <= 2^-work_bits, and a far deeper truncation agrees
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        q = nome(r.numerator, r.denominator, ctx)
+        val, depth = rrcf_converged(q, ctx)
+        with workprec(ctx.work_bits + 64):
+            log2_q = -mp.log(q, 2)
+        d_min = 1
+        while d_min * (d_min + 1) / 2 * log2_q < ctx.work_bits:
+            d_min += 1
+        assert depth <= d_min + 2
+        deep = rrcf_truncated(q, 4 * depth + 50, ctx)
+        with workprec(ctx.work_bits):
+            assert abs(val - deep) < ctx.tolerance()
+
+    def test_domain(self):
+        for q in (0, 1, "1.5", "-0.2"):
+            with pytest.raises(DomainError):
+                rrcf_converged(q)
+
+    def test_q_too_close_to_one(self):
+        # q^(d(d+1)/2) < 2^-576 needs a depth of about 2^55, past the cap
+        with workprec(600):
+            q = 1 - mpf(2) ** -100
+        with pytest.raises(ConvergenceError):
+            rrcf_converged(q)
+
+    def test_disagreement_raises(self, monkeypatch):
+        # a truncation that still moves between d and d + 2 is not returned
+        import quintic_moduli.modular_core as mc
+
+        monkeypatch.setattr(mc, "rrcf_truncated", lambda q, depth, ctx=None: mpf(depth))
+        with pytest.raises(ConvergenceError):
+            rrcf_converged(nome(1, 1))
 
     def test_deterministic(self):
         a = rrcf_converged(nome(1, 1))
