@@ -128,7 +128,7 @@ def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
             * (rec.k / rec25.k) ** (mpf(2) / 3)
             * (rec.k_comp / rec25.k_comp) ** (mpf(8) / 3)
         )
-        m = m4 ** (mpf(1) / 4)
+        m = mp.root(m4, 4)
         return _entry(ctx, "eq10-multiplier", m * rec.K_k - rec25.K_k)
 
 
@@ -167,7 +167,7 @@ def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     with workprec(ctx.work_bits):
         s_hi = rec.k * rec.k_comp
         s_lo = rec_lo.k * rec_lo.k_comp
-        x = (s_hi / s_lo) ** (mpf(1) / 12)
+        x = mp.root(s_hi / s_lo, 12)
         y = u_map(x, ctx)
         return _entry(ctx, "eq26-u-defining", u_defining_residual(x, y, ctx))
 
@@ -180,7 +180,7 @@ def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
         kkp_eta = (
             mp.pi ** 3 * mp.sqrt(rec.q) * eta_f(rec.q ** 2, ctx) ** 6 / (2 * rec.K_k ** 3)
         )
-        g_eta = (2 * kkp_eta) ** (-mpf(1) / 12)
+        g_eta = 1 / mp.root(2 * kkp_eta, 12)
         return _entry(ctx, "eq31-g-def", g_rec - g_eta)
 
 
@@ -193,8 +193,8 @@ def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     rec_hi = solve_singular_modulus(n_hi, d_hi, ctx)
     with workprec(ctx.work_bits):
         s = lambda rr: rr.k * rr.k_comp
-        lhs = (s(rec_hi) / s(rec)) ** (mpf(1) / 12)
-        rhs = p_map((s(rec) / s(rec_lo)) ** (mpf(1) / 12), ctx)
+        lhs = mp.root(s(rec_hi) / s(rec), 12)
+        rhs = p_map(mp.root(s(rec) / s(rec_lo), 12), ctx)
         return _entry(ctx, "eq34-thm33", lhs - rhs)
 
 

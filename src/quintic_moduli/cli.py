@@ -320,7 +320,10 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         print("seed k(r0)    = %s" % mp.nstr(k_hi, args.digits))
         print("seed k(r0/25) = %s" % mp.nstr(k_lo, args.digits))
         _render_trace_text(trace, r0, args.digits)
-        print("all %d levels certified (gate 10^-%d)" % (args.n, ctx.tol_exp - 20))
+        print(
+            "all %d levels certified (relative gate 10^-%d)"
+            % (args.n, ctx.tol_exp - 20)
+        )
     return 0
 
 

@@ -221,17 +221,17 @@ def rrcf_converged(
 
 def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     """R from a given a-value: the real positive fifth root of
-    -11/2 - a/2 + sqrt(125 + 22a + a^2)/2."""
+    -11/2 - a/2 + sqrt(125 + 22a + a^2)/2.
+
+    The base is evaluated as its conjugate 2/(11 + a + sqrt(D)), where
+    D = 125 + 22a + a^2 = (a + 11)^2 + 4, so large a loses nothing to
+    cancellation; a <= -11 is refused, as in theta_form."""
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
-        disc = 125 + 22 * av + av * av
-        if disc < 0:
-            # impossible for a > 0: 125 + 22a + a^2 has no real roots
-            raise RuntimeError("internal: negative discriminant at a=%s" % av)
-        base = (-11 - av + mp.sqrt(disc)) / 2
-        if base <= 0:
-            raise RuntimeError("internal: non-positive fifth-power base at a=%s" % av)
+        if not av > -11:
+            raise DomainError("closed_form_R requires a > -11, got %s" % av)
+        base = 2 / (11 + av + mp.sqrt(125 + 22 * av + av * av))
         return _round_to(ctx, mp.root(base, 5))
 
 
@@ -274,8 +274,6 @@ def descend_v(v: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
             raise DomainError("descend_v requires 0 < v < 1, got %s" % vv)
         num = 1 - 2 * vv + 4 * vv ** 2 - 3 * vv ** 3 + vv ** 4
         den = 1 + 3 * vv + 4 * vv ** 2 + 2 * vv ** 3 + vv ** 4
-        if den == 0:  # unreachable for v in (0,1); defensive
-            raise DomainError("descend_v denominator vanished")
         return _round_to(ctx, mp.root(vv * num / den, 5))
 
 

@@ -128,7 +128,9 @@ def eta_product(q, bits):
 def u_radical(x, bits=700):
     """u_map by the closed cubic formula with principal complex branches.
 
-    Shares nothing with the library's bracketed cubic solve."""
+    Shares nothing with the library's Newton solve of the cubic.  The
+    formula cancels: at small x it loses about 3 |log2 x| bits, so ``bits``
+    must exceed the precision wanted by that much."""
     with workprec(bits):
         xc = mpc(x)
         inner = mp.sqrt(mpc(-125 * xc ** 6 - 22 * xc ** 12 - xc ** 18))

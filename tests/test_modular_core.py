@@ -198,6 +198,19 @@ class TestThetaForm:
         with pytest.raises(DomainError):
             theta_form(-12)
 
+    @pytest.mark.parametrize("a", ["1e20", "1e43", "1e86"])
+    def test_closed_form_keeps_precision_for_large_a(self, a):
+        # -11 - a + sqrt(125 + 22a + a^2) cancels about log10(a^2) digits
+        # unless it is rationalized
+        _, R = theta_form(a)
+        with workprec(600):
+            assert abs(closed_form_R(a) / R - 1) < mpf(10) ** -140
+
+    def test_closed_form_domain(self):
+        for a in (-11, -12, "-1e30"):
+            with pytest.raises(DomainError):
+                closed_form_R(a)
+
 
 class TestDescendV:
     def test_level_25_to_1(self):

@@ -6,6 +6,7 @@ from quintic_moduli import (
     CertificationError,
     DomainError,
     LadderTrace,
+    PrecisionContext,
     ascend_once,
     audit_example_forms,
     g_invariant,
@@ -83,6 +84,28 @@ class TestUMap:
             y = u_map(x)
             with workprec(700):
                 assert abs(y - ov.u_radical(x)) < TOL
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    @pytest.mark.parametrize(
+        "x", ["1e-200", "1.7e-127", "1e-40", "1e-20", "1e12", "1e20", "1e30"]
+    )
+    def test_full_relative_accuracy_at_extreme_x(self, x, bits):
+        # the relation's terms grow like x^(-3/2) or x^(3/2) here, far past
+        # what an absolute residual gate at 10^-tol_exp allows for; the cubic
+        # formula loses about 3 |log2 x| bits, so it is evaluated that much
+        # deeper
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        y = u_map(x, ctx)
+        with workprec(bits + 64):
+            extra = int(3 * abs(mp.log(mpf(x), 2)))
+            ref = ov.u_radical(x, bits + extra + 64).real
+            assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
+
+    @pytest.mark.parametrize("y0", ["1e-30", "1e-60"])
+    def test_round_trip_tiny(self, y0):
+        y = u_map(u_star(y0))
+        with workprec(600):
+            assert abs(y / mpf(y0) - 1) < mpf(10) ** -140
 
     def test_deterministic(self):
         assert u_map("1.25") == u_map("1.25")
@@ -222,6 +245,20 @@ class TestLadder:
         assert isinstance(trace, LadderTrace)
         assert len(trace.steps) == 1
         assert trace.steps[0].oracle_residual > mpf(10) ** -100
+
+    def test_gate_is_relative(self):
+        # k_78125 is about 8e-191: a seed off by a relative 1e-60 moves it by
+        # far less than an absolute 10^-100 gate, but not by less than the
+        # relative 10^-(tol_exp - 20)
+        k3125 = solve_singular_modulus(3125, 1).k
+        k125 = solve_singular_modulus(125, 1).k
+        with workprec(600):
+            seed = k3125 * (1 + mpf(10) ** -60)
+        with pytest.raises(CertificationError) as ei:
+            ladder(3125, 1, seed, k125, 1)
+        (step,) = ei.value.payload.steps
+        assert step.oracle_residual < mpf(10) ** -100
+        assert step.oracle_residual > mpf(10) ** -100 * step.k
 
     def test_domain(self):
         rec5 = solve_singular_modulus(5, 1)
