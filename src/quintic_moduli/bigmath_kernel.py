@@ -23,14 +23,21 @@ through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
 
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
+
+Inside a ``_request_memo()`` scope, ``solve_singular_modulus`` and ``eta_f``
+compute each (arguments, context) once and hand back the same value on every
+later call in the scope; outside one they always compute.  A scope lives for
+one call (``run_suite`` opens it), never for the process.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
 
@@ -118,6 +125,39 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 def _ctx(ctx: Optional[PrecisionContext]) -> PrecisionContext:
     return DEFAULT_CONTEXT if ctx is None else ctx
+
+
+_T = TypeVar("_T")
+
+#: values computed in the open _request_memo() scope; None outside
+_MEMO: ContextVar[Optional[dict]] = ContextVar("quintic_moduli_memo", default=None)
+
+
+@contextmanager
+def _request_memo() -> Iterator[None]:
+    """Open a memo scope for one request.
+
+    Within the scope each solve and eta value is computed once per
+    (arguments, context), and later calls return that same record,
+    residual included.  The memo is dropped when the scope exits, so
+    nothing is shared between requests.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoised(key: tuple, compute: Callable[[], _T]) -> _T:
+    """compute(), or the value it gave earlier in the open scope.  An
+    exception propagates and leaves nothing stored."""
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
@@ -249,11 +289,18 @@ def solve_singular_modulus(
     """
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
+    return _memoised(
+        ("solve", r_num, r_den, ctx), lambda: _solve(r_num, r_den, ctx)
+    )
+
+
+def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:
     with workprec(ctx.work_bits):
         target = mp.sqrt(mpf(r_num) / mpf(r_den))
         reflect = r_num < r_den
-        hi_num, hi_den = (r_den, r_num) if reflect else (r_num, r_den)
-        q = mp.exp(-mp.pi * mp.sqrt(mpf(hi_num) / mpf(hi_den)))
+        q_r = mp.exp(-mp.pi * target)  # the nome of r itself, for the record
+        # the theta quotient runs at the nome of max(r, 1/r)
+        q = mp.exp(-mp.pi * mp.sqrt(mpf(r_den) / mpf(r_num))) if reflect else q_r
         small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
         big = _round_to(ctx, _complement_raw(small))
         k, k_comp = (big, small) if reflect else (small, big)
@@ -271,7 +318,7 @@ def solve_singular_modulus(
             r_den=r_den,
             k=k,
             k_comp=k_comp,
-            q=_round_to(ctx, mp.exp(-mp.pi * target)),
+            q=_round_to(ctx, q_r),
             K_k=_round_to(ctx, mp.pi / (2 * agm_comp)),
             K_kcomp=_round_to(ctx, mp.pi / (2 * agm_k)),
             residual=_round_to(ctx, residual),
@@ -311,6 +358,10 @@ def eta_f(q: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
         raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
+    return _memoised(("eta", qv, ctx), lambda: _eta(qv, ctx))
+
+
+def _eta(qv: mpf, ctx: PrecisionContext) -> mpf:
     t = _neg_ln(qv)
     # the sum reaches q^n < 2^-bits at n = bits ln2 / t; the cap test is
     # that bound times t^2, so that t = 0 is refused too

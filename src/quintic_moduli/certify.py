@@ -3,8 +3,10 @@
 Each registry id names one residual that independent routes of the library
 must drive below 10^(-tol_exp).  Ids are grouped so relations that share
 their solves are computed together; entries within a group report the same
-wall-clock cost.  The registry order is canonical: reports list entries in
-this order no matter how the ids were requested.
+wall-clock cost.  One run_suite call solves each modulus and computes each
+eta value once, so a group's cost leaves out what earlier groups already
+computed.  The registry order is canonical: reports list entries in this
+order no matter how the ids were requested.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, workprec
 
 from .bigmath_kernel import (
     PrecisionContext,
     _ctx,
+    _request_memo,
     _round_to,
     eta_f,
     nome,
@@ -26,6 +29,7 @@ from .modular_core import (
     a_value,
     a_via_eta,
     descend_a,
+    descend_v,
     multiplier_M5,
     rrcf_converged,
     scale_rational,
@@ -87,15 +91,13 @@ def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
 
 def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     # f(-q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4
+    #         = (256 k^2 k'^8 / q)^(1/3) K^4 / pi^4
     rec = solve_singular_modulus(rn, rd, ctx)
     with workprec(ctx.work_bits):
         rhs = (
-            mpf(2) ** (mpf(8) / 3)
-            / mp.pi ** 4
-            * rec.q ** (-mpf(1) / 3)
-            * rec.k ** (mpf(2) / 3)
-            * rec.k_comp ** (mpf(8) / 3)
+            mp.cbrt(256 * rec.k ** 2 * rec.k_comp ** 8 / rec.q)
             * rec.K_k ** 4
+            / mp.pi ** 4
         )
         return _entry(ctx, "eq6-eta8", eta_f(rec.q, ctx) ** 8 - rhs)
 
@@ -124,9 +126,10 @@ def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     with workprec(ctx.work_bits):
         m4 = (
             (eta_f(rec.q ** 5, ctx) / eta_f(rec.q, ctx)) ** 8
-            * rec.q ** (mpf(4) / 3)
-            * (rec.k / rec25.k) ** (mpf(2) / 3)
-            * (rec.k_comp / rec25.k_comp) ** (mpf(8) / 3)
+            * rec.q
+            * mp.cbrt(
+                rec.q * (rec.k / rec25.k) ** 2 * (rec.k_comp / rec25.k_comp) ** 8
+            )
         )
         m = mp.root(m4, 4)
         return _entry(ctx, "eq10-multiplier", m * rec.K_k - rec25.K_k)
@@ -139,8 +142,6 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
 
 def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:
     # CF-value descent r -> r/25 against a direct evaluation at r/25
-    from .modular_core import descend_v
-
     with workprec(ctx.work_bits):
         hi, _ = rrcf_converged(nome(rn, rd, ctx), ctx)
         n_lo, d_lo = scale_rational(rn, rd, 1, 25)
@@ -238,6 +239,10 @@ def run_suite(
     ids=None runs the full registry.  Unknown ids raise UsageError naming
     the registry.  Entries come back in registry order with measured
     residuals, pass flags against 10^(-tol_exp), and wall-clock cost.
+
+    The groups run in one memo scope, so each modulus and eta value is
+    computed once per call; a group's elapsed_ms leaves out the
+    solves that earlier groups already paid for.  Nothing outlives the call.
     """
     ctx = _ctx(ctx)
     if ids is None:
@@ -252,16 +257,17 @@ def run_suite(
             )
 
     produced: Dict[str, IdentityEntry] = {}
-    for group_ids, checker in _GROUPS:
-        if not wanted.intersection(group_ids):
-            continue
-        t0 = time.perf_counter()
-        entries = checker(r_num, r_den, ctx)
-        ms = int((time.perf_counter() - t0) * 1000)
-        for e in entries:
-            e.elapsed_ms = ms
-            if e.id in wanted:
-                produced[e.id] = e
+    with _request_memo():
+        for group_ids, checker in _GROUPS:
+            if not wanted.intersection(group_ids):
+                continue
+            t0 = time.perf_counter()
+            entries = checker(r_num, r_den, ctx)
+            ms = int((time.perf_counter() - t0) * 1000)
+            for e in entries:
+                e.elapsed_ms = ms
+                if e.id in wanted:
+                    produced[e.id] = e
 
     ordered = [produced[i] for i in REGISTRY if i in produced]
     return IdentityReport(

@@ -6,7 +6,8 @@
     quintic-moduli verify --r 1 [--ids eq5-eta-quotient,k-reciprocal]
 
 Global flags: --prec BITS, --tol-exp E, --digits D, --json.
-Every modulus is solved fresh; a solve is a theta quotient plus two AGMs.
+Every modulus is solved once per request; a solve is a theta quotient plus
+two AGMs.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number

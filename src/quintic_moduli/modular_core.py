@@ -34,7 +34,6 @@ from .bigmath_kernel import (
     _neg_ln,
     _round_to,
     eta_f,
-    nome,
     solve_singular_modulus,
     to_big,
 )
@@ -139,8 +138,7 @@ def a_value(
     n25, d25 = scale_rational(r_num, r_den, 25, 1)
     rec25 = solve_singular_modulus(n25, d25, ctx)
     with workprec(ctx.work_bits):
-        q = nome(r_num, r_den, ctx)
-        via_eta = a_via_eta(q, ctx)
+        via_eta = a_via_eta(rec.q, ctx)
         m5 = rec25.K_k / rec.K_k
         via_moduli = (
             (rec.k_comp / rec25.k_comp) ** 2
@@ -287,15 +285,24 @@ def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     denominator (note the coefficient 5 on E^5) is intentional; it is
     validated against the continued-fraction descent route by the identity
     suite rather than re-derived.
+
+    E is the fifth root of h + sqrt(h^2 + 1), h = (11 + a)/2, and the
+    numerator is evaluated without cancellation: E tends to the golden ratio
+    as a -> 0, where -1 - E + E^2 would lose about |log10 a| digits.  With
+    t = E - 1/E one has t^5 + 5t^3 + 5t = E^5 - E^-5 = 11 + a, hence
+    (t - 1)(t^4 + t^3 + 6t^2 + 6t + 11) = a and
+
+        -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
     """
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("descend_a requires a > -11, got %s" % av)
-        y = mp.asinh((11 + av) / 2)
-        E = mp.exp(y / 5)
-        num = (-1 - E + E ** 2) ** 5
+        h = (11 + av) / 2
+        E = mp.root(h + mp.sqrt(h * h + 1), 5)
+        t = E - 1 / E
+        num = (E * av / (t ** 4 + t ** 3 + 6 * t ** 2 + 6 * t + 11)) ** 5
         den = (
             E - E ** 2 + 2 * E ** 3 - 3 * E ** 4 + 5 * E ** 5
             + 3 * E ** 6 + 2 * E ** 7 + E ** 8 + E ** 9
@@ -338,8 +345,7 @@ def verify_thm22(
         w = mp.sqrt(k * k25)
         wp = mp.sqrt(kp * kp25)
 
-        q = nome(r_num, r_den, ctx)
-        a_ref = a_via_eta(q, ctx)
+        a_ref = a_via_eta(rec.q, ctx)
         w_form = (
             k ** 3 * (k ** 2 - 1) / (w ** 5 - k ** 2 * w)
             * (w / k + wp / kp - w * wp / (k * kp)) ** 3
@@ -356,9 +362,9 @@ def verify_thm22(
             + w ** 6
         )
 
-        quarter = mpf(1) / 4
-        stated = _depressed_form(k ** quarter, k25 ** quarter)
-        swapped = _depressed_form(k25 ** quarter, k ** quarter)
+        u, v = mp.root(k, 4), mp.root(k25, 4)
+        stated = _depressed_form(u, v)
+        swapped = _depressed_form(v, u)
         if abs(stated) <= abs(swapped):
             res15, orientation = abs(stated), "stated (u = k_r^(1/4))"
         else:

@@ -47,7 +47,9 @@ class IdentityEntry:
     whether it cleared the context tolerance, and wall-clock cost.
 
     Entries computed together from shared solves (e.g. the three
-    modulus-pair relations) carry the same elapsed_ms.
+    modulus-pair relations) carry the same elapsed_ms.  Solves are shared
+    across groups within one run_suite call, so elapsed_ms leaves out the
+    solves that earlier groups already paid for.
     """
 
     id: str

@@ -125,6 +125,23 @@ def eta_product(q, bits):
         return acc
 
 
+def descend_a_printed(a, bits):
+    """descend_a in its printed form, E = exp(arcsinh((11 + a)/2)/5) and
+    numerator (-1 - E + E^2)^5, at ``bits``.
+
+    E tends to the golden ratio as a -> 0, so the numerator cancels about
+    |log2 a| bits: ``bits`` must exceed the precision wanted by that much."""
+    with workprec(bits):
+        a = mpf(a)
+        E = mp.exp(mp.asinh((11 + a) / 2) / 5)
+        num = (-1 - E + E ** 2) ** 5
+        den = (
+            E - E ** 2 + 2 * E ** 3 - 3 * E ** 4 + 5 * E ** 5
+            + 3 * E ** 6 + 2 * E ** 7 + E ** 8 + E ** 9
+        )
+        return num / den
+
+
 def u_radical(x, bits=700):
     """u_map by the closed cubic formula with principal complex branches.
 

@@ -10,6 +10,7 @@ from quintic_moduli import (
     CertificationError,
     ConvergenceError,
     DomainError,
+    DEFAULT_CONTEXT,
     PrecisionContext,
     agm,
     complement,
@@ -21,6 +22,7 @@ from quintic_moduli import (
 )
 
 import oracle_values as ov
+import quintic_moduli.bigmath_kernel as bk
 
 TOL = mpf(10) ** -120
 
@@ -157,6 +159,10 @@ class TestNome:
             ulp = mpf(2) ** -500
             assert abs(nome(4, 1) - nome(1, 1) ** 2) < ulp
             assert abs(nome(1, 4) - sqrt(nome(1, 1))) < ulp
+
+    @pytest.mark.parametrize("rn,rd", [(1, 1), (5, 1), (22, 7), (1, 50), (3, 7)])
+    def test_record_carries_the_same_nome(self, rn, rd):
+        assert solve_singular_modulus(rn, rd).q == nome(rn, rd)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -344,3 +350,32 @@ class TestEtaF:
 
     def test_deterministic(self):
         assert eta_f("0.25") == eta_f("0.25")
+
+
+class TestRequestMemo:
+    def test_scope_hands_back_the_first_value(self):
+        with bk._request_memo():
+            rec = solve_singular_modulus(7, 3)
+            assert solve_singular_modulus(7, 3) is rec
+            assert solve_singular_modulus(7, 3, DEFAULT_CONTEXT) is rec
+            assert eta_f(rec.q) is eta_f(rec.q)
+        # outside a scope every call computes afresh, to the same value
+        again = solve_singular_modulus(7, 3)
+        assert again is not rec and again == rec
+
+    def test_keyed_on_context(self, ctx1024):
+        with bk._request_memo():
+            rec = solve_singular_modulus(7, 3)
+            assert solve_singular_modulus(7, 3, ctx1024).k != rec.k
+            assert solve_singular_modulus(3, 7) is not rec
+
+    def test_error_is_not_stored(self, monkeypatch):
+        def breakdown(*a):
+            raise ConvergenceError("stubbed AGM breakdown")
+
+        with bk._request_memo():
+            monkeypatch.setattr(bk, "_agm_raw", breakdown)
+            with pytest.raises(ConvergenceError):
+                solve_singular_modulus(7, 3)
+            monkeypatch.undo()
+            assert solve_singular_modulus(7, 3).residual < TOL

@@ -1,13 +1,16 @@
 import pytest
 from mpmath import mpf
 
+import quintic_moduli.bigmath_kernel as bk
 from quintic_moduli import (
+    DEFAULT_CONTEXT,
     REGISTRY,
     IdentityReport,
     PrecisionContext,
     UsageError,
     run_suite,
 )
+from quintic_moduli.certify import _GROUPS
 
 
 class TestRegistry:
@@ -74,6 +77,10 @@ class TestRunSuite:
         assert report.all_pass
         assert report.r_num == 3 and report.r_den == 2
 
+    def test_eq34_where_p_map_descends_a_tiny_a(self):
+        # at r = 10^5, p_map descends an a-value near 3e-171
+        assert run_suite(10 ** 5, 1, ids=["eq34-thm33"]).all_pass
+
     def test_deterministic_modulo_timing(self):
         a = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
         b = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
@@ -82,6 +89,45 @@ class TestRunSuite:
             assert ea.residual == eb.residual
             assert ea.passed == eb.passed
             assert ea.detail == eb.detail
+
+
+class TestRequestMemo:
+    @staticmethod
+    def _record_solves(monkeypatch):
+        solved = []
+        solve = bk._solve
+
+        def recording(rn, rd, ctx):
+            solved.append((rn, rd))
+            return solve(rn, rd, ctx)
+
+        monkeypatch.setattr(bk, "_solve", recording)
+        return solved
+
+    def test_one_solve_per_distinct_r(self, monkeypatch):
+        solved = self._record_solves(monkeypatch)
+        assert run_suite(5, 1).all_pass
+        # r, 25r, r/25 (= 1/r), 4r and 100r, each once
+        assert sorted(solved) == [(1, 5), (5, 1), (20, 1), (125, 1), (500, 1)]
+
+    def test_nothing_is_shared_between_calls(self, monkeypatch):
+        solved = self._record_solves(monkeypatch)
+        run_suite(5, 1)
+        run_suite(5, 1)
+        assert len(solved) == 10
+
+    @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
+    def test_residuals_match_unmemoised_groups(self, rn, rd):
+        report = run_suite(rn, rd)
+        # outside run_suite no scope is open, so every checker solves afresh
+        fresh = [e for _, check in _GROUPS for e in check(rn, rd, DEFAULT_CONTEXT)]
+        assert [e.id for e in fresh] == [e.id for e in report.entries]
+        for got, want in zip(report.entries, fresh):
+            assert (got.residual, got.passed, got.detail) == (
+                want.residual,
+                want.passed,
+                want.detail,
+            ), got.id
 
 
 class TestReportSerialization:

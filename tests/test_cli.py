@@ -151,6 +151,17 @@ class TestLadder:
         assert "certification failure" in out
         assert "level 1" in out
 
+    @pytest.mark.parametrize("r0,n", [("11/8", 4), ("14/9", 4), ("34", 3), ("7/13", 4)])
+    def test_deep_ladders_certify(self, capsys, r0, n):
+        # the top rungs descend a-values far below 1e-60 inside p_map, where
+        # descend_a's printed numerator would cancel its digits away
+        code, out, err = run_cli(capsys, "ladder", "--r0", r0, "--n", str(n), "--json")
+        assert code == 0, out + err
+        payload = json.loads(out)
+        jsonschema.validate(payload, JSON_SCHEMA)
+        assert payload["ladder"]["certified"] is True
+        assert len(payload["ladder"]["levels"]) == n
+
     def test_two_rungs_text(self, capsys):
         code, out, _ = run_cli(capsys, "ladder", "--r0", "5", "--n", "2")
         assert code == 0

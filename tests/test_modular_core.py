@@ -19,6 +19,7 @@ from quintic_moduli import (
     rrcf_truncated,
     solve_singular_modulus,
     theta_form,
+    to_big,
     verify_thm22,
 )
 
@@ -265,6 +266,16 @@ class TestDescendA:
             c8 = abs(descend_a(mpf(10) ** 8) / mpf(10) ** (mpf(8) / 5) - 1)
         assert c6 < mpf("0.5")
         assert c8 < c6
+
+    @pytest.mark.parametrize("a", ["1e-30", "1e-60", "1e-200"])
+    def test_no_cancellation_near_zero(self, a):
+        # the printed numerator -1 - E + E^2 cancels about |log10 a| digits
+        # here; the reference evaluates it with 2048 bits to spare
+        av = to_big(a)
+        ref = ov.descend_a_printed(av, 2048)
+        got = descend_a(av)
+        with workprec(2048):
+            assert abs(got - ref) <= abs(ref) * mpf(2) ** (8 - 512), a
 
     def test_domain(self):
         with pytest.raises(DomainError):
