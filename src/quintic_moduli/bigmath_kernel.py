@@ -219,11 +219,6 @@ def agm(a: Real, b: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, _agm_raw(av, bv, ctx))
 
 
-def _K_from_complement_raw(comp: mpf, ctx: PrecisionContext) -> mpf:
-    """K(x) given comp = sqrt(1-x^2); ambient working precision assumed."""
-    return mp.pi / (2 * _agm_raw(mpf(1), comp, ctx))
-
-
 def elliptic_K(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     """Complete elliptic integral of the first kind at modulus ``x``.
 
@@ -239,7 +234,7 @@ def elliptic_K(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         xv = to_big(x, ctx)
         if xv < 0 or xv >= 1:
             raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
-        return _round_to(ctx, _K_from_complement_raw(_complement_raw(xv), ctx))
+        return _round_to(ctx, mp.pi / (2 * _agm_raw(mpf(1), _complement_raw(xv), ctx)))
 
 
 def _validate_rational(r_num: int, r_den: int) -> None:

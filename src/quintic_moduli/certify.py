@@ -20,7 +20,6 @@ from .bigmath_kernel import (
     PrecisionContext,
     _ctx,
     _request_memo,
-    _round_to,
     eta_f,
     nome,
     solve_singular_modulus,
@@ -74,9 +73,7 @@ REGISTRY: Tuple[str, ...] = (
 
 
 def _entry(ctx: PrecisionContext, id_: str, residual) -> List[IdentityEntry]:
-    return [
-        IdentityEntry(id_, _round_to(ctx, abs(residual)), bool(abs(residual) < ctx.tolerance()))
-    ]
+    return [IdentityEntry.gated(ctx, id_, residual)]
 
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> List[IdentityEntry]:

@@ -37,7 +37,7 @@ from .bigmath_kernel import (
 )
 from .certify import REGISTRY, UsageError, run_suite
 from .modular_core import a_value, closed_form_R, rrcf_converged, scale_rational
-from .quintic_ladder import BranchError, LadderTrace, ladder
+from .quintic_ladder import GATE_SLACK_DIGITS, BranchError, LadderTrace, ladder
 from .report import big_to_str, str_to_big
 
 __all__ = ["main", "JSON_SCHEMA"]
@@ -293,7 +293,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
             )
         out["ladder"] = {
             "n": args.n,
-            "gate_exp": ctx.tol_exp - 20,
+            "gate_exp": ctx.tol_exp - GATE_SLACK_DIGITS,
             "seed_k": big_to_str(k_hi, bits),
             "seed_k25": big_to_str(k_lo, bits),
             "certified": True,
@@ -323,7 +323,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         _render_trace_text(trace, r0, args.digits)
         print(
             "all %d levels certified (relative gate 10^-%d)"
-            % (args.n, ctx.tol_exp - 20)
+            % (args.n, ctx.tol_exp - GATE_SLACK_DIGITS)
         )
     return 0
 
@@ -382,6 +382,9 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
         n_pass = sum(1 for e in rep.entries if e.passed)
         print("%d/%d identities passed" % (n_pass, len(rep.entries)))
     return 0 if rep.all_pass else 4
+
+
+_COMMANDS = {"kr": cmd_kr, "ladder": cmd_ladder, "rrcf": cmd_rrcf, "verify": cmd_verify}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,29 +451,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        if args.command == "kr":
-            return cmd_kr(args, ctx)
-        if args.command == "ladder":
-            return cmd_ladder(args, ctx)
-        if args.command == "rrcf":
-            return cmd_rrcf(args, ctx)
-        if args.command == "verify":
-            return cmd_verify(args, ctx)
-        print("usage error: unknown command %r" % args.command, file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        return _COMMANDS[args.command](args, ctx)
+    except (UsageError, DomainError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print("convergence failure: %s" % exc, file=sys.stderr)
         return 3
-    except BranchError as exc:
-        print("certification failure: %s" % exc, file=sys.stderr)
-        return 4
-    except CertificationError as exc:
+    except (BranchError, CertificationError) as exc:
         print("certification failure: %s" % exc, file=sys.stderr)
         return 4
 

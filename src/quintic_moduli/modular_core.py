@@ -9,7 +9,8 @@ Route map (everything is certified by cross-route residuals, never trusted):
     a(r)   = f(-q)^6 / (q f(-q^5)^6)                      [eta route]
            = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5(r)^-3      [moduli route]
     R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [truncated CF]
-           = (-11/2 - a/2 + sqrt(125 + 22a + a^2)/2)^(1/5) [closed form]
+           = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
+                                                           [closed form]
            = exp(-y/5),  y = arcsinh((11 + a)/2)           [log-sinh form]
     m5(r)  is certified as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
@@ -47,7 +48,6 @@ __all__ = [
     "rrcf_truncated",
     "rrcf_converged",
     "closed_form_R",
-    "rrcf_closed",
     "theta_form",
     "descend_v",
     "descend_a",
@@ -90,10 +90,9 @@ class ARecord:
 
     r_num: int
     r_den: int
-    a: mpf               # certified value (moduli route)
+    a: mpf               # certified value: (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3
     via_eta: mpf         # f(-q)^6/(q f(-q^5)^6)
-    via_moduli: mpf      # (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3
-    cross_residual: mpf  # |via_eta - via_moduli|
+    cross_residual: mpf  # |via_eta - a|
 
 
 def multiplier_M5(
@@ -156,7 +155,6 @@ def a_value(
             r_den=r_den,
             a=_round_to(ctx, via_moduli),
             via_eta=_round_to(ctx, via_eta),
-            via_moduli=_round_to(ctx, via_moduli),
             cross_residual=_round_to(ctx, cross),
         )
 
@@ -217,30 +215,27 @@ def rrcf_converged(
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 
+def _fifth_root_radical(av: mpf) -> mpf:
+    """E = (h + sqrt(h^2 + 1))^(1/5) with h = (11 + a)/2, for a > -11, at
+    the ambient precision.  E^5 - E^-5 = 11 + a, so E = exp(y/5) with
+    y = arcsinh(h), and 1/E is the closed-form R."""
+    h = (11 + av) / 2
+    return mp.root(h + mp.sqrt(h * h + 1), 5)
+
+
 def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     """R from a given a-value: the real positive fifth root of
     -11/2 - a/2 + sqrt(125 + 22a + a^2)/2.
 
-    The base is evaluated as its conjugate 2/(11 + a + sqrt(D)), where
-    D = 125 + 22a + a^2 = (a + 11)^2 + 4, so large a loses nothing to
+    With h = (11 + a)/2 that base is sqrt(h^2 + 1) - h = 1/(h + sqrt(h^2 + 1)),
+    so R = 1/E for E = _fifth_root_radical(a), and large a loses nothing to
     cancellation; a <= -11 is refused, as in theta_form."""
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("closed_form_R requires a > -11, got %s" % av)
-        base = 2 / (11 + av + mp.sqrt(125 + 22 * av + av * av))
-        return _round_to(ctx, mp.root(base, 5))
-
-
-def rrcf_closed(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
-) -> mpf:
-    """R(q) at q = nome(r) through the certified a(r) and the closed radical
-    form; independent of the truncated-CF route."""
-    ctx = _ctx(ctx)
-    rec = a_value(r_num, r_den, ctx)
-    return closed_form_R(rec.a, ctx)
+        return _round_to(ctx, 1 / _fifth_root_radical(av))
 
 
 def theta_form(a: Real, ctx: Optional[PrecisionContext] = None) -> Tuple[mpf, mpf]:
@@ -286,9 +281,10 @@ def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     validated against the continued-fraction descent route by the identity
     suite rather than re-derived.
 
-    E is the fifth root of h + sqrt(h^2 + 1), h = (11 + a)/2, and the
-    numerator is evaluated without cancellation: E tends to the golden ratio
-    as a -> 0, where -1 - E + E^2 would lose about |log10 a| digits.  With
+    E is _fifth_root_radical(a), the fifth root of h + sqrt(h^2 + 1) with
+    h = (11 + a)/2 (so E = 1/closed_form_R(a)), and the numerator is
+    evaluated without cancellation: E tends to the golden ratio as a -> 0,
+    where -1 - E + E^2 would lose about |log10 a| digits.  With
     t = E - 1/E one has t^5 + 5t^3 + 5t = E^5 - E^-5 = 11 + a, hence
     (t - 1)(t^4 + t^3 + 6t^2 + 6t + 11) = a and
 
@@ -299,8 +295,7 @@ def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("descend_a requires a > -11, got %s" % av)
-        h = (11 + av) / 2
-        E = mp.root(h + mp.sqrt(h * h + 1), 5)
+        E = _fifth_root_radical(av)
         t = E - 1 / E
         num = (E * av / (t ** 4 + t ** 3 + 6 * t ** 2 + 6 * t + 11)) ** 5
         den = (
@@ -350,9 +345,8 @@ def verify_thm22(
             k ** 3 * (k ** 2 - 1) / (w ** 5 - k ** 2 * w)
             * (w / k + wp / kp - w * wp / (k * kp)) ** 3
         )
-        res13 = abs(w_form - a_ref)
 
-        res14 = abs(
+        res14 = (
             k ** 6
             + k ** 3 * (-16 + 10 * k ** 2) * w
             + 15 * k ** 4 * w ** 2
@@ -370,14 +364,13 @@ def verify_thm22(
         else:
             res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
 
-        tol = ctx.tolerance()
         return [
-            IdentityEntry("eq13-thm22", _round_to(ctx, res13), bool(res13 < tol)),
-            IdentityEntry("eq14-w-poly", _round_to(ctx, res14), bool(res14 < tol)),
-            IdentityEntry(
+            IdentityEntry.gated(ctx, "eq13-thm22", w_form - a_ref),
+            IdentityEntry.gated(ctx, "eq14-w-poly", res14),
+            IdentityEntry.gated(
+                ctx,
                 "eq15-depressed",
-                _round_to(ctx, res15),
-                bool(res15 < tol),
+                res15,
                 detail={
                     "vanishing_orientation": orientation,
                     "stated_residual": mp.nstr(abs(stated), 12),

@@ -33,6 +33,7 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _complement_raw,
     _ctx,
     _round_to,
     eta_f,
@@ -54,12 +55,16 @@ __all__ = [
     "p_map",
     "g_invariant",
     "k_from_kkprime",
-    "ascend_once",
     "ladder",
     "verify_thm31",
     "verify_thm32",
     "audit_example_forms",
 ]
+
+
+#: digits the ladder's relative gate 10^-(tol_exp - GATE_SLACK_DIGITS)
+#: gives up against the single-solve tolerance; see ladder
+GATE_SLACK_DIGITS = 20
 
 
 class BranchError(RuntimeError):
@@ -240,31 +245,6 @@ def k_from_kkprime(p: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, mp.sqrt(2 * pv ** 2 / (1 + mp.sqrt(rad))))
 
 
-def ascend_once(
-    kkp_r: Real, kkp_r_over_25: Real, ctx: Optional[PrecisionContext] = None
-) -> mpf:
-    """s(25r) from s(r) and s(r/25), where s(r) = k_r k'_r.
-
-    The product s peaks at exactly 1/2 (r = 1); a value a rounding error
-    above that is clamped, matching the policy in k_from_kkprime.
-    """
-    ctx = _ctx(ctx)
-    with workprec(ctx.work_bits):
-        half = mpf(1) / 2
-        slack = mpf(2) ** (-ctx.precision_bits)
-        vals = []
-        for name, raw in (("kkp_r", kkp_r), ("kkp_r_over_25", kkp_r_over_25)):
-            v = to_big(raw, ctx)
-            if half < v <= half + slack:
-                v = half
-            if not (0 < v <= half):
-                raise DomainError("%s must lie in (0, 1/2], got %s" % (name, v))
-            vals.append(v)
-        hi, lo = vals
-        x = mp.root(hi / lo, 12)
-        return _round_to(ctx, hi * p_map(x, ctx) ** 12)
-
-
 def ladder(
     r0_num: int,
     r0_den: int,
@@ -277,13 +257,14 @@ def ladder(
 
     Seeds are the moduli at r0 and r0/25.  Every level's k is checked
     against an independent K-ratio solve; a level missing its oracle by a
-    relative 10^-(tol_exp - 20) or more (|k_j - k_oracle| measured against
-    k_oracle) raises CertificationError with the partial trace (including
-    the failing step) as payload.  The gate is relative because k shrinks
-    like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute one stops checking
-    anything within a few rungs; the 20 digits of slack reflect that the
-    certified quantity degrades by a bounded factor per rung while tol_exp
-    is calibrated for single solves.  oracle_residual stays absolute.
+    relative 10^-(tol_exp - GATE_SLACK_DIGITS) or more (|k_j - k_oracle|
+    measured against k_oracle) raises CertificationError with the partial
+    trace (including the failing step) as payload.  The gate is relative
+    because k shrinks like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute
+    one stops checking anything within a few rungs; the 20 digits of slack
+    reflect that the certified quantity degrades by a bounded factor per rung
+    while tol_exp is calibrated for single solves.  oracle_residual stays
+    absolute.
 
     Levels with 25^j r0 < 1 are refused (BranchError): below r = 1 the
     ascent's positivity conventions flip; use the reciprocal symmetry
@@ -301,10 +282,10 @@ def ladder(
         for name, v in (("k_r0", k_hi), ("k_r0_over25", k_lo)):
             if not (0 < v < 1):
                 raise DomainError("%s must lie in (0, 1), got %s" % (name, v))
-        sq = lambda k: k * mp.sqrt((1 - k) * (1 + k))  # k k'
-        prev2, prev = sq(k_lo), sq(k_hi)
+        prev2 = k_lo * _complement_raw(k_lo)  # k k' at r0/25
+        prev = k_hi * _complement_raw(k_hi)
 
-        gate_exp = ctx.tol_exp - 20
+        gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
         gate = mpf(10) ** (-gate_exp)
         steps: List[LadderStep] = []
         for j in range(1, n + 1):
@@ -355,18 +336,17 @@ def verify_thm31(
 
         n4, d4 = scale_rational(r_num, r_den, 4, 1)
         a4 = a_value(n4, d4, ctx)
-        res_eta = abs(A ** 6 - a4.via_moduli)
+        res_eta = abs(A ** 6 - a4.a)
 
         n25, d25 = scale_rational(r_num, r_den, 25, 1)
         vp = g_invariant(n25, d25, ctx).g / g_invariant(r_num, r_den, ctx).g
         res_rel = u_defining_residual(A, vp, ctx)
 
-        worst = max(res_eta, res_rel)
         return [
-            IdentityEntry(
+            IdentityEntry.gated(
+                ctx,
                 "eq29-thm31",
-                _round_to(ctx, worst),
-                bool(worst < ctx.tolerance()),
+                max(res_eta, res_rel),
                 detail={
                     "sixth_power_vs_a(4r)": mp.nstr(res_eta, 12),
                     "invariant_ratio_relation": mp.nstr(res_rel, 12),
@@ -387,12 +367,8 @@ def verify_thm32(
     g_mid = g_invariant(r_num, r_den, ctx).g
     g_hi = g_invariant(n_hi, d_hi, ctx).g
     with workprec(ctx.work_bits):
-        res = abs(g_mid / g_lo - p_map(g_hi / g_mid, ctx))
-        return [
-            IdentityEntry(
-                "eq30-thm32", _round_to(ctx, res), bool(res < ctx.tolerance())
-            )
-        ]
+        res = g_mid / g_lo - p_map(g_hi / g_mid, ctx)
+        return [IdentityEntry.gated(ctx, "eq30-thm32", res)]
 
 
 def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:
@@ -414,49 +390,42 @@ def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:
     """
     ctx = _ctx(ctx)
     out = {}
+    for r0 in (5, 25):
+        oracle = solve_singular_modulus(25 * r0, 1, ctx).k
+        seed_k = solve_singular_modulus(r0, 1, ctx).k
+        seed_k25 = solve_singular_modulus(*scale_rational(r0, 1, 1, 25), ctx).k
+        (step,) = ladder(r0, 1, seed_k, seed_k25, 1, ctx).steps
+        out["canonical_%d" % (25 * r0)] = {
+            "value": step.k,
+            "oracle": oracle,
+            "difference": step.oracle_residual,
+            "holds": bool(step.oracle_residual < ctx.tolerance()),
+        }
+
     with workprec(ctx.work_bits):
         s5 = mp.sqrt(mpf(5))
-
-        rec5 = solve_singular_modulus(5, 1, ctx)
-        rec15 = solve_singular_modulus(1, 5, ctx)
-        oracle125 = solve_singular_modulus(125, 1, ctx)
-        trace = ladder(5, 1, rec5.k, rec15.k, 1, ctx)
-        out["canonical_125"] = {
-            "value": trace.steps[0].k,
-            "oracle": oracle125.k,
-            "difference": trace.steps[0].oracle_residual,
-            "holds": bool(trace.steps[0].oracle_residual < ctx.tolerance()),
-        }
+        oracle125 = out["canonical_125"]["oracle"]
+        oracle625 = out["canonical_625"]["oracle"]
         p1 = p_map(mpf(1), ctx)
         verb125 = mp.sqrt(
             mpf(1) / 2 - mp.sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2
         )
-        d125 = abs(verb125 - oracle125.k)
+        d125 = abs(verb125 - oracle125)
         out["verbatim_125"] = {
             "value": _round_to(ctx, verb125),
-            "oracle": oracle125.k,
+            "oracle": oracle125,
             "difference": _round_to(ctx, d125),
             "holds": bool(d125 < ctx.tolerance()),
         }
 
-        rec25 = solve_singular_modulus(25, 1, ctx)
-        rec1 = solve_singular_modulus(1, 1, ctx)
-        oracle625 = solve_singular_modulus(625, 1, ctx)
-        trace625 = ladder(25, 1, rec25.k, rec1.k, 1, ctx)
-        out["canonical_625"] = {
-            "value": trace625.steps[0].k,
-            "oracle": oracle625.k,
-            "difference": trace625.steps[0].oracle_residual,
-            "holds": bool(trace625.steps[0].oracle_residual < ctx.tolerance()),
-        }
         parg = p_map(161 - 72 * s5, ctx)
         verb625 = mp.sqrt(
             mpf(1) / 2 - mp.sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2
         )
-        d625 = abs(verb625 - oracle625.k)
+        d625 = abs(verb625 - oracle625)
         out["verbatim_625"] = {
             "value": _round_to(ctx, verb625),
-            "oracle": oracle625.k,
+            "oracle": oracle625,
             "difference": _round_to(ctx, d625),
             "holds": bool(d625 < ctx.tolerance()),
         }

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from mpmath import mp, mpf, workprec
+
+from .bigmath_kernel import PrecisionContext, _round_to
 
 __all__ = [
     "roundtrip_digits",
@@ -57,6 +59,23 @@ class IdentityEntry:
     passed: bool
     elapsed_ms: int = 0
     detail: Dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def gated(
+        cls,
+        ctx: PrecisionContext,
+        id_: str,
+        residual: mpf,
+        detail: Optional[Dict[str, str]] = None,
+    ) -> "IdentityEntry":
+        """The registry's pass rule: store |residual| rounded to
+        precision_bits, and pass when |residual| < 10^(-tol_exp).  Every
+        registry checker builds its entries here.  |residual| is taken at
+        the ambient precision, so callers hold workprec(ctx.work_bits)."""
+        res = abs(residual)
+        return cls(
+            id_, _round_to(ctx, res), bool(res < ctx.tolerance()), detail=dict(detail or {})
+        )
 
     def to_dict(self, precision_bits: int) -> dict:
         d = {

@@ -1,10 +1,11 @@
 import pytest
-from mpmath import mpf
+from mpmath import mpf, workprec
 
 import quintic_moduli.bigmath_kernel as bk
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
+    IdentityEntry,
     IdentityReport,
     PrecisionContext,
     UsageError,
@@ -142,6 +143,37 @@ class TestReportSerialization:
             assert ea.id == eb.id
             assert ea.residual == eb.residual
             assert ea.passed == eb.passed
+
+
+class TestGatedEntry:
+    """IdentityEntry.gated is the registry's one pass rule; like the
+    checkers, these call it at working precision."""
+
+    def test_residual_at_the_tolerance_fails(self):
+        ctx = DEFAULT_CONTEXT
+        tol = ctx.tolerance()
+        with workprec(ctx.work_bits):
+            assert not IdentityEntry.gated(ctx, "eq6-eta8", tol).passed
+            assert IdentityEntry.gated(ctx, "eq6-eta8", tol / 2).passed
+
+    def test_negative_residual_is_stored_as_its_absolute_value(self):
+        ctx = DEFAULT_CONTEXT
+        tol = ctx.tolerance()
+        with workprec(ctx.work_bits):
+            e = IdentityEntry.gated(ctx, "eq6-eta8", -tol / 2)
+            assert e.residual == IdentityEntry.gated(ctx, "eq6-eta8", tol / 2).residual
+            assert e.residual > 0
+            assert e.passed
+            failing = IdentityEntry.gated(ctx, "eq6-eta8", -2 * tol)
+            assert failing.residual > 0
+            assert not failing.passed
+
+    def test_detail_passes_through(self):
+        detail = {"vanishing_orientation": "stated"}
+        e = IdentityEntry.gated(DEFAULT_CONTEXT, "eq15-depressed", mpf(0), detail=detail)
+        assert e.detail == detail
+        assert e.id == "eq15-depressed"
+        assert IdentityEntry.gated(DEFAULT_CONTEXT, "eq6-eta8", mpf(0)).detail == {}
 
 
 class TestResidualsShrinkWithPrecision:

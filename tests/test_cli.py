@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf, workprec
 
-from quintic_moduli import ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
+from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
 from quintic_moduli.cli import JSON_SCHEMA, main
 from quintic_moduli.report import str_to_big
 
@@ -63,6 +63,11 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "ladder", "--r0", "1/625", "--n", "1")
         assert code == 2
         assert "reciprocal" in err
+
+    def test_domain_error_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")
+        assert code == 2
+        assert "usage error: k_r0 must lie in (0, 1)" in err
 
 
 class TestKr:
@@ -221,3 +226,16 @@ class TestExitCode3:
         code, _, err = run_cli(capsys, "kr", "--r", "3")
         assert code == 3
         assert "convergence failure" in err
+
+
+class TestExitCode4:
+    def test_branch_failure_maps_to_4(self, capsys, monkeypatch):
+        import quintic_moduli.cli as climod
+
+        def boom(*a, **kw):
+            raise BranchError("stubbed branch loss")
+
+        monkeypatch.setattr(climod, "ladder", boom)
+        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1")
+        assert code == 4
+        assert "certification failure: stubbed branch loss" in err

@@ -14,7 +14,6 @@ from quintic_moduli import (
     descend_v,
     multiplier_M5,
     nome,
-    rrcf_closed,
     rrcf_converged,
     rrcf_truncated,
     solve_singular_modulus,
@@ -63,7 +62,6 @@ class TestAValue:
         rec = a_value(rn, rd)
         assert rec.cross_residual < TOL
         assert rec.a > 0
-        assert rec.a == rec.via_moduli
 
     def test_r1_frozen(self):
         rec = a_value(1, 1)
@@ -166,9 +164,11 @@ class TestRRCFConverged:
 
 
 class TestRRCFClosed:
+    """R at q = nome(r) through the certified a(r) and the closed form."""
+
     @pytest.mark.parametrize("rn", [1, 4, 5])
     def test_dual_route(self, rn):
-        closed = rrcf_closed(rn, 1)
+        closed = closed_form_R(a_value(rn, 1).a)
         trunc, _ = rrcf_converged(nome(rn, 1))
         with workprec(600):
             assert abs(closed - trunc) < mpf(10) ** -100
@@ -176,7 +176,7 @@ class TestRRCFClosed:
 
     def test_r4_radical(self):
         with workprec(600):
-            assert abs(rrcf_closed(4, 1) - ov.r4_radical()) < mpf(10) ** -100
+            assert abs(closed_form_R(a_value(4, 1).a) - ov.r4_radical()) < mpf(10) ** -100
 
 
 class TestThetaForm:

@@ -7,7 +7,6 @@ from quintic_moduli import (
     DomainError,
     LadderTrace,
     PrecisionContext,
-    ascend_once,
     audit_example_forms,
     g_invariant,
     k_from_kkprime,
@@ -182,21 +181,20 @@ class TestKFromKKprime:
 
 
 class TestAscendOnce:
+    """One rung, ladder(..., n=1): the ascended product k k' against a
+    direct solve at 25 r0."""
+
     def test_r5_level(self):
-        got = ascend_once(_kkp(5), _kkp(1, 5))
+        (step,) = ladder(5, 1, solve_singular_modulus(5, 1).k,
+                         solve_singular_modulus(1, 5).k, 1).steps
         with workprec(600):
-            assert abs(got - _kkp(125)) < TOL
+            assert abs(step.kkprime - _kkp(125)) < TOL
 
     def test_r1_level(self):
-        got = ascend_once(_kkp(1), _kkp(1, 25))
+        (step,) = ladder(1, 1, solve_singular_modulus(1, 1).k,
+                         solve_singular_modulus(1, 25).k, 1).steps
         with workprec(600):
-            assert abs(got - _kkp(25)) < TOL
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ascend_once("0.7", "0.1")
-        with pytest.raises(DomainError):
-            ascend_once("0.1", 0)
+            assert abs(step.kkprime - _kkp(25)) < TOL
 
 
 class TestLadder:
