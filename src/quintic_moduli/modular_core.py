@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from mpmath import mp, mpf, workprec
 
@@ -38,7 +38,6 @@ from .bigmath_kernel import (
     solve_singular_modulus,
     to_big,
 )
-from .report import IdentityEntry
 
 __all__ = [
     "ARecord",
@@ -51,7 +50,6 @@ __all__ = [
     "theta_form",
     "descend_v",
     "descend_a",
-    "verify_thm22",
     "scale_rational",
     "a_via_eta",
 ]
@@ -304,77 +302,3 @@ def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         )
         return _round_to(ctx, num / den)
 
-
-def _depressed_form(u: mpf, v: mpf) -> mpf:
-    return u ** 6 - v ** 6 + 5 * u ** 2 * v ** 2 * (u ** 2 - v ** 2) + 4 * u * v * (
-        1 - u ** 4 * v ** 4
-    )
-
-
-def verify_thm22(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
-) -> List[IdentityEntry]:
-    """Residuals of the three modulus-pair relations at (k_r, k_25r).
-
-    With w = sqrt(k_r k_25r) and w' = sqrt(k'_r k'_25r):
-
-      eq13-thm22      a(r) minus the w-form
-                      k^3 (k^2-1)/(w^5 - k^2 w) * (w/k + w'/k' - ww'/(kk'))^3,
-                      where the reference a(r) comes from the eta route so the
-                      two sides share no machinery past the solves;
-      eq14-w-poly     the degree-6 polynomial in w that determines k_25r
-                      from k_r;
-      eq15-depressed  the quartic-root ("depressed") relation between
-                      u = k_r^(1/4) and v = k_25r^(1/4).  The source states
-                      that orientation, but numerically it is the *swap* that
-                      vanishes; both are evaluated and the vanishing one is
-                      reported, with the probe details attached.
-    """
-    ctx = _ctx(ctx)
-    rec = solve_singular_modulus(r_num, r_den, ctx)
-    n25, d25 = scale_rational(r_num, r_den, 25, 1)
-    rec25 = solve_singular_modulus(n25, d25, ctx)
-    with workprec(ctx.work_bits):
-        k, kp = rec.k, rec.k_comp
-        k25, kp25 = rec25.k, rec25.k_comp
-        w = mp.sqrt(k * k25)
-        wp = mp.sqrt(kp * kp25)
-
-        a_ref = a_via_eta(rec.q, ctx)
-        w_form = (
-            k ** 3 * (k ** 2 - 1) / (w ** 5 - k ** 2 * w)
-            * (w / k + wp / kp - w * wp / (k * kp)) ** 3
-        )
-
-        res14 = (
-            k ** 6
-            + k ** 3 * (-16 + 10 * k ** 2) * w
-            + 15 * k ** 4 * w ** 2
-            - 20 * k ** 3 * w ** 3
-            + 15 * k ** 2 * w ** 4
-            + k * (10 - 16 * k ** 2) * w ** 5
-            + w ** 6
-        )
-
-        u, v = mp.root(k, 4), mp.root(k25, 4)
-        stated = _depressed_form(u, v)
-        swapped = _depressed_form(v, u)
-        if abs(stated) <= abs(swapped):
-            res15, orientation = abs(stated), "stated (u = k_r^(1/4))"
-        else:
-            res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
-
-        return [
-            IdentityEntry.gated(ctx, "eq13-thm22", w_form - a_ref),
-            IdentityEntry.gated(ctx, "eq14-w-poly", res14),
-            IdentityEntry.gated(
-                ctx,
-                "eq15-depressed",
-                res15,
-                detail={
-                    "vanishing_orientation": orientation,
-                    "stated_residual": mp.nstr(abs(stated), 12),
-                    "swapped_residual": mp.nstr(abs(swapped), 12),
-                },
-            ),
-        ]

@@ -36,13 +36,10 @@ from .bigmath_kernel import (
     _complement_raw,
     _ctx,
     _round_to,
-    eta_f,
-    nome,
     solve_singular_modulus,
     to_big,
 )
-from .modular_core import a_value, descend_a, scale_rational
-from .report import IdentityEntry
+from .modular_core import descend_a, scale_rational
 
 __all__ = [
     "BranchError",
@@ -56,8 +53,6 @@ __all__ = [
     "g_invariant",
     "k_from_kkprime",
     "ladder",
-    "verify_thm31",
-    "verify_thm32",
     "audit_example_forms",
 ]
 
@@ -235,7 +230,7 @@ def k_from_kkprime(p: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         pv = to_big(p, ctx)
-        if not (0 < pv <= mpf(1)):
+        if not pv > 0:
             raise DomainError("k k' must lie in (0, 1/2], got %s" % pv)
         rad = 1 - 4 * pv ** 2
         if rad < 0:
@@ -320,55 +315,6 @@ def ladder(
                 )
             prev2, prev = prev, cur
         return LadderTrace(r0_num, r0_den, n, tuple(steps))
-
-
-def verify_thm31(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
-) -> List[IdentityEntry]:
-    """The eta quotient A = f(-q^2)/(q^(1/3) f(-q^10)) at q = nome(r)
-    satisfies (i) A^6 = a(4r) and (ii) the u_map defining relation against
-    the invariant ratio V' = g(25r)/g(r).  Reported as one entry whose
-    residual is the worse of the two, with both attached."""
-    ctx = _ctx(ctx)
-    with workprec(ctx.work_bits):
-        q = nome(r_num, r_den, ctx)
-        A = eta_f(q ** 2, ctx) / (mp.cbrt(q) * eta_f(q ** 10, ctx))
-
-        n4, d4 = scale_rational(r_num, r_den, 4, 1)
-        a4 = a_value(n4, d4, ctx)
-        res_eta = abs(A ** 6 - a4.a)
-
-        n25, d25 = scale_rational(r_num, r_den, 25, 1)
-        vp = g_invariant(n25, d25, ctx).g / g_invariant(r_num, r_den, ctx).g
-        res_rel = u_defining_residual(A, vp, ctx)
-
-        return [
-            IdentityEntry.gated(
-                ctx,
-                "eq29-thm31",
-                max(res_eta, res_rel),
-                detail={
-                    "sixth_power_vs_a(4r)": mp.nstr(res_eta, 12),
-                    "invariant_ratio_relation": mp.nstr(res_rel, 12),
-                },
-            )
-        ]
-
-
-def verify_thm32(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
-) -> List[IdentityEntry]:
-    """Descent form of the ascent law on class invariants:
-    g(r)/g(r/25) = p_map(g(25r)/g(r))."""
-    ctx = _ctx(ctx)
-    n_lo, d_lo = scale_rational(r_num, r_den, 1, 25)
-    n_hi, d_hi = scale_rational(r_num, r_den, 25, 1)
-    g_lo = g_invariant(n_lo, d_lo, ctx).g
-    g_mid = g_invariant(r_num, r_den, ctx).g
-    g_hi = g_invariant(n_hi, d_hi, ctx).g
-    with workprec(ctx.work_bits):
-        res = g_mid / g_lo - p_map(g_hi / g_mid, ctx)
-        return [IdentityEntry.gated(ctx, "eq30-thm32", res)]
 
 
 def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:

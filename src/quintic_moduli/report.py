@@ -69,9 +69,10 @@ class IdentityEntry:
         detail: Optional[Dict[str, str]] = None,
     ) -> "IdentityEntry":
         """The registry's pass rule: store |residual| rounded to
-        precision_bits, and pass when |residual| < 10^(-tol_exp).  Every
-        registry checker builds its entries here.  |residual| is taken at
-        the ambient precision, so callers hold workprec(ctx.work_bits)."""
+        precision_bits, and pass when |residual| < 10^(-tol_exp).
+        certify.run_suite builds every registry entry here, inside its
+        workprec(ctx.work_bits) scope, since |residual| is taken at the
+        ambient precision."""
         res = abs(residual)
         return cls(
             id_, _round_to(ctx, res), bool(res < ctx.tolerance()), detail=dict(detail or {})

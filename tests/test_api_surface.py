@@ -1,11 +1,16 @@
 """The public surface stays in step with the code: every exported name
-resolves, and the README's library example runs as written."""
+resolves, the README's library example runs as written, the registry ids
+agree wherever they are listed, and the math layers stay below the registry."""
 
+import ast
 import importlib
 import os
 import re
 
 import pytest
+
+from quintic_moduli import cli
+from quintic_moduli.certify import REGISTRY
 
 _README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 _MODULES = (
@@ -36,3 +41,34 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md#library", "exec"), ns)
     assert [s.level for s in ns["trace"].steps] == [1, 2, 3]
     assert 0 < ns["R"] < 1
+
+
+def _readme_registry_ids():
+    with open(_README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("The registry ids are:\n", 1)[1].split("```")[1]
+    return block.split()
+
+
+def test_registry_ids_agree_across_readme_schema_and_registry():
+    entry = cli.JSON_SCHEMA["properties"]["report"]["properties"]["entries"]
+    schema_ids = entry["items"]["properties"]["id"]["enum"]
+    assert len(REGISTRY) == 16
+    assert list(schema_ids) == list(REGISTRY)
+    assert _readme_registry_ids() == list(REGISTRY)
+
+
+@pytest.mark.parametrize("name", ["bigmath_kernel", "modular_core", "quintic_ladder"])
+def test_math_layers_do_not_import_the_registry(name):
+    mod = importlib.import_module("quintic_moduli." + name)
+    with open(mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            if node.module is None or node.module == "quintic_moduli":
+                imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    assert not imported & {"report", "certify"}, name

@@ -1,7 +1,10 @@
+import contextlib
+
 import pytest
 from mpmath import mpf, workprec
 
 import quintic_moduli.bigmath_kernel as bk
+import quintic_moduli.certify as certify
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
@@ -9,9 +12,11 @@ from quintic_moduli import (
     IdentityReport,
     PrecisionContext,
     UsageError,
+    multiplier_M5,
     run_suite,
 )
-from quintic_moduli.certify import _GROUPS
+
+TOL = mpf(10) ** -120
 
 
 class TestRegistry:
@@ -82,6 +87,12 @@ class TestRunSuite:
         # at r = 10^5, p_map descends an a-value near 3e-171
         assert run_suite(10 ** 5, 1, ids=["eq34-thm33"]).all_pass
 
+    def test_eq11_residual_keeps_full_precision(self):
+        # the stored residual is the polynomial residual itself, not a copy
+        # re-rounded at mpmath's default 53 bits
+        (entry,) = run_suite(5, ids=["eq11-m5-poly"]).entries
+        assert entry.residual == multiplier_M5(5).poly_residual
+
     def test_deterministic_modulo_timing(self):
         a = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
         b = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
@@ -118,17 +129,60 @@ class TestRequestMemo:
         assert len(solved) == 10
 
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
-    def test_residuals_match_unmemoised_groups(self, rn, rd):
+    def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):
         report = run_suite(rn, rd)
-        # outside run_suite no scope is open, so every checker solves afresh
-        fresh = [e for _, check in _GROUPS for e in check(rn, rd, DEFAULT_CONTEXT)]
-        assert [e.id for e in fresh] == [e.id for e in report.entries]
-        for got, want in zip(report.entries, fresh):
+        # without the memo scope every checker solves afresh
+        monkeypatch.setattr(certify, "_request_memo", contextlib.nullcontext)
+        fresh = run_suite(rn, rd)
+        assert [e.id for e in fresh.entries] == [e.id for e in report.entries]
+        for got, want in zip(report.entries, fresh.entries):
             assert (got.residual, got.passed, got.detail) == (
                 want.residual,
                 want.passed,
                 want.detail,
             ), got.id
+
+
+class TestThm22:
+    @pytest.mark.parametrize("rn,rd", [(1, 1), (5, 1)])
+    def test_all_relations_hold(self, rn, rd):
+        ids = ["eq13-thm22", "eq14-w-poly", "eq15-depressed"]
+        entries = run_suite(rn, rd, ids=ids).entries
+        assert [e.id for e in entries] == ids
+        for e in entries:
+            assert e.passed, (e.id, e.residual)
+            assert e.residual < TOL
+
+    def test_orientation_probe(self):
+        (entry,) = run_suite(1, 1, ids=["eq15-depressed"]).entries
+        probe = entry.detail
+        assert probe["vanishing_orientation"].startswith("swapped")
+        # the stated orientation is numerically far from zero
+        assert mpf(probe["stated_residual"]) > mpf("0.01")
+        assert mpf(probe["swapped_residual"]) < TOL
+
+
+class TestAscentDescentLaws:
+    @pytest.mark.parametrize("rn,rd", [(1, 1), (1, 25)])
+    def test_thm31(self, rn, rd):
+        (entry,) = run_suite(rn, rd, ids=["eq29-thm31"]).entries
+        assert entry.id == "eq29-thm31"
+        assert entry.passed
+        assert entry.residual < TOL
+        assert set(entry.detail) == {"sixth_power_vs_a(4r)", "invariant_ratio_relation"}
+
+    @pytest.mark.parametrize("rn,rd", [(1, 1), (5, 1)])
+    def test_thm32(self, rn, rd):
+        (entry,) = run_suite(rn, rd, ids=["eq30-thm32"]).entries
+        assert entry.id == "eq30-thm32"
+        assert entry.passed
+        assert entry.residual < TOL
+
+    def test_descent_and_ascent_agree_at_reciprocal(self):
+        # the descent law at r and the ascent law at r/25 see the same rungs
+        (descent,) = run_suite(5, 1, ids=["eq30-thm32"]).entries
+        (ascent,) = run_suite(1, 5, ids=["eq29-thm31"]).entries
+        assert descent.passed and ascent.passed
 
 
 class TestReportSerialization:
@@ -146,8 +200,8 @@ class TestReportSerialization:
 
 
 class TestGatedEntry:
-    """IdentityEntry.gated is the registry's one pass rule; like the
-    checkers, these call it at working precision."""
+    """IdentityEntry.gated is the registry's one pass rule; like run_suite,
+    these call it at working precision."""
 
     def test_residual_at_the_tolerance_fails(self):
         ctx = DEFAULT_CONTEXT

@@ -19,7 +19,6 @@ from quintic_moduli import (
     solve_singular_modulus,
     theta_form,
     to_big,
-    verify_thm22,
 )
 
 import oracle_values as ov
@@ -281,20 +280,3 @@ class TestDescendA:
         with pytest.raises(DomainError):
             descend_a(-11)
 
-
-class TestThm22:
-    @pytest.mark.parametrize("rn,rd", [(1, 1), (5, 1)])
-    def test_all_relations_hold(self, rn, rd):
-        entries = verify_thm22(rn, rd)
-        assert [e.id for e in entries] == ["eq13-thm22", "eq14-w-poly", "eq15-depressed"]
-        for e in entries:
-            assert e.passed, (e.id, e.residual)
-            assert e.residual < TOL
-
-    def test_orientation_probe(self):
-        entries = verify_thm22(1, 1)
-        probe = entries[2].detail
-        assert probe["vanishing_orientation"].startswith("swapped")
-        # the stated orientation is numerically far from zero
-        assert mpf(probe["stated_residual"]) > mpf("0.01")
-        assert mpf(probe["swapped_residual"]) < TOL
