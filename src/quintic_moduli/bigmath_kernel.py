@@ -24,10 +24,11 @@ through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
 
-Inside a ``_request_memo()`` scope, ``solve_singular_modulus`` and ``eta_f``
-compute each (arguments, context) once and hand back the same value on every
-later call in the scope; outside one they always compute.  A scope lives for
-one call (``run_suite`` opens it), never for the process.
+Inside a ``_request_memo()`` scope, ``solve_singular_modulus``, ``nome`` and
+``eta_f`` (and ``modular_core.rrcf_converged``) compute each (arguments,
+context) once and hand back the same value on every later call in the scope;
+outside one they always compute.  A scope lives for one call (``run_suite``
+opens it), never for the process.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ _MEMO: ContextVar[Optional[dict]] = ContextVar("quintic_moduli_memo", default=No
 def _request_memo() -> Iterator[None]:
     """Open a memo scope for one request.
 
-    Within the scope each solve and eta value is computed once per
-    (arguments, context), and later calls return that same record,
-    residual included.  The memo is dropped when the scope exits, so
-    nothing is shared between requests.
+    Within the scope each solve, nome, eta and continued-fraction value is
+    computed once per (arguments, context), and later calls return that
+    same value, a solve's residual included.  The memo is dropped when the
+    scope exits, so nothing is shared between requests.
     """
     token = _MEMO.set({})
     try:
@@ -248,6 +249,10 @@ def nome(r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None) -> 
     """q = exp(-pi sqrt(r)) in (0,1) for exact rational r = r_num/r_den > 0."""
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
+    return _memoised(("nome", r_num, r_den, ctx), lambda: _nome(r_num, r_den, ctx))
+
+
+def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     with workprec(ctx.work_bits):
         r = mpf(r_num) / mpf(r_den)
         return _round_to(ctx, mp.exp(-mp.pi * mp.sqrt(r)))
@@ -281,6 +286,10 @@ def solve_singular_modulus(
     The returned record stores values rounded to ``precision_bits``; the
     residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
     pair, and the same two AGM legs give K(k) and K(k').
+
+    For small r, k_r = sqrt(1 - k'_r^2) rounds to exactly 1 once k'_r^2/2
+    falls below half an ulp (r below about 1/3300 at 256 bits, 1/13000 at
+    512); that raises DomainError rather than hand back a k outside (0,1).
     """
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
@@ -298,6 +307,12 @@ def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusReco
         q = mp.exp(-mp.pi * mp.sqrt(mpf(r_den) / mpf(r_num))) if reflect else q_r
         small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
         big = _round_to(ctx, _complement_raw(small))
+        if reflect and big == 1:
+            raise DomainError(
+                "k at r=%s/%s rounds to 1 at %d bits; only k_comp = %s carries "
+                "its digits (raise the precision, --prec)"
+                % (r_num, r_den, ctx.precision_bits, mp.nstr(small, 8))
+            )
         k, k_comp = (big, small) if reflect else (small, big)
 
         agm_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))

@@ -6,10 +6,10 @@ their solves are computed together; entries within a group report the same
 wall-clock cost.  A checker only computes: it returns its residuals keyed by
 registry id, at the ambient precision.  run_suite alone sets that precision,
 opens the request memo, gates every residual and builds every entry, so one
-run_suite call solves each modulus and computes each eta value once, and a
-group's cost leaves out what earlier groups already computed.  The registry
-order is canonical: reports list entries in this order no matter how the ids
-were requested.
+run_suite call solves each modulus and computes each nome, eta value and
+continued fraction once, and a group's cost leaves out what earlier groups
+already computed.  The registry order is canonical: reports list entries in
+this order no matter how the ids were requested.
 """
 
 from __future__ import annotations
@@ -290,8 +290,9 @@ def run_suite(
 
     This is the one place a registry entry is made.  The groups run in one
     scope: working precision ctx.work_bits and one request memo, so each
-    modulus and eta value is computed once per call and a group's
-    elapsed_ms leaves out the solves that earlier groups already paid for.
+    modulus, nome, eta value and continued fraction is computed once per
+    call and a group's elapsed_ms leaves out the solves that earlier groups
+    already paid for.
     Every residual a checker returns is then judged by IdentityEntry.gated,
     inside that scope.  Nothing outlives the call.
     """

@@ -7,7 +7,8 @@
 
 Global flags: --prec BITS, --tol-exp E, --digits D, --json.
 Every modulus is solved once per request; a solve is a theta quotient plus
-two AGMs.
+two AGMs.  The argument parser is built once per process, on first use, so
+repeated in-process main() calls pay only for parsing.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
@@ -18,6 +19,7 @@ affects the human-readable text mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -387,6 +389,10 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
 _COMMANDS = {"kr": cmd_kr, "ladder": cmd_ladder, "rrcf": cmd_rrcf, "verify": cmd_verify}
 
 
+# Built once per process and reused: parse_args makes a fresh Namespace per
+# call, every action is store/store_true with an immutable default, and prog
+# is fixed (sys.argv[0] is never read).  Keep it so: no mutable defaults.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=_positive_int, default=512, metavar="BITS",
@@ -433,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -32,6 +32,7 @@ from .bigmath_kernel import (
     PrecisionContext,
     Real,
     _ctx,
+    _memoised,
     _neg_ln,
     _round_to,
     eta_f,
@@ -195,13 +196,18 @@ def rrcf_converged(
     smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2.  The value at
     d + 2 is returned only if it agrees with the value at d below tolerance;
     otherwise, or if d + 2 would pass the depth cap (q too close to 1),
-    ConvergenceError is raised.
+    ConvergenceError is raised.  Inside a request memo scope each (q,
+    context) is evaluated once.
     """
     ctx = _ctx(ctx)
+    qv = to_big(q, ctx)
+    if not (0 < qv < 1):
+        raise DomainError("rrcf_converged requires 0 < q < 1")
+    return _memoised(("rrcf", qv, ctx), lambda: _rrcf(qv, ctx))
+
+
+def _rrcf(qv: mpf, ctx: PrecisionContext) -> Tuple[mpf, int]:
     with workprec(ctx.work_bits):
-        qv = to_big(q, ctx)
-        if not (0 < qv < 1):
-            raise DomainError("rrcf_converged requires 0 < q < 1")
         t = _neg_ln(qv)
         need = ctx.work_bits * math.log(2)
         top = _DEPTH_CAP - 2

@@ -272,6 +272,23 @@ class TestSolver:
             assert abs(rec.k - ov.k5_radical()) < mpf(10) ** -55
 
 
+class TestKRoundsToOne:
+    """Below some r the reflected k = sqrt(1 - k'^2) rounds to exactly 1 at
+    the output precision; the solver refuses rather than return it."""
+
+    @pytest.mark.parametrize("rn,rd,bits", [(1, 3400, 256), (1, 13000, 512)])
+    def test_refused(self, rn, rd, bits):
+        with pytest.raises(DomainError, match=r"rounds to 1.*k_comp.*--prec"):
+            solve_singular_modulus(rn, rd, _ctx_at(bits))
+
+    @pytest.mark.parametrize("rn,rd,bits", [(1, 3000, 256), (1, 12000, 512)])
+    def test_just_above_still_certifies(self, rn, rd, bits):
+        ctx = _ctx_at(bits)
+        rec = solve_singular_modulus(rn, rd, ctx)
+        assert 0 < rec.k_comp < rec.k < 1
+        assert _ellipk_residual(rec, bits) < ctx.tolerance()
+
+
 class TestSolverDomain:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -359,6 +376,7 @@ class TestRequestMemo:
             assert solve_singular_modulus(7, 3) is rec
             assert solve_singular_modulus(7, 3, DEFAULT_CONTEXT) is rec
             assert eta_f(rec.q) is eta_f(rec.q)
+            assert nome(7, 3) is nome(7, 3, DEFAULT_CONTEXT)
         # outside a scope every call computes afresh, to the same value
         again = solve_singular_modulus(7, 3)
         assert again is not rec and again == rec

@@ -5,6 +5,7 @@ from mpmath import mpf, workprec
 
 import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.certify as certify
+import quintic_moduli.modular_core as mc
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
@@ -17,6 +18,9 @@ from quintic_moduli import (
 )
 
 TOL = mpf(10) ** -120
+
+#: the registry ids that read only q-series values, no solve
+QSERIES_IDS = ["eq5-eta-quotient", "eq19-v-descent", "eq24-q-descent"]
 
 
 class TestRegistry:
@@ -105,42 +109,54 @@ class TestRunSuite:
 
 class TestRequestMemo:
     @staticmethod
-    def _record_solves(monkeypatch):
-        solved = []
-        solve = bk._solve
+    def _record(monkeypatch, module, name):
+        """Record the arguments, less ctx, of each call to a computing helper."""
+        calls = []
+        compute = getattr(module, name)
 
-        def recording(rn, rd, ctx):
-            solved.append((rn, rd))
-            return solve(rn, rd, ctx)
+        def recording(*args):
+            calls.append(args[:-1])
+            return compute(*args)
 
-        monkeypatch.setattr(bk, "_solve", recording)
-        return solved
+        monkeypatch.setattr(module, name, recording)
+        return calls
 
     def test_one_solve_per_distinct_r(self, monkeypatch):
-        solved = self._record_solves(monkeypatch)
+        solved = self._record(monkeypatch, bk, "_solve")
         assert run_suite(5, 1).all_pass
         # r, 25r, r/25 (= 1/r), 4r and 100r, each once
         assert sorted(solved) == [(1, 5), (5, 1), (20, 1), (125, 1), (500, 1)]
 
     def test_nothing_is_shared_between_calls(self, monkeypatch):
-        solved = self._record_solves(monkeypatch)
+        solved = self._record(monkeypatch, bk, "_solve")
         run_suite(5, 1)
         run_suite(5, 1)
         assert len(solved) == 10
 
+    def test_qseries_ids_compute_each_nome_and_cf_once(self, monkeypatch):
+        nomes = self._record(monkeypatch, bk, "_nome")
+        fractions = self._record(monkeypatch, mc, "_rrcf")
+        assert run_suite(5, 1, ids=QSERIES_IDS).all_pass
+        # nome(r) three times and nome(r/25) twice; the CF at nome(r) twice
+        assert sorted(nomes) == [(1, 5), (5, 1)]
+        assert len(fractions) == 2
+
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
     def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):
-        report = run_suite(rn, rd)
-        # without the memo scope every checker solves afresh
+        # the full registry, and the q-series ids alone
+        subsets = (None, QSERIES_IDS)
+        reports = [run_suite(rn, rd, ids=ids) for ids in subsets]
+        # without the memo scope every checker computes afresh
         monkeypatch.setattr(certify, "_request_memo", contextlib.nullcontext)
-        fresh = run_suite(rn, rd)
-        assert [e.id for e in fresh.entries] == [e.id for e in report.entries]
-        for got, want in zip(report.entries, fresh.entries):
-            assert (got.residual, got.passed, got.detail) == (
-                want.residual,
-                want.passed,
-                want.detail,
-            ), got.id
+        for ids, report in zip(subsets, reports):
+            fresh = run_suite(rn, rd, ids=ids)
+            assert [e.id for e in fresh.entries] == [e.id for e in report.entries]
+            for got, want in zip(report.entries, fresh.entries):
+                assert (got.residual, got.passed, got.detail) == (
+                    want.residual,
+                    want.passed,
+                    want.detail,
+                ), got.id
 
 
 class TestThm22:

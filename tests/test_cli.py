@@ -1,11 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 from mpmath import mp, mpf, workprec
 
 from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
-from quintic_moduli.cli import JSON_SCHEMA, main
+from quintic_moduli.cli import JSON_SCHEMA, build_parser, main
 from quintic_moduli.report import str_to_big
 
 import oracle_values as ov
@@ -68,6 +72,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")
         assert code == 2
         assert "usage error: k_r0 must lie in (0, 1)" in err
+
+    def test_k_rounding_to_one_is_a_usage_error(self, capsys):
+        # at the default 512 bits k(1/13000) is 1 - 2e-155, which rounds to 1
+        code, out, err = run_cli(capsys, "kr", "--r", "1/13000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: k at r=1/13000 rounds to 1")
+        assert "k_comp" in err and "--prec" in err
 
 
 class TestKr:
@@ -239,3 +251,65 @@ class TestExitCode4:
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1")
         assert code == 4
         assert "certification failure: stubbed branch loss" in err
+
+
+#: one request per subcommand and output flag, plus usage errors, ending in
+#: a certification failure (exit codes 0 0 0 0 2 2 0 2 0 0 4)
+_MIXED_REQUESTS = [
+    ["kr", "--r", "5", "--digits", "20"],
+    ["kr", "--r", "22/7", "--json"],
+    ["kr", "--help"],
+    ["ladder", "--r0", "5", "--n", "1", "--csv"],
+    ["kr", "--r", "0"],
+    ["ladder", "--r0", "5", "--n", "1", "--csv", "--json"],
+    ["rrcf", "--r", "4", "--json"],
+    ["frobnicate", "--r", "1"],
+    ["verify", "--r", "1", "--ids", "eq5-eta-quotient,k-reciprocal", "--json"],
+    ["verify", "--r", "2", "--ids", "eq19-v-descent", "--digits", "12"],
+    ["ladder", "--r0", "5", "--n", "1", "--seed-k", "0.2"],
+]
+
+
+def _run_masked(capsys, argv, rebuild):
+    if rebuild:
+        build_parser.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    # elapsed_ms is wall-clock time, the one field that may differ
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    out = re.sub(r"\(\d+ ms\)", "(0 ms)", out)
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_matches_a_fresh_parser_per_call(self, capsys):
+        reused = [_run_masked(capsys, argv, False) for argv in _MIXED_REQUESTS]
+        fresh = [_run_masked(capsys, argv, True) for argv in _MIXED_REQUESTS]
+        assert [c for c, _, _ in reused] == [0, 0, 0, 0, 2, 2, 0, 2, 0, 0, 4]
+        assert reused == fresh
+
+
+class TestModuleEntryPoint:
+    """``python -m quintic_moduli.cli``: one process per call."""
+
+    @staticmethod
+    def _run(*argv):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+        return subprocess.run(
+            [sys.executable, "-m", "quintic_moduli.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_kr_json_matches_in_process(self, capsys):
+        proc = self._run("kr", "--r", "5", "--json")
+        code, out, _ = run_cli(capsys, "kr", "--r", "5", "--json")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+
+    def test_help(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: quintic-moduli")

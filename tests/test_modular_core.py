@@ -22,6 +22,7 @@ from quintic_moduli import (
 )
 
 import oracle_values as ov
+import quintic_moduli.bigmath_kernel as bk
 
 TOL = mpf(10) ** -120
 
@@ -140,6 +141,17 @@ class TestRRCFConverged:
         for q in (0, 1, "1.5", "-0.2"):
             with pytest.raises(DomainError):
                 rrcf_converged(q)
+        with bk._request_memo():  # checked before the memo lookup too
+            with pytest.raises(DomainError):
+                rrcf_converged(1)
+
+    def test_memo_scope_hands_back_the_first_value(self):
+        q = nome(22, 7)
+        with bk._request_memo():
+            first = rrcf_converged(q)
+            assert rrcf_converged(q) is first
+        again = rrcf_converged(q)
+        assert again is not first and again == first
 
     def test_q_too_close_to_one(self):
         # q^(d(d+1)/2) < 2^-576 needs a depth of about 2^55, past the cap
