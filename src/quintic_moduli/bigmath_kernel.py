@@ -93,7 +93,6 @@ class PrecisionContext:
     precision_bits: int = 512  # mantissa bits of every returned value
     tol_exp: int = 120         # certification threshold is 10**(-tol_exp)
     guard_bits: int = 64       # extra bits carried by intermediates
-    max_iter: int = 10000      # iteration cap shared by all solvers
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
@@ -102,8 +101,6 @@ class PrecisionContext:
             raise ValueError("tol_exp must be positive")
         if self.guard_bits < 0:
             raise ValueError("guard_bits must be non-negative")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
         # the acceptance threshold must be representable with room to spare
         if self.tol_exp * math.log2(10) + self.guard_bits >= self.precision_bits:
             raise ValueError(
@@ -122,6 +119,9 @@ class PrecisionContext:
 
 
 DEFAULT_CONTEXT = PrecisionContext()
+
+#: iteration cap shared by the AGM and u_map's Newton descent
+_MAX_ITER = 10_000
 
 
 def _ctx(ctx: Optional[PrecisionContext]) -> PrecisionContext:
@@ -199,11 +199,11 @@ def complement(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
     """AGM limit; assumes ambient working precision and positive inputs."""
     stop = mpf(2) ** (-ctx.precision_bits + ctx.guard_bits // 2)
-    for _ in range(ctx.max_iter):
+    for _ in range(_MAX_ITER):
         if abs(a - b) < stop * a:
             return (a + b) / 2
         a, b = (a + b) / 2, mp.sqrt(a * b)
-    raise ConvergenceError("AGM did not stabilize within max_iter")
+    raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
 
 def agm(a: Real, b: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
@@ -290,6 +290,11 @@ def solve_singular_modulus(
     For small r, k_r = sqrt(1 - k'_r^2) rounds to exactly 1 once k'_r^2/2
     falls below half an ulp (r below about 1/3300 at 256 bits, 1/13000 at
     512); that raises DomainError rather than hand back a k outside (0,1).
+    The mirror case for large r is kept: k_comp is then the correctly
+    rounded sqrt(1 - k^2), exactly 1 (from r = 12962 at 512 bits, about
+    3400 at 256), while k keeps its digits (2.6e-682 at r = 10^6) and
+    K_kcomp comes from agm(1, k).  Callers must not take elliptic_K of that
+    k_comp: K(1) is infinite and elliptic_K refuses it.
     """
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)

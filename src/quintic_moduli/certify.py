@@ -1,21 +1,25 @@
-"""The identity registry: its sixteen checkers and the suite runner.
+"""The identity registry: its entry types, its sixteen checkers, its one
+pass rule and the suite runner.
 
 Each registry id names one residual that independent routes of the library
 must drive below 10^(-tol_exp).  Ids are grouped so relations that share
 their solves are computed together; entries within a group report the same
 wall-clock cost.  A checker only computes: it returns its residuals keyed by
-registry id, at the ambient precision.  run_suite alone sets that precision,
-opens the request memo, gates every residual and builds every entry, so one
-run_suite call solves each modulus and computes each nome, eta value and
-continued fraction once, and a group's cost leaves out what earlier groups
-already computed.  The registry order is canonical: reports list entries in
-this order no matter how the ids were requested.
+registry id, at the ambient precision, and raises nothing of its own.
+run_suite alone sets that precision, opens the request memo, gates every
+residual and builds every entry, so one run_suite call solves each modulus
+and computes each nome, eta value and continued fraction once, and a
+group's cost leaves out what earlier groups already computed.  A residual
+that misses the gate is a failing entry, never an abort.  The registry
+order is canonical: reports list entries in this order no matter how the
+ids were requested.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from mpmath import mp, mpf, workprec
 
@@ -23,13 +27,14 @@ from .bigmath_kernel import (
     PrecisionContext,
     _ctx,
     _request_memo,
+    _round_to,
     eta_f,
     nome,
     solve_singular_modulus,
 )
 from .modular_core import (
-    a_value,
     a_via_eta,
+    a_via_moduli,
     descend_a,
     descend_v,
     multiplier_M5,
@@ -37,13 +42,67 @@ from .modular_core import (
     scale_rational,
 )
 from .quintic_ladder import g_invariant, p_map, u_defining_residual, u_map
-from .report import IdentityEntry, IdentityReport
+from .report import big_to_str
 
-__all__ = ["REGISTRY", "UsageError", "run_suite"]
+__all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
 
 
 class UsageError(ValueError):
     """A caller asked for something the registry does not contain."""
+
+
+@dataclass
+class IdentityEntry:
+    """One certified identity: its registry id, the measured residual,
+    whether it cleared the context tolerance, and wall-clock cost.
+
+    Entries computed together from shared solves (e.g. the three
+    modulus-pair relations) carry the same elapsed_ms.  Solves are shared
+    across groups within one run_suite call, so elapsed_ms leaves out the
+    solves that earlier groups already paid for.
+    """
+
+    id: str
+    residual: mpf
+    passed: bool
+    elapsed_ms: int = 0
+    detail: Dict[str, str] = field(default_factory=dict)
+
+    def to_dict(self, precision_bits: int) -> dict:
+        d = {
+            "id": self.id,
+            "residual": big_to_str(self.residual, precision_bits),
+            "passed": self.passed,
+            "elapsed_ms": self.elapsed_ms,
+        }
+        if self.detail:
+            d["detail"] = dict(self.detail)
+        return d
+
+
+@dataclass
+class IdentityReport:
+    """An ordered batch of identity checks at one (r, precision) point."""
+
+    r_num: int
+    r_den: int
+    precision_bits: int
+    tol_exp: int
+    entries: List[IdentityEntry]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+    def to_dict(self) -> dict:
+        return {
+            "r_num": self.r_num,
+            "r_den": self.r_den,
+            "precision_bits": self.precision_bits,
+            "tol_exp": self.tol_exp,
+            "all_pass": self.all_pass,
+            "entries": [e.to_dict(self.precision_bits) for e in self.entries],
+        }
 
 
 #: a residual, or a residual with the detail strings its entry carries
@@ -194,12 +253,13 @@ def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """The eta quotient A = f(-q^2)/(q^(1/3) f(-q^10)) at q = nome(r)
-    satisfies (i) A^6 = a(4r) and (ii) the u_map defining relation against
-    the invariant ratio V' = g(25r)/g(r).  Reported as one entry whose
+    satisfies (i) A^6 = a(4r), with a(4r) from the moduli route, and (ii)
+    the u_map defining relation against the invariant ratio V' = g(25r)/g(r).  Reported as one entry whose
     residual is the worse of the two, with both attached."""
     q = nome(rn, rd, ctx)
     A = eta_f(q ** 2, ctx) / (mp.cbrt(q) * eta_f(q ** 10, ctx))
-    res_eta = abs(A ** 6 - a_value(*scale_rational(rn, rd, 4, 1), ctx).a)
+    a_4r = _round_to(ctx, a_via_moduli(*scale_rational(rn, rd, 4, 1), ctx))
+    res_eta = abs(A ** 6 - a_4r)
 
     g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
     res_rel = u_defining_residual(A, g_hi / g_invariant(rn, rd, ctx).g, ctx)
@@ -286,15 +346,16 @@ def run_suite(
 
     ids=None runs the full registry.  Unknown ids raise UsageError naming
     the registry.  Entries come back in registry order with measured
-    residuals, pass flags against 10^(-tol_exp), and wall-clock cost.
+    residuals, pass flags and wall-clock cost.
 
-    This is the one place a registry entry is made.  The groups run in one
-    scope: working precision ctx.work_bits and one request memo, so each
-    modulus, nome, eta value and continued fraction is computed once per
-    call and a group's elapsed_ms leaves out the solves that earlier groups
-    already paid for.
-    Every residual a checker returns is then judged by IdentityEntry.gated,
-    inside that scope.  Nothing outlives the call.
+    This is the one place a registry entry is made and judged.  The groups
+    run in one scope: working precision ctx.work_bits and one request memo,
+    so each modulus, nome, eta value and continued fraction is computed
+    once per call and a group's elapsed_ms leaves out the solves that
+    earlier groups already paid for.  Inside that scope every residual a
+    checker returns meets the one pass rule: the entry stores |residual|
+    rounded to precision_bits, and passes when |residual| < 10^(-tol_exp).
+    A failing residual is reported, not raised.  Nothing outlives the call.
     """
     ctx = _ctx(ctx)
     if ids is None:
@@ -308,6 +369,7 @@ def run_suite(
                 % (", ".join(unknown), ", ".join(REGISTRY))
             )
 
+    tol = ctx.tolerance()
     produced: Dict[str, IdentityEntry] = {}
     with _request_memo(), workprec(ctx.work_bits):
         for group_ids, checker in _GROUPS:
@@ -318,9 +380,11 @@ def run_suite(
             ms = int((time.perf_counter() - t0) * 1000)
             for id_, value in residuals.items():
                 if id_ in wanted:
-                    residual, detail = value if isinstance(value, tuple) else (value, None)
-                    produced[id_] = IdentityEntry.gated(ctx, id_, residual, detail)
-                    produced[id_].elapsed_ms = ms
+                    residual, detail = value if isinstance(value, tuple) else (value, {})
+                    res = abs(residual)
+                    produced[id_] = IdentityEntry(
+                        id_, _round_to(ctx, res), bool(res < tol), ms, dict(detail)
+                    )
 
     ordered = [produced[i] for i in REGISTRY if i in produced]
     return IdentityReport(

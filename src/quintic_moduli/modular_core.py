@@ -36,6 +36,7 @@ from .bigmath_kernel import (
     _neg_ln,
     _round_to,
     eta_f,
+    nome,
     solve_singular_modulus,
     to_big,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "descend_a",
     "scale_rational",
     "a_via_eta",
+    "a_via_moduli",
 ]
 
 #: refuse continued fractions deeper than this (memoryless recurrence, but a
@@ -123,26 +125,31 @@ def multiplier_M5(
         )
 
 
+def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 with
+    m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
+    rec = solve_singular_modulus(r_num, r_den, ctx)
+    rec25 = solve_singular_modulus(*scale_rational(r_num, r_den, 25, 1), ctx)
+    with workprec(ctx.work_bits):
+        m5 = rec25.K_k / rec.K_k
+        return (rec.k_comp / rec25.k_comp) ** 2 * mp.sqrt(rec.k / rec25.k) * m5 ** -3
+
+
 def a_value(
     r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
 ) -> ARecord:
-    """a(r) via the eta quotient and via the moduli/multiplier closed form.
+    """a(r) via the eta quotient at nome(r) and via the moduli/multiplier
+    closed form, gated on their absolute disagreement.
 
     The two routes share nothing past the nome, so their agreement certifies
-    both; a cross residual above tolerance raises CertificationError.
+    both; a cross residual above tolerance raises CertificationError.  The
+    registry does not use this gate: eq29 compares the eta quotient at
+    nome(r)^2 with a_via_moduli(4r) and reports their gap as a residual.
     """
     ctx = _ctx(ctx)
-    rec = solve_singular_modulus(r_num, r_den, ctx)
-    n25, d25 = scale_rational(r_num, r_den, 25, 1)
-    rec25 = solve_singular_modulus(n25, d25, ctx)
+    via_eta = a_via_eta(nome(r_num, r_den, ctx), ctx)
+    via_moduli = a_via_moduli(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        via_eta = a_via_eta(rec.q, ctx)
-        m5 = rec25.K_k / rec.K_k
-        via_moduli = (
-            (rec.k_comp / rec25.k_comp) ** 2
-            * mp.sqrt(rec.k / rec25.k)
-            * m5 ** -3
-        )
         cross = abs(via_eta - via_moduli)
         if not cross < ctx.tolerance():
             raise CertificationError(

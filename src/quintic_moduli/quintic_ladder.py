@@ -33,6 +33,7 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _MAX_ITER,
     _complement_raw,
     _ctx,
     _round_to,
@@ -138,7 +139,7 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 
         x2, x4 = xv ** 2, xv ** 4
         z = xv
-        for _ in range(ctx.max_iter):
+        for _ in range(_MAX_ITER):
             z_next = z - (x2 * z ** 3 + 5 * z ** 2 - x4 * z - x2) / (
                 3 * x2 * z ** 2 + 10 * z - x4
             )

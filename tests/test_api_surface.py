@@ -58,8 +58,8 @@ def test_registry_ids_agree_across_readme_schema_and_registry():
     assert _readme_registry_ids() == list(REGISTRY)
 
 
-@pytest.mark.parametrize("name", ["bigmath_kernel", "modular_core", "quintic_ladder"])
-def test_math_layers_do_not_import_the_registry(name):
+def _imported_names(name):
+    """Module and package names the module `name` imports."""
     mod = importlib.import_module("quintic_moduli." + name)
     with open(mod.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -71,4 +71,14 @@ def test_math_layers_do_not_import_the_registry(name):
                 imported.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
-    assert not imported & {"report", "certify"}, name
+    return imported
+
+
+@pytest.mark.parametrize("name", ["bigmath_kernel", "modular_core", "quintic_ladder"])
+def test_math_layers_do_not_import_the_registry(name):
+    assert not _imported_names(name) & {"report", "certify"}, name
+
+
+def test_report_is_serialization_only():
+    # the registry's types and pass rule live in certify, which imports report
+    assert not _imported_names("report") & {"certify", "cli"}

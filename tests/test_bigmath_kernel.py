@@ -67,8 +67,6 @@ class TestPrecisionContext:
             PrecisionContext(tol_exp=0)
         with pytest.raises(ValueError):
             PrecisionContext(guard_bits=-1)
-        with pytest.raises(ValueError):
-            PrecisionContext(max_iter=0)
 
 
 class TestAgm:
@@ -287,6 +285,21 @@ class TestKRoundsToOne:
         rec = solve_singular_modulus(rn, rd, ctx)
         assert 0 < rec.k_comp < rec.k < 1
         assert _ellipk_residual(rec, bits) < ctx.tolerance()
+
+
+class TestKCompRoundsToOne:
+    """The mirror case is kept: for large r, k_comp = sqrt(1 - k^2) is the
+    correctly rounded 1.  k keeps its digits, and K(k_comp) comes from
+    agm(1, k), so the solve still certifies."""
+
+    @pytest.mark.parametrize("rn,k_comp_is_one", [(12961, False), (12962, True)])
+    def test_threshold_at_512_bits(self, rn, k_comp_is_one):
+        ctx = _ctx_at(512)
+        rec = solve_singular_modulus(rn, 1, ctx)
+        assert (rec.k_comp == 1) is k_comp_is_one
+        assert rec.k_comp <= 1
+        assert 0 < rec.k < 1
+        assert rec.residual < ctx.tolerance()
 
 
 class TestSolverDomain:

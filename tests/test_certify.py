@@ -1,6 +1,9 @@
 import contextlib
+import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workprec
 
 import quintic_moduli.bigmath_kernel as bk
@@ -9,13 +12,17 @@ import quintic_moduli.modular_core as mc
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
-    IdentityEntry,
+    BranchError,
+    ConvergenceError,
+    DomainError,
     IdentityReport,
     PrecisionContext,
     UsageError,
     multiplier_M5,
     run_suite,
 )
+from quintic_moduli.cli import main
+from quintic_moduli.report import str_to_big
 
 TOL = mpf(10) ** -120
 
@@ -141,6 +148,14 @@ class TestRequestMemo:
         assert sorted(nomes) == [(1, 5), (5, 1)]
         assert len(fractions) == 2
 
+    def test_full_suite_computes_six_eta_values(self, monkeypatch):
+        # f(-q^n) at the nome of r for n = 1, 2, 5, 10, and at the nome of
+        # 25r for n = 1, 2 (that q^5 is the nome of r to the 25th power);
+        # eq29 takes a(4r) from the moduli route, so no eta value at 4r
+        etas = self._record(monkeypatch, bk, "_eta")
+        assert run_suite(5, 1).all_pass
+        assert len(etas) == 6
+
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
     def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):
         # the full registry, and the q-series ids alone
@@ -202,48 +217,78 @@ class TestAscentDescentLaws:
 
 
 class TestReportSerialization:
-    def test_json_round_trip_bit_exact(self):
-        report = run_suite(5, 1, ids=["eq26-u-defining", "eq30-thm32"])
-        back = IdentityReport.from_json(report.to_json())
-        assert back.r_num == report.r_num
-        assert back.r_den == report.r_den
-        assert back.precision_bits == report.precision_bits
-        assert back.tol_exp == report.tol_exp
-        for ea, eb in zip(report.entries, back.entries):
-            assert ea.id == eb.id
-            assert ea.residual == eb.residual
-            assert ea.passed == eb.passed
+    def test_json_round_trip_bit_exact(self, capsys):
+        # every verify residual crosses the JSON boundary and parses back
+        # to the very value run_suite computed
+        ids = ["eq26-u-defining", "eq30-thm32"]
+        report = run_suite(5, 1, ids=ids)
+        assert main(["verify", "--r", "5", "--ids", ",".join(ids), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["report"]["entries"]
+        assert [e["id"] for e in entries] == [e.id for e in report.entries] == ids
+        for got, want in zip(entries, report.entries):
+            assert str_to_big(got["residual"], 512) == want.residual
+            assert got["passed"] is want.passed is True
 
 
 class TestGatedEntry:
-    """IdentityEntry.gated is the registry's one pass rule; like run_suite,
-    these call it at working precision."""
+    """run_suite's pass rule, on residuals from one stub group standing in
+    for the registry; like a checker, the stub's values are formed at
+    working precision."""
 
-    def test_residual_at_the_tolerance_fails(self):
+    @staticmethod
+    def _judge(monkeypatch, residuals):
+        def stub(rn, rd, ctx):
+            return residuals
+
+        monkeypatch.setattr(certify, "_GROUPS", ((("eq6-eta8", "eq15-depressed"), stub),))
+        return {e.id: e for e in run_suite(1, 1, ids=list(residuals)).entries}
+
+    def test_residual_at_the_tolerance_fails(self, monkeypatch):
         ctx = DEFAULT_CONTEXT
-        tol = ctx.tolerance()
         with workprec(ctx.work_bits):
-            assert not IdentityEntry.gated(ctx, "eq6-eta8", tol).passed
-            assert IdentityEntry.gated(ctx, "eq6-eta8", tol / 2).passed
+            tol = ctx.tolerance()
+            got = self._judge(monkeypatch, {"eq6-eta8": tol, "eq15-depressed": tol / 2})
+        assert not got["eq6-eta8"].passed
+        assert got["eq15-depressed"].passed
 
-    def test_negative_residual_is_stored_as_its_absolute_value(self):
+    def test_negative_residual_is_stored_as_its_absolute_value(self, monkeypatch):
         ctx = DEFAULT_CONTEXT
-        tol = ctx.tolerance()
         with workprec(ctx.work_bits):
-            e = IdentityEntry.gated(ctx, "eq6-eta8", -tol / 2)
-            assert e.residual == IdentityEntry.gated(ctx, "eq6-eta8", tol / 2).residual
-            assert e.residual > 0
-            assert e.passed
-            failing = IdentityEntry.gated(ctx, "eq6-eta8", -2 * tol)
-            assert failing.residual > 0
-            assert not failing.passed
+            tol = ctx.tolerance()
+            got = self._judge(monkeypatch, {"eq6-eta8": -tol / 2, "eq15-depressed": tol / 2})
+            failing = self._judge(monkeypatch, {"eq6-eta8": -2 * tol})["eq6-eta8"]
+        e = got["eq6-eta8"]
+        assert e.residual == got["eq15-depressed"].residual
+        assert e.residual > 0
+        assert e.passed
+        assert failing.residual > 0
+        assert not failing.passed
 
-    def test_detail_passes_through(self):
+    def test_detail_passes_through(self, monkeypatch):
         detail = {"vanishing_orientation": "stated"}
-        e = IdentityEntry.gated(DEFAULT_CONTEXT, "eq15-depressed", mpf(0), detail=detail)
-        assert e.detail == detail
-        assert e.id == "eq15-depressed"
-        assert IdentityEntry.gated(DEFAULT_CONTEXT, "eq6-eta8", mpf(0)).detail == {}
+        got = self._judge(
+            monkeypatch, {"eq6-eta8": mpf(0), "eq15-depressed": (mpf(0), detail)}
+        )
+        assert got["eq15-depressed"].detail == detail
+        assert got["eq15-depressed"].id == "eq15-depressed"
+        assert got["eq6-eta8"].detail == {}
+
+
+class TestSuiteDomain:
+    """Across r in [1/100, 10^4] at 512 bits the suite reports every
+    registry id, or a typed error other than CertificationError stops it:
+    a residual that misses its gate is a failing entry, not an abort."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(r=st.fractions(min_value=Fraction(1, 100), max_value=10 ** 4, max_denominator=10 ** 4))
+    @example(r=Fraction(703, 4))
+    @example(r=Fraction(10 ** 4))
+    def test_reports_or_typed_error(self, r):
+        try:
+            report = run_suite(r.numerator, r.denominator, ctx=DEFAULT_CONTEXT)
+        except (DomainError, ConvergenceError, BranchError):
+            return
+        assert [e.id for e in report.entries] == list(REGISTRY)
 
 
 class TestResidualsShrinkWithPrecision:

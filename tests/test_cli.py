@@ -115,6 +115,13 @@ class TestKr:
         text_k = [l for l in out.splitlines() if l.startswith("k  ")][0].split("=")[1].strip()
         assert payload["modulus"]["k"].startswith(text_k[:25])
 
+    def test_k_comp_rounding_to_one_is_reported(self, capsys):
+        # k = 2.6e-682 carries the information; k_comp is the rounded 1
+        code, payload, _ = run_json(capsys, "kr", "--r", "1000000", "--json")
+        assert code == 0
+        assert payload["modulus"]["k_comp"] == "1.0"
+        assert str_to_big(payload["modulus"]["residual"], 512) < mpf(10) ** -120
+
     def test_fractional_r(self, capsys):
         code, payload, _ = run_json(capsys, "kr", "--r", "10/3", "--json")
         assert code == 0
