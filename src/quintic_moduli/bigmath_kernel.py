@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
@@ -112,10 +113,20 @@ class PrecisionContext:
         """Mantissa bits used for intermediate computation."""
         return self.precision_bits + self.guard_bits
 
-    def tolerance(self) -> mpf:
-        """10**(-tol_exp) as an mpf at working precision."""
+    @cached_property
+    def _tolerance(self) -> mpf:
         with workprec(self.work_bits):
             return mpf(10) ** (-self.tol_exp)
+
+    def tolerance(self) -> mpf:
+        """10**(-tol_exp) as an mpf at working precision, computed once."""
+        return self._tolerance
+
+    def certifies(self, residual: mpf, scale: mpf) -> bool:
+        """The one pass rule: |residual| < 10**(-tol_exp) * |scale| at working
+        precision, where scale is the size of the terms the residual sums."""
+        with workprec(self.work_bits):
+            return abs(residual) < self.tolerance() * abs(scale)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -285,16 +296,15 @@ def solve_singular_modulus(
 
     The returned record stores values rounded to ``precision_bits``; the
     residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
-    pair, and the same two AGM legs give K(k) and K(k').
+    pair, must certify against sqrt(r), or ConvergenceError is raised, and
+    the same two AGM legs give K(k) and K(k').
 
-    For small r, k_r = sqrt(1 - k'_r^2) rounds to exactly 1 once k'_r^2/2
-    falls below half an ulp (r below about 1/3300 at 256 bits, 1/13000 at
-    512); that raises DomainError rather than hand back a k outside (0,1).
-    The mirror case for large r is kept: k_comp is then the correctly
-    rounded sqrt(1 - k^2), exactly 1 (from r = 12962 at 512 bits, about
-    3400 at 256), while k keeps its digits (2.6e-682 at r = 10^6) and
-    K_kcomp comes from agm(1, k).  Callers must not take elliptic_K of that
-    k_comp: K(1) is infinite and elliptic_K refuses it.
+    Either member of the pair may be the correctly rounded 1: k_comp from
+    r = 12962 at 512 bits (3291 at 256), k from r = 1/12962 (1/3291).  The
+    other member keeps its digits (k = 2.6e-682 at r = 10^6)
+    and gives the other K through its own AGM leg, so the K-ratio certifies
+    as before.  Callers must not take elliptic_K of a member that is 1:
+    K(1) is infinite and elliptic_K refuses it.
     """
     ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
@@ -312,18 +322,12 @@ def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusReco
         q = mp.exp(-mp.pi * mp.sqrt(mpf(r_den) / mpf(r_num))) if reflect else q_r
         small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
         big = _round_to(ctx, _complement_raw(small))
-        if reflect and big == 1:
-            raise DomainError(
-                "k at r=%s/%s rounds to 1 at %d bits; only k_comp = %s carries "
-                "its digits (raise the precision, --prec)"
-                % (r_num, r_den, ctx.precision_bits, mp.nstr(small, 8))
-            )
         k, k_comp = (big, small) if reflect else (small, big)
 
         agm_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))
         agm_comp = _agm_raw(mpf(1), k_comp, ctx)  # pi / (2 K(k))
         residual = abs(agm_comp / agm_k - target)
-        if not residual < ctx.tolerance():
+        if not ctx.certifies(residual, target):
             raise ConvergenceError(
                 "solve at r=%s/%s left residual %s above tolerance"
                 % (r_num, r_den, mp.nstr(residual, 8))

@@ -1,14 +1,15 @@
-"""The identity registry: its entry types, its sixteen checkers, its one
-pass rule and the suite runner.
+"""The identity registry: its entry types, its sixteen checkers and the
+suite runner, which judges each entry by the one pass rule.
 
 Each registry id names one residual that independent routes of the library
-must drive below 10^(-tol_exp).  Ids are grouped so relations that share
-their solves are computed together; entries within a group report the same
-wall-clock cost.  A checker only computes: it returns its residuals keyed by
-registry id, at the ambient precision, and raises nothing of its own.
-run_suite alone sets that precision, opens the request memo, gates every
-residual and builds every entry, so one run_suite call solves each modulus
-and computes each nome, eta value and continued fraction once, and a
+must drive below 10^(-tol_exp) times its scale, the largest term it sums (of
+a polynomial relation, its largest monomial).  Ids are grouped so relations
+that share their solves are computed together; entries within a group report
+the same wall-clock cost.  A checker only computes: it returns each residual
+and its scale keyed by registry id, at the ambient precision, and raises
+nothing.  run_suite alone sets that precision, opens the request memo, gates
+every residual and builds every entry, so one run_suite call solves each
+modulus and computes each nome, eta value and continued fraction once, and a
 group's cost leaves out what earlier groups already computed.  A residual
 that misses the gate is a failing entry, never an abort.  The registry
 order is canonical: reports list entries in this order no matter how the
@@ -41,7 +42,7 @@ from .modular_core import (
     rrcf_converged,
     scale_rational,
 )
-from .quintic_ladder import g_invariant, p_map, u_defining_residual, u_map
+from .quintic_ladder import _u_scale, g_invariant, p_map, u_defining_residual, u_map
 from .report import big_to_str
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
@@ -54,7 +55,7 @@ class UsageError(ValueError):
 @dataclass
 class IdentityEntry:
     """One certified identity: its registry id, the measured residual,
-    whether it cleared the context tolerance, and wall-clock cost.
+    whether it certified against the scale in detail["scale"], and cost.
 
     Entries computed together from shared solves (e.g. the three
     modulus-pair relations) carry the same elapsed_ms.  Solves are shared
@@ -105,17 +106,24 @@ class IdentityReport:
         }
 
 
-#: a residual, or a residual with the detail strings its entry carries
-Residual = Union[mpf, Tuple[mpf, Dict[str, str]]]
+#: (residual, scale), or (residual, scale, the detail strings its entry carries)
+Residual = Union[Tuple[mpf, mpf], Tuple[mpf, mpf, Dict[str, str]]]
 Residuals = Dict[str, Residual]
+
+
+def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
+    """(sum of the terms, the largest |term|): a residual with its scale.
+    Summed left to right, so lhs - rhs is _summed(lhs, -rhs) to the bit."""
+    return sum(terms), max(abs(t) for t in terms)
 
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
     q = nome(rn, rd, ctx)
     r_cf, _ = rrcf_converged(q, ctx)
-    lhs = 1 / r_cf ** 5 - 11 - r_cf ** 5
-    return {"eq5-eta-quotient": lhs - a_via_eta(q, ctx)}
+    return {
+        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -a_via_eta(q, ctx))
+    }
 
 
 def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -127,14 +135,14 @@ def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         * rec.K_k ** 4
         / mp.pi ** 4
     )
-    return {"eq6-eta8": eta_f(rec.q, ctx) ** 8 - rhs}
+    return {"eq6-eta8": _summed(eta_f(rec.q, ctx) ** 8, -rhs)}
 
 
 def _check_eq7(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q))
     rec = solve_singular_modulus(rn, rd, ctx)
     rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * mp.sqrt(rec.q))
-    return {"eq7-eta2": eta_f(rec.q ** 2, ctx) ** 6 - rhs}
+    return {"eq7-eta2": _summed(eta_f(rec.q ** 2, ctx) ** 6, -rhs)}
 
 
 def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -154,16 +162,23 @@ def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         * rec.q
         * mp.cbrt(rec.q * (rec.k / rec25.k) ** 2 * (rec.k_comp / rec25.k_comp) ** 8)
     )
-    return {"eq10-multiplier": mp.root(m4, 4) * rec.K_k - rec25.K_k}
+    return {"eq10-multiplier": _summed(mp.root(m4, 4) * rec.K_k, -rec25.K_k)}
 
 
 def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    return {"eq11-m5-poly": multiplier_M5(rn, rd, ctx).poly_residual}
+    # scaled by the largest monomial of (5m - 1)^5 (1 - m) - 256 (k k')^2 m
+    # expanded, not by its two sides: they cancel with 1 - m as r grows
+    m, rec = multiplier_M5(rn, rd, ctx), solve_singular_modulus(rn, rd, ctx)
+    monomials = [c * m.m5 ** j for j, c in enumerate((-1, 26, -275, 1500, -4375, 6250, -3125))]
+    monomials.append(256 * (rec.k * rec.k_comp) ** 2 * m.m5)
+    return {"eq11-m5-poly": (m.poly_residual, max(map(abs, monomials)))}
 
 
-def _depressed_form(u: mpf, v: mpf) -> mpf:
-    return u ** 6 - v ** 6 + 5 * u ** 2 * v ** 2 * (u ** 2 - v ** 2) + 4 * u * v * (
-        1 - u ** 4 * v ** 4
+def _depressed_form(u: mpf, v: mpf) -> Tuple[mpf, mpf]:
+    # the monomials of u^6 - v^6 + 5 u^2 v^2 (u^2 - v^2) + 4 u v (1 - u^4 v^4)
+    return _summed(
+        u ** 6, -v ** 6, 5 * u ** 4 * v ** 2, -5 * u ** 2 * v ** 4,
+        4 * u * v, -4 * u ** 5 * v ** 5,
     )
 
 
@@ -175,7 +190,10 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
       eq13-thm22      a(r) minus the w-form
                       k^3 (k^2-1)/(w^5 - k^2 w) * (w/k + w'/k' - ww'/(kk'))^3,
                       where the reference a(r) comes from the eta route so the
-                      two sides share no machinery past the solves;
+                      two sides share no machinery past the solves.  It is
+                      evaluated as k k'^2/(w k'_25^2) (w/k + w'd/(k'(k+w)))^3
+                      with d = k - k_25, or (k'_25^2 - k'^2)/(k + k_25) for
+                      r < 1, where both moduli near 1: no cancellation;
       eq14-w-poly     the degree-6 polynomial in w that determines k_25r
                       from k_r;
       eq15-depressed  the quartic-root ("depressed") relation between
@@ -191,35 +209,28 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     w = mp.sqrt(k * k25)
     wp = mp.sqrt(kp * kp25)
 
-    a_ref = a_via_eta(rec.q, ctx)
-    w_form = (
-        k ** 3 * (k ** 2 - 1) / (w ** 5 - k ** 2 * w)
-        * (w / k + wp / kp - w * wp / (k * kp)) ** 3
-    )
+    d = (kp25 ** 2 - kp ** 2) / (k + k25) if rn < rd else k - k25
+    w_form = k * kp ** 2 / (w * kp25 ** 2) * (w / k + wp / kp * d / (k + w)) ** 3
 
-    res14 = (
-        k ** 6
-        + k ** 3 * (-16 + 10 * k ** 2) * w
-        + 15 * k ** 4 * w ** 2
-        - 20 * k ** 3 * w ** 3
-        + 15 * k ** 2 * w ** 4
-        + k * (10 - 16 * k ** 2) * w ** 5
-        + w ** 6
+    res14 = _summed(
+        k ** 6, -16 * k ** 3 * w, 10 * k ** 5 * w, 15 * k ** 4 * w ** 2,
+        -20 * k ** 3 * w ** 3, 15 * k ** 2 * w ** 4, 10 * k * w ** 5,
+        -16 * k ** 3 * w ** 5, w ** 6,
     )
 
     u, v = mp.root(k, 4), mp.root(k25, 4)
-    stated = _depressed_form(u, v)
-    swapped = _depressed_form(v, u)
+    (stated, scale15), (swapped, _) = _depressed_form(u, v), _depressed_form(v, u)
     if abs(stated) <= abs(swapped):
         res15, orientation = abs(stated), "stated (u = k_r^(1/4))"
     else:
         res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
 
     return {
-        "eq13-thm22": w_form - a_ref,
+        "eq13-thm22": _summed(w_form, -a_via_eta(rec.q, ctx)),
         "eq14-w-poly": res14,
         "eq15-depressed": (
             res15,
+            scale15,
             {
                 "vanishing_orientation": orientation,
                 "stated_residual": mp.nstr(abs(stated), 12),
@@ -233,14 +244,14 @@ def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # CF-value descent r -> r/25 against a direct evaluation at r/25
     hi, _ = rrcf_converged(nome(rn, rd, ctx), ctx)
     lo, _ = rrcf_converged(nome(*scale_rational(rn, rd, 1, 25), ctx), ctx)
-    return {"eq19-v-descent": descend_v(hi, ctx) - lo}
+    return {"eq19-v-descent": _summed(descend_v(hi, ctx), -lo)}
 
 
 def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # a-value descent r -> r/25 against the eta quotient at r/25
     a_hi = a_via_eta(nome(rn, rd, ctx), ctx)
     a_lo = a_via_eta(nome(*scale_rational(rn, rd, 1, 25), ctx), ctx)
-    return {"eq24-q-descent": descend_a(a_hi, ctx) - a_lo}
+    return {"eq24-q-descent": _summed(descend_a(a_hi, ctx), -a_lo)}
 
 
 def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -248,27 +259,31 @@ def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     rec = solve_singular_modulus(rn, rd, ctx)
     rec_lo = solve_singular_modulus(*scale_rational(rn, rd, 1, 25), ctx)
     x = mp.root(rec.k * rec.k_comp / (rec_lo.k * rec_lo.k_comp), 12)
-    return {"eq26-u-defining": u_defining_residual(x, u_map(x, ctx), ctx)}
+    y = u_map(x, ctx)
+    return {"eq26-u-defining": (u_defining_residual(x, y, ctx), _u_scale(x, y))}
 
 
 def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """The eta quotient A = f(-q^2)/(q^(1/3) f(-q^10)) at q = nome(r)
     satisfies (i) A^6 = a(4r), with a(4r) from the moduli route, and (ii)
-    the u_map defining relation against the invariant ratio V' = g(25r)/g(r).  Reported as one entry whose
-    residual is the worse of the two, with both attached."""
+    the u_map defining relation against the invariant ratio V' = g(25r)/g(r).
+    Reported as one entry, the worse of the two relative to its scale,
+    with both residuals attached."""
     q = nome(rn, rd, ctx)
     A = eta_f(q ** 2, ctx) / (mp.cbrt(q) * eta_f(q ** 10, ctx))
     a_4r = _round_to(ctx, a_via_moduli(*scale_rational(rn, rd, 4, 1), ctx))
-    res_eta = abs(A ** 6 - a_4r)
+    res_eta, scale_eta = _summed(A ** 6, -a_4r)
 
     g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
-    res_rel = u_defining_residual(A, g_hi / g_invariant(rn, rd, ctx).g, ctx)
+    v = g_hi / g_invariant(rn, rd, ctx).g
+    res_rel, scale_rel = u_defining_residual(A, v, ctx), _u_scale(A, v)
 
+    worse = max((abs(res_eta), scale_eta), (res_rel, scale_rel), key=lambda p: p[0] / p[1])
     return {
         "eq29-thm31": (
-            max(res_eta, res_rel),
+            *worse,
             {
-                "sixth_power_vs_a(4r)": mp.nstr(res_eta, 12),
+                "sixth_power_vs_a(4r)": mp.nstr(abs(res_eta), 12),
                 "invariant_ratio_relation": mp.nstr(res_rel, 12),
             },
         )
@@ -281,7 +296,7 @@ def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     g_lo = g_invariant(*scale_rational(rn, rd, 1, 25), ctx).g
     g_mid = g_invariant(rn, rd, ctx).g
     g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
-    return {"eq30-thm32": g_mid / g_lo - p_map(g_hi / g_mid, ctx)}
+    return {"eq30-thm32": _summed(g_mid / g_lo, -p_map(g_hi / g_mid, ctx))}
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -291,7 +306,7 @@ def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     kkp_eta = (
         mp.pi ** 3 * mp.sqrt(rec.q) * eta_f(rec.q ** 2, ctx) ** 6 / (2 * rec.K_k ** 3)
     )
-    return {"eq31-g-def": g_rec - 1 / mp.root(2 * kkp_eta, 12)}
+    return {"eq31-g-def": _summed(g_rec, -1 / mp.root(2 * kkp_eta, 12))}
 
 
 def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -302,7 +317,7 @@ def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     s = lambda rr: rr.k * rr.k_comp
     lhs = mp.root(s(rec_hi) / s(rec), 12)
     rhs = p_map(mp.root(s(rec) / s(rec_lo), 12), ctx)
-    return {"eq34-thm33": lhs - rhs}
+    return {"eq34-thm33": _summed(lhs, -rhs)}
 
 
 def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -310,7 +325,7 @@ def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # theta quotient at max(r, 1/r) and swap the pair.  Each side is still
     # certified by its own K-ratio residual inside the solver.
     rec = solve_singular_modulus(rn, rd, ctx)
-    return {"k-reciprocal": solve_singular_modulus(rd, rn, ctx).k - rec.k_comp}
+    return {"k-reciprocal": _summed(solve_singular_modulus(rd, rn, ctx).k, -rec.k_comp)}
 
 
 #: (ids produced, checker) in canonical order — checker signature
@@ -353,9 +368,10 @@ def run_suite(
     so each modulus, nome, eta value and continued fraction is computed
     once per call and a group's elapsed_ms leaves out the solves that
     earlier groups already paid for.  Inside that scope every residual a
-    checker returns meets the one pass rule: the entry stores |residual|
-    rounded to precision_bits, and passes when |residual| < 10^(-tol_exp).
-    A failing residual is reported, not raised.  Nothing outlives the call.
+    checker returns meets the one pass rule, ctx.certifies: the entry stores
+    |residual| rounded to precision_bits, passes when |residual| <
+    10^(-tol_exp) * scale, and keeps the scale in detail["scale"].  A
+    failing residual is reported, not raised.  Nothing outlives the call.
     """
     ctx = _ctx(ctx)
     if ids is None:
@@ -369,7 +385,6 @@ def run_suite(
                 % (", ".join(unknown), ", ".join(REGISTRY))
             )
 
-    tol = ctx.tolerance()
     produced: Dict[str, IdentityEntry] = {}
     with _request_memo(), workprec(ctx.work_bits):
         for group_ids, checker in _GROUPS:
@@ -378,12 +393,12 @@ def run_suite(
             t0 = time.perf_counter()
             residuals = checker(r_num, r_den, ctx)
             ms = int((time.perf_counter() - t0) * 1000)
-            for id_, value in residuals.items():
+            for id_, (residual, scale, *detail) in residuals.items():
                 if id_ in wanted:
-                    residual, detail = value if isinstance(value, tuple) else (value, {})
                     res = abs(residual)
+                    detail = dict(*detail, scale=mp.nstr(abs(scale), 12))
                     produced[id_] = IdentityEntry(
-                        id_, _round_to(ctx, res), bool(res < tol), ms, dict(detail)
+                        id_, _round_to(ctx, res), ctx.certifies(res, scale), ms, detail
                     )
 
     ordered = [produced[i] for i in REGISTRY if i in produced]

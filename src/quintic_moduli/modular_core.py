@@ -1,8 +1,8 @@
 """Degree-5 modular quantities built on the kernel: the eta-quotient a(r),
 the multiplier m5(r) = K(k_25r)/K(k_r), the Rogers-Ramanujan continued
-fraction by two independent routes, the log-sinh parametrization of a, and
-the two level-lowering maps (r -> r/25) — one acting on continued-fraction
-values, one acting on a itself.
+fraction by two independent routes, and the two level-lowering maps
+(r -> r/25) — one acting on continued-fraction values, one acting on a
+itself.
 
 Route map (everything is certified by cross-route residuals, never trusted):
 
@@ -11,7 +11,6 @@ Route map (everything is certified by cross-route residuals, never trusted):
     R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [truncated CF]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
-           = exp(-y/5),  y = arcsinh((11 + a)/2)           [log-sinh form]
     m5(r)  is certified as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
 """
@@ -49,7 +48,6 @@ __all__ = [
     "rrcf_truncated",
     "rrcf_converged",
     "closed_form_R",
-    "theta_form",
     "descend_v",
     "descend_a",
     "scale_rational",
@@ -139,19 +137,19 @@ def a_value(
     r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
 ) -> ARecord:
     """a(r) via the eta quotient at nome(r) and via the moduli/multiplier
-    closed form, gated on their absolute disagreement.
+    closed form, gated on their disagreement relative to a.
 
     The two routes share nothing past the nome, so their agreement certifies
-    both; a cross residual above tolerance raises CertificationError.  The
-    registry does not use this gate: eq29 compares the eta quotient at
-    nome(r)^2 with a_via_moduli(4r) and reports their gap as a residual.
+    both; a cross residual of 10^-tol_exp * a or more raises
+    CertificationError.  The registry does not use this gate: eq29 compares
+    the eta quotient at nome(r)^2 with a_via_moduli(4r) as a residual.
     """
     ctx = _ctx(ctx)
     via_eta = a_via_eta(nome(r_num, r_den, ctx), ctx)
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         cross = abs(via_eta - via_moduli)
-        if not cross < ctx.tolerance():
+        if not ctx.certifies(cross, via_moduli):
             raise CertificationError(
                 "a(%s/%s): eta and moduli routes disagree by %s"
                 % (r_num, r_den, mp.nstr(cross, 8))
@@ -201,10 +199,10 @@ def rrcf_converged(
 
     The truncation error at depth d decays like q^(d(d+1)/2), so d is the
     smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2.  The value at
-    d + 2 is returned only if it agrees with the value at d below tolerance;
-    otherwise, or if d + 2 would pass the depth cap (q too close to 1),
-    ConvergenceError is raised.  Inside a request memo scope each (q,
-    context) is evaluated once.
+    d + 2 is returned only if it agrees with the value at d to a relative
+    10^-tol_exp; otherwise, or if d + 2 would pass the depth cap (q too
+    close to 1), ConvergenceError is raised.  Inside a request memo scope
+    each (q, context) is evaluated once.
     """
     ctx = _ctx(ctx)
     qv = to_big(q, ctx)
@@ -221,7 +219,7 @@ def _rrcf(qv: mpf, ctx: PrecisionContext) -> Tuple[mpf, int]:
         if top * (top + 1) / 2 * t >= need:
             depth = math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
             cur = rrcf_truncated(qv, depth, ctx)
-            if abs(cur - rrcf_truncated(qv, depth - 2, ctx)) < ctx.tolerance():
+            if ctx.certifies(cur - rrcf_truncated(qv, depth - 2, ctx), cur):
                 return cur, depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
@@ -240,29 +238,13 @@ def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 
     With h = (11 + a)/2 that base is sqrt(h^2 + 1) - h = 1/(h + sqrt(h^2 + 1)),
     so R = 1/E for E = _fifth_root_radical(a), and large a loses nothing to
-    cancellation; a <= -11 is refused, as in theta_form."""
+    cancellation; a <= -11 is refused."""
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("closed_form_R requires a > -11, got %s" % av)
         return _round_to(ctx, 1 / _fifth_root_radical(av))
-
-
-def theta_form(a: Real, ctx: Optional[PrecisionContext] = None) -> Tuple[mpf, mpf]:
-    """Log-sinh parametrization of the closed form.
-
-    Returns (y, R) with y = arcsinh((11 + a)/2) and R = exp(-y/5).  This is
-    the radical closed form in disguise: with t = (11+a)/2,
-    exp(-y) = sqrt(t^2 + 1) - t equals the fifth power of R.
-    """
-    ctx = _ctx(ctx)
-    with workprec(ctx.work_bits):
-        av = to_big(a, ctx)
-        if not av > -11:
-            raise DomainError("theta_form requires a > -11, got %s" % av)
-        y = mp.asinh((11 + av) / 2)
-        return _round_to(ctx, y), _round_to(ctx, mp.exp(-y / 5))
 
 
 def descend_v(v: Real, ctx: Optional[PrecisionContext] = None) -> mpf:

@@ -116,6 +116,13 @@ def u_defining_residual(
         )
 
 
+def _u_scale(xv: mpf, yv: mpf) -> mpf:
+    """The largest of the four terms u_defining_residual sums, at the
+    ambient precision; it is >= 1, since the first two multiply to 1."""
+    s5 = mp.sqrt(mpf(5))
+    return max(xv ** 2 / (s5 * yv), s5 * yv / xv ** 2, yv ** 3 / s5, 1 / (s5 * yv ** 3))
+
+
 def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
@@ -126,10 +133,10 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     its three roots multiply to +1 and sum to -5/x^2, so exactly one is
     positive.  Since p(0) = -x^2 < 0, p(x) = 4x^2 > 0 and p'' > 0 on z > 0,
     Newton started at z = x falls monotonically onto that root; it stops
-    when rounding ends the descent.  The returned Y must satisfy the
-    defining relation to 10^-tol_exp relative to the largest of its four
-    terms (a scale >= 1, since the first two terms multiply to 1), or a
-    BranchError is raised carrying all three candidate roots.
+    when rounding ends the descent.  The defining relation's residual at
+    the returned Y must certify against the largest of its four terms
+    (PrecisionContext.certifies), or a BranchError is raised carrying all
+    three candidate roots.
     """
     ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
@@ -148,10 +155,8 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
             z = z_next
 
         y = mp.sqrt(z)
-        s5 = mp.sqrt(mpf(5))
-        scale = max(x2 / (s5 * y), s5 * y / x2, y ** 3 / s5, 1 / (s5 * y ** 3))
-        res = u_defining_residual(xv, y, ctx) / scale
-        if not res < ctx.tolerance():
+        res, scale = u_defining_residual(xv, y, ctx), _u_scale(xv, y)
+        if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
             s, prod = -5 / x2 - z, 1 / z
             disc = s ** 2 - 4 * prod
@@ -166,7 +171,7 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
                 % (
                     mp.nstr(xv, 12),
                     mp.nstr(z, 12),
-                    mp.nstr(res, 6),
+                    mp.nstr(res / scale, 6),
                     [mp.nstr(o, 8) for o in others],
                 )
             )
@@ -252,14 +257,14 @@ def ladder(
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
     Seeds are the moduli at r0 and r0/25.  Every level's k is checked
-    against an independent K-ratio solve; a level missing its oracle by a
-    relative 10^-(tol_exp - GATE_SLACK_DIGITS) or more (|k_j - k_oracle|
-    measured against k_oracle) raises CertificationError with the partial
-    trace (including the failing step) as payload.  The gate is relative
-    because k shrinks like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute
-    one stops checking anything within a few rungs; the 20 digits of slack
-    reflect that the certified quantity degrades by a bounded factor per rung
-    while tol_exp is calibrated for single solves.  oracle_residual stays
+    against an independent K-ratio solve; a level whose |k_j - k_oracle|
+    does not certify against k_oracle 10^GATE_SLACK_DIGITS (a relative gate
+    10^-(tol_exp - GATE_SLACK_DIGITS)) raises CertificationError with the
+    partial trace (including the failing step) as payload.  The gate is relative because k shrinks
+    like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute one stops
+    checking anything within a few rungs; the 20 digits of slack reflect
+    that the certified quantity degrades by a bounded factor per rung while
+    tol_exp is calibrated for single solves.  oracle_residual stays
     absolute.
 
     Levels with 25^j r0 < 1 are refused (BranchError): below r = 1 the
@@ -282,7 +287,6 @@ def ladder(
         prev = k_hi * _complement_raw(k_hi)
 
         gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
-        gate = mpf(10) ** (-gate_exp)
         steps: List[LadderStep] = []
         for j in range(1, n + 1):
             rj = fr0 * 25 ** j
@@ -307,7 +311,7 @@ def ladder(
                 oracle_residual=_round_to(ctx, resid),
             )
             steps.append(step)
-            if not resid < gate * oracle.k:
+            if not ctx.certifies(resid, oracle.k * 10 ** GATE_SLACK_DIGITS):
                 raise CertificationError(
                     "ladder level %d (r = %s) missed the oracle by %s "
                     "(relative %s; relative gate 10^-%d)"
@@ -331,49 +335,42 @@ def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:
 
     The face-value forms feed p_map the un-rooted invariant ratio (and, for
     k_125, skip the twelfth power); the certified ascent uses
-    x = (s(r0)/s(r0/25))^(1/12) and s(25 r0) = s(r0) p_map(x)^12.  Both
+    x = (s(r0)/s(r0/25))^(1/12) and s(25 r0) = s(r0) p_map(x)^12.  A form
+    holds when its difference certifies against the oracle k.  Both
     shorthands miss their oracles and are recorded as failing, with the
     measured differences; the canonical ascents certify to full tolerance.
     """
     ctx = _ctx(ctx)
+
+    def entry(value: mpf, oracle: mpf) -> dict:
+        with workprec(ctx.work_bits):
+            diff = abs(value - oracle)
+        return {
+            "value": _round_to(ctx, value),
+            "oracle": oracle,
+            "difference": _round_to(ctx, diff),
+            "holds": ctx.certifies(diff, oracle),
+        }
+
     out = {}
     for r0 in (5, 25):
         oracle = solve_singular_modulus(25 * r0, 1, ctx).k
         seed_k = solve_singular_modulus(r0, 1, ctx).k
         seed_k25 = solve_singular_modulus(*scale_rational(r0, 1, 1, 25), ctx).k
         (step,) = ladder(r0, 1, seed_k, seed_k25, 1, ctx).steps
-        out["canonical_%d" % (25 * r0)] = {
-            "value": step.k,
-            "oracle": oracle,
-            "difference": step.oracle_residual,
-            "holds": bool(step.oracle_residual < ctx.tolerance()),
-        }
+        out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
 
     with workprec(ctx.work_bits):
         s5 = mp.sqrt(mpf(5))
-        oracle125 = out["canonical_125"]["oracle"]
-        oracle625 = out["canonical_625"]["oracle"]
         p1 = p_map(mpf(1), ctx)
         verb125 = mp.sqrt(
             mpf(1) / 2 - mp.sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2
         )
-        d125 = abs(verb125 - oracle125)
-        out["verbatim_125"] = {
-            "value": _round_to(ctx, verb125),
-            "oracle": oracle125,
-            "difference": _round_to(ctx, d125),
-            "holds": bool(d125 < ctx.tolerance()),
-        }
+        out["verbatim_125"] = entry(verb125, out["canonical_125"]["oracle"])
 
         parg = p_map(161 - 72 * s5, ctx)
         verb625 = mp.sqrt(
             mpf(1) / 2 - mp.sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2
         )
-        d625 = abs(verb625 - oracle625)
-        out["verbatim_625"] = {
-            "value": _round_to(ctx, verb625),
-            "oracle": oracle625,
-            "difference": _round_to(ctx, d625),
-            "holds": bool(d625 < ctx.tolerance()),
-        }
+        out["verbatim_625"] = entry(verb625, out["canonical_625"]["oracle"])
     return out

@@ -1,6 +1,7 @@
 """The public surface stays in step with the code: every exported name
 resolves, the README's library example runs as written, the registry ids
-agree wherever they are listed, and the math layers stay below the registry."""
+agree wherever they are listed, the math layers stay below the registry,
+and the tolerance is read by the one pass rule alone."""
 
 import ast
 import importlib
@@ -58,11 +59,15 @@ def test_registry_ids_agree_across_readme_schema_and_registry():
     assert _readme_registry_ids() == list(REGISTRY)
 
 
+def _tree(name):
+    mod = importlib.import_module(name)
+    with open(mod.__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 def _imported_names(name):
     """Module and package names the module `name` imports."""
-    mod = importlib.import_module("quintic_moduli." + name)
-    with open(mod.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _tree("quintic_moduli." + name)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -82,3 +87,22 @@ def test_math_layers_do_not_import_the_registry(name):
 def test_report_is_serialization_only():
     # the registry's types and pass rule live in certify, which imports report
     assert not _imported_names("report") & {"certify", "cli"}
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_tolerance_is_read_only_inside_precision_context(name):
+    # PrecisionContext.certifies is the one pass rule; a comparison against
+    # the tolerance anywhere else would be a second one
+    tree = _tree(name)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PrecisionContext":
+            inside.update(map(id, ast.walk(node)))
+    readers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("tolerance", "_tolerance")
+        and id(node) not in inside
+    ]
+    assert not readers, "%s reads the tolerance at lines %s" % (name, readers)

@@ -271,13 +271,22 @@ class TestSolver:
 
 
 class TestKRoundsToOne:
-    """Below some r the reflected k = sqrt(1 - k'^2) rounds to exactly 1 at
-    the output precision; the solver refuses rather than return it."""
+    """Below some r the reflected k = sqrt(1 - k'^2) is the correctly
+    rounded 1 at the output precision.  As in the mirror case for large r,
+    the other member of the pair, k_comp, carries the digits, and the
+    K-ratio still certifies."""
 
     @pytest.mark.parametrize("rn,rd,bits", [(1, 3400, 256), (1, 13000, 512)])
-    def test_refused(self, rn, rd, bits):
-        with pytest.raises(DomainError, match=r"rounds to 1.*k_comp.*--prec"):
-            solve_singular_modulus(rn, rd, _ctx_at(bits))
+    def test_k_is_one(self, rn, rd, bits):
+        ctx = _ctx_at(bits)
+        rec = solve_singular_modulus(rn, rd, ctx)
+        assert rec.k == 1
+        # the mirror solve's k, bit for bit
+        assert rec.k_comp == solve_singular_modulus(rd, rn, ctx).k
+        assert 0 < rec.k_comp < rec.k
+        with workprec(ctx.work_bits):
+            assert ctx.certifies(rec.residual, sqrt(mpf(rn) / rd))
+        assert _ellipk_residual(rec, bits) < ctx.tolerance()
 
     @pytest.mark.parametrize("rn,rd,bits", [(1, 3000, 256), (1, 12000, 512)])
     def test_just_above_still_certifies(self, rn, rd, bits):

@@ -12,9 +12,6 @@ import quintic_moduli.modular_core as mc
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
-    BranchError,
-    ConvergenceError,
-    DomainError,
     IdentityReport,
     PrecisionContext,
     UsageError,
@@ -23,6 +20,8 @@ from quintic_moduli import (
 )
 from quintic_moduli.cli import main
 from quintic_moduli.report import str_to_big
+
+import oracle_values as ov
 
 TOL = mpf(10) ** -120
 
@@ -200,7 +199,9 @@ class TestAscentDescentLaws:
         assert entry.id == "eq29-thm31"
         assert entry.passed
         assert entry.residual < TOL
-        assert set(entry.detail) == {"sixth_power_vs_a(4r)", "invariant_ratio_relation"}
+        assert set(entry.detail) == {
+            "sixth_power_vs_a(4r)", "invariant_ratio_relation", "scale"
+        }
 
     @pytest.mark.parametrize("rn,rd", [(1, 1), (5, 1)])
     def test_thm32(self, rn, rd):
@@ -231,9 +232,9 @@ class TestReportSerialization:
 
 
 class TestGatedEntry:
-    """run_suite's pass rule, on residuals from one stub group standing in
-    for the registry; like a checker, the stub's values are formed at
-    working precision."""
+    """run_suite's pass rule, on (residual, scale) pairs from one stub group
+    standing in for the registry; like a checker, the stub's values are
+    formed at working precision."""
 
     @staticmethod
     def _judge(monkeypatch, residuals):
@@ -246,17 +247,22 @@ class TestGatedEntry:
     def test_residual_at_the_tolerance_fails(self, monkeypatch):
         ctx = DEFAULT_CONTEXT
         with workprec(ctx.work_bits):
-            tol = ctx.tolerance()
-            got = self._judge(monkeypatch, {"eq6-eta8": tol, "eq15-depressed": tol / 2})
+            tol, one = ctx.tolerance(), mpf(1)
+            got = self._judge(
+                monkeypatch, {"eq6-eta8": (tol, one), "eq15-depressed": (tol / 2, one)}
+            )
         assert not got["eq6-eta8"].passed
         assert got["eq15-depressed"].passed
 
     def test_negative_residual_is_stored_as_its_absolute_value(self, monkeypatch):
         ctx = DEFAULT_CONTEXT
         with workprec(ctx.work_bits):
-            tol = ctx.tolerance()
-            got = self._judge(monkeypatch, {"eq6-eta8": -tol / 2, "eq15-depressed": tol / 2})
-            failing = self._judge(monkeypatch, {"eq6-eta8": -2 * tol})["eq6-eta8"]
+            tol, one = ctx.tolerance(), mpf(1)
+            got = self._judge(
+                monkeypatch,
+                {"eq6-eta8": (-tol / 2, one), "eq15-depressed": (tol / 2, one)},
+            )
+            failing = self._judge(monkeypatch, {"eq6-eta8": (-2 * tol, one)})["eq6-eta8"]
         e = got["eq6-eta8"]
         assert e.residual == got["eq15-depressed"].residual
         assert e.residual > 0
@@ -267,28 +273,53 @@ class TestGatedEntry:
     def test_detail_passes_through(self, monkeypatch):
         detail = {"vanishing_orientation": "stated"}
         got = self._judge(
-            monkeypatch, {"eq6-eta8": mpf(0), "eq15-depressed": (mpf(0), detail)}
+            monkeypatch,
+            {"eq6-eta8": (mpf(0), mpf(2)), "eq15-depressed": (mpf(0), mpf(-3), detail)},
         )
-        assert got["eq15-depressed"].detail == detail
+        # the scale joins the checker's own detail, as its magnitude
+        assert got["eq15-depressed"].detail == dict(detail, scale="3.0")
         assert got["eq15-depressed"].id == "eq15-depressed"
-        assert got["eq6-eta8"].detail == {}
+        assert got["eq6-eta8"].detail == {"scale": "2.0"}
+
+    def test_tiny_scale_tightens_the_gate(self, monkeypatch):
+        # 10^-130 is below the bare 10^-120, but not 10^-120 of a value of
+        # 10^-20: its terms carry no digit the residual would certify
+        with workprec(DEFAULT_CONTEXT.work_bits):
+            pair = (mpf(10) ** -130, mpf(10) ** -20)
+        assert not self._judge(monkeypatch, {"eq6-eta8": pair})["eq6-eta8"].passed
+
+    def test_large_scale_loosens_the_gate(self, monkeypatch):
+        # 10^-110 against terms of 10^15 is a relative 10^-125
+        with workprec(DEFAULT_CONTEXT.work_bits):
+            pair = (mpf(10) ** -110, mpf(10) ** 15)
+        assert self._judge(monkeypatch, {"eq6-eta8": pair})["eq6-eta8"].passed
 
 
 class TestSuiteDomain:
-    """Across r in [1/100, 10^4] at 512 bits the suite reports every
-    registry id, or a typed error other than CertificationError stops it:
-    a residual that misses its gate is a failing entry, not an abort."""
+    """Across r in [1/10^4, 10^6] at 512 bits, and at the ends of that range
+    at 256 and 4096 bits, every registry id certifies against its own scale."""
 
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(r=st.fractions(min_value=Fraction(1, 100), max_value=10 ** 4, max_denominator=10 ** 4))
-    @example(r=Fraction(703, 4))
-    @example(r=Fraction(10 ** 4))
-    def test_reports_or_typed_error(self, r):
-        try:
-            report = run_suite(r.numerator, r.denominator, ctx=DEFAULT_CONTEXT)
-        except (DomainError, ConvergenceError, BranchError):
-            return
+    @given(
+        r=st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 6, max_denominator=10 ** 4),
+        bits=st.just(512),
+    )
+    @example(r=Fraction(1, 10 ** 4), bits=512)
+    @example(r=Fraction(1, 1000), bits=512)
+    @example(r=Fraction(703, 4), bits=512)
+    @example(r=Fraction(1000), bits=512)
+    @example(r=Fraction(10 ** 4), bits=512)
+    @example(r=Fraction(13000), bits=512)
+    @example(r=Fraction(10 ** 6), bits=512)
+    @example(r=Fraction(1, 10 ** 4), bits=256)
+    @example(r=Fraction(10 ** 6), bits=256)
+    @example(r=Fraction(1, 10 ** 4), bits=4096)
+    @example(r=Fraction(10 ** 6), bits=4096)
+    def test_all_pass(self, r, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        report = run_suite(r.numerator, r.denominator, ctx=ctx)
         assert [e.id for e in report.entries] == list(REGISTRY)
+        assert report.all_pass, [e.id for e in report.entries if not e.passed]
 
 
 class TestResidualsShrinkWithPrecision:

@@ -73,14 +73,6 @@ class TestUsageErrors:
         assert code == 2
         assert "usage error: k_r0 must lie in (0, 1)" in err
 
-    def test_k_rounding_to_one_is_a_usage_error(self, capsys):
-        # at the default 512 bits k(1/13000) is 1 - 2e-155, which rounds to 1
-        code, out, err = run_cli(capsys, "kr", "--r", "1/13000")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("usage error: k at r=1/13000 rounds to 1")
-        assert "k_comp" in err and "--prec" in err
-
 
 class TestKr:
     def test_text_r1(self, capsys):
@@ -120,6 +112,16 @@ class TestKr:
         code, payload, _ = run_json(capsys, "kr", "--r", "1000000", "--json")
         assert code == 0
         assert payload["modulus"]["k_comp"] == "1.0"
+        assert str_to_big(payload["modulus"]["residual"], 512) < mpf(10) ** -120
+
+    def test_k_rounding_to_one_is_reported(self, capsys):
+        # at the default 512 bits k(1/13000) is 1 - 2e-155, which rounds to
+        # 1; k_comp is the mirror solve's k and carries the information
+        code, payload, _ = run_json(capsys, "kr", "--r", "1/13000", "--json")
+        assert code == 0
+        assert payload["modulus"]["k"] == "1.0"
+        k_comp = str_to_big(payload["modulus"]["k_comp"], 512)
+        assert k_comp == solve_singular_modulus(13000, 1).k
         assert str_to_big(payload["modulus"]["residual"], 512) < mpf(10) ** -120
 
     def test_fractional_r(self, capsys):
@@ -207,6 +209,17 @@ class TestRrcf:
         assert str_to_big(rr["difference"], 512) < mpf(10) ** -100
         # a(4) = 250 + 125 sqrt(5)
         assert rr["a"].startswith("529.5084971874737")
+
+    @pytest.mark.parametrize("r", ["1000", "9999"])
+    def test_tiny_R_certifies_relative_to_a(self, capsys, r):
+        # a(r) is near 1e43 and 3e136 here, so the two routes' gap on it
+        # only certifies relative to a; on R they agree to about 3e-154
+        code, payload, _ = run_json(capsys, "rrcf", "--r", r, "--json")
+        assert code == 0
+        rr = payload["rrcf"]
+        with workprec(600):
+            truncated = str_to_big(rr["truncated"], 512)
+            assert str_to_big(rr["difference"], 512) < truncated * mpf(10) ** -150
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "rrcf", "--r", "1", "--digits", "30")

@@ -17,7 +17,6 @@ from quintic_moduli import (
     rrcf_converged,
     rrcf_truncated,
     solve_singular_modulus,
-    theta_form,
     to_big,
 )
 
@@ -191,32 +190,39 @@ class TestRRCFClosed:
 
 
 class TestThetaForm:
+    """closed_form_R against the log-sinh (theta) form of the same value,
+    R = exp(-y/5) with y = arcsinh((11 + a)/2), spelled here as the oracle."""
+
+    @staticmethod
+    def _theta_R(a):
+        with workprec(700):
+            return mp.exp(-mp.asinh((11 + mpf(a)) / 2) / 5)
+
     def test_matches_closed_form(self):
         a = a_value(1, 1).a
-        y, R = theta_form(a)
+        R = closed_form_R(a)
         with workprec(600):
-            assert abs(R - closed_form_R(a)) < mpf(10) ** -150
-            # y really is arcsinh((11+a)/2)
-            assert abs(mp.sinh(y) - (11 + a) / 2) < mpf(10) ** -150
+            assert abs(R - self._theta_R(a)) < mpf(10) ** -150
+            # R^-5 - R^5 = 2 sinh(y) = 11 + a
+            assert abs(R ** -5 - R ** 5 - (11 + a)) < mpf(10) ** -150
 
     def test_monotone(self):
-        _, r_small = theta_form(100)
-        _, r_big = theta_form(10)
-        assert r_small < r_big
+        assert closed_form_R(100) < closed_form_R(10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            theta_form(-11)
-        with pytest.raises(DomainError):
-            theta_form(-12)
+        # at the edge a -> -11 from above, h -> 0 and R -> 1 from below
+        a = "-10.9999999999"
+        R = closed_form_R(a)
+        assert 0 < R < 1
+        with workprec(600):
+            assert abs(R - self._theta_R(a)) < mpf(10) ** -150
 
     @pytest.mark.parametrize("a", ["1e20", "1e43", "1e86"])
     def test_closed_form_keeps_precision_for_large_a(self, a):
         # -11 - a + sqrt(125 + 22a + a^2) cancels about log10(a^2) digits
         # unless it is rationalized
-        _, R = theta_form(a)
         with workprec(600):
-            assert abs(closed_form_R(a) / R - 1) < mpf(10) ** -140
+            assert abs(closed_form_R(a) / self._theta_R(a) - 1) < mpf(10) ** -140
 
     def test_closed_form_domain(self):
         for a in (-11, -12, "-1e30"):
