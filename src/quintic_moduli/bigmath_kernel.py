@@ -3,7 +3,7 @@ singular-modulus solver, and the eta function f(-q) by Euler's pentagonal
 series.
 
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
-governing :class:`PrecisionContext`; intermediates carry ``guard_bits`` extra.
+governing :class:`PrecisionContext`; intermediates carry 64 more (GUARD_BITS).
 
 Quantities handled here:
 
@@ -39,7 +39,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
 
@@ -51,6 +51,7 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "CertificationError",
+    "GUARD_BITS",
     "PrecisionContext",
     "DEFAULT_CONTEXT",
     "SingularModulusRecord",
@@ -87,31 +88,33 @@ class CertificationError(RuntimeError):
         self.payload = payload
 
 
+#: extra mantissa bits every intermediate carries beyond precision_bits
+GUARD_BITS = 64
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Immutable numeric policy threaded through every operation."""
 
     precision_bits: int = 512  # mantissa bits of every returned value
     tol_exp: int = 120         # certification threshold is 10**(-tol_exp)
-    guard_bits: int = 64       # extra bits carried by intermediates
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if self.tol_exp <= 0:
             raise ValueError("tol_exp must be positive")
-        if self.guard_bits < 0:
-            raise ValueError("guard_bits must be non-negative")
         # the acceptance threshold must be representable with room to spare
-        if self.tol_exp * math.log2(10) + self.guard_bits >= self.precision_bits:
+        if self.tol_exp * math.log2(10) + GUARD_BITS >= self.precision_bits:
             raise ValueError(
-                "tol_exp*log2(10) + guard_bits must stay below precision_bits"
+                "tol_exp*log2(10) + %d guard bits must stay below precision_bits"
+                % GUARD_BITS
             )
 
     @property
     def work_bits(self) -> int:
         """Mantissa bits used for intermediate computation."""
-        return self.precision_bits + self.guard_bits
+        return self.precision_bits + GUARD_BITS
 
     @cached_property
     def _tolerance(self) -> mpf:
@@ -129,14 +132,17 @@ class PrecisionContext:
             return abs(residual) < self.tolerance() * abs(scale)
 
 
+def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
+    """(sum of the terms, the largest |term|): a residual with the scale
+    certifies judges it by, at the ambient precision.  Summed left to
+    right, so lhs - rhs is _summed(lhs, -rhs) to the bit."""
+    return sum(terms), max(abs(t) for t in terms)
+
+
 DEFAULT_CONTEXT = PrecisionContext()
 
 #: iteration cap shared by the AGM and u_map's Newton descent
 _MAX_ITER = 10_000
-
-
-def _ctx(ctx: Optional[PrecisionContext]) -> PrecisionContext:
-    return DEFAULT_CONTEXT if ctx is None else ctx
 
 
 _T = TypeVar("_T")
@@ -178,13 +184,12 @@ def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
         return +x
 
 
-def to_big(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Convert ``x`` to an mpf at the context's working precision.
 
     Accepts int, float, decimal string, Fraction, and mpf.  Fractions are
     divided at working precision rather than round-tripped through decimal.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         if isinstance(x, Fraction):
             return mpf(x.numerator) / mpf(x.denominator)
@@ -197,9 +202,8 @@ def _complement_raw(k: mpf) -> mpf:
     return mp.sqrt((1 - k) * (1 + k))
 
 
-def complement(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """sqrt(1 - x^2) for x in [0, 1], evaluated cancellation-free."""
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv < 0 or xv > 1:
@@ -209,7 +213,7 @@ def complement(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
     """AGM limit; assumes ambient working precision and positive inputs."""
-    stop = mpf(2) ** (-ctx.precision_bits + ctx.guard_bits // 2)
+    stop = mpf(2) ** (-ctx.precision_bits + GUARD_BITS // 2)
     for _ in range(_MAX_ITER):
         if abs(a - b) < stop * a:
             return (a + b) / 2
@@ -217,13 +221,12 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
     raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
 
-def agm(a: Real, b: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Arithmetic-geometric mean of two positive reals.
 
     The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically; it is
-    stopped once |a_n - b_n| < 2^(-precision_bits + guard_bits/2) * a_n.
+    stopped once |a_n - b_n| < 2^(GUARD_BITS/2 - precision_bits) * a_n.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av, bv = to_big(a, ctx), to_big(b, ctx)
         if av <= 0 or bv <= 0:
@@ -231,7 +234,7 @@ def agm(a: Real, b: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, _agm_raw(av, bv, ctx))
 
 
-def elliptic_K(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Complete elliptic integral of the first kind at modulus ``x``.
 
         K(x) = integral_0^{pi/2} dt / sqrt(1 - x^2 sin^2 t)
@@ -241,7 +244,6 @@ def elliptic_K(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     production path; direct quadrature of the integral is kept to the test
     suite as an independent oracle.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv < 0 or xv >= 1:
@@ -256,9 +258,8 @@ def _validate_rational(r_num: int, r_den: int) -> None:
         raise DomainError("r must be positive: got %s/%s" % (r_num, r_den))
 
 
-def nome(r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None) -> mpf:
+def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """q = exp(-pi sqrt(r)) in (0,1) for exact rational r = r_num/r_den > 0."""
-    ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
     return _memoised(("nome", r_num, r_den, ctx), lambda: _nome(r_num, r_den, ctx))
 
@@ -284,7 +285,7 @@ class SingularModulusRecord:
 
 
 def solve_singular_modulus(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
+    r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> SingularModulusRecord:
     """Evaluate k_r at exact rational r and certify its K-ratio residual.
 
@@ -306,7 +307,6 @@ def solve_singular_modulus(
     as before.  Callers must not take elliptic_K of a member that is 1:
     K(1) is infinite and elliptic_K refuses it.
     """
-    ctx = _ctx(ctx)
     _validate_rational(r_num, r_den)
     return _memoised(
         ("solve", r_num, r_den, ctx), lambda: _solve(r_num, r_den, ctx)
@@ -362,7 +362,7 @@ def _neg_ln(x: mpf) -> float:
     return -(math.log(x.man) + x.exp * math.log(2))
 
 
-def eta_f(q: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """f(-q) = prod_{n>=1} (1 - q^n) for 0 < q < 1, by Euler's pentagonal series
 
         f(-q) = 1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
@@ -373,7 +373,6 @@ def eta_f(q: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     ceil(pi^2 / (6 ln2 |ln q|)) + 8 bits, and stops at the first term below
     2^-(that precision).
     """
-    ctx = _ctx(ctx)
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
         raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)

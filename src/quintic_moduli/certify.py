@@ -25,10 +25,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from mpmath import mp, mpf, workprec
 
 from .bigmath_kernel import (
+    DEFAULT_CONTEXT,
     PrecisionContext,
-    _ctx,
     _request_memo,
     _round_to,
+    _summed,
     eta_f,
     nome,
     solve_singular_modulus,
@@ -42,7 +43,7 @@ from .modular_core import (
     rrcf_converged,
     scale_rational,
 )
-from .quintic_ladder import _u_scale, g_invariant, p_map, u_defining_residual, u_map
+from .quintic_ladder import _u_relation, g_invariant, p_map, u_map
 from .report import big_to_str
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
@@ -95,26 +96,10 @@ class IdentityReport:
     def all_pass(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "r_num": self.r_num,
-            "r_den": self.r_den,
-            "precision_bits": self.precision_bits,
-            "tol_exp": self.tol_exp,
-            "all_pass": self.all_pass,
-            "entries": [e.to_dict(self.precision_bits) for e in self.entries],
-        }
-
 
 #: (residual, scale), or (residual, scale, the detail strings its entry carries)
 Residual = Union[Tuple[mpf, mpf], Tuple[mpf, mpf, Dict[str, str]]]
 Residuals = Dict[str, Residual]
-
-
-def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
-    """(sum of the terms, the largest |term|): a residual with its scale.
-    Summed left to right, so lhs - rhs is _summed(lhs, -rhs) to the bit."""
-    return sum(terms), max(abs(t) for t in terms)
 
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -259,8 +244,7 @@ def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     rec = solve_singular_modulus(rn, rd, ctx)
     rec_lo = solve_singular_modulus(*scale_rational(rn, rd, 1, 25), ctx)
     x = mp.root(rec.k * rec.k_comp / (rec_lo.k * rec_lo.k_comp), 12)
-    y = u_map(x, ctx)
-    return {"eq26-u-defining": (u_defining_residual(x, y, ctx), _u_scale(x, y))}
+    return {"eq26-u-defining": _u_relation(x, u_map(x, ctx))}
 
 
 def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -276,15 +260,15 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
     g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
     v = g_hi / g_invariant(rn, rd, ctx).g
-    res_rel, scale_rel = u_defining_residual(A, v, ctx), _u_scale(A, v)
+    res_rel, scale_rel = _u_relation(A, v)
 
-    worse = max((abs(res_eta), scale_eta), (res_rel, scale_rel), key=lambda p: p[0] / p[1])
+    worse = max((res_eta, scale_eta), (res_rel, scale_rel), key=lambda p: abs(p[0]) / p[1])
     return {
         "eq29-thm31": (
             *worse,
             {
                 "sixth_power_vs_a(4r)": mp.nstr(abs(res_eta), 12),
-                "invariant_ratio_relation": mp.nstr(res_rel, 12),
+                "invariant_ratio_relation": mp.nstr(abs(res_rel), 12),
             },
         )
     }
@@ -355,7 +339,7 @@ def run_suite(
     r_num: int,
     r_den: int = 1,
     ids: Optional[Iterable[str]] = None,
-    ctx: Optional[PrecisionContext] = None,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> IdentityReport:
     """Evaluate the requested identity residuals at exact rational r.
 
@@ -373,7 +357,6 @@ def run_suite(
     10^(-tol_exp) * scale, and keeps the scale in detail["scale"].  A
     failing residual is reported, not raised.  Nothing outlives the call.
     """
-    ctx = _ctx(ctx)
     if ids is None:
         wanted = set(REGISTRY)
     else:

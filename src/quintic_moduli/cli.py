@@ -39,7 +39,7 @@ from .bigmath_kernel import (
 )
 from .certify import REGISTRY, UsageError, run_suite
 from .modular_core import a_value, closed_form_R, rrcf_converged, scale_rational
-from .quintic_ladder import GATE_SLACK_DIGITS, BranchError, LadderTrace, ladder
+from .quintic_ladder import BranchError, LadderTrace, ladder
 from .report import big_to_str, str_to_big
 
 __all__ = ["main", "JSON_SCHEMA"]
@@ -249,15 +249,6 @@ def _render_trace_text(trace: LadderTrace, r0: Fraction, digits: int) -> None:
 def cmd_ladder(args, ctx: PrecisionContext) -> int:
     rn, rd = args.r0
     r0 = Fraction(rn, rd)
-    if r0 * 25 < 1:
-        print(
-            "usage error: first ladder level 25*r0 = %s sits below 1; "
-            "ascend from the reciprocal point instead (k(1/r) = k'(r))"
-            % (r0 * 25,),
-            file=sys.stderr,
-        )
-        return 2
-
     if args.seed_k is not None:
         k_hi = str_to_big(args.seed_k, ctx.precision_bits)
     else:
@@ -295,7 +286,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
             )
         out["ladder"] = {
             "n": args.n,
-            "gate_exp": ctx.tol_exp - GATE_SLACK_DIGITS,
+            "gate_exp": trace.gate_exp,
             "seed_k": big_to_str(k_hi, bits),
             "seed_k25": big_to_str(k_lo, bits),
             "certified": True,
@@ -325,7 +316,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         _render_trace_text(trace, r0, args.digits)
         print(
             "all %d levels certified (relative gate 10^-%d)"
-            % (args.n, ctx.tol_exp - GATE_SLACK_DIGITS)
+            % (args.n, trace.gate_exp)
         )
     return 0
 
@@ -337,6 +328,11 @@ def cmd_rrcf(args, ctx: PrecisionContext) -> int:
     truncated, depth = rrcf_converged(nome(rn, rd, ctx), ctx)
     with workprec(ctx.work_bits):
         diff = _round_to(ctx, abs(closed - truncated))
+    if not ctx.certifies(diff, truncated):
+        raise CertificationError(
+            "rrcf at r=%s: closed form and continued fraction differ by %s"
+            % (_fmt_rational(rn, rd), mp.nstr(diff, 8))
+        )
     if args.json:
         out = _top("rrcf", rn, rd, ctx)
         bits = ctx.precision_bits
@@ -368,8 +364,10 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
     rep = run_suite(rn, rd, ids=ids, ctx=ctx)
     if args.json:
         out = _top("verify", rn, rd, ctx)
-        d = rep.to_dict()
-        out["report"] = {"all_pass": d["all_pass"], "entries": d["entries"]}
+        out["report"] = {
+            "all_pass": rep.all_pass,
+            "entries": [e.to_dict(ctx.precision_bits) for e in rep.entries],
+        }
         _emit_json(out)
     else:
         print(

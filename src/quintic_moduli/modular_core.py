@@ -20,17 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from mpmath import mp, mpf, workprec
 
 from .bigmath_kernel import (
     CertificationError,
     ConvergenceError,
+    DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
     Real,
-    _ctx,
     _memoised,
     _neg_ln,
     _round_to,
@@ -66,7 +66,7 @@ def scale_rational(r_num: int, r_den: int, mul_num: int, mul_den: int) -> Tuple[
     return f.numerator, f.denominator
 
 
-def a_via_eta(q: mpf, ctx: PrecisionContext) -> mpf:
+def a_via_eta(q: mpf, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The eta quotient a = f(-q)^6 / (q f(-q^5)^6), unrounded, at the
     context's working precision."""
     with workprec(ctx.work_bits):
@@ -95,7 +95,7 @@ class ARecord:
 
 
 def multiplier_M5(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
+    r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> M5Record:
     """Multiplier of the degree-5 transformation at exact rational r.
 
@@ -107,7 +107,6 @@ def multiplier_M5(
     never obtained by solving that polynomial blind (it has six roots and no
     intrinsic selection rule).
     """
-    ctx = _ctx(ctx)
     rec = solve_singular_modulus(r_num, r_den, ctx)
     n25, d25 = scale_rational(r_num, r_den, 25, 1)
     rec25 = solve_singular_modulus(n25, d25, ctx)
@@ -123,7 +122,7 @@ def multiplier_M5(
         )
 
 
-def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 with
     m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
     rec = solve_singular_modulus(r_num, r_den, ctx)
@@ -134,7 +133,7 @@ def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 
 
 def a_value(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
+    r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> ARecord:
     """a(r) via the eta quotient at nome(r) and via the moduli/multiplier
     closed form, gated on their disagreement relative to a.
@@ -144,7 +143,6 @@ def a_value(
     CertificationError.  The registry does not use this gate: eq29 compares
     the eta quotient at nome(r)^2 with a_via_moduli(4r) as a residual.
     """
-    ctx = _ctx(ctx)
     via_eta = a_via_eta(nome(r_num, r_den, ctx), ctx)
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
@@ -163,9 +161,7 @@ def a_value(
         )
 
 
-def rrcf_truncated(
-    q: Real, depth: int, ctx: Optional[PrecisionContext] = None
-) -> mpf:
+def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Depth-limited Rogers-Ramanujan continued fraction
 
         q^(1/5) / (1 + q/(1 + q^2/(1 + ... q^depth)))
@@ -174,7 +170,6 @@ def rrcf_truncated(
     denominator is >= 1).  Powers descend from q^depth by division, which
     costs `depth` rounding errors — absorbed by the guard bits.
     """
-    ctx = _ctx(ctx)
     if not isinstance(depth, int) or depth < 1:
         raise DomainError("depth must be a positive integer")
     if depth > _DEPTH_CAP:
@@ -192,9 +187,7 @@ def rrcf_truncated(
         return _round_to(ctx, mp.root(qv, 5) / t)
 
 
-def rrcf_converged(
-    q: Real, ctx: Optional[PrecisionContext] = None
-) -> Tuple[mpf, int]:
+def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mpf, int]:
     """(R(q), depth) with the truncation depth chosen before evaluating.
 
     The truncation error at depth d decays like q^(d(d+1)/2), so d is the
@@ -204,7 +197,6 @@ def rrcf_converged(
     close to 1), ConvergenceError is raised.  Inside a request memo scope
     each (q, context) is evaluated once.
     """
-    ctx = _ctx(ctx)
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
         raise DomainError("rrcf_converged requires 0 < q < 1")
@@ -232,14 +224,13 @@ def _fifth_root_radical(av: mpf) -> mpf:
     return mp.root(h + mp.sqrt(h * h + 1), 5)
 
 
-def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """R from a given a-value: the real positive fifth root of
     -11/2 - a/2 + sqrt(125 + 22a + a^2)/2.
 
     With h = (11 + a)/2 that base is sqrt(h^2 + 1) - h = 1/(h + sqrt(h^2 + 1)),
     so R = 1/E for E = _fifth_root_radical(a), and large a loses nothing to
     cancellation; a <= -11 is refused."""
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
@@ -247,13 +238,12 @@ def closed_form_R(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, 1 / _fifth_root_radical(av))
 
 
-def descend_v(v: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Level-lowering map on continued-fraction values: given v = R at some r,
     returns R at r/25 as the real positive fifth root of
 
         v (1 - 2v + 4v^2 - 3v^3 + v^4) / (1 + 3v + 4v^2 + 2v^3 + v^4).
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         vv = to_big(v, ctx)
         if not (0 < vv < 1):
@@ -263,7 +253,7 @@ def descend_v(v: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, mp.root(vv * num / den, 5))
 
 
-def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Level-lowering map on a-values, kept in exactly this form:
 
         Q(a) = (-1 - E + E^2)^5 /
@@ -283,7 +273,6 @@ def descend_a(a: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 
         -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:

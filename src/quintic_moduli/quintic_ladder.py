@@ -22,21 +22,22 @@ equation; nothing is trusted on the say-so of the radicals alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
 
 from .bigmath_kernel import (
     CertificationError,
+    DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
     Real,
     _MAX_ITER,
     _complement_raw,
-    _ctx,
     _round_to,
+    _summed,
     solve_singular_modulus,
     to_big,
 )
@@ -64,9 +65,8 @@ GATE_SLACK_DIGITS = 20
 
 
 class BranchError(RuntimeError):
-    """The root/branch selection rule could not be satisfied: either no
-    candidate met the defining equation, or a ladder level dropped below
-    r = 1 where the ascent's branch conventions stop applying."""
+    """The root/branch selection rule could not be satisfied: no candidate
+    met the defining equation, or a descended a-value was not positive."""
 
 
 @dataclass(frozen=True)
@@ -96,34 +96,30 @@ class LadderTrace:
     r0_num: int
     r0_den: int
     n: int
-    steps: Tuple[LadderStep, ...] = field(default_factory=tuple)
+    gate_exp: int  # each rung's k certifies to a relative 10^-gate_exp
+    steps: Tuple[LadderStep, ...]
 
 
-def u_defining_residual(
-    x: Real, y: Real, ctx: Optional[PrecisionContext] = None
-) -> mpf:
+def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
+    """(residual, scale) of the relation u_map inverts,
+    x^2/(sqrt5 y) - sqrt5 y/x^2 - y^3/sqrt5 + y^-3/sqrt5, at the ambient
+    precision.  The scale, its largest term, is >= 1, since the first two
+    multiply to 1."""
+    s5 = mp.sqrt(mpf(5))
+    return _summed(xv ** 2 / (s5 * yv), -s5 * yv / xv ** 2, -yv ** 3 / s5, yv ** -3 / s5)
+
+
+def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """How far (x, y) is from the relation u_map inverts:
     |x^2/(sqrt5 y) - sqrt5 y/x^2 - (y^3 - y^-3)/sqrt5|."""
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         xv, yv = to_big(x, ctx), to_big(y, ctx)
         if xv <= 0 or yv <= 0:
             raise DomainError("u_defining_residual requires positive arguments")
-        s5 = mp.sqrt(mpf(5))
-        return _round_to(
-            ctx,
-            abs(xv ** 2 / (s5 * yv) - s5 * yv / xv ** 2 - (yv ** 3 - yv ** -3) / s5),
-        )
+        return _round_to(ctx, abs(_u_relation(xv, yv)[0]))
 
 
-def _u_scale(xv: mpf, yv: mpf) -> mpf:
-    """The largest of the four terms u_defining_residual sums, at the
-    ambient precision; it is >= 1, since the first two multiply to 1."""
-    s5 = mp.sqrt(mpf(5))
-    return max(xv ** 2 / (s5 * yv), s5 * yv / xv ** 2, yv ** 3 / s5, 1 / (s5 * yv ** 3))
-
-
-def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
     The cleared form of the relation is the cubic
@@ -138,7 +134,6 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     (PrecisionContext.certifies), or a BranchError is raised carrying all
     three candidate roots.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv <= 0:
@@ -155,7 +150,7 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
             z = z_next
 
         y = mp.sqrt(z)
-        res, scale = u_defining_residual(xv, y, ctx), _u_scale(xv, y)
+        res, scale = _u_relation(xv, y)
         if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
             s, prod = -5 / x2 - z, 1 / z
@@ -171,14 +166,14 @@ def u_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
                 % (
                     mp.nstr(xv, 12),
                     mp.nstr(z, 12),
-                    mp.nstr(res / scale, 6),
+                    mp.nstr(abs(res) / scale, 6),
                     [mp.nstr(o, 8) for o in others],
                 )
             )
         return _round_to(ctx, y)
 
 
-def u_star(y: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Inverse companion of u_map: the X > 0 with
 
         X^2 = (sqrt(1 + 18 y^6 + y^12) - 1) / (2 y^2) + y^4 / 2.
@@ -186,7 +181,6 @@ def u_star(y: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     The subtraction is rationalized as t/(sqrt(1+t)+1) with
     t = 18 y^6 + y^12, so tiny y loses nothing to cancellation.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         yv = to_big(y, ctx)
         if yv <= 0:
@@ -196,12 +190,11 @@ def u_star(y: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
         return _round_to(ctx, mp.sqrt(x2))
 
 
-def p_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """One rung of the ascent: u_map(descend_a(u_star(x)^6)^(1/6)).
 
     The inner sixth power is an a-value, the descent lowers its level by 25,
     and u_map converts the descended value back to a twelfth-root ratio."""
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         xs = u_star(x, ctx)
         a_lower = descend_a(xs ** 6, ctx)
@@ -214,18 +207,17 @@ def p_map(x: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
 
 
 def g_invariant(
-    r_num: int, r_den: int = 1, ctx: Optional[PrecisionContext] = None
+    r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> GRecord:
     """g(r) = (2 k_r k'_r)^(-1/12) from a certified solve.  g(1) = 1 and
     g is increasing in r beyond 1 (the product k k' shrinks from 1/2)."""
-    ctx = _ctx(ctx)
     rec = solve_singular_modulus(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         g = 1 / mp.root(2 * rec.k * rec.k_comp, 12)
         return GRecord(r_num=r_num, r_den=r_den, g=_round_to(ctx, g))
 
 
-def k_from_kkprime(p: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
+def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Recover k in (0, 1/sqrt2] from the product p = k k'.
 
     Uses the cancellation-free branch k^2 = 2p^2/(1 + sqrt(1 - 4p^2)).
@@ -233,7 +225,6 @@ def k_from_kkprime(p: Real, ctx: Optional[PrecisionContext] = None) -> mpf:
     radicand no more negative than 2^-(precision_bits) is clamped to zero,
     anything worse is a domain error.
     """
-    ctx = _ctx(ctx)
     with workprec(ctx.work_bits):
         pv = to_big(p, ctx)
         if not pv > 0:
@@ -252,7 +243,7 @@ def ladder(
     k_r0: Real,
     k_r0_over25: Real,
     n: int,
-    ctx: Optional[PrecisionContext] = None,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> LadderTrace:
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
@@ -260,23 +251,30 @@ def ladder(
     against an independent K-ratio solve; a level whose |k_j - k_oracle|
     does not certify against k_oracle 10^GATE_SLACK_DIGITS (a relative gate
     10^-(tol_exp - GATE_SLACK_DIGITS)) raises CertificationError with the
-    partial trace (including the failing step) as payload.  The gate is relative because k shrinks
+    partial trace (including the failing step) as payload; the trace's
+    gate_exp records that exponent.  The gate is relative because k shrinks
     like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute one stops
     checking anything within a few rungs; the 20 digits of slack reflect
     that the certified quantity degrades by a bounded factor per rung while
     tol_exp is calibrated for single solves.  oracle_residual stays
     absolute.
 
-    Levels with 25^j r0 < 1 are refused (BranchError): below r = 1 the
-    ascent's positivity conventions flip; use the reciprocal symmetry
-    k(1/r) = k'(r) and climb from the reflected point instead.
+    A start with 25 r0 < 1 is refused (DomainError) before the seeds are
+    read: below r = 1 the ascent's positivity conventions flip; use the
+    reciprocal symmetry k(1/r) = k'(r) and climb from the reflected point
+    instead.  Levels only grow from there, so no later one can drop below 1.
     """
-    ctx = _ctx(ctx)
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     fr0 = Fraction(r0_num, r0_den)
     if fr0 <= 0:
         raise DomainError("r0 must be positive")
+    if fr0 * 25 < 1:
+        raise DomainError(
+            "first ladder level 25*r0 = %s sits below 1; ascend from the "
+            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
+        )
+    gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     with workprec(ctx.work_bits):
         k_hi = to_big(k_r0, ctx)
         k_lo = to_big(k_r0_over25, ctx)
@@ -286,15 +284,9 @@ def ladder(
         prev2 = k_lo * _complement_raw(k_lo)  # k k' at r0/25
         prev = k_hi * _complement_raw(k_hi)
 
-        gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
         steps: List[LadderStep] = []
         for j in range(1, n + 1):
             rj = fr0 * 25 ** j
-            if rj < 1:
-                raise BranchError(
-                    "level %d sits at r = %s < 1; reflect through k(1/r) = k'(r) "
-                    "and ascend from the reciprocal point" % (j, rj)
-                )
             x = mp.root(prev / prev2, 12)
             pv = p_map(x, ctx)
             cur = prev * pv ** 12
@@ -316,13 +308,13 @@ def ladder(
                     "ladder level %d (r = %s) missed the oracle by %s "
                     "(relative %s; relative gate 10^-%d)"
                     % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp),
-                    payload=LadderTrace(r0_num, r0_den, n, tuple(steps)),
+                    payload=LadderTrace(r0_num, r0_den, n, gate_exp, tuple(steps)),
                 )
             prev2, prev = prev, cur
-        return LadderTrace(r0_num, r0_den, n, tuple(steps))
+        return LadderTrace(r0_num, r0_den, n, gate_exp, tuple(steps))
 
 
-def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:
+def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     """Check two traditional closed-form shorthands for k_125 and k_625
     against certified values, reporting each as data.
 
@@ -340,7 +332,6 @@ def audit_example_forms(ctx: Optional[PrecisionContext] = None) -> dict:
     shorthands miss their oracles and are recorded as failing, with the
     measured differences; the canonical ascents certify to full tolerance.
     """
-    ctx = _ctx(ctx)
 
     def entry(value: mpf, oracle: mpf) -> dict:
         with workprec(ctx.work_bits):

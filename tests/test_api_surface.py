@@ -1,16 +1,19 @@
 """The public surface stays in step with the code: every exported name
-resolves, the README's library example runs as written, the registry ids
-agree wherever they are listed, the math layers stay below the registry,
-and the tolerance is read by the one pass rule alone."""
+resolves, every ctx parameter defaults to DEFAULT_CONTEXT, the README's
+library example runs as written, the registry ids agree wherever they are
+listed, the math layers stay below the registry, and the tolerance is read
+by the one pass rule alone."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import re
 
 import pytest
 
-from quintic_moduli import cli
+from quintic_moduli import DEFAULT_CONTEXT, PrecisionContext, cli
 from quintic_moduli.certify import REGISTRY
 
 _README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -31,6 +34,27 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert not missing, "%s.__all__ names undefined %s" % (name, missing)
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _ctx_parameters():
+    for name in _MODULES:
+        mod = importlib.import_module(name)
+        for attr in mod.__all__:
+            fn = getattr(mod, attr)
+            if inspect.isfunction(fn) and "ctx" in inspect.signature(fn).parameters:
+                yield "%s.%s" % (name, attr), inspect.signature(fn).parameters["ctx"]
+
+
+def test_every_ctx_parameter_defaults_to_the_default_context():
+    params = dict(_ctx_parameters())
+    assert "quintic_moduli.run_suite" in params and "quintic_moduli.to_big" in params
+    wrong = [n for n, p in params.items() if p.default is not DEFAULT_CONTEXT]
+    assert not wrong, "ctx does not default to DEFAULT_CONTEXT in %s" % wrong
+
+
+def test_precision_context_is_precision_and_tolerance_only():
+    # the guard bits are the constant bigmath_kernel.GUARD_BITS, not a field
+    assert [f.name for f in dataclasses.fields(PrecisionContext)] == ["precision_bits", "tol_exp"]
 
 
 def test_readme_library_example_runs():

@@ -272,6 +272,23 @@ class TestExitCode4:
         assert code == 4
         assert "certification failure: stubbed branch loss" in err
 
+    def test_rrcf_gap_between_routes_maps_to_4(self, capsys, monkeypatch):
+        # the printed difference is judged relative to R: a closed form off
+        # by a relative 1e-100 misses the 10^-120 gate
+        import quintic_moduli.cli as climod
+
+        real = climod.closed_form_R
+
+        def off(a, ctx):
+            with workprec(ctx.work_bits):
+                return real(a, ctx) * (1 + mpf(10) ** -100)
+
+        monkeypatch.setattr(climod, "closed_form_R", off)
+        code, out, err = run_cli(capsys, "rrcf", "--r", "4")
+        assert code == 4
+        assert out == ""
+        assert "certification failure: rrcf at r=4" in err
+
 
 #: one request per subcommand and output flag, plus usage errors, ending in
 #: a certification failure (exit codes 0 0 0 0 2 2 0 2 0 0 4)

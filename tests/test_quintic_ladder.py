@@ -2,7 +2,6 @@ import pytest
 from mpmath import mp, mpf, sqrt, workprec
 
 from quintic_moduli import (
-    BranchError,
     CertificationError,
     DomainError,
     LadderTrace,
@@ -236,10 +235,10 @@ class TestLadder:
             assert abs(trace.steps[1].x - x2_expect) < mpf(10) ** -140
 
     def test_sub_unit_level_refused(self):
-        # the refusal happens before any seed is consulted, so the seeds
-        # only need to be plausible moduli
-        with pytest.raises(BranchError):
-            ladder(1, 625, "0.999", "0.9999", 1)
+        # the refusal happens before any seed is consulted, so even seeds
+        # outside (0, 1) get it
+        with pytest.raises(DomainError, match="reciprocal point"):
+            ladder(1, 625, "1.5", "-1", 1)
 
     def test_bad_seed_fails_certification_with_trace(self):
         rec15 = solve_singular_modulus(1, 5)
