@@ -33,7 +33,6 @@ from .modular_core import (
 )
 from .quintic_ladder import (
     BranchError,
-    GRecord,
     LadderStep,
     LadderTrace,
     audit_example_forms,
@@ -61,7 +60,6 @@ __all__ = [
     "SingularModulusRecord",
     "ARecord",
     "M5Record",
-    "GRecord",
     "LadderStep",
     "LadderTrace",
     "IdentityEntry",

@@ -261,21 +261,26 @@ def _validate_rational(r_num: int, r_den: int) -> None:
 def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """q = exp(-pi sqrt(r)) in (0,1) for exact rational r = r_num/r_den > 0."""
     _validate_rational(r_num, r_den)
-    return _memoised(("nome", r_num, r_den, ctx), lambda: _nome(r_num, r_den, ctx))
+    return _memoised(
+        ("nome", r_num, r_den, ctx), lambda: _round_to(ctx, _nome(r_num, r_den, ctx))
+    )
 
 
 def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    with workprec(ctx.work_bits):
-        r = mpf(r_num) / mpf(r_den)
-        return _round_to(ctx, mp.exp(-mp.pi * mp.sqrt(r)))
+    """exp(-pi sqrt(r)) at working precision, once per request scope: the
+    one spelling of the nome, which nome rounds and the solver reads."""
+
+    def compute() -> mpf:
+        with workprec(ctx.work_bits):
+            return mp.exp(-mp.pi * mp.sqrt(mpf(r_num) / mpf(r_den)))
+
+    return _memoised(("q", r_num, r_den, ctx), compute)
 
 
 @dataclass(frozen=True)
 class SingularModulusRecord:
     """A certified singular-modulus solve at exact rational r."""
 
-    r_num: int
-    r_den: int
     k: mpf          # the modulus in (0,1)
     k_comp: mpf     # complementary modulus sqrt(1 - k^2)
     q: mpf          # nome exp(-pi sqrt(r))
@@ -317,9 +322,9 @@ def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusReco
     with workprec(ctx.work_bits):
         target = mp.sqrt(mpf(r_num) / mpf(r_den))
         reflect = r_num < r_den
-        q_r = mp.exp(-mp.pi * target)  # the nome of r itself, for the record
+        q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
         # the theta quotient runs at the nome of max(r, 1/r)
-        q = mp.exp(-mp.pi * mp.sqrt(mpf(r_den) / mpf(r_num))) if reflect else q_r
+        q = _nome(r_den, r_num, ctx) if reflect else q_r
         small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
         big = _round_to(ctx, _complement_raw(small))
         k, k_comp = (big, small) if reflect else (small, big)
@@ -333,8 +338,6 @@ def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusReco
                 % (r_num, r_den, mp.nstr(residual, 8))
             )
         return SingularModulusRecord(
-            r_num=r_num,
-            r_den=r_den,
             k=k,
             k_comp=k_comp,
             q=_round_to(ctx, q_r),

@@ -13,7 +13,8 @@ modulus and computes each nome, eta value and continued fraction once, and a
 group's cost leaves out what earlier groups already computed.  A residual
 that misses the gate is a failing entry, never an abort.  The registry
 order is canonical: reports list entries in this order no matter how the
-ids were requested.
+ids were requested.  Entries and reports are plain data; the CLI alone
+turns them into JSON.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .modular_core import (
     scale_rational,
 )
 from .quintic_ladder import _u_relation, g_invariant, p_map, u_map
-from .report import big_to_str
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
 
@@ -70,26 +70,11 @@ class IdentityEntry:
     elapsed_ms: int = 0
     detail: Dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self, precision_bits: int) -> dict:
-        d = {
-            "id": self.id,
-            "residual": big_to_str(self.residual, precision_bits),
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.detail:
-            d["detail"] = dict(self.detail)
-        return d
-
 
 @dataclass
 class IdentityReport:
     """An ordered batch of identity checks at one (r, precision) point."""
 
-    r_num: int
-    r_den: int
-    precision_bits: int
-    tol_exp: int
     entries: List[IdentityEntry]
 
     @property
@@ -258,8 +243,7 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     a_4r = _round_to(ctx, a_via_moduli(*scale_rational(rn, rd, 4, 1), ctx))
     res_eta, scale_eta = _summed(A ** 6, -a_4r)
 
-    g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
-    v = g_hi / g_invariant(rn, rd, ctx).g
+    v = g_invariant(*scale_rational(rn, rd, 25, 1), ctx) / g_invariant(rn, rd, ctx)
     res_rel, scale_rel = _u_relation(A, v)
 
     worse = max((res_eta, scale_eta), (res_rel, scale_rel), key=lambda p: abs(p[0]) / p[1])
@@ -277,16 +261,16 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """Descent form of the ascent law on class invariants:
     g(r)/g(r/25) = p_map(g(25r)/g(r))."""
-    g_lo = g_invariant(*scale_rational(rn, rd, 1, 25), ctx).g
-    g_mid = g_invariant(rn, rd, ctx).g
-    g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx).g
+    g_lo = g_invariant(*scale_rational(rn, rd, 1, 25), ctx)
+    g_mid = g_invariant(rn, rd, ctx)
+    g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx)
     return {"eq30-thm32": _summed(g_mid / g_lo, -p_map(g_hi / g_mid, ctx))}
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # invariant from the modulus product vs the same through eta
     rec = solve_singular_modulus(rn, rd, ctx)
-    g_rec = g_invariant(rn, rd, ctx).g
+    g_rec = g_invariant(rn, rd, ctx)
     kkp_eta = (
         mp.pi ** 3 * mp.sqrt(rec.q) * eta_f(rec.q ** 2, ctx) ** 6 / (2 * rec.K_k ** 3)
     )
@@ -384,11 +368,4 @@ def run_suite(
                         id_, _round_to(ctx, res), ctx.certifies(res, scale), ms, detail
                     )
 
-    ordered = [produced[i] for i in REGISTRY if i in produced]
-    return IdentityReport(
-        r_num=r_num,
-        r_den=r_den,
-        precision_bits=ctx.precision_bits,
-        tol_exp=ctx.tol_exp,
-        entries=ordered,
-    )
+    return IdentityReport([produced[i] for i in REGISTRY if i in produced])

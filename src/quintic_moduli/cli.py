@@ -13,18 +13,21 @@ Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
 crosses as a decimal string with full round-trip digits, so --digits only
-affects the human-readable text mode.
+affects the human-readable text mode.  One encoder, _jsonable, writes every
+document: a result record goes in as its fields in declaration order, which
+is the schema's property order.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from mpmath import mp, mpf, workprec
 
@@ -39,7 +42,7 @@ from .bigmath_kernel import (
 )
 from .certify import REGISTRY, UsageError, run_suite
 from .modular_core import a_value, closed_form_R, rrcf_converged, scale_rational
-from .quintic_ladder import BranchError, LadderTrace, ladder
+from .quintic_ladder import BranchError, LadderTrace, _check_start, ladder
 from .report import big_to_str, str_to_big
 
 __all__ = ["main", "JSON_SCHEMA"]
@@ -157,7 +160,7 @@ JSON_SCHEMA = {
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
-def _rational_arg(s: str) -> Tuple[int, int]:
+def _rational_arg(s: str) -> Fraction:
     m = _RATIONAL_RE.match(s.strip())
     if not m:
         raise argparse.ArgumentTypeError(
@@ -167,8 +170,7 @@ def _rational_arg(s: str) -> Tuple[int, int]:
     den = int(m.group(2)) if m.group(2) else 1
     if num == 0 or den == 0:
         raise argparse.ArgumentTypeError("rational must be positive, got %r" % s)
-    f = Fraction(num, den)
-    return f.numerator, f.denominator
+    return Fraction(num, den)
 
 
 def _positive_int(s: str) -> int:
@@ -189,40 +191,42 @@ def _decimal_arg(s: str) -> str:
     return s
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+def _jsonable(x, bits: int):
+    """x as JSON data: an mpf as its round-trip decimal at ``bits``, a
+    Fraction as {"num", "den"}, a dataclass as its fields in declaration
+    order; dicts, lists and tuples recurse, anything else passes as is."""
+    if isinstance(x, mpf):
+        return big_to_str(x, bits)
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name), bits) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _jsonable(v, bits) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v, bits) for v in x]
+    return x
 
 
-def _top(command: str, r_num: int, r_den: int, ctx: PrecisionContext) -> dict:
-    return {
+def _emit_json(command: str, r: Fraction, ctx: PrecisionContext, key: str, payload) -> None:
+    """Print the command header with payload under ``key`` as one document."""
+    out = {
         "command": command,
-        "r": {"num": r_num, "den": r_den},
+        "r": r,
         "precision_bits": ctx.precision_bits,
         "tol_exp": ctx.tol_exp,
+        key: payload,
     }
-
-
-def _fmt_rational(num: int, den: int) -> str:
-    return str(num) if den == 1 else "%d/%d" % (num, den)
+    print(json.dumps(_jsonable(out, ctx.precision_bits), indent=2))
 
 
 def cmd_kr(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r
-    rec = solve_singular_modulus(rn, rd, ctx)
+    rec = solve_singular_modulus(args.r.numerator, args.r.denominator, ctx)
     if args.json:
-        out = _top("kr", rn, rd, ctx)
-        out["modulus"] = {
-            "k": big_to_str(rec.k, ctx.precision_bits),
-            "k_comp": big_to_str(rec.k_comp, ctx.precision_bits),
-            "q": big_to_str(rec.q, ctx.precision_bits),
-            "K_k": big_to_str(rec.K_k, ctx.precision_bits),
-            "K_kcomp": big_to_str(rec.K_kcomp, ctx.precision_bits),
-            "residual": big_to_str(rec.residual, ctx.precision_bits),
-        }
-        _emit_json(out)
+        _emit_json("kr", args.r, ctx, "modulus", rec)
     else:
         d = args.digits
-        print("command: kr   r = %s   precision_bits = %d" % (_fmt_rational(rn, rd), ctx.precision_bits))
+        print("command: kr   r = %s   precision_bits = %d" % (args.r, ctx.precision_bits))
         print("k        = %s" % mp.nstr(rec.k, d))
         print("k_comp   = %s" % mp.nstr(rec.k_comp, d))
         print("q        = %s" % mp.nstr(rec.q, d))
@@ -232,23 +236,17 @@ def cmd_kr(args, ctx: PrecisionContext) -> int:
     return 0
 
 
-def _render_trace_text(trace: LadderTrace, r0: Fraction, digits: int) -> None:
+def _render_trace_text(trace: LadderTrace, digits: int) -> None:
     for s in trace.steps:
-        rj = r0 * 25 ** s.level
         print(
             "level %d: r = %-12s k = %s   oracle_residual = %s"
-            % (
-                s.level,
-                _fmt_rational(rj.numerator, rj.denominator),
-                mp.nstr(s.k, digits),
-                mp.nstr(s.oracle_residual, 8),
-            )
+            % (s.level, s.r, mp.nstr(s.k, digits), mp.nstr(s.oracle_residual, 8))
         )
 
 
 def cmd_ladder(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r0
-    r0 = Fraction(rn, rd)
+    rn, rd = args.r0.numerator, args.r0.denominator
+    _check_start(rn, rd, args.n)
     if args.seed_k is not None:
         k_hi = str_to_big(args.seed_k, ctx.precision_bits)
     else:
@@ -264,56 +262,31 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
     except CertificationError as exc:
         print("certification failure: %s" % exc)
         if isinstance(exc.payload, LadderTrace):
-            _render_trace_text(exc.payload, r0, args.digits)
+            _render_trace_text(exc.payload, args.digits)
         return 4
 
     if args.json:
-        out = _top("ladder", rn, rd, ctx)
-        bits = ctx.precision_bits
-        levels = []
-        for s in trace.steps:
-            rj = r0 * 25 ** s.level
-            levels.append(
-                {
-                    "level": s.level,
-                    "r": {"num": rj.numerator, "den": rj.denominator},
-                    "x": big_to_str(s.x, bits),
-                    "p_value": big_to_str(s.p_value, bits),
-                    "kkprime": big_to_str(s.kkprime, bits),
-                    "k": big_to_str(s.k, bits),
-                    "oracle_residual": big_to_str(s.oracle_residual, bits),
-                }
-            )
-        out["ladder"] = {
+        _emit_json("ladder", args.r0, ctx, "ladder", {
             "n": args.n,
             "gate_exp": trace.gate_exp,
-            "seed_k": big_to_str(k_hi, bits),
-            "seed_k25": big_to_str(k_lo, bits),
+            "seed_k": k_hi,
+            "seed_k25": k_lo,
             "certified": True,
-            "levels": levels,
-        }
-        _emit_json(out)
+            "levels": trace.steps,
+        })
     elif args.csv:
         bits = ctx.precision_bits
         print("r,k,residual")
         for s in trace.steps:
-            rj = r0 * 25 ** s.level
-            print(
-                "%s,%s,%s"
-                % (
-                    _fmt_rational(rj.numerator, rj.denominator),
-                    big_to_str(s.k, bits),
-                    big_to_str(s.oracle_residual, bits),
-                )
-            )
+            print("%s,%s,%s" % (s.r, big_to_str(s.k, bits), big_to_str(s.oracle_residual, bits)))
     else:
         print(
             "command: ladder   r0 = %s   n = %d   precision_bits = %d"
-            % (_fmt_rational(rn, rd), args.n, ctx.precision_bits)
+            % (args.r0, args.n, ctx.precision_bits)
         )
         print("seed k(r0)    = %s" % mp.nstr(k_hi, args.digits))
         print("seed k(r0/25) = %s" % mp.nstr(k_lo, args.digits))
-        _render_trace_text(trace, r0, args.digits)
+        _render_trace_text(trace, args.digits)
         print(
             "all %d levels certified (relative gate 10^-%d)"
             % (args.n, trace.gate_exp)
@@ -322,7 +295,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
 
 
 def cmd_rrcf(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r
+    rn, rd = args.r.numerator, args.r.denominator
     arec = a_value(rn, rd, ctx)
     closed = closed_form_R(arec.a, ctx)
     truncated, depth = rrcf_converged(nome(rn, rd, ctx), ctx)
@@ -331,22 +304,19 @@ def cmd_rrcf(args, ctx: PrecisionContext) -> int:
     if not ctx.certifies(diff, truncated):
         raise CertificationError(
             "rrcf at r=%s: closed form and continued fraction differ by %s"
-            % (_fmt_rational(rn, rd), mp.nstr(diff, 8))
+            % (args.r, mp.nstr(diff, 8))
         )
     if args.json:
-        out = _top("rrcf", rn, rd, ctx)
-        bits = ctx.precision_bits
-        out["rrcf"] = {
-            "closed": big_to_str(closed, bits),
-            "truncated": big_to_str(truncated, bits),
+        _emit_json("rrcf", args.r, ctx, "rrcf", {
+            "closed": closed,
+            "truncated": truncated,
             "depth": depth,
-            "difference": big_to_str(diff, bits),
-            "a": big_to_str(arec.a, bits),
-        }
-        _emit_json(out)
+            "difference": diff,
+            "a": arec.a,
+        })
     else:
         d = args.digits
-        print("command: rrcf   r = %s   precision_bits = %d" % (_fmt_rational(rn, rd), ctx.precision_bits))
+        print("command: rrcf   r = %s   precision_bits = %d" % (args.r, ctx.precision_bits))
         print("closed     = %s" % mp.nstr(closed, d))
         print("truncated  = %s   (depth %d)" % (mp.nstr(truncated, d), depth))
         print("difference = %s" % mp.nstr(diff, 8))
@@ -355,24 +325,19 @@ def cmd_rrcf(args, ctx: PrecisionContext) -> int:
 
 
 def cmd_verify(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r
     ids = None
     if args.ids:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
         if not ids:
             raise UsageError("--ids given but empty; registry: %s" % ", ".join(REGISTRY))
-    rep = run_suite(rn, rd, ids=ids, ctx=ctx)
+    rep = run_suite(args.r.numerator, args.r.denominator, ids=ids, ctx=ctx)
     if args.json:
-        out = _top("verify", rn, rd, ctx)
-        out["report"] = {
-            "all_pass": rep.all_pass,
-            "entries": [e.to_dict(ctx.precision_bits) for e in rep.entries],
-        }
-        _emit_json(out)
+        report = {"all_pass": rep.all_pass, "entries": rep.entries}
+        _emit_json("verify", args.r, ctx, "report", report)
     else:
         print(
             "command: verify   r = %s   precision_bits = %d   tol = 10^-%d"
-            % (_fmt_rational(rn, rd), ctx.precision_bits, ctx.tol_exp)
+            % (args.r, ctx.precision_bits, ctx.tol_exp)
         )
         for e in rep.entries:
             print(

@@ -77,8 +77,6 @@ def a_via_eta(q: mpf, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 class M5Record:
     """The certified multiplier m5(r) = K(k_25r)/K(k_r)."""
 
-    r_num: int
-    r_den: int
     m5: mpf
     poly_residual: mpf  # degree-6 polynomial relation evaluated at m5
 
@@ -87,8 +85,6 @@ class M5Record:
 class ARecord:
     """a(r) by two independent routes, with their disagreement."""
 
-    r_num: int
-    r_den: int
     a: mpf               # certified value: (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3
     via_eta: mpf         # f(-q)^6/(q f(-q^5)^6)
     cross_residual: mpf  # |via_eta - a|
@@ -114,12 +110,7 @@ def multiplier_M5(
         m5 = rec25.K_k / rec.K_k
         kkp2 = (rec.k * rec.k_comp) ** 2
         poly = (5 * m5 - 1) ** 5 * (1 - m5) - 256 * kkp2 * m5
-        return M5Record(
-            r_num=r_num,
-            r_den=r_den,
-            m5=_round_to(ctx, m5),
-            poly_residual=_round_to(ctx, abs(poly)),
-        )
+        return M5Record(m5=_round_to(ctx, m5), poly_residual=_round_to(ctx, abs(poly)))
 
 
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -153,8 +144,6 @@ def a_value(
                 % (r_num, r_den, mp.nstr(cross, 8))
             )
         return ARecord(
-            r_num=r_num,
-            r_den=r_den,
             a=_round_to(ctx, via_moduli),
             via_eta=_round_to(ctx, via_eta),
             cross_residual=_round_to(ctx, cross),

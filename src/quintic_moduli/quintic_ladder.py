@@ -45,7 +45,6 @@ from .modular_core import descend_a, scale_rational
 
 __all__ = [
     "BranchError",
-    "GRecord",
     "LadderStep",
     "LadderTrace",
     "u_defining_residual",
@@ -70,20 +69,12 @@ class BranchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GRecord:
-    """The class invariant g(r) = (2 k_r k'_r)^(-1/12), certified through
-    the underlying modulus solve."""
-
-    r_num: int
-    r_den: int
-    g: mpf
-
-
-@dataclass(frozen=True)
 class LadderStep:
-    """One certified rung: level j takes r_(j-1) to r_j = 25 r_(j-1)."""
+    """One certified rung: level j takes r_(j-1) to r_j = 25 r_(j-1).  r is
+    r_j = 25^j r0 exactly, and the one place a level's r is computed."""
 
     level: int
+    r: Fraction
     x: mpf                # twelfth-root ratio fed to p_map
     p_value: mpf          # p_map(x)
     kkprime: mpf          # k_(r_j) k'_(r_j) from the ascent
@@ -93,9 +84,6 @@ class LadderStep:
 
 @dataclass(frozen=True)
 class LadderTrace:
-    r0_num: int
-    r0_den: int
-    n: int
     gate_exp: int  # each rung's k certifies to a relative 10^-gate_exp
     steps: Tuple[LadderStep, ...]
 
@@ -208,13 +196,13 @@ def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 def g_invariant(
     r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> GRecord:
-    """g(r) = (2 k_r k'_r)^(-1/12) from a certified solve.  g(1) = 1 and
-    g is increasing in r beyond 1 (the product k k' shrinks from 1/2)."""
+) -> mpf:
+    """The class invariant g(r) = (2 k_r k'_r)^(-1/12) from a certified
+    solve.  g(1) = 1 and g is increasing in r beyond 1 (the product k k'
+    shrinks from 1/2)."""
     rec = solve_singular_modulus(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        g = 1 / mp.root(2 * rec.k * rec.k_comp, 12)
-        return GRecord(r_num=r_num, r_den=r_den, g=_round_to(ctx, g))
+        return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
 
 
 def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -235,6 +223,23 @@ def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
                 raise DomainError("product %s exceeds the maximum 1/2" % mp.nstr(pv, 12))
             rad = mpf(0)
         return _round_to(ctx, mp.sqrt(2 * pv ** 2 / (1 + mp.sqrt(rad))))
+
+
+def _check_start(r0_num: int, r0_den: int, n: int) -> Fraction:
+    """r0 as a Fraction, after checking that (r0, n) can start a ladder:
+    n >= 1 and 25 r0 >= 1.  ladder and the CLI both call it before any
+    seed is solved, so a refused start costs no solve."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("n must be a positive integer")
+    fr0 = Fraction(r0_num, r0_den)
+    if fr0 <= 0:
+        raise DomainError("r0 must be positive")
+    if fr0 * 25 < 1:
+        raise DomainError(
+            "first ladder level 25*r0 = %s sits below 1; ascend from the "
+            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
+        )
+    return fr0
 
 
 def ladder(
@@ -264,16 +269,7 @@ def ladder(
     reciprocal symmetry k(1/r) = k'(r) and climb from the reflected point
     instead.  Levels only grow from there, so no later one can drop below 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be a positive integer")
-    fr0 = Fraction(r0_num, r0_den)
-    if fr0 <= 0:
-        raise DomainError("r0 must be positive")
-    if fr0 * 25 < 1:
-        raise DomainError(
-            "first ladder level 25*r0 = %s sits below 1; ascend from the "
-            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
-        )
+    fr0 = _check_start(r0_num, r0_den, n)
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     with workprec(ctx.work_bits):
         k_hi = to_big(k_r0, ctx)
@@ -296,6 +292,7 @@ def ladder(
             resid = abs(k_j - oracle.k)
             step = LadderStep(
                 level=j,
+                r=rj,
                 x=_round_to(ctx, x),
                 p_value=pv,
                 kkprime=_round_to(ctx, cur),
@@ -308,10 +305,10 @@ def ladder(
                     "ladder level %d (r = %s) missed the oracle by %s "
                     "(relative %s; relative gate 10^-%d)"
                     % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp),
-                    payload=LadderTrace(r0_num, r0_den, n, gate_exp, tuple(steps)),
+                    payload=LadderTrace(gate_exp, tuple(steps)),
                 )
             prev2, prev = prev, cur
-        return LadderTrace(r0_num, r0_den, n, gate_exp, tuple(steps))
+        return LadderTrace(gate_exp, tuple(steps))
 
 
 def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:

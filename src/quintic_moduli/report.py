@@ -2,8 +2,9 @@
 
 Every numeric field crosses the JSON boundary as a decimal string with
 enough digits that re-parsing at the same binary precision reproduces the
-original value bit for bit (see roundtrip_digits).  The registry's entry
-types and its pass rule live in certify; this module is serialization only.
+original value bit for bit (see roundtrip_digits).  This module is
+serialization only, and the CLI alone imports it: its one JSON encoder
+decides the document's layout and turns every mpf into a decimal here.
 """
 
 from __future__ import annotations

@@ -109,8 +109,17 @@ def test_math_layers_do_not_import_the_registry(name):
 
 
 def test_report_is_serialization_only():
-    # the registry's types and pass rule live in certify, which imports report
+    # report only turns mpf values into decimals and back; the registry's
+    # types and pass rule live in certify, and the JSON layout in cli
     assert not _imported_names("report") & {"certify", "cli"}
+
+
+def test_only_the_cli_imports_report():
+    # values become decimals in one module, the CLI (the package __init__
+    # re-exports report's names and is not scanned)
+    submodules = [n.rsplit(".", 1)[-1] for n in _MODULES if n.count(".")]
+    importers = [n for n in submodules if "report" in _imported_names(n)]
+    assert importers == ["cli"]
 
 
 @pytest.mark.parametrize("name", _MODULES)

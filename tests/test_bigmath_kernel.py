@@ -34,11 +34,11 @@ def _ctx_at(bits):
     return PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
 
 
-def _ellipk_residual(rec, bits):
-    """|K(k')/K(k) - sqrt(r)| through mpmath's ellipk at twice ``bits``."""
+def _ellipk_residual(rec, rn, rd, bits):
+    """|K(k')/K(k) - sqrt(rn/rd)| through mpmath's ellipk at twice ``bits``."""
     ratio = ov.k_ratio_ellipk(rec.k, rec.k_comp, 2 * bits)
     with workprec(2 * bits):
-        return abs(ratio - sqrt(mpf(rec.r_num) / rec.r_den))
+        return abs(ratio - sqrt(mpf(rn) / rd))
 
 
 class TestPrecisionContext:
@@ -198,7 +198,7 @@ class TestSolver:
         # mpmath's ellipk shares no code with the solver's theta/agm route
         ctx = _ctx_at(bits)
         rec = solve_singular_modulus(rn, rd, ctx)
-        assert _ellipk_residual(rec, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
 
     def test_record_invariants(self):
         rec = solve_singular_modulus(3, 2)
@@ -284,14 +284,14 @@ class TestKRoundsToOne:
         assert 0 < rec.k_comp < rec.k
         with workprec(ctx.work_bits):
             assert ctx.certifies(rec.residual, sqrt(mpf(rn) / rd))
-        assert _ellipk_residual(rec, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
 
     @pytest.mark.parametrize("rn,rd,bits", [(1, 3000, 256), (1, 12000, 512)])
     def test_just_above_still_certifies(self, rn, rd, bits):
         ctx = _ctx_at(bits)
         rec = solve_singular_modulus(rn, rd, ctx)
         assert 0 < rec.k_comp < rec.k < 1
-        assert _ellipk_residual(rec, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
 
 
 class TestKCompRoundsToOne:
@@ -323,7 +323,7 @@ class TestSolverDomain:
             rec = solve_singular_modulus(r.numerator, r.denominator, ctx)
         except (DomainError, ConvergenceError, BranchError, CertificationError):
             return
-        assert _ellipk_residual(rec, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, r.numerator, r.denominator, bits) < ctx.tolerance()
 
 
 class TestEtaF:

@@ -60,7 +60,7 @@ class TestRunSuite:
         assert isinstance(report, IdentityReport)
         assert report.all_pass
         assert [e.id for e in report.entries] == list(REGISTRY)
-        tol = mpf(10) ** -report.tol_exp
+        tol = mpf(10) ** -DEFAULT_CONTEXT.tol_exp
         for e in report.entries:
             assert e.passed
             assert e.residual < tol
@@ -91,7 +91,6 @@ class TestRunSuite:
     def test_rational_r(self):
         report = run_suite(3, 2, ids=["eq10-multiplier", "eq13-thm22"])
         assert report.all_pass
-        assert report.r_num == 3 and report.r_den == 2
 
     def test_eq34_where_p_map_descends_a_tiny_a(self):
         # at r = 10^5, p_map descends an a-value near 3e-171

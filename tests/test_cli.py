@@ -68,6 +68,27 @@ class TestUsageErrors:
         assert code == 2
         assert "reciprocal" in err
 
+    def test_refused_ladder_start_solves_nothing(self, capsys, monkeypatch):
+        import quintic_moduli.cli as climod
+        import quintic_moduli.quintic_ladder as qlmod
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve_singular_modulus(*args, **kwargs)
+
+        monkeypatch.setattr(climod, "solve_singular_modulus", spy)
+        monkeypatch.setattr(qlmod, "solve_singular_modulus", spy)
+        code, out, err = run_cli(capsys, "ladder", "--r0", "1/625", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "usage error: first ladder level 25*r0 = 1/25 sits below 1; ascend "
+            "from the reciprocal point instead (k(1/r) = k'(r))\n"
+        )
+        assert calls == []
+
     def test_domain_error_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")
         assert code == 2
@@ -245,6 +266,45 @@ class TestVerify:
         assert code == 0
         assert "eq6-eta8" in out and "eq7-eta2" in out
         assert "2/2 identities passed" in out
+
+
+def _assert_schema_order(obj, schema):
+    """Every object's keys come out in the order its schema lists them."""
+    if "properties" in schema:
+        assert list(obj) == [k for k in schema["properties"] if k in obj]
+        for k, v in obj.items():
+            _assert_schema_order(v, schema["properties"][k])
+    elif "items" in schema:
+        for v in obj:
+            _assert_schema_order(v, schema["items"])
+
+
+class TestSchemaOrder:
+    """The dumped field order is the published schema's property order, for
+    each command's payload, each ladder level and each verify entry."""
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["kr", "--r", "10/3"], "modulus"),
+            (["ladder", "--r0", "5", "--n", "2"], "ladder"),
+            (["rrcf", "--r", "4"], "rrcf"),
+            (["verify", "--r", "2", "--ids", "eq6-eta8,eq15-depressed"], "report"),
+        ],
+    )
+    def test_keys_follow_the_schema(self, capsys, argv, key):
+        code, payload, _ = run_json(capsys, *argv, "--json")
+        assert code == 0
+        assert list(payload) == ["command", "r", "precision_bits", "tol_exp", key]
+        _assert_schema_order(payload, JSON_SCHEMA)
+        props = JSON_SCHEMA["properties"][key]["properties"]
+        assert list(payload[key]) == list(props)
+        nested = {"ladder": "levels", "report": "entries"}.get(key)
+        if nested:
+            items = payload[key][nested]
+            assert len(items) == 2
+            for item in items:
+                assert list(item) == list(props[nested]["items"]["properties"])
 
 
 class TestExitCode3:
