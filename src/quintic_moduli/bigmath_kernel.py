@@ -141,7 +141,8 @@ def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
 
 DEFAULT_CONTEXT = PrecisionContext()
 
-#: iteration cap shared by the AGM and u_map's Newton descent
+#: iteration cap on each of the AGM's two phases and on u_map's Newton
+#: descent
 _MAX_ITER = 10_000
 
 
@@ -211,13 +212,48 @@ def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return _round_to(ctx, _complement_raw(xv))
 
 
+#: bits by which the AGM's integer phase exceeds work_bits, and how close
+#: (in binary orders of magnitude) a and b must be before it starts
+_AGM_INT_BITS = 32
+
+
+def _top_bit(x: mpf) -> int:
+    """floor(log2 x) + 1 for x > 0, from the exponent and bit count."""
+    _, _, exp, bc = x._mpf_
+    return exp + bc
+
+
+def _scaled_int(x: mpf, unit: int) -> int:
+    """x / 2^unit truncated to an integer, for x > 0."""
+    _, man, exp, _ = x._mpf_
+    return man << (exp - unit) if exp >= unit else man >> (unit - exp)
+
+
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
-    """AGM limit; assumes ambient working precision and positive inputs."""
-    stop = mpf(2) ** (-ctx.precision_bits + GUARD_BITS // 2)
+    """AGM limit; assumes ambient working precision and positive inputs.
+
+    While a and b lie more than 2^_AGM_INT_BITS apart the steps run in mpf,
+    so a tiny b (k = 2.6e-682 at r = 10^6) keeps its own exponent.  After
+    that both are held as integers on one scale of work_bits +
+    _AGM_INT_BITS bits and stepped with math.isqrt, which is C, where
+    mpmath's pure-Python backend takes its square roots in Python.  The
+    stop rule |a - b| < 2^(GUARD_BITS/2 - precision_bits) a is the same
+    in both phases, written as a shift in the second.
+    """
     for _ in range(_MAX_ITER):
-        if abs(a - b) < stop * a:
-            return (a + b) / 2
+        if abs(_top_bit(a) - _top_bit(b)) <= _AGM_INT_BITS:
+            break
         a, b = (a + b) / 2, mp.sqrt(a * b)
+    else:
+        raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
+
+    unit = max(_top_bit(a), _top_bit(b)) - ctx.work_bits - _AGM_INT_BITS
+    ia, ib = _scaled_int(a, unit), _scaled_int(b, unit)
+    stop_shift = ctx.precision_bits - GUARD_BITS // 2
+    for _ in range(_MAX_ITER):
+        if abs(ia - ib) << stop_shift < ia:
+            return mpf((ia + ib, unit - 1))
+        ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
     raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
 
@@ -226,6 +262,9 @@ def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
     The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically; it is
     stopped once |a_n - b_n| < 2^(GUARD_BITS/2 - precision_bits) * a_n.
+    The first steps, while a and b are more than 2^32 apart, run in mpf;
+    the rest run on integers at a shared scale of work_bits + 32 bits,
+    with math.isqrt for the square root.
     """
     with workprec(ctx.work_bits):
         av, bv = to_big(a, ctx), to_big(b, ctx)

@@ -137,7 +137,11 @@ def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # scaled by the largest monomial of (5m - 1)^5 (1 - m) - 256 (k k')^2 m
-    # expanded, not by its two sides: they cancel with 1 - m as r grows
+    # expanded, not by its two sides: they cancel with 1 - m as r grows.
+    # The identity is ill-conditioned near r = 1, where m5 is a double root,
+    # and as r -> 0, where m5 -> 1/5 and (5m - 1)^5 is flat: at r = 1/10^4
+    # and 512 bits any m5 within 3.4e-25 of the computed one passes, while
+    # m5 - 1/5 = 4.1e-28.  That is the identity's conditioning, not the gate's
     m, rec = multiplier_M5(rn, rd, ctx), solve_singular_modulus(rn, rd, ctx)
     monomials = [c * m.m5 ** j for j, c in enumerate((-1, 26, -275, 1500, -4375, 6250, -3125))]
     monomials.append(256 * (rec.k * rec.k_comp) ** 2 * m.m5)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -107,6 +107,51 @@ def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEX
         return _round_to(ctx, abs(_u_relation(xv, yv)[0]))
 
 
+#: bits of the cubic's root that u_map's float seed is trusted to: it is
+#: nudged up by 2^-_SEED_BITS, and Newton doubles from there
+_SEED_BITS = 48
+
+
+def _cubic(z, x2, x4):
+    """p(z) = x^2 z^3 + 5 z^2 - x^4 z - x^2 by Horner's rule, for floats and
+    mpfs alike."""
+    return ((x2 * z + 5) * z - x4) * z - x2
+
+
+def _newton_step(z, x2, x4):
+    return z - _cubic(z, x2, x4) / ((3 * x2 * z + 10) * z - x4)
+
+
+def _newton_descent(z, x2, x4):
+    """Newton on p from z until rounding ends the descent."""
+    for _ in range(_MAX_ITER):
+        z_next = _newton_step(z, x2, x4)
+        if not z_next < z:
+            break
+        z = z_next
+    return z
+
+
+def _float_seed(xv: mpf, x2: mpf, x4: mpf) -> Optional[mpf]:
+    """p's positive root by Newton in floats from z = x, nudged up by
+    2^-_SEED_BITS, if p >= 0 there at the ambient precision; None if not,
+    or where x^4 or x^2 z^3 could leave the float range."""
+    x = float(xv)
+    if not 1e-50 < x < 1e50:
+        return None
+    seed = mpf(_newton_descent(x, x * x, x ** 4) * (1 + 2.0 ** -_SEED_BITS))
+    return seed if _cubic(seed, x2, x4) >= 0 else None
+
+
+def _doubling_precisions(work_bits: int) -> List[int]:
+    """_SEED_BITS < b_1 < ... < b_n = work_bits, each about twice the last."""
+    precs = []
+    while work_bits > _SEED_BITS:
+        precs.append(work_bits)
+        work_bits = (work_bits + 1) // 2
+    return precs[::-1]
+
+
 def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
@@ -115,10 +160,16 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         p(z) = x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0      (z = Y^2);
 
     its three roots multiply to +1 and sum to -5/x^2, so exactly one is
-    positive.  Since p(0) = -x^2 < 0, p(x) = 4x^2 > 0 and p'' > 0 on z > 0,
-    Newton started at z = x falls monotonically onto that root; it stops
-    when rounding ends the descent.  The defining relation's residual at
-    the returned Y must certify against the largest of its four terms
+    positive.  Since p(0) = -x^2 < 0 and p'' > 0 on z > 0, Newton started
+    at any z > 0 with p(z) >= 0 falls monotonically onto that root.  The
+    start is a float Newton solve nudged a few ulps upward, used only if
+    p >= 0 there at working precision; from it, one Newton step per
+    precision doubling, from the seed's 48 bits up to work_bits, brings z
+    onto the root.  Where the seed fails that check, or x lies outside
+    the float range (1e-50, 1e50), the start is z = x, where
+    p(x) = 4x^2 > 0.  Either way the full-precision descent then runs
+    until rounding ends it.  The defining relation's residual
+    at the returned Y must certify against the largest of its four terms
     (PrecisionContext.certifies), or a BranchError is raised carrying all
     three candidate roots.
     """
@@ -128,14 +179,14 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             raise DomainError("u_map requires x > 0, got %s" % xv)
 
         x2, x4 = xv ** 2, xv ** 4
-        z = xv
-        for _ in range(_MAX_ITER):
-            z_next = z - (x2 * z ** 3 + 5 * z ** 2 - x4 * z - x2) / (
-                3 * x2 * z ** 2 + 10 * z - x4
-            )
-            if not z_next < z:
-                break
-            z = z_next
+        z = _float_seed(xv, x2, x4)
+        if z is None:
+            z = xv
+        else:
+            for bits in _doubling_precisions(ctx.work_bits):
+                with workprec(bits):
+                    z = _newton_step(z, x2, x4)
+        z = _newton_descent(z, x2, x4)
 
         y = mp.sqrt(z)
         res, scale = _u_relation(xv, y)

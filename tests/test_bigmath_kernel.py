@@ -83,6 +83,26 @@ class TestAgm:
             got = mp.pi / (2 * agm(1, 1 / sqrt(mpf(2))))
             assert abs(got - mpf(ov.K_SQRT_HALF)) < mpf(10) ** -150
 
+    @pytest.mark.parametrize("bits", [256, 512, 4096])
+    @pytest.mark.parametrize("ratio", ["1 - 2^-600", "1/2", "1e-30", "k at r = 10^6"])
+    def test_against_mpmath_agm(self, ratio, bits):
+        # b/a spans nearly equal operands (integer phase only), a ratio the
+        # integer phase starts on, and tiny ratios that step in mpf first;
+        # k at r = 10^6 is 4 e^(-500 pi) to about 2^-4500
+        ctx = _ctx_at(bits)
+        with workprec(2 * ctx.work_bits):
+            b_over_a = {
+                "1 - 2^-600": 1 - mpf(2) ** -600,
+                "1/2": mpf(1) / 2,
+                "1e-30": mpf(10) ** -30,
+                "k at r = 10^6": 4 * mp.exp(-500 * mp.pi),
+            }[ratio]
+            for scale in (1, mpf(2) ** 1000, mpf(2) ** -1000):
+                a, b = to_big(scale, ctx), to_big(scale * b_over_a, ctx)
+                for x, y in ((a, b), (b, a)):
+                    got = agm(x, y, ctx)
+                    assert abs(got / mp.agm(x, y) - 1) < mpf(2) ** -bits, (scale, x < y)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             agm(0, 1)

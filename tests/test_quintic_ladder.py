@@ -12,12 +12,14 @@ from quintic_moduli import (
     ladder,
     p_map,
     solve_singular_modulus,
+    to_big,
     u_defining_residual,
     u_map,
     u_star,
 )
 
 import oracle_values as ov
+import quintic_moduli.quintic_ladder as ql
 
 TOL = mpf(10) ** -120
 
@@ -94,6 +96,27 @@ class TestUMap:
         y = u_map(x, ctx)
         with workprec(bits + 64):
             extra = int(3 * abs(mp.log(mpf(x), 2)))
+            ref = ov.u_radical(x, bits + extra + 64).real
+            assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
+
+    @pytest.mark.parametrize("bits", [512, 4096])
+    @pytest.mark.parametrize(
+        "x, seeded",
+        [("0.7", True), ("1", True), ("1.9", True), ("1e-30", True),
+         ("1e-200", False), ("1e200", False)],
+    )
+    def test_both_starts(self, x, seeded, bits):
+        # the float seed where it passes p(seed) >= 0, and z = x where x
+        # leaves the float range; either way the root certifies and matches
+        # the cubic formula
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        with workprec(ctx.work_bits):
+            xv = to_big(x, ctx)
+            assert (ql._float_seed(xv, xv ** 2, xv ** 4) is not None) == seeded
+        y = u_map(x, ctx)
+        with workprec(ctx.work_bits):
+            assert ctx.certifies(*ql._u_relation(xv, y))
+            extra = int(3 * abs(mp.log(xv, 2)))
             ref = ov.u_radical(x, bits + extra + 64).real
             assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
 
