@@ -24,11 +24,13 @@ through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
 
-Inside a ``_request_memo()`` scope, ``solve_singular_modulus``, ``nome`` and
-``eta_f`` (and ``modular_core.rrcf_converged``) compute each (arguments,
-context) once and hand back the same value on every later call in the scope;
-outside one they always compute.  A scope lives for one call (``run_suite``
-opens it), never for the process.
+The public functions always compute.  Values shared within a request are
+looked up by their exact rational point r: ``_solved``, ``_nome`` and
+``_eta_at`` here (and ``modular_core._rrcf_at``) key each value on
+(kind, Fraction(r), context), so f(-q^m) is the eta value at m^2 r.  Inside
+a ``_request_memo()`` scope a lookup computes each key once and hands back
+the same value on every later call; outside one it computes.  A scope lives
+for one call (``run_suite`` opens it), never for the process.
 """
 
 from __future__ import annotations
@@ -156,10 +158,10 @@ _MEMO: ContextVar[Optional[dict]] = ContextVar("quintic_moduli_memo", default=No
 def _request_memo() -> Iterator[None]:
     """Open a memo scope for one request.
 
-    Within the scope each solve, nome, eta and continued-fraction value is
-    computed once per (arguments, context), and later calls return that
-    same value, a solve's residual included.  The memo is dropped when the
-    scope exits, so nothing is shared between requests.
+    Within the scope each lookup computes its solve, nome, eta or
+    continued-fraction value once per (rational point, context), and later
+    lookups return that same value, a solve's residual included.  The memo
+    is dropped when the scope exits, so nothing is shared between requests.
     """
     token = _MEMO.set({})
     try:
@@ -168,14 +170,20 @@ def _request_memo() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _memoised(key: tuple, compute: Callable[[], _T]) -> _T:
-    """compute(), or the value it gave earlier in the open scope.  An
-    exception propagates and leaves nothing stored."""
+def _memoised(
+    kind: str, compute: Callable[..., _T], r_num: int, r_den: int, ctx: PrecisionContext
+) -> _T:
+    """compute(n, d, ctx) at r = n/d in lowest terms, or the value it gave
+    earlier in the open scope for the same (kind, r, ctx).  An exception
+    propagates and leaves nothing stored."""
+    _validate_rational(r_num, r_den)
+    r = Fraction(r_num, r_den)
     memo = _MEMO.get()
     if memo is None:
-        return compute()
+        return compute(r.numerator, r.denominator, ctx)
+    key = (kind, r, ctx)
     if key not in memo:
-        memo[key] = compute()
+        memo[key] = compute(r.numerator, r.denominator, ctx)
     return memo[key]
 
 
@@ -300,20 +308,19 @@ def _validate_rational(r_num: int, r_den: int) -> None:
 def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """q = exp(-pi sqrt(r)) in (0,1) for exact rational r = r_num/r_den > 0."""
     _validate_rational(r_num, r_den)
-    return _memoised(
-        ("nome", r_num, r_den, ctx), lambda: _round_to(ctx, _nome(r_num, r_den, ctx))
-    )
+    return _round_to(ctx, _exp_nome(r_num, r_den, ctx))
+
+
+def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """exp(-pi sqrt(r)) at working precision: the one spelling of the nome."""
+    with workprec(ctx.work_bits):
+        return mp.exp(-mp.pi * mp.sqrt(mpf(r_num) / mpf(r_den)))
 
 
 def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """exp(-pi sqrt(r)) at working precision, once per request scope: the
-    one spelling of the nome, which nome rounds and the solver reads."""
-
-    def compute() -> mpf:
-        with workprec(ctx.work_bits):
-            return mp.exp(-mp.pi * mp.sqrt(mpf(r_num) / mpf(r_den)))
-
-    return _memoised(("q", r_num, r_den, ctx), compute)
+    """The working-precision nome at r, which the solver reads and the eta
+    and continued-fraction lookups round; shared within a request scope."""
+    return _memoised("nome", _exp_nome, r_num, r_den, ctx)
 
 
 @dataclass(frozen=True)
@@ -352,12 +359,6 @@ def solve_singular_modulus(
     K(1) is infinite and elliptic_K refuses it.
     """
     _validate_rational(r_num, r_den)
-    return _memoised(
-        ("solve", r_num, r_den, ctx), lambda: _solve(r_num, r_den, ctx)
-    )
-
-
-def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:
     with workprec(ctx.work_bits):
         target = mp.sqrt(mpf(r_num) / mpf(r_den))
         reflect = r_num < r_den
@@ -384,6 +385,11 @@ def _solve(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusReco
             K_kcomp=_round_to(ctx, mp.pi / (2 * agm_k)),
             residual=_round_to(ctx, residual),
         )
+
+
+def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:
+    """The solve at r, shared within a request scope."""
+    return _memoised("solve", solve_singular_modulus, r_num, r_den, ctx)
 
 
 #: hard cap on the largest power q^n the eta series may have to reach;
@@ -418,10 +424,6 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
         raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
-    return _memoised(("eta", qv, ctx), lambda: _eta(qv, ctx))
-
-
-def _eta(qv: mpf, ctx: PrecisionContext) -> mpf:
     t = _neg_ln(qv)
     # the sum reaches q^n < 2^-bits at n = bits ln2 / t; the cap test is
     # that bound times t^2, so that t = 0 is refused too
@@ -446,3 +448,11 @@ def _eta(qv: mpf, ctx: PrecisionContext) -> mpf:
                 qk *= qv
                 odd = not odd
     return _round_to(ctx, acc)
+
+
+def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """f(-q) at q = nome(r), shared within a request scope.  q^m is the
+    nome of m^2 r, so f(-q^m) is _eta_at(m^2 r)."""
+    return _memoised(
+        "eta", lambda n, d, c: eta_f(_round_to(c, _nome(n, d, c)), c), r_num, r_den, ctx
+    )

@@ -7,10 +7,12 @@ a polynomial relation, its largest monomial).  Ids are grouped so relations
 that share their solves are computed together; entries within a group report
 the same wall-clock cost.  A checker only computes: it returns each residual
 and its scale keyed by registry id, at the ambient precision, and raises
-nothing.  run_suite alone sets that precision, opens the request memo, gates
-every residual and builds every entry, so one run_suite call solves each
-modulus and computes each nome, eta value and continued fraction once, and a
-group's cost leaves out what earlier groups already computed.  A residual
+nothing.  It reaches every solve, nome, eta value and continued fraction
+through a lookup keyed by the exact rational point (f(-q^m) is the eta value
+at m^2 r), never by a power of a float nome.  run_suite alone sets that
+precision, opens the request memo the lookups share, gates every residual
+and builds every entry, so one run_suite call computes each value once, and
+a group's cost leaves out what earlier groups already computed.  A residual
 that misses the gate is a failing entry, never an abort.  The registry
 order is canonical: reports list entries in this order no matter how the
 ids were requested.  Entries and reports are plain data; the CLI alone
@@ -28,21 +30,19 @@ from mpmath import mp, mpf, workprec
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    _eta_at,
     _request_memo,
     _round_to,
+    _solved,
     _summed,
-    eta_f,
-    nome,
-    solve_singular_modulus,
 )
 from .modular_core import (
+    _rrcf_at,
     a_via_eta,
     a_via_moduli,
     descend_a,
     descend_v,
     multiplier_M5,
-    rrcf_converged,
-    scale_rational,
 )
 from .quintic_ladder import _u_relation, g_invariant, p_map, u_map
 
@@ -89,30 +89,29 @@ Residuals = Dict[str, Residual]
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
-    q = nome(rn, rd, ctx)
-    r_cf, _ = rrcf_converged(q, ctx)
+    r_cf, _ = _rrcf_at(rn, rd, ctx)
     return {
-        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -a_via_eta(q, ctx))
+        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -a_via_eta(rn, rd, ctx))
     }
 
 
 def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # f(-q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4
     #         = (256 k^2 k'^8 / q)^(1/3) K^4 / pi^4
-    rec = solve_singular_modulus(rn, rd, ctx)
+    rec = _solved(rn, rd, ctx)
     rhs = (
         mp.cbrt(256 * rec.k ** 2 * rec.k_comp ** 8 / rec.q)
         * rec.K_k ** 4
         / mp.pi ** 4
     )
-    return {"eq6-eta8": _summed(eta_f(rec.q, ctx) ** 8, -rhs)}
+    return {"eq6-eta8": _summed(_eta_at(rn, rd, ctx) ** 8, -rhs)}
 
 
 def _check_eq7(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q))
-    rec = solve_singular_modulus(rn, rd, ctx)
+    # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q)), with q^2 the nome of 4r
+    rec = _solved(rn, rd, ctx)
     rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * mp.sqrt(rec.q))
-    return {"eq7-eta2": _summed(eta_f(rec.q ** 2, ctx) ** 6, -rhs)}
+    return {"eq7-eta2": _summed(_eta_at(4 * rn, rd, ctx) ** 6, -rhs)}
 
 
 def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -125,10 +124,9 @@ def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     and the residual is |m K(k_r) - K(k_25r)| against agm-route K's.
     (Polishing m through the degree-6 polynomial instead would break down
     at r = 1, where the K-ratio is a double root of that polynomial.)"""
-    rec = solve_singular_modulus(rn, rd, ctx)
-    rec25 = solve_singular_modulus(*scale_rational(rn, rd, 25, 1), ctx)
+    rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
     m4 = (
-        (eta_f(rec.q ** 5, ctx) / eta_f(rec.q, ctx)) ** 8
+        (_eta_at(25 * rn, rd, ctx) / _eta_at(rn, rd, ctx)) ** 8
         * rec.q
         * mp.cbrt(rec.q * (rec.k / rec25.k) ** 2 * (rec.k_comp / rec25.k_comp) ** 8)
     )
@@ -142,7 +140,7 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # and as r -> 0, where m5 -> 1/5 and (5m - 1)^5 is flat: at r = 1/10^4
     # and 512 bits any m5 within 3.4e-25 of the computed one passes, while
     # m5 - 1/5 = 4.1e-28.  That is the identity's conditioning, not the gate's
-    m, rec = multiplier_M5(rn, rd, ctx), solve_singular_modulus(rn, rd, ctx)
+    m, rec = multiplier_M5(rn, rd, ctx), _solved(rn, rd, ctx)
     monomials = [c * m.m5 ** j for j, c in enumerate((-1, 26, -275, 1500, -4375, 6250, -3125))]
     monomials.append(256 * (rec.k * rec.k_comp) ** 2 * m.m5)
     return {"eq11-m5-poly": (m.poly_residual, max(map(abs, monomials)))}
@@ -176,8 +174,7 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
                       vanishes; both are evaluated and the vanishing one is
                       reported, with the probe details attached.
     """
-    rec = solve_singular_modulus(rn, rd, ctx)
-    rec25 = solve_singular_modulus(*scale_rational(rn, rd, 25, 1), ctx)
+    rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
     k, kp = rec.k, rec.k_comp
     k25, kp25 = rec25.k, rec25.k_comp
     w = mp.sqrt(k * k25)
@@ -200,7 +197,7 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
 
     return {
-        "eq13-thm22": _summed(w_form, -a_via_eta(rec.q, ctx)),
+        "eq13-thm22": _summed(w_form, -a_via_eta(rn, rd, ctx)),
         "eq14-w-poly": res14,
         "eq15-depressed": (
             res15,
@@ -216,38 +213,37 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # CF-value descent r -> r/25 against a direct evaluation at r/25
-    hi, _ = rrcf_converged(nome(rn, rd, ctx), ctx)
-    lo, _ = rrcf_converged(nome(*scale_rational(rn, rd, 1, 25), ctx), ctx)
+    hi, _ = _rrcf_at(rn, rd, ctx)
+    lo, _ = _rrcf_at(rn, 25 * rd, ctx)
     return {"eq19-v-descent": _summed(descend_v(hi, ctx), -lo)}
 
 
 def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # a-value descent r -> r/25 against the eta quotient at r/25
-    a_hi = a_via_eta(nome(rn, rd, ctx), ctx)
-    a_lo = a_via_eta(nome(*scale_rational(rn, rd, 1, 25), ctx), ctx)
+    a_hi, a_lo = a_via_eta(rn, rd, ctx), a_via_eta(rn, 25 * rd, ctx)
     return {"eq24-q-descent": _summed(descend_a(a_hi, ctx), -a_lo)}
 
 
 def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # the defining relation at the point the ascent actually visits
-    rec = solve_singular_modulus(rn, rd, ctx)
-    rec_lo = solve_singular_modulus(*scale_rational(rn, rd, 1, 25), ctx)
-    x = mp.root(rec.k * rec.k_comp / (rec_lo.k * rec_lo.k_comp), 12)
+    # the defining relation at the point the ascent actually visits,
+    # x = g(r/25)/g(r) = (k k' at r / k k' at r/25)^(1/12)
+    x = g_invariant(rn, 25 * rd, ctx) / g_invariant(rn, rd, ctx)
     return {"eq26-u-defining": _u_relation(x, u_map(x, ctx))}
 
 
 def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    """The eta quotient A = f(-q^2)/(q^(1/3) f(-q^10)) at q = nome(r)
-    satisfies (i) A^6 = a(4r), with a(4r) from the moduli route, and (ii)
-    the u_map defining relation against the invariant ratio V' = g(25r)/g(r).
-    Reported as one entry, the worse of the two relative to its scale,
-    with both residuals attached."""
-    q = nome(rn, rd, ctx)
-    A = eta_f(q ** 2, ctx) / (mp.cbrt(q) * eta_f(q ** 10, ctx))
-    a_4r = _round_to(ctx, a_via_moduli(*scale_rational(rn, rd, 4, 1), ctx))
-    res_eta, scale_eta = _summed(A ** 6, -a_4r)
+    """The eta quotient A = f(-q^2)/(q^(1/3) f(-q^10)) at q = nome(r) is
+    a_via_eta(4r)^(1/6), since q^2 is the nome of 4r.  It satisfies (i)
+    A^6 = a(4r), checked as a_via_eta(4r) against a(4r) from the moduli
+    route, and (ii) the u_map defining relation against the invariant ratio
+    V' = g(25r)/g(r).  Reported as one entry, the worse of the two relative
+    to its scale, with both residuals attached."""
+    a_eta = a_via_eta(4 * rn, rd, ctx)
+    a_4r = _round_to(ctx, a_via_moduli(4 * rn, rd, ctx))
+    res_eta, scale_eta = _summed(a_eta, -a_4r)
 
-    v = g_invariant(*scale_rational(rn, rd, 25, 1), ctx) / g_invariant(rn, rd, ctx)
+    v = g_invariant(25 * rn, rd, ctx) / g_invariant(rn, rd, ctx)
+    A = mp.root(a_eta, 6)
     res_rel, scale_rel = _u_relation(A, v)
 
     worse = max((res_eta, scale_eta), (res_rel, scale_rel), key=lambda p: abs(p[0]) / p[1])
@@ -265,39 +261,36 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """Descent form of the ascent law on class invariants:
     g(r)/g(r/25) = p_map(g(25r)/g(r))."""
-    g_lo = g_invariant(*scale_rational(rn, rd, 1, 25), ctx)
+    g_lo = g_invariant(rn, 25 * rd, ctx)
     g_mid = g_invariant(rn, rd, ctx)
-    g_hi = g_invariant(*scale_rational(rn, rd, 25, 1), ctx)
+    g_hi = g_invariant(25 * rn, rd, ctx)
     return {"eq30-thm32": _summed(g_mid / g_lo, -p_map(g_hi / g_mid, ctx))}
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # invariant from the modulus product vs the same through eta
-    rec = solve_singular_modulus(rn, rd, ctx)
+    # invariant from the modulus product vs the same through eta (q^2 = nome(4r))
+    rec = _solved(rn, rd, ctx)
     g_rec = g_invariant(rn, rd, ctx)
     kkp_eta = (
-        mp.pi ** 3 * mp.sqrt(rec.q) * eta_f(rec.q ** 2, ctx) ** 6 / (2 * rec.K_k ** 3)
+        mp.pi ** 3 * mp.sqrt(rec.q) * _eta_at(4 * rn, rd, ctx) ** 6 / (2 * rec.K_k ** 3)
     )
     return {"eq31-g-def": _summed(g_rec, -1 / mp.root(2 * kkp_eta, 12))}
 
 
 def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # ascent form on modulus products: (s(25r)/s(r))^(1/12) = p_map((s(r)/s(r/25))^(1/12))
-    rec_lo = solve_singular_modulus(*scale_rational(rn, rd, 1, 25), ctx)
-    rec = solve_singular_modulus(rn, rd, ctx)
-    rec_hi = solve_singular_modulus(*scale_rational(rn, rd, 25, 1), ctx)
-    s = lambda rr: rr.k * rr.k_comp
-    lhs = mp.root(s(rec_hi) / s(rec), 12)
-    rhs = p_map(mp.root(s(rec) / s(rec_lo), 12), ctx)
-    return {"eq34-thm33": _summed(lhs, -rhs)}
+    # ascent form on modulus products s = k k', where (s(r)/s(r'))^(1/12) = g(r')/g(r):
+    # (s(25r)/s(r))^(1/12) = p_map((s(r)/s(r/25))^(1/12))
+    g_lo = g_invariant(rn, 25 * rd, ctx)
+    g_mid = g_invariant(rn, rd, ctx)
+    g_hi = g_invariant(25 * rn, rd, ctx)
+    return {"eq34-thm33": _summed(g_mid / g_hi, -p_map(g_lo / g_mid, ctx))}
 
 
 def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # k_(1/r) = k'_r holds by construction: both solves evaluate the same
     # theta quotient at max(r, 1/r) and swap the pair.  Each side is still
     # certified by its own K-ratio residual inside the solver.
-    rec = solve_singular_modulus(rn, rd, ctx)
-    return {"k-reciprocal": _summed(solve_singular_modulus(rd, rn, ctx).k, -rec.k_comp)}
+    return {"k-reciprocal": _summed(_solved(rd, rn, ctx).k, -_solved(rn, rd, ctx).k_comp)}
 
 
 #: (ids produced, checker) in canonical order — checker signature
@@ -338,8 +331,8 @@ def run_suite(
     This is the one place a registry entry is made and judged.  The groups
     run in one scope: working precision ctx.work_bits and one request memo,
     so each modulus, nome, eta value and continued fraction is computed
-    once per call and a group's elapsed_ms leaves out the solves that
-    earlier groups already paid for.  Inside that scope every residual a
+    once per rational point and a group's elapsed_ms leaves out the solves
+    that earlier groups already paid for.  Inside that scope every residual a
     checker returns meets the one pass rule, ctx.certifies: the entry stores
     |residual| rounded to precision_bits, passes when |residual| <
     10^(-tol_exp) * scale, and keeps the scale in detail["scale"].  A

@@ -41,7 +41,7 @@ from .bigmath_kernel import (
     solve_singular_modulus,
 )
 from .certify import REGISTRY, UsageError, run_suite
-from .modular_core import a_value, closed_form_R, rrcf_converged, scale_rational
+from .modular_core import a_value, closed_form_R, rrcf_converged
 from .quintic_ladder import BranchError, LadderTrace, _check_start, ladder
 from .report import big_to_str, str_to_big
 
@@ -251,11 +251,10 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         k_hi = str_to_big(args.seed_k, ctx.precision_bits)
     else:
         k_hi = solve_singular_modulus(rn, rd, ctx).k
-    lo_n, lo_d = scale_rational(rn, rd, 1, 25)
     if args.seed_k25 is not None:
         k_lo = str_to_big(args.seed_k25, ctx.precision_bits)
     else:
-        k_lo = solve_singular_modulus(lo_n, lo_d, ctx).k
+        k_lo = solve_singular_modulus(rn, 25 * rd, ctx).k
 
     try:
         trace = ladder(rn, rd, k_hi, k_lo, args.n, ctx)

@@ -6,7 +6,7 @@ itself.
 
 Route map (everything is certified by cross-route residuals, never trusted):
 
-    a(r)   = f(-q)^6 / (q f(-q^5)^6)                      [eta route]
+    a(r)   = f(-q)^6 / (q f(-q^5)^6), q^5 = nome(25r)     [eta route]
            = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5(r)^-3      [moduli route]
     R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [truncated CF]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from mpmath import mp, mpf, workprec
@@ -31,12 +30,12 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _eta_at,
     _memoised,
     _neg_ln,
+    _nome,
     _round_to,
-    eta_f,
-    nome,
-    solve_singular_modulus,
+    _solved,
     to_big,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "closed_form_R",
     "descend_v",
     "descend_a",
-    "scale_rational",
     "a_via_eta",
     "a_via_moduli",
 ]
@@ -60,17 +58,12 @@ __all__ = [
 _DEPTH_CAP = 1 << 20
 
 
-def scale_rational(r_num: int, r_den: int, mul_num: int, mul_den: int) -> Tuple[int, int]:
-    """Exact rational r*(mul_num/mul_den) in lowest terms."""
-    f = Fraction(r_num, r_den) * Fraction(mul_num, mul_den)
-    return f.numerator, f.denominator
-
-
-def a_via_eta(q: mpf, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """The eta quotient a = f(-q)^6 / (q f(-q^5)^6), unrounded, at the
-    context's working precision."""
+def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """The eta quotient a = f(-q)^6 / (q f(-q^5)^6) at q = nome(r), where
+    q^5 is the nome of 25r; unrounded, at the context's working precision."""
+    eta_r, eta_25r = _eta_at(r_num, r_den, ctx), _eta_at(25 * r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        return eta_f(q, ctx) ** 6 / (q * eta_f(q ** 5, ctx) ** 6)
+        return eta_r ** 6 / (_round_to(ctx, _nome(r_num, r_den, ctx)) * eta_25r ** 6)
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,7 @@ def multiplier_M5(
     never obtained by solving that polynomial blind (it has six roots and no
     intrinsic selection rule).
     """
-    rec = solve_singular_modulus(r_num, r_den, ctx)
-    n25, d25 = scale_rational(r_num, r_den, 25, 1)
-    rec25 = solve_singular_modulus(n25, d25, ctx)
+    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         m5 = rec25.K_k / rec.K_k
         kkp2 = (rec.k * rec.k_comp) ** 2
@@ -116,8 +107,7 @@ def multiplier_M5(
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 with
     m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
-    rec = solve_singular_modulus(r_num, r_den, ctx)
-    rec25 = solve_singular_modulus(*scale_rational(r_num, r_den, 25, 1), ctx)
+    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         m5 = rec25.K_k / rec.K_k
         return (rec.k_comp / rec25.k_comp) ** 2 * mp.sqrt(rec.k / rec25.k) * m5 ** -3
@@ -132,9 +122,9 @@ def a_value(
     The two routes share nothing past the nome, so their agreement certifies
     both; a cross residual of 10^-tol_exp * a or more raises
     CertificationError.  The registry does not use this gate: eq29 compares
-    the eta quotient at nome(r)^2 with a_via_moduli(4r) as a residual.
+    a_via_eta(4r) with a_via_moduli(4r) as a residual.
     """
-    via_eta = a_via_eta(nome(r_num, r_den, ctx), ctx)
+    via_eta = a_via_eta(r_num, r_den, ctx)
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         cross = abs(via_eta - via_moduli)
@@ -183,16 +173,11 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
     smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2.  The value at
     d + 2 is returned only if it agrees with the value at d to a relative
     10^-tol_exp; otherwise, or if d + 2 would pass the depth cap (q too
-    close to 1), ConvergenceError is raised.  Inside a request memo scope
-    each (q, context) is evaluated once.
+    close to 1), ConvergenceError is raised.
     """
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
         raise DomainError("rrcf_converged requires 0 < q < 1")
-    return _memoised(("rrcf", qv, ctx), lambda: _rrcf(qv, ctx))
-
-
-def _rrcf(qv: mpf, ctx: PrecisionContext) -> Tuple[mpf, int]:
     with workprec(ctx.work_bits):
         t = _neg_ln(qv)
         need = ctx.work_bits * math.log(2)
@@ -203,6 +188,13 @@ def _rrcf(qv: mpf, ctx: PrecisionContext) -> Tuple[mpf, int]:
             if ctx.certifies(cur - rrcf_truncated(qv, depth - 2, ctx), cur):
                 return cur, depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
+
+
+def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
+    """rrcf_converged at q = nome(r), shared within a request scope."""
+    return _memoised(
+        "rrcf", lambda n, d, c: rrcf_converged(_round_to(c, _nome(n, d, c)), c), r_num, r_den, ctx
+    )
 
 
 def _fifth_root_radical(av: mpf) -> mpf:

@@ -37,11 +37,12 @@ from .bigmath_kernel import (
     _MAX_ITER,
     _complement_raw,
     _round_to,
+    _solved,
     _summed,
     solve_singular_modulus,
     to_big,
 )
-from .modular_core import descend_a, scale_rational
+from .modular_core import descend_a
 
 __all__ = [
     "BranchError",
@@ -251,7 +252,7 @@ def g_invariant(
     """The class invariant g(r) = (2 k_r k'_r)^(-1/12) from a certified
     solve.  g(1) = 1 and g is increasing in r beyond 1 (the product k k'
     shrinks from 1/2)."""
-    rec = solve_singular_modulus(r_num, r_den, ctx)
+    rec = _solved(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
 
@@ -395,7 +396,7 @@ def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     for r0 in (5, 25):
         oracle = solve_singular_modulus(25 * r0, 1, ctx).k
         seed_k = solve_singular_modulus(r0, 1, ctx).k
-        seed_k25 = solve_singular_modulus(*scale_rational(r0, 1, 1, 25), ctx).k
+        seed_k25 = solve_singular_modulus(r0, 25, ctx).k
         (step,) = ladder(r0, 1, seed_k, seed_k25, 1, ctx).steps
         out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
 

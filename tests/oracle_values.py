@@ -13,6 +13,8 @@ they pin the solver's output against drift but do not certify it on their
 own; the radical builders do.
 """
 
+import math
+
 from mpmath import ellipk, mp, mpc, mpf, sqrt, workprec
 
 #: a certifiable tol_exp for each precision the tests sweep
@@ -110,19 +112,34 @@ def k_ratio_ellipk(k, k_comp, bits):
 
 
 def eta_product(q, bits):
-    """f(-q) = prod_{n>=1} (1 - q^n) by direct multiplication at ``bits``,
-    until q^n < 2^-bits.
+    """f(-q) = prod_{n>=1} (1 - q^n) by direct multiplication, until
+    q^n < 2^-bits, in integer fixed point; rounded to ``bits``.
 
-    Shares nothing with the library's pentagonal series; about
-    bits ln2 / |ln q| factors, so slow for q near 1."""
+    The fixed point carries bits + ceil(pi^2 / (6 ln2 |ln q|)) +
+    ceil(log2 N) + 32 fractional bits, where N ~ bits ln2 / |ln q| is the
+    number of factors: f(-q) is about exp(-pi^2 / (6 |ln q|)), and each
+    factor truncates once.  Shares nothing with the library's pentagonal
+    series; slow for q near 1."""
     with workprec(bits):
         q = mpf(q)
-        cutoff = mpf(2) ** -bits
-        acc, qn = mpf(1), q
-        while qn >= cutoff:
-            acc *= 1 - qn
-            qn *= q
-        return acc
+    with workprec(53):
+        t = float(-mp.log(q))
+    n_factors = max(2, math.ceil(bits * math.log(2) / t))
+    frac = (
+        bits
+        + math.ceil(math.pi ** 2 / (6 * math.log(2) * t))
+        + math.ceil(math.log2(n_factors))
+        + 32
+    )
+    one = 1 << frac
+    qi = int(mp.ldexp(q, frac))  # exact: ldexp does not round, int truncates
+    cutoff = 1 << (frac - bits)  # 2^-bits
+    acc, qn = one, qi
+    while qn >= cutoff:
+        acc = acc * (one - qn) >> frac
+        qn = qn * qi >> frac
+    with workprec(bits):
+        return mp.ldexp(mpf(acc), -frac)
 
 
 def descend_a_printed(a, bits):

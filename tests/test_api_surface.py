@@ -139,3 +139,24 @@ def test_tolerance_is_read_only_inside_precision_context(name):
         and id(node) not in inside
     ]
     assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
+
+
+def test_only_the_lookups_call_memoised():
+    # values are shared by their exact rational point through four private
+    # lookups; every public function computes, inside a request scope too
+    callers = set()
+    for name in _MODULES:
+        for fn in _tree(name).body:
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_memoised"
+                ):
+                    callers.add((name.rsplit(".", 1)[-1], getattr(fn, "name", None)))
+    assert callers == {
+        ("bigmath_kernel", "_solved"),
+        ("bigmath_kernel", "_nome"),
+        ("bigmath_kernel", "_eta_at"),
+        ("modular_core", "_rrcf_at"),
+    }

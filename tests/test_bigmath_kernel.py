@@ -403,6 +403,23 @@ class TestEtaF:
             with workprec(ctx.work_bits + 64):
                 assert abs(got - ref) <= abs(ref) * mpf(2) ** (1 - bits), (j, got, ref)
 
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 4096])
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    def test_a_point_and_a_power_agree(self, m, bits):
+        # q^m is the nome of m^2 r, the identity the registry's eta lookups
+        # rest on: f(-q^m) is looked up at m^2 r.  The rounded nome raised
+        # to the m-th power carries m ulps, which f's log-derivative
+        # amplifies as q -> 1 (158 ulps at worst, at 1024 bits)
+        ctx = _ctx_at(bits)
+        for r in (Fraction(1, 10 ** 4), Fraction(1, 100), 1, 5, Fraction(22, 7), 10 ** 4):
+            r = Fraction(r)
+            at_point = eta_f(nome(m * m * r.numerator, r.denominator, ctx), ctx)
+            q = nome(r.numerator, r.denominator, ctx)
+            with workprec(ctx.work_bits):
+                at_power = eta_f(q ** m, ctx)
+                gap = abs(at_point - at_power)
+                assert gap <= abs(at_point) * mpf(2) ** (10 - bits), (r, gap)
+
     def test_domain(self):
         for bad in (0, 1, "1.5", -0.25):
             with pytest.raises(DomainError):
@@ -419,22 +436,40 @@ class TestEtaF:
 
 
 class TestRequestMemo:
+    """Shared values are looked up by their exact rational point; the public
+    functions behind the lookups always compute."""
+
     def test_scope_hands_back_the_first_value(self):
+        ctx = DEFAULT_CONTEXT
+        with bk._request_memo():
+            rec = bk._solved(7, 3, ctx)
+            assert bk._solved(7, 3, ctx) is rec
+            # keyed by the rational in lowest terms, however it is spelled
+            assert bk._solved(14, 6, ctx) is rec
+            assert bk._nome(7, 3, ctx) is bk._nome(14, 6, ctx)
+            eta = bk._eta_at(7, 3, ctx)
+            assert bk._eta_at(21, 9, ctx) is eta
+        # each lookup holds what the public function computes at that point
+        assert rec == solve_singular_modulus(7, 3)
+        assert eta == eta_f(nome(7, 3))
+        # outside a scope every lookup computes afresh, to the same value
+        again = bk._solved(7, 3, ctx)
+        assert again is not rec and again == rec
+
+    def test_public_functions_compute_inside_a_scope(self):
         with bk._request_memo():
             rec = solve_singular_modulus(7, 3)
-            assert solve_singular_modulus(7, 3) is rec
-            assert solve_singular_modulus(7, 3, DEFAULT_CONTEXT) is rec
-            assert eta_f(rec.q) is eta_f(rec.q)
-            assert nome(7, 3) is nome(7, 3, DEFAULT_CONTEXT)
-        # outside a scope every call computes afresh, to the same value
-        again = solve_singular_modulus(7, 3)
-        assert again is not rec and again == rec
+            assert solve_singular_modulus(7, 3) is not rec
+            assert bk._solved(7, 3, DEFAULT_CONTEXT) is not rec
+            assert nome(7, 3) is not nome(7, 3)
+            assert eta_f(rec.q) is not eta_f(rec.q)
 
     def test_keyed_on_context(self, ctx1024):
         with bk._request_memo():
-            rec = solve_singular_modulus(7, 3)
-            assert solve_singular_modulus(7, 3, ctx1024).k != rec.k
-            assert solve_singular_modulus(3, 7) is not rec
+            rec = bk._solved(7, 3, DEFAULT_CONTEXT)
+            assert bk._solved(7, 3, ctx1024).k != rec.k
+            assert bk._solved(3, 7, DEFAULT_CONTEXT) is not rec
+            assert bk._eta_at(7, 3, ctx1024) != bk._eta_at(7, 3, DEFAULT_CONTEXT)
 
     def test_error_is_not_stored(self, monkeypatch):
         def breakdown(*a):
@@ -443,6 +478,11 @@ class TestRequestMemo:
         with bk._request_memo():
             monkeypatch.setattr(bk, "_agm_raw", breakdown)
             with pytest.raises(ConvergenceError):
-                solve_singular_modulus(7, 3)
+                bk._solved(7, 3, DEFAULT_CONTEXT)
             monkeypatch.undo()
-            assert solve_singular_modulus(7, 3).residual < TOL
+            assert bk._solved(7, 3, DEFAULT_CONTEXT).residual < TOL
+
+    def test_lookups_refuse_a_bad_point(self):
+        for rn, rd in ((0, 1), (1, -2), (1.5, 1)):
+            with pytest.raises(DomainError):
+                bk._solved(rn, rd, DEFAULT_CONTEXT)

@@ -16,6 +16,7 @@ from quintic_moduli import (
     PrecisionContext,
     UsageError,
     multiplier_M5,
+    nome,
     run_suite,
 )
 from quintic_moduli.cli import main
@@ -115,7 +116,8 @@ class TestRunSuite:
 class TestRequestMemo:
     @staticmethod
     def _record(monkeypatch, module, name):
-        """Record the arguments, less ctx, of each call to a computing helper."""
+        """Record the arguments, less ctx, of each call to the function a
+        lookup computes with."""
         calls = []
         compute = getattr(module, name)
 
@@ -127,32 +129,35 @@ class TestRequestMemo:
         return calls
 
     def test_one_solve_per_distinct_r(self, monkeypatch):
-        solved = self._record(monkeypatch, bk, "_solve")
+        solved = self._record(monkeypatch, bk, "solve_singular_modulus")
         assert run_suite(5, 1).all_pass
         # r, 25r, r/25 (= 1/r), 4r and 100r, each once
         assert sorted(solved) == [(1, 5), (5, 1), (20, 1), (125, 1), (500, 1)]
 
     def test_nothing_is_shared_between_calls(self, monkeypatch):
-        solved = self._record(monkeypatch, bk, "_solve")
+        solved = self._record(monkeypatch, bk, "solve_singular_modulus")
         run_suite(5, 1)
         run_suite(5, 1)
         assert len(solved) == 10
 
     def test_qseries_ids_compute_each_nome_and_cf_once(self, monkeypatch):
-        nomes = self._record(monkeypatch, bk, "_nome")
-        fractions = self._record(monkeypatch, mc, "_rrcf")
+        nomes = self._record(monkeypatch, bk, "_exp_nome")
+        etas = self._record(monkeypatch, bk, "eta_f")
+        fractions = self._record(monkeypatch, mc, "rrcf_converged")
         assert run_suite(5, 1, ids=QSERIES_IDS).all_pass
-        # nome(r) three times and nome(r/25) twice; the CF at nome(r) twice
-        assert sorted(nomes) == [(1, 5), (5, 1)]
+        # the CF at r (eq5, eq19) and r/25 (eq19); the eta quotient at r
+        # (eq5, eq24) and r/25 (eq24), which read f(-q) at r, 25r and r/25
+        assert sorted(nomes) == [(1, 5), (5, 1), (125, 1)]
+        assert sorted(etas) == sorted((nome(n, d),) for n, d in ((1, 5), (5, 1), (125, 1)))
         assert len(fractions) == 2
 
-    def test_full_suite_computes_six_eta_values(self, monkeypatch):
-        # f(-q^n) at the nome of r for n = 1, 2, 5, 10, and at the nome of
-        # 25r for n = 1, 2 (that q^5 is the nome of r to the 25th power);
-        # eq29 takes a(4r) from the moduli route, so no eta value at 4r
-        etas = self._record(monkeypatch, bk, "_eta")
+    def test_full_suite_computes_five_eta_values(self, monkeypatch):
+        # f(-q^m) is the eta value at m^2 r: at r, 4r (m = 2), 25r (m = 5)
+        # and 100r (m = 10, through a_via_eta(4r)), and at r/25 (eq24)
+        etas = self._record(monkeypatch, bk, "eta_f")
         assert run_suite(5, 1).all_pass
-        assert len(etas) == 6
+        points = ((5, 1), (20, 1), (125, 1), (500, 1), (1, 5))
+        assert sorted(etas) == sorted((nome(n, d),) for n, d in points)
 
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
     def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):

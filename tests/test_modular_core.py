@@ -6,6 +6,7 @@ from mpmath import mp, mpf, sqrt, workprec
 from quintic_moduli import (
     CertificationError,
     ConvergenceError,
+    DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
     a_value,
@@ -22,6 +23,7 @@ from quintic_moduli import (
 
 import oracle_values as ov
 import quintic_moduli.bigmath_kernel as bk
+import quintic_moduli.modular_core as mc
 
 TOL = mpf(10) ** -120
 
@@ -140,16 +142,18 @@ class TestRRCFConverged:
         for q in (0, 1, "1.5", "-0.2"):
             with pytest.raises(DomainError):
                 rrcf_converged(q)
-        with bk._request_memo():  # checked before the memo lookup too
+        with bk._request_memo():  # the lookup checks its point first too
             with pytest.raises(DomainError):
-                rrcf_converged(1)
+                mc._rrcf_at(0, 1, DEFAULT_CONTEXT)
 
     def test_memo_scope_hands_back_the_first_value(self):
-        q = nome(22, 7)
         with bk._request_memo():
-            first = rrcf_converged(q)
-            assert rrcf_converged(q) is first
-        again = rrcf_converged(q)
+            first = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
+            assert mc._rrcf_at(44, 14, DEFAULT_CONTEXT) is first
+            # the public function computes afresh, to the same value
+            direct = rrcf_converged(nome(22, 7))
+            assert direct is not first and direct == first
+        again = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
         assert again is not first and again == first
 
     def test_q_too_close_to_one(self):
@@ -161,8 +165,6 @@ class TestRRCFConverged:
 
     def test_disagreement_raises(self, monkeypatch):
         # a truncation that still moves between d and d + 2 is not returned
-        import quintic_moduli.modular_core as mc
-
         monkeypatch.setattr(mc, "rrcf_truncated", lambda q, depth, ctx=None: mpf(depth))
         with pytest.raises(ConvergenceError):
             rrcf_converged(nome(1, 1))
