@@ -417,9 +417,10 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
     which reaches q^n with about sqrt(2n/3) terms where the product needs n
     factors.  Near q = 1 the terms (up to about 1) cancel down to
-    f(-q) ~ exp(-pi^2 / (6 |ln q|)), so the sum runs at work_bits plus
-    ceil(pi^2 / (6 ln2 |ln q|)) + 8 bits, and stops at the first term below
-    2^-(that precision).
+    f(-q) ~ exp(-pi^2 / (6 |ln q|)), so the sum is taken to the first term
+    below 2^-bits, bits = work_bits + ceil(pi^2 / (6 ln2 |ln q|)) + 8.  It
+    runs on integers with bits + 16 fractional bits, which absorb the
+    truncation of each product, and is rounded once to precision_bits.
     """
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
@@ -431,23 +432,25 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     if (ctx.work_bits + 9) * math.log(2) * t + pi2_6 > _ETA_TERM_CAP * t * t:
         raise ConvergenceError("eta series needs too many terms (q ~ 1?)")
     bits = ctx.work_bits + math.ceil(pi2_6 / (math.log(2) * t)) + 8
-    with workprec(bits):
-        cutoff = mp.ldexp(1, -bits)
-        acc = mpf(1)
-        a = qv  # q^(k(3k-1)/2), from k = 1
-        if a >= cutoff:
-            q3 = qv * qv * qv
-            qk = qv          # q^k
-            step = q3 * qv   # a_(k+1) / a_k = q^(3k+1)
-            odd = True
-            while a >= cutoff:
-                term = a + a * qk
-                acc = acc - term if odd else acc + term
-                a *= step
-                step *= q3
-                qk *= qv
-                odd = not odd
-    return _round_to(ctx, acc)
+    frac = bits + 16
+    cutoff = 1 << (frac - bits)  # 2^-bits
+    qi = _scaled_int(qv, -frac)
+    acc = 1 << frac
+    a = qi  # q^(k(3k-1)/2), from k = 1
+    if a >= cutoff:
+        q3 = qi * qi * qi >> 2 * frac
+        qk = qi          # q^k
+        step = q3 * qi >> frac  # a_(k+1) / a_k = q^(3k+1)
+        odd = True
+        while a >= cutoff:
+            term = a + (a * qk >> frac)
+            acc = acc - term if odd else acc + term
+            a = a * step >> frac
+            step = step * q3 >> frac
+            qk = qk * qi >> frac
+            odd = not odd
+    with workprec(ctx.precision_bits):
+        return mpf((acc, -frac))
 
 
 def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:

@@ -8,7 +8,8 @@ Route map (everything is certified by cross-route residuals, never trusted):
 
     a(r)   = f(-q)^6 / (q f(-q^5)^6), q^5 = nome(25r)     [eta route]
            = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5(r)^-3      [moduli route]
-    R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [truncated CF]
+    R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [CF, one forward
+                          pass, certified by its last two convergents]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
     m5(r)  is certified as a root of
@@ -35,6 +36,7 @@ from .bigmath_kernel import (
     _neg_ln,
     _nome,
     _round_to,
+    _scaled_int,
     _solved,
     to_big,
 )
@@ -53,8 +55,9 @@ __all__ = [
     "a_via_moduli",
 ]
 
-#: refuse continued fractions deeper than this (memoryless recurrence, but a
-#: runaway depth means the caller's q is far too close to 1)
+#: refuse continued fractions deeper than this (each level costs a few
+#: multiplications and no memory, but a runaway depth means the caller's q
+#: is far too close to 1)
 _DEPTH_CAP = 1 << 20
 
 
@@ -145,9 +148,9 @@ def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT)
 
         q^(1/5) / (1 + q/(1 + q^2/(1 + ... q^depth)))
 
-    evaluated by backward recurrence (numerically benign: every partial
-    denominator is >= 1).  Powers descend from q^depth by division, which
-    costs `depth` rounding errors — absorbed by the guard bits.
+    evaluated by the forward recurrence of _rrcf_forward, whose integer
+    scale carries 2 bitlen(depth) + 8 bits past work_bits for the
+    truncations of its `depth` levels.
     """
     if not isinstance(depth, int) or depth < 1:
         raise DomainError("depth must be a positive integer")
@@ -157,23 +160,43 @@ def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT)
         qv = to_big(q, ctx)
         if not (0 < qv < 1):
             raise DomainError("rrcf_truncated requires 0 < q < 1")
-        t = mpf(1)
-        p = qv ** depth
-        for _ in range(depth):
-            t = 1 + p / t
-            p /= qv
-        # after the loop p == q^0; t is the full ascending tail
-        return _round_to(ctx, mp.root(qv, 5) / t)
+        return _round_to(ctx, mp.root(qv, 5) / _rrcf_forward(qv, depth, ctx)[0])
+
+
+def _rrcf_forward(qv: mpf, depth: int, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(T_depth, a bound on |T - T_depth|) for T = 1 + q/(1 + q^2/(1 + ...)),
+    at the ambient working precision.
+
+    The Wallis recurrence A_n = A_(n-1) + q^n A_(n-2), B_n = B_(n-1) +
+    q^n B_(n-2) (A_-1 = A_0 = B_0 = 1, B_-1 = 0) runs forward on integers
+    with work_bits + 2 bitlen(depth) + 8 fractional bits, where each level
+    truncates a few times.  Every partial numerator q^n is positive, so
+    consecutive convergents bracket T, and A_n B_(n-1) - A_(n-1) B_n =
+    (-1)^(n-1) q^(n(n+1)/2) exactly: |T - T_depth| <= q^(d(d+1)/2) /
+    (B_d B_(d-1)) at d = depth.
+    """
+    frac = ctx.work_bits + 2 * depth.bit_length() + 8
+    one = 1 << frac
+    qi = _scaled_int(qv, -frac)
+    a_prev, a, b_prev, b = one, one, 0, one
+    p = one  # q^n
+    for _ in range(depth):
+        p = p * qi >> frac
+        a_prev, a = a, a + (p * a_prev >> frac)
+        b_prev, b = b, b + (p * b_prev >> frac)
+    gap = qv ** (depth * (depth + 1) // 2) / (mpf((b, -frac)) * mpf((b_prev, -frac)))
+    return mpf(a) / b, gap
 
 
 def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mpf, int]:
     """(R(q), depth) with the truncation depth chosen before evaluating.
 
     The truncation error at depth d decays like q^(d(d+1)/2), so d is the
-    smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2.  The value at
-    d + 2 is returned only if it agrees with the value at d to a relative
-    10^-tol_exp; otherwise, or if d + 2 would pass the depth cap (q too
-    close to 1), ConvergenceError is raised.
+    smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2, and the
+    continued fraction is evaluated once, forward, at d + 2.  The value is
+    returned only if the bracket of its last two convergents certifies it
+    (see _rrcf_forward); otherwise, or if d + 2 would pass the depth cap
+    (q too close to 1), ConvergenceError is raised.
     """
     qv = to_big(q, ctx)
     if not (0 < qv < 1):
@@ -184,9 +207,9 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
         top = _DEPTH_CAP - 2
         if top * (top + 1) / 2 * t >= need:
             depth = math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
-            cur = rrcf_truncated(qv, depth, ctx)
-            if ctx.certifies(cur - rrcf_truncated(qv, depth - 2, ctx), cur):
-                return cur, depth
+            tail, gap = _rrcf_forward(qv, depth, ctx)
+            if ctx.certifies(gap, tail):
+                return _round_to(ctx, mp.root(qv, 5) / tail), depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 

@@ -2,10 +2,11 @@
 
 The independent gate is the radical builders (printed closed forms
 evaluated live at whatever precision a test needs), the quadrature value
-of K, the backward-recurrence continued fraction, and the three live
+of K, the frozen backward-recurrence continued fraction, and the four live
 oracles at the bottom: the K-ratio through mpmath's ``ellipk``, the Euler
-product for f(-q), and the cubic formula for u_map.  None of them shares
-code with the library.
+product for f(-q), the continued fraction by backward recurrence in mpf,
+and the cubic formula for u_map.  None of them shares code with the
+library.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -140,6 +141,23 @@ def eta_product(q, bits):
         qn = qn * qi >> frac
     with workprec(bits):
         return mp.ldexp(mpf(acc), -frac)
+
+
+def rrcf_backward(q, depth, bits):
+    """q^(1/5) / (1 + q/(1 + q^2/(1 + ... q^depth))) by backward recurrence
+    in mpf at ``bits``, the powers descending from q^depth by division.
+
+    The library runs the convergents forward on integers; this oracle
+    shares nothing with it.  It costs ``depth`` roundings, so ``bits``
+    must exceed the precision wanted by log2(depth) and some."""
+    with workprec(bits):
+        q = mpf(q)
+        t = mpf(1)
+        p = q ** depth
+        for _ in range(depth):
+            t = 1 + p / t
+            p /= q
+        return mp.root(q, 5) / t
 
 
 def descend_a_printed(a, bits):

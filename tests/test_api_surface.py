@@ -160,3 +160,21 @@ def test_only_the_lookups_call_memoised():
         ("bigmath_kernel", "_eta_at"),
         ("modular_core", "_rrcf_at"),
     }
+
+
+@pytest.mark.parametrize(
+    "module, name, params",
+    [
+        ("quintic_moduli.modular_core", "rrcf_truncated", ["q", "depth", "ctx"]),
+        ("quintic_moduli.modular_core", "rrcf_converged", ["q", "ctx"]),
+        ("quintic_moduli.bigmath_kernel", "eta_f", ["q", "ctx"]),
+    ],
+)
+def test_traced_q_series_functions_keep_their_names_and_signatures(module, name, params):
+    # public q-series API that the benchmark names by module and function,
+    # reading the depth rrcf_converged returns
+    mod = importlib.import_module(module)
+    package = importlib.import_module("quintic_moduli")
+    assert name in mod.__all__ and name in package.__all__
+    assert getattr(package, name) is getattr(mod, name)
+    assert list(inspect.signature(getattr(mod, name)).parameters) == params

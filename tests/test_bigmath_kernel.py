@@ -390,6 +390,27 @@ class TestEtaF:
         # oracle takes about 11 s there)
         self._against_product(Fraction(1, 10 ** 4), bits)
 
+    def test_matches_euler_product_at_the_deepest_registry_point(self):
+        # eq24's r/25 point at r = 1/10^4: the deepest eta the registry
+        # visits, where the terms cancel by about 378 bits
+        ctx = _ctx_at(512)
+        q = nome(1, 250000, ctx)
+        ref = ov.eta_product(q, ctx.work_bits + 64)
+        got = eta_f(q, ctx)
+        with workprec(ctx.work_bits + 64):
+            assert abs(got - ref) <= abs(ref) * mpf(2) ** (1 - 512)
+
+    @pytest.mark.parametrize("shift", [40, 12, -1])
+    def test_tiny_q_around_the_cutoff(self, shift):
+        # for q this small the sum stops at 2^-bits, bits = work_bits + 9,
+        # on a scale of bits + 16 fractional bits: q = 2^-(bits + 40) has
+        # the integer image 0, q = 2^-(bits + 12) a nonzero image below the
+        # cutoff, and q = 2^-(bits - 1) sums one pair of terms.  Each time
+        # f(-q) = 1 - q - q^2 + ... is 1 to the output precision
+        ctx = _ctx_at(512)
+        q = mp.ldexp(1, -(ctx.work_bits + 9 + shift))
+        assert eta_f(q, ctx) == 1
+
     @staticmethod
     def _against_product(r, bits):
         # the series against the product, at q = nome(r)^j

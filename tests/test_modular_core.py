@@ -120,22 +120,29 @@ class TestRRCFConverged:
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     @pytest.mark.parametrize(
         "r", [Fraction(1, 10 ** 4), Fraction(1, 37), Fraction(1), Fraction(22, 7),
-              Fraction(10 ** 3), Fraction(10 ** 6)]
+              Fraction(10 ** 3), Fraction(10 ** 6), Fraction(1, 250000)]
     )
     def test_depth_is_minimal_and_converged(self, r, bits):
-        # the depth is chosen a priori: at most two past the smallest d with
-        # q^(d(d+1)/2) <= 2^-work_bits, and a far deeper truncation agrees
+        # the depth is chosen a priori: two past the smallest d with
+        # q^(d(d+1)/2) <= 2^-work_bits.  The value is the depth-D convergent
+        # of the backward oracle within an ulp, and the convergent at
+        # 4D + 50 lies between those at D - 1 and D and agrees with it; the
+        # oracle's roundoff is held to 2^-(work_bits + 48)
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         q = nome(r.numerator, r.denominator, ctx)
         val, depth = rrcf_converged(q, ctx)
-        with workprec(ctx.work_bits + 64):
+        hi = ctx.work_bits + 64
+        with workprec(hi):
             log2_q = -mp.log(q, 2)
         d_min = 1
         while d_min * (d_min + 1) / 2 * log2_q < ctx.work_bits:
             d_min += 1
-        assert depth <= d_min + 2
-        deep = rrcf_truncated(q, 4 * depth + 50, ctx)
-        with workprec(ctx.work_bits):
+        assert depth == d_min + 2
+        end, before, deep = (ov.rrcf_backward(q, d, hi) for d in (depth, depth - 1, 4 * depth + 50))
+        with workprec(hi):
+            assert abs(val - end) <= end * mpf(2) ** (1 - bits)
+            slack = deep * mpf(2) ** (16 - hi)
+            assert min(end, before) - slack <= deep <= max(end, before) + slack
             assert abs(val - deep) < ctx.tolerance()
 
     def test_domain(self):
@@ -164,10 +171,23 @@ class TestRRCFConverged:
             rrcf_converged(q)
 
     def test_disagreement_raises(self, monkeypatch):
-        # a truncation that still moves between d and d + 2 is not returned
-        monkeypatch.setattr(mc, "rrcf_truncated", lambda q, depth, ctx=None: mpf(depth))
+        # forced three levels deep at q = e^-pi, the last two convergents
+        # still differ by q^6 / (B_3 B_2), far above the gate, and that
+        # bound is their real distance: the value is not returned
+        ctx = DEFAULT_CONTEXT
+        q = nome(1, 1)
+        forward = mc._rrcf_forward
+        hi = ctx.work_bits + 64
+        with workprec(ctx.work_bits):
+            tail, gap = forward(to_big(q, ctx), 3, ctx)
+            assert not ctx.certifies(gap, tail)
+        with workprec(hi):
+            t3, t2 = (mp.root(q, 5) / ov.rrcf_backward(q, d, hi) for d in (3, 2))
+            assert abs(abs(t3 - t2) - gap) <= gap * mpf(2) ** -500
+            assert abs(t3 - tail) <= t3 * mpf(2) ** (1 - ctx.work_bits)
+        monkeypatch.setattr(mc, "_rrcf_forward", lambda qv, depth, c: forward(qv, 3, c))
         with pytest.raises(ConvergenceError):
-            rrcf_converged(nome(1, 1))
+            rrcf_converged(q)
 
     def test_deterministic(self):
         a = rrcf_converged(nome(1, 1))
