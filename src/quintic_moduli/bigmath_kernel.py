@@ -26,11 +26,12 @@ the two AGM legs directly, without ever forming 1 - k'^2.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
-``_eta_at`` here (and ``modular_core._rrcf_at``) key each value on
-(kind, Fraction(r), context), so f(-q^m) is the eta value at m^2 r.  Inside
-a ``_request_memo()`` scope a lookup computes each key once and hands back
-the same value on every later call; outside one it computes.  A scope lives
-for one call (``run_suite`` opens it), never for the process.
+``_eta_at`` here, ``modular_core._rrcf_at`` and ``_a_eta_at``, and
+``quintic_ladder._g_at`` key each value on (kind, Fraction(r), context), so
+f(-q^m) is the eta value at m^2 r.  Inside a ``_request_memo()`` scope a
+lookup computes each key once and hands back the same value on every later
+call; outside one it computes.  A scope lives for one call (``run_suite``
+opens it), never for the process.
 """
 
 from __future__ import annotations
@@ -158,10 +159,10 @@ _MEMO: ContextVar[Optional[dict]] = ContextVar("quintic_moduli_memo", default=No
 def _request_memo() -> Iterator[None]:
     """Open a memo scope for one request.
 
-    Within the scope each lookup computes its solve, nome, eta or
-    continued-fraction value once per (rational point, context), and later
-    lookups return that same value, a solve's residual included.  The memo
-    is dropped when the scope exits, so nothing is shared between requests.
+    Within the scope each lookup computes its value once per (rational
+    point, context), and later lookups return that same value, a solve's
+    residual included.  The memo is dropped when the scope exits, so nothing
+    is shared between requests.
     """
     token = _MEMO.set({})
     try:

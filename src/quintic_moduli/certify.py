@@ -7,16 +7,16 @@ a polynomial relation, its largest monomial).  Ids are grouped so relations
 that share their solves are computed together; entries within a group report
 the same wall-clock cost.  A checker only computes: it returns each residual
 and its scale keyed by registry id, at the ambient precision, and raises
-nothing.  It reaches every solve, nome, eta value and continued fraction
-through a lookup keyed by the exact rational point (f(-q^m) is the eta value
-at m^2 r), never by a power of a float nome.  run_suite alone sets that
-precision, opens the request memo the lookups share, gates every residual
-and builds every entry, so one run_suite call computes each value once, and
-a group's cost leaves out what earlier groups already computed.  A residual
-that misses the gate is a failing entry, never an abort.  The registry
-order is canonical: reports list entries in this order no matter how the
-ids were requested.  Entries and reports are plain data; the CLI alone
-turns them into JSON.
+nothing.  It reaches every solve, nome, eta value, continued fraction,
+invariant g and eta quotient a through a lookup keyed by the exact rational
+point (f(-q^m) is the eta value at m^2 r), never by a power of a float nome.
+run_suite alone sets that precision, opens the request memo the lookups
+share, gates every residual and builds every entry, so one run_suite call
+computes each value once, and a group's cost leaves out what earlier groups
+already computed.  A residual that misses the gate is a failing entry, never
+an abort.  The registry order is canonical: reports list entries in this
+order no matter how the ids were requested.  Entries and reports are plain
+data; the CLI alone turns them into JSON.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .bigmath_kernel import (
     _summed,
 )
 from .modular_core import (
+    _a_eta_at,
     _rrcf_at,
-    a_via_eta,
     a_via_moduli,
     descend_a,
     descend_v,
     multiplier_M5,
 )
-from .quintic_ladder import _u_relation, g_invariant, p_map, u_map
+from .quintic_ladder import _g_at, _u_relation, p_map, u_map
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
 
@@ -59,9 +59,9 @@ class IdentityEntry:
     whether it certified against the scale in detail["scale"], and cost.
 
     Entries computed together from shared solves (e.g. the three
-    modulus-pair relations) carry the same elapsed_ms.  Solves are shared
-    across groups within one run_suite call, so elapsed_ms leaves out the
-    solves that earlier groups already paid for.
+    modulus-pair relations) carry the same elapsed_ms.  Every looked-up
+    value is shared across groups within one run_suite call, so elapsed_ms
+    leaves out the values that earlier groups already paid for.
     """
 
     id: str
@@ -91,7 +91,7 @@ def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
     r_cf, _ = _rrcf_at(rn, rd, ctx)
     return {
-        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -a_via_eta(rn, rd, ctx))
+        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -_a_eta_at(rn, rd, ctx))
     }
 
 
@@ -197,7 +197,7 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
 
     return {
-        "eq13-thm22": _summed(w_form, -a_via_eta(rn, rd, ctx)),
+        "eq13-thm22": _summed(w_form, -_a_eta_at(rn, rd, ctx)),
         "eq14-w-poly": res14,
         "eq15-depressed": (
             res15,
@@ -220,14 +220,14 @@ def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # a-value descent r -> r/25 against the eta quotient at r/25
-    a_hi, a_lo = a_via_eta(rn, rd, ctx), a_via_eta(rn, 25 * rd, ctx)
+    a_hi, a_lo = _a_eta_at(rn, rd, ctx), _a_eta_at(rn, 25 * rd, ctx)
     return {"eq24-q-descent": _summed(descend_a(a_hi, ctx), -a_lo)}
 
 
 def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # the defining relation at the point the ascent actually visits,
     # x = g(r/25)/g(r) = (k k' at r / k k' at r/25)^(1/12)
-    x = g_invariant(rn, 25 * rd, ctx) / g_invariant(rn, rd, ctx)
+    x = _g_at(rn, 25 * rd, ctx) / _g_at(rn, rd, ctx)
     return {"eq26-u-defining": _u_relation(x, u_map(x, ctx))}
 
 
@@ -238,11 +238,11 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     route, and (ii) the u_map defining relation against the invariant ratio
     V' = g(25r)/g(r).  Reported as one entry, the worse of the two relative
     to its scale, with both residuals attached."""
-    a_eta = a_via_eta(4 * rn, rd, ctx)
+    a_eta = _a_eta_at(4 * rn, rd, ctx)
     a_4r = _round_to(ctx, a_via_moduli(4 * rn, rd, ctx))
     res_eta, scale_eta = _summed(a_eta, -a_4r)
 
-    v = g_invariant(25 * rn, rd, ctx) / g_invariant(rn, rd, ctx)
+    v = _g_at(25 * rn, rd, ctx) / _g_at(rn, rd, ctx)
     A = mp.root(a_eta, 6)
     res_rel, scale_rel = _u_relation(A, v)
 
@@ -261,16 +261,16 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """Descent form of the ascent law on class invariants:
     g(r)/g(r/25) = p_map(g(25r)/g(r))."""
-    g_lo = g_invariant(rn, 25 * rd, ctx)
-    g_mid = g_invariant(rn, rd, ctx)
-    g_hi = g_invariant(25 * rn, rd, ctx)
+    g_lo = _g_at(rn, 25 * rd, ctx)
+    g_mid = _g_at(rn, rd, ctx)
+    g_hi = _g_at(25 * rn, rd, ctx)
     return {"eq30-thm32": _summed(g_mid / g_lo, -p_map(g_hi / g_mid, ctx))}
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # invariant from the modulus product vs the same through eta (q^2 = nome(4r))
     rec = _solved(rn, rd, ctx)
-    g_rec = g_invariant(rn, rd, ctx)
+    g_rec = _g_at(rn, rd, ctx)
     kkp_eta = (
         mp.pi ** 3 * mp.sqrt(rec.q) * _eta_at(4 * rn, rd, ctx) ** 6 / (2 * rec.K_k ** 3)
     )
@@ -280,9 +280,9 @@ def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # ascent form on modulus products s = k k', where (s(r)/s(r'))^(1/12) = g(r')/g(r):
     # (s(25r)/s(r))^(1/12) = p_map((s(r)/s(r/25))^(1/12))
-    g_lo = g_invariant(rn, 25 * rd, ctx)
-    g_mid = g_invariant(rn, rd, ctx)
-    g_hi = g_invariant(25 * rn, rd, ctx)
+    g_lo = _g_at(rn, 25 * rd, ctx)
+    g_mid = _g_at(rn, rd, ctx)
+    g_hi = _g_at(25 * rn, rd, ctx)
     return {"eq34-thm33": _summed(g_mid / g_hi, -p_map(g_lo / g_mid, ctx))}
 
 
@@ -330,13 +330,14 @@ def run_suite(
 
     This is the one place a registry entry is made and judged.  The groups
     run in one scope: working precision ctx.work_bits and one request memo,
-    so each modulus, nome, eta value and continued fraction is computed
-    once per rational point and a group's elapsed_ms leaves out the solves
-    that earlier groups already paid for.  Inside that scope every residual a
-    checker returns meets the one pass rule, ctx.certifies: the entry stores
-    |residual| rounded to precision_bits, passes when |residual| <
-    10^(-tol_exp) * scale, and keeps the scale in detail["scale"].  A
-    failing residual is reported, not raised.  Nothing outlives the call.
+    so each modulus, nome, eta value, continued fraction, invariant g and
+    eta quotient a is computed once per rational point and a group's
+    elapsed_ms leaves out what earlier groups already paid for.  Inside that
+    scope every residual a checker returns meets the one pass rule,
+    ctx.certifies: the entry stores |residual| rounded to precision_bits,
+    passes when |residual| < 10^(-tol_exp) * scale, and keeps the scale in
+    detail["scale"].  A failing residual is reported, not raised.  Nothing
+    outlives the call.
     """
     if ids is None:
         wanted = set(REGISTRY)

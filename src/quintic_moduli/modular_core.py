@@ -31,6 +31,7 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    SingularModulusRecord,
     _eta_at,
     _memoised,
     _neg_ln,
@@ -69,6 +70,11 @@ def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         return eta_r ** 6 / (_round_to(ctx, _nome(r_num, r_den, ctx)) * eta_25r ** 6)
 
 
+def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """a_via_eta at r, shared within a request scope."""
+    return _memoised("a_eta", a_via_eta, r_num, r_den, ctx)
+
+
 @dataclass(frozen=True)
 class M5Record:
     """The certified multiplier m5(r) = K(k_25r)/K(k_r)."""
@@ -86,6 +92,15 @@ class ARecord:
     cross_residual: mpf  # |via_eta - a|
 
 
+def _m5_solves(
+    r_num: int, r_den: int, ctx: PrecisionContext
+) -> Tuple[SingularModulusRecord, SingularModulusRecord, mpf]:
+    """The solves at r and 25r, and m5 = K(k_25r)/K(k_r) unrounded at work_bits."""
+    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
+    with workprec(ctx.work_bits):
+        return rec, rec25, rec25.K_k / rec.K_k
+
+
 def multiplier_M5(
     r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> M5Record:
@@ -99,9 +114,8 @@ def multiplier_M5(
     never obtained by solving that polynomial blind (it has six roots and no
     intrinsic selection rule).
     """
-    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
+    rec, _, m5 = _m5_solves(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        m5 = rec25.K_k / rec.K_k
         kkp2 = (rec.k * rec.k_comp) ** 2
         poly = (5 * m5 - 1) ** 5 * (1 - m5) - 256 * kkp2 * m5
         return M5Record(m5=_round_to(ctx, m5), poly_residual=_round_to(ctx, abs(poly)))
@@ -110,9 +124,8 @@ def multiplier_M5(
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 with
     m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
-    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
+    rec, rec25, m5 = _m5_solves(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        m5 = rec25.K_k / rec.K_k
         return (rec.k_comp / rec25.k_comp) ** 2 * mp.sqrt(rec.k / rec25.k) * m5 ** -3
 
 

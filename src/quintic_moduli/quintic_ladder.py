@@ -15,7 +15,8 @@ rung up the ladder: writing s(r) = k_r k'_r,
     s(25 r) = s(r) * p_map( (s(r)/s(r/25))^(1/12) )^12,
 
 and the new modulus is recovered from s(25r) by the stable quadratic branch
-k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)).  Each rung is certified, relative to
+k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)), or at r = 1, where that branch has a
+double root, as k = k' = sqrt(s).  Each rung is certified, relative to
 its size, against a fresh independent solve of the defining K-ratio
 equation; nothing is trusted on the say-so of the radicals alone.
 """
@@ -36,6 +37,7 @@ from .bigmath_kernel import (
     Real,
     _MAX_ITER,
     _complement_raw,
+    _memoised,
     _round_to,
     _solved,
     _summed,
@@ -257,6 +259,11 @@ def g_invariant(
         return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
 
 
+def _g_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """g_invariant at r, shared within a request scope."""
+    return _memoised("g", g_invariant, r_num, r_den, ctx)
+
+
 def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Recover k in (0, 1/sqrt2] from the product p = k k'.
 
@@ -338,7 +345,7 @@ def ladder(
             x = mp.root(prev / prev2, 12)
             pv = p_map(x, ctx)
             cur = prev * pv ** 12
-            k_j = k_from_kkprime(cur, ctx)
+            k_j = _round_to(ctx, mp.sqrt(cur)) if rj == 1 else k_from_kkprime(cur, ctx)
 
             oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
             resid = abs(k_j - oracle.k)

@@ -142,7 +142,7 @@ def test_tolerance_is_read_only_inside_precision_context(name):
 
 
 def test_only_the_lookups_call_memoised():
-    # values are shared by their exact rational point through four private
+    # values are shared by their exact rational point through six private
     # lookups; every public function computes, inside a request scope too
     callers = set()
     for name in _MODULES:
@@ -159,7 +159,28 @@ def test_only_the_lookups_call_memoised():
         ("bigmath_kernel", "_nome"),
         ("bigmath_kernel", "_eta_at"),
         ("modular_core", "_rrcf_at"),
+        ("modular_core", "_a_eta_at"),
+        ("quintic_ladder", "_g_at"),
     }
+
+
+def test_the_registry_reads_point_values_only_through_lookups():
+    # a direct call would compute the value again outside the request memo
+    behind_lookups = {
+        "solve_singular_modulus",
+        "nome",
+        "eta_f",
+        "rrcf_converged",
+        "g_invariant",
+        "a_via_eta",
+    }
+    named = [
+        (node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for node in ast.walk(_tree("quintic_moduli.certify"))
+        if (isinstance(node, ast.Name) and node.id in behind_lookups)
+        or (isinstance(node, ast.Attribute) and node.attr in behind_lookups)
+    ]
+    assert not named, "certify names %s" % named
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from mpmath import mpf, workprec
 import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.certify as certify
 import quintic_moduli.modular_core as mc
+import quintic_moduli.quintic_ladder as ql
 from quintic_moduli import (
     DEFAULT_CONTEXT,
     REGISTRY,
@@ -158,6 +159,15 @@ class TestRequestMemo:
         assert run_suite(5, 1).all_pass
         points = ((5, 1), (20, 1), (125, 1), (500, 1), (1, 5))
         assert sorted(etas) == sorted((nome(n, d),) for n, d in points)
+
+    def test_full_suite_computes_three_invariants_and_three_eta_quotients(self, monkeypatch):
+        # g at r/25, r and 25r (eq26, eq29, eq30, eq31, eq34); a at r (eq5,
+        # eq13, eq24), r/25 (eq24) and 4r (eq29)
+        gs = self._record(monkeypatch, ql, "g_invariant")
+        quotients = self._record(monkeypatch, mc, "a_via_eta")
+        assert run_suite(5, 1).all_pass
+        assert sorted(gs) == [(1, 5), (5, 1), (125, 1)]
+        assert sorted(quotients) == [(1, 5), (5, 1), (20, 1)]
 
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
     def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):

@@ -209,6 +209,20 @@ class TestLadder:
         assert payload["ladder"]["certified"] is True
         assert len(payload["ladder"]["levels"]) == n
 
+    @pytest.mark.parametrize(
+        "flags", [["--prec", "256", "--tol-exp", "55"], ["--prec", "512"],
+                  ["--prec", "1024"], ["--prec", "4096"]]
+    )
+    def test_ladder_through_r1_certifies(self, capsys, flags):
+        # level 1 is r = 1, where k = k' and the product k k' is 1/2
+        code, payload, err = run_json(
+            capsys, "ladder", "--r0", "1/25", "--n", "2", "--json", *flags
+        )
+        assert code == 0, err
+        lad = payload["ladder"]
+        assert lad["certified"] is True
+        assert [lv["r"] for lv in lad["levels"]] == [{"num": 1, "den": 1}, {"num": 25, "den": 1}]
+
     def test_two_rungs_text(self, capsys):
         code, out, _ = run_cli(capsys, "ladder", "--r0", "5", "--n", "2")
         assert code == 0
