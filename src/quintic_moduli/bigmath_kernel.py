@@ -16,8 +16,8 @@ Quantities handled here:
     f(-q)            Euler-type product prod_{n>=1} (1 - q^n), summed as
                      Euler's pentagonal series
 
-The solver evaluates k_r in closed form as a theta quotient and certifies it
-through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
+The solver evaluates k_r in closed form as a theta quotient, summed on
+integers, and certifies it through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
 
     K(k)  = pi / (2 agm(1, k')),     K(k') = pi / (2 agm(1, k)),
 
@@ -324,6 +324,39 @@ def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return _memoised("nome", _exp_nome, r_num, r_den, ctx)
 
 
+#: fractional bits the theta sums carry beyond work_bits
+_THETA_INT_BITS = 32
+
+
+def _theta_quotient(q: mpf, ctx: PrecisionContext) -> mpf:
+    """(theta2(q)/theta3(q))^2 at the ambient working precision, for
+    0 < q <= e^-pi, as
+
+        4 sqrt(q) (S2 / (1 + 2 S3))^2,   S2 = sum_{n>=0} q^(n(n+1)),
+                                         S3 = sum_{n>=1} q^(n^2).
+
+    Both sums run in one pass on integers with work_bits + _THETA_INT_BITS
+    fractional bits, their terms alternating along the exponents
+    0, 1, 2, 4, 6, 9, 12, ...: each is the last times the running power q^n.
+    S2 and 1 + 2 S3 lie in [1, 1.1), so the fixed point keeps their
+    relative precision.  sqrt(q), which can lie far below 2^-work_bits
+    (q = e^(-1000 pi) at r = 10^6), stays in mpf.
+    """
+    frac = ctx.work_bits + _THETA_INT_BITS
+    one = 1 << frac
+    qi = _scaled_int(q, -frac)
+    s2, s3 = 0, 0
+    term, qn = one, one  # q^(n(n+1)) and q^n, from n = 0
+    while term:
+        s2 += term
+        qn = qn * qi >> frac
+        term = term * qn >> frac  # q^((n+1)^2)
+        s3 += term
+        term = term * qn >> frac  # q^((n+1)(n+2))
+    ratio = (s2 << frac) // (one + 2 * s3)
+    return mp.sqrt(q) * mpf((ratio * ratio, 2 - 2 * frac))
+
+
 @dataclass(frozen=True)
 class SingularModulusRecord:
     """A certified singular-modulus solve at exact rational r."""
@@ -342,7 +375,9 @@ def solve_singular_modulus(
     """Evaluate k_r at exact rational r and certify its K-ratio residual.
 
     Evaluation is the theta quotient k = (theta2(q)/theta3(q))^2 at the nome
-    q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi.  That gives the
+    q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi, as
+    4 sqrt(q) (S2/(1 + 2 S3))^2 with both theta series summed in one
+    integer pass (_theta_quotient).  That gives the
     modulus nearer 0; its complement comes from the cancellation-free
     sqrt((1-k)(1+k)).  For r < 1 the pair is swapped (k_r = k'_(1/r)), so
     the small modulus of either orientation keeps its relative precision.
@@ -366,7 +401,7 @@ def solve_singular_modulus(
         q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
         # the theta quotient runs at the nome of max(r, 1/r)
         q = _nome(r_den, r_num, ctx) if reflect else q_r
-        small = _round_to(ctx, (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2)
+        small = _round_to(ctx, _theta_quotient(q, ctx))
         big = _round_to(ctx, _complement_raw(small))
         k, k_comp = (big, small) if reflect else (small, big)
 

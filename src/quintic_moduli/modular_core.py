@@ -289,6 +289,9 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     (t - 1)(t^4 + t^3 + 6t^2 + 6t + 11) = a and
 
         -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
+
+    The quartic in t and the nine-term denominator are evaluated by
+    Horner's rule, the latter as E (1 + E (-1 + E (2 + ... + E (1 + E)))).
     """
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
@@ -296,10 +299,9 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             raise DomainError("descend_a requires a > -11, got %s" % av)
         E = _fifth_root_radical(av)
         t = E - 1 / E
-        num = (E * av / (t ** 4 + t ** 3 + 6 * t ** 2 + 6 * t + 11)) ** 5
-        den = (
-            E - E ** 2 + 2 * E ** 3 - 3 * E ** 4 + 5 * E ** 5
-            + 3 * E ** 6 + 2 * E ** 7 + E ** 8 + E ** 9
-        )
+        num = (E * av / ((((t + 1) * t + 6) * t + 6) * t + 11)) ** 5
+        den = E
+        for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
+            den = (den + coeff) * E
         return _round_to(ctx, num / den)
 

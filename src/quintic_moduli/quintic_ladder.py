@@ -6,7 +6,10 @@ Everything here revolves around three maps of one positive real variable:
     u_map(x)    the positive Y solving
                    x^2/(sqrt5 Y) - sqrt5 Y/x^2 = (Y^3 - 1/Y^3)/sqrt5,
                 i.e. Y = sqrt(z) for the unique positive root z of the cubic
-                   x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0
+                   x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0,
+                solved as z = x w with c w^3 + 5 w^2 - c w - 1 = 0,
+                c = x^3, whose root lies in (1/sqrt5, 1) for every x > 0,
+                by Newton on integers from a float seed
     p_map(x)    u_map( descend_a( u_star(x)^6 ) ^ (1/6) )
 
 p_map advances the twelfth-root ratio of consecutive modulus products one
@@ -16,8 +19,9 @@ rung up the ladder: writing s(r) = k_r k'_r,
 
 and the new modulus is recovered from s(25r) by the stable quadratic branch
 k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)), or at r = 1, where that branch has a
-double root, as k = k' = sqrt(s).  Each rung is certified, relative to
-its size, against a fresh independent solve of the defining K-ratio
+double root, as k = k' = sqrt(s).  Near r = 1 the branch amplifies the
+rounding of s by 1/|1 - 2k^2|, and a radicand 1 - 4 s^2 that rounds
+below zero is taken as zero.  Each rung is certified, relative to its size, against a fresh independent solve of the defining K-ratio
 equation; nothing is trusted on the say-so of the radicals alone.
 """
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -39,6 +43,7 @@ from .bigmath_kernel import (
     _complement_raw,
     _memoised,
     _round_to,
+    _scaled_int,
     _solved,
     _summed,
     solve_singular_modulus,
@@ -114,88 +119,101 @@ def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEX
 #: nudged up by 2^-_SEED_BITS, and Newton doubles from there
 _SEED_BITS = 48
 
-
-def _cubic(z, x2, x4):
-    """p(z) = x^2 z^3 + 5 z^2 - x^4 z - x^2 by Horner's rule, for floats and
-    mpfs alike."""
-    return ((x2 * z + 5) * z - x4) * z - x2
+#: fractional bits of u_map's integer Newton beyond work_bits
+_U_INT_BITS = 32
 
 
-def _newton_step(z, x2, x4):
-    return z - _cubic(z, x2, x4) / ((3 * x2 * z + 10) * z - x4)
-
-
-def _newton_descent(z, x2, x4):
-    """Newton on p from z until rounding ends the descent."""
+def _float_seed(c: float) -> float:
+    """The root of P(w) = c w^3 + 5 w^2 - c w - 1 in (1/sqrt5, 1) by Newton
+    in floats from w = 1, where P = 4, until rounding ends the descent;
+    nudged up by 2^-_SEED_BITS.  c is x^3 as a float: 0 where that
+    underflows, and clamped to 1e300, past which the root rounds to 1."""
+    c = min(c, 1e300)
+    w = 1.0
     for _ in range(_MAX_ITER):
-        z_next = _newton_step(z, x2, x4)
-        if not z_next < z:
+        w_next = w - (((c * w + 5) * w - c) * w - 1) / ((3 * c * w + 10) * w - c)
+        if not w_next < w:
             break
-        z = z_next
-    return z
+        w = w_next
+    return w * (1 + 2.0 ** -_SEED_BITS)
 
 
-def _float_seed(xv: mpf, x2: mpf, x4: mpf) -> Optional[mpf]:
-    """p's positive root by Newton in floats from z = x, nudged up by
-    2^-_SEED_BITS, if p >= 0 there at the ambient precision; None if not,
-    or where x^4 or x^2 z^3 could leave the float range."""
-    x = float(xv)
-    if not 1e-50 < x < 1e50:
-        return None
-    seed = mpf(_newton_descent(x, x * x, x ** 4) * (1 + 2.0 ** -_SEED_BITS))
-    return seed if _cubic(seed, x2, x4) >= 0 else None
+def _newton_int(w: int, c: int, bits: int) -> Tuple[int, int]:
+    """(P, the Newton step from w) on integers with `bits` fractional bits,
+    for P(w) = c w^3 + 5 w^2 - c w - 1 and P'(w) by Horner's rule.
+
+    c is capped at 2^(bits+8): past it the root, 1 - 2/c + O(c^-2), is 1
+    to within 2^-(bits+7) either way."""
+    c = min(c, 1 << 2 * bits + 8)
+    one = 1 << bits
+    cw = c * w >> bits
+    p = ((((cw + 5 * one) * w >> bits) - c) * w >> bits) - one
+    dp = ((3 * cw + 10 * one) * w >> bits) - c
+    return p, w - (p << bits) // dp
 
 
-def _doubling_precisions(work_bits: int) -> List[int]:
-    """_SEED_BITS < b_1 < ... < b_n = work_bits, each about twice the last."""
+def _doubling_precisions(bits: int) -> List[int]:
+    """_SEED_BITS < b_1 < ... < b_n = bits, each about twice the last."""
     precs = []
-    while work_bits > _SEED_BITS:
-        precs.append(work_bits)
-        work_bits = (work_bits + 1) // 2
+    while bits > _SEED_BITS:
+        precs.append(bits)
+        bits = (bits + 1) // 2
     return precs[::-1]
 
 
 def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
-    The cleared form of the relation is the cubic
+    The cleared form of the relation is the cubic in z = Y^2
 
-        p(z) = x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0      (z = Y^2);
+        x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0,
 
-    its three roots multiply to +1 and sum to -5/x^2, so exactly one is
-    positive.  Since p(0) = -x^2 < 0 and p'' > 0 on z > 0, Newton started
-    at any z > 0 with p(z) >= 0 falls monotonically onto that root.  The
-    start is a float Newton solve nudged a few ulps upward, used only if
-    p >= 0 there at working precision; from it, one Newton step per
-    precision doubling, from the seed's 48 bits up to work_bits, brings z
-    onto the root.  Where the seed fails that check, or x lies outside
-    the float range (1e-50, 1e50), the start is z = x, where
-    p(x) = 4x^2 > 0.  Either way the full-precision descent then runs
-    until rounding ends it.  The defining relation's residual
-    at the returned Y must certify against the largest of its four terms
-    (PrecisionContext.certifies), or a BranchError is raised carrying all
-    three candidate roots.
+    whose roots multiply to +1 and sum to -5/x^2, so exactly one is
+    positive.  It is solved in the scaled variable w = z/x, where it reads
+
+        P(w) = c w^3 + 5 w^2 - c w - 1 = 0,      c = x^3.
+
+    P(1/sqrt5) = -4c/(5 sqrt5) < 0 < P(1) = 4, so the root lies in
+    (1/sqrt5, 1) for every x > 0, and since P'' > 0 on w > 0, Newton
+    started at any w > 0 with P(w) >= 0 falls monotonically onto it.  The
+    start is a float Newton solve nudged a few ulps upward (_float_seed),
+    used only if P >= 0 there, otherwise w = 1.  Newton runs on integers
+    with work_bits + 32 fractional bits, on c = x^3 truncated there: from
+    the seed, one step per precision doubling from its 48 bits, then
+    steps until rounding ends the descent.  Y = sqrt(x w).  The defining
+    relation's residual at the returned Y must certify against the largest
+    of its four terms (PrecisionContext.certifies), or a BranchError is
+    raised carrying all three candidate roots.
     """
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv <= 0:
             raise DomainError("u_map requires x > 0, got %s" % xv)
 
-        x2, x4 = xv ** 2, xv ** 4
-        z = _float_seed(xv, x2, x4)
-        if z is None:
-            z = xv
+        frac = ctx.work_bits + _U_INT_BITS
+        _, man, exp, _ = xv._mpf_  # x = man 2^exp, so c 2^frac is exact
+        shift = 3 * exp + frac
+        c = man ** 3 << shift if shift >= 0 else man ** 3 >> -shift
+        xf = float(xv)
+        w = _scaled_int(mpf(_float_seed(xf * xf * xf)), -frac)
+        if _newton_int(w, c, frac)[0] >= 0:
+            for bits in _doubling_precisions(frac):
+                drop = frac - bits
+                w = _newton_int(w >> drop, c >> drop, bits)[1] << drop
         else:
-            for bits in _doubling_precisions(ctx.work_bits):
-                with workprec(bits):
-                    z = _newton_step(z, x2, x4)
-        z = _newton_descent(z, x2, x4)
+            w = 1 << frac
+        for _ in range(_MAX_ITER):
+            w_next = _newton_int(w, c, frac)[1]
+            if not w_next < w:
+                break
+            w = w_next
 
+        z = xv * mpf((w, -frac))
         y = mp.sqrt(z)
         res, scale = _u_relation(xv, y)
         if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
-            s, prod = -5 / x2 - z, 1 / z
+            s, prod = -5 / xv ** 2 - z, 1 / z
             disc = s ** 2 - 4 * prod
             others = (
                 [(s + mp.sqrt(disc)) / 2, (s - mp.sqrt(disc)) / 2]
@@ -264,6 +282,14 @@ def _g_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return _memoised("g", g_invariant, r_num, r_den, ctx)
 
 
+def _k_branch(pv: mpf) -> mpf:
+    """k from p = k k' > 0 on the cancellation-free branch
+    k^2 = 2p^2/(1 + sqrt(1 - 4p^2)), at the ambient precision; a radicand
+    below zero, p > 1/2, is taken as zero."""
+    rad = 1 - 4 * pv ** 2
+    return mp.sqrt(2 * pv ** 2 / (1 + mp.sqrt(max(rad, 0))))
+
+
 def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Recover k in (0, 1/sqrt2] from the product p = k k'.
 
@@ -276,12 +302,9 @@ def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         pv = to_big(p, ctx)
         if not pv > 0:
             raise DomainError("k k' must lie in (0, 1/2], got %s" % pv)
-        rad = 1 - 4 * pv ** 2
-        if rad < 0:
-            if rad < -(mpf(2) ** (-ctx.precision_bits)):
-                raise DomainError("product %s exceeds the maximum 1/2" % mp.nstr(pv, 12))
-            rad = mpf(0)
-        return _round_to(ctx, mp.sqrt(2 * pv ** 2 / (1 + mp.sqrt(rad))))
+        if 1 - 4 * pv ** 2 < -(mpf(2) ** (-ctx.precision_bits)):
+            raise DomainError("product %s exceeds the maximum 1/2" % mp.nstr(pv, 12))
+        return _round_to(ctx, _k_branch(pv))
 
 
 def _check_start(r0_num: int, r0_den: int, n: int) -> Fraction:
@@ -327,6 +350,10 @@ def ladder(
     read: below r = 1 the ascent's positivity conventions flip; use the
     reciprocal symmetry k(1/r) = k'(r) and climb from the reflected point
     instead.  Levels only grow from there, so no later one can drop below 1.
+    At a level just above r = 1, where k k' is within rounding of 1/2, a
+    radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, so
+    that level certifies or raises CertificationError naming the
+    amplification 1/|1 - 2k^2|, never DomainError.
     """
     fr0 = _check_start(r0_num, r0_den, n)
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
@@ -345,7 +372,7 @@ def ladder(
             x = mp.root(prev / prev2, 12)
             pv = p_map(x, ctx)
             cur = prev * pv ** 12
-            k_j = _round_to(ctx, mp.sqrt(cur)) if rj == 1 else k_from_kkprime(cur, ctx)
+            k_j = _round_to(ctx, mp.sqrt(cur) if rj == 1 else _k_branch(cur))
 
             oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
             resid = abs(k_j - oracle.k)
@@ -362,8 +389,10 @@ def ladder(
             if not ctx.certifies(resid, oracle.k * 10 ** GATE_SLACK_DIGITS):
                 raise CertificationError(
                     "ladder level %d (r = %s) missed the oracle by %s "
-                    "(relative %s; relative gate 10^-%d)"
-                    % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp),
+                    "(relative %s; relative gate 10^-%d; k from k k' "
+                    "amplifies errors by 1/|1 - 2k^2| = %s)"
+                    % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp,
+                       mp.nstr(1 / abs(1 - 2 * oracle.k ** 2), 3)),
                     payload=LadderTrace(gate_exp, tuple(steps)),
                 )
             prev2, prev = prev, cur

@@ -2,11 +2,11 @@
 
 The independent gate is the radical builders (printed closed forms
 evaluated live at whatever precision a test needs), the quadrature value
-of K, the frozen backward-recurrence continued fraction, and the four live
-oracles at the bottom: the K-ratio through mpmath's ``ellipk``, the Euler
-product for f(-q), the continued fraction by backward recurrence in mpf,
-and the cubic formula for u_map.  None of them shares code with the
-library.
+of K, the frozen backward-recurrence continued fraction, and the five live
+oracles at the bottom: the K-ratio through mpmath's ``ellipk``, the theta
+quotient through mpmath's ``jtheta``, the Euler product for f(-q), the
+continued fraction by backward recurrence in mpf, and the cubic formula
+for u_map.  None of them shares code with the library.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -16,7 +16,7 @@ own; the radical builders do.
 
 import math
 
-from mpmath import ellipk, mp, mpc, mpf, sqrt, workprec
+from mpmath import ellipk, jtheta, mp, mpc, mpf, sqrt, workprec
 
 #: a certifiable tol_exp for each precision the tests sweep
 TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
@@ -110,6 +110,15 @@ def k_ratio_ellipk(k, k_comp, bits):
         m = mpf(small) ** 2
         K_small, K_big = ellipk(m), ellipk(1 - m)
         return K_big / K_small if small == k else K_small / K_big
+
+
+def theta_quotient(q, bits):
+    """(theta2(q)/theta3(q))^2 through mpmath's ``jtheta`` at ``bits``, the
+    modulus whose nome is q.  The library sums the two theta series itself
+    on integers; no module of it calls ``jtheta``."""
+    with workprec(bits):
+        q = mpf(q)
+        return (jtheta(2, 0, q) / jtheta(3, 0, q)) ** 2
 
 
 def eta_product(q, bits):

@@ -1,11 +1,13 @@
 """The public surface stays in step with the code: every exported name
 resolves, every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
-listed, the math layers stay below the registry, and the tolerance is read
-by the one pass rule alone."""
+listed, the math layers stay below the registry, the tolerance is read by
+the one pass rule alone, and mpmath's theta functions stay out of the
+library."""
 
 import ast
 import dataclasses
+import glob
 import importlib
 import inspect
 import os
@@ -13,6 +15,7 @@ import re
 
 import pytest
 
+import quintic_moduli
 from quintic_moduli import DEFAULT_CONTEXT, PrecisionContext, cli
 from quintic_moduli.certify import REGISTRY
 
@@ -139,6 +142,24 @@ def test_tolerance_is_read_only_inside_precision_context(name):
         and id(node) not in inside
     ]
     assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
+
+
+def test_no_module_calls_jtheta():
+    # the solver sums its theta quotient itself; mpmath's jtheta is the
+    # independent oracle the tests and the benchmark check it against
+    package_dir = os.path.dirname(quintic_moduli.__file__)
+    named = []
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        named += [
+            (os.path.basename(path), node.lineno)
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "jtheta")
+            or (isinstance(node, ast.Attribute) and node.attr == "jtheta")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "jtheta" for a in node.names))
+        ]
+    assert not named, "jtheta named at %s" % named
 
 
 def test_only_the_lookups_call_memoised():

@@ -288,6 +288,24 @@ class TestSolver:
             assert abs(rec.k - ov.k5_radical()) < mpf(10) ** -55
 
 
+class TestThetaQuotient:
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("r", ["1", "7/3", "10", "1000", "12962", "1000000"])
+    def test_matches_jtheta(self, r, bits):
+        # the solver's one integer pass over the powers of q against
+        # mpmath's theta functions, at the nome the solver evaluates
+        ctx = _ctx_at(bits)
+        r = Fraction(r)
+        with workprec(ctx.work_bits):
+            q = bk._exp_nome(r.numerator, r.denominator, ctx)
+            got = bk._theta_quotient(q, ctx)
+        ref = ov.theta_quotient(q, ctx.work_bits)
+        assert bk._round_to(ctx, got) == bk._round_to(ctx, ref)
+        # and a few ulps apart at working precision, where each side rounds
+        with workprec(ctx.work_bits + 64):
+            assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
+
+
 class TestKRoundsToOne:
     """Below some r the reflected k = sqrt(1 - k'^2) is the correctly
     rounded 1 at the output precision.  As in the mirror case for large r,

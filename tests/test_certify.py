@@ -11,6 +11,7 @@ import quintic_moduli.certify as certify
 import quintic_moduli.modular_core as mc
 import quintic_moduli.quintic_ladder as ql
 from quintic_moduli import (
+    CertificationError,
     DEFAULT_CONTEXT,
     REGISTRY,
     IdentityReport,
@@ -334,6 +335,46 @@ class TestSuiteDomain:
         report = run_suite(r.numerator, r.denominator, ctx=ctx)
         assert [e.id for e in report.entries] == list(REGISTRY)
         assert report.all_pass, [e.id for e in report.entries if not e.passed]
+
+
+class TestLadderDomain:
+    """Ladders from r0 = 1/25 to 1600, each climbing every rung up to
+    r = 10^6, at 256 to 4096 bits: every rung certifies.  Starts with
+    25 r0 just above 1 lose digits at level 1 and may miss its gate, but as
+    a certification failure, never as a refused domain."""
+
+    @staticmethod
+    def _climb(r0, n, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        k = bk.solve_singular_modulus(r0.numerator, r0.denominator, ctx).k
+        k25 = bk.solve_singular_modulus(r0.numerator, 25 * r0.denominator, ctx).k
+        return ql.ladder(r0.numerator, r0.denominator, k, k25, n, ctx)
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("r0", ["1/25", "2/49", "1/7", "1", "7/3", "50", "1600"])
+    def test_every_rung_certifies(self, r0, bits):
+        r0 = Fraction(r0)
+        n = max(j for j in range(1, 8) if r0 * 25 ** j <= 10 ** 6)
+        trace = self._climb(r0, n, bits)
+        assert [s.r for s in trace.steps] == [r0 * 25 ** j for j in range(1, n + 1)]
+
+    @pytest.mark.parametrize(
+        "eps_exp, bits, certifies",
+        [(6, 256, True), (20, 512, True), (50, 256, False), (50, 512, False),
+         (50, 1024, True), (50, 4096, True), (200, 1024, False)],
+    )
+    def test_start_just_above_one(self, eps_exp, bits, certifies):
+        # 25 r0 = 1 + 10^-eps_exp: level 1 recovers k from k k' = 1/2 - O(eps^2),
+        # which amplifies the product's rounding by 1/|1 - 2k^2|; a radicand
+        # 1 - 4 (k k')^2 that rounds below zero is taken as zero, and the
+        # oracle gate decides
+        r0 = Fraction(10 ** eps_exp + 1, 25 * 10 ** eps_exp)
+        if certifies:
+            assert len(self._climb(r0, 2, bits).steps) == 2
+        else:
+            with pytest.raises(CertificationError, match=r"1/\|1 - 2k\^2\| = ") as ei:
+                self._climb(r0, 2, bits)
+            assert [s.level for s in ei.value.payload.steps] == [1]
 
 
 class TestResidualsShrinkWithPrecision:

@@ -223,6 +223,19 @@ class TestLadder:
         assert lad["certified"] is True
         assert [lv["r"] for lv in lad["levels"]] == [{"num": 1, "den": 1}, {"num": 25, "den": 1}]
 
+    def test_start_just_above_one_is_a_certification_failure(self, capsys):
+        # 25 r0 = 1 + 10^-200: at 1024 bits the product k k' at level 1
+        # rounds above 1/2; the branch's radicand is taken as zero, and the
+        # level misses its oracle (exit 4) instead of being refused as a
+        # usage error (exit 2)
+        r0 = "%d/%d" % (10 ** 200 + 1, 25 * 10 ** 200)
+        code, out, err = run_cli(
+            capsys, "ladder", "--r0", r0, "--n", "1", "--prec", "1024", "--tol-exp", "240"
+        )
+        assert code == 4, err
+        assert "1/|1 - 2k^2| = " in out
+        assert "level 1" in out
+
     def test_two_rungs_text(self, capsys):
         code, out, _ = run_cli(capsys, "ladder", "--r0", "5", "--n", "2")
         assert code == 0

@@ -316,6 +316,18 @@ class TestDescendA:
         with workprec(2048):
             assert abs(got - ref) <= abs(ref) * mpf(2) ** (8 - 512), a
 
+    @pytest.mark.parametrize("a", ["1", "7", "1e6", "1e40"])
+    def test_printed_form_at_large_a(self, a):
+        # away from a = 0 the printed form does not cancel, so at 4096 bits
+        # it checks the Horner evaluation of the quartic and the
+        # denominator as written
+        ctx = PrecisionContext(precision_bits=4096, tol_exp=ov.TOL_EXP[4096])
+        av = to_big(a, ctx)
+        ref = ov.descend_a_printed(av, ctx.work_bits + 64)
+        got = descend_a(av, ctx)
+        with workprec(ctx.work_bits + 64):
+            assert abs(got - ref) <= abs(ref) * mpf(2) ** (8 - 4096), a
+
     def test_domain(self):
         with pytest.raises(DomainError):
             descend_a(-11)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from mpmath import mp, mpf, sqrt, workprec
 
@@ -101,20 +103,21 @@ class TestUMap:
 
     @pytest.mark.parametrize("bits", [512, 4096])
     @pytest.mark.parametrize(
-        "x, seeded",
+        "x, cube_is_float",
         [("0.7", True), ("1", True), ("1.9", True), ("1e-30", True),
          ("1e-200", False), ("1e200", False)],
     )
-    def test_both_starts(self, x, seeded, bits):
-        # the float seed where it passes p(seed) >= 0, and z = x where x
-        # leaves the float range; either way the root certifies and matches
-        # the cubic formula
+    def test_both_starts(self, x, cube_is_float, bits):
+        # the float seed solves the scaled cubic c w^3 + 5w^2 - c w - 1 with
+        # c = x^3 where that is a float, and its limit (root 1/sqrt5 or 1)
+        # where c underflows or overflows; either way the root certifies and
+        # matches the cubic formula
+        xf = float(x)
+        assert (0 < xf * xf * xf < math.inf) == cube_is_float
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
-        with workprec(ctx.work_bits):
-            xv = to_big(x, ctx)
-            assert (ql._float_seed(xv, xv ** 2, xv ** 4) is not None) == seeded
         y = u_map(x, ctx)
         with workprec(ctx.work_bits):
+            xv = to_big(x, ctx)
             assert ctx.certifies(*ql._u_relation(xv, y))
             extra = int(3 * abs(mp.log(xv, 2)))
             ref = ov.u_radical(x, bits + extra + 64).real
