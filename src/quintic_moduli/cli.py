@@ -7,15 +7,17 @@
 
 Global flags: --prec BITS, --tol-exp E, --digits D, --json.
 Every modulus is solved once per request; a solve is a theta quotient plus
-two AGMs.  The argument parser is built once per process, on first use, so
+two AGMs.  `ladder` parses its two seed overrides and hands them to
+quintic_ladder.ladder, which checks the start and solves any seed not
+given.  The argument parser is built once per process, on first use, so
 repeated in-process main() calls pay only for parsing.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
 crosses as a decimal string with full round-trip digits, so --digits only
 affects the human-readable text mode.  One encoder, _jsonable, writes every
-document: a result record goes in as its fields in declaration order, which
-is the schema's property order.
+document: a result record goes in as its fields in declaration order, and
+the schema takes each record's property list from those same fields.
 """
 
 from __future__ import annotations
@@ -36,124 +38,87 @@ from .bigmath_kernel import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
+    SingularModulusRecord,
     _round_to,
     nome,
     solve_singular_modulus,
 )
-from .certify import REGISTRY, UsageError, run_suite
+from .certify import REGISTRY, IdentityEntry, UsageError, run_suite
 from .modular_core import a_value, closed_form_R, rrcf_converged
-from .quintic_ladder import BranchError, LadderTrace, _check_start, ladder
+from .quintic_ladder import BranchError, LadderStep, LadderTrace, ladder
 from .report import big_to_str, str_to_big
 
 __all__ = ["main", "JSON_SCHEMA"]
 
 
 _DECIMAL = {"type": "string", "pattern": "^-?\\d+(\\.\\d+)?(e[+-]?\\d+)?$"}
-_RATIONAL = {
-    "type": "object",
-    "required": ["num", "den"],
-    "additionalProperties": False,
-    "properties": {
-        "num": {"type": "integer", "minimum": 1},
-        "den": {"type": "integer", "minimum": 1},
-    },
-}
+
+
+def _object(props: dict, optional=()) -> dict:
+    """A closed JSON object schema whose properties are all required but
+    those listed in ``optional``."""
+    return {
+        "type": "object",
+        "required": [name for name in props if name not in optional],
+        "additionalProperties": False,
+        "properties": props,
+    }
+
+
+def _fields(record, **explicit) -> dict:
+    """The record's fields in declaration order, each a decimal string
+    unless given explicitly."""
+    return {f.name: explicit.get(f.name, _DECIMAL) for f in dataclasses.fields(record)}
+
+
+_RATIONAL = _object({
+    "num": {"type": "integer", "minimum": 1},
+    "den": {"type": "integer", "minimum": 1},
+})
 
 #: published schema for --json output (draft 2020-12)
 JSON_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["command", "r", "precision_bits", "tol_exp"],
-    "additionalProperties": False,
-    "properties": {
+    **_object({
         "command": {"enum": ["kr", "ladder", "rrcf", "verify"]},
         "r": _RATIONAL,
         "precision_bits": {"type": "integer", "minimum": 64},
         "tol_exp": {"type": "integer", "minimum": 1},
-        "modulus": {
-            "type": "object",
-            "required": ["k", "k_comp", "q", "K_k", "K_kcomp", "residual"],
-            "additionalProperties": False,
-            "properties": {
-                "k": _DECIMAL,
-                "k_comp": _DECIMAL,
-                "q": _DECIMAL,
-                "K_k": _DECIMAL,
-                "K_kcomp": _DECIMAL,
-                "residual": _DECIMAL,
+        "modulus": _object(_fields(SingularModulusRecord)),
+        "ladder": _object({
+            "n": {"type": "integer", "minimum": 1},
+            "gate_exp": {"type": "integer"},
+            "seed_k": _DECIMAL,
+            "seed_k25": _DECIMAL,
+            "certified": {"type": "boolean"},
+            "levels": {
+                "type": "array",
+                "items": _object(_fields(
+                    LadderStep, level={"type": "integer", "minimum": 1}, r=_RATIONAL
+                )),
             },
-        },
-        "ladder": {
-            "type": "object",
-            "required": ["n", "gate_exp", "seed_k", "seed_k25", "certified", "levels"],
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "gate_exp": {"type": "integer"},
-                "seed_k": _DECIMAL,
-                "seed_k25": _DECIMAL,
-                "certified": {"type": "boolean"},
-                "levels": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": [
-                            "level", "r", "x", "p_value",
-                            "kkprime", "k", "oracle_residual",
-                        ],
-                        "additionalProperties": False,
-                        "properties": {
-                            "level": {"type": "integer", "minimum": 1},
-                            "r": _RATIONAL,
-                            "x": _DECIMAL,
-                            "p_value": _DECIMAL,
-                            "kkprime": _DECIMAL,
-                            "k": _DECIMAL,
-                            "oracle_residual": _DECIMAL,
-                        },
-                    },
-                },
+        }),
+        "rrcf": _object({
+            "closed": _DECIMAL,
+            "truncated": _DECIMAL,
+            "depth": {"type": "integer", "minimum": 1},
+            "difference": _DECIMAL,
+            "a": _DECIMAL,
+        }),
+        "report": _object({
+            "all_pass": {"type": "boolean"},
+            "entries": {
+                "type": "array",
+                "items": _object(_fields(
+                    IdentityEntry,
+                    id={"enum": list(REGISTRY)},
+                    passed={"type": "boolean"},
+                    elapsed_ms={"type": "integer", "minimum": 0},
+                    detail={"type": "object", "additionalProperties": {"type": "string"}},
+                ), optional=("detail",)),
             },
-        },
-        "rrcf": {
-            "type": "object",
-            "required": ["closed", "truncated", "depth", "difference", "a"],
-            "additionalProperties": False,
-            "properties": {
-                "closed": _DECIMAL,
-                "truncated": _DECIMAL,
-                "depth": {"type": "integer", "minimum": 1},
-                "difference": _DECIMAL,
-                "a": _DECIMAL,
-            },
-        },
-        "report": {
-            "type": "object",
-            "required": ["all_pass", "entries"],
-            "additionalProperties": False,
-            "properties": {
-                "all_pass": {"type": "boolean"},
-                "entries": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["id", "residual", "passed", "elapsed_ms"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "id": {"enum": list(REGISTRY)},
-                            "residual": _DECIMAL,
-                            "passed": {"type": "boolean"},
-                            "elapsed_ms": {"type": "integer", "minimum": 0},
-                            "detail": {
-                                "type": "object",
-                                "additionalProperties": {"type": "string"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
+        }),
+    }, optional=("modulus", "ladder", "rrcf", "report")),
 }
 
 
@@ -245,19 +210,14 @@ def _render_trace_text(trace: LadderTrace, digits: int) -> None:
 
 
 def cmd_ladder(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r0.numerator, args.r0.denominator
-    _check_start(rn, rd, args.n)
-    if args.seed_k is not None:
-        k_hi = str_to_big(args.seed_k, ctx.precision_bits)
-    else:
-        k_hi = solve_singular_modulus(rn, rd, ctx).k
-    if args.seed_k25 is not None:
-        k_lo = str_to_big(args.seed_k25, ctx.precision_bits)
-    else:
-        k_lo = solve_singular_modulus(rn, 25 * rd, ctx).k
+    def seed(s: Optional[str]) -> Optional[mpf]:
+        return None if s is None else str_to_big(s, ctx.precision_bits)
 
     try:
-        trace = ladder(rn, rd, k_hi, k_lo, args.n, ctx)
+        trace = ladder(
+            args.r0.numerator, args.r0.denominator, args.n, ctx,
+            k_r0=seed(args.seed_k), k_r0_over25=seed(args.seed_k25),
+        )
     except CertificationError as exc:
         print("certification failure: %s" % exc)
         if isinstance(exc.payload, LadderTrace):
@@ -268,8 +228,8 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         _emit_json("ladder", args.r0, ctx, "ladder", {
             "n": args.n,
             "gate_exp": trace.gate_exp,
-            "seed_k": k_hi,
-            "seed_k25": k_lo,
+            "seed_k": trace.seed_k,
+            "seed_k25": trace.seed_k25,
             "certified": True,
             "levels": trace.steps,
         })
@@ -283,8 +243,8 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
             "command: ladder   r0 = %s   n = %d   precision_bits = %d"
             % (args.r0, args.n, ctx.precision_bits)
         )
-        print("seed k(r0)    = %s" % mp.nstr(k_hi, args.digits))
-        print("seed k(r0/25) = %s" % mp.nstr(k_lo, args.digits))
+        print("seed k(r0)    = %s" % mp.nstr(trace.seed_k, args.digits))
+        print("seed k(r0/25) = %s" % mp.nstr(trace.seed_k25, args.digits))
         _render_trace_text(trace, args.digits)
         print(
             "all %d levels certified (relative gate 10^-%d)"

@@ -21,15 +21,19 @@ and the new modulus is recovered from s(25r) by the stable quadratic branch
 k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)), or at r = 1, where that branch has a
 double root, as k = k' = sqrt(s).  Near r = 1 the branch amplifies the
 rounding of s by 1/|1 - 2k^2|, and a radicand 1 - 4 s^2 that rounds
-below zero is taken as zero.  Each rung is certified, relative to its size, against a fresh independent solve of the defining K-ratio
-equation; nothing is trusted on the say-so of the radicals alone.
+below zero is taken as zero.  Each rung is certified, relative to its
+size, against a fresh independent solve of the defining K-ratio equation;
+nothing is trusted on the say-so of the radicals alone.
+
+ladder climbs from r0 alone: it checks the start and solves the two seeds,
+k at r0 and at r0/25, unless a caller passes either k in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -46,6 +50,7 @@ from .bigmath_kernel import (
     _scaled_int,
     _solved,
     _summed,
+    _validate_rational,
     solve_singular_modulus,
     to_big,
 )
@@ -93,6 +98,8 @@ class LadderStep:
 @dataclass(frozen=True)
 class LadderTrace:
     gate_exp: int  # each rung's k certifies to a relative 10^-gate_exp
+    seed_k: mpf    # the seed k at r0 the climb used, given or solved
+    seed_k25: mpf  # the seed k at r0/25
     steps: Tuple[LadderStep, ...]
 
 
@@ -307,36 +314,30 @@ def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return _round_to(ctx, _k_branch(pv))
 
 
-def _check_start(r0_num: int, r0_den: int, n: int) -> Fraction:
-    """r0 as a Fraction, after checking that (r0, n) can start a ladder:
-    n >= 1 and 25 r0 >= 1.  ladder and the CLI both call it before any
-    seed is solved, so a refused start costs no solve."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be a positive integer")
-    fr0 = Fraction(r0_num, r0_den)
-    if fr0 <= 0:
-        raise DomainError("r0 must be positive")
-    if fr0 * 25 < 1:
-        raise DomainError(
-            "first ladder level 25*r0 = %s sits below 1; ascend from the "
-            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
-        )
-    return fr0
-
-
 def ladder(
     r0_num: int,
     r0_den: int,
-    k_r0: Real,
-    k_r0_over25: Real,
     n: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
+    *,
+    k_r0: Optional[Real] = None,
+    k_r0_over25: Optional[Real] = None,
 ) -> LadderTrace:
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
-    Seeds are the moduli at r0 and r0/25.  Every level's k is checked
-    against an independent K-ratio solve; a level whose |k_j - k_oracle|
-    does not certify against k_oracle 10^GATE_SLACK_DIGITS (a relative gate
+    The checks come first: r0 and n, then any seed given; each missing
+    seed is solved only after them (solve_singular_modulus), so a refused
+    start or a bad seed costs no solve.  The seeds are k at r0 and at r0/25,
+    each a k alone in (0, 1) (else DomainError) whose k' is rebuilt as
+    sqrt((1 - k)(1 + k)), so a replay of the trace's seed_k and seed_k25 is
+    exact.  A start with 25 r0 < 1 is refused (DomainError): below r = 1
+    the ascent's positivity conventions flip; use the reciprocal symmetry
+    k(1/r) = k'(r) and climb from the reflected point instead.  Levels only
+    grow from there, so no later one can drop below 1.
+
+    Every level's k is checked against an independent K-ratio solve; a
+    level whose |k_j - k_oracle| does not certify against
+    k_oracle 10^GATE_SLACK_DIGITS (a relative gate
     10^-(tol_exp - GATE_SLACK_DIGITS)) raises CertificationError with the
     partial trace (including the failing step) as payload; the trace's
     gate_exp records that exponent.  The gate is relative because k shrinks
@@ -346,23 +347,35 @@ def ladder(
     tol_exp is calibrated for single solves.  oracle_residual stays
     absolute.
 
-    A start with 25 r0 < 1 is refused (DomainError) before the seeds are
-    read: below r = 1 the ascent's positivity conventions flip; use the
-    reciprocal symmetry k(1/r) = k'(r) and climb from the reflected point
-    instead.  Levels only grow from there, so no later one can drop below 1.
     At a level just above r = 1, where k k' is within rounding of 1/2, a
     radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, so
     that level certifies or raises CertificationError naming the
     amplification 1/|1 - 2k^2|, never DomainError.
     """
-    fr0 = _check_start(r0_num, r0_den, n)
+    _validate_rational(r0_num, r0_den)
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("n must be a positive integer")
+    fr0 = Fraction(r0_num, r0_den)
+    if fr0 * 25 < 1:
+        raise DomainError(
+            "first ladder level 25*r0 = %s sits below 1; ascend from the "
+            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
+        )
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     with workprec(ctx.work_bits):
-        k_hi = to_big(k_r0, ctx)
-        k_lo = to_big(k_r0_over25, ctx)
-        for name, v in (("k_r0", k_hi), ("k_r0_over25", k_lo)):
-            if not (0 < v < 1):
+        seeds = {}
+        # the given seeds are checked before a missing one is solved
+        for name, k, r in sorted(
+            (("k_r0", k_r0, fr0), ("k_r0_over25", k_r0_over25, fr0 / 25)),
+            key=lambda seed: seed[1] is None,
+        ):
+            if k is None:
+                k = solve_singular_modulus(r.numerator, r.denominator, ctx).k
+            seeds[name] = v = to_big(k, ctx)
+            if not 0 < v < 1:
                 raise DomainError("%s must lie in (0, 1), got %s" % (name, v))
+        k_hi, k_lo = seeds["k_r0"], seeds["k_r0_over25"]
+        seed_k, seed_k25 = _round_to(ctx, k_hi), _round_to(ctx, k_lo)
         prev2 = k_lo * _complement_raw(k_lo)  # k k' at r0/25
         prev = k_hi * _complement_raw(k_hi)
 
@@ -393,10 +406,10 @@ def ladder(
                     "amplifies errors by 1/|1 - 2k^2| = %s)"
                     % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp,
                        mp.nstr(1 / abs(1 - 2 * oracle.k ** 2), 3)),
-                    payload=LadderTrace(gate_exp, tuple(steps)),
+                    payload=LadderTrace(gate_exp, seed_k, seed_k25, tuple(steps)),
                 )
             prev2, prev = prev, cur
-        return LadderTrace(gate_exp, tuple(steps))
+        return LadderTrace(gate_exp, seed_k, seed_k25, tuple(steps))
 
 
 def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
@@ -431,9 +444,7 @@ def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     out = {}
     for r0 in (5, 25):
         oracle = solve_singular_modulus(25 * r0, 1, ctx).k
-        seed_k = solve_singular_modulus(r0, 1, ctx).k
-        seed_k25 = solve_singular_modulus(r0, 25, ctx).k
-        (step,) = ladder(r0, 1, seed_k, seed_k25, 1, ctx).steps
+        (step,) = ladder(r0, 1, 1, ctx).steps
         out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
 
     with workprec(ctx.work_bits):

@@ -220,3 +220,24 @@ def test_traced_q_series_functions_keep_their_names_and_signatures(module, name,
     assert name in mod.__all__ and name in package.__all__
     assert getattr(package, name) is getattr(mod, name)
     assert list(inspect.signature(getattr(mod, name)).parameters) == params
+
+
+def test_traced_ladder_keeps_its_name_and_signature():
+    # the benchmark traces quintic_ladder.ladder by name; the seeds are
+    # keyword-only overrides of the solves ladder makes itself
+    from quintic_moduli import quintic_ladder
+
+    assert quintic_moduli.ladder is quintic_ladder.ladder
+    params = inspect.signature(quintic_ladder.ladder).parameters
+    assert list(params) == ["r0_num", "r0_den", "n", "ctx", "k_r0", "k_r0_over25"]
+    assert [params[p].kind for p in ("k_r0", "k_r0_over25")] == [inspect.Parameter.KEYWORD_ONLY] * 2
+    assert params["k_r0"].default is params["k_r0_over25"].default is None
+
+
+@pytest.mark.parametrize("name", [n for n in _MODULES if n.count(".") and not n.endswith(".cli")])
+def test_package_exports_every_module_name(name):
+    # the package __all__ is the union of its library modules' __all__
+    mod = importlib.import_module(name)
+    assert set(mod.__all__) <= set(quintic_moduli.__all__)
+    moved = [n for n in mod.__all__ if getattr(quintic_moduli, n) is not getattr(mod, n)]
+    assert not moved, "%s names differ on the package: %s" % (name, moved)

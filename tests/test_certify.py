@@ -346,9 +346,7 @@ class TestLadderDomain:
     @staticmethod
     def _climb(r0, n, bits):
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
-        k = bk.solve_singular_modulus(r0.numerator, r0.denominator, ctx).k
-        k25 = bk.solve_singular_modulus(r0.numerator, 25 * r0.denominator, ctx).k
-        return ql.ladder(r0.numerator, r0.denominator, k, k25, n, ctx)
+        return ql.ladder(r0.numerator, r0.denominator, n, ctx)
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     @pytest.mark.parametrize("r0", ["1/25", "2/49", "1/7", "1", "7/3", "50", "1600"])

@@ -68,7 +68,10 @@ class TestUsageErrors:
         assert code == 2
         assert "reciprocal" in err
 
-    def test_refused_ladder_start_solves_nothing(self, capsys, monkeypatch):
+    @staticmethod
+    def _refused_without_a_solve(capsys, monkeypatch, *argv):
+        """Run a ladder request that must be refused; return its stderr
+        after checking it exits 2, prints nothing and solves nothing."""
         import quintic_moduli.cli as climod
         import quintic_moduli.quintic_ladder as qlmod
 
@@ -80,14 +83,24 @@ class TestUsageErrors:
 
         monkeypatch.setattr(climod, "solve_singular_modulus", spy)
         monkeypatch.setattr(qlmod, "solve_singular_modulus", spy)
-        code, out, err = run_cli(capsys, "ladder", "--r0", "1/625", "--n", "1")
+        code, out, err = run_cli(capsys, "ladder", *argv)
         assert code == 2
         assert out == ""
+        assert calls == []
+        return err
+
+    def test_refused_ladder_start_solves_nothing(self, capsys, monkeypatch):
+        err = self._refused_without_a_solve(capsys, monkeypatch, "--r0", "1/625", "--n", "1")
         assert err == (
             "usage error: first ladder level 25*r0 = 1/25 sits below 1; ascend "
             "from the reciprocal point instead (k(1/r) = k'(r))\n"
         )
-        assert calls == []
+
+    def test_bad_seed_solves_nothing(self, capsys, monkeypatch):
+        err = self._refused_without_a_solve(
+            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-k", "1.5"
+        )
+        assert err == "usage error: k_r0 must lie in (0, 1), got 1.5\n"
 
     def test_domain_error_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")

@@ -216,24 +216,23 @@ class TestAscendOnce:
     direct solve at 25 r0."""
 
     def test_r5_level(self):
-        (step,) = ladder(5, 1, solve_singular_modulus(5, 1).k,
-                         solve_singular_modulus(1, 5).k, 1).steps
+        (step,) = ladder(5, 1, 1).steps
         with workprec(600):
             assert abs(step.kkprime - _kkp(125)) < TOL
 
     def test_r1_level(self):
-        (step,) = ladder(1, 1, solve_singular_modulus(1, 1).k,
-                         solve_singular_modulus(1, 25).k, 1).steps
+        (step,) = ladder(1, 1, 1).steps
         with workprec(600):
             assert abs(step.kkprime - _kkp(25)) < TOL
 
 
 class TestLadder:
     def test_two_rungs_from_5(self):
-        rec5 = solve_singular_modulus(5, 1)
-        rec15 = solve_singular_modulus(1, 5)
-        trace = ladder(5, 1, rec5.k, rec15.k, 2)
+        trace = ladder(5, 1, 2)
         assert isinstance(trace, LadderTrace)
+        # the seeds are the solves at r0 and r0/25
+        assert trace.seed_k == solve_singular_modulus(5, 1).k
+        assert trace.seed_k25 == solve_singular_modulus(1, 5).k
         assert [s.level for s in trace.steps] == [1, 2]
         gate = mpf(10) ** -100
         for s in trace.steps:
@@ -244,18 +243,14 @@ class TestLadder:
             assert abs(trace.steps[0].k - direct.k) < gate
 
     def test_one_rung_from_25(self):
-        rec25 = solve_singular_modulus(25, 1)
-        rec1 = solve_singular_modulus(1, 1)
-        trace = ladder(25, 1, rec25.k, rec1.k, 1)
+        trace = ladder(25, 1, 1)
         with workprec(600):
             direct = solve_singular_modulus(625, 1)
             assert abs(trace.steps[0].k - direct.k) < mpf(10) ** -100
 
     def test_chain_consistency(self):
         # each rung's x is the twelfth root of the previous products' ratio
-        rec5 = solve_singular_modulus(5, 1)
-        rec15 = solve_singular_modulus(1, 5)
-        trace = ladder(5, 1, rec5.k, rec15.k, 2)
+        trace = ladder(5, 1, 2)
         with workprec(600):
             x2_expect = (trace.steps[0].kkprime / _kkp(5)) ** (mpf(1) / 12)
             assert abs(trace.steps[1].x - x2_expect) < mpf(10) ** -140
@@ -264,12 +259,12 @@ class TestLadder:
         # the refusal happens before any seed is consulted, so even seeds
         # outside (0, 1) get it
         with pytest.raises(DomainError, match="reciprocal point"):
-            ladder(1, 625, "1.5", "-1", 1)
+            ladder(1, 625, 1, k_r0="1.5", k_r0_over25="-1")
 
     def test_bad_seed_fails_certification_with_trace(self):
         rec15 = solve_singular_modulus(1, 5)
         with pytest.raises(CertificationError) as ei:
-            ladder(5, 1, "0.2", rec15.k, 1)
+            ladder(5, 1, 1, k_r0="0.2", k_r0_over25=rec15.k)
         trace = ei.value.payload
         assert isinstance(trace, LadderTrace)
         assert len(trace.steps) == 1
@@ -284,20 +279,51 @@ class TestLadder:
         with workprec(600):
             seed = k3125 * (1 + mpf(10) ** -60)
         with pytest.raises(CertificationError) as ei:
-            ladder(3125, 1, seed, k125, 1)
+            ladder(3125, 1, 1, k_r0=seed, k_r0_over25=k125)
         (step,) = ei.value.payload.steps
         assert step.oracle_residual < mpf(10) ** -100
         assert step.oracle_residual > mpf(10) ** -100 * step.k
 
     def test_domain(self):
-        rec5 = solve_singular_modulus(5, 1)
         rec15 = solve_singular_modulus(1, 5)
         with pytest.raises(DomainError):
-            ladder(5, 1, rec5.k, rec15.k, 0)
+            ladder(5, 1, 0)
         with pytest.raises(DomainError):
-            ladder(5, 1, mpf(0), rec15.k, 1)
+            ladder(5, 1, 1, k_r0=mpf(0), k_r0_over25=rec15.k)
         with pytest.raises(DomainError):
-            ladder(0, 1, rec5.k, rec15.k, 1)
+            ladder(0, 1, 1)
+        # r0 is checked as the solver checks r: exact positive integers
+        for r0 in ((-5, -1), (1, 0), (5.0, 1)):
+            with pytest.raises(DomainError, match="^r must be"):
+                ladder(*r0, 1)
+
+    @pytest.mark.parametrize(
+        "seeds", [{"k_r0": "1.5"}, {"k_r0_over25": "1.5"}, {"k_r0": "0.2", "k_r0_over25": 0}]
+    )
+    def test_bad_seed_solves_nothing(self, monkeypatch, seeds):
+        calls = []
+        monkeypatch.setattr(ql, "solve_singular_modulus", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+            ladder(5, 1, 1, **seeds)
+        assert calls == []
+
+    def test_given_seeds_are_echoed_rounded(self):
+        # a 100-digit seed is read at the working precision, and the trace
+        # echoes it rounded to the 256-bit solve it was printed from
+        ctx = PrecisionContext(precision_bits=256, tol_exp=55)
+        rec5 = solve_singular_modulus(5, 1, ctx)
+        rec15 = solve_singular_modulus(1, 5, ctx)
+        with workprec(256):
+            long_k25 = mp.nstr(rec15.k, 100)
+        trace = ladder(5, 1, 1, ctx, k_r0=rec5.k, k_r0_over25=long_k25)
+        assert (trace.seed_k, trace.seed_k25) == (rec5.k, rec15.k)
+        assert ladder(5, 1, 1, ctx).steps == trace.steps
+
+    def test_solved_seed_rounding_to_one_is_refused(self):
+        # at 96 bits k(1/625) = 1 - 6e-34 rounds to 1, where its k' is 0
+        ctx = PrecisionContext(precision_bits=96, tol_exp=5)
+        with pytest.raises(DomainError, match=r"k_r0_over25 must lie in \(0, 1\), got 1.0"):
+            ladder(1, 25, 1, ctx)
 
 
 class TestExampleAudit:
