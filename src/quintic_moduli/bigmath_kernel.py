@@ -5,6 +5,14 @@ series.
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
 governing :class:`PrecisionContext`; intermediates carry 64 more (GUARD_BITS).
 
+Square roots, rounding and the pass rule work on mpf mantissas directly.
+``_sqrt`` takes the steps of mpmath's ``mpf_sqrt`` with its integer root
+from ``math.isqrt``; ``_round_to``, ``to_big`` of an mpf and
+``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding primitives
+at the bits they need instead of entering a ``workprec`` block.  Each
+gives the same bits as ``mp.sqrt``, ``+x`` or the mpf operators would, and
+no module calls ``mp.sqrt``.
+
 Quantities handled here:
 
     agm(a, b)        arithmetic-geometric mean iteration a,b <- (a+b)/2, sqrt(ab)
@@ -45,6 +53,15 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_abs,
+    mpf_lt,
+    mpf_mul,
+    mpf_pos,
+    round_nearest,
+)
 
 #: Anything convertible to an mpf at context precision.
 Real = Union[int, float, str, Fraction, mpf]
@@ -130,9 +147,20 @@ class PrecisionContext:
 
     def certifies(self, residual: mpf, scale: mpf) -> bool:
         """The one pass rule: |residual| < 10**(-tol_exp) * |scale| at working
-        precision, where scale is the size of the terms the residual sums."""
-        with workprec(self.work_bits):
-            return abs(residual) < self.tolerance() * abs(scale)
+        precision, where scale is the size of the terms the residual sums.
+
+        It rounds as the mpf operators do inside workprec(work_bits), on the
+        mantissas directly: each absolute value of an mpf and the product to
+        work_bits, while an int enters exactly."""
+        bits = self.work_bits
+        bound = mpf_mul(self.tolerance()._mpf_, _abs_raw(scale, bits), bits, round_nearest)
+        return mpf_lt(_abs_raw(residual, bits), bound)
+
+
+def _abs_raw(x: Union[int, mpf], bits: int) -> tuple:
+    """|x| as a raw mpf tuple: an mpf's rounded to nearest at `bits`, as
+    abs() rounds it inside workprec(bits); an int's exact, as abs() keeps it."""
+    return mpf_abs(x._mpf_, bits, round_nearest) if isinstance(x, mpf) else from_int(abs(x))
 
 
 def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
@@ -189,27 +217,63 @@ def _memoised(
 
 
 def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
-    """Round x to the context's output precision (the `+x` idiom)."""
-    with workprec(ctx.precision_bits):
-        return +x
+    """Round x to nearest at the context's output precision: what `+x`
+    gives inside workprec(precision_bits), on the mantissa directly."""
+    return mp.make_mpf(mpf_pos(x._mpf_, ctx.precision_bits, round_nearest))
 
 
 def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Convert ``x`` to an mpf at the context's working precision.
 
-    Accepts int, float, decimal string, Fraction, and mpf.  Fractions are
-    divided at working precision rather than round-tripped through decimal.
+    Accepts int, float, decimal string, Fraction, and mpf.  An mpf is
+    rounded to nearest on its mantissa, as mpf(x) rounds it inside
+    workprec(work_bits).  Fractions are divided at working precision rather
+    than round-tripped through decimal.
     """
+    if isinstance(x, mpf):
+        return mp.make_mpf(mpf_pos(x._mpf_, ctx.work_bits, round_nearest))
     with workprec(ctx.work_bits):
         if isinstance(x, Fraction):
             return mpf(x.numerator) / mpf(x.denominator)
         return mpf(x)
 
 
+def _sqrt(x: mpf) -> mpf:
+    """mp.sqrt(x) for a real mpf x >= 0 at the ambient precision, bit for bit.
+
+    It takes the steps of mpmath's libmpf.mpf_sqrt under round-nearest; only
+    the floor root comes from math.isqrt, which is C, where mpmath's
+    pure-Python backend takes it in Python.  An inexact root gets a sticky
+    bit below it, as mpf_sqrt does for a nonzero remainder, so the final
+    rounding sees which side of the root the true value lies.  A negative
+    x raises DomainError, where mp.sqrt would return a complex root.
+    """
+    sign, man, exp, bc = x._mpf_
+    if sign:
+        raise DomainError("square root of a negative number: %s" % x)
+    if not man:  # 0, +inf and nan are their own roots
+        return x
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    elif man == 1:  # an even power of two: the root is exact
+        return mp.make_mpf((0, 1, exp // 2, 1))
+    prec = mp.prec
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    m = man << shift
+    root = math.isqrt(m)
+    if root * root != m:
+        root = (root << 1) + 1
+        shift += 2
+    return mp.make_mpf(from_man_exp(root, (exp - shift) // 2, prec, round_nearest))
+
+
 def _complement_raw(k: mpf) -> mpf:
     # sqrt((1-k)(1+k)): 1-k is exact for k in (1/2, 2) (Sterbenz), so no
     # cancellation for k near 1, and no 1 - k^2 rounding collapse for tiny k.
-    return mp.sqrt((1 - k) * (1 + k))
+    return _sqrt((1 - k) * (1 + k))
 
 
 def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -252,7 +316,7 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
     for _ in range(_MAX_ITER):
         if abs(_top_bit(a) - _top_bit(b)) <= _AGM_INT_BITS:
             break
-        a, b = (a + b) / 2, mp.sqrt(a * b)
+        a, b = (a + b) / 2, _sqrt(a * b)
     else:
         raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
@@ -315,7 +379,7 @@ def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     """exp(-pi sqrt(r)) at working precision: the one spelling of the nome."""
     with workprec(ctx.work_bits):
-        return mp.exp(-mp.pi * mp.sqrt(mpf(r_num) / mpf(r_den)))
+        return mp.exp(-mp.pi * _sqrt(mpf(r_num) / mpf(r_den)))
 
 
 def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
@@ -354,7 +418,7 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> mpf:
         s3 += term
         term = term * qn >> frac  # q^((n+1)(n+2))
     ratio = (s2 << frac) // (one + 2 * s3)
-    return mp.sqrt(q) * mpf((ratio * ratio, 2 - 2 * frac))
+    return _sqrt(q) * mpf((ratio * ratio, 2 - 2 * frac))
 
 
 @dataclass(frozen=True)
@@ -396,7 +460,7 @@ def solve_singular_modulus(
     """
     _validate_rational(r_num, r_den)
     with workprec(ctx.work_bits):
-        target = mp.sqrt(mpf(r_num) / mpf(r_den))
+        target = _sqrt(mpf(r_num) / mpf(r_den))
         reflect = r_num < r_den
         q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
         # the theta quotient runs at the nome of max(r, 1/r)

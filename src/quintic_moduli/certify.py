@@ -34,6 +34,7 @@ from .bigmath_kernel import (
     _request_memo,
     _round_to,
     _solved,
+    _sqrt,
     _summed,
 )
 from .modular_core import (
@@ -110,7 +111,7 @@ def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_eq7(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q)), with q^2 the nome of 4r
     rec = _solved(rn, rd, ctx)
-    rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * mp.sqrt(rec.q))
+    rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * _sqrt(rec.q))
     return {"eq7-eta2": _summed(_eta_at(4 * rn, rd, ctx) ** 6, -rhs)}
 
 
@@ -177,8 +178,8 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
     k, kp = rec.k, rec.k_comp
     k25, kp25 = rec25.k, rec25.k_comp
-    w = mp.sqrt(k * k25)
-    wp = mp.sqrt(kp * kp25)
+    w = _sqrt(k * k25)
+    wp = _sqrt(kp * kp25)
 
     d = (kp25 ** 2 - kp ** 2) / (k + k25) if rn < rd else k - k25
     w_form = k * kp ** 2 / (w * kp25 ** 2) * (w / k + wp / kp * d / (k + w)) ** 3
@@ -272,7 +273,7 @@ def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     rec = _solved(rn, rd, ctx)
     g_rec = _g_at(rn, rd, ctx)
     kkp_eta = (
-        mp.pi ** 3 * mp.sqrt(rec.q) * _eta_at(4 * rn, rd, ctx) ** 6 / (2 * rec.K_k ** 3)
+        mp.pi ** 3 * _sqrt(rec.q) * _eta_at(4 * rn, rd, ctx) ** 6 / (2 * rec.K_k ** 3)
     )
     return {"eq31-g-def": _summed(g_rec, -1 / mp.root(2 * kkp_eta, 12))}
 

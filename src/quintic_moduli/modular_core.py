@@ -39,6 +39,7 @@ from .bigmath_kernel import (
     _round_to,
     _scaled_int,
     _solved,
+    _sqrt,
     to_big,
 )
 
@@ -126,7 +127,7 @@ def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT
     m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
     rec, rec25, m5 = _m5_solves(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
-        return (rec.k_comp / rec25.k_comp) ** 2 * mp.sqrt(rec.k / rec25.k) * m5 ** -3
+        return (rec.k_comp / rec25.k_comp) ** 2 * _sqrt(rec.k / rec25.k) * m5 ** -3
 
 
 def a_value(
@@ -238,7 +239,7 @@ def _fifth_root_radical(av: mpf) -> mpf:
     the ambient precision.  E^5 - E^-5 = 11 + a, so E = exp(y/5) with
     y = arcsinh(h), and 1/E is the closed-form R."""
     h = (11 + av) / 2
-    return mp.root(h + mp.sqrt(h * h + 1), 5)
+    return mp.root(h + _sqrt(h * h + 1), 5)
 
 
 def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -49,6 +49,7 @@ from .bigmath_kernel import (
     _round_to,
     _scaled_int,
     _solved,
+    _sqrt,
     _summed,
     _validate_rational,
     solve_singular_modulus,
@@ -108,8 +109,8 @@ def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
     x^2/(sqrt5 y) - sqrt5 y/x^2 - y^3/sqrt5 + y^-3/sqrt5, at the ambient
     precision.  The scale, its largest term, is >= 1, since the first two
     multiply to 1."""
-    s5 = mp.sqrt(mpf(5))
-    return _summed(xv ** 2 / (s5 * yv), -s5 * yv / xv ** 2, -yv ** 3 / s5, yv ** -3 / s5)
+    s5, x2 = _sqrt(mpf(5)), xv ** 2
+    return _summed(x2 / (s5 * yv), -s5 * yv / x2, -yv ** 3 / s5, yv ** -3 / s5)
 
 
 def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -216,16 +217,16 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             w = w_next
 
         z = xv * mpf((w, -frac))
-        y = mp.sqrt(z)
+        y = _sqrt(z)
         res, scale = _u_relation(xv, y)
         if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
             s, prod = -5 / xv ** 2 - z, 1 / z
             disc = s ** 2 - 4 * prod
             others = (
-                [(s + mp.sqrt(disc)) / 2, (s - mp.sqrt(disc)) / 2]
+                [(s + _sqrt(disc)) / 2, (s - _sqrt(disc)) / 2]
                 if disc >= 0
-                else [mpc(s / 2, mp.sqrt(-disc) / 2), mpc(s / 2, -mp.sqrt(-disc) / 2)]
+                else [mpc(s / 2, _sqrt(-disc) / 2), mpc(s / 2, -_sqrt(-disc) / 2)]
             )
             raise BranchError(
                 "u_map(%s): positive root %s fails the defining relation "
@@ -253,8 +254,8 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if yv <= 0:
             raise DomainError("u_star requires y > 0, got %s" % yv)
         t = 18 * yv ** 6 + yv ** 12
-        x2 = t / (mp.sqrt(1 + t) + 1) / (2 * yv ** 2) + yv ** 4 / 2
-        return _round_to(ctx, mp.sqrt(x2))
+        x2 = t / (_sqrt(1 + t) + 1) / (2 * yv ** 2) + yv ** 4 / 2
+        return _round_to(ctx, _sqrt(x2))
 
 
 def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -294,7 +295,7 @@ def _k_branch(pv: mpf) -> mpf:
     k^2 = 2p^2/(1 + sqrt(1 - 4p^2)), at the ambient precision; a radicand
     below zero, p > 1/2, is taken as zero."""
     rad = 1 - 4 * pv ** 2
-    return mp.sqrt(2 * pv ** 2 / (1 + mp.sqrt(max(rad, 0))))
+    return _sqrt(2 * pv ** 2 / (1 + (_sqrt(rad) if rad > 0 else 0)))
 
 
 def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -325,15 +326,17 @@ def ladder(
 ) -> LadderTrace:
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
-    The checks come first: r0 and n, then any seed given; each missing
-    seed is solved only after them (solve_singular_modulus), so a refused
-    start or a bad seed costs no solve.  The seeds are k at r0 and at r0/25,
+    The checks come first: r0, n and tol_exp, then any seed given; each
+    missing seed is solved only after them (solve_singular_modulus), so a
+    refused start or a bad seed costs no solve.  The seeds are k at r0 and at r0/25,
     each a k alone in (0, 1) (else DomainError) whose k' is rebuilt as
     sqrt((1 - k)(1 + k)), so a replay of the trace's seed_k and seed_k25 is
     exact.  A start with 25 r0 < 1 is refused (DomainError): below r = 1
     the ascent's positivity conventions flip; use the reciprocal symmetry
     k(1/r) = k'(r) and climb from the reflected point instead.  Levels only
-    grow from there, so no later one can drop below 1.
+    grow from there, so no later one can drop below 1.  A context with
+    tol_exp <= GATE_SLACK_DIGITS is refused too (DomainError): its relative
+    gate would be 10^0 or looser and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
     level whose |k_j - k_oracle| does not certify against
@@ -362,6 +365,12 @@ def ladder(
             "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
         )
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
+    if gate_exp < 1:
+        raise DomainError(
+            "ladder needs tol_exp >= %d, got %d: its relative gate "
+            "10^-(tol_exp - %d) must lie below 1"
+            % (GATE_SLACK_DIGITS + 1, ctx.tol_exp, GATE_SLACK_DIGITS)
+        )
     with workprec(ctx.work_bits):
         seeds = {}
         # the given seeds are checked before a missing one is solved
@@ -385,7 +394,7 @@ def ladder(
             x = mp.root(prev / prev2, 12)
             pv = p_map(x, ctx)
             cur = prev * pv ** 12
-            k_j = _round_to(ctx, mp.sqrt(cur) if rj == 1 else _k_branch(cur))
+            k_j = _round_to(ctx, _sqrt(cur) if rj == 1 else _k_branch(cur))
 
             oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
             resid = abs(k_j - oracle.k)
@@ -448,16 +457,16 @@ def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
         out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
 
     with workprec(ctx.work_bits):
-        s5 = mp.sqrt(mpf(5))
+        s5 = _sqrt(mpf(5))
         p1 = p_map(mpf(1), ctx)
-        verb125 = mp.sqrt(
-            mpf(1) / 2 - mp.sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2
+        verb125 = _sqrt(
+            mpf(1) / 2 - _sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2
         )
         out["verbatim_125"] = entry(verb125, out["canonical_125"]["oracle"])
 
         parg = p_map(161 - 72 * s5, ctx)
-        verb625 = mp.sqrt(
-            mpf(1) / 2 - mp.sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2
+        verb625 = _sqrt(
+            mpf(1) / 2 - _sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2
         )
         out["verbatim_625"] = entry(verb625, out["canonical_625"]["oracle"])
     return out

@@ -2,8 +2,8 @@
 resolves, every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
-the one pass rule alone, and mpmath's theta functions stay out of the
-library."""
+the one pass rule alone, mpmath's theta functions and square root stay out
+of the library, and nothing is assigned into mpmath."""
 
 import ast
 import dataclasses
@@ -160,6 +160,50 @@ def test_no_module_calls_jtheta():
             or (isinstance(node, ast.ImportFrom) and any(a.name == "jtheta" for a in node.names))
         ]
     assert not named, "jtheta named at %s" % named
+
+
+def test_no_module_calls_mp_sqrt_or_patches_mpmath():
+    # every square root goes through bigmath_kernel._sqrt, and no module
+    # assigns into mpmath, so the tests' mpmath oracles stay mpmath's own
+    package_dir = os.path.dirname(quintic_moduli.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        name = os.path.basename(path)
+        # names bound to mpmath, its submodules, or anything imported from them
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(
+                    (a.asname or a.name).split(".")[0]
+                    for a in node.names
+                    if a.name.split(".")[0] == "mpmath"
+                )
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+                bound.update(a.asname or a.name for a in node.names)
+                found += [(name, node.lineno) for a in node.names if a.name == "sqrt"]
+
+        def from_mpmath(node):
+            while isinstance(node, ast.Attribute):
+                node = node.value
+            return isinstance(node, ast.Name) and node.id in bound
+
+        for node in ast.walk(tree):
+            # mp.sqrt, or any store into or deletion from an mpmath attribute
+            if isinstance(node, ast.Attribute) and from_mpmath(node.value) and (
+                node.attr == "sqrt" or isinstance(node.ctx, (ast.Store, ast.Del))
+            ):
+                found.append((name, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and node.args
+                and from_mpmath(node.args[0])
+            ):
+                found.append((name, node.lineno))
+    assert not found, "mp.sqrt or a store into mpmath at %s" % found
 
 
 def test_only_the_lookups_call_memoised():

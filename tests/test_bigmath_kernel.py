@@ -1,9 +1,11 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, quad, sqrt, workprec
+from mpmath.libmp import from_man_exp
 
 from quintic_moduli import (
     BranchError,
@@ -65,6 +67,76 @@ class TestPrecisionContext:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             PrecisionContext(tol_exp=0)
+
+
+def _exact(man, exp):
+    """The mpf man * 2^exp, unrounded."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _kernel_inputs(bits, seed):
+    """Reals that exercise every branch of mpf_sqrt's and mpf_pos's steps
+    at ``bits``: zero, powers of two with even and odd exponents (mantissa
+    1), the extremes of the exponent range, neighbours of 1, exact squares,
+    halfway cases for rounding to ``bits``, and seeded random mantissas of
+    up to twice that length with exponents of both parities."""
+    rng = random.Random(seed)
+    xs = [mpf(0), _exact(1, -100000), _exact(1, 100000)]
+    xs += [_exact(1, e) for e in range(-5, 6)]  # 4^k and 2 * 4^k
+    xs += [_exact((1 << n) + s, -n) for n in (bits - 1, bits, bits + 1, 2 * bits) for s in (-1, 1)]
+    xs += [_exact(m * m, e) for m in (3, 2 ** 200 + 1, rng.getrandbits(bits) | 1) for e in (-6, 7)]
+    xs += [_exact((1 << bits) | rng.getrandbits(bits) | 1, rng.randint(-99, 99)) for _ in range(20)]
+    xs += [
+        _exact(rng.getrandbits(rng.randint(1, 2 * bits + 70)) | 1, rng.randint(-3000, 3000))
+        for _ in range(200)
+    ]
+    return xs
+
+
+class TestMantissaKernels:
+    """_sqrt, _round_to, to_big and certifies give the very bits of the
+    mpmath operations they replace."""
+
+    @pytest.mark.parametrize("bits", [64, 576, 1088, 4160])
+    def test_sqrt_is_mp_sqrt(self, bits):
+        for x in _kernel_inputs(bits, bits):
+            with workprec(bits):
+                assert bk._sqrt(x)._mpf_ == mp.sqrt(x)._mpf_, x._mpf_
+
+    def test_sqrt_refuses_a_negative(self):
+        with pytest.raises(DomainError):
+            bk._sqrt(mpf(-2))
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_rounding_is_pos_and_mpf(self, bits):
+        ctx = _ctx_at(bits)
+        for x in _kernel_inputs(bits, bits) + _kernel_inputs(ctx.work_bits, bits + 1):
+            for v in (x, -x):
+                with workprec(ctx.precision_bits):
+                    assert bk._round_to(ctx, v)._mpf_ == (+v)._mpf_, v._mpf_
+                with workprec(ctx.work_bits):
+                    assert to_big(v, ctx)._mpf_ == mpf(v)._mpf_, v._mpf_
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_certifies_is_the_workprec_comparison(self, bits):
+        ctx = _ctx_at(bits)
+
+        def old(residual, scale):
+            with workprec(ctx.work_bits):
+                return abs(residual) < ctx.tolerance() * abs(scale)
+
+        rng = random.Random(bits)
+        scales = [11, -11, 3 ** 400, 3 ** 4001, mpf(0)] + _kernel_inputs(ctx.work_bits, bits)[::7]
+        cases = []
+        for s in scales:
+            with workprec(ctx.work_bits):
+                bound = ctx.tolerance() * abs(s)
+                ulp = mpf(2) ** (-ctx.work_bits)
+                cases += [(bound, s), (-bound, s), (bound * (1 - ulp), s), (bound * (1 + ulp), s)]
+            cases += [(0, s), (mpf(0), s), (_exact(rng.getrandbits(bits) | 1, -2 * bits), s)]
+        verdicts = [ctx.certifies(r, s) for r, s in cases]
+        assert verdicts == [old(r, s) for r, s in cases]
+        assert True in verdicts and False in verdicts
 
 
 class TestAgm:

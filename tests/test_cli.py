@@ -102,6 +102,16 @@ class TestUsageErrors:
         )
         assert err == "usage error: k_r0 must lie in (0, 1), got 1.5\n"
 
+    def test_loose_gate_solves_nothing(self, capsys, monkeypatch):
+        err = self._refused_without_a_solve(
+            capsys, monkeypatch, "--r0", "1/25", "--n", "1", "--prec", "128",
+            "--tol-exp", "15", "--seed-k25", "0.9999",
+        )
+        assert err == (
+            "usage error: ladder needs tol_exp >= 21, got 15: its relative "
+            "gate 10^-(tol_exp - 20) must lie below 1\n"
+        )
+
     def test_domain_error_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")
         assert code == 2

@@ -298,7 +298,13 @@ class TestLadder:
                 ladder(*r0, 1)
 
     @pytest.mark.parametrize(
-        "seeds", [{"k_r0": "1.5"}, {"k_r0_over25": "1.5"}, {"k_r0": "0.2", "k_r0_over25": 0}]
+        "seeds",
+        [
+            {"k_r0": "1.5"},
+            {"k_r0_over25": "1.5"},
+            {"k_r0": "0.2", "k_r0_over25": 0},
+            {"k_r0_over25": "1"},
+        ],
     )
     def test_bad_seed_solves_nothing(self, monkeypatch, seeds):
         calls = []
@@ -320,10 +326,27 @@ class TestLadder:
         assert ladder(5, 1, 1, ctx).steps == trace.steps
 
     def test_solved_seed_rounding_to_one_is_refused(self):
-        # at 96 bits k(1/625) = 1 - 6e-34 rounds to 1, where its k' is 0
+        # at 96 bits k(1/625) = 1 - 6e-34 would round to 1, where its k' is 0;
+        # tol_exp 5 is refused first, as any precision that rounds it so is
+        # too coarse for a gate below 1 (a given seed "1" is refused as
+        # out of (0, 1) in test_bad_seed_solves_nothing)
         ctx = PrecisionContext(precision_bits=96, tol_exp=5)
-        with pytest.raises(DomainError, match=r"k_r0_over25 must lie in \(0, 1\), got 1.0"):
+        with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got 5"):
             ladder(1, 25, 1, ctx)
+
+    @pytest.mark.parametrize("tol_exp", [1, 15, 20])
+    def test_gate_of_one_or_looser_is_refused(self, monkeypatch, tol_exp):
+        # the relative gate 10^-(tol_exp - 20) would pass any k
+        calls = []
+        monkeypatch.setattr(ql, "solve_singular_modulus", lambda *a: calls.append(a))
+        ctx = PrecisionContext(precision_bits=134, tol_exp=tol_exp)
+        with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got %d" % tol_exp):
+            ladder(1, 25, 1, ctx, k_r0_over25="0.9999")
+        assert calls == []
+
+    def test_smallest_gate_climbs(self):
+        trace = ladder(5, 1, 1, PrecisionContext(precision_bits=134, tol_exp=21))
+        assert trace.gate_exp == 1
 
 
 class TestExampleAudit:
