@@ -32,6 +32,14 @@ integers, and certifies it through the K-ratio.  With k' = sqrt((1-k)(1+k)) one 
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
 
+The AGM ends on integers: once |a - b| < 2^(-(work_bits + 40)/4) a it
+returns (a + b)/2 - (a - b)^2 / (8 (a + b)), whose error is of order
+(a - b)^4, and hands back the integer and its exponent.  The solver forms its residual
+from those integers: the quotient of the two legs against sqrt(r) taken by
+math.isqrt from the exact rational, judged by ``certifies`` on integers;
+each K is pi / (2 agm) against mpmath's cached fixed-point pi, and every
+field is rounded once.
+
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
 ``_eta_at`` here, ``modular_core._rrcf_at`` and ``_a_eta_at``, and
@@ -62,6 +70,7 @@ from mpmath.libmp import (
     mpf_pos,
     round_nearest,
 )
+from mpmath.libmp.libelefun import pi_fixed
 
 #: Anything convertible to an mpf at context precision.
 Real = Union[int, float, str, Fraction, mpf]
@@ -222,6 +231,11 @@ def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
     return mp.make_mpf(mpf_pos(x._mpf_, ctx.precision_bits, round_nearest))
 
 
+def _rounded(ctx: PrecisionContext, man: int, exp: int) -> mpf:
+    """man 2^exp rounded once to nearest at the context's output precision."""
+    return mp.make_mpf(from_man_exp(man, exp, ctx.precision_bits, round_nearest))
+
+
 def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Convert ``x`` to an mpf at the context's working precision.
 
@@ -302,16 +316,28 @@ def _scaled_int(x: mpf, unit: int) -> int:
     return man << (exp - unit) if exp >= unit else man >> (unit - exp)
 
 
-def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
-    """AGM limit; assumes ambient working precision and positive inputs.
+def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
+    """man 2^exp with man >= 0 cut to its top `bits` bits."""
+    drop = man.bit_length() - bits
+    return (man >> drop, exp + drop) if drop > 0 else (man, exp)
+
+
+def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
+    """AGM limit as (M, e), the value M 2^e with M an integer of about
+    work_bits + _AGM_INT_BITS bits; assumes ambient working precision and
+    positive inputs.
 
     While a and b lie more than 2^_AGM_INT_BITS apart the steps run in mpf,
     so a tiny b (k = 2.6e-682 at r = 10^6) keeps its own exponent.  After
     that both are held as integers on one scale of work_bits +
     _AGM_INT_BITS bits and stepped with math.isqrt, which is C, where
     mpmath's pure-Python backend takes its square roots in Python.  The
-    stop rule |a - b| < 2^(GUARD_BITS/2 - precision_bits) a is the same
-    in both phases, written as a shift in the second.
+    integer phase stops once |a - b| < 2^(-(work_bits + 40)/4) a and
+    returns (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
+    5 e^4 (a + b) / 128 with e = (a - b)/(a + b), below 2^-(work_bits + 47)
+    relative: under the integer scale's last bit.  Stopping at
+    2^(-(work_bits + 40)/2) instead would leave (a - b)^2 / (8 (a + b))
+    itself under that bit, one step later.
     """
     for _ in range(_MAX_ITER):
         if abs(_top_bit(a) - _top_bit(b)) <= _AGM_INT_BITS:
@@ -322,28 +348,38 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
 
     unit = max(_top_bit(a), _top_bit(b)) - ctx.work_bits - _AGM_INT_BITS
     ia, ib = _scaled_int(a, unit), _scaled_int(b, unit)
-    stop_shift = ctx.precision_bits - GUARD_BITS // 2
+    stop_shift = (ctx.work_bits + 43) // 4
     for _ in range(_MAX_ITER):
-        if abs(ia - ib) << stop_shift < ia:
-            return mpf((ia + ib, unit - 1))
+        gap = ia - ib
+        if abs(gap) << stop_shift < ia:
+            total = ia + ib
+            return total - gap * gap // (4 * total), unit - 1
         ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
     raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
+
+
+def _half_pi_over(man: int, exp: int, ctx: PrecisionContext) -> Tuple[int, int]:
+    """pi / (2 man 2^exp) as (M, e), M of about work_bits + _AGM_INT_BITS
+    bits, from mpmath's cached fixed-point pi: K from an AGM limit."""
+    shift = man.bit_length() + ctx.work_bits + _AGM_INT_BITS
+    return pi_fixed(shift) // man, -shift - exp - 1
 
 
 def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Arithmetic-geometric mean of two positive reals.
 
-    The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically; it is
-    stopped once |a_n - b_n| < 2^(GUARD_BITS/2 - precision_bits) * a_n.
-    The first steps, while a and b are more than 2^32 apart, run in mpf;
-    the rest run on integers at a shared scale of work_bits + 32 bits,
-    with math.isqrt for the square root.
+    The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically.  The
+    first steps, while a and b are more than 2^32 apart, run in mpf; the
+    rest run on integers at a shared scale of work_bits + 32 bits, with
+    math.isqrt for the square root, until |a_n - b_n| < 2^(-(work_bits +
+    40)/4) a_n, and finish with (a_n + b_n)/2 - (a_n - b_n)^2 / (8 (a_n +
+    b_n)), rounded once to precision_bits.
     """
     with workprec(ctx.work_bits):
         av, bv = to_big(a, ctx), to_big(b, ctx)
         if av <= 0 or bv <= 0:
             raise DomainError("agm requires positive operands")
-        return _round_to(ctx, _agm_raw(av, bv, ctx))
+        return _rounded(ctx, *_agm_raw(av, bv, ctx))
 
 
 def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -353,14 +389,16 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
              = pi / (2 agm(1, sqrt(1 - x^2)))
 
     for 0 <= x < 1.  The AGM route is quadratically convergent and is the
-    production path; direct quadrature of the integral is kept to the test
-    suite as an independent oracle.
+    production path; pi / (2 agm) is one integer quotient, rounded once.
+    Direct quadrature of the integral is kept to the test suite as an
+    independent oracle.
     """
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv < 0 or xv >= 1:
             raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
-        return _round_to(ctx, mp.pi / (2 * _agm_raw(mpf(1), _complement_raw(xv), ctx)))
+        man, exp = _agm_raw(mpf(1), _complement_raw(xv), ctx)
+        return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
 def _validate_rational(r_num: int, r_den: int) -> None:
@@ -449,7 +487,12 @@ def solve_singular_modulus(
     The returned record stores values rounded to ``precision_bits``; the
     residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
     pair, must certify against sqrt(r), or ConvergenceError is raised, and
-    the same two AGM legs give K(k) and K(k').
+    the same two AGM legs give K(k) and K(k').  The residual is formed on
+    integers: the quotient of the two legs' integers, and sqrt(r) by
+    math.isqrt of the exact rational, both with work_bits + 32 fractional
+    bits (more for r < 1, so that sqrt(r) keeps as many significant bits).
+    Each K is one integer quotient against mpmath's cached fixed-point pi,
+    and every field is rounded once.
 
     Either member of the pair may be the correctly rounded 1: k_comp from
     r = 12962 at 512 bits (3291 at 256), k from r = 1/12962 (1/3291).  The
@@ -460,7 +503,6 @@ def solve_singular_modulus(
     """
     _validate_rational(r_num, r_den)
     with workprec(ctx.work_bits):
-        target = _sqrt(mpf(r_num) / mpf(r_den))
         reflect = r_num < r_den
         q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
         # the theta quotient runs at the nome of max(r, 1/r)
@@ -469,21 +511,27 @@ def solve_singular_modulus(
         big = _round_to(ctx, _complement_raw(small))
         k, k_comp = (big, small) if reflect else (small, big)
 
-        agm_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))
-        agm_comp = _agm_raw(mpf(1), k_comp, ctx)  # pi / (2 K(k))
-        residual = abs(agm_comp / agm_k - target)
+        man_k, exp_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))
+        man_c, exp_c = _agm_raw(mpf(1), k_comp, ctx)  # pi / (2 K(k))
+        # agm_c / agm_k and sqrt(r), both with `frac` fractional bits
+        frac = ctx.work_bits + _AGM_INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
+        shift = frac + exp_c - exp_k
+        ratio = (man_c << max(shift, 0)) // (man_k << max(-shift, 0))
+        target = math.isqrt((r_num << 2 * frac) // r_den)
+        residual = ratio - target
+        gap = _rounded(ctx, abs(residual), -frac)
         if not ctx.certifies(residual, target):
             raise ConvergenceError(
                 "solve at r=%s/%s left residual %s above tolerance"
-                % (r_num, r_den, mp.nstr(residual, 8))
+                % (r_num, r_den, mp.nstr(gap, 8))
             )
         return SingularModulusRecord(
             k=k,
             k_comp=k_comp,
             q=_round_to(ctx, q_r),
-            K_k=_round_to(ctx, mp.pi / (2 * agm_comp)),
-            K_kcomp=_round_to(ctx, mp.pi / (2 * agm_k)),
-            residual=_round_to(ctx, residual),
+            K_k=_rounded(ctx, *_half_pi_over(man_c, exp_c, ctx)),
+            K_kcomp=_rounded(ctx, *_half_pi_over(man_k, exp_k, ctx)),
+            residual=gap,
         )
 
 

@@ -14,6 +14,12 @@ Route map (everything is certified by cross-route residuals, never trusted):
                                                            [closed form]
     m5(r)  is certified as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
+
+The closed form and the a-descent share E, which is formed on integers:
+h and sqrt(h^2 + 1) in fixed point, the fifth root by integer Newton at
+doubling precision from a float seed.  descend_a carries t = E - 1/E, its
+quartic and the nine-term denominator in the same fixed point and the
+numerator as a mantissa with a's own exponent, and rounds once.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from .bigmath_kernel import (
     _neg_ln,
     _nome,
     _round_to,
+    _rounded,
     _scaled_int,
     _solved,
+    _truncated,
     _sqrt,
     to_big,
 )
@@ -234,12 +242,40 @@ def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
     )
 
 
-def _fifth_root_radical(av: mpf) -> mpf:
-    """E = (h + sqrt(h^2 + 1))^(1/5) with h = (11 + a)/2, for a > -11, at
-    the ambient precision.  E^5 - E^-5 = 11 + a, so E = exp(y/5) with
-    y = arcsinh(h), and 1/E is the closed-form R."""
-    h = (11 + av) / 2
-    return mp.root(h + _sqrt(h * h + 1), 5)
+#: fractional bits the descent's fixed point carries beyond work_bits
+_DESCENT_INT_BITS = 32
+
+
+def _root5(n: int) -> int:
+    """n^(1/5) for an integer n >= 0, to within a few units: Newton steps at
+    doubling precision from a float seed.  Each level solves for about half
+    the root's bits plus 8 (n shifted down by five times the rest), and one
+    step x + (n/x^4 - x)/5 doubles them; the quotient is taken from the
+    top 2R + 16 bits of n over the top R + 16 of x^4, R the root's bits."""
+    if n < 1 << 250:
+        return int(float(n) ** 0.2)
+    half = (n.bit_length() + 9) // 10 - 8
+    x = _root5(n >> 5 * half) << half
+    bits = x.bit_length()
+    cut = bits - 16  # x^2 kept to its top bits + 16 bits
+    x2 = x * x >> cut
+    drop = bits + 16  # and x^4 then to its top bits + 16
+    quotient = (n >> 2 * cut + drop) // (x2 * x2 >> drop)
+    return x + (quotient - x) // 5
+
+
+def _fifth_root_radical(av: mpf, frac: int) -> int:
+    """E 2^frac, to within a few units, for E = (h + sqrt(h^2 + 1))^(1/5)
+    with h = (11 + a)/2 and a > -11.  E^5 - E^-5 = 11 + a, so E =
+    exp(y/5) with y = arcsinh(h), and 1/E is the closed-form R.
+
+    2h and 2 sqrt(h^2 + 1) = sqrt((2h)^2 + 4) are formed on integers with
+    `frac` fractional bits (a truncated there), and E by _root5.  E >= 1,
+    so the fixed point keeps E's relative precision."""
+    a_int = _scaled_int(av, -frac)
+    two_h = (11 << frac) + (-a_int if av < 0 else a_int)
+    two_base = two_h + math.isqrt(two_h * two_h + (4 << 2 * frac))
+    return _root5(two_base << 4 * frac - 1)
 
 
 def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -248,12 +284,16 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
     With h = (11 + a)/2 that base is sqrt(h^2 + 1) - h = 1/(h + sqrt(h^2 + 1)),
     so R = 1/E for E = _fifth_root_radical(a), and large a loses nothing to
-    cancellation; a <= -11 is refused."""
+    cancellation; 1/E is one integer quotient, rounded once.  a <= -11 is
+    refused."""
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("closed_form_R requires a > -11, got %s" % av)
-        return _round_to(ctx, 1 / _fifth_root_radical(av))
+        frac = ctx.work_bits + _DESCENT_INT_BITS
+        e_int = _fifth_root_radical(av, frac)
+        shift = frac + e_int.bit_length()
+        return _rounded(ctx, (1 << shift) // e_int, frac - shift)
 
 
 def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -291,18 +331,37 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
 
-    The quartic in t and the nine-term denominator are evaluated by
-    Horner's rule, the latter as E (1 + E (-1 + E (2 + ... + E (1 + E)))).
+    E, t, the quartic and the nine-term denominator are integers with
+    work_bits + 32 fractional bits, the last two by Horner's rule, the
+    denominator as E (1 + E (-1 + E (2 + ... + E (1 + E)))).  E >= 1, the
+    quartic >= 11 and the denominator >= 11, so each keeps its relative
+    precision.  The numerator (E a / quartic)^5 is a mantissa and an
+    exponent, a's own, so a tiny or huge a keeps its relative precision
+    too; the quotient is rounded once to precision_bits.
     """
     with workprec(ctx.work_bits):
         av = to_big(a, ctx)
         if not av > -11:
             raise DomainError("descend_a requires a > -11, got %s" % av)
-        E = _fifth_root_radical(av)
-        t = E - 1 / E
-        num = (E * av / ((((t + 1) * t + 6) * t + 6) * t + 11)) ** 5
-        den = E
+        frac = ctx.work_bits + _DESCENT_INT_BITS
+        one = 1 << frac
+        e_int = _fifth_root_radical(av, frac)
+        t = e_int - (one << frac) // e_int
+        quartic = t
+        for coeff in (1, 6, 6):
+            quartic = (quartic + coeff * one) * t >> frac
+        quartic += 11 * one
+        den = e_int
         for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
-            den = (den + coeff) * E
-        return _round_to(ctx, num / den)
-
+            den = (den + coeff * one) * e_int >> frac
+        # g = E |a| / quartic as g_man 2^g_exp, then g^5 to frac bits
+        sign, a_man, a_exp, _ = av._mpf_
+        num = e_int * a_man
+        shift = max(0, frac + quartic.bit_length() - num.bit_length())
+        g_man, g_exp = (num << shift) // quartic, a_exp - shift
+        g2, e2 = _truncated(g_man * g_man, 2 * g_exp, frac)
+        g4, e4 = _truncated(g2 * g2, 2 * e2, frac)
+        g5 = g4 * g_man
+        shift = max(0, frac + den.bit_length() - g5.bit_length())
+        quotient = (g5 << shift) // den
+        return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp + frac - shift)

@@ -2,14 +2,18 @@
 
 Everything here revolves around three maps of one positive real variable:
 
-    u_star(y)   X with X^2 = (sqrt(1 + 18 y^6 + y^12) - 1)/(2 y^2) + y^4/2
+    u_star(y)   X with X^2 = (sqrt(1 + 18 y^6 + y^12) - 1)/(2 y^2) + y^4/2,
+                i.e. X = y^2 sqrt(B) with B in [1, 5] formed on integers
+                from u = y^6 (or from y^-6 for y > 1)
     u_map(x)    the positive Y solving
                    x^2/(sqrt5 Y) - sqrt5 Y/x^2 = (Y^3 - 1/Y^3)/sqrt5,
                 i.e. Y = sqrt(z) for the unique positive root z of the cubic
                    x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0,
                 solved as z = x w with c w^3 + 5 w^2 - c w - 1 = 0,
                 c = x^3, whose root lies in (1/sqrt5, 1) for every x > 0,
-                by Newton on integers from a float seed
+                by Newton on integers from a float seed, and gated on
+                that cubic's residual against its largest monomial,
+                evaluated on the integer mantissas of x and y
     p_map(x)    u_map( descend_a( u_star(x)^6 ) ^ (1/6) )
 
 p_map advances the twelfth-root ratio of consecutive modulus products one
@@ -31,11 +35,13 @@ k at r0 and at r0/25, unless a caller passes either k in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from .bigmath_kernel import (
     CertificationError,
@@ -47,10 +53,11 @@ from .bigmath_kernel import (
     _complement_raw,
     _memoised,
     _round_to,
+    _rounded,
     _scaled_int,
     _solved,
     _sqrt,
-    _summed,
+    _truncated,
     _validate_rational,
     solve_singular_modulus,
     to_big,
@@ -104,13 +111,49 @@ class LadderTrace:
     steps: Tuple[LadderStep, ...]
 
 
+#: bits u_map's gate keeps of each power and monomial beyond work_bits
+_GATE_INT_BITS = 48
+
+
+def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[int, int, int]:
+    """(residual, scale, e): the cleared cubic x^4 z - 5 z^2 - x^2 z^3 + x^2
+    at z = y^2 and its largest term, as residual 2^e and scale 2^e.
+
+    It is the relation u_map inverts times C = sqrt5 x^2 y^3 > 0, so the
+    ratio of residual to largest term is the relation's own.  The monomials
+    are formed on the mantissas of x and y, each power and product cut to
+    its top `bits` bits, and summed on the scale of the largest."""
+    _, x_man, x_exp, _ = xv._mpf_
+    _, y_man, y_exp, _ = yv._mpf_
+    x2 = _truncated(x_man * x_man, 2 * x_exp, bits)
+    z = _truncated(y_man * y_man, 2 * y_exp, bits)
+    x4 = _truncated(x2[0] * x2[0], 2 * x2[1], bits)
+    z2 = _truncated(z[0] * z[0], 2 * z[1], bits)
+    z3 = _truncated(z2[0] * z[0], z2[1] + z[1], bits)
+    terms = (
+        _truncated(x4[0] * z[0], x4[1] + z[1], bits),
+        (5 * z2[0], z2[1]),
+        _truncated(x2[0] * z3[0], x2[1] + z3[1], bits),
+        x2,
+    )
+    unit = max(man.bit_length() + exp for man, exp in terms) - bits
+    a, b, c, d = (man << exp - unit if exp >= unit else man >> unit - exp for man, exp in terms)
+    return a - b - c + d, max(a, b, c, d), unit
+
+
 def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
     """(residual, scale) of the relation u_map inverts,
     x^2/(sqrt5 y) - sqrt5 y/x^2 - y^3/sqrt5 + y^-3/sqrt5, at the ambient
-    precision.  The scale, its largest term, is >= 1, since the first two
-    multiply to 1."""
-    s5, x2 = _sqrt(mpf(5)), xv ** 2
-    return _summed(x2 / (s5 * yv), -s5 * yv / x2, -yv ** 3 / s5, yv ** -3 / s5)
+    precision: the cleared cubic's two integers (_cleared_relation at
+    _GATE_INT_BITS bits past it), each divided once by C = sqrt5 x^2 y^3.
+    The scale, its largest term, is >= 1, since the first two multiply
+    to 1."""
+    prec = mp.prec
+    res, scale, unit = _cleared_relation(xv, yv, prec + _GATE_INT_BITS)
+    c = (_sqrt(mpf(5)) * xv ** 2 * yv ** 3)._mpf_
+    return tuple(
+        mp.make_mpf(mpf_div(from_man_exp(v, unit), c, prec, round_nearest)) for v in (res, scale)
+    )
 
 
 def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -189,9 +232,12 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     with work_bits + 32 fractional bits, on c = x^3 truncated there: from
     the seed, one step per precision doubling from its 48 bits, then
     steps until rounding ends the descent.  Y = sqrt(x w).  The defining
-    relation's residual at the returned Y must certify against the largest
-    of its four terms (PrecisionContext.certifies), or a BranchError is
-    raised carrying all three candidate roots.
+    relation at the returned Y must certify (PrecisionContext.certifies):
+    its residual against its largest term, judged as the cleared cubic
+    x^4 z - 5 z^2 - x^2 z^3 + x^2 at z = Y^2 against its largest monomial
+    (the relation times sqrt5 x^2 Y^3 > 0, so the same ratio), on
+    integers (_cleared_relation).  Otherwise a BranchError is raised
+    carrying all three candidate roots.
     """
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
@@ -218,7 +264,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         z = xv * mpf((w, -frac))
         y = _sqrt(z)
-        res, scale = _u_relation(xv, y)
+        res, scale, _ = _cleared_relation(xv, y, ctx.work_bits + _GATE_INT_BITS)
         if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
             s, prod = -5 / xv ** 2 - z, 1 / z
@@ -234,7 +280,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
                 % (
                     mp.nstr(xv, 12),
                     mp.nstr(z, 12),
-                    mp.nstr(abs(res) / scale, 6),
+                    mp.nstr(mpf(abs(res)) / scale, 6),
                     [mp.nstr(o, 8) for o in others],
                 )
             )
@@ -246,16 +292,38 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         X^2 = (sqrt(1 + 18 y^6 + y^12) - 1) / (2 y^2) + y^4 / 2.
 
-    The subtraction is rationalized as t/(sqrt(1+t)+1) with
-    t = 18 y^6 + y^12, so tiny y loses nothing to cancellation.
+    The subtraction is rationalized, so tiny y loses nothing to
+    cancellation: X = y^2 sqrt(B) with u = y^6 and
+
+        B = (18 + u) / (2 (sqrt(1 + 18u + u^2) + 1)) + 1/2,
+
+    or for y > 1, with v = y^-6, B = (18v + 1) / (2 (sqrt(v^2 + 18v + 1)
+    + v)) + 1/2.  B lies in [1, 5], so it is formed on integers with
+    work_bits + 32 fractional bits, each power of y truncated there; y^2
+    is exact from y's mantissa, and X is rounded once.
     """
     with workprec(ctx.work_bits):
         yv = to_big(y, ctx)
         if yv <= 0:
             raise DomainError("u_star requires y > 0, got %s" % yv)
-        t = 18 * yv ** 6 + yv ** 12
-        x2 = t / (_sqrt(1 + t) + 1) / (2 * yv ** 2) + yv ** 4 / 2
-        return _round_to(ctx, _sqrt(x2))
+        frac = ctx.work_bits + _U_INT_BITS
+        one = 1 << frac
+        _, man, exp, _ = yv._mpf_
+        y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
+        if yv <= 1:
+            shift = y2_exp + frac
+            y2 = y2_man << shift if shift >= 0 else y2_man >> -shift
+            u = (y2 * y2 >> frac) * y2 >> frac
+            rad = one + 18 * u + (u * u >> frac)
+            b = ((18 * one + u) << frac) // (2 * (math.isqrt(rad << frac) + one))
+        else:
+            shift = frac - y2_exp
+            inv2 = (1 << shift) // y2_man if shift >= 0 else 0
+            v = (inv2 * inv2 >> frac) * inv2 >> frac
+            rad = (v * v >> frac) + 18 * v + one
+            b = ((18 * v + one) << frac) // (2 * (math.isqrt(rad << frac) + v))
+        root_b = math.isqrt(b + (one >> 1) << frac)
+        return _rounded(ctx, y2_man * root_b, y2_exp - frac)
 
 
 def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

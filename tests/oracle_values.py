@@ -8,6 +8,13 @@ quotient through mpmath's ``jtheta``, the Euler product for f(-q), the
 continued fraction by backward recurrence in mpf, and the cubic formula
 for u_map.  None of them shares code with the library.
 
+The mpf reference spellings after them (``u_star_mpf``,
+``fifth_root_radical_mpf``, ``descend_a_horner``, ``u_relation_terms``
+and ``agm_two_phase``) are the library's earlier evaluations of the same
+formulas in mpf arithmetic, kept as oracles for the integer ones that
+replaced them: the integer versions must give the same bits once both are
+rounded to the output precision.
+
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
 they pin the solver's output against drift but do not certify it on their
@@ -203,3 +210,67 @@ def u_radical(x, bits=700):
             + h / (3 * xc ** 2)
         )
         return mp.sqrt(y2)
+
+
+def u_star_mpf(y, bits):
+    """u_star in mpf at ``bits``: X^2 = t/(sqrt(1 + t) + 1)/(2 y^2) + y^4/2
+    with t = 18 y^6 + y^12, the subtraction rationalized."""
+    with workprec(bits):
+        y = mpf(y)
+        t = 18 * y ** 6 + y ** 12
+        return sqrt(t / (sqrt(1 + t) + 1) / (2 * y ** 2) + y ** 4 / 2)
+
+
+def fifth_root_radical_mpf(a, bits):
+    """E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2, in mpf at ``bits``."""
+    with workprec(bits):
+        h = (11 + mpf(a)) / 2
+        return mp.root(h + sqrt(h * h + 1), 5)
+
+
+def descend_a_horner(a, bits):
+    """descend_a in mpf at ``bits``: numerator (E a / (t^4 + t^3 + 6t^2 +
+    6t + 11))^5 with t = E - 1/E, and the nine-term denominator, both by
+    Horner's rule."""
+    with workprec(bits):
+        a = mpf(a)
+        E = fifth_root_radical_mpf(a, bits)
+        t = E - 1 / E
+        num = (E * a / ((((t + 1) * t + 6) * t + 6) * t + 11)) ** 5
+        den = E
+        for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
+            den = (den + coeff) * E
+        return num / den
+
+
+def u_relation_terms(x, y, bits):
+    """(sum, largest |term|) of the four terms x^2/(sqrt5 y), -sqrt5 y/x^2,
+    -y^3/sqrt5 and y^-3/sqrt5 of the relation u_map inverts, in mpf at
+    ``bits``."""
+    with workprec(bits):
+        x, y = mpf(x), mpf(y)
+        s5 = sqrt(mpf(5))
+        terms = (x ** 2 / (s5 * y), -s5 * y / x ** 2, -y ** 3 / s5, y ** -3 / s5)
+        return sum(terms), max(abs(t) for t in terms)
+
+
+def agm_two_phase(a, b, precision_bits):
+    """agm(a, b) at work precision precision_bits + 64, as the library took
+    it before its integer phase gained a closing term: mpf steps while a
+    and b lie more than 2^32 apart, then steps on integers at a shared
+    scale of work + 32 bits until |a - b| < 2^(32 - precision_bits) a,
+    returning (a + b)/2 at work precision."""
+    work = precision_bits + 64
+
+    def top(x):
+        return x._mpf_[2] + x._mpf_[3]
+
+    with workprec(work):
+        a, b = mpf(a), mpf(b)
+        while abs(top(a) - top(b)) > 32:
+            a, b = (a + b) / 2, sqrt(a * b)
+        unit = max(top(a), top(b)) - work - 32
+        ia, ib = (int(mp.ldexp(v, -unit)) for v in (a, b))
+        while abs(ia - ib) << (precision_bits - 32) >= ia:
+            ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
+        return mpf((ia + ib, unit - 1))

@@ -1,5 +1,6 @@
 """The public surface stays in step with the code: every exported name
-resolves, every ctx parameter defaults to DEFAULT_CONTEXT, the README's
+resolves, so does every function the benchmark's tracer wraps by name,
+every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
 the one pass rule alone, mpmath's theta functions and square root stay out
@@ -285,3 +286,24 @@ def test_package_exports_every_module_name(name):
     assert set(mod.__all__) <= set(quintic_moduli.__all__)
     moved = [n for n in mod.__all__ if getattr(quintic_moduli, n) is not getattr(mod, n)]
     assert not moved, "%s names differ on the package: %s" % (name, moved)
+
+
+def _traced_pairs():
+    """perfbench/tracer.py's TRACED, read from its source without importing it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+@pytest.mark.parametrize("module, name", _traced_pairs())
+def test_every_traced_name_resolves(module, name):
+    # the benchmark wraps each (module, function) by name and skips a pair
+    # that no longer resolves, so a rename would zero its per-layer metrics
+    mod = importlib.import_module("quintic_moduli." + module)
+    assert inspect.isfunction(getattr(mod, name, None)), "%s.%s" % (module, name)

@@ -182,6 +182,45 @@ class TestAgm:
             agm(1, -2)
 
 
+def _finish_moduli(ctx):
+    """k from 2.6e-682 (r = 10^6) to 1 - 2^-100, at working precision."""
+    with workprec(ctx.work_bits + 100):
+        ks = [4 * mp.exp(-500 * mp.pi), mpf(10) ** -30, mpf("0.01"), mpf("0.3"),
+              1 / sqrt(mpf(2)), mpf("0.9"), 1 - mpf(2) ** -50, 1 - mpf(2) ** -100]
+    return [to_big(k, ctx) for k in ks]
+
+
+class TestAgmFinish:
+    """The integer phase stops at |a - b| < 2^(-(work_bits + 40)/4) a and
+    adds the closing term -(a - b)^2 / (8 (a + b)); what it leaves out is
+    below the guard bits."""
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_solver_legs_match_mp_agm(self, bits):
+        ctx = _ctx_at(bits)
+        legs = [k for rn, rd in ((10 ** 6, 1), (1, 1), (1, 10 ** 4))
+                for rec in [solve_singular_modulus(rn, rd, ctx)] for k in (rec.k, rec.k_comp)]
+        for k in legs + _finish_moduli(ctx):
+            with workprec(ctx.work_bits):
+                man, exp = bk._agm_raw(mpf(1), k, ctx)
+            with workprec(2 * ctx.work_bits):
+                got = mp.ldexp(mpf(man), exp)
+                assert abs(got / mp.agm(1, k) - 1) < mpf(2) ** (2 - ctx.work_bits), k
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_agm_and_K_keep_their_bits(self, bits):
+        # the same bits as the two-phase AGM that stopped a step later
+        ctx = _ctx_at(bits)
+        for k in _finish_moduli(ctx):
+            ref = ov.agm_two_phase(1, k, bits)
+            with workprec(ctx.work_bits):
+                ref_K = mp.pi / (2 * ov.agm_two_phase(1, bk._complement_raw(k), bits))
+            with workprec(bits):
+                assert agm(1, k, ctx)._mpf_ == (+ref)._mpf_, k
+                if k < 1:
+                    assert elliptic_K(k, ctx)._mpf_ == (+ref_K)._mpf_, k
+
+
 class TestComplement:
     def test_pythagorean(self):
         k = to_big("0.1188769458")

@@ -332,3 +332,40 @@ class TestDescendA:
         with pytest.raises(DomainError):
             descend_a(-11)
 
+
+#: a in (-11, 0) and from 1e-300 to 1e300: E near 1, near the golden ratio
+#: (where a must keep its own exponent) and large
+DESCENT_AS = ["-10.999", "-5", "-1", "1e-300", "1e-100", "1e-20", "1e-3", "0.5", "1", "7",
+              "17.5", "1000", "5e13", "1e20", "1e100", "1e300"]
+
+
+class TestDescentOnIntegers:
+    """descend_a and closed_form_R on integers give the bits of their mpf
+    spellings in oracle_values, both rounded to precision_bits."""
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_descend_a_is_the_horner_spelling_rounded(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        for a in DESCENT_AS:
+            av = to_big(a, ctx)
+            ref = ov.descend_a_horner(av, ctx.work_bits)
+            with workprec(bits):
+                assert descend_a(av, ctx)._mpf_ == (+ref)._mpf_, a
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_closed_form_R_is_the_mpf_spelling_rounded(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        for a in DESCENT_AS:
+            av = to_big(a, ctx)
+            with workprec(ctx.work_bits):
+                ref = 1 / ov.fifth_root_radical_mpf(av, ctx.work_bits)
+            with workprec(bits):
+                assert closed_form_R(av, ctx)._mpf_ == (+ref)._mpf_, a
+
+    @pytest.mark.parametrize("bits", [64, 250, 251, 1000, 20000])
+    def test_root5_is_within_a_few_units(self, bits):
+        # from the float seed alone and through every doubling level
+        for n in (1 << bits, (1 << bits) - 1, 3 ** (bits * 100 // 158), 7 ** 5 << 5 * (bits // 5)):
+            x = mc._root5(n)
+            assert (x - 3) ** 5 <= n < (x + 4) ** 5, n
+

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf, sqrt, workprec
 
 from quintic_moduli import (
+    BranchError,
     CertificationError,
     DomainError,
     LadderTrace,
@@ -142,6 +143,83 @@ class TestUMap:
             u_defining_residual(0, 1)
         with pytest.raises(DomainError):
             u_defining_residual(1, "-1")
+
+
+def _ctx_at(bits):
+    return PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+
+
+def _rounded_to(bits, x):
+    with workprec(bits):
+        return (+x)._mpf_
+
+
+#: y from 1e-100 to 1e100: both of u_star's branches (y <= 1 in u = y^6,
+#: y > 1 in v = y^-6), powers that vanish in the fixed point, and y = 1
+U_STAR_YS = ["1e-100", "1e-30", "1e-5", "0.3", "0.999", "1", "1.001", "2", "13.8", "1e5",
+             "1e30", "1e100"]
+
+
+class TestIntegerSpellings:
+    """u_star and u_map's gate on integers against their mpf spellings in
+    oracle_values."""
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_u_star_is_the_mpf_spelling_rounded(self, bits):
+        ctx = _ctx_at(bits)
+        for y in U_STAR_YS:
+            yv = to_big(y, ctx)
+            want = _rounded_to(bits, ov.u_star_mpf(yv, ctx.work_bits))
+            assert u_star(yv, ctx)._mpf_ == want, y
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_u_relation_matches_the_four_terms(self, bits):
+        # at the root, where the terms cancel to the last bits, and off it
+        ctx = _ctx_at(bits)
+        for x in ("1e-40", "0.003", "0.7", "1", "1.4953", "20", "1e12"):
+            xv = to_big(x, ctx)
+            y = to_big(u_map(xv, ctx), ctx)
+            for yv in (y, y * (1 + mpf(10) ** -30), y * 2):
+                with workprec(ctx.work_bits):
+                    res, scale = ql._u_relation(xv, yv)
+                ref_res, ref_scale = ov.u_relation_terms(xv, yv, 2 * ctx.work_bits)
+                with workprec(2 * ctx.work_bits):
+                    bound = mpf(2) ** (8 - ctx.work_bits) * ref_scale
+                    assert abs(res - ref_res) < bound, (x, yv)
+                    assert abs(scale - ref_scale) < bound, (x, yv)
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_gate_decides_as_the_four_terms_did(self, bits):
+        # y off the root by a relative 10^-(tol_exp + j): the cleared cubic
+        # on integers passes exactly the points the four mpf terms passed,
+        # on both sides of the gate
+        ctx = _ctx_at(bits)
+        decisions = set()
+        for x in ("1e-20", "0.31", "1", "9", "1e20"):
+            xv = to_big(x, ctx)
+            y = to_big(u_map(xv, ctx), ctx)
+            for j in range(-3, 4):
+                for sign in (1, -1):
+                    with workprec(ctx.work_bits):
+                        yv = y * (1 + sign * mpf(10) ** -(ctx.tol_exp + j))
+                        old = ctx.certifies(*ov.u_relation_terms(xv, yv, ctx.work_bits))
+                    new = ctx.certifies(
+                        *ql._cleared_relation(xv, yv, ctx.work_bits + ql._GATE_INT_BITS)[:2]
+                    )
+                    assert new == old, (x, j, sign)
+                    decisions.add(new)
+        assert decisions == {True, False}
+
+    def test_u_map_raises_where_the_gate_fails(self, monkeypatch):
+        # a Newton that never moves leaves the float seed's 48 bits, which
+        # the gate refuses with a BranchError naming the companion roots
+        def stuck(w, c, bits):
+            return 0, w
+
+        assert u_map("1.25") > 0
+        monkeypatch.setattr(ql, "_newton_int", stuck)
+        with pytest.raises(BranchError, match="fails the defining relation"):
+            u_map("1.25")
 
 
 class TestPMap:
