@@ -48,6 +48,15 @@ f(-q^m) is the eta value at m^2 r.  Inside a ``_request_memo()`` scope a
 lookup computes each key once and hands back the same value on every later
 call; outside one it computes.  A scope lives for one call (``run_suite``
 opens it), never for the process.
+
+Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
+eta-quotient lookups take their value from a reflected point whose nome
+lies near 0, where a series needs few terms: ``_eta_at`` by Dedekind's
+eta(i/alpha) = sqrt(alpha) eta(i alpha) from the value at 16/r,
+``modular_core._rrcf_at`` by Ramanujan's reciprocity from 16/r, and
+``modular_core._a_eta_at`` by the Fricke involution from 16/(25r).
+The public eta_f, nome, rrcf_converged and a_via_eta keep their direct
+paths.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from mpmath.libmp import (
     mpf_pos,
     round_nearest,
 )
-from mpmath.libmp.libelefun import pi_fixed
+from mpmath.libmp.libelefun import mpf_exp, pi_fixed
 
 #: Anything convertible to an mpf at context precision.
 Real = Union[int, float, str, Fraction, mpf]
@@ -415,9 +424,16 @@ def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 
 def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """exp(-pi sqrt(r)) at working precision: the one spelling of the nome."""
-    with workprec(ctx.work_bits):
-        return mp.exp(-mp.pi * _sqrt(mpf(r_num) / mpf(r_den)))
+    """exp(-pi sqrt(r)) at working precision: the one spelling of the nome.
+
+    pi sqrt(r) is formed on integers with `frac` fractional bits, sqrt(r) by
+    math.isqrt of the exact rational and pi from mpmath's cached fixed
+    point, so its absolute error, a few units times sqrt(r), stays below
+    2^-(work_bits + 16); one call of mpmath's mpf_exp takes it from there.
+    The exponent's absolute error is the nome's relative error."""
+    frac = ctx.work_bits + 20 + max(0, r_num.bit_length() - r_den.bit_length()) // 2
+    arg = pi_fixed(frac) * math.isqrt((r_num << 2 * frac) // r_den) >> frac
+    return mp.make_mpf(mpf_exp(from_man_exp(-arg, -frac), ctx.work_bits, round_nearest))
 
 
 def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
@@ -541,7 +557,8 @@ def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRec
 
 
 #: hard cap on the largest power q^n the eta series may have to reach;
-#: reached only for q pathologically close to 1
+#: reached only for q pathologically close to 1, which only a caller of the
+#: public eta_f can ask for: the lookups reflect every r below 1/25
 _ETA_TERM_CAP = 10_000_000
 
 
@@ -601,9 +618,44 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mpf((acc, -frac))
 
 
-def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+#: below this r the eta, continued-fraction and eta-quotient lookups take
+#: their value from the reflected point 16/r (16/(25r) for the quotient),
+#: whose nome lies near 0.  It is at most 4/5, so no reflected point lies
+#: below it again.
+_REFLECT_BELOW = Fraction(1, 25)
+
+
+def _reflects(r_num: int, r_den: int) -> bool:
+    """Whether the lookups evaluate r = r_num/r_den > 0 at its reflection."""
+    return r_num * _REFLECT_BELOW.denominator < _REFLECT_BELOW.numerator * r_den
+
+
+def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext, reflect: bool = True) -> mpf:
     """f(-q) at q = nome(r), shared within a request scope.  q^m is the
-    nome of m^2 r, so f(-q^m) is _eta_at(m^2 r)."""
+    nome of m^2 r, so f(-q^m) is _eta_at(m^2 r).
+
+    At r >= _REFLECT_BELOW, or with reflect=False, it is eta_f at the
+    rounded nome.  Below, it is Dedekind's eta(i/alpha) = sqrt(alpha)
+    eta(i alpha) with alpha = sqrt(r)/2, read at q = e^(-2 pi alpha):
+
+        f(-q) = exp(pi (r - 4) / (24 sqrt r)) f(-q') / sqrt(sqrt(r)/2),
+
+    q' = nome(16/r).  The series at q near 1 would cancel from terms of
+    size 1 down to f(-q) and amplify the rounding of q by pi^2/(6 ln^2 q);
+    q' lies near 0.  The exponent is -pi sqrt(c) with c = (4 - r)^2 /
+    (576 r), so the prefactor is the nome at c."""
+    if reflect and _reflects(r_num, r_den):
+        return _memoised("eta_reflected", _eta_by_dedekind, r_num, r_den, ctx)
     return _memoised(
         "eta", lambda n, d, c: eta_f(_round_to(c, _nome(n, d, c)), c), r_num, r_den, ctx
     )
+
+
+def _eta_by_dedekind(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    # 1/sqrt(sqrt(r)/2) = (4/r)^(1/4) by two integer roots, then one rounding
+    frac = ctx.work_bits
+    quarter = math.isqrt(math.isqrt((4 * r_den << 4 * frac) // r_num))
+    prefactor = _exp_nome((4 * r_den - r_num) ** 2, 576 * r_num * r_den, ctx)
+    far = _eta_at(16 * r_den, r_num, ctx)
+    with workprec(ctx.work_bits):
+        return _round_to(ctx, prefactor * mpf((quarter, -frac)) * far)

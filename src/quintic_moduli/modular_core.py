@@ -15,11 +15,20 @@ Route map (everything is certified by cross-route residuals, never trusted):
     m5(r)  is certified as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
 
+Below r = 1/25 the registry's lookups read a and R at a reflected point
+whose nome lies near 0, and the public functions do not:
+
+    a(r)   = 125 / a(16/(25r))                    [Fricke involution, _a_eta_at]
+    R(r)   = (1 - phi R') / (phi + R'),  R' = R(16/r)
+                                         [Ramanujan's reciprocity, _rrcf_at]
+
 The closed form and the a-descent share E, which is formed on integers:
 h and sqrt(h^2 + 1) in fixed point, the fifth root by integer Newton at
 doubling precision from a float seed.  descend_a carries t = E - 1/E, its
 quartic and the nine-term denominator in the same fixed point and the
-numerator as a mantissa with a's own exponent, and rounds once.
+numerator as a mantissa with a's own exponent, and rounds once.  The same
+integer fifth root gives the continued fraction's q^(1/5) and descend_v's
+root, so the module calls no mp.root.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .bigmath_kernel import (
     _memoised,
     _neg_ln,
     _nome,
+    _reflects,
     _round_to,
     _rounded,
     _scaled_int,
@@ -67,21 +77,36 @@ __all__ = [
 
 #: refuse continued fractions deeper than this (each level costs a few
 #: multiplications and no memory, but a runaway depth means the caller's q
-#: is far too close to 1)
+#: is far too close to 1); it binds only for callers of the public
+#: functions, since the lookup reflects every r below 1/25
 _DEPTH_CAP = 1 << 20
 
 
 def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The eta quotient a = f(-q)^6 / (q f(-q^5)^6) at q = nome(r), where
-    q^5 is the nome of 25r; unrounded, at the context's working precision."""
-    eta_r, eta_25r = _eta_at(r_num, r_den, ctx), _eta_at(25 * r_num, r_den, ctx)
+    q^5 is the nome of 25r; unrounded, at the context's working precision.
+    Both eta values are the series at their own nomes, at any r; only the
+    registry's lookup _a_eta_at reflects."""
+    eta_r, eta_25r = (_eta_at(m * r_num, r_den, ctx, reflect=False) for m in (1, 25))
     with workprec(ctx.work_bits):
         return eta_r ** 6 / (_round_to(ctx, _nome(r_num, r_den, ctx)) * eta_25r ** 6)
 
 
 def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """a_via_eta at r, shared within a request scope."""
-    return _memoised("a_eta", a_via_eta, r_num, r_den, ctx)
+    """a_via_eta at r, shared within a request scope.
+
+    Below _REFLECT_BELOW it is 125 / a(16/(25r)): a = (eta(tau)/eta(5 tau))^6
+    at q = e^(2 pi i tau), and the Fricke involution tau -> -1/(5 tau) of
+    Gamma0(5) sends it to 125/a with no other factor, moving q = nome(r) to
+    nome(16/(25r)), near 0."""
+    return _memoised("a_eta", _a_by_fricke, r_num, r_den, ctx)
+
+
+def _a_by_fricke(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    if not _reflects(r_num, r_den):
+        return a_via_eta(r_num, r_den, ctx)
+    with workprec(ctx.work_bits):
+        return 125 / _a_eta_at(16 * r_den, 25 * r_num, ctx)
 
 
 @dataclass(frozen=True)
@@ -182,7 +207,7 @@ def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT)
         qv = to_big(q, ctx)
         if not (0 < qv < 1):
             raise DomainError("rrcf_truncated requires 0 < q < 1")
-        return _round_to(ctx, mp.root(qv, 5) / _rrcf_forward(qv, depth, ctx)[0])
+        return _round_to(ctx, _fifth_root(qv, ctx) / _rrcf_forward(qv, depth, ctx)[0])
 
 
 def _rrcf_forward(qv: mpf, depth: int, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
@@ -231,15 +256,27 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
             depth = math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
             tail, gap = _rrcf_forward(qv, depth, ctx)
             if ctx.certifies(gap, tail):
-                return _round_to(ctx, mp.root(qv, 5) / tail), depth
+                return _round_to(ctx, _fifth_root(qv, ctx) / tail), depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 
-def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
-    """rrcf_converged at q = nome(r), shared within a request scope."""
-    return _memoised(
-        "rrcf", lambda n, d, c: rrcf_converged(_round_to(c, _nome(n, d, c)), c), r_num, r_den, ctx
-    )
+def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    """R at q = nome(r), shared within a request scope: rrcf_converged's value.
+
+    Below _REFLECT_BELOW it comes from R' = R at 16/r, whose nome lies near
+    0, by Ramanujan's reciprocity (phi + R(q))(phi + R(q')) = phi sqrt5 for
+    q = e^(-2 pi alpha), q' = e^(-2 pi / alpha), alpha = sqrt(r)/2 (Berndt,
+    Ramanujan's Notebooks III, ch. 16).  As phi sqrt5 = phi + 2 and phi^2 =
+    phi + 1, that is R = (1 - phi R') / (phi + R'), free of cancellation."""
+    return _memoised("rrcf", _rrcf_by_reciprocity, r_num, r_den, ctx)
+
+
+def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    if not _reflects(r_num, r_den):
+        return rrcf_converged(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)[0]
+    far = _rrcf_at(16 * r_den, r_num, ctx)
+    with workprec(ctx.work_bits):
+        return _round_to(ctx, (1 - mp.phi * far) / (mp.phi + far))
 
 
 #: fractional bits the descent's fixed point carries beyond work_bits
@@ -262,6 +299,23 @@ def _root5(n: int) -> int:
     drop = bits + 16  # and x^4 then to its top bits + 16
     quotient = (n >> 2 * cut + drop) // (x2 * x2 >> drop)
     return x + (quotient - x) // 5
+
+
+def _root5_of(man: int, exp: int, bits: int, den: int = 1) -> Tuple[int, int]:
+    """((man / den) 2^exp)^(1/5) for integers man, den > 0 as (M, e), the
+    value M 2^e with M of about `bits` bits, to within a few units: the
+    quotient is taken to about 5 * bits bits with an exponent that is a
+    multiple of 5, and its root by _root5."""
+    shift = 5 * bits + den.bit_length() - man.bit_length()
+    shift += (exp - shift) % 5
+    return _root5((man << shift) // den), (exp - shift) // 5
+
+
+def _fifth_root(x: mpf, ctx: PrecisionContext) -> mpf:
+    """x^(1/5) for an mpf x > 0 at the ambient precision, from its mantissa's
+    root to work_bits + 32 bits."""
+    _, man, exp, _ = x._mpf_
+    return mpf(_root5_of(man, exp, ctx.work_bits + _DESCENT_INT_BITS))
 
 
 def _fifth_root_radical(av: mpf, frac: int) -> int:
@@ -301,14 +355,27 @@ def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     returns R at r/25 as the real positive fifth root of
 
         v (1 - 2v + 4v^2 - 3v^3 + v^4) / (1 + 3v + 4v^2 + 2v^3 + v^4).
+
+    Both quartics are integers with work_bits + 32 fractional bits, by
+    Horner's rule; on (0, 1) the first lies above 0.67 and the second in
+    [1, 11], so each keeps its relative precision.  v enters the product as
+    its mantissa with its own exponent, so a tiny v keeps its relative
+    precision too; the fifth root is _root5_of that quotient, rounded once
+    to precision_bits.
     """
     with workprec(ctx.work_bits):
         vv = to_big(v, ctx)
         if not (0 < vv < 1):
             raise DomainError("descend_v requires 0 < v < 1, got %s" % vv)
-        num = 1 - 2 * vv + 4 * vv ** 2 - 3 * vv ** 3 + vv ** 4
-        den = 1 + 3 * vv + 4 * vv ** 2 + 2 * vv ** 3 + vv ** 4
-        return _round_to(ctx, mp.root(vv * num / den, 5))
+        frac = ctx.work_bits + _DESCENT_INT_BITS
+        one = 1 << frac
+        vi = _scaled_int(vv, -frac)
+        num, den = one, one
+        for n_coeff, d_coeff in ((-3, 2), (4, 4), (-2, 3), (1, 1)):
+            num = (num * vi >> frac) + n_coeff * one
+            den = (den * vi >> frac) + d_coeff * one
+        _, v_man, v_exp, _ = vv._mpf_
+        return _rounded(ctx, *_root5_of(v_man * num, v_exp, frac, den))
 
 
 def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

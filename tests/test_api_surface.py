@@ -4,7 +4,8 @@ every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
 the one pass rule alone, mpmath's theta functions and square root stay out
-of the library, and nothing is assigned into mpmath."""
+of the library, modular_core takes no mpmath root, and nothing is assigned
+into mpmath."""
 
 import ast
 import dataclasses
@@ -205,6 +206,19 @@ def test_no_module_calls_mp_sqrt_or_patches_mpmath():
             ):
                 found.append((name, node.lineno))
     assert not found, "mp.sqrt or a store into mpmath at %s" % found
+
+
+def test_modular_core_takes_no_mpmath_root():
+    # its fifth roots are _root5 on integer mantissas; mp.root is the
+    # oracle the tests check them against
+    named = [
+        node.lineno
+        for node in ast.walk(_tree("quintic_moduli.modular_core"))
+        if (isinstance(node, ast.Attribute) and node.attr == "root")
+        or (isinstance(node, ast.Name) and node.id == "root")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "root" for a in node.names))
+    ]
+    assert not named, "modular_core names root at lines %s" % named
 
 
 def test_only_the_lookups_call_memoised():

@@ -170,6 +170,17 @@ class TestRequestMemo:
         assert sorted(gs) == [(1, 5), (5, 1), (125, 1)]
         assert sorted(quotients) == [(1, 5), (5, 1), (20, 1)]
 
+    def test_smallest_r_sums_its_q_series_only_near_q_0(self, monkeypatch):
+        # below the reflection crossover every eta value, continued fraction
+        # and eta quotient is read at its reflected point, whose nome lies
+        # at or below the crossover's
+        etas = self._record(monkeypatch, bk, "eta_f")
+        fractions = self._record(monkeypatch, mc, "rrcf_converged")
+        assert run_suite(1, 10 ** 4).all_pass
+        bound = nome(bk._REFLECT_BELOW.numerator, bk._REFLECT_BELOW.denominator)
+        assert etas and fractions
+        assert max(q for q, in etas + fractions) <= bound
+
     @pytest.mark.parametrize("rn,rd", [(1, 50), (1, 1), (22, 7), (250, 3)])
     def test_residuals_match_unmemoised_groups(self, rn, rd, monkeypatch):
         # the full registry, and the q-series ids alone

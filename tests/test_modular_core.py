@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from quintic_moduli import (
     DomainError,
     PrecisionContext,
     a_value,
+    a_via_eta,
     closed_form_R,
     descend_a,
     descend_v,
+    eta_f,
     multiplier_M5,
     nome,
     rrcf_converged,
@@ -158,7 +161,7 @@ class TestRRCFConverged:
             first = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
             assert mc._rrcf_at(44, 14, DEFAULT_CONTEXT) is first
             # the public function computes afresh, to the same value
-            direct = rrcf_converged(nome(22, 7))
+            direct, _ = rrcf_converged(nome(22, 7))
             assert direct is not first and direct == first
         again = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
         assert again is not first and again == first
@@ -369,3 +372,115 @@ class TestDescentOnIntegers:
             x = mc._root5(n)
             assert (x - 3) ** 5 <= n < (x + 4) ** 5, n
 
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_descend_v_is_within_an_ulp_of_the_mpf_spelling(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        for v in ("1e-300", "1e-25", "0.001", "0.4", "0.61803", "0.9", "0.999999"):
+            vv = to_big(v, ctx)
+            got = descend_v(vv, ctx)
+            with workprec(2 * bits + 64):
+                num = 1 - 2 * vv + 4 * vv ** 2 - 3 * vv ** 3 + vv ** 4
+                den = 1 + 3 * vv + 4 * vv ** 2 + 2 * vv ** 3 + vv ** 4
+                ref = mp.root(vv * num / den, 5)
+                assert abs(got - ref) <= ref * mpf(2) ** -bits, v
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_fifth_root_is_within_a_few_units(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        for x in ("1e-1364", "3e-7", "0.5", "0.999", "1", "7e300"):
+            xv = to_big(x, ctx)
+            with workprec(ctx.work_bits):
+                got = mc._fifth_root(xv, ctx)
+            with workprec(2 * bits + 64):
+                ref = mp.root(xv, 5)
+                assert abs(got - ref) <= ref * mpf(2) ** (2 - ctx.work_bits), x
+
+
+#: r points below the reflection crossover, the last just below it
+REFLECTED_RS = [(1, 10 ** 4), (1, 2500), (1, 100), (1, 26)]
+
+
+@functools.lru_cache(maxsize=None)
+def _direct(rn, rd, bits):
+    """f(-q), R and a at r, and each at its reflected point, by the public
+    direct functions at 2 bits + 64: the references the reflected lookups
+    are held to."""
+    hi = PrecisionContext(precision_bits=2 * bits + 64, tol_exp=ov.TOL_EXP[bits])
+    eta = lambda n, d: eta_f(nome(n, d, hi), hi)
+    cf = lambda n, d: rrcf_converged(nome(n, d, hi), hi)[0]
+    return {
+        "eta": (eta(rn, rd), eta(16 * rd, rn)),
+        "rrcf": (cf(rn, rd), cf(16 * rd, rn)),
+        "a": (a_via_eta(rn, rd, hi), a_via_eta(16 * rd, 25 * rn, hi)),
+        "bits": hi.work_bits,
+    }
+
+
+
+class TestReflectedLookups:
+    """Below _REFLECT_BELOW the eta, continued-fraction and eta-quotient
+    lookups read the value at the reflected point, whose nome lies near 0
+    (Dedekind, Ramanujan's reciprocity, the Fricke involution)."""
+
+    LOOKUPS = {"eta": bk._eta_at, "rrcf": mc._rrcf_at, "a": mc._a_eta_at}
+
+    @staticmethod
+    def _ulps(value, ref, bits, wide):
+        with workprec(wide):
+            return abs(value - ref) / abs(ref) * mpf(2) ** bits
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("rn,rd", REFLECTED_RS)
+    def test_lookup_is_within_8_ulps_of_the_direct_route(self, rn, rd, bits):
+        assert bk._reflects(rn, rd)
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        ref = _direct(rn, rd, bits)
+        for kind, lookup in self.LOOKUPS.items():
+            got = lookup(rn, rd, ctx)
+            assert self._ulps(got, ref[kind][0], bits, ref["bits"]) <= 8, kind
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("rn,rd", REFLECTED_RS[:2])
+    def test_direct_route_at_the_same_bits_misses_for_eta_and_a(self, rn, rd, bits):
+        # the nome is rounded to precision_bits before the sum, and f(-q)
+        # near q = 1 amplifies that rounding by pi^2 / (6 ln^2 q): at
+        # r = 1/10^4 and 512 bits eta is about 500 ulps off, a about 2900.
+        # The continued fraction does not amplify it and stays within 8
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        ref = _direct(rn, rd, bits)
+        q = nome(rn, rd, ctx)
+        direct = {
+            "eta": eta_f(q, ctx),
+            "rrcf": rrcf_converged(q, ctx)[0],
+            "a": a_via_eta(rn, rd, ctx),
+        }
+        ulps = {k: self._ulps(v, ref[k][0], bits, ref["bits"]) for k, v in direct.items()}
+        assert ulps["eta"] > 8 and ulps["a"] > 8 and ulps["rrcf"] <= 8, ulps
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("rn,rd", REFLECTED_RS)
+    def test_reflection_identities(self, rn, rd, bits):
+        ref = _direct(rn, rd, bits)
+        (eta, eta_far), (cf, cf_far), (a, a_far) = ref["eta"], ref["rrcf"], ref["a"]
+        with workprec(ref["bits"]):
+            r = mpf(rn) / rd
+            dedekind = mp.exp(mp.pi * (r - 4) / (24 * sqrt(r))) * eta_far / sqrt(sqrt(r) / 2)
+            phi = (1 + sqrt(5)) / 2
+            gap = mpf(2) ** -bits
+            assert abs(dedekind / eta - 1) < gap
+            assert abs((phi + cf) * (phi + cf_far) / (phi * sqrt(5)) - 1) < gap
+            assert abs(a * a_far / 125 - 1) < gap
+
+    def test_reflected_points_do_not_reflect_again(self):
+        # 16/r and 16/(25r) lie above 4/5 for every r below the crossover
+        assert bk._REFLECT_BELOW <= Fraction(4, 5)
+        assert not bk._reflects(16 * 26, 1) and not bk._reflects(16 * 26, 25)
+
+    def test_public_functions_keep_their_direct_paths(self, monkeypatch):
+        # a_via_eta sums the series at its own nome, even below the crossover
+        etas = []
+        series = bk.eta_f
+        monkeypatch.setattr(bk, "eta_f", lambda q, c: etas.append(q) or series(q, c))
+        a_via_eta(1, 100)
+        assert sorted(etas) == sorted([nome(1, 100), nome(1, 4)])
