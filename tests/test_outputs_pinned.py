@@ -1,0 +1,79 @@
+"""The CLI's outputs, pinned: one sha256 per request over its exit code,
+stdout and stderr, with the verify timings masked.
+
+The requests cover `kr`, `rrcf` and `verify` at six r from 1/10^4 to 10^6
+and `ladder` from three starts, at 256, 512 and 1024 bits, in text and in
+JSON.  A change that moves any printed digit fails the request it moved;
+when the move is meant, rewrite tests/data/outputs.json with
+
+    PYTHONPATH=src python tests/test_outputs_pinned.py
+
+so that the data file's diff names exactly the outputs that moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+
+import pytest
+
+from quintic_moduli.cli import main
+
+import oracle_values as ov
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "outputs.json")
+
+_BITS = (256, 512, 1024)
+_POINTS = ("1/10000", "1/13", "1", "7/3", "10000", "1000000")
+
+
+def _requests():
+    """(name, argv) of every pinned request; the name is its argv joined.
+    Each command visits the precisions in turn along the points, from its
+    own offset, so that each point is seen at more than one precision."""
+    shapes = [[cmd, "--r", r] for cmd in ("kr", "rrcf", "verify") for r in _POINTS]
+    shapes += [["ladder", "--r0", r0, "--n", "3"] for r0 in ("1/25", "7/3", "50")]
+    out = []
+    for i, shape in enumerate(shapes):
+        bits = _BITS[(i + i // len(_POINTS)) % len(_BITS)]
+        for mode in ([], ["--json"]):
+            argv = shape + ["--prec", str(bits), "--tol-exp", str(ov.TOL_EXP[bits])] + mode
+            out.append((" ".join(argv), argv))
+    return out
+
+
+REQUESTS = _requests()
+
+
+def _digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue())
+    stdout = re.sub(r"\(\d+ ms\)", "(0 ms)", stdout)
+    blob = json.dumps({"exit": code, "stdout": stdout, "stderr": err.getvalue()})
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _pinned() -> dict:
+    with open(DATA, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_the_pinned_requests_are_the_listed_ones():
+    assert sorted(_pinned()) == sorted(name for name, _ in REQUESTS)
+
+
+@pytest.mark.parametrize("name,argv", REQUESTS, ids=[name for name, _ in REQUESTS])
+def test_output_is_pinned(name, argv):
+    assert _digest(argv) == _pinned().get(name), "output of `%s` moved" % name
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    with open(DATA, "w", encoding="utf-8") as fh:
+        json.dump({name: _digest(argv) for name, argv in REQUESTS}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
