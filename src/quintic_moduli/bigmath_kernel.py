@@ -6,12 +6,12 @@ All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
 governing :class:`PrecisionContext`; intermediates carry 64 more (GUARD_BITS).
 
 Square roots, rounding and the pass rule work on mpf mantissas directly.
-``_sqrt`` takes the steps of mpmath's ``mpf_sqrt`` with its integer root
-from ``math.isqrt``; ``_round_to``, ``to_big`` of an mpf and
-``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding primitives
-at the bits they need instead of entering a ``workprec`` block.  Each
-gives the same bits as ``mp.sqrt``, ``+x`` or the mpf operators would, and
-no module calls ``mp.sqrt``.
+``_sqrt`` (``_sqrt_raw`` on a mantissa) takes the steps of mpmath's
+``mpf_sqrt`` with its integer root from ``math.isqrt``; ``_round_to``,
+``to_big`` of an mpf and ``PrecisionContext.certifies`` call mpmath's
+``libmp`` rounding primitives at the bits they need instead of entering a
+``workprec`` block.  Each gives the same bits as ``mp.sqrt``, ``+x`` or
+the mpf operators would, and no module calls ``mp.sqrt``.
 
 Quantities handled here:
 
@@ -25,20 +25,23 @@ Quantities handled here:
                      Euler's pentagonal series
 
 The solver evaluates k_r in closed form as a theta quotient, summed on
-integers, and certifies it through the K-ratio.  With k' = sqrt((1-k)(1+k)) one has
+integers, and certifies it through the K-ratio.  With k' = sqrt(1 - k^2),
+the root of an exact integer, one has
 
     K(k)  = pi / (2 agm(1, k')),     K(k') = pi / (2 agm(1, k)),
 
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
 
-The AGM ends on integers: once |a - b| < 2^(-(work_bits + 40)/4) a it
-returns (a + b)/2 - (a - b)^2 / (8 (a + b)), whose error is of order
-(a - b)^4, and hands back the integer and its exponent.  The solver forms its residual
-from those integers: the quotient of the two legs against sqrt(r) taken by
-math.isqrt from the exact rational, judged by ``certifies`` on integers;
-each K is pi / (2 agm) against mpmath's cached fixed-point pi, and every
-field is rounded once.
+The AGM runs on integers, from its first step: once |a - b| <
+2^(-(work_bits + 40)/4) a it returns (a + b)/2 - (a - b)^2 / (8 (a + b)),
+whose error is of order (a - b)^4, and hands back the integer and its
+exponent.  The solver forms its residual from those integers: the quotient
+of the two legs against sqrt(r) taken by math.isqrt from the exact
+rational, judged by ``certifies`` on integers; each K is pi / (2 agm)
+against mpmath's cached fixed-point pi.  From its nome to its record the
+solve works on integers and mantissas, builds an mpf only for each field,
+rounded once, and never enters ``workprec``.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -61,12 +64,12 @@ paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
@@ -154,14 +157,17 @@ class PrecisionContext:
         """Mantissa bits used for intermediate computation."""
         return self.precision_bits + GUARD_BITS
 
-    @cached_property
-    def _tolerance(self) -> mpf:
-        with workprec(self.work_bits):
-            return mpf(10) ** (-self.tol_exp)
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def _tolerance(tol_exp: int, work_bits: int) -> mpf:
+        with workprec(work_bits):
+            return mpf(10) ** (-tol_exp)
 
     def tolerance(self) -> mpf:
-        """10**(-tol_exp) as an mpf at working precision, computed once."""
-        return self._tolerance
+        """10**(-tol_exp) as an mpf at working precision, computed once per
+        (tol_exp, work_bits) for the process: the CLI makes a new context
+        per request."""
+        return self._tolerance(self.tol_exp, self.work_bits)
 
     def certifies(self, residual: mpf, scale: mpf) -> bool:
         """The one pass rule: |residual| < 10**(-tol_exp) * |scale| at working
@@ -262,55 +268,61 @@ def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def _sqrt(x: mpf) -> mpf:
-    """mp.sqrt(x) for a real mpf x >= 0 at the ambient precision, bit for bit.
-
-    It takes the steps of mpmath's libmpf.mpf_sqrt under round-nearest; only
-    the floor root comes from math.isqrt, which is C, where mpmath's
-    pure-Python backend takes it in Python.  An inexact root gets a sticky
-    bit below it, as mpf_sqrt does for a nonzero remainder, so the final
-    rounding sees which side of the root the true value lies.  A negative
-    x raises DomainError, where mp.sqrt would return a complex root.
-    """
-    sign, man, exp, bc = x._mpf_
+    """mp.sqrt(x) for a real mpf x >= 0 at the ambient precision, bit for bit
+    (_sqrt_raw on its mantissa).  A negative x raises DomainError, where
+    mp.sqrt would return a complex root."""
+    sign, man, exp, _ = x._mpf_
     if sign:
         raise DomainError("square root of a negative number: %s" % x)
     if not man:  # 0, +inf and nan are their own roots
         return x
+    return mp.make_mpf(_sqrt_raw(man, exp, mp.prec))
+
+
+def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
+    """sqrt(man 2^exp) for an integer man >= 0 as a raw mpf rounded once to
+    nearest at `prec`: what mpmath's libmpf.mpf_sqrt gives under
+    round-nearest, with the floor root from math.isqrt, which is C, where
+    mpmath's pure-Python backend takes it in Python.  The root is taken to
+    at least prec + 2 bits, and an inexact one gets a sticky bit below it,
+    as mpf_sqrt does for a nonzero remainder, so the final rounding sees
+    which side of the root the true value lies."""
     if exp & 1:
         exp -= 1
         man <<= 1
-        bc += 1
-    elif man == 1:  # an even power of two: the root is exact
-        return mp.make_mpf((0, 1, exp // 2, 1))
-    prec = mp.prec
-    shift = max(4, 2 * prec - bc + 4)
+    shift = max(4, 2 * prec - man.bit_length() + 4)
     shift += shift & 1
     m = man << shift
     root = math.isqrt(m)
     if root * root != m:
         root = (root << 1) + 1
         shift += 2
-    return mp.make_mpf(from_man_exp(root, (exp - shift) // 2, prec, round_nearest))
+    return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
 
 
-def _complement_raw(k: mpf) -> mpf:
-    # sqrt((1-k)(1+k)): 1-k is exact for k in (1/2, 2) (Sterbenz), so no
-    # cancellation for k near 1, and no 1 - k^2 rounding collapse for tiny k.
-    return _sqrt((1 - k) * (1 + k))
+def _complement_raw(k: mpf, prec: Optional[int] = None) -> mpf:
+    """sqrt(1 - k^2) for 0 <= k <= 1, rounded once to nearest at `prec`
+    bits, the ambient precision by default.  With k = m 2^e, 1 - k^2 =
+    (2^(-2e) - m^2) 2^(2e) is an exact integer times a power of two, so
+    nothing cancels for k near 1 and nothing is lost for a tiny k."""
+    _, man, exp, _ = k._mpf_
+    return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec or mp.prec))
 
 
 def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """sqrt(1 - x^2) for x in [0, 1], evaluated cancellation-free."""
-    with workprec(ctx.work_bits):
-        xv = to_big(x, ctx)
-        if xv < 0 or xv > 1:
-            raise DomainError("complement requires 0 <= x <= 1, got %s" % xv)
-        return _round_to(ctx, _complement_raw(xv))
+    """sqrt(1 - x^2) for x in [0, 1], exactly on integers, rounded once."""
+    xv = to_big(x, ctx)
+    if xv < 0 or xv > 1:
+        raise DomainError("complement requires 0 <= x <= 1, got %s" % xv)
+    return _complement_raw(xv, ctx.precision_bits)
 
 
 #: bits by which the AGM's integer phase exceeds work_bits, and how close
 #: (in binary orders of magnitude) a and b must be before it starts
 _AGM_INT_BITS = 32
+
+#: the AGM's first operand in K(x) = pi / (2 agm(1, sqrt(1 - x^2)))
+_ONE = mpf(1)
 
 
 def _top_bit(x: mpf) -> int:
@@ -332,31 +344,37 @@ def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
 
 
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
-    """AGM limit as (M, e), the value M 2^e with M an integer of about
-    work_bits + _AGM_INT_BITS bits; assumes ambient working precision and
-    positive inputs.
+    """AGM limit of two positive mpf values as (M, e), the value M 2^e with
+    M an integer of about work_bits + _AGM_INT_BITS bits.
 
-    While a and b lie more than 2^_AGM_INT_BITS apart the steps run in mpf,
-    so a tiny b (k = 2.6e-682 at r = 10^6) keeps its own exponent.  After
-    that both are held as integers on one scale of work_bits +
-    _AGM_INT_BITS bits and stepped with math.isqrt, which is C, where
-    mpmath's pure-Python backend takes its square roots in Python.  The
-    integer phase stops once |a - b| < 2^(-(work_bits + 40)/4) a and
-    returns (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
+    Every step runs on integers, with math.isqrt for the square root, which
+    is C, where mpmath's pure-Python backend takes its square roots in
+    Python.  While a and b lie more than 2^_AGM_INT_BITS apart, both sit
+    on the common scale that gives the smaller one work_bits +
+    _AGM_INT_BITS bits, rescaled after each step, so a tiny b (k =
+    2.6e-682 at r = 10^6) keeps its relative precision and the larger one
+    carries the gap.  After that the scale gives the larger one those
+    bits.  The steps stop once |a - b| < 2^(-(work_bits + 40)/4) a and
+    return (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
     5 e^4 (a + b) / 128 with e = (a - b)/(a + b), below 2^-(work_bits + 47)
     relative: under the integer scale's last bit.  Stopping at
     2^(-(work_bits + 40)/2) instead would leave (a - b)^2 / (8 (a + b))
     itself under that bit, one step later.
     """
+    bits = ctx.work_bits + _AGM_INT_BITS
+    unit = min(_top_bit(a), _top_bit(b)) - bits
+    ia, ib = _scaled_int(a, unit), _scaled_int(b, unit)
     for _ in range(_MAX_ITER):
-        if abs(_top_bit(a) - _top_bit(b)) <= _AGM_INT_BITS:
+        if abs(ia.bit_length() - ib.bit_length()) <= _AGM_INT_BITS:
             break
-        a, b = (a + b) / 2, _sqrt(a * b)
+        ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
+        drop = min(ia.bit_length(), ib.bit_length()) - bits
+        ia, ib, unit = ia >> drop, ib >> drop, unit + drop
     else:
         raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
-    unit = max(_top_bit(a), _top_bit(b)) - ctx.work_bits - _AGM_INT_BITS
-    ia, ib = _scaled_int(a, unit), _scaled_int(b, unit)
+    drop = max(ia.bit_length(), ib.bit_length()) - bits
+    ia, ib, unit = ia >> drop, ib >> drop, unit + drop
     stop_shift = (ctx.work_bits + 43) // 4
     for _ in range(_MAX_ITER):
         gap = ia - ib
@@ -377,11 +395,12 @@ def _half_pi_over(man: int, exp: int, ctx: PrecisionContext) -> Tuple[int, int]:
 def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Arithmetic-geometric mean of two positive reals.
 
-    The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically.  The
-    first steps, while a and b are more than 2^32 apart, run in mpf; the
-    rest run on integers at a shared scale of work_bits + 32 bits, with
-    math.isqrt for the square root, until |a_n - b_n| < 2^(-(work_bits +
-    40)/4) a_n, and finish with (a_n + b_n)/2 - (a_n - b_n)^2 / (8 (a_n +
+    The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically.  It
+    runs on integers (_agm_raw), with math.isqrt for the square root: on
+    the scale that gives the smaller operand work_bits + 32 bits while a
+    and b are more than 2^32 apart, then on the scale that gives the
+    larger one those bits, until |a_n - b_n| < 2^(-(work_bits + 40)/4)
+    a_n.  It finishes with (a_n + b_n)/2 - (a_n - b_n)^2 / (8 (a_n +
     b_n)), rounded once to precision_bits.
     """
     with workprec(ctx.work_bits):
@@ -406,7 +425,7 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         xv = to_big(x, ctx)
         if xv < 0 or xv >= 1:
             raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
-        man, exp = _agm_raw(mpf(1), _complement_raw(xv), ctx)
+        man, exp = _agm_raw(_ONE, _complement_raw(xv), ctx)
         return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
@@ -446,8 +465,8 @@ def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 _THETA_INT_BITS = 32
 
 
-def _theta_quotient(q: mpf, ctx: PrecisionContext) -> mpf:
-    """(theta2(q)/theta3(q))^2 at the ambient working precision, for
+def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
+    """(theta2(q)/theta3(q))^2 as (M, e), the value M 2^e, for
     0 < q <= e^-pi, as
 
         4 sqrt(q) (S2 / (1 + 2 S3))^2,   S2 = sum_{n>=0} q^(n(n+1)),
@@ -458,7 +477,8 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> mpf:
     0, 1, 2, 4, 6, 9, 12, ...: each is the last times the running power q^n.
     S2 and 1 + 2 S3 lie in [1, 1.1), so the fixed point keeps their
     relative precision.  sqrt(q), which can lie far below 2^-work_bits
-    (q = e^(-1000 pi) at r = 10^6), stays in mpf.
+    (q = e^(-1000 pi) at r = 10^6), is math.isqrt of q's mantissa, to as
+    many bits, with q's own exponent halved.
     """
     frac = ctx.work_bits + _THETA_INT_BITS
     one = 1 << frac
@@ -472,7 +492,11 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> mpf:
         s3 += term
         term = term * qn >> frac  # q^((n+1)(n+2))
     ratio = (s2 << frac) // (one + 2 * s3)
-    return _sqrt(q) * mpf((ratio * ratio, 2 - 2 * frac))
+    _, man, exp, bc = q._mpf_
+    shift = 2 * frac - bc
+    shift += (exp - shift) & 1  # an even exponent to halve
+    root = math.isqrt(man << shift)
+    return root * ratio * ratio, (exp - shift) // 2 + 2 - 2 * frac
 
 
 @dataclass(frozen=True)
@@ -494,11 +518,12 @@ def solve_singular_modulus(
 
     Evaluation is the theta quotient k = (theta2(q)/theta3(q))^2 at the nome
     q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi, as
-    4 sqrt(q) (S2/(1 + 2 S3))^2 with both theta series summed in one
-    integer pass (_theta_quotient).  That gives the
-    modulus nearer 0; its complement comes from the cancellation-free
-    sqrt((1-k)(1+k)).  For r < 1 the pair is swapped (k_r = k'_(1/r)), so
-    the small modulus of either orientation keeps its relative precision.
+    4 sqrt(q) (S2/(1 + 2 S3))^2 with both theta series and sqrt(q) summed
+    and rooted in one integer pass (_theta_quotient), rounded once.  That
+    gives the modulus nearer 0; its complement sqrt(1 - k^2) is the square
+    root of an exact integer, rounded once.  For r < 1 the pair is swapped
+    (k_r = k'_(1/r)), so the small modulus of either orientation keeps its
+    relative precision.
 
     The returned record stores values rounded to ``precision_bits``; the
     residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
@@ -507,8 +532,9 @@ def solve_singular_modulus(
     integers: the quotient of the two legs' integers, and sqrt(r) by
     math.isqrt of the exact rational, both with work_bits + 32 fractional
     bits (more for r < 1, so that sqrt(r) keeps as many significant bits).
-    Each K is one integer quotient against mpmath's cached fixed-point pi,
-    and every field is rounded once.
+    Each K is one integer quotient against mpmath's cached fixed-point pi.
+    The whole solve runs on integers and mantissas: it builds an mpf only
+    for each record field, rounded once, and never switches precision.
 
     Either member of the pair may be the correctly rounded 1: k_comp from
     r = 12962 at 512 bits (3291 at 256), k from r = 1/12962 (1/3291).  The
@@ -518,37 +544,36 @@ def solve_singular_modulus(
     K(1) is infinite and elliptic_K refuses it.
     """
     _validate_rational(r_num, r_den)
-    with workprec(ctx.work_bits):
-        reflect = r_num < r_den
-        q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
-        # the theta quotient runs at the nome of max(r, 1/r)
-        q = _nome(r_den, r_num, ctx) if reflect else q_r
-        small = _round_to(ctx, _theta_quotient(q, ctx))
-        big = _round_to(ctx, _complement_raw(small))
-        k, k_comp = (big, small) if reflect else (small, big)
+    reflect = r_num < r_den
+    q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
+    # the theta quotient runs at the nome of max(r, 1/r)
+    q = _nome(r_den, r_num, ctx) if reflect else q_r
+    small = _rounded(ctx, *_theta_quotient(q, ctx))
+    big = _complement_raw(small, ctx.precision_bits)
+    k, k_comp = (big, small) if reflect else (small, big)
 
-        man_k, exp_k = _agm_raw(mpf(1), k, ctx)  # pi / (2 K(k'))
-        man_c, exp_c = _agm_raw(mpf(1), k_comp, ctx)  # pi / (2 K(k))
-        # agm_c / agm_k and sqrt(r), both with `frac` fractional bits
-        frac = ctx.work_bits + _AGM_INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
-        shift = frac + exp_c - exp_k
-        ratio = (man_c << max(shift, 0)) // (man_k << max(-shift, 0))
-        target = math.isqrt((r_num << 2 * frac) // r_den)
-        residual = ratio - target
-        gap = _rounded(ctx, abs(residual), -frac)
-        if not ctx.certifies(residual, target):
-            raise ConvergenceError(
-                "solve at r=%s/%s left residual %s above tolerance"
-                % (r_num, r_den, mp.nstr(gap, 8))
-            )
-        return SingularModulusRecord(
-            k=k,
-            k_comp=k_comp,
-            q=_round_to(ctx, q_r),
-            K_k=_rounded(ctx, *_half_pi_over(man_c, exp_c, ctx)),
-            K_kcomp=_rounded(ctx, *_half_pi_over(man_k, exp_k, ctx)),
-            residual=gap,
+    man_k, exp_k = _agm_raw(_ONE, k, ctx)  # pi / (2 K(k'))
+    man_c, exp_c = _agm_raw(_ONE, k_comp, ctx)  # pi / (2 K(k))
+    # agm_c / agm_k and sqrt(r), both with `frac` fractional bits
+    frac = ctx.work_bits + _AGM_INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
+    shift = frac + exp_c - exp_k
+    ratio = (man_c << max(shift, 0)) // (man_k << max(-shift, 0))
+    target = math.isqrt((r_num << 2 * frac) // r_den)
+    residual = ratio - target
+    gap = _rounded(ctx, abs(residual), -frac)
+    if not ctx.certifies(residual, target):
+        raise ConvergenceError(
+            "solve at r=%s/%s left residual %s above tolerance"
+            % (r_num, r_den, mp.nstr(gap, 8))
         )
+    return SingularModulusRecord(
+        k=k,
+        k_comp=k_comp,
+        q=_round_to(ctx, q_r),
+        K_k=_rounded(ctx, *_half_pi_over(man_c, exp_c, ctx)),
+        K_kcomp=_rounded(ctx, *_half_pi_over(man_k, exp_k, ctx)),
+        residual=gap,
+    )
 
 
 def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:

@@ -398,11 +398,14 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
 
-    E, t, the quartic and the nine-term denominator are integers with
-    work_bits + 32 fractional bits, the last two by Horner's rule, the
-    denominator as E (1 + E (-1 + E (2 + ... + E (1 + E)))).  E >= 1, the
-    quartic >= 11 and the denominator >= 11, so each keeps its relative
-    precision.  The numerator (E a / quartic)^5 is a mantissa and an
+    E and t = E - 1/E are formed with work_bits + 32 fractional bits, and
+    each of E, t, the quartic and the nine-term denominator is then held
+    as a mantissa cut to work_bits + 32 bits with its own exponent
+    (_plus_times), the last two by Horner's rule, the denominator as
+    E (1 + E (-1 + E (2 + ... + E (1 + E)))).  So a huge a, whose
+    denominator grows like E^9 = a^(9/5), costs products of a bounded
+    width.  E >= 1, the quartic >= 11 and the denominator >= 11, so no sum
+    cancels.  The numerator (E a / quartic)^5 is a mantissa and an
     exponent, a's own, so a tiny or huge a keeps its relative precision
     too; the quotient is rounded once to precision_bits.
     """
@@ -411,24 +414,37 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if not av > -11:
             raise DomainError("descend_a requires a > -11, got %s" % av)
         frac = ctx.work_bits + _DESCENT_INT_BITS
-        one = 1 << frac
         e_int = _fifth_root_radical(av, frac)
-        t = e_int - (one << frac) // e_int
+        e = _truncated(e_int, -frac, frac)
+        t = _truncated(e_int - (1 << 2 * frac) // e_int, -frac, frac)
         quartic = t
         for coeff in (1, 6, 6):
-            quartic = (quartic + coeff * one) * t >> frac
-        quartic += 11 * one
-        den = e_int
+            quartic = _plus_times(quartic, coeff, t, frac)
+        quartic = _plus_times(quartic, 11, (1, 0), frac)  # + 11, times 1
+        den = e
         for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
-            den = (den + coeff * one) * e_int >> frac
+            den = _plus_times(den, coeff, e, frac)
         # g = E |a| / quartic as g_man 2^g_exp, then g^5 to frac bits
         sign, a_man, a_exp, _ = av._mpf_
-        num = e_int * a_man
-        shift = max(0, frac + quartic.bit_length() - num.bit_length())
-        g_man, g_exp = (num << shift) // quartic, a_exp - shift
+        num = e[0] * a_man
+        shift = max(0, frac + quartic[0].bit_length() - num.bit_length())
+        g_man, g_exp = (num << shift) // quartic[0], e[1] + a_exp - quartic[1] - shift
         g2, e2 = _truncated(g_man * g_man, 2 * g_exp, frac)
         g4, e4 = _truncated(g2 * g2, 2 * e2, frac)
         g5 = g4 * g_man
-        shift = max(0, frac + den.bit_length() - g5.bit_length())
-        quotient = (g5 << shift) // den
-        return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp + frac - shift)
+        shift = max(0, frac + den[0].bit_length() - g5.bit_length())
+        quotient = (g5 << shift) // den[0]
+        return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp - den[1] - shift)
+
+
+def _plus_times(
+    y: Tuple[int, int], coeff: int, x: Tuple[int, int], bits: int
+) -> Tuple[int, int]:
+    """(y + coeff) x for y = man 2^exp and x likewise, as a mantissa cut to
+    its top `bits` bits and its exponent: one Horner step.  y holds `bits`
+    bits, so where its exponent is positive, coeff lies below its last bit
+    and is left out."""
+    man, exp = y
+    if exp <= 0:
+        man += coeff << -exp
+    return _truncated(man * x[0], exp + x[1], bits)

@@ -396,15 +396,17 @@ def ladder(
 
     The checks come first: r0, n and tol_exp, then any seed given; each
     missing seed is solved only after them (solve_singular_modulus), so a
-    refused start or a bad seed costs no solve.  The seeds are k at r0 and at r0/25,
-    each a k alone in (0, 1) (else DomainError) whose k' is rebuilt as
-    sqrt((1 - k)(1 + k)), so a replay of the trace's seed_k and seed_k25 is
-    exact.  A start with 25 r0 < 1 is refused (DomainError): below r = 1
-    the ascent's positivity conventions flip; use the reciprocal symmetry
-    k(1/r) = k'(r) and climb from the reflected point instead.  Levels only
-    grow from there, so no later one can drop below 1.  A context with
-    tol_exp <= GATE_SLACK_DIGITS is refused too (DomainError): its relative
-    gate would be 10^0 or looser and pass any k.
+    refused start or a bad seed costs no solve; a seed point below r = 1 is
+    solved at its reciprocal, whose k_comp is its k.  The seeds are k at r0
+    and at r0/25, each a k alone in (0, 1) (else DomainError) whose k' is
+    rebuilt as sqrt(1 - k^2), exactly on integers, so a replay of the
+    trace's seed_k and seed_k25 is exact.  A start with 25 r0 < 1 is
+    refused (DomainError): below r = 1 the ascent's positivity conventions
+    flip; use the reciprocal symmetry k(1/r) = k'(r) and climb from the
+    reflected point instead.  Levels only grow from there, so no later one
+    can drop below 1.  A context with tol_exp <= GATE_SLACK_DIGITS is
+    refused too (DomainError): its relative gate would be 10^0 or looser
+    and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
     level whose |k_j - k_oracle| does not certify against
@@ -447,7 +449,14 @@ def ladder(
             key=lambda seed: seed[1] is None,
         ):
             if k is None:
-                k = solve_singular_modulus(r.numerator, r.denominator, ctx).k
+                # below r = 1 the solve at 1/r gives k(r) as its k_comp, the
+                # same rounded value bit for bit, without the nome of r that
+                # only the record of the solve at r would read
+                flip = r < 1
+                rec = solve_singular_modulus(
+                    *((r.denominator, r.numerator) if flip else (r.numerator, r.denominator)), ctx
+                )
+                k = rec.k_comp if flip else rec.k
             seeds[name] = v = to_big(k, ctx)
             if not 0 < v < 1:
                 raise DomainError("%s must lie in (0, 1), got %s" % (name, v))

@@ -9,9 +9,9 @@ continued fraction by backward recurrence in mpf, and the cubic formula
 for u_map.  None of them shares code with the library.
 
 The mpf reference spellings after them (``u_star_mpf``,
-``fifth_root_radical_mpf``, ``descend_a_horner``, ``u_relation_terms``
-and ``agm_two_phase``) are the library's earlier evaluations of the same
-formulas in mpf arithmetic, kept as oracles for the integer ones that
+``fifth_root_radical_mpf``, ``descend_a_horner``, ``u_relation_terms``,
+``agm_two_phase`` and ``solve_mpf``) are the library's earlier evaluations
+of the same formulas in mpf arithmetic, kept as oracles for the integer ones that
 replaced them: the integer versions must give the same bits once both are
 rounded to the output precision.
 
@@ -274,3 +274,77 @@ def agm_two_phase(a, b, precision_bits):
         while abs(ia - ib) << (precision_bits - 32) >= ia:
             ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
         return mpf((ia + ib, unit - 1))
+
+
+def _agm_mpf_head(a, b, work):
+    """agm(a, b) as (M, e), M 2^e, as the library took it before its AGM ran
+    on integers throughout: mpf steps at ``work`` bits while a and b lie
+    more than 2^32 apart, then steps on integers at a shared scale of
+    work + 32 bits until |a - b| < 2^(-(work + 40)/4) a, closed by
+    (a + b)/2 - (a - b)^2 / (8 (a + b))."""
+
+    def top(x):
+        return x._mpf_[2] + x._mpf_[3]
+
+    with workprec(work):
+        a, b = mpf(a), mpf(b)
+        while abs(top(a) - top(b)) > 32:
+            a, b = (a + b) / 2, sqrt(a * b)
+        unit = max(top(a), top(b)) - work - 32
+        ia, ib = (int(mp.ldexp(v, -unit)) for v in (a, b))
+    while abs(ia - ib) << (work + 43) // 4 >= ia:
+        ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
+    gap, total = ia - ib, ia + ib
+    return total - gap * gap // (4 * total), unit - 1
+
+
+def solve_mpf(r_num, r_den, precision_bits):
+    """k, k_comp, q, K_k and K_kcomp of the solve at r = r_num/r_den, as the
+    library computed them before its solve ran on integers from nome to
+    record, in a dict.
+
+    The nomes are mpmath's exp at work + 64 bits, rounded to the working
+    precision work = precision_bits + 64.  The theta quotient sums S2 and
+    S3 on integers with work + 32 fractional bits and is 4 sqrt(q)
+    (S2/(1 + 2 S3))^2 in mpf at work bits, rounded again to precision_bits;
+    the complement is sqrt((1 - k)(1 + k)) in mpf at work bits, rounded
+    again; the AGM legs take their wide-gap steps in mpf (_agm_mpf_head).
+    The residual is left out: only its low digits depend on the spelling.
+    """
+    work = precision_bits + 64
+    frac = work + 32
+    reflect = r_num < r_den
+    with workprec(work + 64):
+        q_r = mp.exp(-mp.pi * sqrt(mpf(r_num) / r_den))
+        q_big = mp.exp(-mp.pi * sqrt(mpf(max(r_num, r_den)) / min(r_num, r_den)))
+    with workprec(work):
+        q_r, q_big = +q_r, +q_big
+        one = 1 << frac
+        qi = int(mp.ldexp(q_big, frac))
+        s2, s3 = 0, 0
+        term, qn = one, one
+        while term:
+            s2 += term
+            qn = qn * qi >> frac
+            term = term * qn >> frac
+            s3 += term
+            term = term * qn >> frac
+        ratio = (s2 << frac) // (one + 2 * s3)
+        theta = sqrt(q_big) * mpf((ratio * ratio, 2 - 2 * frac))
+    with workprec(precision_bits):
+        small = +theta
+    with workprec(work):
+        big = sqrt((1 - small) * (1 + small))
+    with workprec(precision_bits):
+        big = +big
+    k, k_comp = (big, small) if reflect else (small, big)
+    out = {"k": k, "k_comp": k_comp}
+    for name, leg in (("K_k", k_comp), ("K_kcomp", k)):
+        man, exp = _agm_mpf_head(1, leg, work)
+        with workprec(work + 64):
+            K = mp.pi / (2 * mp.ldexp(mpf(man), exp))
+        with workprec(precision_bits):
+            out[name] = +K
+    with workprec(precision_bits):
+        out["q"] = +q_r
+    return out

@@ -3,9 +3,9 @@ resolves, so does every function the benchmark's tracer wraps by name,
 every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
-the one pass rule alone, mpmath's theta functions and square root stay out
-of the library, modular_core takes no mpmath root, and nothing is assigned
-into mpmath."""
+the one pass rule alone, the solve never switches precision, mpmath's
+theta functions and square root stay out of the library, modular_core
+takes no mpmath root, and nothing is assigned into mpmath."""
 
 import ast
 import dataclasses
@@ -144,6 +144,21 @@ def test_tolerance_is_read_only_inside_precision_context(name):
         and id(node) not in inside
     ]
     assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
+
+
+@pytest.mark.parametrize("function", ["solve_singular_modulus", "_agm_raw"])
+def test_the_solve_never_switches_precision(function):
+    # the solve runs on integers and mantissas from its nome to its record:
+    # no workprec block, and no workprec named at all
+    tree = _tree("quintic_moduli.bigmath_kernel")
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    named = [
+        n.lineno
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and n.id == "workprec")
+        or (isinstance(n, ast.Attribute) and n.attr == "workprec")
+    ]
+    assert not named, "%s names workprec at lines %s" % (function, named)
 
 
 def test_no_module_calls_jtheta():

@@ -409,12 +409,36 @@ class TestThetaQuotient:
         r = Fraction(r)
         with workprec(ctx.work_bits):
             q = bk._exp_nome(r.numerator, r.denominator, ctx)
-            got = bk._theta_quotient(q, ctx)
+            got = _exact(*bk._theta_quotient(q, ctx))
         ref = ov.theta_quotient(q, ctx.work_bits)
         assert bk._round_to(ctx, got) == bk._round_to(ctx, ref)
         # and a few ulps apart at working precision, where each side rounds
         with workprec(ctx.work_bits + 64):
             assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
+
+
+class TestIntegerSolve:
+    """The solve on integers from nome to record gives every field but the
+    residual the bits of its earlier mpf spelling (ov.solve_mpf): the mpf
+    wide-gap AGM head, the mpf complement and the theta quotient rounded
+    twice.  Only the residual's low digits may differ, where an AGM leg
+    takes wide-gap steps."""
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_fields_keep_their_bits(self, bits):
+        ctx = _ctx_at(bits)
+        for r in ("1/10000", "1/5822", "1/13", "1", "7/3", "3125", "400000", "1000000"):
+            r = Fraction(r)
+            rec = solve_singular_modulus(r.numerator, r.denominator, ctx)
+            ref = ov.solve_mpf(r.numerator, r.denominator, bits)
+            for name, value in ref.items():
+                assert getattr(rec, name)._mpf_ == value._mpf_, (str(r), name)
+
+    def test_the_tolerance_is_computed_once_per_precision(self):
+        # contexts made apart share one value: the CLI makes one per request
+        a, b = PrecisionContext(512, 120), PrecisionContext(512, 120)
+        assert a is not b and a.tolerance() is b.tolerance()
+        assert PrecisionContext(1024, 120).tolerance() is not a.tolerance()
 
 
 class TestKRoundsToOne:

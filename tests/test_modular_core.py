@@ -355,6 +355,17 @@ class TestDescentOnIntegers:
             with workprec(bits):
                 assert descend_a(av, ctx)._mpf_ == (+ref)._mpf_, a
 
+    @pytest.mark.parametrize("a", ["1e1364", "1e-1364"])
+    def test_descend_a_at_huge_and_tiny_a(self, a):
+        # a(10^6) is about 1e1364, where the denominator is about a^(9/5);
+        # its bounded-width mantissas keep the quotient within an ulp
+        ctx = PrecisionContext(precision_bits=4096, tol_exp=ov.TOL_EXP[4096])
+        av = to_big(a, ctx)
+        got = descend_a(av, ctx)
+        ref = ov.descend_a_horner(av, ctx.work_bits + 64)
+        with workprec(ctx.work_bits + 64):
+            assert abs(got - ref) <= abs(got) * mpf(2) ** (1 - ctx.precision_bits), a
+
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_closed_form_R_is_the_mpf_spelling_rounded(self, bits):
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])

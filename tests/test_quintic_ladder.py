@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, sqrt, workprec
@@ -22,6 +23,7 @@ from quintic_moduli import (
 )
 
 import oracle_values as ov
+import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.quintic_ladder as ql
 
 TOL = mpf(10) ** -120
@@ -425,6 +427,29 @@ class TestLadder:
     def test_smallest_gate_climbs(self):
         trace = ladder(5, 1, 1, PrecisionContext(precision_bits=134, tol_exp=21))
         assert trace.gate_exp == 1
+
+
+class TestSeedsBelowOne:
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r0", ["1/25", "2/49", "1/7"])
+    def test_are_solved_at_their_reciprocal(self, r0, bits, monkeypatch):
+        # k(r) for r < 1 is the k_comp of the solve at 1/r, so the climb
+        # takes no nome below r = 1, which only a record at r would read
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        r0 = Fraction(r0)
+        points = []
+        exp_nome = bk._exp_nome
+
+        def spy(r_num, r_den, c):
+            points.append(Fraction(r_num, r_den))
+            return exp_nome(r_num, r_den, c)
+
+        monkeypatch.setattr(bk, "_exp_nome", spy)
+        trace = ladder(r0.numerator, r0.denominator, 2, ctx)
+        monkeypatch.undo()
+        assert points and min(points) >= 1, points
+        for seed, r in ((trace.seed_k, r0), (trace.seed_k25, r0 / 25)):
+            assert seed._mpf_ == solve_singular_modulus(r.numerator, r.denominator, ctx).k._mpf_
 
 
 class TestExampleAudit:

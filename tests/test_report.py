@@ -1,0 +1,72 @@
+"""The round-trip writer against its oracle: big_to_str(x, bits) is
+mp.nstr(x, roundtrip_digits(bits)) byte for byte, and str_to_big reads it
+back to the same bits."""
+
+import random
+
+import pytest
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp, mpf_neg, round_nearest
+
+from quintic_moduli.report import big_to_str, roundtrip_digits, str_to_big
+
+_BITS = (64, 65, 100, 256, 512, 1000, 1024, 2048, 4096)
+
+
+def _rounded(man, exp, bits):
+    return mp.make_mpf(from_man_exp(man, exp, bits, round_nearest))
+
+
+def _neg(x):
+    """-x, exactly: the unary minus would round to the ambient 53 bits."""
+    return mp.make_mpf(mpf_neg(x._mpf_))
+
+
+def _cases(bits, rng):
+    """Reals at `bits` for the writer: zero, leading digits on both sides of
+    the switch from fixed to scientific notation, binary exponents past
+    +-3500 (where the writer first divides by a power of ten), and random
+    mantissas, each with both signs."""
+    dps = roundtrip_digits(bits)
+    xs = [mpf(0)]
+    with workprec(bits):
+        for e in (min(-(dps // 3), -5), dps):
+            for step in (-1, 0, 1):
+                xs.append(mpf(10) ** (e + step) * (1 + 8 * mpf(rng.random())))
+    for exp in (-3501, 3501, -50000, 50000):
+        xs.append(_rounded(rng.getrandbits(bits) | 1, exp - bits, bits))
+    for _ in range(40):
+        man = rng.getrandbits(rng.randint(1, bits)) | 1
+        xs.append(_rounded(man, rng.randint(-3 * bits, 2 * bits), bits))
+    return xs + [_neg(x) for x in xs]
+
+
+@pytest.mark.parametrize("bits", _BITS)
+def test_writer_is_nstr_and_reads_back(bits):
+    rng = random.Random(bits)
+    for x in _cases(bits, rng):
+        text = big_to_str(x, bits)
+        assert text == mp.nstr(x, roundtrip_digits(bits)), (bits, x._mpf_)
+        assert str_to_big(text, bits) == x, (bits, text)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 4096])
+def test_nines_carry_into_a_new_power_of_ten(bits):
+    # a value at `bits` lies too far from a power of ten for its round-trip
+    # digits to be all nines; one with 64 bits more need not
+    dps = roundtrip_digits(bits)
+    for e in (-30, -1, 0, 1, 7, dps - 1, dps, 300, 1200):
+        for extra in (1, 2):
+            with workprec(bits + 64):
+                x = mpf(10) ** e * (1 - 3 * mpf(10) ** -(dps + extra))
+            for v in (x, _neg(x)):
+                text = big_to_str(v, bits)
+                assert text == mp.nstr(v, dps), (bits, e, extra)
+                assert text.lstrip("-").split("e")[0].replace(".", "").strip("0") == "1", text
+
+
+def test_a_decimal_past_cpythons_digit_limit():
+    # 20000 bits write 6025 digits, past the 4300 CPython converts at once
+    bits = 20000
+    x = _rounded(random.Random(1).getrandbits(bits) | 1, -bits, bits)
+    assert big_to_str(x, bits) == mp.nstr(x, roundtrip_digits(bits))
