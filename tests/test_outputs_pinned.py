@@ -3,7 +3,10 @@ stdout and stderr, with the verify timings masked.
 
 The requests cover `kr`, `rrcf` and `verify` at six r from 1/10^4 to 10^6
 and `ladder` from three starts, at 256, 512 and 1024 bits, in text and in
-JSON.  A change that moves any printed digit fails the request it moved;
+JSON.  Beside them stand the parse paths: top-level and per-command help,
+a missing or unknown command, a missing or bad value, leftover arguments,
+an option before the command, a flag conflict and abbreviated options.
+Help and usage lines are written at a fixed width of 80 columns.  A change that moves any printed digit fails the request it moved;
 when the move is meant, rewrite tests/data/outputs.json with
 
     PYTHONPATH=src python tests/test_outputs_pinned.py
@@ -17,6 +20,7 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import pytest
 
@@ -30,8 +34,25 @@ _BITS = (256, 512, 1024)
 _POINTS = ("1/10000", "1/13", "1", "7/3", "10000", "1000000")
 
 
+#: requests that exercise the argument parser rather than the math
+_PARSE_PATHS = [
+    ["--help"],
+    *[[cmd, "--help"] for cmd in ("kr", "ladder", "rrcf", "verify")],
+    [],
+    ["frobnicate"],
+    ["kr"],
+    ["kr", "--r", "0"],
+    ["kr", "--r", "5", "extra"],
+    ["kr", "--r", "5", "--", "x"],
+    ["--json", "kr", "--r", "5"],
+    ["ladder", "--r0", "5", "--n", "1", "--csv", "--json"],
+    ["kr", "--r", "5", "--pre", "256", "--tol", "55"],
+]
+
+
 def _requests():
-    """(name, argv) of every pinned request; the name is its argv joined.
+    """(name, argv) of every pinned request; the name is its argv joined,
+    "(no arguments)" for the empty one.
     Each command visits the precisions in turn along the points, from its
     own offset, so that each point is seen at more than one precision."""
     shapes = [[cmd, "--r", r] for cmd in ("kr", "rrcf", "verify") for r in _POINTS]
@@ -42,7 +63,7 @@ def _requests():
         for mode in ([], ["--json"]):
             argv = shape + ["--prec", str(bits), "--tol-exp", str(ov.TOL_EXP[bits])] + mode
             out.append((" ".join(argv), argv))
-    return out
+    return out + [(" ".join(argv) or "(no arguments)", argv) for argv in _PARSE_PATHS]
 
 
 REQUESTS = _requests()
@@ -50,7 +71,8 @@ REQUESTS = _requests()
 
 def _digest(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(list(argv))
     stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue())
     stdout = re.sub(r"\(\d+ ms\)", "(0 ms)", stdout)
