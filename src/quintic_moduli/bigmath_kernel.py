@@ -46,11 +46,12 @@ rounded once, and never enters ``workprec``.
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
 ``_eta_at`` here, ``modular_core._rrcf_at`` and ``_a_eta_at``, and
-``quintic_ladder._g_at`` key each value on (kind, Fraction(r), context), so
-f(-q^m) is the eta value at m^2 r.  Inside a ``_request_memo()`` scope a
-lookup computes each key once and hands back the same value on every later
-call; outside one it computes.  A scope lives for one call (``run_suite``
-opens it), never for the process.
+``quintic_ladder._g_at`` key each value on plain ints, (kind, n, d,
+precision_bits, tol_exp) with r = n/d in lowest terms, so f(-q^m) is the
+eta value at m^2 r.  Inside a ``_request_memo()`` scope a lookup computes
+each key once and hands back the same value on every later call; outside
+one it computes.  A scope lives for one call (``run_suite`` opens it),
+never for the process.
 
 Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
 eta-quotient lookups take their value from a reflected point whose nome
@@ -227,17 +228,20 @@ def _memoised(
     kind: str, compute: Callable[..., _T], r_num: int, r_den: int, ctx: PrecisionContext
 ) -> _T:
     """compute(n, d, ctx) at r = n/d in lowest terms, or the value it gave
-    earlier in the open scope for the same (kind, r, ctx).  An exception
-    propagates and leaves nothing stored."""
+    earlier in the open scope for the same key (kind, n, d, precision_bits,
+    tol_exp); no computed value is None.  An exception propagates and leaves
+    nothing stored."""
     _validate_rational(r_num, r_den)
-    r = Fraction(r_num, r_den)
+    g = math.gcd(r_num, r_den)
+    n, d = r_num // g, r_den // g
     memo = _MEMO.get()
     if memo is None:
-        return compute(r.numerator, r.denominator, ctx)
-    key = (kind, r, ctx)
-    if key not in memo:
-        memo[key] = compute(r.numerator, r.denominator, ctx)
-    return memo[key]
+        return compute(n, d, ctx)
+    key = (kind, n, d, ctx.precision_bits, ctx.tol_exp)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(n, d, ctx)
+    return value
 
 
 def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:

@@ -645,6 +645,18 @@ class TestRequestMemo:
             assert bk._solved(3, 7, DEFAULT_CONTEXT) is not rec
             assert bk._eta_at(7, 3, ctx1024) != bk._eta_at(7, 3, DEFAULT_CONTEXT)
 
+    def test_keyed_on_the_context_values(self):
+        # the key holds the context's two ints, not the object
+        first, second = PrecisionContext(512, 120), PrecisionContext(512, 120)
+        assert first is not second
+        with bk._request_memo():
+            rec = bk._solved(7, 3, first)
+            assert bk._solved(7, 3, second) is rec
+            assert bk._solved(14, 6, second) is bk._solved(7, 3, first)
+            assert bk._nome(7, 3, second) is bk._nome(7, 3, first)
+            # one more digit of tolerance is another entry
+            assert bk._solved(7, 3, PrecisionContext(512, 121)) is not rec
+
     def test_error_is_not_stored(self, monkeypatch):
         def breakdown(*a):
             raise ConvergenceError("stubbed AGM breakdown")
