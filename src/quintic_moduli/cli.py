@@ -10,7 +10,10 @@ Every modulus is solved once per request; a solve is a theta quotient plus
 two AGMs.  `ladder` parses its two seed overrides and hands them to
 quintic_ladder.ladder, which checks the start and solves any seed not
 given.  The argument parser is built once per process, on first use, so
-repeated in-process main() calls pay only for parsing.
+repeated in-process main() calls pay only for parsing, and main hands a
+known command's arguments straight to that command's own parser.  The
+top-level parser sees only help, a missing or unknown command and leftover
+arguments, and prints for them what its parse_args prints.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
@@ -357,12 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ids", metavar="ID[,ID...]",
                           help="comma-separated registry subset (default: all)")
 
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        # a known command goes straight to its own parser; help, a missing
+        # or unknown command and leftovers go through the top level, which
+        # prints what parse_args would
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error("unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return code if isinstance(code, int) else 2
