@@ -10,17 +10,18 @@ Every modulus is solved once per request; a solve is a theta quotient plus
 two AGMs.  `ladder` parses its two seed overrides and hands them to
 quintic_ladder.ladder, which checks the start and solves any seed not
 given.  The argument parser is built once per process, on first use, so
-repeated in-process main() calls pay only for parsing, and main hands a
-known command's arguments straight to that command's own parser.  The
-top-level parser sees only help, a missing or unknown command and leftover
-arguments, and prints for them what its parse_args prints.
+repeated in-process main() calls pay only for parsing: a known command's
+arguments go straight to its own parser, and only help, a missing or
+unknown command and leftovers reach the top level, which prints for them
+what its parse_args prints.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA below; every number
 crosses as a decimal string with full round-trip digits, so --digits only
-affects the human-readable text mode.  One encoder, _jsonable, writes every
-document: a result record goes in as its fields in declaration order, and
-the schema takes each record's property list from those same fields.
+affects the human-readable text mode.  One writer, _json, writes every
+document in one pass, the bytes json.dumps(indent=2) writes for its plain
+data: a result record goes in as its fields in declaration order, and the
+schema takes each record's property list from those same fields.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
 from mpmath import mp, mpf, workprec
@@ -159,33 +160,46 @@ def _decimal_arg(s: str) -> str:
     return s
 
 
-def _jsonable(x, bits: int):
-    """x as JSON data: an mpf as its round-trip decimal at ``bits``, a
-    Fraction as {"num", "den"}, a dataclass as its fields in declaration
-    order; dicts, lists and tuples recurse, anything else passes as is."""
-    if isinstance(x, mpf):
-        return big_to_str(x, bits)
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if dataclasses.is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name), bits) for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {k: _jsonable(v, bits) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v, bits) for v in x]
-    return x
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _json(x, bits: int, pad: str = "\n") -> str:
+    """x as json.dumps(indent=2) writes the data it stands for: an mpf as its
+    round-trip decimal at ``bits``, a Fraction as {"num", "den"}, a dataclass
+    as its fields in declaration order.  ``pad`` is the newline and indent
+    of x's line; strings take json's C escape, as the encoder's do."""
+    t = type(x)
+    if t is mpf:
+        return '"' + big_to_str(x, bits) + '"'
+    if t is str:
+        return _quote(x)
+    if t is bool or x is None:
+        return "null" if x is None else "true" if x else "false"
+    if t is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if t is list or t is tuple:
+        body = [_json(v, bits, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if body else "[]"
+    if t is Fraction:
+        x = {"num": x.numerator, "den": x.denominator}
+    elif t is not dict:
+        x = {name: getattr(x, name) for name in _field_names(t)}
+    body = [_quote(k) + ": " + _json(v, bits, inner) for k, v in x.items()]
+    return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
 
 
 def _emit_json(command: str, r: Fraction, ctx: PrecisionContext, key: str, payload) -> None:
     """Print the command header with payload under ``key`` as one document."""
-    out = {
+    print(_json({
         "command": command,
         "r": r,
         "precision_bits": ctx.precision_bits,
         "tol_exp": ctx.tol_exp,
         key: payload,
-    }
-    print(json.dumps(_jsonable(out, ctx.precision_bits), indent=2))
+    }, ctx.precision_bits))
 
 
 def cmd_kr(args, ctx: PrecisionContext) -> int:
@@ -368,9 +382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        # a known command goes straight to its own parser; help, a missing
-        # or unknown command and leftovers go through the top level, which
-        # prints what parse_args would
         command = parser.commands.get(argv[0]) if argv else None
         if command is None:
             args = parser.parse_args(argv)

@@ -3,7 +3,7 @@
 Every numeric field crosses the JSON boundary as a decimal string with
 enough digits that re-parsing at the same binary precision reproduces the
 original value bit for bit (see roundtrip_digits).  This module is
-serialization only, and the CLI alone imports it: its one JSON encoder
+serialization only, and the CLI alone imports it: its one JSON writer
 decides the document's layout and turns every mpf into a decimal here.
 
 big_to_str writes what mp.nstr(x, roundtrip_digits(bits)) writes, byte for
