@@ -5,7 +5,8 @@ library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
 the one pass rule alone, the solve never switches precision, mpmath's
 theta functions and square root stay out of the library, modular_core
-takes no mpmath root, and nothing is assigned into mpmath."""
+takes no mpmath root, nothing is assigned into mpmath, and only the CLI
+imports json, for its string escape and never for json.dumps."""
 
 import ast
 import dataclasses
@@ -125,6 +126,27 @@ def test_only_the_cli_imports_report():
     submodules = [n.rsplit(".", 1)[-1] for n in _MODULES if n.count(".")]
     importers = [n for n in submodules if "report" in _imported_names(n)]
     assert importers == ["cli"]
+
+
+def test_only_the_cli_imports_json_and_none_calls_dumps():
+    # the CLI's one-pass writer is the one JSON writer; json.dumps(indent=2)
+    # runs CPython's pure-Python encoder, and is the writer's test oracle
+    importers, dumps = set(), []
+    for name in _MODULES:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                dumps += [(name, node.lineno) for a in node.names if a.name in ("dump", "dumps")]
+            else:
+                modules = []
+                if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                    dumps.append((name, node.lineno))
+            if any(m.split(".")[0] == "json" for m in modules):
+                importers.add(name)
+    assert importers == {"quintic_moduli.cli"}
+    assert not dumps, "json.dump(s) named at %s" % dumps
 
 
 @pytest.mark.parametrize("name", _MODULES)

@@ -1,18 +1,23 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
 from mpmath import mp, mpf, workprec
 
+import quintic_moduli.cli as climod
 from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
+from quintic_moduli.certify import IdentityEntry
 from quintic_moduli.cli import JSON_SCHEMA, build_parser, main
-from quintic_moduli.report import str_to_big
+from quintic_moduli.report import big_to_str, str_to_big
 
 import oracle_values as ov
+from test_outputs_pinned import REQUESTS
 
 
 def run_cli(capsys, *argv):
@@ -460,3 +465,53 @@ class TestModuleEntryPoint:
         proc = self._run("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: quintic-moduli")
+
+
+def _plain(x, bits):
+    """The plain data a document stands for: an mpf as its round-trip
+    decimal, a Fraction as {"num", "den"}, a dataclass as its fields."""
+    if isinstance(x, mpf):
+        return big_to_str(x, bits)
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name), bits) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _plain(v, bits) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v, bits) for v in x]
+    return x
+
+
+class TestJsonWriter:
+    """The one-pass writer against its oracle, json.dumps(indent=2) of the
+    plain data, as mp.nstr is big_to_str's."""
+
+    @pytest.mark.parametrize(
+        "argv", [argv for _, argv in REQUESTS if "--json" in argv], ids=" ".join
+    )
+    def test_every_pinned_json_request(self, capsys, monkeypatch, argv):
+        docs, real = [], climod._json
+
+        def spy(x, bits, pad="\n"):
+            if pad == "\n":  # the document, not one of its parts
+                docs.append((x, bits))
+            return real(x, bits, pad)
+
+        monkeypatch.setattr(climod, "_json", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert len(docs) == (out != "") == (code == 0)
+        for doc, bits in docs:
+            assert out == json.dumps(_plain(doc, bits), indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"detail": {}, "entries": [], "levels": ()},
+        IdentityEntry("k-reciprocal", mpf(0), True),
+        [None, True, False, 0, -7, 10 ** 40, Fraction(22, 7), [[]], [{}]],
+        {'quote " slash \\ tab \t': "\u00fc \u221e \U0001d70b \x7f \x00"},
+        {"mpf": [mpf(1) / 3, mpf(-2.5), mpf("1e-400"), mpf("inf"), mpf("-inf"), mpf("nan")]},
+    ], ids=repr)
+    def test_edge_documents(self, doc):
+        assert climod._json(doc, 256) == json.dumps(_plain(doc, 256), indent=2)
