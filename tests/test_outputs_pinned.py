@@ -6,8 +6,9 @@ and `ladder` from three starts, at 256, 512 and 1024 bits, in text and in
 JSON.  Beside them stand the parse paths: top-level and per-command help,
 a missing or unknown command, a missing or bad value, leftover arguments,
 an option before the command, a flag conflict and abbreviated options.
-Help and usage lines are written at a fixed width of 80 columns.  A change that moves any printed digit fails the request it moved;
-when the move is meant, rewrite tests/data/outputs.json with
+Help and usage lines are written at a fixed width of 80 columns.  A change
+that moves any printed digit fails the request it moved; when the move is
+meant, rewrite tests/data/outputs.json with
 
     PYTHONPATH=src python tests/test_outputs_pinned.py
 
