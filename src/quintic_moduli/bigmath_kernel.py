@@ -41,7 +41,11 @@ of the two legs against sqrt(r) taken by math.isqrt from the exact
 rational, judged by ``certifies`` on integers; each K is pi / (2 agm)
 against mpmath's cached fixed-point pi.  From its nome to its record the
 solve works on integers and mantissas, builds an mpf only for each field,
-rounded once, and never enters ``workprec``.
+rounded once, and never enters ``workprec``; nor do agm, elliptic_K, eta_f,
+closed_form_R, descend_v, descend_a and u_star, so the caller's mp.prec
+moves no bit of what they return.  The integer kernels of the three math
+modules carry ``_INT_BITS`` bits beyond work_bits and reach that fixed
+point from a mantissa by one conversion, ``_fixed``.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -304,13 +308,13 @@ def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
     return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
 
 
-def _complement_raw(k: mpf, prec: Optional[int] = None) -> mpf:
+def _complement_raw(k: mpf, prec: int) -> mpf:
     """sqrt(1 - k^2) for 0 <= k <= 1, rounded once to nearest at `prec`
-    bits, the ambient precision by default.  With k = m 2^e, 1 - k^2 =
-    (2^(-2e) - m^2) 2^(2e) is an exact integer times a power of two, so
-    nothing cancels for k near 1 and nothing is lost for a tiny k."""
+    bits.  With k = m 2^e, 1 - k^2 = (2^(-2e) - m^2) 2^(2e) is an exact
+    integer times a power of two, so nothing cancels for k near 1 and
+    nothing is lost for a tiny k."""
     _, man, exp, _ = k._mpf_
-    return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec or mp.prec))
+    return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec))
 
 
 def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -321,9 +325,10 @@ def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return _complement_raw(xv, ctx.precision_bits)
 
 
-#: bits by which the AGM's integer phase exceeds work_bits, and how close
-#: (in binary orders of magnitude) a and b must be before it starts
-_AGM_INT_BITS = 32
+#: bits every integer kernel carries beyond work_bits, and how close (in
+#: binary orders of magnitude) the AGM's a and b must be to end its
+#: wide-gap phase
+_INT_BITS = 32
 
 #: the AGM's first operand in K(x) = pi / (2 agm(1, sqrt(1 - x^2)))
 _ONE = mpf(1)
@@ -335,10 +340,11 @@ def _top_bit(x: mpf) -> int:
     return exp + bc
 
 
-def _scaled_int(x: mpf, unit: int) -> int:
-    """x / 2^unit truncated to an integer, for x > 0."""
-    _, man, exp, _ = x._mpf_
-    return man << (exp - unit) if exp >= unit else man >> (unit - exp)
+def _fixed(man: int, exp: int, frac: int) -> int:
+    """man 2^exp for man >= 0 as an integer with `frac` fractional bits,
+    truncated: the one conversion to fixed point."""
+    shift = exp + frac
+    return man << shift if shift >= 0 else man >> -shift
 
 
 def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
@@ -349,13 +355,13 @@ def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
 
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     """AGM limit of two positive mpf values as (M, e), the value M 2^e with
-    M an integer of about work_bits + _AGM_INT_BITS bits.
+    M an integer of about work_bits + _INT_BITS bits.
 
     Every step runs on integers, with math.isqrt for the square root, which
     is C, where mpmath's pure-Python backend takes its square roots in
-    Python.  While a and b lie more than 2^_AGM_INT_BITS apart, both sit
+    Python.  While a and b lie more than 2^_INT_BITS apart, both sit
     on the common scale that gives the smaller one work_bits +
-    _AGM_INT_BITS bits, rescaled after each step, so a tiny b (k =
+    _INT_BITS bits, rescaled after each step, so a tiny b (k =
     2.6e-682 at r = 10^6) keeps its relative precision and the larger one
     carries the gap.  After that the scale gives the larger one those
     bits.  The steps stop once |a - b| < 2^(-(work_bits + 40)/4) a and
@@ -365,11 +371,11 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     2^(-(work_bits + 40)/2) instead would leave (a - b)^2 / (8 (a + b))
     itself under that bit, one step later.
     """
-    bits = ctx.work_bits + _AGM_INT_BITS
+    bits = ctx.work_bits + _INT_BITS
     unit = min(_top_bit(a), _top_bit(b)) - bits
-    ia, ib = _scaled_int(a, unit), _scaled_int(b, unit)
+    ia, ib = _fixed(*a.man_exp, -unit), _fixed(*b.man_exp, -unit)
     for _ in range(_MAX_ITER):
-        if abs(ia.bit_length() - ib.bit_length()) <= _AGM_INT_BITS:
+        if abs(ia.bit_length() - ib.bit_length()) <= _INT_BITS:
             break
         ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
         drop = min(ia.bit_length(), ib.bit_length()) - bits
@@ -390,9 +396,9 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
 
 
 def _half_pi_over(man: int, exp: int, ctx: PrecisionContext) -> Tuple[int, int]:
-    """pi / (2 man 2^exp) as (M, e), M of about work_bits + _AGM_INT_BITS
+    """pi / (2 man 2^exp) as (M, e), M of about work_bits + _INT_BITS
     bits, from mpmath's cached fixed-point pi: K from an AGM limit."""
-    shift = man.bit_length() + ctx.work_bits + _AGM_INT_BITS
+    shift = man.bit_length() + ctx.work_bits + _INT_BITS
     return pi_fixed(shift) // man, -shift - exp - 1
 
 
@@ -407,11 +413,10 @@ def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     a_n.  It finishes with (a_n + b_n)/2 - (a_n - b_n)^2 / (8 (a_n +
     b_n)), rounded once to precision_bits.
     """
-    with workprec(ctx.work_bits):
-        av, bv = to_big(a, ctx), to_big(b, ctx)
-        if av <= 0 or bv <= 0:
-            raise DomainError("agm requires positive operands")
-        return _rounded(ctx, *_agm_raw(av, bv, ctx))
+    av, bv = to_big(a, ctx), to_big(b, ctx)
+    if av <= 0 or bv <= 0:
+        raise DomainError("agm requires positive operands")
+    return _rounded(ctx, *_agm_raw(av, bv, ctx))
 
 
 def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -425,12 +430,11 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Direct quadrature of the integral is kept to the test suite as an
     independent oracle.
     """
-    with workprec(ctx.work_bits):
-        xv = to_big(x, ctx)
-        if xv < 0 or xv >= 1:
-            raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
-        man, exp = _agm_raw(_ONE, _complement_raw(xv), ctx)
-        return _rounded(ctx, *_half_pi_over(man, exp, ctx))
+    xv = to_big(x, ctx)
+    if xv < 0 or xv >= 1:
+        raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
+    man, exp = _agm_raw(_ONE, _complement_raw(xv, ctx.work_bits), ctx)
+    return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
 def _validate_rational(r_num: int, r_den: int) -> None:
@@ -465,10 +469,6 @@ def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return _memoised("nome", _exp_nome, r_num, r_den, ctx)
 
 
-#: fractional bits the theta sums carry beyond work_bits
-_THETA_INT_BITS = 32
-
-
 def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     """(theta2(q)/theta3(q))^2 as (M, e), the value M 2^e, for
     0 < q <= e^-pi, as
@@ -476,7 +476,7 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
         4 sqrt(q) (S2 / (1 + 2 S3))^2,   S2 = sum_{n>=0} q^(n(n+1)),
                                          S3 = sum_{n>=1} q^(n^2).
 
-    Both sums run in one pass on integers with work_bits + _THETA_INT_BITS
+    Both sums run in one pass on integers with work_bits + _INT_BITS
     fractional bits, their terms alternating along the exponents
     0, 1, 2, 4, 6, 9, 12, ...: each is the last times the running power q^n.
     S2 and 1 + 2 S3 lie in [1, 1.1), so the fixed point keeps their
@@ -484,9 +484,10 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     (q = e^(-1000 pi) at r = 10^6), is math.isqrt of q's mantissa, to as
     many bits, with q's own exponent halved.
     """
-    frac = ctx.work_bits + _THETA_INT_BITS
+    frac = ctx.work_bits + _INT_BITS
     one = 1 << frac
-    qi = _scaled_int(q, -frac)
+    _, man, exp, bc = q._mpf_
+    qi = _fixed(man, exp, frac)
     s2, s3 = 0, 0
     term, qn = one, one  # q^(n(n+1)) and q^n, from n = 0
     while term:
@@ -496,7 +497,6 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
         s3 += term
         term = term * qn >> frac  # q^((n+1)(n+2))
     ratio = (s2 << frac) // (one + 2 * s3)
-    _, man, exp, bc = q._mpf_
     shift = 2 * frac - bc
     shift += (exp - shift) & 1  # an even exponent to halve
     root = math.isqrt(man << shift)
@@ -559,7 +559,7 @@ def solve_singular_modulus(
     man_k, exp_k = _agm_raw(_ONE, k, ctx)  # pi / (2 K(k'))
     man_c, exp_c = _agm_raw(_ONE, k_comp, ctx)  # pi / (2 K(k))
     # agm_c / agm_k and sqrt(r), both with `frac` fractional bits
-    frac = ctx.work_bits + _AGM_INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
+    frac = ctx.work_bits + _INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
     shift = frac + exp_c - exp_k
     ratio = (man_c << max(shift, 0)) // (man_k << max(-shift, 0))
     target = math.isqrt((r_num << 2 * frac) // r_den)
@@ -628,7 +628,7 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     bits = ctx.work_bits + math.ceil(pi2_6 / (math.log(2) * t)) + 8
     frac = bits + 16
     cutoff = 1 << (frac - bits)  # 2^-bits
-    qi = _scaled_int(qv, -frac)
+    qi = _fixed(*qv.man_exp, frac)
     acc = 1 << frac
     a = qi  # q^(k(3k-1)/2), from k = 1
     if a >= cutoff:
@@ -643,8 +643,7 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             step = step * q3 >> frac
             qk = qk * qi >> frac
             odd = not odd
-    with workprec(ctx.precision_bits):
-        return mpf((acc, -frac))
+    return _rounded(ctx, acc, -frac)
 
 
 #: below this r the eta, continued-fraction and eta-quotient lookups take

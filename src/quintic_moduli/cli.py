@@ -5,7 +5,8 @@
     quintic-moduli rrcf   --r 4
     quintic-moduli verify --r 1 [--ids eq5-eta-quotient,k-reciprocal]
 
-Global flags: --prec BITS, --tol-exp E, --digits D, --json.
+Every command takes --prec BITS, --tol-exp E, --digits D and --json after
+its name, as in `kr --r 5 --json`; before the command they are unrecognized.
 Every modulus is solved once per request; a solve is a theta quotient plus
 two AGMs.  `ladder` parses its two seed overrides and hands them to
 quintic_ladder.ladder, which checks the start and solves any seed not

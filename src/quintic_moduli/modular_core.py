@@ -28,7 +28,9 @@ doubling precision from a float seed.  descend_a carries t = E - 1/E, its
 quartic and the nine-term denominator in the same fixed point and the
 numerator as a mantissa with a's own exponent, and rounds once.  The same
 integer fifth root gives the continued fraction's q^(1/5) and descend_v's
-root, so the module calls no mp.root.
+root, so the module calls no mp.root.  The fixed point carries
+bigmath_kernel._INT_BITS bits beyond work_bits, and closed_form_R,
+descend_v and descend_a switch no working precision.
 """
 
 from __future__ import annotations
@@ -47,14 +49,15 @@ from .bigmath_kernel import (
     PrecisionContext,
     Real,
     SingularModulusRecord,
+    _INT_BITS,
     _eta_at,
+    _fixed,
     _memoised,
     _neg_ln,
     _nome,
     _reflects,
     _round_to,
     _rounded,
-    _scaled_int,
     _solved,
     _truncated,
     _sqrt,
@@ -224,7 +227,7 @@ def _rrcf_forward(qv: mpf, depth: int, ctx: PrecisionContext) -> Tuple[mpf, mpf]
     """
     frac = ctx.work_bits + 2 * depth.bit_length() + 8
     one = 1 << frac
-    qi = _scaled_int(qv, -frac)
+    qi = _fixed(*qv.man_exp, frac)
     a_prev, a, b_prev, b = one, one, 0, one
     p = one  # q^n
     for _ in range(depth):
@@ -279,10 +282,6 @@ def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
         return _round_to(ctx, (1 - mp.phi * far) / (mp.phi + far))
 
 
-#: fractional bits the descent's fixed point carries beyond work_bits
-_DESCENT_INT_BITS = 32
-
-
 def _root5(n: int) -> int:
     """n^(1/5) for an integer n >= 0, to within a few units: Newton steps at
     doubling precision from a float seed.  Each level solves for about half
@@ -315,7 +314,7 @@ def _fifth_root(x: mpf, ctx: PrecisionContext) -> mpf:
     """x^(1/5) for an mpf x > 0 at the ambient precision, from its mantissa's
     root to work_bits + 32 bits."""
     _, man, exp, _ = x._mpf_
-    return mpf(_root5_of(man, exp, ctx.work_bits + _DESCENT_INT_BITS))
+    return mpf(_root5_of(man, exp, ctx.work_bits + _INT_BITS))
 
 
 def _fifth_root_radical(av: mpf, frac: int) -> int:
@@ -326,8 +325,9 @@ def _fifth_root_radical(av: mpf, frac: int) -> int:
     2h and 2 sqrt(h^2 + 1) = sqrt((2h)^2 + 4) are formed on integers with
     `frac` fractional bits (a truncated there), and E by _root5.  E >= 1,
     so the fixed point keeps E's relative precision."""
-    a_int = _scaled_int(av, -frac)
-    two_h = (11 << frac) + (-a_int if av < 0 else a_int)
+    sign, man, exp, _ = av._mpf_
+    a_int = _fixed(man, exp, frac)
+    two_h = (11 << frac) + (-a_int if sign else a_int)
     two_base = two_h + math.isqrt(two_h * two_h + (4 << 2 * frac))
     return _root5(two_base << 4 * frac - 1)
 
@@ -340,14 +340,13 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     so R = 1/E for E = _fifth_root_radical(a), and large a loses nothing to
     cancellation; 1/E is one integer quotient, rounded once.  a <= -11 is
     refused."""
-    with workprec(ctx.work_bits):
-        av = to_big(a, ctx)
-        if not av > -11:
-            raise DomainError("closed_form_R requires a > -11, got %s" % av)
-        frac = ctx.work_bits + _DESCENT_INT_BITS
-        e_int = _fifth_root_radical(av, frac)
-        shift = frac + e_int.bit_length()
-        return _rounded(ctx, (1 << shift) // e_int, frac - shift)
+    av = to_big(a, ctx)
+    if not av > -11:
+        raise DomainError("closed_form_R requires a > -11, got %s" % av)
+    frac = ctx.work_bits + _INT_BITS
+    e_int = _fifth_root_radical(av, frac)
+    shift = frac + e_int.bit_length()
+    return _rounded(ctx, (1 << shift) // e_int, frac - shift)
 
 
 def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -363,19 +362,18 @@ def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     precision too; the fifth root is _root5_of that quotient, rounded once
     to precision_bits.
     """
-    with workprec(ctx.work_bits):
-        vv = to_big(v, ctx)
-        if not (0 < vv < 1):
-            raise DomainError("descend_v requires 0 < v < 1, got %s" % vv)
-        frac = ctx.work_bits + _DESCENT_INT_BITS
-        one = 1 << frac
-        vi = _scaled_int(vv, -frac)
-        num, den = one, one
-        for n_coeff, d_coeff in ((-3, 2), (4, 4), (-2, 3), (1, 1)):
-            num = (num * vi >> frac) + n_coeff * one
-            den = (den * vi >> frac) + d_coeff * one
-        _, v_man, v_exp, _ = vv._mpf_
-        return _rounded(ctx, *_root5_of(v_man * num, v_exp, frac, den))
+    vv = to_big(v, ctx)
+    if not (0 < vv < 1):
+        raise DomainError("descend_v requires 0 < v < 1, got %s" % vv)
+    frac = ctx.work_bits + _INT_BITS
+    one = 1 << frac
+    _, v_man, v_exp, _ = vv._mpf_
+    vi = _fixed(v_man, v_exp, frac)
+    num, den = one, one
+    for n_coeff, d_coeff in ((-3, 2), (4, 4), (-2, 3), (1, 1)):
+        num = (num * vi >> frac) + n_coeff * one
+        den = (den * vi >> frac) + d_coeff * one
+    return _rounded(ctx, *_root5_of(v_man * num, v_exp, frac, den))
 
 
 def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -409,32 +407,31 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     exponent, a's own, so a tiny or huge a keeps its relative precision
     too; the quotient is rounded once to precision_bits.
     """
-    with workprec(ctx.work_bits):
-        av = to_big(a, ctx)
-        if not av > -11:
-            raise DomainError("descend_a requires a > -11, got %s" % av)
-        frac = ctx.work_bits + _DESCENT_INT_BITS
-        e_int = _fifth_root_radical(av, frac)
-        e = _truncated(e_int, -frac, frac)
-        t = _truncated(e_int - (1 << 2 * frac) // e_int, -frac, frac)
-        quartic = t
-        for coeff in (1, 6, 6):
-            quartic = _plus_times(quartic, coeff, t, frac)
-        quartic = _plus_times(quartic, 11, (1, 0), frac)  # + 11, times 1
-        den = e
-        for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
-            den = _plus_times(den, coeff, e, frac)
-        # g = E |a| / quartic as g_man 2^g_exp, then g^5 to frac bits
-        sign, a_man, a_exp, _ = av._mpf_
-        num = e[0] * a_man
-        shift = max(0, frac + quartic[0].bit_length() - num.bit_length())
-        g_man, g_exp = (num << shift) // quartic[0], e[1] + a_exp - quartic[1] - shift
-        g2, e2 = _truncated(g_man * g_man, 2 * g_exp, frac)
-        g4, e4 = _truncated(g2 * g2, 2 * e2, frac)
-        g5 = g4 * g_man
-        shift = max(0, frac + den[0].bit_length() - g5.bit_length())
-        quotient = (g5 << shift) // den[0]
-        return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp - den[1] - shift)
+    av = to_big(a, ctx)
+    if not av > -11:
+        raise DomainError("descend_a requires a > -11, got %s" % av)
+    frac = ctx.work_bits + _INT_BITS
+    e_int = _fifth_root_radical(av, frac)
+    e = _truncated(e_int, -frac, frac)
+    t = _truncated(e_int - (1 << 2 * frac) // e_int, -frac, frac)
+    quartic = t
+    for coeff in (1, 6, 6):
+        quartic = _plus_times(quartic, coeff, t, frac)
+    quartic = _plus_times(quartic, 11, (1, 0), frac)  # + 11, times 1
+    den = e
+    for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
+        den = _plus_times(den, coeff, e, frac)
+    # g = E |a| / quartic as g_man 2^g_exp, then g^5 to frac bits
+    sign, a_man, a_exp, _ = av._mpf_
+    num = e[0] * a_man
+    shift = max(0, frac + quartic[0].bit_length() - num.bit_length())
+    g_man, g_exp = (num << shift) // quartic[0], e[1] + a_exp - quartic[1] - shift
+    g2, e2 = _truncated(g_man * g_man, 2 * g_exp, frac)
+    g4, e4 = _truncated(g2 * g2, 2 * e2, frac)
+    g5 = g4 * g_man
+    shift = max(0, frac + den[0].bit_length() - g5.bit_length())
+    quotient = (g5 << shift) // den[0]
+    return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp - den[1] - shift)
 
 
 def _plus_times(

@@ -29,8 +29,10 @@ below zero is taken as zero.  Each rung is certified, relative to its
 size, against a fresh independent solve of the defining K-ratio equation;
 nothing is trusted on the say-so of the radicals alone.
 
-ladder climbs from r0 alone: it checks the start and solves the two seeds,
-k at r0 and at r0/25, unless a caller passes either k in.
+u_star and u_map's Newton carry bigmath_kernel._INT_BITS fractional bits
+beyond work_bits, and u_star switches no working precision.  ladder climbs
+from r0 alone: it checks the start and solves the two seeds, k at r0 and
+at r0/25, unless a caller passes either k in.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _INT_BITS,
     _MAX_ITER,
     _complement_raw,
+    _fixed,
     _memoised,
     _round_to,
     _rounded,
-    _scaled_int,
     _solved,
     _sqrt,
     _truncated,
@@ -137,7 +140,7 @@ def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[int, int, int]:
         x2,
     )
     unit = max(man.bit_length() + exp for man, exp in terms) - bits
-    a, b, c, d = (man << exp - unit if exp >= unit else man >> unit - exp for man, exp in terms)
+    a, b, c, d = (_fixed(man, exp, -unit) for man, exp in terms)
     return a - b - c + d, max(a, b, c, d), unit
 
 
@@ -169,9 +172,6 @@ def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEX
 #: bits of the cubic's root that u_map's float seed is trusted to: it is
 #: nudged up by 2^-_SEED_BITS, and Newton doubles from there
 _SEED_BITS = 48
-
-#: fractional bits of u_map's integer Newton beyond work_bits
-_U_INT_BITS = 32
 
 
 def _float_seed(c: float) -> float:
@@ -244,12 +244,11 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if xv <= 0:
             raise DomainError("u_map requires x > 0, got %s" % xv)
 
-        frac = ctx.work_bits + _U_INT_BITS
+        frac = ctx.work_bits + _INT_BITS
         _, man, exp, _ = xv._mpf_  # x = man 2^exp, so c 2^frac is exact
-        shift = 3 * exp + frac
-        c = man ** 3 << shift if shift >= 0 else man ** 3 >> -shift
+        c = _fixed(man ** 3, 3 * exp, frac)
         xf = float(xv)
-        w = _scaled_int(mpf(_float_seed(xf * xf * xf)), -frac)
+        w = _fixed(*mpf(_float_seed(xf * xf * xf)).man_exp, frac)
         if _newton_int(w, c, frac)[0] >= 0:
             for bits in _doubling_precisions(frac):
                 drop = frac - bits
@@ -302,28 +301,26 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     work_bits + 32 fractional bits, each power of y truncated there; y^2
     is exact from y's mantissa, and X is rounded once.
     """
-    with workprec(ctx.work_bits):
-        yv = to_big(y, ctx)
-        if yv <= 0:
-            raise DomainError("u_star requires y > 0, got %s" % yv)
-        frac = ctx.work_bits + _U_INT_BITS
-        one = 1 << frac
-        _, man, exp, _ = yv._mpf_
-        y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
-        if yv <= 1:
-            shift = y2_exp + frac
-            y2 = y2_man << shift if shift >= 0 else y2_man >> -shift
-            u = (y2 * y2 >> frac) * y2 >> frac
-            rad = one + 18 * u + (u * u >> frac)
-            b = ((18 * one + u) << frac) // (2 * (math.isqrt(rad << frac) + one))
-        else:
-            shift = frac - y2_exp
-            inv2 = (1 << shift) // y2_man if shift >= 0 else 0
-            v = (inv2 * inv2 >> frac) * inv2 >> frac
-            rad = (v * v >> frac) + 18 * v + one
-            b = ((18 * v + one) << frac) // (2 * (math.isqrt(rad << frac) + v))
-        root_b = math.isqrt(b + (one >> 1) << frac)
-        return _rounded(ctx, y2_man * root_b, y2_exp - frac)
+    yv = to_big(y, ctx)
+    if yv <= 0:
+        raise DomainError("u_star requires y > 0, got %s" % yv)
+    frac = ctx.work_bits + _INT_BITS
+    one = 1 << frac
+    _, man, exp, _ = yv._mpf_
+    y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
+    if yv <= 1:
+        y2 = _fixed(y2_man, y2_exp, frac)
+        u = (y2 * y2 >> frac) * y2 >> frac
+        rad = one + 18 * u + (u * u >> frac)
+        b = ((18 * one + u) << frac) // (2 * (math.isqrt(rad << frac) + one))
+    else:
+        shift = frac - y2_exp
+        inv2 = (1 << shift) // y2_man if shift >= 0 else 0
+        v = (inv2 * inv2 >> frac) * inv2 >> frac
+        rad = (v * v >> frac) + 18 * v + one
+        b = ((18 * v + one) << frac) // (2 * (math.isqrt(rad << frac) + v))
+    root_b = math.isqrt(b + (one >> 1) << frac)
+    return _rounded(ctx, y2_man * root_b, y2_exp - frac)
 
 
 def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -462,8 +459,8 @@ def ladder(
                 raise DomainError("%s must lie in (0, 1), got %s" % (name, v))
         k_hi, k_lo = seeds["k_r0"], seeds["k_r0_over25"]
         seed_k, seed_k25 = _round_to(ctx, k_hi), _round_to(ctx, k_lo)
-        prev2 = k_lo * _complement_raw(k_lo)  # k k' at r0/25
-        prev = k_hi * _complement_raw(k_hi)
+        prev2 = k_lo * _complement_raw(k_lo, ctx.work_bits)  # k k' at r0/25
+        prev = k_hi * _complement_raw(k_hi, ctx.work_bits)
 
         steps: List[LadderStep] = []
         for j in range(1, n + 1):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from mpmath import mpf, workprec
-from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pow_int, to_int, to_str
+from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pow_int, to_fixed, to_int, to_str
 from mpmath.libmp.libelefun import mpf_ln2, mpf_ln10
 
 __all__ = ["roundtrip_digits", "big_to_str", "str_to_big"]
@@ -65,8 +65,7 @@ def _digits_exp(sign: int, man: int, exp: int, bc: int, dps: int):
         _, man, exp, bc = mpf_div((0, man, exp, bc), ten, bitprec)
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
+    fixed = to_fixed((0, man, exp, bc), fixprec)
     # fixed 10^fixdps >> fixprec to the bit, with 10^fixdps = 5^fixdps 2^fixdps
     scaled = fixed * 5 ** fixdps >> fixprec - fixdps
     digits = _decimal(scaled, int(scaled.bit_length() * 0.30103) + 1)

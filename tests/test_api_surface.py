@@ -3,10 +3,12 @@ resolves, so does every function the benchmark's tracer wraps by name,
 every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
-the one pass rule alone, the solve never switches precision, mpmath's
-theta functions and square root stay out of the library, modular_core
-takes no mpmath root, nothing is assigned into mpmath, and only the CLI
-imports json, for its string escape and never for json.dumps."""
+the one pass rule alone, neither the solve nor the integer kernels switch
+precision, the integer kernels share one guard constant and one conversion
+to fixed point, mpmath's theta functions and square root stay out of the
+library, modular_core takes no mpmath root, nothing is assigned into
+mpmath, and only the CLI imports json, for its string escape and never for
+json.dumps."""
 
 import ast
 import dataclasses
@@ -168,11 +170,28 @@ def test_tolerance_is_read_only_inside_precision_context(name):
     assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
 
 
-@pytest.mark.parametrize("function", ["solve_singular_modulus", "_agm_raw"])
-def test_the_solve_never_switches_precision(function):
-    # the solve runs on integers and mantissas from its nome to its record:
-    # no workprec block, and no workprec named at all
-    tree = _tree("quintic_moduli.bigmath_kernel")
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        pytest.param(module, function, id=function)
+        for module, function in [
+            ("bigmath_kernel", "solve_singular_modulus"),
+            ("bigmath_kernel", "_agm_raw"),
+            ("bigmath_kernel", "agm"),
+            ("bigmath_kernel", "elliptic_K"),
+            ("bigmath_kernel", "eta_f"),
+            ("modular_core", "closed_form_R"),
+            ("modular_core", "descend_v"),
+            ("modular_core", "descend_a"),
+            ("quintic_ladder", "u_star"),
+        ]
+    ],
+)
+def test_the_solve_never_switches_precision(module, function):
+    # the solve runs on integers and mantissas from its nome to its record,
+    # and each integer kernel from to_big to its one rounding: no workprec
+    # block, and no workprec named at all
+    tree = _tree("quintic_moduli." + module)
     (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     named = [
         n.lineno
@@ -181,6 +200,46 @@ def test_the_solve_never_switches_precision(function):
         or (isinstance(n, ast.Attribute) and n.attr == "workprec")
     ]
     assert not named, "%s names workprec at lines %s" % (function, named)
+
+
+def test_one_conversion_to_fixed_point():
+    # man 2^exp to an integer with frac fractional bits has one spelling,
+    # bigmath_kernel._fixed (report ports mpmath's to_digits_exp and calls
+    # its libmp.to_fixed): no other shift-left-else-shift-right expression
+    package_dir = os.path.dirname(quintic_moduli.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            found += [
+                (os.path.basename(path), getattr(top, "name", None))
+                for node in ast.walk(top)
+                if isinstance(node, ast.IfExp)
+                and {type(getattr(b, "op", None)) for b in (node.body, node.orelse)}
+                == {ast.LShift, ast.RShift}
+            ]
+    assert found == [("bigmath_kernel.py", "_fixed")]
+
+
+@pytest.mark.parametrize("name", ["modular_core", "quintic_ladder"])
+def test_integer_kernels_take_the_kernels_guard_bits(name):
+    # one constant, bigmath_kernel._INT_BITS, holds the bits every integer
+    # kernel carries past work_bits; u_map's gate and float seed keep their own
+    tree = _tree("quintic_moduli." + name)
+    imported = {
+        a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "bigmath_kernel"
+        for a in node.names
+    }
+    assert "_INT_BITS" in imported
+    bound = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    own = {n for n in bound if n.startswith("_") and n.endswith("_BITS")}
+    assert own <= {"_GATE_INT_BITS", "_SEED_BITS"}, own
 
 
 def test_no_module_calls_jtheta():

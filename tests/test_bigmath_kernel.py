@@ -15,12 +15,16 @@ from quintic_moduli import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     agm,
+    closed_form_R,
     complement,
+    descend_a,
+    descend_v,
     elliptic_K,
     eta_f,
     nome,
     solve_singular_modulus,
     to_big,
+    u_star,
 )
 
 import oracle_values as ov
@@ -139,6 +143,41 @@ class TestMantissaKernels:
         assert True in verdicts and False in verdicts
 
 
+class TestAmbientPrecision:
+    """The integer kernels switch no working precision: they compute on
+    integers after to_big and round once, so the caller's mp.prec moves no
+    bit of what they return."""
+
+    @pytest.mark.parametrize("as_mpf", [False, True], ids=["str", "mpf"])
+    @pytest.mark.parametrize("bits", [512, 1024])
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (agm, ("0.3217", "2.5")),
+            (elliptic_K, ("0.8",)),
+            (closed_form_R, ("7.25",)),
+            (descend_v, ("0.27",)),
+            (descend_a, ("-3.5",)),
+            (u_star, ("1.3",)),
+            (u_star, ("0.45",)),
+            (eta_f, ("0.04",)),
+            (complement, ("0.6",)),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else "-".join(v),
+    )
+    def test_same_bits_at_any_ambient_precision(self, fn, args, bits, as_mpf):
+        ctx = _ctx_at(bits)
+        if as_mpf:
+            # more bits than work_bits, so to_big rounds them
+            with workprec(4 * bits):
+                args = tuple(mpf(a) for a in args)
+        got = [fn(*args, ctx)._mpf_]
+        for prec in (53, 8000):
+            with workprec(prec):
+                got.append(fn(*args, ctx)._mpf_)
+        assert got[0] == got[1] == got[2]
+
+
 class TestAgm:
     def test_equal_arguments_fixed_point(self):
         assert agm(1, 1) == 1
@@ -214,7 +253,7 @@ class TestAgmFinish:
         for k in _finish_moduli(ctx):
             ref = ov.agm_two_phase(1, k, bits)
             with workprec(ctx.work_bits):
-                ref_K = mp.pi / (2 * ov.agm_two_phase(1, bk._complement_raw(k), bits))
+                ref_K = mp.pi / (2 * ov.agm_two_phase(1, bk._complement_raw(k, ctx.work_bits), bits))
             with workprec(bits):
                 assert agm(1, k, ctx)._mpf_ == (+ref)._mpf_, k
                 if k < 1:
