@@ -16,23 +16,25 @@ Everything here revolves around three maps of one positive real variable:
                 evaluated on the integer mantissas of x and y
     p_map(x)    u_map( descend_a( u_star(x)^6 ) ^ (1/6) )
 
-p_map advances the twelfth-root ratio of consecutive modulus products one
-rung up the ladder: writing s(r) = k_r k'_r,
+p_map carries the class invariant g(r) = (2 k_r k'_r)^(-1/12) one rung up
+the ladder (Theorem 3.3):
 
-    s(25 r) = s(r) * p_map( (s(r)/s(r/25))^(1/12) )^12,
+    g(25 r) = g(r) / p_map( g(r/25)/g(r) ),
 
-and the new modulus is recovered from s(25r) by the stable quadratic branch
-k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)), or at r = 1, where that branch has a
-double root, as k = k' = sqrt(s).  Near r = 1 the branch amplifies the
-rounding of s by 1/|1 - 2k^2|, and a radicand 1 - 4 s^2 that rounds
-below zero is taken as zero.  Each rung is certified, relative to its
-size, against a fresh independent solve of the defining K-ratio equation;
-nothing is trusted on the say-so of the radicals alone.
+so each rung's p_map value is the ratio fed to the next.  From
+k k' = 1/(2 g^12) the stable quadratic branch
+k^2 = 2 (k k')^2 / (1 + sqrt(1 - 4 (k k')^2)) gives the smaller modulus:
+k above r = 1, and k' below it, where k is its complement; at r = 1,
+where the branch has a double root, k = k' = sqrt(k k').  Near r = 1 the branch amplifies the rounding of k k' by
+1/|1 - 2k^2|, and a radicand 1 - 4 (k k')^2 that rounds below zero is
+taken as zero.  Each rung is certified, relative to its size, against a
+fresh independent solve of the defining K-ratio equation; nothing is
+trusted on the say-so of the radicals alone.
 
 u_star and u_map's Newton carry bigmath_kernel._INT_BITS fractional bits
 beyond work_bits, and u_star switches no working precision.  ladder climbs
-from r0 alone: it checks the start and solves the two seeds, k at r0 and
-at r0/25, unless a caller passes either k in.
+from r0 alone: it checks the start and solves the two seeds, g at r0 and
+at r0/25, unless a caller passes either g in.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class LadderStep:
 
     level: int
     r: Fraction
-    x: mpf                # twelfth-root ratio fed to p_map
-    p_value: mpf          # p_map(x)
-    kkprime: mpf          # k_(r_j) k'_(r_j) from the ascent
+    x: mpf                # g(r_(j-1)/25) / g(r_(j-1)), fed to p_map
+    p_value: mpf          # p_map(x), the next level's x
+    kkprime: mpf          # k_(r_j) k'_(r_j) = 1/(2 g(r_j)^12) from the ascent
     k: mpf                # recovered modulus
     oracle_residual: mpf  # |k - independent solve at r_j| (absolute)
 
@@ -109,8 +111,8 @@ class LadderStep:
 @dataclass(frozen=True)
 class LadderTrace:
     gate_exp: int  # each rung's k certifies to a relative 10^-gate_exp
-    seed_k: mpf    # the seed k at r0 the climb used, given or solved
-    seed_k25: mpf  # the seed k at r0/25
+    seed_g: mpf    # the seed g at r0 the climb used, given or solved
+    seed_g25: mpf  # the seed g at r0/25
     steps: Tuple[LadderStep, ...]
 
 
@@ -343,8 +345,8 @@ def g_invariant(
     r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> mpf:
     """The class invariant g(r) = (2 k_r k'_r)^(-1/12) from a certified
-    solve.  g(1) = 1 and g is increasing in r beyond 1 (the product k k'
-    shrinks from 1/2)."""
+    solve.  g(1) = 1, g(1/r) = g(r), and g is increasing in r beyond 1 (the
+    product k k' shrinks from 1/2)."""
     rec = _solved(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
@@ -356,9 +358,9 @@ def _g_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 
 
 def _k_branch(pv: mpf) -> mpf:
-    """k from p = k k' > 0 on the cancellation-free branch
-    k^2 = 2p^2/(1 + sqrt(1 - 4p^2)), at the ambient precision; a radicand
-    below zero, p > 1/2, is taken as zero."""
+    """The smaller of k and k' from p = k k' > 0 on the cancellation-free
+    branch k^2 = 2p^2/(1 + sqrt(1 - 4p^2)), at the ambient precision; a
+    radicand below zero, p > 1/2, is taken as zero."""
     rad = 1 - 4 * pv ** 2
     return _sqrt(2 * pv ** 2 / (1 + (_sqrt(rad) if rad > 0 else 0)))
 
@@ -386,24 +388,23 @@ def ladder(
     n: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     *,
-    k_r0: Optional[Real] = None,
-    k_r0_over25: Optional[Real] = None,
+    g_r0: Optional[Real] = None,
+    g_r0_over25: Optional[Real] = None,
 ) -> LadderTrace:
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
+    The climb carries g (see the module docstring): from x_1 =
+    g(r0/25)/g(r0), rung j takes p_j = p_map(x_j), g_j = g_(j-1)/p_j and
+    x_(j+1) = p_j, so no rung takes a root, and any r0 climbs.
+
     The checks come first: r0, n and tol_exp, then any seed given; each
-    missing seed is solved only after them (solve_singular_modulus), so a
-    refused start or a bad seed costs no solve; a seed point below r = 1 is
-    solved at its reciprocal, whose k_comp is its k.  The seeds are k at r0
-    and at r0/25, each a k alone in (0, 1) (else DomainError) whose k' is
-    rebuilt as sqrt(1 - k^2), exactly on integers, so a replay of the
-    trace's seed_k and seed_k25 is exact.  A start with 25 r0 < 1 is
-    refused (DomainError): below r = 1 the ascent's positivity conventions
-    flip; use the reciprocal symmetry k(1/r) = k'(r) and climb from the
-    reflected point instead.  Levels only grow from there, so no later one
-    can drop below 1.  A context with tol_exp <= GATE_SLACK_DIGITS is
-    refused too (DomainError): its relative gate would be 10^0 or looser
-    and pass any k.
+    missing seed is solved only after them, so a bad seed costs no solve.
+    The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
+    (else DomainError), and a missing one is g_invariant at max(r, 1/r),
+    since g(1/r) = g(r), so no nome below r = 1 is taken.  The trace echoes both seeds rounded to
+    precision_bits, so a replay of its seed_g and seed_g25 is exact.  A
+    context with tol_exp <= GATE_SLACK_DIGITS is refused too (DomainError):
+    its relative gate would be 10^0 or looser and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
     level whose |k_j - k_oracle| does not certify against
@@ -417,7 +418,7 @@ def ladder(
     tol_exp is calibrated for single solves.  oracle_residual stays
     absolute.
 
-    At a level just above r = 1, where k k' is within rounding of 1/2, a
+    At a level just off r = 1, where k k' is within rounding of 1/2, a
     radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, so
     that level certifies or raises CertificationError naming the
     amplification 1/|1 - 2k^2|, never DomainError.
@@ -425,12 +426,6 @@ def ladder(
     _validate_rational(r0_num, r0_den)
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
-    fr0 = Fraction(r0_num, r0_den)
-    if fr0 * 25 < 1:
-        raise DomainError(
-            "first ladder level 25*r0 = %s sits below 1; ascend from the "
-            "reciprocal point instead (k(1/r) = k'(r))" % (fr0 * 25,)
-        )
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     if gate_exp < 1:
         raise DomainError(
@@ -438,37 +433,37 @@ def ladder(
             "10^-(tol_exp - %d) must lie below 1"
             % (GATE_SLACK_DIGITS + 1, ctx.tol_exp, GATE_SLACK_DIGITS)
         )
+    fr0 = Fraction(r0_num, r0_den)
     with workprec(ctx.work_bits):
         seeds = {}
         # the given seeds are checked before a missing one is solved
-        for name, k, r in sorted(
-            (("k_r0", k_r0, fr0), ("k_r0_over25", k_r0_over25, fr0 / 25)),
+        for name, g, r in sorted(
+            (("g_r0", g_r0, fr0), ("g_r0_over25", g_r0_over25, fr0 / 25)),
             key=lambda seed: seed[1] is None,
         ):
-            if k is None:
-                # below r = 1 the solve at 1/r gives k(r) as its k_comp, the
-                # same rounded value bit for bit, without the nome of r that
-                # only the record of the solve at r would read
-                flip = r < 1
-                rec = solve_singular_modulus(
-                    *((r.denominator, r.numerator) if flip else (r.numerator, r.denominator)), ctx
-                )
-                k = rec.k_comp if flip else rec.k
-            seeds[name] = v = to_big(k, ctx)
-            if not 0 < v < 1:
-                raise DomainError("%s must lie in (0, 1), got %s" % (name, v))
-        k_hi, k_lo = seeds["k_r0"], seeds["k_r0_over25"]
-        seed_k, seed_k25 = _round_to(ctx, k_hi), _round_to(ctx, k_lo)
-        prev2 = k_lo * _complement_raw(k_lo, ctx.work_bits)  # k k' at r0/25
-        prev = k_hi * _complement_raw(k_hi, ctx.work_bits)
+            if g is None:
+                r = max(r, 1 / r)
+                seeds[name] = g_invariant(r.numerator, r.denominator, ctx)
+                continue
+            seeds[name] = v = to_big(g, ctx)
+            if not 1 <= v < mp.inf:
+                raise DomainError("%s must lie in [1, inf), got %s" % (name, v))
+        g, g_lo = seeds["g_r0"], seeds["g_r0_over25"]
+        seed_g, seed_g25 = _round_to(ctx, g), _round_to(ctx, g_lo)
 
         steps: List[LadderStep] = []
+        x = g_lo / g
         for j in range(1, n + 1):
             rj = fr0 * 25 ** j
-            x = mp.root(prev / prev2, 12)
             pv = p_map(x, ctx)
-            cur = prev * pv ** 12
-            k_j = _round_to(ctx, _sqrt(cur) if rj == 1 else _k_branch(cur))
+            g /= pv
+            kk = 1 / (2 * g ** 12)
+            if rj == 1:
+                k_j = _round_to(ctx, _sqrt(kk))
+            elif rj > 1:
+                k_j = _round_to(ctx, _k_branch(kk))
+            else:
+                k_j = _complement_raw(_k_branch(kk), ctx.precision_bits)
 
             oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
             resid = abs(k_j - oracle.k)
@@ -477,7 +472,7 @@ def ladder(
                 r=rj,
                 x=_round_to(ctx, x),
                 p_value=pv,
-                kkprime=_round_to(ctx, cur),
+                kkprime=_round_to(ctx, kk),
                 k=k_j,
                 oracle_residual=_round_to(ctx, resid),
             )
@@ -489,10 +484,10 @@ def ladder(
                     "amplifies errors by 1/|1 - 2k^2| = %s)"
                     % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp,
                        mp.nstr(1 / abs(1 - 2 * oracle.k ** 2), 3)),
-                    payload=LadderTrace(gate_exp, seed_k, seed_k25, tuple(steps)),
+                    payload=LadderTrace(gate_exp, seed_g, seed_g25, tuple(steps)),
                 )
-            prev2, prev = prev, cur
-        return LadderTrace(gate_exp, seed_k, seed_k25, tuple(steps))
+            x = pv
+        return LadderTrace(gate_exp, seed_g, seed_g25, tuple(steps))
 
 
 def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
@@ -506,9 +501,10 @@ def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
       k_625:  sqrt(1/2 - sqrt(1 - (P'/(161 + 72 sqrt5))^2)/2),
               P' = p_map(161 - 72 sqrt5)
 
-    The face-value forms feed p_map the un-rooted invariant ratio (and, for
-    k_125, skip the twelfth power); the certified ascent uses
-    x = (s(r0)/s(r0/25))^(1/12) and s(25 r0) = s(r0) p_map(x)^12.  A form
+    The certified ascent feeds p_map the invariant ratio
+    x = g(r0/25)/g(r0) and takes g(25 r0) = g(r0)/p_map(x) and
+    k k' = 1/(2 g(25 r0)^12).  The face-value forms feed it x^12 (the same
+    as x = 1 for k_125) and skip the twelfth power of p.  A form
     holds when its difference certifies against the oracle k.  Both
     shorthands miss their oracles and are recorded as failing, with the
     measured differences; the canonical ascents certify to full tolerance.

@@ -379,14 +379,33 @@ def test_traced_q_series_functions_keep_their_names_and_signatures(module, name,
 
 def test_traced_ladder_keeps_its_name_and_signature():
     # the benchmark traces quintic_ladder.ladder by name; the seeds are
-    # keyword-only overrides of the solves ladder makes itself
+    # keyword-only overrides of the g values ladder solves itself
     from quintic_moduli import quintic_ladder
 
     assert quintic_moduli.ladder is quintic_ladder.ladder
     params = inspect.signature(quintic_ladder.ladder).parameters
-    assert list(params) == ["r0_num", "r0_den", "n", "ctx", "k_r0", "k_r0_over25"]
-    assert [params[p].kind for p in ("k_r0", "k_r0_over25")] == [inspect.Parameter.KEYWORD_ONLY] * 2
-    assert params["k_r0"].default is params["k_r0_over25"].default is None
+    assert list(params) == ["r0_num", "r0_den", "n", "ctx", "g_r0", "g_r0_over25"]
+    assert [params[p].kind for p in ("g_r0", "g_r0_over25")] == [inspect.Parameter.KEYWORD_ONLY] * 2
+    assert params["g_r0"].default is params["g_r0_over25"].default is None
+
+
+def test_ladder_takes_no_root_and_no_seed_complement():
+    # a rung's x is the last rung's p, so ladder takes no mp.root; its one
+    # complement is of a rung's small root (_k_branch), never of a seed
+    (fn,) = [
+        node
+        for node in _tree("quintic_moduli.quintic_ladder").body
+        if isinstance(node, ast.FunctionDef) and node.name == "ladder"
+    ]
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    roots = [c.lineno for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "root"]
+    assert not roots, "ladder calls mp.root at lines %s" % roots
+    for c in calls:
+        if isinstance(c.func, ast.Name) and c.func.id == "_complement_raw":
+            arg = c.args[0]
+            assert isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_k_branch", (
+                "ladder takes _complement_raw of %s at line %d" % (ast.unparse(arg), c.lineno)
+            )
 
 
 @pytest.mark.parametrize("name", [n for n in _MODULES if n.count(".") and not n.endswith(".cli")])

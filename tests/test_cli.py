@@ -68,15 +68,11 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "kr", "--r", "1", "--prec", "256", "--tol-exp", "120")
         assert code == 2
 
-    def test_sub_unit_ladder_start(self, capsys):
-        code, _, err = run_cli(capsys, "ladder", "--r0", "1/625", "--n", "1")
-        assert code == 2
-        assert "reciprocal" in err
-
     @staticmethod
     def _refused_without_a_solve(capsys, monkeypatch, *argv):
         """Run a ladder request that must be refused; return its stderr
         after checking it exits 2, prints nothing and solves nothing."""
+        import quintic_moduli.bigmath_kernel as bkmod
         import quintic_moduli.cli as climod
         import quintic_moduli.quintic_ladder as qlmod
 
@@ -86,31 +82,24 @@ class TestUsageErrors:
             calls.append(args)
             return solve_singular_modulus(*args, **kwargs)
 
-        monkeypatch.setattr(climod, "solve_singular_modulus", spy)
-        monkeypatch.setattr(qlmod, "solve_singular_modulus", spy)
+        for mod in (bkmod, climod, qlmod):
+            monkeypatch.setattr(mod, "solve_singular_modulus", spy)
         code, out, err = run_cli(capsys, "ladder", *argv)
         assert code == 2
         assert out == ""
         assert calls == []
         return err
 
-    def test_refused_ladder_start_solves_nothing(self, capsys, monkeypatch):
-        err = self._refused_without_a_solve(capsys, monkeypatch, "--r0", "1/625", "--n", "1")
-        assert err == (
-            "usage error: first ladder level 25*r0 = 1/25 sits below 1; ascend "
-            "from the reciprocal point instead (k(1/r) = k'(r))\n"
-        )
-
     def test_bad_seed_solves_nothing(self, capsys, monkeypatch):
         err = self._refused_without_a_solve(
-            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-k", "1.5"
+            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-g", "0.5"
         )
-        assert err == "usage error: k_r0 must lie in (0, 1), got 1.5\n"
+        assert err == "usage error: g_r0 must lie in [1, inf), got 0.5\n"
 
     def test_loose_gate_solves_nothing(self, capsys, monkeypatch):
         err = self._refused_without_a_solve(
             capsys, monkeypatch, "--r0", "1/25", "--n", "1", "--prec", "128",
-            "--tol-exp", "15", "--seed-k25", "0.9999",
+            "--tol-exp", "15", "--seed-g25", "0.9999",
         )
         assert err == (
             "usage error: ladder needs tol_exp >= 21, got 15: its relative "
@@ -118,9 +107,9 @@ class TestUsageErrors:
         )
 
     def test_domain_error_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "1.5")
+        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-g", "0.5")
         assert code == 2
-        assert "usage error: k_r0 must lie in (0, 1)" in err
+        assert "usage error: g_r0 must lie in [1, inf)" in err
 
 
 class TestKr:
@@ -211,16 +200,16 @@ class TestLadder:
 
     def test_seed_overrides_reproduce(self, capsys):
         _, base, _ = run_json(capsys, "ladder", "--r0", "5", "--n", "1", "--json")
-        seeds = (base["ladder"]["seed_k"], base["ladder"]["seed_k25"])
+        seeds = (base["ladder"]["seed_g"], base["ladder"]["seed_g25"])
         _, redo, _ = run_json(
             capsys, "ladder", "--r0", "5", "--n", "1", "--json",
-            "--seed-k", seeds[0], "--seed-k25", seeds[1],
+            "--seed-g", seeds[0], "--seed-g25", seeds[1],
         )
         assert redo["ladder"]["levels"][0]["k"] == base["ladder"]["levels"][0]["k"]
 
     def test_bad_seed_trace_on_stdout(self, capsys):
         code, out, _ = run_cli(
-            capsys, "ladder", "--r0", "5", "--n", "1", "--seed-k", "0.2"
+            capsys, "ladder", "--r0", "5", "--n", "1", "--seed-g", "1.5"
         )
         assert code == 4
         assert "certification failure" in out
@@ -250,6 +239,16 @@ class TestLadder:
         lad = payload["ladder"]
         assert lad["certified"] is True
         assert [lv["r"] for lv in lad["levels"]] == [{"num": 1, "den": 1}, {"num": 25, "den": 1}]
+
+    def test_sub_unit_start_climbs(self, capsys):
+        # level 1 lies below r = 1, where k is the complement of the small root
+        code, payload, err = run_json(capsys, "ladder", "--r0", "1/625", "--n", "2", "--json")
+        assert code == 0, err
+        levels = payload["ladder"]["levels"]
+        assert [lv["r"] for lv in levels] == [{"num": 1, "den": 25}, {"num": 1, "den": 1}]
+        with workprec(700):
+            direct = solve_singular_modulus(1, 25)
+            assert abs(str_to_big(levels[0]["k"], 512) - direct.k) < mpf(10) ** -100
 
     def test_start_just_above_one_is_a_certification_failure(self, capsys):
         # 25 r0 = 1 + 10^-200: at 1024 bits the product k k' at level 1
@@ -418,7 +417,7 @@ _MIXED_REQUESTS = [
     ["frobnicate", "--r", "1"],
     ["verify", "--r", "1", "--ids", "eq5-eta-quotient,k-reciprocal", "--json"],
     ["verify", "--r", "2", "--ids", "eq19-v-descent", "--digits", "12"],
-    ["ladder", "--r0", "5", "--n", "1", "--seed-k", "0.2"],
+    ["ladder", "--r0", "5", "--n", "1", "--seed-g", "1.5"],
 ]
 
 

@@ -310,9 +310,8 @@ class TestLadder:
     def test_two_rungs_from_5(self):
         trace = ladder(5, 1, 2)
         assert isinstance(trace, LadderTrace)
-        # the seeds are the solves at r0 and r0/25
-        assert trace.seed_k == solve_singular_modulus(5, 1).k
-        assert trace.seed_k25 == solve_singular_modulus(1, 5).k
+        # the seeds are g at r0 and r0/25, and g(1/5) = g(5)
+        assert trace.seed_g == trace.seed_g25 == g_invariant(5, 1)
         assert [s.level for s in trace.steps] == [1, 2]
         gate = mpf(10) ** -100
         for s in trace.steps:
@@ -329,47 +328,51 @@ class TestLadder:
             assert abs(trace.steps[0].k - direct.k) < mpf(10) ** -100
 
     def test_chain_consistency(self):
-        # each rung's x is the twelfth root of the previous products' ratio
-        trace = ladder(5, 1, 2)
-        with workprec(600):
-            x2_expect = (trace.steps[0].kkprime / _kkp(5)) ** (mpf(1) / 12)
-            assert abs(trace.steps[1].x - x2_expect) < mpf(10) ** -140
+        # each rung's x is the last rung's p, bit for bit; the first is
+        # g(1/5)/g(5) = 1
+        steps = ladder(5, 1, 3).steps
+        assert steps[0].x == 1
+        for j in range(1, len(steps)):
+            assert steps[j].x._mpf_ == steps[j - 1].p_value._mpf_
 
-    def test_sub_unit_level_refused(self):
-        # the refusal happens before any seed is consulted, so even seeds
-        # outside (0, 1) get it
-        with pytest.raises(DomainError, match="reciprocal point"):
-            ladder(1, 625, 1, k_r0="1.5", k_r0_over25="-1")
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r0", ["1/25", "2/49"])
+    def test_levels_match_a_double_precision_oracle(self, r0, bits):
+        # a seed point r0/25 below 1 costs the climb no digits: every level
+        # lies within a relative 2^(16 - bits) of a solve at twice the bits
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        fine = PrecisionContext(precision_bits=2 * bits, tol_exp=ov.TOL_EXP[2 * bits])
+        r0 = Fraction(r0)
+        for s in ladder(r0.numerator, r0.denominator, 3, ctx).steps:
+            oracle = solve_singular_modulus(s.r.numerator, s.r.denominator, fine).k
+            with workprec(4 * bits):
+                assert abs(s.k - oracle) < oracle * mpf(2) ** (16 - bits), s.r
 
     def test_bad_seed_fails_certification_with_trace(self):
-        rec15 = solve_singular_modulus(1, 5)
         with pytest.raises(CertificationError) as ei:
-            ladder(5, 1, 1, k_r0="0.2", k_r0_over25=rec15.k)
+            ladder(5, 1, 1, g_r0="1.5", g_r0_over25=g_invariant(5, 1))
         trace = ei.value.payload
         assert isinstance(trace, LadderTrace)
         assert len(trace.steps) == 1
         assert trace.steps[0].oracle_residual > mpf(10) ** -100
 
     def test_gate_is_relative(self):
-        # k_78125 is about 8e-191: a seed off by a relative 1e-60 moves it by
-        # far less than an absolute 10^-100 gate, but not by less than the
-        # relative 10^-(tol_exp - 20)
-        k3125 = solve_singular_modulus(3125, 1).k
-        k125 = solve_singular_modulus(125, 1).k
+        # k_78125 is about 8e-191: a seed g off by a relative 1e-60 moves it
+        # by far less than an absolute 10^-100 gate, but not by less than
+        # the relative 10^-(tol_exp - 20)
         with workprec(600):
-            seed = k3125 * (1 + mpf(10) ** -60)
+            seed = g_invariant(3125, 1) * (1 + mpf(10) ** -60)
         with pytest.raises(CertificationError) as ei:
-            ladder(3125, 1, 1, k_r0=seed, k_r0_over25=k125)
+            ladder(3125, 1, 1, g_r0=seed, g_r0_over25=g_invariant(125, 1))
         (step,) = ei.value.payload.steps
         assert step.oracle_residual < mpf(10) ** -100
         assert step.oracle_residual > mpf(10) ** -100 * step.k
 
     def test_domain(self):
-        rec15 = solve_singular_modulus(1, 5)
         with pytest.raises(DomainError):
             ladder(5, 1, 0)
         with pytest.raises(DomainError):
-            ladder(5, 1, 1, k_r0=mpf(0), k_r0_over25=rec15.k)
+            ladder(5, 1, 1, g_r0=mpf(0), g_r0_over25=g_invariant(5, 1))
         with pytest.raises(DomainError):
             ladder(0, 1, 1)
         # r0 is checked as the solver checks r: exact positive integers
@@ -380,48 +383,40 @@ class TestLadder:
     @pytest.mark.parametrize(
         "seeds",
         [
-            {"k_r0": "1.5"},
-            {"k_r0_over25": "1.5"},
-            {"k_r0": "0.2", "k_r0_over25": 0},
-            {"k_r0_over25": "1"},
+            {"g_r0": "0.5"},
+            {"g_r0_over25": "0.9999"},
+            {"g_r0": "1.2", "g_r0_over25": 0},
+            {"g_r0_over25": "inf"},
         ],
     )
     def test_bad_seed_solves_nothing(self, monkeypatch, seeds):
         calls = []
-        monkeypatch.setattr(ql, "solve_singular_modulus", lambda *a: calls.append(a))
-        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+        for mod in (ql, bk):
+            monkeypatch.setattr(mod, "solve_singular_modulus", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match=r"must lie in \[1, inf\)"):
             ladder(5, 1, 1, **seeds)
         assert calls == []
 
     def test_given_seeds_are_echoed_rounded(self):
         # a 100-digit seed is read at the working precision, and the trace
-        # echoes it rounded to the 256-bit solve it was printed from
+        # echoes it rounded to the 256-bit g it was printed from
         ctx = PrecisionContext(precision_bits=256, tol_exp=55)
-        rec5 = solve_singular_modulus(5, 1, ctx)
-        rec15 = solve_singular_modulus(1, 5, ctx)
+        g5, g125 = g_invariant(5, 1, ctx), g_invariant(125, 1, ctx)
         with workprec(256):
-            long_k25 = mp.nstr(rec15.k, 100)
-        trace = ladder(5, 1, 1, ctx, k_r0=rec5.k, k_r0_over25=long_k25)
-        assert (trace.seed_k, trace.seed_k25) == (rec5.k, rec15.k)
-        assert ladder(5, 1, 1, ctx).steps == trace.steps
-
-    def test_solved_seed_rounding_to_one_is_refused(self):
-        # at 96 bits k(1/625) = 1 - 6e-34 would round to 1, where its k' is 0;
-        # tol_exp 5 is refused first, as any precision that rounds it so is
-        # too coarse for a gate below 1 (a given seed "1" is refused as
-        # out of (0, 1) in test_bad_seed_solves_nothing)
-        ctx = PrecisionContext(precision_bits=96, tol_exp=5)
-        with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got 5"):
-            ladder(1, 25, 1, ctx)
+            long_g5 = mp.nstr(g5, 100)
+        trace = ladder(125, 1, 1, ctx, g_r0=g125, g_r0_over25=long_g5)
+        assert (trace.seed_g, trace.seed_g25) == (g125, g5)
+        assert ladder(125, 1, 1, ctx).steps == trace.steps
 
     @pytest.mark.parametrize("tol_exp", [1, 15, 20])
     def test_gate_of_one_or_looser_is_refused(self, monkeypatch, tol_exp):
         # the relative gate 10^-(tol_exp - 20) would pass any k
         calls = []
-        monkeypatch.setattr(ql, "solve_singular_modulus", lambda *a: calls.append(a))
+        for mod in (ql, bk):
+            monkeypatch.setattr(mod, "solve_singular_modulus", lambda *a: calls.append(a))
         ctx = PrecisionContext(precision_bits=134, tol_exp=tol_exp)
         with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got %d" % tol_exp):
-            ladder(1, 25, 1, ctx, k_r0_over25="0.9999")
+            ladder(1, 25, 1, ctx, g_r0_over25="0.9999")
         assert calls == []
 
     def test_smallest_gate_climbs(self):
@@ -433,8 +428,8 @@ class TestSeedsBelowOne:
     @pytest.mark.parametrize("bits", [256, 512])
     @pytest.mark.parametrize("r0", ["1/25", "2/49", "1/7"])
     def test_are_solved_at_their_reciprocal(self, r0, bits, monkeypatch):
-        # k(r) for r < 1 is the k_comp of the solve at 1/r, so the climb
-        # takes no nome below r = 1, which only a record at r would read
+        # g(r) = g(1/r), so a seed point below 1 is solved at its
+        # reciprocal and the climb takes no nome below r = 1
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         r0 = Fraction(r0)
         points = []
@@ -448,8 +443,8 @@ class TestSeedsBelowOne:
         trace = ladder(r0.numerator, r0.denominator, 2, ctx)
         monkeypatch.undo()
         assert points and min(points) >= 1, points
-        for seed, r in ((trace.seed_k, r0), (trace.seed_k25, r0 / 25)):
-            assert seed._mpf_ == solve_singular_modulus(r.numerator, r.denominator, ctx).k._mpf_
+        for seed, r in ((trace.seed_g, r0), (trace.seed_g25, r0 / 25)):
+            assert seed._mpf_ == g_invariant(r.denominator, r.numerator, ctx)._mpf_
 
 
 class TestExampleAudit:
