@@ -25,11 +25,11 @@ so each rung's p_map value is the ratio fed to the next.  From
 k k' = 1/(2 g^12) the stable quadratic branch
 k^2 = 2 (k k')^2 / (1 + sqrt(1 - 4 (k k')^2)) gives the smaller modulus:
 k above r = 1, and k' below it, where k is its complement; at r = 1,
-where the branch has a double root, k = k' = sqrt(k k').  Near r = 1 the branch amplifies the rounding of k k' by
-1/|1 - 2k^2|, and a radicand 1 - 4 (k k')^2 that rounds below zero is
-taken as zero.  Each rung is certified, relative to its size, against a
-fresh independent solve of the defining K-ratio equation; nothing is
-trusted on the say-so of the radicals alone.
+where the branch has a double root, k = k' = sqrt(k k').  Near r = 1 the
+branch amplifies the rounding of k k' by 1/|1 - 2k^2|, and a radicand
+1 - 4 (k k')^2 that rounds below zero is taken as zero.  Each rung is
+certified, relative to its size, against a fresh independent solve of
+the K-ratio equation; nothing is trusted on the radicals' say-so alone.
 
 u_star and u_map's Newton carry bigmath_kernel._INT_BITS fractional bits
 beyond work_bits, and u_star switches no working precision.  ladder climbs
@@ -55,6 +55,7 @@ from .bigmath_kernel import (
     Real,
     _INT_BITS,
     _MAX_ITER,
+    _ONE,
     _complement_raw,
     _fixed,
     _memoised,
@@ -401,10 +402,11 @@ def ladder(
     missing seed is solved only after them, so a bad seed costs no solve.
     The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
     (else DomainError), and a missing one is g_invariant at max(r, 1/r),
-    since g(1/r) = g(r), so no nome below r = 1 is taken.  The trace echoes both seeds rounded to
-    precision_bits, so a replay of its seed_g and seed_g25 is exact.  A
-    context with tol_exp <= GATE_SLACK_DIGITS is refused too (DomainError):
-    its relative gate would be 10^0 or looser and pass any k.
+    since g(1/r) = g(r), so no nome below r = 1 is taken.  The trace echoes
+    both seeds rounded to precision_bits, as a solved one is, so a replay
+    is exact; k k' = 1/(2 g^12) carries that rounding twelvefold.  A
+    context with tol_exp <= GATE_SLACK_DIGITS is refused (DomainError): its
+    relative gate would be 10^0 or looser and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
     level whose |k_j - k_oracle| does not certify against
@@ -419,7 +421,8 @@ def ladder(
     absolute.
 
     At a level just off r = 1, where k k' is within rounding of 1/2, a
-    radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, so
+    radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, and
+    below r = 1 a branch root past 1 (from a bad seed) is taken as 1, so
     that level certifies or raises CertificationError naming the
     amplification 1/|1 - 2k^2|, never DomainError.
     """
@@ -463,7 +466,7 @@ def ladder(
             elif rj > 1:
                 k_j = _round_to(ctx, _k_branch(kk))
             else:
-                k_j = _complement_raw(_k_branch(kk), ctx.precision_bits)
+                k_j = _complement_raw(min(_k_branch(kk), _ONE), ctx.precision_bits)
 
             oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
             resid = abs(k_j - oracle.k)

@@ -207,9 +207,12 @@ class TestLadder:
         )
         assert redo["ladder"]["levels"][0]["k"] == base["ladder"]["levels"][0]["k"]
 
-    def test_bad_seed_trace_on_stdout(self, capsys):
+    @pytest.mark.parametrize("r0,seed", [("5", "1.5"), ("1/625", "10")])
+    def test_bad_seed_trace_on_stdout(self, capsys, r0, seed):
+        # from 1/625 the seed 10 (g is about 22) drives k k' at level 1,
+        # below r = 1, past 1/sqrt2 and the branch past 1
         code, out, _ = run_cli(
-            capsys, "ladder", "--r0", "5", "--n", "1", "--seed-g", "1.5"
+            capsys, "ladder", "--r0", r0, "--n", "1", "--seed-g", seed
         )
         assert code == 4
         assert "certification failure" in out

@@ -408,6 +408,15 @@ class TestLadder:
         assert (trace.seed_g, trace.seed_g25) == (g125, g5)
         assert ladder(125, 1, 1, ctx).steps == trace.steps
 
+    def test_solved_seed_rounding_to_one_is_refused(self):
+        # a k seed at 1/625 would round to 1 at 96 bits, where its k' is 0;
+        # the g seed there is g(625), which rounds to nothing degenerate, and
+        # a precision that coarse is still refused on tol_exp 5 first, with
+        # no seed given
+        ctx = PrecisionContext(precision_bits=96, tol_exp=5)
+        with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got 5"):
+            ladder(1, 25, 1, ctx)
+
     @pytest.mark.parametrize("tol_exp", [1, 15, 20])
     def test_gate_of_one_or_looser_is_refused(self, monkeypatch, tol_exp):
         # the relative gate 10^-(tol_exp - 20) would pass any k
