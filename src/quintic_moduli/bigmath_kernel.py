@@ -62,9 +62,10 @@ eta-quotient lookups take their value from a reflected point whose nome
 lies near 0, where a series needs few terms: ``_eta_at`` by Dedekind's
 eta(i/alpha) = sqrt(alpha) eta(i alpha) from the value at 16/r,
 ``modular_core._rrcf_at`` by Ramanujan's reciprocity from 16/r, and
-``modular_core._a_eta_at`` by the Fricke involution from 16/(25r).
-The public eta_f, nome, rrcf_converged and a_via_eta keep their direct
-paths.
+``modular_core._a_eta_at`` by the Fricke involution from 16/(25r).  A
+public function that takes r (solve_singular_modulus, nome, a_via_eta and
+all built on them) is accurate at every r; one that takes q (eta_f,
+rrcf_converged, rrcf_truncated) sums at the q it is given.
 """
 
 from __future__ import annotations
@@ -658,13 +659,13 @@ def _reflects(r_num: int, r_den: int) -> bool:
     return r_num * _REFLECT_BELOW.denominator < _REFLECT_BELOW.numerator * r_den
 
 
-def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext, reflect: bool = True) -> mpf:
+def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     """f(-q) at q = nome(r), shared within a request scope.  q^m is the
     nome of m^2 r, so f(-q^m) is _eta_at(m^2 r).
 
-    At r >= _REFLECT_BELOW, or with reflect=False, it is eta_f at the
-    rounded nome.  Below, it is Dedekind's eta(i/alpha) = sqrt(alpha)
-    eta(i alpha) with alpha = sqrt(r)/2, read at q = e^(-2 pi alpha):
+    At r >= _REFLECT_BELOW it is eta_f at the rounded nome.  Below, it is
+    Dedekind's eta(i/alpha) = sqrt(alpha) eta(i alpha) with alpha =
+    sqrt(r)/2, read at q = e^(-2 pi alpha):
 
         f(-q) = exp(pi (r - 4) / (24 sqrt r)) f(-q') / sqrt(sqrt(r)/2),
 
@@ -672,14 +673,12 @@ def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext, reflect: bool = True)
     size 1 down to f(-q) and amplify the rounding of q by pi^2/(6 ln^2 q);
     q' lies near 0.  The exponent is -pi sqrt(c) with c = (4 - r)^2 /
     (576 r), so the prefactor is the nome at c."""
-    if reflect and _reflects(r_num, r_den):
-        return _memoised("eta_reflected", _eta_by_dedekind, r_num, r_den, ctx)
-    return _memoised(
-        "eta", lambda n, d, c: eta_f(_round_to(c, _nome(n, d, c)), c), r_num, r_den, ctx
-    )
+    return _memoised("eta", _eta_by_dedekind, r_num, r_den, ctx)
 
 
 def _eta_by_dedekind(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+    if not _reflects(r_num, r_den):
+        return eta_f(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
     # 1/sqrt(sqrt(r)/2) = (4/r)^(1/4) by two integer roots, then one rounding
     frac = ctx.work_bits
     quarter = math.isqrt(math.isqrt((4 * r_den << 4 * frac) // r_num))

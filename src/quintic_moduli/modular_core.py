@@ -15,10 +15,10 @@ Route map (everything is certified by cross-route residuals, never trusted):
     m5(r)  is certified as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
 
-Below r = 1/25 the registry's lookups read a and R at a reflected point
-whose nome lies near 0, and the public functions do not:
+Below r = 1/25, a_via_eta and the registry's lookups read a and R at a
+reflected point whose nome lies near 0:
 
-    a(r)   = 125 / a(16/(25r))                    [Fricke involution, _a_eta_at]
+    a(r)   = 125 / a(16/(25r))                    [Fricke involution, a_via_eta]
     R(r)   = (1 - phi R') / (phi + R'),  R' = R(16/r)
                                          [Ramanujan's reciprocity, _rrcf_at]
 
@@ -61,6 +61,7 @@ from .bigmath_kernel import (
     _solved,
     _truncated,
     _sqrt,
+    _validate_rational,
     to_big,
 )
 
@@ -88,28 +89,22 @@ _DEPTH_CAP = 1 << 20
 def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The eta quotient a = f(-q)^6 / (q f(-q^5)^6) at q = nome(r), where
     q^5 is the nome of 25r; unrounded, at the context's working precision.
-    Both eta values are the series at their own nomes, at any r; only the
-    registry's lookup _a_eta_at reflects."""
-    eta_r, eta_25r = (_eta_at(m * r_num, r_den, ctx, reflect=False) for m in (1, 25))
+    Below _REFLECT_BELOW it is 125 / a(16/(25r)): a = (eta(tau)/eta(5 tau))^6
+    at q = e^(2 pi i tau), and the Fricke involution tau -> -1/(5 tau) of
+    Gamma0(5) sends it to 125/a with no other factor, moving q = nome(r) to
+    nome(16/(25r)), near 0."""
+    _validate_rational(r_num, r_den)
+    if _reflects(r_num, r_den):
+        with workprec(ctx.work_bits):
+            return 125 / _a_eta_at(16 * r_den, 25 * r_num, ctx)
+    eta_r, eta_25r = (_eta_at(m * r_num, r_den, ctx) for m in (1, 25))
     with workprec(ctx.work_bits):
         return eta_r ** 6 / (_round_to(ctx, _nome(r_num, r_den, ctx)) * eta_25r ** 6)
 
 
 def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """a_via_eta at r, shared within a request scope.
-
-    Below _REFLECT_BELOW it is 125 / a(16/(25r)): a = (eta(tau)/eta(5 tau))^6
-    at q = e^(2 pi i tau), and the Fricke involution tau -> -1/(5 tau) of
-    Gamma0(5) sends it to 125/a with no other factor, moving q = nome(r) to
-    nome(16/(25r)), near 0."""
-    return _memoised("a_eta", _a_by_fricke, r_num, r_den, ctx)
-
-
-def _a_by_fricke(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    if not _reflects(r_num, r_den):
-        return a_via_eta(r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        return 125 / _a_eta_at(16 * r_den, 25 * r_num, ctx)
+    """a_via_eta at r, shared within a request scope."""
+    return _memoised("a_eta", a_via_eta, r_num, r_den, ctx)
 
 
 @dataclass(frozen=True)

@@ -402,8 +402,9 @@ def ladder(
     missing seed is solved only after them, so a bad seed costs no solve.
     The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
     (else DomainError), and a missing one is g_invariant at max(r, 1/r),
-    since g(1/r) = g(r), so no nome below r = 1 is taken.  The trace echoes
-    both seeds rounded to precision_bits, as a solved one is, so a replay
+    since g(1/r) = g(r), so no nome below r = 1 is taken.  A given seed is
+    rounded to precision_bits where it is read, as a solved one is, and the
+    trace echoes the seeds the climb starts from, so a replay from the echo
     is exact; k k' = 1/(2 g^12) carries that rounding twelvefold.  A
     context with tol_exp <= GATE_SLACK_DIGITS is refused (DomainError): its
     relative gate would be 10^0 or looser and pass any k.
@@ -448,14 +449,14 @@ def ladder(
                 r = max(r, 1 / r)
                 seeds[name] = g_invariant(r.numerator, r.denominator, ctx)
                 continue
-            seeds[name] = v = to_big(g, ctx)
+            v = to_big(g, ctx)
             if not 1 <= v < mp.inf:
                 raise DomainError("%s must lie in [1, inf), got %s" % (name, v))
-        g, g_lo = seeds["g_r0"], seeds["g_r0_over25"]
-        seed_g, seed_g25 = _round_to(ctx, g), _round_to(ctx, g_lo)
+            seeds[name] = _round_to(ctx, v)
+        seed_g, seed_g25 = seeds["g_r0"], seeds["g_r0_over25"]
 
         steps: List[LadderStep] = []
-        x = g_lo / g
+        g, x = seed_g, seed_g25 / seed_g
         for j in range(1, n + 1):
             rj = fr0 * 25 ** j
             pv = p_map(x, ctx)

@@ -6,9 +6,9 @@ listed, the math layers stay below the registry, the tolerance is read by
 the one pass rule alone, neither the solve nor the integer kernels switch
 precision, the integer kernels share one guard constant and one conversion
 to fixed point, mpmath's theta functions and square root stay out of the
-library, modular_core takes no mpmath root, nothing is assigned into
-mpmath, and only the CLI imports json, for its string escape and never for
-json.dumps."""
+library, modular_core takes no mpmath root, each private lookup keys one
+kind on one compute, nothing is assigned into mpmath, and only the CLI
+imports json, for its string escape and never for json.dumps."""
 
 import ast
 import dataclasses
@@ -317,27 +317,54 @@ def test_modular_core_takes_no_mpmath_root():
     assert not named, "modular_core names root at lines %s" % named
 
 
+#: the private lookups that share values by their exact rational point
+_LOOKUPS = {
+    ("bigmath_kernel", "_solved"),
+    ("bigmath_kernel", "_nome"),
+    ("bigmath_kernel", "_eta_at"),
+    ("modular_core", "_rrcf_at"),
+    ("modular_core", "_a_eta_at"),
+    ("quintic_ladder", "_g_at"),
+}
+
+
+def _memoised_calls(fn):
+    return [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_memoised"
+    ]
+
+
 def test_only_the_lookups_call_memoised():
     # values are shared by their exact rational point through six private
     # lookups; every public function computes, inside a request scope too
     callers = set()
     for name in _MODULES:
         for fn in _tree(name).body:
-            for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "_memoised"
-                ):
-                    callers.add((name.rsplit(".", 1)[-1], getattr(fn, "name", None)))
-    assert callers == {
-        ("bigmath_kernel", "_solved"),
-        ("bigmath_kernel", "_nome"),
-        ("bigmath_kernel", "_eta_at"),
-        ("modular_core", "_rrcf_at"),
-        ("modular_core", "_a_eta_at"),
-        ("quintic_ladder", "_g_at"),
-    }
+            if _memoised_calls(fn):
+                callers.add((name.rsplit(".", 1)[-1], getattr(fn, "name", None)))
+    assert callers == _LOOKUPS
+
+
+@pytest.mark.parametrize("module, name", sorted(_LOOKUPS))
+def test_one_route_per_lookup(module, name):
+    # a lookup takes the point and the context alone and keys one kind on
+    # one named compute, so each point has one route and no switch picks
+    # another
+    mod = importlib.import_module("quintic_moduli." + module)
+    assert list(inspect.signature(getattr(mod, name)).parameters) == ["r_num", "r_den", "ctx"]
+    (fn,) = [
+        node
+        for node in _tree("quintic_moduli." + module).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    (call,) = _memoised_calls(fn)
+    kind, compute = call.args[:2]
+    assert isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+    assert isinstance(compute, ast.Name)
 
 
 def test_the_registry_reads_point_values_only_through_lookups():

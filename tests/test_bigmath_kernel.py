@@ -121,6 +121,13 @@ class TestMantissaKernels:
                 with workprec(ctx.work_bits):
                     assert to_big(v, ctx)._mpf_ == mpf(v)._mpf_, v._mpf_
 
+    def test_fraction_divides_at_work_bits(self):
+        ctx = _ctx_at(256)
+        with workprec(ctx.work_bits):
+            third = mpf(1) / 3
+        assert to_big(Fraction(1, 3), ctx)._mpf_ == third._mpf_
+        assert third != bk._round_to(ctx, third)
+
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_certifies_is_the_workprec_comparison(self, bits):
         ctx = _ctx_at(bits)

@@ -12,7 +12,7 @@ from mpmath import mp, mpf, workprec
 
 import quintic_moduli.cli as climod
 from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
-from quintic_moduli.certify import IdentityEntry
+from quintic_moduli.certify import REGISTRY, IdentityEntry
 from quintic_moduli.cli import JSON_SCHEMA, build_parser, main
 from quintic_moduli.report import big_to_str, str_to_big
 
@@ -105,6 +105,23 @@ class TestUsageErrors:
             "usage error: ladder needs tol_exp >= 21, got 15: its relative "
             "gate 10^-(tol_exp - 20) must lie below 1\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n", "0"), "expected a positive integer, got '0'"),
+            (("--n", "x"), "expected an integer, got 'x'"),
+            (("--n", "1", "--seed-g", "abc"), "expected a decimal number, got 'abc'"),
+        ],
+    )
+    def test_argparse_refuses_bad_ladder_values(self, capsys, monkeypatch, argv, message):
+        err = self._refused_without_a_solve(capsys, monkeypatch, "--r0", "5", *argv)
+        assert message in err
+
+    def test_empty_ids_lists_registry(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--r", "1", "--ids", ",")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --ids given but empty; registry: %s\n" % ", ".join(REGISTRY)
 
     def test_domain_error_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-g", "0.5")

@@ -78,6 +78,12 @@ class TestAValue:
         with workprec(600):
             assert abs(rec.a - ov.a4_radical()) < TOL
 
+    @pytest.mark.parametrize("rn,rd", [(0, 1), (-1, 100), (1, 0)])
+    def test_a_via_eta_names_the_r_it_refuses(self, rn, rd):
+        # r is checked before the reflection moves it to 16/(25r)
+        with pytest.raises(DomainError, match=r"^r must be positive: got %d/%d$" % (rn, rd)):
+            a_via_eta(rn, rd)
+
 
 class TestRRCFTruncated:
     def test_leading_expansion(self):
@@ -414,16 +420,23 @@ REFLECTED_RS = [(1, 10 ** 4), (1, 2500), (1, 100), (1, 26)]
 
 @functools.lru_cache(maxsize=None)
 def _direct(rn, rd, bits):
-    """f(-q), R and a at r, and each at its reflected point, by the public
-    direct functions at 2 bits + 64: the references the reflected lookups
-    are held to."""
+    """f(-q), R and a at r, and each at its reflected point, summed at their
+    own nomes by the public q-series functions at 2 bits + 64: the
+    references the reflected routes are held to.  a is the quotient
+    f(-q)^6 / (q f(-q^5)^6) of two such sums, not a_via_eta, which is the
+    reflected route itself."""
     hi = PrecisionContext(precision_bits=2 * bits + 64, tol_exp=ov.TOL_EXP[bits])
     eta = lambda n, d: eta_f(nome(n, d, hi), hi)
     cf = lambda n, d: rrcf_converged(nome(n, d, hi), hi)[0]
+
+    def a(n, d):
+        with workprec(hi.work_bits):
+            return eta(n, d) ** 6 / (nome(n, d, hi) * eta(25 * n, d) ** 6)
+
     return {
         "eta": (eta(rn, rd), eta(16 * rd, rn)),
         "rrcf": (cf(rn, rd), cf(16 * rd, rn)),
-        "a": (a_via_eta(rn, rd, hi), a_via_eta(16 * rd, 25 * rn, hi)),
+        "a": (a(rn, rd), a(16 * rd, 25 * rn)),
         "bits": hi.work_bits,
     }
 
@@ -452,22 +465,25 @@ class TestReflectedLookups:
             assert self._ulps(got, ref[kind][0], bits, ref["bits"]) <= 8, kind
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("rn,rd", REFLECTED_RS)
+    def test_public_a_via_eta_is_within_8_ulps(self, rn, rd, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        ref = _direct(rn, rd, bits)
+        assert self._ulps(a_via_eta(rn, rd, ctx), ref["a"][0], bits, ref["bits"]) <= 8
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     @pytest.mark.parametrize("rn,rd", REFLECTED_RS[:2])
-    def test_direct_route_at_the_same_bits_misses_for_eta_and_a(self, rn, rd, bits):
+    def test_direct_route_at_the_same_bits_misses_for_eta(self, rn, rd, bits):
         # the nome is rounded to precision_bits before the sum, and f(-q)
         # near q = 1 amplifies that rounding by pi^2 / (6 ln^2 q): at
-        # r = 1/10^4 and 512 bits eta is about 500 ulps off, a about 2900.
-        # The continued fraction does not amplify it and stays within 8
+        # r = 1/10^4 and 512 bits eta is about 500 ulps off.  The continued
+        # fraction does not amplify it and stays within 8
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         ref = _direct(rn, rd, bits)
         q = nome(rn, rd, ctx)
-        direct = {
-            "eta": eta_f(q, ctx),
-            "rrcf": rrcf_converged(q, ctx)[0],
-            "a": a_via_eta(rn, rd, ctx),
-        }
+        direct = {"eta": eta_f(q, ctx), "rrcf": rrcf_converged(q, ctx)[0]}
         ulps = {k: self._ulps(v, ref[k][0], bits, ref["bits"]) for k, v in direct.items()}
-        assert ulps["eta"] > 8 and ulps["a"] > 8 and ulps["rrcf"] <= 8, ulps
+        assert ulps["eta"] > 8 and ulps["rrcf"] <= 8, ulps
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     @pytest.mark.parametrize("rn,rd", REFLECTED_RS)
@@ -488,10 +504,19 @@ class TestReflectedLookups:
         assert bk._REFLECT_BELOW <= Fraction(4, 5)
         assert not bk._reflects(16 * 26, 1) and not bk._reflects(16 * 26, 25)
 
-    def test_public_functions_keep_their_direct_paths(self, monkeypatch):
-        # a_via_eta sums the series at its own nome, even below the crossover
-        etas = []
-        series = bk.eta_f
-        monkeypatch.setattr(bk, "eta_f", lambda q, c: etas.append(q) or series(q, c))
+    def test_a_via_eta_reflects_and_q_functions_sum_at_their_q(self, monkeypatch):
+        # a_via_eta takes r: at r = 1/100 it sums eta only at the nomes of
+        # 16/(25r) = 64 and 25 * 64.  eta_f and rrcf_converged take q: they
+        # size their sums by -ln q of the q given and form no nome
+        q = nome(1, 100)
+        etas, logs, nomes = [], [], []
+        series, neg_ln, exp_nome = bk.eta_f, bk._neg_ln, bk._exp_nome
+        monkeypatch.setattr(bk, "eta_f", lambda x, c: etas.append(x) or series(x, c))
         a_via_eta(1, 100)
-        assert sorted(etas) == sorted([nome(1, 100), nome(1, 4)])
+        assert sorted(etas) == sorted([nome(64), nome(1600)])
+        monkeypatch.setattr(bk, "_exp_nome", lambda *args: nomes.append(args) or exp_nome(*args))
+        for module in (bk, mc):
+            monkeypatch.setattr(module, "_neg_ln", lambda x: logs.append(x) or neg_ln(x))
+        eta_f(q)
+        rrcf_converged(q)
+        assert logs == [q, q] and not nomes

@@ -398,8 +398,8 @@ class TestLadder:
         assert calls == []
 
     def test_given_seeds_are_echoed_rounded(self):
-        # a 100-digit seed is read at the working precision, and the trace
-        # echoes it rounded to the 256-bit g it was printed from
+        # a 100-digit seed is rounded to 256 bits where it is read, so the
+        # climb starts from, and the trace echoes, the g it was printed from
         ctx = PrecisionContext(precision_bits=256, tol_exp=55)
         g5, g125 = g_invariant(5, 1, ctx), g_invariant(125, 1, ctx)
         with workprec(256):
@@ -407,6 +407,21 @@ class TestLadder:
         trace = ladder(125, 1, 1, ctx, g_r0=g125, g_r0_over25=long_g5)
         assert (trace.seed_g, trace.seed_g25) == (g125, g5)
         assert ladder(125, 1, 1, ctx).steps == trace.steps
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r0", ["5", "1/25"])
+    def test_replay_from_the_echoed_seeds_is_exact(self, r0, bits):
+        # seeds solved at twice the bits carry digits below precision_bits;
+        # the climb starts from their rounding, which the trace echoes
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        wide = PrecisionContext(precision_bits=2 * bits, tol_exp=ov.TOL_EXP[bits])
+        r0 = Fraction(r0)
+        g, g25 = (g_invariant(r.numerator, r.denominator, wide) for r in (r0, r0 / 25))
+        trace = ladder(r0.numerator, r0.denominator, 2, ctx, g_r0=g, g_r0_over25=g25)
+        replay = ladder(
+            r0.numerator, r0.denominator, 2, ctx, g_r0=trace.seed_g, g_r0_over25=trace.seed_g25
+        )
+        assert replay.steps == trace.steps
 
     def test_solved_seed_rounding_to_one_is_refused(self):
         # a k seed at 1/625 would round to 1 at 96 bits, where its k' is 0;
