@@ -42,10 +42,11 @@ rational, judged by ``certifies`` on integers; each K is pi / (2 agm)
 against mpmath's cached fixed-point pi.  From its nome to its record the
 solve works on integers and mantissas, builds an mpf only for each field,
 rounded once, and never enters ``workprec``; nor do agm, elliptic_K, eta_f,
-closed_form_R, descend_v, descend_a and u_star, so the caller's mp.prec
-moves no bit of what they return.  The integer kernels of the three math
-modules carry ``_INT_BITS`` bits beyond work_bits and reach that fixed
-point from a mantissa by one conversion, ``_fixed``.
+closed_form_R, descend_v, descend_a, rrcf_converged, rrcf_truncated and
+u_star, so the caller's mp.prec moves no bit of what they return.  The
+integer kernels of the three math modules carry ``_INT_BITS`` bits beyond
+work_bits and reach that fixed point from a mantissa by one conversion,
+``_fixed``.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -87,6 +88,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_pos,
     round_nearest,
+    to_float,
 )
 from mpmath.libmp.libelefun import mpf_exp, pi_fixed
 
@@ -313,8 +315,15 @@ def _complement_raw(k: mpf, prec: int) -> mpf:
     """sqrt(1 - k^2) for 0 <= k <= 1, rounded once to nearest at `prec`
     bits.  With k = m 2^e, 1 - k^2 = (2^(-2e) - m^2) 2^(2e) is an exact
     integer times a power of two, so nothing cancels for k near 1 and
-    nothing is lost for a tiny k."""
-    _, man, exp, _ = k._mpf_
+    nothing is lost for a tiny k.
+
+    That integer is about 2|e| bits wide, so a tiny k skips it: k <
+    2^(e + bc), and where 2 (e + bc) <= -(prec + 2), k^2 < 2^-(prec + 2)
+    puts sqrt(1 - k^2) within a quarter of an ulp below 1, which rounds
+    to 1."""
+    _, man, exp, bc = k._mpf_
+    if 2 * (exp + bc) <= -(prec + 2):
+        return _ONE
     return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec))
 
 
@@ -592,17 +601,30 @@ def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRec
 _ETA_TERM_CAP = 10_000_000
 
 
+def _in_open_unit(x: mpf) -> bool:
+    """Whether 0 < x < 1, from x's raw sign, mantissa, exponent and bit
+    count: x = man 2^exp lies in [2^(exp + bc - 1), 2^(exp + bc)), and
+    zero, infinities and nan have no mantissa."""
+    sign, man, exp, bc = x._mpf_
+    return not sign and man != 0 and exp + bc <= 0
+
+
 def _neg_ln(x: mpf) -> float:
-    """-ln x as a float for 0 < x < 1, from x's mantissa and exponent.
+    """-ln x as a float for 0 < x < 1, from x's raw mantissa and exponent.
 
     Only sizes a truncation or a precision, so float accuracy suffices, and it
     avoids mpmath's log (whose Taylor cache costs a series per new argument
-    range).  Near 1 it uses log1p of the exact 1 - x; it returns 0.0 when x
-    is within 2^-1074 of 1.
+    range).  Above 1/2 (exponent plus bit count 0, mantissa not 1) it is
+    log1p of 1 - x, formed exactly on the mantissa and rounded once to a
+    float as float(mpf) rounds it; it returns 0.0 when x is within 2^-1074
+    of 1.  Below it is -(ln man + exp ln 2).  The caller's mp.prec moves no
+    bit of either.
     """
-    if x > 0.5:
-        return -math.log1p(-float(1 - x))
-    return -(math.log(x.man) + x.exp * math.log(2))
+    _, man, exp, bc = x._mpf_
+    if exp + bc == 0 and man != 1:
+        below_one = from_man_exp((1 << -exp) - man, exp)
+        return -math.log1p(-to_float(below_one, rnd=round_nearest))
+    return -(math.log(man) + exp * math.log(2))
 
 
 def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -618,7 +640,7 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     truncation of each product, and is rounded once to precision_bits.
     """
     qv = to_big(q, ctx)
-    if not (0 < qv < 1):
+    if not _in_open_unit(qv):
         raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
     t = _neg_ln(qv)
     # the sum reaches q^n < 2^-bits at n = bits ln2 / t; the cap test is
@@ -629,7 +651,8 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     bits = ctx.work_bits + math.ceil(pi2_6 / (math.log(2) * t)) + 8
     frac = bits + 16
     cutoff = 1 << (frac - bits)  # 2^-bits
-    qi = _fixed(*qv.man_exp, frac)
+    _, q_man, q_exp, _ = qv._mpf_
+    qi = _fixed(q_man, q_exp, frac)
     acc = 1 << frac
     a = qi  # q^(k(3k-1)/2), from k = 1
     if a >= cutoff:

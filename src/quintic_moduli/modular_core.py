@@ -9,7 +9,9 @@ Route map (everything is certified by cross-route residuals, never trusted):
     a(r)   = f(-q)^6 / (q f(-q^5)^6), q^5 = nome(25r)     [eta route]
            = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5(r)^-3      [moduli route]
     R(q)   = q^(1/5)/(1 + q/(1 + q^2/(1 + ...)))           [CF, one forward
-                          pass, certified by its last two convergents]
+                          pass on integers, certified by a power of two
+                          over its last two convergents' bracket, read
+                          as one integer quotient]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
     m5(r)  is certified as a root of
@@ -30,7 +32,10 @@ numerator as a mantissa with a's own exponent, and rounds once.  The same
 integer fifth root gives the continued fraction's q^(1/5) and descend_v's
 root, so the module calls no mp.root.  The fixed point carries
 bigmath_kernel._INT_BITS bits beyond work_bits, and closed_form_R,
-descend_v and descend_a switch no working precision.
+descend_v, descend_a, rrcf_converged and rrcf_truncated switch no working
+precision: the continued fraction's bracket is judged as 2^k, k from q's
+exponent and the bit lengths of its integer denominators, and its value is
+q^(1/5) B_d / A_d, one integer quotient rounded once.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .bigmath_kernel import (
     _INT_BITS,
     _eta_at,
     _fixed,
+    _in_open_unit,
     _memoised,
     _neg_ln,
     _nome,
@@ -195,42 +201,83 @@ def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT)
 
     evaluated by the forward recurrence of _rrcf_forward, whose integer
     scale carries 2 bitlen(depth) + 8 bits past work_bits for the
-    truncations of its `depth` levels.
+    truncations of its `depth` levels, and read by _rrcf_value as one
+    integer quotient, rounded once.
     """
     if not isinstance(depth, int) or depth < 1:
         raise DomainError("depth must be a positive integer")
     if depth > _DEPTH_CAP:
         raise DomainError("depth %d exceeds the %d cap" % (depth, _DEPTH_CAP))
-    with workprec(ctx.work_bits):
-        qv = to_big(q, ctx)
-        if not (0 < qv < 1):
-            raise DomainError("rrcf_truncated requires 0 < q < 1")
-        return _round_to(ctx, _fifth_root(qv, ctx) / _rrcf_forward(qv, depth, ctx)[0])
+    qv = to_big(q, ctx)
+    if not _in_open_unit(qv):
+        raise DomainError("rrcf_truncated requires 0 < q < 1")
+    a, b, _, _ = _rrcf_forward(qv, depth, ctx)
+    return _rrcf_value(qv, a, b, ctx)
 
 
-def _rrcf_forward(qv: mpf, depth: int, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(T_depth, a bound on |T - T_depth|) for T = 1 + q/(1 + q^2/(1 + ...)),
-    at the ambient working precision.
+def _rrcf_forward(qv: mpf, depth: int, ctx: PrecisionContext) -> Tuple[int, int, int, int]:
+    """(A_d, B_d, B_(d-1), frac) at d = depth: the last two convergents'
+    terms of T = 1 + q/(1 + q^2/(1 + ...)) as integers with `frac`
+    fractional bits, T_d = A_d / B_d.
 
     The Wallis recurrence A_n = A_(n-1) + q^n A_(n-2), B_n = B_(n-1) +
-    q^n B_(n-2) (A_-1 = A_0 = B_0 = 1, B_-1 = 0) runs forward on integers
-    with work_bits + 2 bitlen(depth) + 8 fractional bits, where each level
-    truncates a few times.  Every partial numerator q^n is positive, so
-    consecutive convergents bracket T, and A_n B_(n-1) - A_(n-1) B_n =
-    (-1)^(n-1) q^(n(n+1)/2) exactly: |T - T_depth| <= q^(d(d+1)/2) /
-    (B_d B_(d-1)) at d = depth.
+    q^n B_(n-2) (A_-1 = A_0 = B_0 = 1, B_-1 = 0) runs forward with frac =
+    work_bits + 2 bitlen(depth) + 8, where each level truncates a few
+    times, always down: each integer is at most its exact value times
+    2^frac.  Every partial numerator q^n is positive, so consecutive
+    convergents bracket T, and A_n B_(n-1) - A_(n-1) B_n = (-1)^(n-1)
+    q^(n(n+1)/2) exactly: |T - T_d| <= q^(d(d+1)/2) / (B_d B_(d-1))
+    (_bracket_exp bounds it).
     """
     frac = ctx.work_bits + 2 * depth.bit_length() + 8
     one = 1 << frac
-    qi = _fixed(*qv.man_exp, frac)
+    _, q_man, q_exp, _ = qv._mpf_
+    qi = _fixed(q_man, q_exp, frac)
     a_prev, a, b_prev, b = one, one, 0, one
     p = one  # q^n
     for _ in range(depth):
         p = p * qi >> frac
         a_prev, a = a, a + (p * a_prev >> frac)
         b_prev, b = b, b + (p * b_prev >> frac)
-    gap = qv ** (depth * (depth + 1) // 2) / (mpf((b, -frac)) * mpf((b_prev, -frac)))
-    return mpf(a) / b, gap
+    return a, b, b_prev, frac
+
+
+def _bracket_exp(qv: mpf, t: float, depth: int, b: int, b_prev: int, frac: int) -> int:
+    """k with q^(d(d+1)/2) / (B_d B_(d-1)) <= 2^k at d = depth, for t =
+    _neg_ln(q) and _rrcf_forward's b, b_prev with `frac` fractional bits.
+
+    B_n >= b 2^-frac >= 2^(bitlen(b) - 1 - frac), and q^(d(d+1)/2) =
+    2^-(d(d+1)/2 t / ln 2).  t is within (2 bc + 4) 2^-50 of -ln q,
+    relatively, for q's mantissa of bc bits (ln of the mantissa and exp ln 2
+    are each within a few ulps; above q = 1/2, log1p of the float 1 - q
+    within 2^-51).  So that exponent, a float, is lowered by (bc + 4)
+    2^-48 of itself, over twice that error and its own two roundings, and
+    rounded down.  2^k thus lies less than about three bits above the
+    bracket.
+    """
+    bc = qv._mpf_[3]
+    below = depth * (depth + 1) // 2 * t / math.log(2) * (1 - (bc + 4) * 2.0 ** -48)
+    return 2 * frac + 2 - b.bit_length() - b_prev.bit_length() - math.floor(below)
+
+
+def _rrcf_value(qv: mpf, a: int, b: int, ctx: PrecisionContext) -> mpf:
+    """R = q^(1/5) / T_d = q^(1/5) B_d / A_d for _rrcf_forward's a, b, as one
+    integer quotient rounded once to precision_bits.  q^(1/5) is
+    _root5_of's root to work_bits + 32 bits, and B_d / A_d lies in (1/2,
+    1], so the quotient keeps about that many bits."""
+    _, man, exp, _ = qv._mpf_
+    q5, e = _root5_of(man, exp, ctx.work_bits + _INT_BITS)
+    return _rounded(ctx, q5 * b // a, e)
+
+
+def _rrcf_depth(t: float, work_bits: int) -> int:
+    """rrcf_converged's depth for t = -ln q: two past the smallest d with
+    d(d+1)/2 t >= work_bits ln 2, or 0 where that passes _DEPTH_CAP."""
+    need = work_bits * math.log(2)
+    top = _DEPTH_CAP - 2
+    if top * (top + 1) / 2 * t < need:
+        return 0
+    return math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
 
 
 def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mpf, int]:
@@ -238,23 +285,25 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
 
     The truncation error at depth d decays like q^(d(d+1)/2), so d is the
     smallest depth with d(d+1)/2 |ln q| >= work_bits ln 2, and the
-    continued fraction is evaluated once, forward, at d + 2.  The value is
-    returned only if the bracket of its last two convergents certifies it
-    (see _rrcf_forward); otherwise, or if d + 2 would pass the depth cap
-    (q too close to 1), ConvergenceError is raised.
+    continued fraction is evaluated once, forward, at d + 2 (_rrcf_depth).
+    The value is returned only if 2^k, a bound on the bracket of its last
+    two convergents taken from q's exponent and the bit lengths of B_d and
+    B_(d-1) (_bracket_exp), certifies against T_d >= 1; otherwise, or if
+    d + 2 would pass the depth cap (q too close to 1), ConvergenceError is
+    raised.  At d + 2 the bracket lies more than 128 + (2d + 3) log2(1/q)
+    bits under the gate, so the bound's few bits of slack never decide.
+    The value is _rrcf_value's one quotient; no working precision is set.
     """
     qv = to_big(q, ctx)
-    if not (0 < qv < 1):
+    if not _in_open_unit(qv):
         raise DomainError("rrcf_converged requires 0 < q < 1")
-    with workprec(ctx.work_bits):
-        t = _neg_ln(qv)
-        need = ctx.work_bits * math.log(2)
-        top = _DEPTH_CAP - 2
-        if top * (top + 1) / 2 * t >= need:
-            depth = math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
-            tail, gap = _rrcf_forward(qv, depth, ctx)
-            if ctx.certifies(gap, tail):
-                return _round_to(ctx, _fifth_root(qv, ctx) / tail), depth
+    t = _neg_ln(qv)
+    depth = _rrcf_depth(t, ctx.work_bits)
+    if depth:
+        a, b, b_prev, frac = _rrcf_forward(qv, depth, ctx)
+        bound = mp.make_mpf((0, 1, _bracket_exp(qv, t, depth, b, b_prev, frac), 1))
+        if ctx.certifies(bound, 1):
+            return _rrcf_value(qv, a, b, ctx), depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 
@@ -303,13 +352,6 @@ def _root5_of(man: int, exp: int, bits: int, den: int = 1) -> Tuple[int, int]:
     shift = 5 * bits + den.bit_length() - man.bit_length()
     shift += (exp - shift) % 5
     return _root5((man << shift) // den), (exp - shift) // 5
-
-
-def _fifth_root(x: mpf, ctx: PrecisionContext) -> mpf:
-    """x^(1/5) for an mpf x > 0 at the ambient precision, from its mantissa's
-    root to work_bits + 32 bits."""
-    _, man, exp, _ = x._mpf_
-    return mpf(_root5_of(man, exp, ctx.work_bits + _INT_BITS))
 
 
 def _fifth_root_radical(av: mpf, frac: int) -> int:

@@ -176,6 +176,19 @@ def rrcf_backward(q, depth, bits):
         return mp.root(q, 5) / t
 
 
+def cf_bracket(q, depth, bits):
+    """q^(d(d+1)/2) / (B_d B_(d-1)) at d = depth: the distance of the last
+    two convergents of 1 + q/(1 + q^2/(1 + ...)), with the denominators
+    B_n = B_(n-1) + q^n B_(n-2) (B_-1 = 0, B_0 = 1) run in mpf at ``bits``."""
+    with workprec(bits):
+        q = mpf(q)
+        b_prev, b, p = mpf(0), mpf(1), mpf(1)
+        for _ in range(depth):
+            p *= q
+            b_prev, b = b, b + p * b_prev
+        return q ** (depth * (depth + 1) // 2) / (b * b_prev)
+
+
 def descend_a_printed(a, bits):
     """descend_a in its printed form, E = exp(arcsinh((11 + a)/2)/5) and
     numerator (-1 - E + E^2)^5, at ``bits``.

@@ -183,14 +183,16 @@ def test_tolerance_is_read_only_inside_precision_context(name):
             ("modular_core", "closed_form_R"),
             ("modular_core", "descend_v"),
             ("modular_core", "descend_a"),
+            ("modular_core", "rrcf_converged"),
+            ("modular_core", "rrcf_truncated"),
             ("quintic_ladder", "u_star"),
         ]
     ],
 )
 def test_the_solve_never_switches_precision(module, function):
     # the solve runs on integers and mantissas from its nome to its record,
-    # and each integer kernel from to_big to its one rounding: no workprec
-    # block, and no workprec named at all
+    # and each integer kernel, the continued fraction included, from to_big
+    # to its one rounding: no workprec block, and no workprec named at all
     tree = _tree("quintic_moduli." + module)
     (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     named = [

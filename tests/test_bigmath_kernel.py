@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,6 +23,8 @@ from quintic_moduli import (
     elliptic_K,
     eta_f,
     nome,
+    rrcf_converged,
+    rrcf_truncated,
     solve_singular_modulus,
     to_big,
     u_star,
@@ -169,20 +172,66 @@ class TestAmbientPrecision:
             (u_star, ("0.45",)),
             (eta_f, ("0.04",)),
             (complement, ("0.6",)),
+            (rrcf_converged, ("0.04",)),
+            (rrcf_truncated, ("0.04", 7)),
         ],
-        ids=lambda v: v.__name__ if callable(v) else "-".join(v),
+        ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)),
     )
     def test_same_bits_at_any_ambient_precision(self, fn, args, bits, as_mpf):
         ctx = _ctx_at(bits)
         if as_mpf:
             # more bits than work_bits, so to_big rounds them
             with workprec(4 * bits):
-                args = tuple(mpf(a) for a in args)
-        got = [fn(*args, ctx)._mpf_]
+                args = tuple(mpf(a) if isinstance(a, str) else a for a in args)
+
+        def raw(out):  # rrcf_converged returns (value, depth)
+            return (out[0]._mpf_, out[1]) if isinstance(out, tuple) else out._mpf_
+
+        got = [raw(fn(*args, ctx))]
         for prec in (53, 8000):
             with workprec(prec):
-                got.append(fn(*args, ctx)._mpf_)
+                got.append(raw(fn(*args, ctx)))
         assert got[0] == got[1] == got[2]
+
+
+class TestRawQ:
+    """The q-series read q's raw tuple: whether 0 < q < 1, and -ln q as the
+    very float the mpf expression gave."""
+
+    def test_open_unit_is_the_mpf_comparison(self):
+        with workprec(700):
+            xs = [mpf(0), mpf(-0.2), mpf(1), mpf("1.5"), mpf(0.5), mpf(2) ** -5000,
+                  1 - mpf(2) ** -600, 1 + mpf(2) ** -600, mp.inf, -mp.inf, mp.nan]
+        for x in xs:
+            assert bk._in_open_unit(x) == (0 < x < 1), x
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_neg_ln_is_the_mpf_expression(self, bits):
+        # the expression rrcf_converged evaluated inside workprec(work_bits)
+        # and eta_f at the default mp.prec, on q from 2^-5000 up to within
+        # 2^-work_bits of 1, across 1/2 and the subnormal 1 - q
+        ctx = _ctx_at(bits)
+
+        def old(x):
+            if x > 0.5:
+                return -math.log1p(-float(1 - x))
+            return -(math.log(x.man) + x.exp * math.log(2))
+
+        rng = random.Random(bits)
+        with workprec(ctx.work_bits):
+            half, one = mpf(0.5), mpf(1)
+            qs = [mpf(2) ** -5000, mpf("1e-300"), mpf("0.04"), nome(1, 1, ctx), half,
+                  half - mpf(2) ** -ctx.work_bits, mpf("0.75"), mpf("0.999")]
+            for n in (1, 2, 60, 100, 1000, 1071, ctx.work_bits - 1, ctx.work_bits):
+                qs += [half + mpf(2) ** -n, one - mpf(2) ** -n, one - 3 * mpf(2) ** -n]
+            qs += [mpf((rng.getrandbits(ctx.work_bits), -ctx.work_bits)) for _ in range(20)]
+            qs += [one - mpf((rng.getrandbits(40) | 1, -1100)), mpf(1) / 3 + mpf(1) / 3]
+        qs = [q for q in qs if 0 < q < 1]
+        for q in qs:
+            with workprec(ctx.work_bits):
+                assert bk._neg_ln(q).hex() == old(q).hex(), q._mpf_
+            with workprec(53):
+                assert bk._neg_ln(q).hex() == old(q).hex(), q._mpf_
 
 
 class TestAgm:
@@ -283,6 +332,24 @@ class TestComplement:
     def test_endpoints(self):
         assert complement(0) == 1
         assert complement(1) == 0
+
+    @pytest.mark.parametrize("prec", [256, 512, 1024, 4096])
+    def test_tiny_k_is_the_root_path_on_both_sides_of_the_skip(self, prec):
+        # k = m 2^e with e + bc at the last exponent that skips the root
+        # (2 (e + bc) <= -(prec + 2)) and one above it: both give the bits
+        # of the exact root, and on the skipping side that is 1
+        rng = random.Random(prec)
+        last = -(prec + 2) // 2
+        for top in (last - 40, last, last + 1, last + 2):
+            for bc in (1, 2, 53, prec, 2 * prec + 3):
+                man = 1 << bc - 1 | rng.getrandbits(bc - 1) | 1 if bc > 1 else 1
+                for m in (man, (1 << bc) - 1 or 1):
+                    k = mp.make_mpf(from_man_exp(m, top - bc))
+                    _, k_man, k_exp, _ = k._mpf_
+                    root = bk._sqrt_raw((1 << -2 * k_exp) - k_man * k_man, 2 * k_exp, prec)
+                    assert bk._complement_raw(k, prec)._mpf_ == root, (top, bc)
+                    if top <= last:
+                        assert root == mpf(1)._mpf_
 
     def test_domain(self):
         with pytest.raises(DomainError):

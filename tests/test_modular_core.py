@@ -118,6 +118,11 @@ class TestRRCFTruncated:
                 rrcf_truncated(q, 100)
 
 
+#: q = nome(r) from near 1 (r = 1/250000) to about 2^-4532 (r = 10^6)
+CF_RS = [Fraction(1, 10 ** 4), Fraction(1, 37), Fraction(1), Fraction(22, 7),
+         Fraction(10 ** 3), Fraction(10 ** 6), Fraction(1, 250000)]
+
+
 class TestRRCFConverged:
     def test_agrees_with_radical(self):
         val, depth = rrcf_converged(nome(4, 1))
@@ -127,10 +132,7 @@ class TestRRCFConverged:
             assert abs(val - ov.r4_radical()) < mpf(10) ** -100
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
-    @pytest.mark.parametrize(
-        "r", [Fraction(1, 10 ** 4), Fraction(1, 37), Fraction(1), Fraction(22, 7),
-              Fraction(10 ** 3), Fraction(10 ** 6), Fraction(1, 250000)]
-    )
+    @pytest.mark.parametrize("r", CF_RS)
     def test_depth_is_minimal_and_converged(self, r, bits):
         # the depth is chosen a priori: two past the smallest d with
         # q^(d(d+1)/2) <= 2^-work_bits.  The value is the depth-D convergent
@@ -179,22 +181,41 @@ class TestRRCFConverged:
         with pytest.raises(ConvergenceError):
             rrcf_converged(q)
 
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("r", CF_RS)
+    def test_bracket_bound_is_never_below_the_exact_bracket(self, r, bits):
+        # 2^k, from q's exponent and the bit lengths of the integer B_d and
+        # B_(d-1), lies above q^(d(d+1)/2) / (B_d B_(d-1)) computed in mpf
+        # at twice work_bits, and by less than four bits
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        q = to_big(nome(r.numerator, r.denominator, ctx), ctx)
+        t = bk._neg_ln(q)
+        depth = mc._rrcf_depth(t, ctx.work_bits)
+        assert depth == rrcf_converged(q, ctx)[1]
+        _, b, b_prev, frac = mc._rrcf_forward(q, depth, ctx)
+        bound = mpf(2) ** mc._bracket_exp(q, t, depth, b, b_prev, frac)
+        exact = ov.cf_bracket(q, depth, 2 * ctx.work_bits)
+        with workprec(2 * ctx.work_bits):
+            assert exact <= bound < 16 * exact
+
     def test_disagreement_raises(self, monkeypatch):
-        # forced three levels deep at q = e^-pi, the last two convergents
-        # still differ by q^6 / (B_3 B_2), far above the gate, and that
-        # bound is their real distance: the value is not returned
+        # held three levels deep at q = e^-pi, the last two convergents
+        # still differ by q^6 / (B_3 B_2), far above the gate: 2^k lies
+        # within a few bits above their real distance and misses the gate,
+        # so the value is not returned
         ctx = DEFAULT_CONTEXT
-        q = nome(1, 1)
-        forward = mc._rrcf_forward
+        q = to_big(nome(1, 1), ctx)
+        t = bk._neg_ln(q)
+        _, b, b_prev, frac = mc._rrcf_forward(q, 3, ctx)
+        bound = mpf(2) ** mc._bracket_exp(q, t, 3, b, b_prev, frac)
+        assert not ctx.certifies(bound, 1)
         hi = ctx.work_bits + 64
-        with workprec(ctx.work_bits):
-            tail, gap = forward(to_big(q, ctx), 3, ctx)
-            assert not ctx.certifies(gap, tail)
         with workprec(hi):
-            t3, t2 = (mp.root(q, 5) / ov.rrcf_backward(q, d, hi) for d in (3, 2))
-            assert abs(abs(t3 - t2) - gap) <= gap * mpf(2) ** -500
-            assert abs(t3 - tail) <= t3 * mpf(2) ** (1 - ctx.work_bits)
-        monkeypatch.setattr(mc, "_rrcf_forward", lambda qv, depth, c: forward(qv, 3, c))
+            r3, r2 = (ov.rrcf_backward(q, d, hi) for d in (3, 2))
+            q5 = mp.root(q, 5)
+            assert bound / 16 < abs(q5 / r3 - q5 / r2) <= bound
+            assert abs(rrcf_truncated(q, 3, ctx) - r3) <= r3 * mpf(2) ** -ctx.precision_bits
+        monkeypatch.setattr(mc, "_rrcf_depth", lambda t, work_bits: 3)
         with pytest.raises(ConvergenceError):
             rrcf_converged(q)
 
@@ -405,12 +426,12 @@ class TestDescentOnIntegers:
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_fifth_root_is_within_a_few_units(self, bits):
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        # the continued fraction's q^(1/5): _root5_of on q's mantissa
         for x in ("1e-1364", "3e-7", "0.5", "0.999", "1", "7e300"):
-            xv = to_big(x, ctx)
-            with workprec(ctx.work_bits):
-                got = mc._fifth_root(xv, ctx)
+            _, man, exp, _ = to_big(x, ctx)._mpf_
             with workprec(2 * bits + 64):
-                ref = mp.root(xv, 5)
+                got = mpf(mc._root5_of(man, exp, ctx.work_bits + bk._INT_BITS))
+                ref = mp.root(mpf((man, exp)), 5)
                 assert abs(got - ref) <= ref * mpf(2) ** (2 - ctx.work_bits), x
 
 

@@ -3,7 +3,10 @@ stdout and stderr, with the verify timings masked.
 
 The requests cover `kr`, `rrcf` and `verify` at six r from 1/10^4 to 10^6
 and `ladder` from three starts, at 256, 512 and 1024 bits, in text and in
-JSON.  Beside them stand the parse paths: top-level and per-command help,
+JSON.  Two more reach the continued fraction where the grid does not: a
+4096-bit `rrcf` at r = 1/25 (q = e^(-pi/5), depth 98), in text and JSON,
+and a `verify` of the q-series identities alone at r = 1/2, which reads R
+directly at 1/2 and through reciprocity at 1/50.  Beside them stand the parse paths: top-level and per-command help,
 a missing or unknown command, a missing or bad value, leftover arguments,
 an option before the command, a flag conflict and abbreviated options.
 Help and usage lines are written at a fixed width of 80 columns.  A change
@@ -50,6 +53,14 @@ _PARSE_PATHS = [
     ["kr", "--r", "5", "--pre", "256", "--tol", "55"],
 ]
 
+#: requests that reach the continued fraction off the grid above
+_CF_PATHS = [
+    ["rrcf", "--r", "1/25", "--prec", "4096", "--tol-exp", "960"],
+    ["rrcf", "--r", "1/25", "--prec", "4096", "--tol-exp", "960", "--json"],
+    ["verify", "--r", "1/2", "--ids", "eq5-eta-quotient,eq19-v-descent,eq24-q-descent",
+     "--prec", "1024", "--tol-exp", "240", "--json"],
+]
+
 
 def _requests():
     """(name, argv) of every pinned request; the name is its argv joined,
@@ -64,7 +75,8 @@ def _requests():
         for mode in ([], ["--json"]):
             argv = shape + ["--prec", str(bits), "--tol-exp", str(ov.TOL_EXP[bits])] + mode
             out.append((" ".join(argv), argv))
-    return out + [(" ".join(argv) or "(no arguments)", argv) for argv in _PARSE_PATHS]
+    extra = _CF_PATHS + _PARSE_PATHS
+    return out + [(" ".join(argv) or "(no arguments)", argv) for argv in extra]
 
 
 REQUESTS = _requests()
