@@ -46,7 +46,10 @@ closed_form_R, descend_v, descend_a, rrcf_converged, rrcf_truncated and
 u_star, so the caller's mp.prec moves no bit of what they return.  The
 integer kernels of the three math modules carry ``_INT_BITS`` bits beyond
 work_bits and reach that fixed point from a mantissa by one conversion,
-``_fixed``.
+``_fixed``.  A relation judged on integers (u_map's gate, the registry's
+integer checkers) is summed by ``_term_sum``.  A solve
+refuses an r whose AGM integers would pass 2^22 bits (``_R_MAX``) before
+its nome is taken.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -77,7 +80,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -363,6 +366,27 @@ def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
     return (man >> drop, exp + drop) if drop > 0 else (man, exp)
 
 
+#: bits each power and monomial of a relation summed on integers
+#: (_term_sum) keeps beyond work_bits
+_GATE_INT_BITS = 48
+
+
+def _term_sum(terms: Iterable[Tuple[int, int, int]], bits: int) -> Tuple[mpf, mpf]:
+    """(sum, largest |term|) of terms c man 2^exp, given as (c, man, exp)
+    with man >= 0 and a small integer c: a residual with the scale
+    certifies judges it by.  Each man 2^exp is cut to its top `bits` bits
+    and put on the scale that gives the largest nonzero one `bits` bits,
+    and the integers, times their c, are summed; both results are exact
+    mpf values of that scale."""
+    cut = [(c, *_truncated(man, exp, bits)) for c, man, exp in terms]
+    unit = max((man.bit_length() + exp for _, man, exp in cut if man), default=0) - bits
+    fixed = [c * _fixed(man, exp, -unit) for c, man, exp in cut]
+    return (
+        mp.make_mpf(from_man_exp(sum(fixed), unit)),
+        mp.make_mpf(from_man_exp(max(map(abs, fixed)), unit)),
+    )
+
+
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     """AGM limit of two positive mpf values as (M, e), the value M 2^e with
     M an integer of about work_bits + _INT_BITS bits.
@@ -447,11 +471,35 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
+#: the widest scale, in bits, a solve's AGM may start from.  The smaller
+#: modulus of the pair is about 4 e^(-pi sqrt(R)/2), R = max(r, 1/r), and
+#: the AGM puts 1 on its scale: an integer of pi sqrt(R) / (2 ln 2) bits
+#: past work_bits + 32 (2.27e6 bits at r = 10^12, where one solve takes
+#: about 2 s; 2.3e10 bits, 2.8 GB, at r = 10^20)
+_MAX_SCALE_BITS = 1 << 22
+
+#: the largest R = max(r, 1/r) whose AGM scale stays within _MAX_SCALE_BITS
+#: (about 3.4e12)
+_R_MAX = int((2 * math.log(2) * _MAX_SCALE_BITS / math.pi) ** 2)
+
+
 def _validate_rational(r_num: int, r_den: int) -> None:
     if not isinstance(r_num, int) or not isinstance(r_den, int):
         raise DomainError("r must be given as exact integers r_num/r_den")
     if r_num <= 0 or r_den <= 0:
         raise DomainError("r must be positive: got %s/%s" % (r_num, r_den))
+
+
+def _validate_solvable(r_num: int, r_den: int) -> None:
+    """_validate_rational, and refuse r with max(r, 1/r) > _R_MAX: a
+    DomainError before any integer is sized by r.  Every solve checks its
+    r, and a caller that solves at several points checks the widest first."""
+    _validate_rational(r_num, r_den)
+    if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
+        raise DomainError(
+            "a solve at r = %s/%s would build integers past %d bits: "
+            "max(r, 1/r) must not exceed %d" % (r_num, r_den, _MAX_SCALE_BITS, _R_MAX)
+        )
 
 
 def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -555,9 +603,11 @@ def solve_singular_modulus(
     other member keeps its digits (k = 2.6e-682 at r = 10^6)
     and gives the other K through its own AGM leg, so the K-ratio certifies
     as before.  Callers must not take elliptic_K of a member that is 1:
-    K(1) is infinite and elliptic_K refuses it.
+    K(1) is infinite and elliptic_K refuses it.  An r with max(r, 1/r)
+    above _R_MAX, about 3.4e12, is refused with DomainError before its
+    nome is taken.
     """
-    _validate_rational(r_num, r_den)
+    _validate_solvable(r_num, r_den)
     reflect = r_num < r_den
     q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
     # the theta quotient runs at the nome of max(r, 1/r)

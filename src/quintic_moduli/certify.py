@@ -17,35 +17,53 @@ already computed.  A residual that misses the gate is a failing entry, never
 an abort.  The registry order is canonical: reports list entries in this
 order no matter how the ids were requested.  Entries and reports are plain
 data; the CLI alone turns them into JSON.
+
+eq6, eq7, eq10, eq11, eq31 and the three modulus-pair relations eq13,
+eq14 and eq15 are formed on integer mantissas: each value a _Float, every
+product, quotient and root of them cut to work_bits + 48 bits, the powers
+a group needs shared, and the terms summed by bigmath_kernel._term_sum
+into an exact residual and scale.  eq6, eq10 and eq31 are checked in the power
+they hold in, the 24th, 12th and -12th, so no cube or twelfth root is
+taken; the one mpmath root left is eq29's sixth, whose u relation reads
+A = a(4r)^(1/6) itself.  The other checkers evaluate in mpf.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp.libelefun import pi_fixed
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    _GATE_INT_BITS,
     _eta_at,
+    _fixed,
     _request_memo,
     _round_to,
     _solved,
-    _sqrt,
     _summed,
+    _term_sum,
+    _truncated,
+    _validate_rational,
+    _validate_solvable,
 )
 from .modular_core import (
     _a_eta_at,
+    _m5_relation,
+    _m5_solves,
     _rrcf_at,
     a_via_moduli,
     descend_a,
     descend_v,
-    multiplier_M5,
 )
 from .quintic_ladder import _g_at, _u_relation, p_map, u_map
+from .report import to_decimal
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
 
@@ -87,6 +105,62 @@ class IdentityReport:
 Residual = Union[Tuple[mpf, mpf], Tuple[mpf, mpf, Dict[str, str]]]
 Residuals = Dict[str, Residual]
 
+#: a positive value as (mantissa, exponent), for the checkers formed on integers
+_Float = Tuple[int, int]
+
+
+def _floats(*values: mpf) -> List[_Float]:
+    """Each positive mpf as a _Float."""
+    return [v._mpf_[1:3] for v in values]
+
+
+def _pi(bits: int) -> _Float:
+    """pi to `bits` bits, from mpmath's cached fixed point."""
+    return pi_fixed(bits), -bits
+
+
+def _pow(x: _Float, n: int, bits: int) -> _Float:
+    """x^n for n >= 1 by binary powering, each product cut to `bits` bits."""
+    result = x if n & 1 else None
+    n >>= 1
+    while n:
+        x = _mul(x, x, bits)
+        if n & 1:
+            result = x if result is None else _mul(result, x, bits)
+        n >>= 1
+    return result
+
+
+def _mul(x: _Float, y: _Float, bits: int) -> _Float:
+    """x y, cut to `bits` bits."""
+    return _truncated(x[0] * y[0], x[1] + y[1], bits)
+
+
+def _product(bits: int, x: _Float, *factors: _Float) -> _Float:
+    """x times each factor in turn, each product cut to `bits` bits."""
+    for y in factors:
+        x = _mul(x, y, bits)
+    return x
+
+
+def _quo(x: _Float, y: _Float, bits: int) -> _Float:
+    """x / y to about `bits` bits."""
+    shift = bits + y[0].bit_length() - x[0].bit_length()
+    return _fixed(x[0], shift, 0) // y[0], x[1] - y[1] - shift
+
+
+def _plus(x: _Float, y: _Float, bits: int, sign: int = 1) -> _Float:
+    """x + sign y > 0 on the scale that gives the larger `bits` bits."""
+    unit = max(x[0].bit_length() + x[1], y[0].bit_length() + y[1]) - bits
+    return _fixed(x[0], x[1], -unit) + sign * _fixed(y[0], y[1], -unit), unit
+
+
+def _root(x: _Float, bits: int) -> _Float:
+    """sqrt(x) to `bits` bits, by math.isqrt."""
+    shift = 2 * bits - x[0].bit_length()
+    shift += (x[1] - shift) & 1
+    return math.isqrt(_fixed(x[0], shift, 0)), (x[1] - shift) // 2
+
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
@@ -97,41 +171,42 @@ def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 
 def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # f(-q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4
-    #         = (256 k^2 k'^8 / q)^(1/3) K^4 / pi^4
-    rec = _solved(rn, rd, ctx)
-    rhs = (
-        mp.cbrt(256 * rec.k ** 2 * rec.k_comp ** 8 / rec.q)
-        * rec.K_k ** 4
-        / mp.pi ** 4
-    )
-    return {"eq6-eta8": _summed(_eta_at(rn, rd, ctx) ** 8, -rhs)}
+    # f(-q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4, checked cubed:
+    # f(-q)^24 = 256 k^2 k'^8 / q (K/pi)^12
+    rec, b = _solved(rn, rd, ctx), ctx.work_bits + _GATE_INT_BITS
+    k, kp, K, q, f = _floats(rec.k, rec.k_comp, rec.K_k, rec.q, _eta_at(rn, rd, ctx))
+    rhs = _product(b, _pow(k, 2, b), _pow(kp, 8, b), _pow(_quo(K, _pi(b), b), 12, b))
+    return {"eq6-eta8": _term_sum(((1, *_pow(f, 24, b)), (-256, *_quo(rhs, q, b))), b)}
 
 
 def _check_eq7(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q)), with q^2 the nome of 4r
-    rec = _solved(rn, rd, ctx)
-    rhs = 2 * rec.k * rec.k_comp * rec.K_k ** 3 / (mp.pi ** 3 * _sqrt(rec.q))
-    return {"eq7-eta2": _summed(_eta_at(4 * rn, rd, ctx) ** 6, -rhs)}
+    rec, b = _solved(rn, rd, ctx), ctx.work_bits + _GATE_INT_BITS
+    k, kp, K, q, f2 = _floats(rec.k, rec.k_comp, rec.K_k, rec.q, _eta_at(4 * rn, rd, ctx))
+    rhs = _quo(_product(b, k, kp, _pow(K, 3, b)), _mul(_pow(_pi(b), 3, b), _root(q, b), b), b)
+    return {"eq7-eta2": _term_sum(((1, *_pow(f2, 6, b)), (-2, *rhs)), b)}
 
 
 def _check_eq10(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    """K(k_25r) = m * K(k_r) with the multiplier m rebuilt through eta
-    products: the eighth-power eta identity gives K^4 at both levels (the
-    nome at level 25r is q^5), so
+    """K(k_25r) = m K(k_r) with the multiplier m rebuilt from the eta
+    quotient a = f(-q)^6 / (q f(-q^5)^6) and the moduli: the eighth-power
+    eta identity (eq6) at r and at 25r, whose nome is q^5, divides to
+    (q a)^4 = (k/k_25)^2 (k'/k'_25)^8 q^4 m^-12, so
 
-        m^4 = (f(-q^5)/f(-q))^8 q^(4/3) (k/k_25)^(2/3) (k'/k'_25)^(8/3)
+        m^12 = (k/k_25)^2 (k'/k'_25)^8 / a^4,
 
-    and the residual is |m K(k_r) - K(k_25r)| against agm-route K's.
-    (Polishing m through the degree-6 polynomial instead would break down
-    at r = 1, where the K-ratio is a double root of that polynomial.)"""
+    and the residual is m^12 K(k_r)^12 - K(k_25r)^12, the identity in its
+    twelfth power, against agm-route K's: no root is taken.  (Polishing m
+    through the degree-6 polynomial instead would break down at r = 1,
+    where the K-ratio is a double root of that polynomial.)"""
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
-    m4 = (
-        (_eta_at(25 * rn, rd, ctx) / _eta_at(rn, rd, ctx)) ** 8
-        * rec.q
-        * mp.cbrt(rec.q * (rec.k / rec25.k) ** 2 * (rec.k_comp / rec25.k_comp) ** 8)
+    b = ctx.work_bits + _GATE_INT_BITS
+    k, k25, kp, kp25, K, K25, a = _floats(
+        rec.k, rec25.k, rec.k_comp, rec25.k_comp, rec.K_k, rec25.K_k, _a_eta_at(rn, rd, ctx)
     )
-    return {"eq10-multiplier": _summed(mp.root(m4, 4) * rec.K_k, -rec25.K_k)}
+    num = _product(b, _pow(k, 2, b), _pow(kp, 8, b), _pow(K, 12, b))
+    den = _product(b, _pow(k25, 2, b), _pow(kp25, 8, b), _pow(a, 4, b))
+    return {"eq10-multiplier": _term_sum(((1, *_quo(num, den, b)), (-1, *_pow(K25, 12, b))), b)}
 
 
 def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -141,22 +216,71 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # and as r -> 0, where m5 -> 1/5 and (5m - 1)^5 is flat: at r = 1/10^4
     # and 512 bits any m5 within 3.4e-25 of the computed one passes, while
     # m5 - 1/5 = 4.1e-28.  That is the identity's conditioning, not the gate's
-    m, rec = multiplier_M5(rn, rd, ctx), _solved(rn, rd, ctx)
-    monomials = [c * m.m5 ** j for j, c in enumerate((-1, 26, -275, 1500, -4375, 6250, -3125))]
-    monomials.append(256 * (rec.k * rec.k_comp) ** 2 * m.m5)
-    return {"eq11-m5-poly": (m.poly_residual, max(map(abs, monomials)))}
+    rec, _, m5 = _m5_solves(rn, rd, ctx)
+    return {"eq11-m5-poly": _m5_relation(rec, m5, ctx.work_bits + _GATE_INT_BITS)}
 
 
-def _depressed_form(u: mpf, v: mpf) -> Tuple[mpf, mpf]:
-    # the monomials of u^6 - v^6 + 5 u^2 v^2 (u^2 - v^2) + 4 u v (1 - u^4 v^4)
-    return _summed(
-        u ** 6, -v ** 6, 5 * u ** 4 * v ** 2, -5 * u ** 2 * v ** 4,
-        4 * u * v, -4 * u ** 5 * v ** 5,
+def _pair_relations(
+    k: mpf, k25: mpf, kp: mpf, kp25: mpf, a: mpf, below_one: bool, bits: int
+) -> Tuple[Residual, ...]:
+    """(residual, scale) of eq13 against the reference a, of eq14, and of
+    eq15 in its stated and its swapped orientation, at the modulus pair
+    (k, k25) = (k_r, k_25r) with complements (kp, kp25); below_one says
+    whether r < 1, which picks eq13's spelling of k - k25.
+
+    Each value is a positive _Float cut to `bits` bits.  The powers are
+    shared: w^2 = k k25 and w, powers of k and w for eq14's nine monomials,
+    and u^2 = sqrt(k), v^2 = sqrt(k25), u, v and u v for eq15's six, which
+    the two orientations sum with opposite signs but for 4 u v (1 - u^4
+    v^4).  Each relation is summed by _term_sum."""
+    K, K25, KP, KP25, A = _floats(k, k25, kp, kp25, a)
+    ww = _mul(K, K25, bits)
+    w = _root(ww, bits)
+    k2 = _mul(K, K, bits)
+    k3, k4 = _mul(k2, K, bits), _mul(k2, k2, bits)
+    w3, w4 = _mul(ww, w, bits), _mul(ww, ww, bits)
+    w5 = _mul(w4, w, bits)
+    k3w, k3w5 = _mul(k3, w, bits), _mul(k3, w5, bits)
+    eq14 = _term_sum(
+        (
+            (1, *_mul(k3, k3, bits)), (-16, *k3w), (10, *_mul(k2, k3w, bits)),
+            (15, *_mul(k4, ww, bits)), (-20, *_mul(k3, w3, bits)), (15, *_mul(k2, w4, bits)),
+            (10, *_mul(K, w5, bits)), (-16, *k3w5), (1, *_mul(w3, w3, bits)),
+        ),
+        bits,
     )
+
+    u2, v2 = _root(K, bits), _root(K25, bits)
+    uv = _mul(_root(u2, bits), _root(v2, bits), bits)
+    monomials = (  # u^6, v^6, u^4 v^2, u^2 v^4, u v, u^5 v^5
+        _mul(K, u2, bits), _mul(K25, v2, bits), _mul(K, v2, bits), _mul(u2, K25, bits),
+        uv, _mul(uv, ww, bits),
+    )
+    stated, swapped = (
+        _term_sum([(c, *m) for c, m in zip(signs, monomials)], bits)
+        for signs in ((1, -1, 5, -5, 4, -4), (-1, 1, -5, 5, 4, -4))
+    )
+
+    # eq13's w-form and d = k - k_25, as _check_thm22 spells them
+    kp2, kp25_2 = _mul(KP, KP, bits), _mul(KP25, KP25, bits)
+    if below_one:
+        d = _quo(_plus(kp25_2, kp2, bits, -1), _plus(K, K25, bits), bits)
+    else:
+        d = _plus(K, K25, bits, -1)
+    wp = _root(_mul(KP, KP25, bits), bits)
+    inner = _plus(
+        _quo(w, K, bits), _quo(_mul(wp, d, bits), _mul(KP, _plus(K, w, bits), bits), bits), bits
+    )
+    w_form = _product(
+        bits, _quo(_mul(K, kp2, bits), _mul(w, kp25_2, bits), bits), _pow(inner, 3, bits)
+    )
+    eq13 = _term_sum(((1, *w_form), (-1, *A)), bits)
+    return eq13, eq14, stated, swapped
 
 
 def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    """Residuals of the three modulus-pair relations at (k_r, k_25r).
+    """Residuals of the three modulus-pair relations at (k_r, k_25r),
+    formed on integers by _pair_relations.
 
     With w = sqrt(k_r k_25r) and w' = sqrt(k'_r k'_25r):
 
@@ -176,37 +300,26 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
                       reported, with the probe details attached.
     """
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
-    k, kp = rec.k, rec.k_comp
-    k25, kp25 = rec25.k, rec25.k_comp
-    w = _sqrt(k * k25)
-    wp = _sqrt(kp * kp25)
-
-    d = (kp25 ** 2 - kp ** 2) / (k + k25) if rn < rd else k - k25
-    w_form = k * kp ** 2 / (w * kp25 ** 2) * (w / k + wp / kp * d / (k + w)) ** 3
-
-    res14 = _summed(
-        k ** 6, -16 * k ** 3 * w, 10 * k ** 5 * w, 15 * k ** 4 * w ** 2,
-        -20 * k ** 3 * w ** 3, 15 * k ** 2 * w ** 4, 10 * k * w ** 5,
-        -16 * k ** 3 * w ** 5, w ** 6,
+    eq13, eq14, (stated, scale15), (swapped, _) = _pair_relations(
+        rec.k, rec25.k, rec.k_comp, rec25.k_comp, _a_eta_at(rn, rd, ctx), rn < rd,
+        ctx.work_bits + _GATE_INT_BITS,
     )
-
-    u, v = mp.root(k, 4), mp.root(k25, 4)
-    (stated, scale15), (swapped, _) = _depressed_form(u, v), _depressed_form(v, u)
-    if abs(stated) <= abs(swapped):
-        res15, orientation = abs(stated), "stated (u = k_r^(1/4))"
+    stated, swapped = abs(stated), abs(swapped)
+    if stated <= swapped:
+        res15, orientation = stated, "stated (u = k_r^(1/4))"
     else:
-        res15, orientation = abs(swapped), "swapped (u = k_25r^(1/4))"
+        res15, orientation = swapped, "swapped (u = k_25r^(1/4))"
 
     return {
-        "eq13-thm22": _summed(w_form, -_a_eta_at(rn, rd, ctx)),
-        "eq14-w-poly": res14,
+        "eq13-thm22": eq13,
+        "eq14-w-poly": eq14,
         "eq15-depressed": (
             res15,
             scale15,
             {
                 "vanishing_orientation": orientation,
-                "stated_residual": mp.nstr(abs(stated), 12),
-                "swapped_residual": mp.nstr(abs(swapped), 12),
+                "stated_residual": to_decimal(stated, 12),
+                "swapped_residual": to_decimal(swapped, 12),
             },
         ),
     }
@@ -251,8 +364,8 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         "eq29-thm31": (
             *worse,
             {
-                "sixth_power_vs_a(4r)": mp.nstr(abs(res_eta), 12),
-                "invariant_ratio_relation": mp.nstr(abs(res_rel), 12),
+                "sixth_power_vs_a(4r)": to_decimal(abs(res_eta), 12),
+                "invariant_ratio_relation": to_decimal(abs(res_rel), 12),
             },
         )
     }
@@ -268,13 +381,14 @@ def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # invariant from the modulus product vs the same through eta (q^2 = nome(4r))
-    rec = _solved(rn, rd, ctx)
-    g_rec = _g_at(rn, rd, ctx)
-    kkp_eta = (
-        mp.pi ** 3 * _sqrt(rec.q) * _eta_at(4 * rn, rd, ctx) ** 6 / (2 * rec.K_k ** 3)
-    )
-    return {"eq31-g-def": _summed(g_rec, -1 / mp.root(2 * kkp_eta, 12))}
+    """The class invariant g(r) = (2 k k')^(-1/12) from the solve against
+    the same through eta, in its -12th power: g^-12 against
+    2 k k' = pi^3 sqrt(q) f(-q^2)^6 / K^3 (eq7, with q^2 the nome of 4r).
+    No root is taken."""
+    rec, b = _solved(rn, rd, ctx), ctx.work_bits + _GATE_INT_BITS
+    g, q, f, K = _floats(_g_at(rn, rd, ctx), rec.q, _eta_at(4 * rn, rd, ctx), rec.K_k)
+    rhs = _quo(_product(b, _pow(_pi(b), 3, b), _root(q, b), _pow(f, 6, b)), _pow(K, 3, b), b)
+    return {"eq31-g-def": _term_sum(((1, *_quo((1, 0), _pow(g, 12, b), b)), (-1, *rhs)), b)}
 
 
 def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -337,8 +451,13 @@ def run_suite(
     ctx.certifies: the entry stores |residual| rounded to precision_bits,
     passes when |residual| < 10^(-tol_exp) * scale, and keeps the scale in
     detail["scale"].  A failing residual is reported, not raised.  Nothing
-    outlives the call.
+    outlives the call.  The groups solve from r/25 to 100r; an r that puts
+    either past the solver's bound is refused (DomainError) before any of
+    them runs.
     """
+    _validate_rational(r_num, r_den)
+    _validate_solvable(r_num, 25 * r_den)
+    _validate_solvable(100 * r_num, r_den)
     if ids is None:
         wanted = set(REGISTRY)
     else:
@@ -361,7 +480,7 @@ def run_suite(
             for id_, (residual, scale, *detail) in residuals.items():
                 if id_ in wanted:
                     res = abs(residual)
-                    detail = dict(*detail, scale=mp.nstr(abs(scale), 12))
+                    detail = dict(*detail, scale=to_decimal(abs(scale), 12))
                     produced[id_] = IdentityEntry(
                         id_, _round_to(ctx, res), ctx.certifies(res, scale), ms, detail
                     )

@@ -15,7 +15,7 @@ Route map (everything is certified by cross-route residuals, never trusted):
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
     m5(r)  is certified as a root of
-           (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X.
+           (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X,        [on integers]
 
 Below r = 1/25, a_via_eta and the registry's lookups read a and R at a
 reflected point whose nome lies near 0:
@@ -54,6 +54,7 @@ from .bigmath_kernel import (
     PrecisionContext,
     Real,
     SingularModulusRecord,
+    _GATE_INT_BITS,
     _INT_BITS,
     _eta_at,
     _fixed,
@@ -65,9 +66,11 @@ from .bigmath_kernel import (
     _round_to,
     _rounded,
     _solved,
-    _truncated,
     _sqrt,
+    _term_sum,
+    _truncated,
     _validate_rational,
+    _validate_solvable,
     to_big,
 )
 
@@ -133,10 +136,43 @@ class ARecord:
 def _m5_solves(
     r_num: int, r_den: int, ctx: PrecisionContext
 ) -> Tuple[SingularModulusRecord, SingularModulusRecord, mpf]:
-    """The solves at r and 25r, and m5 = K(k_25r)/K(k_r) unrounded at work_bits."""
+    """The solves at r and 25r, and m5 = K(k_25r)/K(k_r) unrounded at
+    work_bits; 25r is checked before either solve."""
+    _validate_solvable(25 * r_num, r_den)
     rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         return rec, rec25, rec25.K_k / rec.K_k
+
+
+#: the coefficients of m^0, ..., m^6 in (5 m - 1)^5 (1 - m)
+_M5_COEFFS = (-1, 26, -275, 1500, -4375, 6250, -3125)
+
+
+def _m5_relation(rec: SingularModulusRecord, m5: mpf, bits: int) -> Tuple[mpf, mpf]:
+    """(residual, scale) of (5 m - 1)^5 (1 - m) - 256 (k k')^2 m at m = m5
+    in (1/5, 1], for the solve rec at r, on integers, each product cut to
+    `bits` bits and each sum taken by _term_sum.
+
+    The residual is the two sides as written: t = 5 m - 1 and 1 - m are
+    exact on m5's mantissa, and t^5 is t^2 squared, times t.  The scale is
+    the largest of the eight monomials of the polynomial expanded, from
+    m^j by repeated products of the mantissa, not the two sides, which
+    cancel with 1 - m as r grows."""
+    _, man, exp, _ = m5._mpf_
+    power, monomials = (1, 0), []
+    for c in _M5_COEFFS:
+        monomials.append((c, *power))
+        power = _truncated(power[0] * man, power[1] + exp, bits)
+    _, k_man, k_exp, _ = rec.k._mpf_
+    _, c_man, c_exp, _ = rec.k_comp._mpf_
+    kkp = _truncated(k_man * c_man, k_exp + c_exp, bits)
+    kkp2 = _truncated(kkp[0] * kkp[0], 2 * kkp[1], bits)
+    rhs = (-256, kkp2[0] * man, kkp2[1] + exp)
+    t = 5 * man - (1 << -exp)
+    t2 = _truncated(t * t, 2 * exp, bits)
+    t4 = _truncated(t2[0] * t2[0], 2 * t2[1], bits)
+    lhs = (1, t4[0] * t * ((1 << -exp) - man), t4[1] + 2 * exp)
+    return _term_sum((lhs, rhs), bits)[0], _term_sum(monomials + [rhs], bits)[1]
 
 
 def multiplier_M5(
@@ -150,13 +186,13 @@ def multiplier_M5(
         (5 m - 1)^5 (1 - m) - 256 (k_r k'_r)^2 m = 0,
 
     never obtained by solving that polynomial blind (it has six roots and no
-    intrinsic selection rule).
+    intrinsic selection rule).  Its residual is _m5_relation's, on
+    integers, the one the registry's eq11 reports.
     """
     rec, _, m5 = _m5_solves(r_num, r_den, ctx)
+    res, _ = _m5_relation(rec, m5, ctx.work_bits + _GATE_INT_BITS)
     with workprec(ctx.work_bits):
-        kkp2 = (rec.k * rec.k_comp) ** 2
-        poly = (5 * m5 - 1) ** 5 * (1 - m5) - 256 * kkp2 * m5
-        return M5Record(m5=_round_to(ctx, m5), poly_residual=_round_to(ctx, abs(poly)))
+        return M5Record(m5=_round_to(ctx, m5), poly_residual=_round_to(ctx, abs(res)))
 
 
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -176,10 +212,12 @@ def a_value(
     The two routes share nothing past the nome, so their agreement certifies
     both; a cross residual of 10^-tol_exp * a or more raises
     CertificationError.  The registry does not use this gate: eq29 compares
-    a_via_eta(4r) with a_via_moduli(4r) as a residual.
+    a_via_eta(4r) with a_via_moduli(4r) as a residual.  The moduli route
+    runs first, so an r or 25r past the solver's bound is refused before
+    either route computes.
     """
-    via_eta = a_via_eta(r_num, r_den, ctx)
     via_moduli = a_via_moduli(r_num, r_den, ctx)
+    via_eta = a_via_eta(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         cross = abs(via_eta - via_moduli)
         if not ctx.certifies(cross, via_moduli):
@@ -361,12 +399,19 @@ def _fifth_root_radical(av: mpf, frac: int) -> int:
 
     2h and 2 sqrt(h^2 + 1) = sqrt((2h)^2 + 4) are formed on integers with
     `frac` fractional bits (a truncated there), and E by _root5.  E >= 1,
-    so the fixed point keeps E's relative precision."""
-    sign, man, exp, _ = av._mpf_
-    a_int = _fixed(man, exp, frac)
-    two_h = (11 << frac) + (-a_int if sign else a_int)
-    two_base = two_h + math.isqrt(two_h * two_h + (4 << 2 * frac))
-    return _root5(two_base << 4 * frac - 1)
+    so the fixed point keeps E's relative precision.  Where a passes 2^64,
+    2h is cut to frac + 64 bits with its exponent, 2^drop, and so is the 4
+    under the root (to nothing once drop passes frac, where it lies more
+    than 2 frac bits under (2h)^2): E's root is then taken on about
+    frac + 12 bits and shifted into place, so a huge a costs no more than
+    a = 2^64."""
+    sign, man, exp, bc = av._mpf_
+    drop = max(0, exp + bc - 64)
+    a_int = _fixed(man, exp, frac - drop)
+    two_h = _fixed(11, 0, frac - drop) + (-a_int if sign else a_int)
+    four = 4 << 2 * (frac - drop) if drop <= frac else 0
+    two_base = two_h + math.isqrt(two_h * two_h + four)
+    return _root5(two_base << 4 * frac - 1 + drop % 5) << drop // 5
 
 
 def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_div, round_nearest
+from mpmath.libmp import mpf_div, round_nearest
 
 from .bigmath_kernel import (
     CertificationError,
@@ -53,6 +53,7 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _GATE_INT_BITS,
     _INT_BITS,
     _MAX_ITER,
     _ONE,
@@ -63,8 +64,10 @@ from .bigmath_kernel import (
     _rounded,
     _solved,
     _sqrt,
+    _term_sum,
     _truncated,
     _validate_rational,
+    _validate_solvable,
     solve_singular_modulus,
     to_big,
 )
@@ -79,7 +82,6 @@ __all__ = [
     "u_star",
     "p_map",
     "g_invariant",
-    "k_from_kkprime",
     "ladder",
     "audit_example_forms",
 ]
@@ -117,18 +119,14 @@ class LadderTrace:
     steps: Tuple[LadderStep, ...]
 
 
-#: bits u_map's gate keeps of each power and monomial beyond work_bits
-_GATE_INT_BITS = 48
-
-
-def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[int, int, int]:
-    """(residual, scale, e): the cleared cubic x^4 z - 5 z^2 - x^2 z^3 + x^2
-    at z = y^2 and its largest term, as residual 2^e and scale 2^e.
+def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[mpf, mpf]:
+    """(residual, scale): the cleared cubic x^4 z - 5 z^2 - x^2 z^3 + x^2
+    at z = y^2 and its largest term, exact.
 
     It is the relation u_map inverts times C = sqrt5 x^2 y^3 > 0, so the
     ratio of residual to largest term is the relation's own.  The monomials
     are formed on the mantissas of x and y, each power and product cut to
-    its top `bits` bits, and summed on the scale of the largest."""
+    its top `bits` bits, and summed by _term_sum."""
     _, x_man, x_exp, _ = xv._mpf_
     _, y_man, y_exp, _ = yv._mpf_
     x2 = _truncated(x_man * x_man, 2 * x_exp, bits)
@@ -136,29 +134,24 @@ def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[int, int, int]:
     x4 = _truncated(x2[0] * x2[0], 2 * x2[1], bits)
     z2 = _truncated(z[0] * z[0], 2 * z[1], bits)
     z3 = _truncated(z2[0] * z[0], z2[1] + z[1], bits)
-    terms = (
-        _truncated(x4[0] * z[0], x4[1] + z[1], bits),
-        (5 * z2[0], z2[1]),
-        _truncated(x2[0] * z3[0], x2[1] + z3[1], bits),
-        x2,
+    return _term_sum(
+        ((1, x4[0] * z[0], x4[1] + z[1]), (-5, *z2), (-1, x2[0] * z3[0], x2[1] + z3[1]), (1, *x2)),
+        bits,
     )
-    unit = max(man.bit_length() + exp for man, exp in terms) - bits
-    a, b, c, d = (_fixed(man, exp, -unit) for man, exp in terms)
-    return a - b - c + d, max(a, b, c, d), unit
 
 
 def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
     """(residual, scale) of the relation u_map inverts,
     x^2/(sqrt5 y) - sqrt5 y/x^2 - y^3/sqrt5 + y^-3/sqrt5, at the ambient
-    precision: the cleared cubic's two integers (_cleared_relation at
+    precision: the cleared cubic's two values (_cleared_relation at
     _GATE_INT_BITS bits past it), each divided once by C = sqrt5 x^2 y^3.
     The scale, its largest term, is >= 1, since the first two multiply
     to 1."""
     prec = mp.prec
-    res, scale, unit = _cleared_relation(xv, yv, prec + _GATE_INT_BITS)
     c = (_sqrt(mpf(5)) * xv ** 2 * yv ** 3)._mpf_
     return tuple(
-        mp.make_mpf(mpf_div(from_man_exp(v, unit), c, prec, round_nearest)) for v in (res, scale)
+        mp.make_mpf(mpf_div(v._mpf_, c, prec, round_nearest))
+        for v in _cleared_relation(xv, yv, prec + _GATE_INT_BITS)
     )
 
 
@@ -266,7 +259,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         z = xv * mpf((w, -frac))
         y = _sqrt(z)
-        res, scale, _ = _cleared_relation(xv, y, ctx.work_bits + _GATE_INT_BITS)
+        res, scale = _cleared_relation(xv, y, ctx.work_bits + _GATE_INT_BITS)
         if not ctx.certifies(res, scale):
             # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
             s, prod = -5 / xv ** 2 - z, 1 / z
@@ -282,7 +275,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
                 % (
                     mp.nstr(xv, 12),
                     mp.nstr(z, 12),
-                    mp.nstr(mpf(abs(res)) / scale, 6),
+                    mp.nstr(abs(res) / scale, 6),
                     [mp.nstr(o, 8) for o in others],
                 )
             )
@@ -366,23 +359,6 @@ def _k_branch(pv: mpf) -> mpf:
     return _sqrt(2 * pv ** 2 / (1 + (_sqrt(rad) if rad > 0 else 0)))
 
 
-def k_from_kkprime(p: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Recover k in (0, 1/sqrt2] from the product p = k k'.
-
-    Uses the cancellation-free branch k^2 = 2p^2/(1 + sqrt(1 - 4p^2)).
-    Rounding can push a p meant to be exactly 1/2 a hair above it; a
-    radicand no more negative than 2^-(precision_bits) is clamped to zero,
-    anything worse is a domain error.
-    """
-    with workprec(ctx.work_bits):
-        pv = to_big(p, ctx)
-        if not pv > 0:
-            raise DomainError("k k' must lie in (0, 1/2], got %s" % pv)
-        if 1 - 4 * pv ** 2 < -(mpf(2) ** (-ctx.precision_bits)):
-            raise DomainError("product %s exceeds the maximum 1/2" % mp.nstr(pv, 12))
-        return _round_to(ctx, _k_branch(pv))
-
-
 def ladder(
     r0_num: int,
     r0_den: int,
@@ -398,8 +374,10 @@ def ladder(
     g(r0/25)/g(r0), rung j takes p_j = p_map(x_j), g_j = g_(j-1)/p_j and
     x_(j+1) = p_j, so no rung takes a root, and any r0 climbs.
 
-    The checks come first: r0, n and tol_exp, then any seed given; each
-    missing seed is solved only after them, so a bad seed costs no solve.
+    The checks come first: r0, n, the two ends r0/25 and 25^n r0 of the
+    climb (a DomainError past bigmath_kernel._R_MAX) and tol_exp, then any
+    seed given; each missing seed is solved only after them, so a bad seed
+    costs no solve.
     The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
     (else DomainError), and a missing one is g_invariant at max(r, 1/r),
     since g(1/r) = g(r), so no nome below r = 1 is taken.  A given seed is
@@ -430,6 +408,10 @@ def ladder(
     _validate_rational(r0_num, r0_den)
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
+    # the climb solves from r0/25 to 25^n r0 (25^20 r0 is past _R_MAX
+    # for any valid r0, so no n above 20 is computed)
+    _validate_solvable(r0_num, 25 * r0_den)
+    _validate_solvable(r0_num * 25 ** min(n, 20), r0_den)
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     if gate_exp < 1:
         raise DomainError(

@@ -3,11 +3,13 @@
 Every numeric field crosses the JSON boundary as a decimal string with
 enough digits that re-parsing at the same binary precision reproduces the
 original value bit for bit (see roundtrip_digits).  This module is
-serialization only, and the CLI alone imports it: its one JSON writer
-decides the document's layout and turns every mpf into a decimal here.
+serialization only.  The CLI imports it: its one JSON writer decides the
+document's layout and turns every mpf into a decimal here.  So does the
+registry, for the short decimals of its entries' detail strings.
 
-big_to_str writes what mp.nstr(x, roundtrip_digits(bits)) writes, byte for
-byte, and the tests hold it to that oracle.  It takes the steps of
+to_decimal(x, dps) writes what mp.nstr(x, dps) writes, byte for byte, and
+big_to_str(x, bits) is its round-trip case, dps = roundtrip_digits(bits);
+the tests hold both to that oracle.  It takes the steps of
 mpmath's libmpf.to_str and to_digits_exp at their default settings: scale
 x to a binary fixed point, change its radix to a decimal fixed point with
 dps + 3 digits (x 10^d >> b, taken as x 5^d >> (b - d)), round the digit string half up to dps
@@ -27,7 +29,7 @@ from mpmath import mpf, workprec
 from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pow_int, to_fixed, to_int, to_str
 from mpmath.libmp.libelefun import mpf_ln2, mpf_ln10
 
-__all__ = ["roundtrip_digits", "big_to_str", "str_to_big"]
+__all__ = ["roundtrip_digits", "big_to_str", "to_decimal", "str_to_big"]
 
 #: decimal digits one str(int) call converts: below 640, the smallest
 #: int-to-str limit CPython lets a process set
@@ -79,7 +81,12 @@ def big_to_str(x, precision_bits: int) -> str:
     if not isinstance(x, mpf):
         with workprec(precision_bits):
             x = +mpf(x)
-    dps = roundtrip_digits(precision_bits)
+    return to_decimal(x, roundtrip_digits(precision_bits))
+
+
+def to_decimal(x: mpf, dps: int) -> str:
+    """x as a decimal with dps significant digits: mp.nstr(x, dps), byte
+    for byte."""
     s = x._mpf_
     if not s[1]:  # 0, the infinities and nan
         return to_str(s, dps)

@@ -10,10 +10,14 @@ for u_map.  None of them shares code with the library.
 
 The mpf reference spellings after them (``u_star_mpf``,
 ``fifth_root_radical_mpf``, ``descend_a_horner``, ``u_relation_terms``,
-``agm_two_phase`` and ``solve_mpf``) are the library's earlier evaluations
-of the same formulas in mpf arithmetic, kept as oracles for the integer ones that
-replaced them: the integer versions must give the same bits once both are
-rounded to the output precision.
+``pair_relations_mpf``, ``m5_relation_mpf``, ``power_identities_mpf``,
+``agm_two_phase`` and
+``solve_mpf``) are the library's earlier evaluations of the same formulas
+in mpf arithmetic, kept as oracles for the integer ones that replaced them:
+the integer versions must give the same bits once both are rounded to the
+output precision, or, for a relation's residual, lie within a few units of
+the working precision times its scale.  ``fifth_root_radical_uncut`` is
+the integer radical as it was before it cut a huge a.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -265,6 +269,75 @@ def u_relation_terms(x, y, bits):
         s5 = sqrt(mpf(5))
         terms = (x ** 2 / (s5 * y), -s5 * y / x ** 2, -y ** 3 / s5, y ** -3 / s5)
         return sum(terms), max(abs(t) for t in terms)
+
+
+def _summed(*terms):
+    return sum(terms), max(abs(t) for t in terms)
+
+
+def pair_relations_mpf(k, k25, kp, kp25, a, below_one, bits):
+    """The registry's pair relations in mpf at ``bits``, as it summed them
+    before they moved to integers: (residual, largest |term|) of eq13's
+    w-form against a, of eq14's nine monomials, and of eq15's six in the
+    stated and the swapped orientation, u = k^(1/4), v = k25^(1/4)."""
+
+    def depressed(u, v):
+        return _summed(
+            u ** 6, -v ** 6, 5 * u ** 4 * v ** 2, -5 * u ** 2 * v ** 4,
+            4 * u * v, -4 * u ** 5 * v ** 5,
+        )
+
+    with workprec(bits):
+        w, wp = sqrt(k * k25), sqrt(kp * kp25)
+        d = (kp25 ** 2 - kp ** 2) / (k + k25) if below_one else k - k25
+        w_form = k * kp ** 2 / (w * kp25 ** 2) * (w / k + wp / kp * d / (k + w)) ** 3
+        eq14 = _summed(
+            k ** 6, -16 * k ** 3 * w, 10 * k ** 5 * w, 15 * k ** 4 * w ** 2,
+            -20 * k ** 3 * w ** 3, 15 * k ** 2 * w ** 4, 10 * k * w ** 5,
+            -16 * k ** 3 * w ** 5, w ** 6,
+        )
+        u, v = mp.root(k, 4), mp.root(k25, 4)
+        return _summed(w_form, -a), eq14, depressed(u, v), depressed(v, u)
+
+
+def m5_relation_mpf(m, k, kp, bits):
+    """eq11 in mpf at ``bits``, as the registry summed it before: the
+    residual (5 m - 1)^5 (1 - m) - 256 (k k')^2 m and the largest monomial
+    of the polynomial expanded."""
+    with workprec(bits):
+        kkp2 = (k * kp) ** 2
+        monomials = [c * m ** j for j, c in enumerate((-1, 26, -275, 1500, -4375, 6250, -3125))]
+        monomials.append(256 * kkp2 * m)
+        return (5 * m - 1) ** 5 * (1 - m) - 256 * kkp2 * m, max(map(abs, monomials))
+
+
+def power_identities_mpf(k, k25, kp, kp25, K, K25, q, a, f, f2, g, bits):
+    """eq6, eq7, eq10 and eq31, the last in their powers, in mpf at
+    ``bits``: (residual, larger side) of f^24 - 256 k^2 k'^8 / q (K/pi)^12,
+    of f2^6 - 2 k k' K^3 / (pi^3 sqrt(q)), of
+    (k/k25)^2 (k'/k'25)^8 K^12 / a^4 - K25^12 and of
+    g^-12 - pi^3 sqrt(q) f2^6 / K^3, for f = f(-q) and f2 = f(-q^2)."""
+    with workprec(bits):
+        return (
+            _summed(f ** 24, -256 * k ** 2 * kp ** 8 / q * (K / mp.pi) ** 12),
+            _summed(f2 ** 6, -2 * k * kp * K ** 3 / (mp.pi ** 3 * sqrt(q))),
+            _summed((k / k25) ** 2 * (kp / kp25) ** 8 * K ** 12 / a ** 4, -K25 ** 12),
+            _summed(g ** -12, -mp.pi ** 3 * sqrt(q) * f2 ** 6 / K ** 3),
+        )
+
+
+def fifth_root_radical_uncut(av, frac):
+    """modular_core._fifth_root_radical as it was before it cut a huge 2h:
+    E 2^frac for E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2, with every
+    integer bit of a carried."""
+    from quintic_moduli.modular_core import _root5
+
+    sign, man, exp, _ = av._mpf_
+    shift = exp + frac
+    a_int = man << shift if shift >= 0 else man >> -shift
+    two_h = (11 << frac) + (-a_int if sign else a_int)
+    two_base = two_h + math.isqrt(two_h * two_h + (4 << 2 * frac))
+    return _root5(two_base << 4 * frac - 1)
 
 
 def agm_two_phase(a, b, precision_bits):

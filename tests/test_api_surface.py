@@ -6,9 +6,11 @@ listed, the math layers stay below the registry, the tolerance is read by
 the one pass rule alone, neither the solve nor the integer kernels switch
 precision, the integer kernels share one guard constant and one conversion
 to fixed point, mpmath's theta functions and square root stay out of the
-library, modular_core takes no mpmath root, each private lookup keys one
-kind on one compute, nothing is assigned into mpmath, and only the CLI
-imports json, for its string escape and never for json.dumps."""
+library, modular_core takes no mpmath root, the registry takes one only
+in eq29 and forms its integer relations with no power operator, each
+private lookup keys one kind on one compute, nothing is assigned into
+mpmath, only the CLI and the registry import the decimal writer, and only
+the CLI imports json, for its string escape and never for json.dumps."""
 
 import ast
 import dataclasses
@@ -122,12 +124,13 @@ def test_report_is_serialization_only():
     assert not _imported_names("report") & {"certify", "cli"}
 
 
-def test_only_the_cli_imports_report():
-    # values become decimals in one module, the CLI (the package __init__
-    # re-exports report's names and is not scanned)
+def test_only_the_cli_and_the_registry_import_report():
+    # values become decimals in one module, imported by the CLI and by the
+    # registry for its detail strings (the package __init__ re-exports
+    # report's names and is not scanned)
     submodules = [n.rsplit(".", 1)[-1] for n in _MODULES if n.count(".")]
     importers = [n for n in submodules if "report" in _imported_names(n)]
-    assert importers == ["cli"]
+    assert importers == ["certify", "cli"]
 
 
 def test_only_the_cli_imports_json_and_none_calls_dumps():
@@ -317,6 +320,42 @@ def test_modular_core_takes_no_mpmath_root():
         or (isinstance(node, ast.ImportFrom) and any(a.name == "root" for a in node.names))
     ]
     assert not named, "modular_core names root at lines %s" % named
+
+
+def _functions(name):
+    tree = _tree("quintic_moduli." + name)
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_registry_takes_roots_only_in_eq29_and_integer_checkers_no_powers():
+    # eq6, eq10 and eq31 are checked in the power they hold in; only eq29's
+    # sixth root stays, since its u relation reads A itself.  They, eq7,
+    # the pair relations and eq11 are formed from shared powers on integers
+    functions = _functions("certify")
+    roots = sorted(
+        (name, node.attr)
+        for name, fn in functions.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("root", "cbrt")
+    )
+    assert roots == [("_check_thm31", "root")]
+    tree = _tree("quintic_moduli.certify")
+    assert "cbrt" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    integer = [
+        functions[n]
+        for n in (
+            "_check_eq6", "_check_eq7", "_check_eq10", "_check_eq11", "_check_thm22",
+            "_pair_relations", "_check_eq31",
+        )
+    ]
+    integer.append(_functions("modular_core")["_m5_relation"])
+    powers = [
+        (fn.name, node.lineno)
+        for fn in integer
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+    ]
+    assert not powers, "** at %s" % powers
 
 
 #: the private lookups that share values by their exact rational point

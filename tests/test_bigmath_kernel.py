@@ -15,6 +15,7 @@ from quintic_moduli import (
     DomainError,
     DEFAULT_CONTEXT,
     PrecisionContext,
+    a_value,
     agm,
     closed_form_R,
     complement,
@@ -22,9 +23,12 @@ from quintic_moduli import (
     descend_v,
     elliptic_K,
     eta_f,
+    ladder,
+    multiplier_M5,
     nome,
     rrcf_converged,
     rrcf_truncated,
+    run_suite,
     solve_singular_modulus,
     to_big,
     u_star,
@@ -593,6 +597,53 @@ class TestKCompRoundsToOne:
         assert rec.k_comp <= 1
         assert 0 < rec.k < 1
         assert rec.residual < ctx.tolerance()
+
+
+class TestSolvableBound:
+    """_R_MAX is placed from the integers a solve builds: its AGM's widest
+    integer is pi sqrt(R) / (2 ln 2) bits past work_bits + 32."""
+
+    @pytest.mark.parametrize("r", [(10 ** 8, 1), (1, 10 ** 8), (10 ** 6, 7)])
+    def test_widest_integer_is_the_predicted_scale(self, r, monkeypatch):
+        widths = []
+        fixed = bk._fixed
+
+        def spy(man, exp, frac):
+            value = fixed(man, exp, frac)
+            widths.append(value.bit_length())
+            return value
+
+        monkeypatch.setattr(bk, "_fixed", spy)
+        ctx = _ctx_at(256)
+        bk.solve_singular_modulus(*r, ctx)
+        big = max(r[0] / r[1], r[1] / r[0])
+        predicted = math.pi * math.sqrt(big) / (2 * math.log(2)) + ctx.work_bits + 32
+        assert abs(max(widths) - predicted) < 8, (max(widths), predicted)
+
+    def test_bound_is_the_largest_r_within_the_scale(self):
+        def scale(big):
+            return math.pi * math.sqrt(big) / (2 * math.log(2))
+
+        assert scale(bk._R_MAX) <= bk._MAX_SCALE_BITS < scale(bk._R_MAX + 1)
+        assert 10 ** 12 < bk._R_MAX
+        for n, d in ((bk._R_MAX, 1), (1, bk._R_MAX), (3 * bk._R_MAX - 1, 3)):
+            bk._validate_solvable(n, d)
+        for n, d in ((bk._R_MAX + 1, 1), (1, bk._R_MAX + 1), (3 * bk._R_MAX + 1, 3)):
+            with pytest.raises(DomainError, match="max\\(r, 1/r\\) must not exceed"):
+                bk._validate_solvable(n, d)
+
+    def test_library_refuses_before_the_nome(self, monkeypatch):
+        monkeypatch.setattr(bk, "_exp_nome", None)  # any call would raise TypeError
+        for fn, args in (
+            (bk.solve_singular_modulus, (10 ** 20, 1)),
+            (bk.solve_singular_modulus, (1, 10 ** 44)),
+            (multiplier_M5, (10 ** 12, 1)),
+            (a_value, (1, 10 ** 13)),
+            (run_suite, (10 ** 11, 1)),
+            (ladder, (5, 1, 10 ** 9)),
+        ):
+            with pytest.raises(DomainError, match="would build integers past"):
+                fn(*args)
 
 
 class TestSolverDomain:

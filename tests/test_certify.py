@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -404,3 +405,96 @@ class TestResidualsShrinkWithPrecision:
             if e10.residual == 0 or e10.residual < floor:
                 continue
             assert e5.residual / e10.residual >= mpf(10) ** 50
+
+
+#: ten points from 1/10^4 to 10^6, r = 1 and both sides of it included
+GRID = ["1/10000", "1/100", "1/13", "1/2", "1", "7/3", "5", "300", "10000", "1000000"]
+
+
+class TestIntegerRelations:
+    """eq6, eq7, eq10, eq11, eq31 and the pair relations eq13, eq14 and
+    eq15, formed on integers, against mpf spellings in oracle_values: the
+    earlier ones of eq7, eq11 and the pair relations, and eq6, eq10 and
+    eq31 in the powers they are now checked in."""
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_residuals_match_the_mpf_spellings(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        work = ctx.work_bits
+        for r in GRID:
+            f = Fraction(r)
+            rn, rd = f.numerator, f.denominator
+            with bk._request_memo(), workprec(work):
+                rec, rec25, m5 = mc._m5_solves(rn, rd, ctx)
+                a = mc._a_eta_at(rn, rd, ctx)
+                quad = (rec.k, rec25.k, rec.k_comp, rec25.k_comp, a, rn < rd)
+                got = [
+                    *certify._pair_relations(*quad, work + bk._GATE_INT_BITS),
+                    mc._m5_relation(rec, m5, work + bk._GATE_INT_BITS),
+                    *(
+                        check(rn, rd, ctx)[i]
+                        for check, i in (
+                            (certify._check_eq6, "eq6-eta8"),
+                            (certify._check_eq7, "eq7-eta2"),
+                            (certify._check_eq10, "eq10-multiplier"),
+                            (certify._check_eq31, "eq31-g-def"),
+                        )
+                    ),
+                ]
+                want = [
+                    *ov.pair_relations_mpf(*quad, work),
+                    ov.m5_relation_mpf(m5, rec.k, rec.k_comp, work),
+                    *ov.power_identities_mpf(
+                        *quad[:4], rec.K_k, rec25.K_k, rec.q, a, bk._eta_at(rn, rd, ctx),
+                        bk._eta_at(4 * rn, rd, ctx), ql._g_at(rn, rd, ctx), 2 * work,
+                    ),
+                ]
+            names = (
+                "eq13", "eq14", "eq15 stated", "eq15 swapped", "eq11", "eq6", "eq7", "eq10", "eq31"
+            )
+            for name, (res, scale), (ref_res, ref_scale) in zip(names, got, want):
+                with workprec(2 * work):
+                    bound = mpf(2) ** (8 - work) * ref_scale
+                    assert abs(res - ref_res) < bound, (r, name)
+                    assert abs(scale - ref_scale) < bound, (r, name)
+                assert ctx.certifies(res, scale) == ctx.certifies(ref_res, ref_scale), (r, name)
+            report = run_suite(rn, rd, ctx=ctx)
+            assert report.all_pass, (r, [e.id for e in report.entries if not e.passed])
+
+
+class TestPerturbationsFail:
+    """A value off by a few digits more than the gate fails the id that
+    certifies it: k_25r in eq14 by 10^-(tol_exp - 5), g in eq31 by
+    10^-(tol_exp - 2), relative."""
+
+    @staticmethod
+    def _perturbed(monkeypatch, module, name, point, digits, field=None):
+        compute = getattr(module, name)
+
+        def perturbed(n, d, ctx):
+            value = compute(n, d, ctx)
+            if Fraction(n, d) == point:
+                with workprec(ctx.work_bits):
+                    factor = 1 + mpf(10) ** -(ctx.tol_exp - digits)
+                    if field is None:
+                        return value * factor
+                    return dataclasses.replace(value, **{field: getattr(value, field) * factor})
+            return value
+
+        monkeypatch.setattr(module, name, perturbed)
+
+    @pytest.mark.parametrize("r", ["7/3", "25", "10000"])
+    def test_eq14_fails_a_perturbed_k25(self, r, monkeypatch):
+        f = Fraction(r)
+        assert run_suite(f.numerator, f.denominator, ids=["eq14-w-poly"]).all_pass
+        self._perturbed(monkeypatch, bk, "solve_singular_modulus", 25 * f, 5, field="k")
+        (entry,) = run_suite(f.numerator, f.denominator, ids=["eq14-w-poly"]).entries
+        assert not entry.passed
+
+    @pytest.mark.parametrize("r", ["7/3", "25", "10000"])
+    def test_eq31_fails_a_perturbed_g(self, r, monkeypatch):
+        f = Fraction(r)
+        assert run_suite(f.numerator, f.denominator, ids=["eq31-g-def"]).all_pass
+        self._perturbed(monkeypatch, ql, "g_invariant", f, 2)
+        (entry,) = run_suite(f.numerator, f.denominator, ids=["eq31-g-def"]).entries
+        assert not entry.passed

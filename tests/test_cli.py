@@ -129,6 +129,43 @@ class TestUsageErrors:
         assert "usage error: g_r0 must lie in [1, inf)" in err
 
 
+BITS_256 = ("--prec", "256", "--tol-exp", "55")
+
+
+class TestOutsideTheDomain:
+    """An r whose solve would build integers past the kernel's bound is
+    refused with exit 2 before any nome, eta value or AGM is computed:
+    every command checks the widest point it would solve at first."""
+
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            (("kr", "--r", "10" + "0" * 43), "10" + "0" * 43 + "/1"),
+            (("kr", "--r", "1/1" + "0" * 44), "1/1" + "0" * 44),
+            (("kr", "--r", "1" + "0" * 20, *BITS_256), "1" + "0" * 20 + "/1"),
+            (("kr", "--r", "1/1" + "0" * 20, *BITS_256), "1/1" + "0" * 20),
+            (("verify", "--r", "1" + "0" * 11), "1" + "0" * 13 + "/1"),
+            (("verify", "--r", "1/1" + "0" * 12), "1/25" + "0" * 12),
+            (("rrcf", "--r", "1" + "0" * 12), "25" + "0" * 12 + "/1"),
+            (("ladder", "--r0", "1" + "0" * 12, "--n", "2"), "625" + "0" * 12 + "/1"),
+            (("ladder", "--r0", "1/1" + "0" * 12, "--n", "1"), "1/25" + "0" * 12),
+            (("ladder", "--r0", "5", "--n", "1000000000"), "%d/1" % (5 * 25 ** 20)),
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, point):
+        import quintic_moduli.bigmath_kernel as bkmod
+
+        calls = []
+        for name in ("_exp_nome", "_agm_raw"):
+            monkeypatch.setattr(bkmod, name, lambda *args, name=name: calls.append(name))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, calls) == (2, "", [])
+        assert err == (
+            "usage error: a solve at r = %s would build integers past %d bits: "
+            "max(r, 1/r) must not exceed %d\n" % (point, bkmod._MAX_SCALE_BITS, bkmod._R_MAX)
+        )
+
+
 class TestKr:
     def test_text_r1(self, capsys):
         code, out, _ = run_cli(capsys, "kr", "--r", "1")

@@ -403,6 +403,18 @@ class TestDescentOnIntegers:
             with workprec(bits):
                 assert closed_form_R(av, ctx)._mpf_ == (+ref)._mpf_, a
 
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 2048, 4096])
+    def test_huge_a_cut_gives_the_same_rounded_values(self, bits, monkeypatch):
+        # past a = 2^64 the radical cuts 2h to work_bits + 96 bits; the
+        # rounded descent and closed form keep the bits of the radical that
+        # carried every integer bit of a
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=10)
+        avs = [to_big(a, ctx) for a in ("7", "1e100", "1e1364", "1e-1364")]
+        got = [(descend_a(av, ctx), closed_form_R(av, ctx)) for av in avs]
+        monkeypatch.setattr(mc, "_fifth_root_radical", ov.fifth_root_radical_uncut)
+        want = [(descend_a(av, ctx), closed_form_R(av, ctx)) for av in avs]
+        assert [(d._mpf_, c._mpf_) for d, c in got] == [(d._mpf_, c._mpf_) for d, c in want]
+
     @pytest.mark.parametrize("bits", [64, 250, 251, 1000, 20000])
     def test_root5_is_within_a_few_units(self, bits):
         # from the float seed alone and through every doubling level

@@ -12,7 +12,6 @@ from quintic_moduli import (
     PrecisionContext,
     audit_example_forms,
     g_invariant,
-    k_from_kkprime,
     ladder,
     p_map,
     solve_singular_modulus,
@@ -252,43 +251,6 @@ class TestGInvariant:
 
     def test_increasing(self):
         assert g_invariant(1, 1) < g_invariant(5, 1) < g_invariant(25, 1)
-
-
-class TestKFromKKprime:
-    def test_round_trip(self):
-        for rn in (5, 25):
-            rec = solve_singular_modulus(rn, 1)
-            with workprec(600):
-                assert abs(k_from_kkprime(rec.k * rec.k_comp) - rec.k) < TOL
-
-    def test_half_gives_sqrt_half(self):
-        with workprec(600):
-            assert abs(k_from_kkprime("0.5") - 1 / sqrt(mpf(2))) < mpf(10) ** -150
-
-    def test_clamps_rounding_overshoot(self):
-        # a product one rounding error above 1/2 must not blow up
-        with workprec(600):
-            p = mpf(1) / 2 + mpf(2) ** -600
-            assert abs(k_from_kkprime(p) - 1 / sqrt(mpf(2))) < mpf(10) ** -150
-
-    def test_tiny_product(self):
-        p = mpf(10) ** -200
-        with workprec(600):
-            assert abs(k_from_kkprime(p) / p - 1) < mpf(10) ** -140
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            k_from_kkprime("0.6")
-        with pytest.raises(DomainError):
-            k_from_kkprime(0)
-
-    def test_one_message_per_fault(self):
-        # every product above 1/2 is refused by the radicand check alone
-        for p in ("0.6", 2):
-            with pytest.raises(DomainError, match="exceeds the maximum 1/2"):
-                k_from_kkprime(p)
-        with pytest.raises(DomainError, match=r"must lie in \(0, 1/2\]"):
-            k_from_kkprime("-0.1")
 
 
 class TestAscendOnce:

@@ -1,6 +1,7 @@
-"""The round-trip writer against its oracle: big_to_str(x, bits) is
+"""The decimal writer against its oracle: big_to_str(x, bits) is
 mp.nstr(x, roundtrip_digits(bits)) byte for byte, and str_to_big reads it
-back to the same bits."""
+back to the same bits; to_decimal(x, 12), the registry's detail strings,
+is mp.nstr(x, 12)."""
 
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_neg, round_nearest
 
-from quintic_moduli.report import big_to_str, roundtrip_digits, str_to_big
+from quintic_moduli.report import big_to_str, roundtrip_digits, str_to_big, to_decimal
 
 _BITS = (64, 65, 100, 256, 512, 1000, 1024, 2048, 4096)
 
@@ -70,3 +71,14 @@ def test_a_decimal_past_cpythons_digit_limit():
     bits = 20000
     x = _rounded(random.Random(1).getrandbits(bits) | 1, -bits, bits)
     assert big_to_str(x, bits) == mp.nstr(x, roundtrip_digits(bits))
+
+
+def test_short_decimals_are_nstr():
+    # the registry's detail strings: 12 significant digits, as mp.nstr
+    # writes them, over values from 2^-3000 to 2^3000 at 64 to 4096 bits
+    rng = random.Random(12)
+    for _ in range(3000):
+        bits = rng.choice(_BITS)
+        x = _rounded(rng.getrandbits(bits) | 1, rng.randint(-3000, 3000) - bits, bits)
+        x = _neg(x) if rng.random() < 0.5 else x
+        assert to_decimal(x, 12) == mp.nstr(x, 12), x._mpf_
