@@ -46,8 +46,13 @@ closed_form_R, descend_v, descend_a, rrcf_converged, rrcf_truncated and
 u_star, so the caller's mp.prec moves no bit of what they return.  The
 integer kernels of the three math modules carry ``_INT_BITS`` bits beyond
 work_bits and reach that fixed point from a mantissa by one conversion,
-``_fixed``.  A relation judged on integers (u_map's gate, the registry's
-integer checkers) is summed by ``_term_sum``.  A solve
+``_fixed``.  A value held as a mantissa and an exponent (a ``_Float``) has
+one arithmetic, here: ``_mul``, ``_pow``, ``_quo``, ``_plus`` and ``_root``
+cut each result to a given number of bits, and every module forms its
+products, powers, quotients and roots of mantissas with them (the
+registry's integer checkers, eq11's relation, u_map's gate, descend_a,
+closed_form_R and the theta quotient's sqrt(q)).  A relation judged on integers is summed
+by ``_term_sum``.  A solve
 refuses an r whose AGM integers would pass 2^22 bits (``_R_MAX``) before
 its nome is taken.
 
@@ -80,7 +85,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -360,10 +365,69 @@ def _fixed(man: int, exp: int, frac: int) -> int:
     return man << shift if shift >= 0 else man >> -shift
 
 
-def _truncated(man: int, exp: int, bits: int) -> Tuple[int, int]:
+#: a value man 2^exp with man >= 0 as (man, exp): the operand of the
+#: mantissa arithmetic below
+_Float = Tuple[int, int]
+
+
+def _truncated(man: int, exp: int, bits: int) -> _Float:
     """man 2^exp with man >= 0 cut to its top `bits` bits."""
     drop = man.bit_length() - bits
     return (man >> drop, exp + drop) if drop > 0 else (man, exp)
+
+
+def _floats(*values: mpf) -> List[_Float]:
+    """Each positive mpf as a _Float."""
+    return [v._mpf_[1:3] for v in values]
+
+
+def _pi(bits: int) -> _Float:
+    """pi to `bits` fractional bits, from mpmath's cached fixed point."""
+    return pi_fixed(bits), -bits
+
+
+def _mul(x: _Float, y: _Float, bits: int) -> _Float:
+    """x y, cut to `bits` bits."""
+    return _truncated(x[0] * y[0], x[1] + y[1], bits)
+
+
+def _pow(x: _Float, n: int, bits: int) -> _Float:
+    """x^n for n >= 1 by binary powering, each product cut to `bits` bits."""
+    result = x if n & 1 else None
+    n >>= 1
+    while n:
+        x = _mul(x, x, bits)
+        if n & 1:
+            result = x if result is None else _mul(result, x, bits)
+        n >>= 1
+    return result
+
+
+def _product(bits: int, x: _Float, *factors: _Float) -> _Float:
+    """x times each factor in turn, each product cut to `bits` bits."""
+    for y in factors:
+        x = _mul(x, y, bits)
+    return x
+
+
+def _quo(x: _Float, y: _Float, bits: int) -> _Float:
+    """x / y for y > 0 to about `bits` bits, truncated."""
+    shift = bits + y[0].bit_length() - x[0].bit_length()
+    return _fixed(x[0], shift, 0) // y[0], x[1] - y[1] - shift
+
+
+def _plus(x: _Float, y: _Float, bits: int, sign: int = 1) -> _Float:
+    """x + sign y >= 0 on the scale that gives the larger `bits` bits, each
+    operand truncated there."""
+    unit = max(x[0].bit_length() + x[1], y[0].bit_length() + y[1]) - bits
+    return _fixed(x[0], x[1], -unit) + sign * _fixed(y[0], y[1], -unit), unit
+
+
+def _root(x: _Float, bits: int) -> _Float:
+    """sqrt(x) to about `bits` bits, truncated, by math.isqrt."""
+    shift = 2 * bits - x[0].bit_length()
+    shift += (x[1] - shift) & 1
+    return math.isqrt(_fixed(x[0], shift, 0)), (x[1] - shift) // 2
 
 
 #: bits each power and monomial of a relation summed on integers
@@ -539,12 +603,12 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     0, 1, 2, 4, 6, 9, 12, ...: each is the last times the running power q^n.
     S2 and 1 + 2 S3 lie in [1, 1.1), so the fixed point keeps their
     relative precision.  sqrt(q), which can lie far below 2^-work_bits
-    (q = e^(-1000 pi) at r = 10^6), is math.isqrt of q's mantissa, to as
-    many bits, with q's own exponent halved.
+    (q = e^(-1000 pi) at r = 10^6), is _root of q's mantissa and exponent,
+    to as many bits.
     """
     frac = ctx.work_bits + _INT_BITS
     one = 1 << frac
-    _, man, exp, bc = q._mpf_
+    _, man, exp, _ = q._mpf_
     qi = _fixed(man, exp, frac)
     s2, s3 = 0, 0
     term, qn = one, one  # q^(n(n+1)) and q^n, from n = 0
@@ -555,10 +619,8 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
         s3 += term
         term = term * qn >> frac  # q^((n+1)(n+2))
     ratio = (s2 << frac) // (one + 2 * s3)
-    shift = 2 * frac - bc
-    shift += (exp - shift) & 1  # an even exponent to halve
-    root = math.isqrt(man << shift)
-    return root * ratio * ratio, (exp - shift) // 2 + 2 - 2 * frac
+    root, root_exp = _root((man, exp), frac)
+    return root * ratio * ratio, root_exp + 2 - 2 * frac
 
 
 @dataclass(frozen=True)

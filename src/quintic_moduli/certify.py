@@ -19,37 +19,42 @@ order no matter how the ids were requested.  Entries and reports are plain
 data; the CLI alone turns them into JSON.
 
 eq6, eq7, eq10, eq11, eq31 and the three modulus-pair relations eq13,
-eq14 and eq15 are formed on integer mantissas: each value a _Float, every
-product, quotient and root of them cut to work_bits + 48 bits, the powers
-a group needs shared, and the terms summed by bigmath_kernel._term_sum
-into an exact residual and scale.  eq6, eq10 and eq31 are checked in the power
-they hold in, the 24th, 12th and -12th, so no cube or twelfth root is
-taken; the one mpmath root left is eq29's sixth, whose u relation reads
-A = a(4r)^(1/6) itself.  The other checkers evaluate in mpf.
+eq14 and eq15 are formed on integer mantissas: each value a
+bigmath_kernel._Float, every product, power, quotient and root of them
+taken by the kernel's mantissa arithmetic (_mul, _pow, _quo, _plus,
+_root) and cut to work_bits + 48 bits, the powers a group needs shared,
+and the terms summed by _term_sum into an exact residual and scale.  eq6,
+eq10 and eq31 are checked in the power they hold in, the 24th, 12th and
+-12th, so no cube or twelfth root is taken; the one mpmath root left is
+eq29's sixth, whose u relation reads A = a(4r)^(1/6) itself.  The other checkers evaluate in mpf.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp.libelefun import pi_fixed
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     _GATE_INT_BITS,
     _eta_at,
-    _fixed,
+    _floats,
+    _mul,
+    _pi,
+    _plus,
+    _pow,
+    _product,
+    _quo,
     _request_memo,
+    _root,
     _round_to,
     _solved,
     _summed,
     _term_sum,
-    _truncated,
     _validate_rational,
     _validate_solvable,
 )
@@ -104,63 +109,6 @@ class IdentityReport:
 #: (residual, scale), or (residual, scale, the detail strings its entry carries)
 Residual = Union[Tuple[mpf, mpf], Tuple[mpf, mpf, Dict[str, str]]]
 Residuals = Dict[str, Residual]
-
-#: a positive value as (mantissa, exponent), for the checkers formed on integers
-_Float = Tuple[int, int]
-
-
-def _floats(*values: mpf) -> List[_Float]:
-    """Each positive mpf as a _Float."""
-    return [v._mpf_[1:3] for v in values]
-
-
-def _pi(bits: int) -> _Float:
-    """pi to `bits` bits, from mpmath's cached fixed point."""
-    return pi_fixed(bits), -bits
-
-
-def _pow(x: _Float, n: int, bits: int) -> _Float:
-    """x^n for n >= 1 by binary powering, each product cut to `bits` bits."""
-    result = x if n & 1 else None
-    n >>= 1
-    while n:
-        x = _mul(x, x, bits)
-        if n & 1:
-            result = x if result is None else _mul(result, x, bits)
-        n >>= 1
-    return result
-
-
-def _mul(x: _Float, y: _Float, bits: int) -> _Float:
-    """x y, cut to `bits` bits."""
-    return _truncated(x[0] * y[0], x[1] + y[1], bits)
-
-
-def _product(bits: int, x: _Float, *factors: _Float) -> _Float:
-    """x times each factor in turn, each product cut to `bits` bits."""
-    for y in factors:
-        x = _mul(x, y, bits)
-    return x
-
-
-def _quo(x: _Float, y: _Float, bits: int) -> _Float:
-    """x / y to about `bits` bits."""
-    shift = bits + y[0].bit_length() - x[0].bit_length()
-    return _fixed(x[0], shift, 0) // y[0], x[1] - y[1] - shift
-
-
-def _plus(x: _Float, y: _Float, bits: int, sign: int = 1) -> _Float:
-    """x + sign y > 0 on the scale that gives the larger `bits` bits."""
-    unit = max(x[0].bit_length() + x[1], y[0].bit_length() + y[1]) - bits
-    return _fixed(x[0], x[1], -unit) + sign * _fixed(y[0], y[1], -unit), unit
-
-
-def _root(x: _Float, bits: int) -> _Float:
-    """sqrt(x) to `bits` bits, by math.isqrt."""
-    shift = 2 * bits - x[0].bit_length()
-    shift += (x[1] - shift) & 1
-    return math.isqrt(_fixed(x[0], shift, 0)), (x[1] - shift) // 2
-
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)

@@ -24,11 +24,12 @@ reflected point whose nome lies near 0:
     R(r)   = (1 - phi R') / (phi + R'),  R' = R(16/r)
                                          [Ramanujan's reciprocity, _rrcf_at]
 
-The closed form and the a-descent share E, which is formed on integers:
-h and sqrt(h^2 + 1) in fixed point, the fifth root by integer Newton at
-doubling precision from a float seed.  descend_a carries t = E - 1/E, its
-quartic and the nine-term denominator in the same fixed point and the
-numerator as a mantissa with a's own exponent, and rounds once.  The same
+The closed form and the a-descent share E, a mantissa and an exponent
+(bigmath_kernel._Float) formed on integers: h and sqrt(h^2 + 1) in fixed
+point, the fifth root by integer Newton at doubling precision from a
+float seed.  descend_a takes t = E - 1/E, its quartic, the nine-term
+denominator and the numerator by the kernel's mantissa arithmetic, each
+with its own exponent, and rounds once.  The same
 integer fifth root gives the continued fraction's q^(1/5) and descend_v's
 root, so the module calls no mp.root.  The fixed point carries
 bigmath_kernel._INT_BITS bits beyond work_bits, and closed_form_R,
@@ -54,14 +55,20 @@ from .bigmath_kernel import (
     PrecisionContext,
     Real,
     SingularModulusRecord,
+    _Float,
     _GATE_INT_BITS,
     _INT_BITS,
     _eta_at,
     _fixed,
+    _floats,
     _in_open_unit,
     _memoised,
+    _mul,
     _neg_ln,
     _nome,
+    _plus,
+    _pow,
+    _quo,
     _reflects,
     _round_to,
     _rounded,
@@ -154,24 +161,19 @@ def _m5_relation(rec: SingularModulusRecord, m5: mpf, bits: int) -> Tuple[mpf, m
     `bits` bits and each sum taken by _term_sum.
 
     The residual is the two sides as written: t = 5 m - 1 and 1 - m are
-    exact on m5's mantissa, and t^5 is t^2 squared, times t.  The scale is
-    the largest of the eight monomials of the polynomial expanded, from
-    m^j by repeated products of the mantissa, not the two sides, which
-    cancel with 1 - m as r grows."""
-    _, man, exp, _ = m5._mpf_
+    exact on m5's mantissa, and t^5 (1 - m) is t^4 times the exact
+    t (1 - m).  The scale is the largest of the eight monomials of the
+    polynomial expanded, from m^j by repeated products of the mantissa,
+    not the two sides, which cancel with 1 - m as r grows."""
+    m, k, kp = _floats(m5, rec.k, rec.k_comp)
     power, monomials = (1, 0), []
     for c in _M5_COEFFS:
         monomials.append((c, *power))
-        power = _truncated(power[0] * man, power[1] + exp, bits)
-    _, k_man, k_exp, _ = rec.k._mpf_
-    _, c_man, c_exp, _ = rec.k_comp._mpf_
-    kkp = _truncated(k_man * c_man, k_exp + c_exp, bits)
-    kkp2 = _truncated(kkp[0] * kkp[0], 2 * kkp[1], bits)
-    rhs = (-256, kkp2[0] * man, kkp2[1] + exp)
+        power = _mul(power, m, bits)
+    rhs = (-256, *_mul(_pow(_mul(k, kp, bits), 2, bits), m, bits))
+    man, exp = m
     t = 5 * man - (1 << -exp)
-    t2 = _truncated(t * t, 2 * exp, bits)
-    t4 = _truncated(t2[0] * t2[0], 2 * t2[1], bits)
-    lhs = (1, t4[0] * t * ((1 << -exp) - man), t4[1] + 2 * exp)
+    lhs = (1, *_mul(_pow((t, exp), 4, bits), (t * ((1 << -exp) - man), 2 * exp), bits))
     return _term_sum((lhs, rhs), bits)[0], _term_sum(monomials + [rhs], bits)[1]
 
 
@@ -392,10 +394,11 @@ def _root5_of(man: int, exp: int, bits: int, den: int = 1) -> Tuple[int, int]:
     return _root5((man << shift) // den), (exp - shift) // 5
 
 
-def _fifth_root_radical(av: mpf, frac: int) -> int:
-    """E 2^frac, to within a few units, for E = (h + sqrt(h^2 + 1))^(1/5)
-    with h = (11 + a)/2 and a > -11.  E^5 - E^-5 = 11 + a, so E =
-    exp(y/5) with y = arcsinh(h), and 1/E is the closed-form R.
+def _fifth_root_radical(av: mpf, frac: int) -> _Float:
+    """E = (h + sqrt(h^2 + 1))^(1/5) with h = (11 + a)/2 and a > -11, as a
+    _Float to within a few units of its mantissa's last bit, at least
+    2^-frac.  E^5 - E^-5 = 11 + a, so E = exp(y/5) with y = arcsinh(h),
+    and 1/E is the closed-form R.
 
     2h and 2 sqrt(h^2 + 1) = sqrt((2h)^2 + 4) are formed on integers with
     `frac` fractional bits (a truncated there), and E by _root5.  E >= 1,
@@ -403,15 +406,15 @@ def _fifth_root_radical(av: mpf, frac: int) -> int:
     2h is cut to frac + 64 bits with its exponent, 2^drop, and so is the 4
     under the root (to nothing once drop passes frac, where it lies more
     than 2 frac bits under (2h)^2): E's root is then taken on about
-    frac + 12 bits and shifted into place, so a huge a costs no more than
-    a = 2^64."""
+    frac + 13 bits, and its exponent carries drop / 5, so a huge a costs
+    no more than a = 2^64."""
     sign, man, exp, bc = av._mpf_
     drop = max(0, exp + bc - 64)
     a_int = _fixed(man, exp, frac - drop)
     two_h = _fixed(11, 0, frac - drop) + (-a_int if sign else a_int)
     four = 4 << 2 * (frac - drop) if drop <= frac else 0
     two_base = two_h + math.isqrt(two_h * two_h + four)
-    return _root5(two_base << 4 * frac - 1 + drop % 5) << drop // 5
+    return _root5(two_base << 4 * frac - 1 + drop % 5), drop // 5 - frac
 
 
 def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -426,9 +429,7 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     if not av > -11:
         raise DomainError("closed_form_R requires a > -11, got %s" % av)
     frac = ctx.work_bits + _INT_BITS
-    e_int = _fifth_root_radical(av, frac)
-    shift = frac + e_int.bit_length()
-    return _rounded(ctx, (1 << shift) // e_int, frac - shift)
+    return _rounded(ctx, *_quo((1, 0), _fifth_root_radical(av, frac), frac + 1))
 
 
 def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -478,24 +479,24 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
         -1 - E + E^2 = E (t - 1) = E a / (t^4 + t^3 + 6t^2 + 6t + 11).
 
-    E and t = E - 1/E are formed with work_bits + 32 fractional bits, and
-    each of E, t, the quartic and the nine-term denominator is then held
-    as a mantissa cut to work_bits + 32 bits with its own exponent
-    (_plus_times), the last two by Horner's rule, the denominator as
-    E (1 + E (-1 + E (2 + ... + E (1 + E)))).  So a huge a, whose
-    denominator grows like E^9 = a^(9/5), costs products of a bounded
-    width.  E >= 1, the quartic >= 11 and the denominator >= 11, so no sum
-    cancels.  The numerator (E a / quartic)^5 is a mantissa and an
-    exponent, a's own, so a tiny or huge a keeps its relative precision
-    too; the quotient is rounded once to precision_bits.
+    Each of E, t = E - 1/E (by _quo and _plus), the quartic and the
+    nine-term denominator is held as a mantissa of work_bits + 32 bits
+    with its own exponent, the last two by Horner's rule (_plus_times),
+    the denominator as E (1 + E (-1 + E (2 + ... + E (1 + E)))).  So a
+    huge a, whose denominator grows like E^9 = a^(9/5), costs products of
+    a bounded width.  E >= 1, the quartic >= 11 and the denominator >= 11,
+    so no sum cancels.  g = E |a| / quartic, g^5 and g^5 / den are _mul,
+    _quo and _pow of mantissas with their own exponents, a's among them,
+    so a tiny or huge a keeps its relative precision too; the quotient is
+    rounded once to precision_bits.
     """
     av = to_big(a, ctx)
     if not av > -11:
         raise DomainError("descend_a requires a > -11, got %s" % av)
     frac = ctx.work_bits + _INT_BITS
-    e_int = _fifth_root_radical(av, frac)
-    e = _truncated(e_int, -frac, frac)
-    t = _truncated(e_int - (1 << 2 * frac) // e_int, -frac, frac)
+    radical = _fifth_root_radical(av, frac)
+    e = _truncated(*radical, frac)
+    t = _plus(radical, _quo((1, 0), radical, frac), frac, -1)
     quartic = t
     for coeff in (1, 6, 6):
         quartic = _plus_times(quartic, coeff, t, frac)
@@ -503,22 +504,13 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     den = e
     for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
         den = _plus_times(den, coeff, e, frac)
-    # g = E |a| / quartic as g_man 2^g_exp, then g^5 to frac bits
     sign, a_man, a_exp, _ = av._mpf_
-    num = e[0] * a_man
-    shift = max(0, frac + quartic[0].bit_length() - num.bit_length())
-    g_man, g_exp = (num << shift) // quartic[0], e[1] + a_exp - quartic[1] - shift
-    g2, e2 = _truncated(g_man * g_man, 2 * g_exp, frac)
-    g4, e4 = _truncated(g2 * g2, 2 * e2, frac)
-    g5 = g4 * g_man
-    shift = max(0, frac + den[0].bit_length() - g5.bit_length())
-    quotient = (g5 << shift) // den[0]
-    return _rounded(ctx, -quotient if sign else quotient, e4 + g_exp - den[1] - shift)
+    g = _quo(_mul(e, (a_man, a_exp), frac), quartic, frac)  # E |a| / quartic
+    quotient, exp = _quo(_pow(g, 5, frac), den, frac)
+    return _rounded(ctx, -quotient if sign else quotient, exp)
 
 
-def _plus_times(
-    y: Tuple[int, int], coeff: int, x: Tuple[int, int], bits: int
-) -> Tuple[int, int]:
+def _plus_times(y: _Float, coeff: int, x: _Float, bits: int) -> _Float:
     """(y + coeff) x for y = man 2^exp and x likewise, as a mantissa cut to
     its top `bits` bits and its exponent: one Horner step.  y holds `bits`
     bits, so where its exponent is positive, coeff lies below its last bit
@@ -526,4 +518,4 @@ def _plus_times(
     man, exp = y
     if exp <= 0:
         man += coeff << -exp
-    return _truncated(man * x[0], exp + x[1], bits)
+    return _mul((man, exp), x, bits)

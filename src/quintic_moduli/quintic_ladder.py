@@ -59,13 +59,14 @@ from .bigmath_kernel import (
     _ONE,
     _complement_raw,
     _fixed,
+    _floats,
     _memoised,
+    _mul,
     _round_to,
     _rounded,
     _solved,
     _sqrt,
     _term_sum,
-    _truncated,
     _validate_rational,
     _validate_solvable,
     solve_singular_modulus,
@@ -127,17 +128,11 @@ def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[mpf, mpf]:
     ratio of residual to largest term is the relation's own.  The monomials
     are formed on the mantissas of x and y, each power and product cut to
     its top `bits` bits, and summed by _term_sum."""
-    _, x_man, x_exp, _ = xv._mpf_
-    _, y_man, y_exp, _ = yv._mpf_
-    x2 = _truncated(x_man * x_man, 2 * x_exp, bits)
-    z = _truncated(y_man * y_man, 2 * y_exp, bits)
-    x4 = _truncated(x2[0] * x2[0], 2 * x2[1], bits)
-    z2 = _truncated(z[0] * z[0], 2 * z[1], bits)
-    z3 = _truncated(z2[0] * z[0], z2[1] + z[1], bits)
-    return _term_sum(
-        ((1, x4[0] * z[0], x4[1] + z[1]), (-5, *z2), (-1, x2[0] * z3[0], x2[1] + z3[1]), (1, *x2)),
-        bits,
-    )
+    x, y = _floats(xv, yv)
+    x2, z = _mul(x, x, bits), _mul(y, y, bits)
+    z2 = _mul(z, z, bits)
+    x4z, x2z3 = _mul(_mul(x2, x2, bits), z, bits), _mul(x2, _mul(z2, z, bits), bits)
+    return _term_sum(((1, *x4z), (-5, *z2), (-1, *x2z3), (1, *x2)), bits)
 
 
 def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
@@ -189,8 +184,8 @@ def _newton_int(w: int, c: int, bits: int) -> Tuple[int, int]:
     """(P, the Newton step from w) on integers with `bits` fractional bits,
     for P(w) = c w^3 + 5 w^2 - c w - 1 and P'(w) by Horner's rule.
 
-    c is capped at 2^(bits+8): past it the root, 1 - 2/c + O(c^-2), is 1
-    to within 2^-(bits+7) either way."""
+    c is capped at 2^(2 bits + 8): past it the root, 1 - 2/c + O(c^-2), is
+    1 to within 2^-(bits+7) either way."""
     c = min(c, 1 << 2 * bits + 8)
     one = 1 << bits
     cw = c * w >> bits
@@ -241,8 +236,10 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             raise DomainError("u_map requires x > 0, got %s" % xv)
 
         frac = ctx.work_bits + _INT_BITS
-        _, man, exp, _ = xv._mpf_  # x = man 2^exp, so c 2^frac is exact
-        c = _fixed(man ** 3, 3 * exp, frac)
+        _, man, exp, bc = xv._mpf_  # x = man 2^exp, so c 2^frac is exact
+        # x^3 >= 2^(3 (exp + bc - 1)): at or past _newton_int's cap, c is the cap
+        cap = 2 * frac + 8
+        c = _fixed(man ** 3, 3 * exp, frac) if 3 * (exp + bc - 1) + frac < cap else 1 << cap
         xf = float(xv)
         w = _fixed(*mpf(_float_seed(xf * xf * xf)).man_exp, frac)
         if _newton_int(w, c, frac)[0] >= 0:

@@ -328,8 +328,8 @@ def power_identities_mpf(k, k25, kp, kp25, K, K25, q, a, f, f2, g, bits):
 
 def fifth_root_radical_uncut(av, frac):
     """modular_core._fifth_root_radical as it was before it cut a huge 2h:
-    E 2^frac for E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2, with every
-    integer bit of a carried."""
+    E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2, as the _Float
+    (E 2^frac, -frac), with every integer bit of a carried."""
     from quintic_moduli.modular_core import _root5
 
     sign, man, exp, _ = av._mpf_
@@ -337,7 +337,7 @@ def fifth_root_radical_uncut(av, frac):
     a_int = man << shift if shift >= 0 else man >> -shift
     two_h = (11 << frac) + (-a_int if sign else a_int)
     two_base = two_h + math.isqrt(two_h * two_h + (4 << 2 * frac))
-    return _root5(two_base << 4 * frac - 1)
+    return _root5(two_base << 4 * frac - 1), -frac
 
 
 def agm_two_phase(a, b, precision_bits):

@@ -7,8 +7,9 @@ the one pass rule alone, neither the solve nor the integer kernels switch
 precision, the integer kernels share one guard constant and one conversion
 to fixed point, mpmath's theta functions and square root stay out of the
 library, modular_core takes no mpmath root, the registry takes one only
-in eq29 and forms its integer relations with no power operator, each
-private lookup keys one kind on one compute, nothing is assigned into
+in eq29 and forms its integer relations with no power operator, only the
+kernel spells the arithmetic of mantissas, each private lookup keys one
+kind on one compute, nothing is assigned into
 mpmath, only the CLI and the registry import the decimal writer, and only
 the CLI imports json, for its string escape and never for json.dumps."""
 
@@ -349,6 +350,8 @@ def test_registry_takes_roots_only_in_eq29_and_integer_checkers_no_powers():
         )
     ]
     integer.append(_functions("modular_core")["_m5_relation"])
+    integer.append(_functions("modular_core")["descend_a"])
+    integer.append(_functions("quintic_ladder")["_cleared_relation"])
     powers = [
         (fn.name, node.lineno)
         for fn in integer
@@ -356,6 +359,43 @@ def test_registry_takes_roots_only_in_eq29_and_integer_checkers_no_powers():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
     ]
     assert not powers, "** at %s" % powers
+
+
+#: bigmath_kernel's arithmetic on (mantissa, exponent) pairs
+_MANTISSA_HELPERS = {
+    "_Float", "_floats", "_pi", "_mul", "_pow", "_product", "_quo", "_plus", "_root",
+}
+
+
+def _defined(name):
+    """Names the module binds at its top level."""
+    names = set()
+    for node in _tree(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_the_kernel_spells_the_arithmetic_of_mantissas():
+    # a cut product, power, quotient or root of mantissas is one of the
+    # kernel's helpers: no other module cuts a product by hand, and the
+    # registry, which used them first, defines none of them
+    assert _MANTISSA_HELPERS <= _defined("quintic_moduli.bigmath_kernel")
+    assert not _MANTISSA_HELPERS & _defined("quintic_moduli.certify")
+    by_hand = [
+        (name, node.lineno)
+        for name in _MODULES
+        if name != "quintic_moduli.bigmath_kernel"
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_truncated"
+        and node.args
+        and isinstance(node.args[0], ast.BinOp)
+        and isinstance(node.args[0].op, ast.Mult)
+    ]
+    assert not by_hand, "a product cut by hand at %s" % by_hand
 
 
 #: the private lookups that share values by their exact rational point

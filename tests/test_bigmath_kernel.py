@@ -157,6 +157,123 @@ class TestMantissaKernels:
         assert True in verdicts and False in verdicts
 
 
+def _value(x):
+    """man 2^exp, given as (man, exp), as an exact Fraction."""
+    return Fraction(x[0]) * Fraction(2) ** x[1]
+
+
+def _exact_value(v):
+    """The mpf v as an exact Fraction."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * _value((man, exp))
+
+
+def _floats_at(bits, seed):
+    """_Floats around `bits` bits: mantissa 1, all-ones and power-of-two
+    mantissas of exactly `bits` bits and one either side, and seeded random
+    mantissas up to twice that length, with exponents of both signs."""
+    rng = random.Random(seed)
+    mans = [1, 3, (1 << bits) - 1, 1 << bits, 1 << (bits - 1), (1 << (bits + 1)) - 1]
+    mans += [rng.getrandbits(rng.randint(1, 2 * bits + 9)) | 1 for _ in range(40)]
+    return [(m, rng.randint(-700, 700)) for m in mans]
+
+
+class TestMantissaArithmetic:
+    """The kernel's one mantissa arithmetic against exact Fraction
+    arithmetic: each result is the exact value truncated toward zero at the
+    unit of its own last bit (a difference to within one unit either way),
+    so each cut product loses under 2^(1 - bits) of its value."""
+
+    BITS = [2, 53, 200, 1088]
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_truncated_keeps_the_top_bits(self, bits):
+        for man, exp in _floats_at(bits, bits):
+            m, e = bk._truncated(man, exp, bits)
+            assert m.bit_length() == min(bits, man.bit_length())
+            assert 0 <= _value((man, exp)) - _value((m, e)) < Fraction(2) ** e
+            if man.bit_length() <= bits:
+                assert (m, e) == (man, exp)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_mul_is_the_exact_product_truncated(self, bits):
+        xs = _floats_at(bits, bits + 1)
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            m, e = bk._mul(x, y, bits)
+            exact = _value(x) * _value(y)
+            assert (m, e) == bk._truncated(x[0] * y[0], x[1] + y[1], bits)
+            assert 0 <= exact - _value((m, e)) < Fraction(2) ** e
+            assert exact - _value((m, e)) < exact * Fraction(2) ** (1 - bits)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_pow_loses_under_n_minus_one_cuts(self, bits):
+        # x^n is formed by n - 1 cut products, counted with the powers they
+        # feed, so it lies below x^n by under (n - 1) 2^(1 - bits) of it
+        for x in _floats_at(bits, bits + 2)[::4]:
+            for n in (1, 2, 3, 4, 5, 6, 12, 13, 24):
+                m, _ = got = bk._pow(x, n, bits)
+                exact = _value(x) ** n
+                assert 0 <= exact - _value(got) <= exact * (n - 1) * Fraction(2) ** (1 - bits)
+                assert m.bit_length() <= max(bits, x[0].bit_length())
+            assert bk._pow(x, 1, bits) == x
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_quo_is_the_exact_quotient_truncated(self, bits):
+        xs = _floats_at(bits, bits + 3)
+        for x, y in zip(xs, xs[2:] + xs[:2]):
+            m, e = bk._quo(x, y, bits)
+            exact = _value(x) / _value(y)
+            assert 0 <= exact - _value((m, e)) < Fraction(2) ** e
+            assert m.bit_length() in (bits, bits + 1)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_plus_truncates_each_operand_at_one_unit(self, bits):
+        xs = _floats_at(bits, bits + 4)
+        for x, y in zip(xs, xs[3:] + xs[:3]):
+            top = max(v[0].bit_length() + v[1] for v in (x, y))
+            m, e = bk._plus(x, y, bits)
+            assert e == top - bits
+            assert 0 <= _value(x) + _value(y) - _value((m, e)) < 2 * Fraction(2) ** e
+            big, small = sorted((x, y), key=_value, reverse=True)
+            m, e = bk._plus(big, small, bits, -1)
+            assert abs(_value(big) - _value(small) - _value((m, e))) < Fraction(2) ** e
+            assert m >= 0
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_root_is_the_exact_root_truncated(self, bits):
+        for x in _floats_at(bits, bits + 5):
+            m, e = bk._root(x, bits)
+            unit = Fraction(2) ** e
+            assert _value((m, e)) ** 2 <= _value(x) < (_value((m, e)) + unit) ** 2
+            assert m.bit_length() in (bits, bits + 1)
+
+    def test_pi_is_truncated_pi(self):
+        for bits in (10, 300, 4200):
+            with workprec(bits + 64):
+                gap = mp.pi - _exact(*bk._pi(bits))
+                assert 0 <= gap < mpf(2) ** -bits
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_term_sum_is_the_exact_sum_of_its_cut_terms(self, bits):
+        # every term is cut at the unit that gives the largest `bits` bits,
+        # and the sum and the largest |term| are exact there
+        rng = random.Random(bits + 6)
+        xs = _floats_at(bits, bits + 6)
+        cases = [[(1, 0, 5)], [(3, 0, 0), (-2, 0, -9)]]
+        for i in range(0, len(xs) - 4, 4):
+            terms = [(rng.choice((1, -1, 5, -16, 256)), *x) for x in xs[i:i + 4]]
+            terms[0] = (terms[0][0], terms[0][1], terms[1][2])  # two terms on one scale
+            cases.append(terms)
+        cases.append([(1, *xs[0]), (-1, *xs[0])])  # a sum that cancels to 0
+        for terms in cases:
+            total, scale = bk._term_sum(terms, bits)
+            tops = [man.bit_length() + exp for _, man, exp in terms if man]
+            unit = Fraction(2) ** ((max(tops) if tops else 0) - bits)
+            cut = [c * (_value((man, exp)) // unit) * unit for c, man, exp in terms]
+            assert _exact_value(total) == sum(cut)
+            assert _exact_value(scale) == max(map(abs, cut))
+
+
 class TestAmbientPrecision:
     """The integer kernels switch no working precision: they compute on
     integers after to_big and round once, so the caller's mp.prec moves no

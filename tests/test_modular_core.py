@@ -363,10 +363,10 @@ class TestDescendA:
             descend_a(-11)
 
 
-#: a in (-11, 0) and from 1e-300 to 1e300: E near 1, near the golden ratio
-#: (where a must keep its own exponent) and large
+#: a in (-11, 0) and from 1e-300 to 10^(10^9): E near 1, near the golden
+#: ratio (where a must keep its own exponent), large and huge
 DESCENT_AS = ["-10.999", "-5", "-1", "1e-300", "1e-100", "1e-20", "1e-3", "0.5", "1", "7",
-              "17.5", "1000", "5e13", "1e20", "1e100", "1e300"]
+              "17.5", "1000", "5e13", "1e20", "1e100", "1e300", "1e1000000000"]
 
 
 class TestDescentOnIntegers:
@@ -414,6 +414,17 @@ class TestDescentOnIntegers:
         monkeypatch.setattr(mc, "_fifth_root_radical", ov.fifth_root_radical_uncut)
         want = [(descend_a(av, ctx), closed_form_R(av, ctx)) for av in avs]
         assert [(d._mpf_, c._mpf_) for d, c in got] == [(d._mpf_, c._mpf_) for d, c in want]
+
+    @pytest.mark.parametrize("bits", [256, 4096])
+    def test_huge_a_builds_no_wide_integer(self, bits, traced_peak):
+        # at a = 10^(10^9) E is a mantissa of about work_bits + 45 bits and
+        # an exponent; E in fixed point, shifted by log2(a)/5 bits, took
+        # 180-350 MB and up to a second at this a
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=10)
+        av = to_big("1e1000000000", ctx)
+        for fn in (descend_a, closed_form_R):
+            _, peak = traced_peak(fn, av, ctx)
+            assert peak < 4 << 20, (fn.__name__, peak)
 
     @pytest.mark.parametrize("bits", [64, 250, 251, 1000, 20000])
     def test_root5_is_within_a_few_units(self, bits):

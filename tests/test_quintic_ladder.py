@@ -125,6 +125,18 @@ class TestUMap:
             ref = ov.u_radical(x, bits + extra + 64).real
             assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
 
+    @pytest.mark.parametrize("bits", [256, 512, 4096])
+    def test_at_huge_x(self, bits, traced_peak):
+        # x = 10^(10^8): c = x^3 lies past Newton's cap, which is read from
+        # x's exponent, so x^3 is never formed in fixed point (it took 270 MB
+        # and half a second at this x); the root is sqrt(x) (1 - 1/x^3 + ...)
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        xv = to_big("1e100000000", ctx)
+        y, peak = traced_peak(u_map, xv, ctx)
+        assert peak < 4 << 20, peak
+        with workprec(bits + 64):
+            assert abs(y / sqrt(xv) - 1) < mpf(2) ** (8 - bits)
+
     @pytest.mark.parametrize("y0", ["1e-30", "1e-60"])
     def test_round_trip_tiny(self, y0):
         y = u_map(u_star(y0))
