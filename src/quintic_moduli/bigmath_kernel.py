@@ -212,8 +212,8 @@ def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
 
 DEFAULT_CONTEXT = PrecisionContext()
 
-#: iteration cap on each of the AGM's two phases and on u_map's Newton
-#: descent
+#: iteration cap on each of the AGM's two phases and on u_map's float seed
+#: (quintic_ladder._float_seed)
 _MAX_ITER = 10_000
 
 
@@ -729,14 +729,18 @@ def _neg_ln(x: mpf) -> float:
     range).  Above 1/2 (exponent plus bit count 0, mantissa not 1) it is
     log1p of 1 - x, formed exactly on the mantissa and rounded once to a
     float as float(mpf) rounds it; it returns 0.0 when x is within 2^-1074
-    of 1.  Below it is -(ln man + exp ln 2).  The caller's mp.prec moves no
+    of 1.  Below it is -(ln man + exp ln 2), or inf where exp passes the
+    float range, below about 2^-(2^1024).  The caller's mp.prec moves no
     bit of either.
     """
     _, man, exp, bc = x._mpf_
     if exp + bc == 0 and man != 1:
         below_one = from_man_exp((1 << -exp) - man, exp)
         return -math.log1p(-to_float(below_one, rnd=round_nearest))
-    return -(math.log(man) + exp * math.log(2))
+    try:
+        return -(math.log(man) + exp * math.log(2))
+    except OverflowError:
+        return math.inf
 
 
 def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -244,25 +244,25 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
       eq15-depressed  the quartic-root ("depressed") relation between
                       u = k_r^(1/4) and v = k_25r^(1/4).  The source states
                       that orientation, but numerically it is the *swap* that
-                      vanishes; both are evaluated and the vanishing one is
-                      reported, with the probe details attached.
+                      vanishes, so the swap is the one judged; both are
+                      evaluated, and the probe details name the smaller.
     """
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
-    eq13, eq14, (stated, scale15), (swapped, _) = _pair_relations(
+    eq13, eq14, (stated, _), (swapped, scale15) = _pair_relations(
         rec.k, rec25.k, rec.k_comp, rec25.k_comp, _a_eta_at(rn, rd, ctx), rn < rd,
         ctx.work_bits + _GATE_INT_BITS,
     )
     stated, swapped = abs(stated), abs(swapped)
     if stated <= swapped:
-        res15, orientation = stated, "stated (u = k_r^(1/4))"
+        orientation = "stated (u = k_r^(1/4))"
     else:
-        res15, orientation = swapped, "swapped (u = k_25r^(1/4))"
+        orientation = "swapped (u = k_25r^(1/4))"
 
     return {
         "eq13-thm22": eq13,
         "eq14-w-poly": eq14,
         "eq15-depressed": (
-            res15,
+            swapped,
             scale15,
             {
                 "vanishing_orientation": orientation,

@@ -14,7 +14,7 @@ Route map (everything is certified by cross-route residuals, never trusted):
                           as one integer quotient]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
-    m5(r)  is certified as a root of
+    m5(r)  is checked (the registry's eq11) as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X,        [on integers]
 
 Below r = 1/25, a_via_eta and the registry's lookups read a and R at a
@@ -125,7 +125,8 @@ def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 
 @dataclass(frozen=True)
 class M5Record:
-    """The certified multiplier m5(r) = K(k_25r)/K(k_r)."""
+    """The multiplier m5(r) = K(k_25r)/K(k_r) with the residual of the
+    degree-6 polynomial at it; nothing here judges that residual."""
 
     m5: mpf
     poly_residual: mpf  # degree-6 polynomial relation evaluated at m5
@@ -182,14 +183,15 @@ def multiplier_M5(
 ) -> M5Record:
     """Multiplier of the degree-5 transformation at exact rational r.
 
-    m5 is *defined* as the ratio K(k_25r)/K(k_r) of two certified solves and
-    only certified against the degree-6 polynomial
+    m5 is *defined* as the ratio K(k_25r)/K(k_r) of two certified solves,
+    never obtained by solving the degree-6 polynomial
 
-        (5 m - 1)^5 (1 - m) - 256 (k_r k'_r)^2 m = 0,
+        (5 m - 1)^5 (1 - m) - 256 (k_r k'_r)^2 m = 0
 
-    never obtained by solving that polynomial blind (it has six roots and no
-    intrinsic selection rule).  Its residual is _m5_relation's, on
-    integers, the one the registry's eq11 reports.
+    blind (it has six roots and no intrinsic selection rule).  The record
+    carries that polynomial's residual at m5, _m5_relation's on integers,
+    without judging it: the registry's eq11 judges the same residual
+    against its scale.
     """
     rec, _, m5 = _m5_solves(r_num, r_den, ctx)
     res, _ = _m5_relation(rec, m5, ctx.work_bits + _GATE_INT_BITS)
@@ -293,11 +295,12 @@ def _bracket_exp(qv: mpf, t: float, depth: int, b: int, b_prev: int, frac: int) 
     within 2^-51).  So that exponent, a float, is lowered by (bc + 4)
     2^-48 of itself, over twice that error and its own two roundings, and
     rounded down.  2^k thus lies less than about three bits above the
-    bracket.
+    bracket.  The exponent is capped at 2^1023: it passes that, or is inf,
+    only for q below about 2^-(2^1023), where -log2 q alone exceeds it.
     """
     bc = qv._mpf_[3]
     below = depth * (depth + 1) // 2 * t / math.log(2) * (1 - (bc + 4) * 2.0 ** -48)
-    return 2 * frac + 2 - b.bit_length() - b_prev.bit_length() - math.floor(below)
+    return 2 * frac + 2 - b.bit_length() - b_prev.bit_length() - math.floor(min(below, 2.0 ** 1023))
 
 
 def _rrcf_value(qv: mpf, a: int, b: int, ctx: PrecisionContext) -> mpf:

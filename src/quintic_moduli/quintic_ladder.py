@@ -94,8 +94,7 @@ GATE_SLACK_DIGITS = 20
 
 
 class BranchError(RuntimeError):
-    """The root/branch selection rule could not be satisfied: no candidate
-    met the defining equation, or a descended a-value was not positive."""
+    """u_map's root failed its defining relation."""
 
 
 @dataclass(frozen=True)
@@ -160,16 +159,16 @@ def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEX
         return _round_to(ctx, abs(_u_relation(xv, yv)[0]))
 
 
-#: bits of the cubic's root that u_map's float seed is trusted to: it is
-#: nudged up by 2^-_SEED_BITS, and Newton doubles from there
+#: bits of the cubic's root that u_map's float seed is trusted to; the
+#: first Newton level asks for no more than about twice that
 _SEED_BITS = 48
 
 
 def _float_seed(c: float) -> float:
     """The root of P(w) = c w^3 + 5 w^2 - c w - 1 in (1/sqrt5, 1) by Newton
-    in floats from w = 1, where P = 4, until rounding ends the descent;
-    nudged up by 2^-_SEED_BITS.  c is x^3 as a float: 0 where that
-    underflows, and clamped to 1e300, past which the root rounds to 1."""
+    in floats from w = 1, where P = 4, until rounding ends the descent: a
+    few ulps from the root.  c is x^3 as a float: 0 where that underflows,
+    and clamped to 1e300, past which the root rounds to 1."""
     c = min(c, 1e300)
     w = 1.0
     for _ in range(_MAX_ITER):
@@ -177,12 +176,12 @@ def _float_seed(c: float) -> float:
         if not w_next < w:
             break
         w = w_next
-    return w * (1 + 2.0 ** -_SEED_BITS)
+    return w
 
 
-def _newton_int(w: int, c: int, bits: int) -> Tuple[int, int]:
-    """(P, the Newton step from w) on integers with `bits` fractional bits,
-    for P(w) = c w^3 + 5 w^2 - c w - 1 and P'(w) by Horner's rule.
+def _newton_int(w: int, c: int, bits: int) -> int:
+    """The Newton step from w on integers with `bits` fractional bits, for
+    P(w) = c w^3 + 5 w^2 - c w - 1 and P'(w) by Horner's rule.
 
     c is capped at 2^(2 bits + 8): past it the root, 1 - 2/c + O(c^-2), is
     1 to within 2^-(bits+7) either way."""
@@ -191,15 +190,18 @@ def _newton_int(w: int, c: int, bits: int) -> Tuple[int, int]:
     cw = c * w >> bits
     p = ((((cw + 5 * one) * w >> bits) - c) * w >> bits) - one
     dp = ((3 * cw + 10 * one) * w >> bits) - c
-    return p, w - (p << bits) // dp
+    return w - (p << bits) // dp
 
 
 def _doubling_precisions(bits: int) -> List[int]:
-    """_SEED_BITS < b_1 < ... < b_n = bits, each about twice the last."""
+    """_SEED_BITS < b_1 < ... < b_n = bits, each level half the next one's
+    bits plus 8: one Newton step doubles the bits it starts from, and the
+    8 guard bits absorb the few units each level's truncations cost, which
+    would otherwise double with every level."""
     precs = []
     while bits > _SEED_BITS:
         precs.append(bits)
-        bits = (bits + 1) // 2
+        bits = (bits + 1) // 2 + 8
     return precs[::-1]
 
 
@@ -216,14 +218,13 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         P(w) = c w^3 + 5 w^2 - c w - 1 = 0,      c = x^3.
 
     P(1/sqrt5) = -4c/(5 sqrt5) < 0 < P(1) = 4, so the root lies in
-    (1/sqrt5, 1) for every x > 0, and since P'' > 0 on w > 0, Newton
-    started at any w > 0 with P(w) >= 0 falls monotonically onto it.  The
-    start is a float Newton solve nudged a few ulps upward (_float_seed),
-    used only if P >= 0 there, otherwise w = 1.  Newton runs on integers
-    with work_bits + 32 fractional bits, on c = x^3 truncated there: from
-    the seed, one step per precision doubling from its 48 bits, then
-    steps until rounding ends the descent.  Y = sqrt(x w).  The defining
-    relation at the returned Y must certify (PrecisionContext.certifies):
+    (1/sqrt5, 1) for every x > 0.  The start is a float Newton solve
+    (_float_seed), trusted to 48 bits.  Newton then runs on integers, on
+    c = x^3 truncated to work_bits + 32 fractional bits: one step per
+    level of _doubling_precisions, each level solving for half the next
+    one's bits plus 8, up to those work_bits + 32.  Y = sqrt(x w).  Nothing
+    in the schedule is trusted: the defining relation at the returned Y
+    must certify (PrecisionContext.certifies):
     its residual against its largest term, judged as the cleared cubic
     x^4 z - 5 z^2 - x^2 z^3 + x^2 at z = Y^2 against its largest monomial
     (the relation times sqrt5 x^2 Y^3 > 0, so the same ratio), on
@@ -242,17 +243,9 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         c = _fixed(man ** 3, 3 * exp, frac) if 3 * (exp + bc - 1) + frac < cap else 1 << cap
         xf = float(xv)
         w = _fixed(*mpf(_float_seed(xf * xf * xf)).man_exp, frac)
-        if _newton_int(w, c, frac)[0] >= 0:
-            for bits in _doubling_precisions(frac):
-                drop = frac - bits
-                w = _newton_int(w >> drop, c >> drop, bits)[1] << drop
-        else:
-            w = 1 << frac
-        for _ in range(_MAX_ITER):
-            w_next = _newton_int(w, c, frac)[1]
-            if not w_next < w:
-                break
-            w = w_next
+        for bits in _doubling_precisions(frac):
+            drop = frac - bits
+            w = _newton_int(w >> drop, c >> drop, bits) << drop
 
         z = xv * mpf((w, -frac))
         y = _sqrt(z)
@@ -323,13 +316,7 @@ def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     and u_map converts the descended value back to a twelfth-root ratio."""
     with workprec(ctx.work_bits):
         xs = u_star(x, ctx)
-        a_lower = descend_a(xs ** 6, ctx)
-        if a_lower <= 0:
-            raise BranchError(
-                "p_map(%s): descended a-value %s is not positive"
-                % (mp.nstr(to_big(x, ctx), 12), mp.nstr(a_lower, 8))
-            )
-        return u_map(mp.root(a_lower, 6), ctx)
+        return u_map(mp.root(descend_a(xs ** 6, ctx), 6), ctx)
 
 
 def g_invariant(

@@ -218,6 +218,21 @@ class TestThm22:
         assert mpf(probe["stated_residual"]) > mpf("0.01")
         assert mpf(probe["swapped_residual"]) < TOL
 
+    def test_eq15_judges_the_swapped_orientation(self, monkeypatch):
+        # a stated orientation that vanishes does not rescue a swapped one
+        # that misses the gate: the swap is the identity that holds
+        pair_relations = certify._pair_relations
+
+        def stub(*args):
+            eq13, eq14, (_, scale), _ = pair_relations(*args)
+            return eq13, eq14, (mpf(0), scale), (scale / 2, scale)
+
+        monkeypatch.setattr(certify, "_pair_relations", stub)
+        (entry,) = run_suite(1, 1, ids=["eq15-depressed"]).entries
+        assert not entry.passed
+        assert entry.detail["vanishing_orientation"].startswith("stated")
+        assert mpf(entry.detail["stated_residual"]) == 0
+
 
 class TestAscentDescentLaws:
     @pytest.mark.parametrize("rn,rd", [(1, 1), (1, 25)])
@@ -347,6 +362,19 @@ class TestSuiteDomain:
         report = run_suite(r.numerator, r.denominator, ctx=ctx)
         assert [e.id for e in report.entries] == list(REGISTRY)
         assert report.all_pass, [e.id for e in report.entries if not e.passed]
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    def test_qseries_checkers_certify_past_the_float_range(self, bits):
+        # at r = 10^1000 the nome lies below 2^-(2^1024), where -ln q is no
+        # float.  run_suite refuses an r that large for its solving ids, so
+        # the q-series checkers are called as it calls them: in one request
+        # memo at working precision
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        checks = (certify._check_eq5, certify._check_eq19, certify._check_eq24)
+        with bk._request_memo(), workprec(ctx.work_bits):
+            residuals = [check(10 ** 1000, 1, ctx) for check in checks]
+            got = {i: ctx.certifies(*v) for group in residuals for i, v in group.items()}
+        assert got == dict.fromkeys(QSERIES_IDS, True)
 
 
 class TestLadderDomain:

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,23 @@ class TestRRCFConverged:
         a = rrcf_converged(nome(1, 1))
         b = rrcf_converged(nome(1, 1))
         assert a == b
+
+
+class TestNomeBelowTheFloatRange:
+    """q = nome(10^1000), near 2^-(4.5 10^500): -ln q is past the float
+    range, so _neg_ln reads inf, and each q series is its first term."""
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    def test_q_series_are_their_first_terms(self, bits):
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        q = nome(10 ** 1000, 1, ctx)
+        assert bk._neg_ln(q) == math.inf
+        assert eta_f(q, ctx) == 1
+        val, depth = rrcf_converged(q, ctx)
+        assert depth == 2
+        assert rrcf_truncated(q, depth, ctx) == rrcf_truncated(q, 1, ctx) == val
+        with workprec(ctx.work_bits):
+            assert abs(val / mp.root(q, 5) - 1) < mpf(2) ** (1 - bits)
 
 
 class TestRRCFClosed:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt, workprec
 
 from quintic_moduli import (
@@ -137,6 +138,18 @@ class TestUMap:
         with workprec(bits + 64):
             assert abs(y / sqrt(xv) - 1) < mpf(2) ** (8 - bits)
 
+    @pytest.mark.parametrize("x", ["38.478404647760", "10.444578150741"])
+    def test_full_relative_accuracy_at_16384_bits(self, x):
+        # past 4096 bits the guard bits no longer hide a Newton schedule that
+        # loses a few units per level: without each level's 8 extra bits
+        # these two y miss by about 2^-16343
+        bits = 16384
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=4 * ov.TOL_EXP[4096])
+        y = u_map(x, ctx)
+        ref = ov.u_radical(x, 2 * bits + 200).real
+        with workprec(2 * bits):
+            assert abs(y / ref - 1) < mpf(2) ** (1 - bits)
+
     @pytest.mark.parametrize("y0", ["1e-30", "1e-60"])
     def test_round_trip_tiny(self, y0):
         y = u_map(u_star(y0))
@@ -227,12 +240,27 @@ class TestIntegerSpellings:
         # a Newton that never moves leaves the float seed's 48 bits, which
         # the gate refuses with a BranchError naming the companion roots
         def stuck(w, c, bits):
-            return 0, w
+            return w
 
         assert u_map("1.25") > 0
         monkeypatch.setattr(ql, "_newton_int", stuck)
         with pytest.raises(BranchError, match="fails the defining relation"):
             u_map("1.25")
+
+
+class TestNewtonSchedule:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bits=st.integers(min_value=ql._SEED_BITS + 1, max_value=1 << 22))
+    def test_levels_double_up_to_bits(self, bits):
+        # each level asks for half the next one's bits plus 8 guard bits
+        # (plus one for an odd count), so one Newton step, which doubles
+        # the bits it starts from, reaches the next with the guard to spare
+        precs = ql._doubling_precisions(bits)
+        assert precs[-1] == bits
+        assert precs[0] > ql._SEED_BITS
+        for lo, hi in zip(precs, precs[1:]):
+            assert lo < hi
+            assert hi / 2 + 8 <= lo <= hi / 2 + 9
 
 
 class TestPMap:
