@@ -33,28 +33,30 @@ the root of an exact integer, one has
 so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
 the two AGM legs directly, without ever forming 1 - k'^2.
 
-The AGM runs on integers, from its first step: once |a - b| <
-2^(-(work_bits + 40)/4) a it returns (a + b)/2 - (a - b)^2 / (8 (a + b)),
-whose error is of order (a - b)^4, and hands back the integer and its
-exponent.  The solver forms its residual from those integers: the quotient
-of the two legs against sqrt(r) taken by math.isqrt from the exact
-rational, judged by ``certifies`` on integers; each K is pi / (2 agm)
-against mpmath's cached fixed-point pi.  From its nome to its record the
-solve works on integers and mantissas, builds an mpf only for each field,
-rounded once, and never enters ``workprec``; nor do agm, elliptic_K, eta_f,
-closed_form_R, descend_v, descend_a, rrcf_converged, rrcf_truncated and
-u_star, so the caller's mp.prec moves no bit of what they return.  The
-integer kernels of the three math modules carry ``_INT_BITS`` bits beyond
-work_bits and reach that fixed point from a mantissa by one conversion,
-``_fixed``.  A value held as a mantissa and an exponent (a ``_Float``) has
-one arithmetic, here: ``_mul``, ``_pow``, ``_quo``, ``_plus`` and ``_root``
-cut each result to a given number of bits, and every module forms its
-products, powers, quotients and roots of mantissas with them (the
-registry's integer checkers, eq11's relation, u_map's gate, descend_a,
-closed_form_R and the theta quotient's sqrt(q)).  A relation judged on integers is summed
-by ``_term_sum``.  A solve
-refuses an r whose AGM integers would pass 2^22 bits (``_R_MAX``) before
-its nome is taken.
+The AGM runs on integers, from its first step: while a and b lie far apart
+each is an integer of work_bits + 32 bits with its own exponent, so no
+integer grows with r; once |a - b| < 2^(-(work_bits + 40)/4) a it returns
+(a + b)/2 - (a - b)^2 / (8 (a + b)), whose error is of order (a - b)^4, and
+hands back the integer and its exponent.  The solver forms its residual
+from those integers: the quotient of the two legs against sqrt(r) taken by
+math.isqrt from the exact rational, judged by ``certifies`` on integers;
+each K is pi / (2 agm) against mpmath's cached fixed-point pi.  From its
+nome to its record the solve works on integers and mantissas, builds an mpf
+only for each field, rounded once, and never enters ``workprec``; nor do
+agm, elliptic_K, eta_f, closed_form_R, descend_v, descend_a,
+rrcf_converged, rrcf_truncated and u_star, so the caller's mp.prec moves no
+bit of what they return.  The integer kernels of the three math modules
+carry ``_INT_BITS`` bits beyond work_bits and reach that fixed point from a
+mantissa by one conversion, ``_fixed``.  A value held as a mantissa and an
+exponent (a ``_Float``) has one arithmetic, here: ``_mul``, ``_pow``,
+``_quo``, ``_plus`` and ``_root`` cut each result to a given number of
+bits, and every module forms its products, powers, quotients and roots of
+mantissas with them (the registry's integer checkers, eq11's relation,
+u_map's gate, descend_a, closed_form_R and the theta quotient's sqrt(q)).
+A relation judged on integers is summed by ``_term_sum``.  A solve refuses
+an r with max(r, 1/r) above ``_R_MAX``, about 4.05e39, where its K-ratio
+would vouch for 20 fewer digits of k than tol_exp, before its nome is
+taken; nothing else refuses r for its size.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -352,12 +354,6 @@ _INT_BITS = 32
 _ONE = mpf(1)
 
 
-def _top_bit(x: mpf) -> int:
-    """floor(log2 x) + 1 for x > 0, from the exponent and bit count."""
-    _, _, exp, bc = x._mpf_
-    return exp + bc
-
-
 def _fixed(man: int, exp: int, frac: int) -> int:
     """man 2^exp for man >= 0 as an integer with `frac` fractional bits,
     truncated: the one conversion to fixed point."""
@@ -457,32 +453,37 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
 
     Every step runs on integers, with math.isqrt for the square root, which
     is C, where mpmath's pure-Python backend takes its square roots in
-    Python.  While a and b lie more than 2^_INT_BITS apart, both sit
-    on the common scale that gives the smaller one work_bits +
-    _INT_BITS bits, rescaled after each step, so a tiny b (k =
-    2.6e-682 at r = 10^6) keeps its relative precision and the larger one
-    carries the gap.  After that the scale gives the larger one those
-    bits.  The steps stop once |a - b| < 2^(-(work_bits + 40)/4) a and
-    return (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
+    Python.  While a and b lie more than 2^_INT_BITS apart, each is an
+    integer of work_bits + _INT_BITS bits with its own exponent, so a tiny b
+    (k = 2.6e-682 at r = 10^6) keeps its relative precision and no integer
+    grows with the gap: (a + b)/2 is taken on the larger one's scale and
+    sqrt(ab) is math.isqrt of the exact product, at most
+    2 (work_bits + _INT_BITS) + 1 bits.  The gap's logarithm halves at each
+    such step, so they are few.  After that both sit on the scale that gives
+    the larger one those bits.  The steps stop once
+    |a - b| < 2^(-(work_bits + 40)/4) a and return
+    (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
     5 e^4 (a + b) / 128 with e = (a - b)/(a + b), below 2^-(work_bits + 47)
     relative: under the integer scale's last bit.  Stopping at
     2^(-(work_bits + 40)/2) instead would leave (a - b)^2 / (8 (a + b))
     itself under that bit, one step later.
     """
     bits = ctx.work_bits + _INT_BITS
-    unit = min(_top_bit(a), _top_bit(b)) - bits
-    ia, ib = _fixed(*a.man_exp, -unit), _fixed(*b.man_exp, -unit)
+    (ma, ea), (mb, eb) = a.man_exp, b.man_exp
     for _ in range(_MAX_ITER):
-        if abs(ia.bit_length() - ib.bit_length()) <= _INT_BITS:
+        top_a, top_b = ma.bit_length() + ea, mb.bit_length() + eb
+        if abs(top_a - top_b) <= _INT_BITS:
             break
-        ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
-        drop = min(ia.bit_length(), ib.bit_length()) - bits
-        ia, ib, unit = ia >> drop, ib >> drop, unit + drop
+        ua, ub = top_a - bits, top_b - bits  # each operand `bits` bits wide
+        ia, ib = _fixed(ma, ea, -ua), _fixed(mb, eb, -ub)
+        unit, odd = max(ua, ub), (ua + ub) & 1  # an even exponent for the root
+        ma, ea = (ia >> unit - ua) + (ib >> unit - ub), unit - 1
+        mb, eb = math.isqrt(ia * ib << odd), (ua + ub - odd) // 2
     else:
         raise ConvergenceError("AGM did not stabilize within %d steps" % _MAX_ITER)
 
-    drop = max(ia.bit_length(), ib.bit_length()) - bits
-    ia, ib, unit = ia >> drop, ib >> drop, unit + drop
+    unit = max(top_a, top_b) - bits
+    ia, ib = _fixed(ma, ea, -unit), _fixed(mb, eb, -unit)
     stop_shift = (ctx.work_bits + 43) // 4
     for _ in range(_MAX_ITER):
         gap = ia - ib
@@ -504,12 +505,13 @@ def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Arithmetic-geometric mean of two positive reals.
 
     The iteration a,b <- ((a+b)/2, sqrt(ab)) converges quadratically.  It
-    runs on integers (_agm_raw), with math.isqrt for the square root: on
-    the scale that gives the smaller operand work_bits + 32 bits while a
-    and b are more than 2^32 apart, then on the scale that gives the
-    larger one those bits, until |a_n - b_n| < 2^(-(work_bits + 40)/4)
-    a_n.  It finishes with (a_n + b_n)/2 - (a_n - b_n)^2 / (8 (a_n +
-    b_n)), rounded once to precision_bits.
+    runs on integers (_agm_raw), with math.isqrt for the square root:
+    while a and b are more than 2^32 apart each is an integer of
+    work_bits + 32 bits with its own exponent, so agm(1, 1e-1000000) builds
+    no wider integer than agm(1, 1/2); then both sit on the scale that
+    gives the larger one those bits, until |a_n - b_n| <
+    2^(-(work_bits + 40)/4) a_n.  It finishes with (a_n + b_n)/2 -
+    (a_n - b_n)^2 / (8 (a_n + b_n)), rounded once to precision_bits.
     """
     av, bv = to_big(a, ctx), to_big(b, ctx)
     if av <= 0 or bv <= 0:
@@ -535,16 +537,12 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
-#: the widest scale, in bits, a solve's AGM may start from.  The smaller
-#: modulus of the pair is about 4 e^(-pi sqrt(R)/2), R = max(r, 1/r), and
-#: the AGM puts 1 on its scale: an integer of pi sqrt(R) / (2 ln 2) bits
-#: past work_bits + 32 (2.27e6 bits at r = 10^12, where one solve takes
-#: about 2 s; 2.3e10 bits, 2.8 GB, at r = 10^20)
-_MAX_SCALE_BITS = 1 << 22
-
-#: the largest R = max(r, 1/r) whose AGM scale stays within _MAX_SCALE_BITS
-#: (about 3.4e12)
-_R_MAX = int((2 * math.log(2) * _MAX_SCALE_BITS / math.pi) ** 2)
+#: the largest R = max(r, 1/r) a solve accepts, floor((2 10^20 / pi)^2).
+#: The smaller modulus of the pair is about 4 e^(-pi sqrt(R)/2), and the
+#: K-ratio residual sees a relative error d in it only as d / (pi sqrt(R)/2).
+#: Past pi sqrt(R)/2 = 10^20 (R about 4.05e39) a solve would vouch for 20
+#: fewer digits of k than tol_exp, the slack the ladder's gate allows.
+_R_MAX = (4 * 10 ** 40 << 512) // pi_fixed(256) ** 2
 
 
 def _validate_rational(r_num: int, r_den: int) -> None:
@@ -552,18 +550,6 @@ def _validate_rational(r_num: int, r_den: int) -> None:
         raise DomainError("r must be given as exact integers r_num/r_den")
     if r_num <= 0 or r_den <= 0:
         raise DomainError("r must be positive: got %s/%s" % (r_num, r_den))
-
-
-def _validate_solvable(r_num: int, r_den: int) -> None:
-    """_validate_rational, and refuse r with max(r, 1/r) > _R_MAX: a
-    DomainError before any integer is sized by r.  Every solve checks its
-    r, and a caller that solves at several points checks the widest first."""
-    _validate_rational(r_num, r_den)
-    if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
-        raise DomainError(
-            "a solve at r = %s/%s would build integers past %d bits: "
-            "max(r, 1/r) must not exceed %d" % (r_num, r_den, _MAX_SCALE_BITS, _R_MAX)
-        )
 
 
 def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -665,11 +651,21 @@ def solve_singular_modulus(
     other member keeps its digits (k = 2.6e-682 at r = 10^6)
     and gives the other K through its own AGM leg, so the K-ratio certifies
     as before.  Callers must not take elliptic_K of a member that is 1:
-    K(1) is infinite and elliptic_K refuses it.  An r with max(r, 1/r)
-    above _R_MAX, about 3.4e12, is refused with DomainError before its
-    nome is taken.
+    K(1) is infinite and elliptic_K refuses it.
+
+    No integer of the solve grows with r, so its one bound is the
+    certificate's: a relative error d in the small modulus moves the
+    residual only by d / (pi sqrt(R)/2), and an r with max(r, 1/r) above
+    _R_MAX, about 4.05e39, where that costs 20 digits, is refused with
+    DomainError before its nome is taken.  This is the only place r is
+    refused for its size.
     """
-    _validate_solvable(r_num, r_den)
+    _validate_rational(r_num, r_den)
+    if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
+        raise DomainError(
+            "a solve at r = %s/%s would vouch for 20 fewer digits of k than "
+            "tol_exp: max(r, 1/r) must not exceed %d" % (r_num, r_den, _R_MAX)
+        )
     reflect = r_num < r_den
     q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
     # the theta quotient runs at the nome of max(r, 1/r)

@@ -77,7 +77,6 @@ from .bigmath_kernel import (
     _term_sum,
     _truncated,
     _validate_rational,
-    _validate_solvable,
     to_big,
 )
 
@@ -145,8 +144,7 @@ def _m5_solves(
     r_num: int, r_den: int, ctx: PrecisionContext
 ) -> Tuple[SingularModulusRecord, SingularModulusRecord, mpf]:
     """The solves at r and 25r, and m5 = K(k_25r)/K(k_r) unrounded at
-    work_bits; 25r is checked before either solve."""
-    _validate_solvable(25 * r_num, r_den)
+    work_bits."""
     rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         return rec, rec25, rec25.K_k / rec.K_k
@@ -217,8 +215,8 @@ def a_value(
     both; a cross residual of 10^-tol_exp * a or more raises
     CertificationError.  The registry does not use this gate: eq29 compares
     a_via_eta(4r) with a_via_moduli(4r) as a residual.  The moduli route
-    runs first, so an r or 25r past the solver's bound is refused before
-    either route computes.
+    runs first, so an r or 25r past the solver's bound is refused
+    (DomainError) before the eta route computes.
     """
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     via_eta = a_via_eta(r_num, r_den, ctx)

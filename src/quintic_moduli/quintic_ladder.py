@@ -68,7 +68,6 @@ from .bigmath_kernel import (
     _sqrt,
     _term_sum,
     _validate_rational,
-    _validate_solvable,
     solve_singular_modulus,
     to_big,
 )
@@ -358,10 +357,11 @@ def ladder(
     g(r0/25)/g(r0), rung j takes p_j = p_map(x_j), g_j = g_(j-1)/p_j and
     x_(j+1) = p_j, so no rung takes a root, and any r0 climbs.
 
-    The checks come first: r0, n, the two ends r0/25 and 25^n r0 of the
-    climb (a DomainError past bigmath_kernel._R_MAX) and tol_exp, then any
-    seed given; each missing seed is solved only after them, so a bad seed
-    costs no solve.
+    The checks come first: r0, n and tol_exp, then any seed given; each
+    missing seed is solved only after them, so a bad seed costs no solve.
+    No point is checked ahead: a seed or rung past the solver's bound
+    raises that solve's DomainError, so a climb with any n stops at its
+    first rung past bigmath_kernel._R_MAX.
     The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
     (else DomainError), and a missing one is g_invariant at max(r, 1/r),
     since g(1/r) = g(r), so no nome below r = 1 is taken.  A given seed is
@@ -392,10 +392,6 @@ def ladder(
     _validate_rational(r0_num, r0_den)
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
-    # the climb solves from r0/25 to 25^n r0 (25^20 r0 is past _R_MAX
-    # for any valid r0, so no n above 20 is computed)
-    _validate_solvable(r0_num, 25 * r0_den)
-    _validate_solvable(r0_num * 25 ** min(n, 20), r0_den)
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     if gate_exp < 1:
         raise DomainError(
@@ -417,7 +413,7 @@ def ladder(
                 continue
             v = to_big(g, ctx)
             if not 1 <= v < mp.inf:
-                raise DomainError("%s must lie in [1, inf), got %s" % (name, v))
+                raise DomainError("%s must lie in [1, inf), got %s" % (name, mp.nstr(v, 12)))
             seeds[name] = _round_to(ctx, v)
         seed_g, seed_g25 = seeds["g_r0"], seeds["g_r0_over25"]
 

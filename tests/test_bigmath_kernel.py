@@ -717,50 +717,89 @@ class TestKCompRoundsToOne:
 
 
 class TestSolvableBound:
-    """_R_MAX is placed from the integers a solve builds: its AGM's widest
-    integer is pi sqrt(R) / (2 ln 2) bits past work_bits + 32."""
+    """No integer a solve builds grows with r: the AGM's wide-gap steps keep
+    each operand on its own scale.  The one bound left, _R_MAX, is the
+    certificate's: the largest R with pi sqrt(R)/2 <= 10^20."""
 
-    @pytest.mark.parametrize("r", [(10 ** 8, 1), (1, 10 ** 8), (10 ** 6, 7)])
-    def test_widest_integer_is_the_predicted_scale(self, r, monkeypatch):
-        widths = []
-        fixed = bk._fixed
+    @staticmethod
+    def _widest(monkeypatch, fn, *args):
+        """The widest integer fn(*args) makes with _fixed or hands to
+        math.isqrt inside the AGM."""
+        widths, in_agm = [0], [False]
+        fixed, isqrt, agm_raw = bk._fixed, math.isqrt, bk._agm_raw
 
-        def spy(man, exp, frac):
+        def spy_fixed(man, exp, frac):
             value = fixed(man, exp, frac)
             widths.append(value.bit_length())
             return value
 
-        monkeypatch.setattr(bk, "_fixed", spy)
+        def spy_isqrt(n):
+            if in_agm[0]:
+                widths.append(n.bit_length())
+            return isqrt(n)
+
+        def spy_agm(*agm_args):
+            in_agm[0] = True
+            try:
+                return agm_raw(*agm_args)
+            finally:
+                in_agm[0] = False
+
+        monkeypatch.setattr(bk, "_fixed", spy_fixed)
+        monkeypatch.setattr(math, "isqrt", spy_isqrt)
+        monkeypatch.setattr(bk, "_agm_raw", spy_agm)
+        fn(*args)
+        monkeypatch.undo()
+        return max(widths)
+
+    @pytest.mark.parametrize(
+        "r", [(10 ** 8, 1), (1, 10 ** 8), (10 ** 6, 7), (10 ** 20, 1), (4 * 10 ** 39, 1)]
+    )
+    def test_widest_integer_is_set_by_the_precision(self, r, monkeypatch):
         ctx = _ctx_at(256)
-        bk.solve_singular_modulus(*r, ctx)
-        big = max(r[0] / r[1], r[1] / r[0])
-        predicted = math.pi * math.sqrt(big) / (2 * math.log(2)) + ctx.work_bits + 32
-        assert abs(max(widths) - predicted) < 8, (max(widths), predicted)
+        widest = self._widest(monkeypatch, bk.solve_singular_modulus, *r, ctx)
+        assert widest <= 2 * (ctx.work_bits + 32) + 8, widest
 
-    def test_bound_is_the_largest_r_within_the_scale(self):
-        def scale(big):
-            return math.pi * math.sqrt(big) / (2 * math.log(2))
+    def test_public_agm_of_a_tiny_operand_builds_no_wider_integer(self, monkeypatch):
+        ctx = _ctx_at(512)
+        widest = self._widest(monkeypatch, agm, 1, "1e-1000000", ctx)
+        assert widest <= 2 * (ctx.work_bits + 32) + 8, widest
+        with workprec(2 * ctx.work_bits):
+            expected = mp.agm(1, mpf("1e-1000000"))
+            assert abs(agm(1, "1e-1000000", ctx) / expected - 1) < mpf(2) ** -ctx.precision_bits
 
-        assert scale(bk._R_MAX) <= bk._MAX_SCALE_BITS < scale(bk._R_MAX + 1)
-        assert 10 ** 12 < bk._R_MAX
+    def test_bound_is_the_largest_r_within_twenty_digits(self):
+        with workprec(400):
+            def half_pi_root(big):
+                return mp.pi * sqrt(big) / 2
+
+            assert half_pi_root(bk._R_MAX) <= mpf(10) ** 20 < half_pi_root(bk._R_MAX + 1)
+        ctx = _ctx_at(256)
         for n, d in ((bk._R_MAX, 1), (1, bk._R_MAX), (3 * bk._R_MAX - 1, 3)):
-            bk._validate_solvable(n, d)
+            rec = bk.solve_singular_modulus(n, d, ctx)
+            assert 0 < min(rec.k, rec.k_comp) < max(rec.k, rec.k_comp) == 1
         for n, d in ((bk._R_MAX + 1, 1), (1, bk._R_MAX + 1), (3 * bk._R_MAX + 1, 3)):
-            with pytest.raises(DomainError, match="max\\(r, 1/r\\) must not exceed"):
-                bk._validate_solvable(n, d)
+            with pytest.raises(DomainError, match="max\\(r, 1/r\\) must not exceed %d$" % bk._R_MAX):
+                bk.solve_singular_modulus(n, d, ctx)
 
     def test_library_refuses_before_the_nome(self, monkeypatch):
         monkeypatch.setattr(bk, "_exp_nome", None)  # any call would raise TypeError
-        for fn, args in (
-            (bk.solve_singular_modulus, (10 ** 20, 1)),
-            (bk.solve_singular_modulus, (1, 10 ** 44)),
-            (multiplier_M5, (10 ** 12, 1)),
-            (a_value, (1, 10 ** 13)),
-            (run_suite, (10 ** 11, 1)),
-            (ladder, (5, 1, 10 ** 9)),
-        ):
-            with pytest.raises(DomainError, match="would build integers past"):
-                fn(*args)
+        for args in ((bk._R_MAX + 1, 1), (1, bk._R_MAX + 1), (10 ** 44, 1)):
+            with pytest.raises(DomainError, match="would vouch for 20 fewer digits"):
+                bk.solve_singular_modulus(*args)
+
+    @pytest.mark.parametrize(
+        "fn,args,point",
+        [
+            (multiplier_M5, (10 ** 39, 1), "25%s/1" % ("0" * 39)),
+            (a_value, (1, 10 ** 41), "1/10%s" % ("0" * 40)),
+            (run_suite, (10 ** 38, 1), "10%s/1" % ("0" * 39)),
+            (ladder, (5, 1, 10 ** 9), "%d/1" % (5 * 25 ** 28)),
+        ],
+    )
+    def test_callers_raise_the_solves_refusal(self, fn, args, point):
+        with pytest.raises(DomainError, match="a solve at r = %s would vouch" % point):
+            fn(*args)
 
 
 class TestSolverDomain:

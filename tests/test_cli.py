@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf, sqrt, workprec
 
 import quintic_moduli.cli as climod
 from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
@@ -96,6 +96,14 @@ class TestUsageErrors:
         )
         assert err == "usage error: g_r0 must lie in [1, inf), got 0.5\n"
 
+    def test_bad_seed_prints_a_short_value(self, capsys, monkeypatch):
+        # the seed is parsed at precision_bits, but shown to 12 digits
+        err = self._refused_without_a_solve(
+            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-g", "1e-5"
+        )
+        assert err == "usage error: g_r0 must lie in [1, inf), got 1.0e-5\n"
+        assert len(err) < 100
+
     def test_loose_gate_solves_nothing(self, capsys, monkeypatch):
         err = self._refused_without_a_solve(
             capsys, monkeypatch, "--r0", "1/25", "--n", "1", "--prec", "128",
@@ -133,37 +141,65 @@ BITS_256 = ("--prec", "256", "--tol-exp", "55")
 
 
 class TestOutsideTheDomain:
-    """An r whose solve would build integers past the kernel's bound is
-    refused with exit 2 before any nome, eta value or AGM is computed:
-    every command checks the widest point it would solve at first."""
+    """Only a solve refuses r for its size: max(r, 1/r) above the kernel's
+    _R_MAX, where its K-ratio would vouch for 20 fewer digits of k than
+    tol_exp.  `kr` is refused before any nome or AGM is computed; the other
+    commands run until their first solve past the bound and exit 2 naming
+    that point."""
+
+    @staticmethod
+    def _usage_line(point):
+        import quintic_moduli.bigmath_kernel as bkmod
+
+        return (
+            "usage error: a solve at r = %s would vouch for 20 fewer digits of k "
+            "than tol_exp: max(r, 1/r) must not exceed %d\n" % (point, bkmod._R_MAX)
+        )
+
+    @pytest.mark.parametrize("bits", [(), BITS_256])
+    @pytest.mark.parametrize("reciprocal", [False, True])
+    def test_refused_before_any_work(self, capsys, monkeypatch, bits, reciprocal):
+        import quintic_moduli.bigmath_kernel as bkmod
+
+        past = Fraction(bkmod._R_MAX + 1)
+        point = 1 / past if reciprocal else past
+        calls = []
+        for name in ("_exp_nome", "_agm_raw"):
+            monkeypatch.setattr(bkmod, name, lambda *args, name=name: calls.append(name))
+        code, out, err = run_cli(capsys, "kr", "--r", str(point), *bits)
+        assert (code, out, calls) == (2, "", [])
+        assert err == self._usage_line("%d/%d" % (point.numerator, point.denominator))
 
     @pytest.mark.parametrize(
         "argv,point",
         [
-            (("kr", "--r", "10" + "0" * 43), "10" + "0" * 43 + "/1"),
-            (("kr", "--r", "1/1" + "0" * 44), "1/1" + "0" * 44),
-            (("kr", "--r", "1" + "0" * 20, *BITS_256), "1" + "0" * 20 + "/1"),
-            (("kr", "--r", "1/1" + "0" * 20, *BITS_256), "1/1" + "0" * 20),
-            (("verify", "--r", "1" + "0" * 11), "1" + "0" * 13 + "/1"),
-            (("verify", "--r", "1/1" + "0" * 12), "1/25" + "0" * 12),
-            (("rrcf", "--r", "1" + "0" * 12), "25" + "0" * 12 + "/1"),
-            (("ladder", "--r0", "1" + "0" * 12, "--n", "2"), "625" + "0" * 12 + "/1"),
-            (("ladder", "--r0", "1/1" + "0" * 12, "--n", "1"), "1/25" + "0" * 12),
-            (("ladder", "--r0", "5", "--n", "1000000000"), "%d/1" % (5 * 25 ** 20)),
+            (("verify", "--r", "1" + "0" * 38), "1" + "0" * 40 + "/1"),
+            (("verify", "--r", "1/1" + "0" * 39), "1/25" + "0" * 39),
+            (("rrcf", "--r", "2" + "0" * 38), "5" + "0" * 39 + "/1"),
+            (("ladder", "--r0", "1" + "0" * 39, "--n", "1"), "25" + "0" * 39 + "/1"),
+            (("ladder", "--r0", "1/1" + "0" * 39, "--n", "1"), "25" + "0" * 39 + "/1"),
+            (("ladder", "--r0", "5", "--n", "1000000000"), "%d/1" % (5 * 25 ** 28)),
         ],
     )
-    def test_refused_before_any_work(self, capsys, monkeypatch, argv, point):
-        import quintic_moduli.bigmath_kernel as bkmod
-
-        calls = []
-        for name in ("_exp_nome", "_agm_raw"):
-            monkeypatch.setattr(bkmod, name, lambda *args, name=name: calls.append(name))
+    def test_refused_at_the_first_point_past_the_bound(self, capsys, argv, point):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, calls) == (2, "", [])
-        assert err == (
-            "usage error: a solve at r = %s would build integers past %d bits: "
-            "max(r, 1/r) must not exceed %d\n" % (point, bkmod._MAX_SCALE_BITS, bkmod._R_MAX)
+        assert (code, out) == (2, "")
+        assert err == self._usage_line(point)
+
+    @pytest.mark.parametrize("r", ["1" + "0" * 20, "1" + "0" * 37, "1/1" + "0" * 37])
+    @pytest.mark.parametrize("bits", [BITS_256, ("--prec", "512", "--tol-exp", "120")])
+    def test_certifies_past_the_old_integer_bound(self, capsys, r, bits):
+        for argv in (("kr", "--r", r), ("verify", "--r", r), ("ladder", "--r0", r, "--n", "1")):
+            code, _, err = run_cli(capsys, *argv, *bits)
+            assert (code, err) == (0, ""), argv
+
+    @pytest.mark.parametrize("r", ["1" + "0" * 11, "1" + "0" * 50])
+    def test_q_series_verify_solves_nothing(self, capsys, r):
+        code, out, err = run_cli(
+            capsys, "verify", "--r", r, "--ids", "eq5-eta-quotient,eq19-v-descent,eq24-q-descent"
         )
+        assert (code, err) == (0, "")
+        assert out.endswith("3/3 identities passed\n")
 
 
 class TestKr:
@@ -185,6 +221,34 @@ class TestKr:
         with workprec(700):
             assert abs(k - ov.k5_radical()) < mpf(10) ** -150
         assert str_to_big(mod["residual"], 512) < mpf(10) ** -120
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize(
+        "r", [Fraction(10 ** 20), Fraction(4 * 10 ** 39), Fraction(1, 10 ** 20), Fraction(1, 4 * 10 ** 39)]
+    )
+    def test_closed_forms_past_the_old_bound(self, capsys, r, bits):
+        # with R = max(r, 1/r), q(R) = e^(-pi sqrt R) lies below
+        # 2^-(2 work_bits), so to working precision the small modulus is
+        # 4 e^(-pi sqrt(R)/2), its K is pi/2 and the other K is pi sqrt(R)/2;
+        # each is checked against mpmath at twice the bits
+        code, payload, _ = run_json(
+            capsys, "kr", "--r", str(r), "--prec", str(bits),
+            "--tol-exp", str(ov.TOL_EXP[bits]), "--json",
+        )
+        assert code == 0
+        got = {name: str_to_big(value, bits) for name, value in payload["modulus"].items()}
+        big = max(r, 1 / r)
+        with workprec(2 * bits):
+            root = sqrt(mpf(big.numerator) / big.denominator)
+            small, small_K = 4 * mp.exp(-mp.pi * root / 2), mp.pi * root / 2
+            forms = {
+                "q": mp.exp(-mp.pi * sqrt(mpf(r.numerator) / r.denominator)),
+                "k": small, "k_comp": mpf(1), "K_k": mp.pi / 2, "K_kcomp": small_K,
+            }
+            if r < 1:
+                forms.update(k=mpf(1), k_comp=small, K_k=small_K, K_kcomp=mp.pi / 2)
+            for name, value in forms.items():
+                assert abs(got[name] / value - 1) < mpf(2) ** (1 - bits), name
 
     def test_digits_flag(self, capsys):
         _, out10, _ = run_cli(capsys, "kr", "--r", "2", "--digits", "10")

@@ -6,12 +6,15 @@ and `ladder` from three starts, at 256, 512 and 1024 bits, in text and in
 JSON.  Two more reach the continued fraction where the grid does not: a
 4096-bit `rrcf` at r = 1/25 (q = e^(-pi/5), depth 98), in text and JSON,
 and a `verify` of the q-series identities alone at r = 1/2, which reads R
-directly at 1/2 and through reciprocity at 1/50.  Beside them stand the parse paths: top-level and per-command help,
-a missing or unknown command, a missing or bad value, leftover arguments,
-an option before the command, a flag conflict and abbreviated options.
-Help and usage lines are written at a fixed width of 80 columns.  A change
-that moves any printed digit fails the request it moved; when the move is
-meant, rewrite tests/data/outputs.json with
+directly at 1/2 and through reciprocity at 1/50.  Three more reach past r =
+10^6: `kr` at r = 10^20, a `verify` of the q-series identities at r =
+10^11, which solves nothing, and `kr` just above the solver's bound, which
+is refused.  Beside them stand the parse paths: top-level and per-command
+help, a missing or unknown command, a missing or bad value, leftover
+arguments, an option before the command, a flag conflict and abbreviated
+options.  Help and usage lines are written at a fixed width of 80 columns.
+A change that moves any printed digit fails the request it moved; when the
+move is meant, rewrite tests/data/outputs.json with
 
     PYTHONPATH=src python tests/test_outputs_pinned.py
 
@@ -36,6 +39,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data", "outputs.json")
 
 _BITS = (256, 512, 1024)
 _POINTS = ("1/10000", "1/13", "1", "7/3", "10000", "1000000")
+
+
+#: requests past r = 10^6, up to the solver's bound and just above it
+_RANGE_PATHS = [
+    ["kr", "--r", "1" + "0" * 20, "--prec", "256", "--tol-exp", "55", "--json"],
+    ["verify", "--r", "1" + "0" * 11, "--ids", "eq5-eta-quotient,eq19-v-descent,eq24-q-descent",
+     "--prec", "512", "--tol-exp", "120"],
+    ["kr", "--r", "4052847345693510857755178528389105556175"],
+]
 
 
 #: requests that exercise the argument parser rather than the math
@@ -75,7 +87,7 @@ def _requests():
         for mode in ([], ["--json"]):
             argv = shape + ["--prec", str(bits), "--tol-exp", str(ov.TOL_EXP[bits])] + mode
             out.append((" ".join(argv), argv))
-    extra = _CF_PATHS + _PARSE_PATHS
+    extra = _CF_PATHS + _RANGE_PATHS + _PARSE_PATHS
     return out + [(" ".join(argv) or "(no arguments)", argv) for argv in extra]
 
 

@@ -350,6 +350,20 @@ class TestLadder:
             with workprec(4 * bits):
                 assert abs(s.k - oracle) < oracle * mpf(2) ** (16 - bits), s.r
 
+    def test_climb_to_the_solve_bound_matches_a_double_precision_oracle(self):
+        # from 7/3 the last rung under the solver's bound is 25^28 r0, about
+        # 3.2e39; a rung's relative miss of a solve at twice the bits grows
+        # like pi sqrt(r)/2 ulps, as the K-ratio's own sensitivity to k does
+        bits, r0 = 256, Fraction(7, 3)
+        assert r0 * 25 ** 28 <= bk._R_MAX < r0 * 25 ** 29
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        fine = PrecisionContext(precision_bits=2 * bits, tol_exp=ov.TOL_EXP[2 * bits])
+        for s in ladder(r0.numerator, r0.denominator, 28, ctx).steps:
+            oracle = solve_singular_modulus(s.r.numerator, s.r.denominator, fine).k
+            with workprec(4 * bits):
+                half_pi_root = mp.pi * sqrt(mpf(s.r.numerator) / s.r.denominator) / 2
+                assert abs(s.k - oracle) < oracle * mpf(2) ** (16 - bits) * half_pi_root, s.r
+
     def test_bad_seed_fails_certification_with_trace(self):
         with pytest.raises(CertificationError) as ei:
             ladder(5, 1, 1, g_r0="1.5", g_r0_over25=g_invariant(5, 1))
