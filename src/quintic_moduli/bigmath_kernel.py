@@ -44,15 +44,17 @@ each K is pi / (2 agm) against mpmath's cached fixed-point pi.  From its
 nome to its record the solve works on integers and mantissas, builds an mpf
 only for each field, rounded once, and never enters ``workprec``; nor do
 agm, elliptic_K, eta_f, closed_form_R, descend_v, descend_a,
-rrcf_converged, rrcf_truncated and u_star, so the caller's mp.prec moves no
-bit of what they return.  The integer kernels of the three math modules
-carry ``_INT_BITS`` bits beyond work_bits and reach that fixed point from a
-mantissa by one conversion, ``_fixed``.  A value held as a mantissa and an
+rrcf_converged, rrcf_truncated, u_star, p_map and the ladder's climb, so
+the caller's mp.prec moves no bit of what they return.  The integer
+kernels of the three math modules carry ``_INT_BITS`` bits beyond
+work_bits and reach that fixed point from a mantissa by one conversion,
+``_fixed``.  A value held as a mantissa and an
 exponent (a ``_Float``) has one arithmetic, here: ``_mul``, ``_pow``,
 ``_quo``, ``_plus`` and ``_root`` cut each result to a given number of
 bits, and every module forms its products, powers, quotients and roots of
 mantissas with them (the registry's integer checkers, eq11's relation,
-u_map's gate, descend_a, closed_form_R and the theta quotient's sqrt(q)).
+the ladder's rung and u_map's gate, descend_a, closed_form_R and the
+theta quotient's sqrt(q)).
 A relation judged on integers is summed by ``_term_sum``.  A solve refuses
 an r with max(r, 1/r) above ``_R_MAX``, about 4.05e39, where its K-ratio
 would vouch for 20 fewer digits of k than tol_exp, before its nome is

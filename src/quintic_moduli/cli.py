@@ -1,7 +1,7 @@
 """Command-line front end.
 
     quintic-moduli kr     --r 5
-    quintic-moduli ladder --r0 5 --n 2 [--seed-g G --seed-g25 G] [--csv]
+    quintic-moduli ladder --r0 5 --n 2 [--seed-kkprime S --seed-kkprime25 S] [--csv]
     quintic-moduli rrcf   --r 4
     quintic-moduli verify --r 1 [--ids eq5-eta-quotient,k-reciprocal]
 
@@ -93,8 +93,8 @@ JSON_SCHEMA = {
         "ladder": _object({
             "n": {"type": "integer", "minimum": 1},
             "gate_exp": {"type": "integer"},
-            "seed_g": _DECIMAL,
-            "seed_g25": _DECIMAL,
+            "seed_kkprime": _DECIMAL,
+            "seed_kkprime25": _DECIMAL,
             "certified": {"type": "boolean"},
             "levels": {
                 "type": "array",
@@ -234,7 +234,7 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
     try:
         trace = ladder(
             args.r0.numerator, args.r0.denominator, args.n, ctx,
-            g_r0=seed(args.seed_g), g_r0_over25=seed(args.seed_g25),
+            kkprime_r0=seed(args.seed_kkprime), kkprime_r0_over25=seed(args.seed_kkprime25),
         )
     except CertificationError as exc:
         print("certification failure: %s" % exc)
@@ -246,8 +246,8 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         _emit_json("ladder", args.r0, ctx, "ladder", {
             "n": args.n,
             "gate_exp": trace.gate_exp,
-            "seed_g": trace.seed_g,
-            "seed_g25": trace.seed_g25,
+            "seed_kkprime": trace.seed_kkprime,
+            "seed_kkprime25": trace.seed_kkprime25,
             "certified": True,
             "levels": trace.steps,
         })
@@ -261,8 +261,8 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
             "command: ladder   r0 = %s   n = %d   precision_bits = %d"
             % (args.r0, args.n, ctx.precision_bits)
         )
-        print("seed g(r0)    = %s" % mp.nstr(trace.seed_g, args.digits))
-        print("seed g(r0/25) = %s" % mp.nstr(trace.seed_g25, args.digits))
+        print("seed k k'(r0)    = %s" % mp.nstr(trace.seed_kkprime, args.digits))
+        print("seed k k'(r0/25) = %s" % mp.nstr(trace.seed_kkprime25, args.digits))
         _render_trace_text(trace, args.digits)
         print(
             "all %d levels certified (relative gate 10^-%d)"
@@ -358,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="climb n certified rungs r0 -> 25^n r0")
     p_ladder.add_argument("--r0", type=_rational_arg, required=True, metavar="P/Q")
     p_ladder.add_argument("--n", type=_positive_int, required=True)
-    p_ladder.add_argument("--seed-g", type=_decimal_arg, metavar="DEC",
-                          help="override the solved class invariant g at r0")
-    p_ladder.add_argument("--seed-g25", type=_decimal_arg, metavar="DEC",
-                          help="override the solved class invariant g at r0/25")
+    p_ladder.add_argument("--seed-kkprime", type=_decimal_arg, metavar="DEC",
+                          help="override the solved product k k' at r0, in (0, 1/2]")
+    p_ladder.add_argument("--seed-kkprime25", type=_decimal_arg, metavar="DEC",
+                          help="override the solved product k k' at r0/25, in (0, 1/2]")
     p_ladder.add_argument("--csv", action="store_true",
                           help="emit levels as CSV (r,k,residual)")
 

@@ -395,8 +395,9 @@ def _root5_of(man: int, exp: int, bits: int, den: int = 1) -> Tuple[int, int]:
     return _root5((man << shift) // den), (exp - shift) // 5
 
 
-def _fifth_root_radical(av: mpf, frac: int) -> _Float:
-    """E = (h + sqrt(h^2 + 1))^(1/5) with h = (11 + a)/2 and a > -11, as a
+def _fifth_root_radical(sign: int, a: _Float, frac: int) -> _Float:
+    """E = (h + sqrt(h^2 + 1))^(1/5) with h = (11 + a)/2 and a > -11, for
+    a = (-1)^sign man 2^exp given as sign and the _Float (man, exp), as a
     _Float to within a few units of its mantissa's last bit, at least
     2^-frac.  E^5 - E^-5 = 11 + a, so E = exp(y/5) with y = arcsinh(h),
     and 1/E is the closed-form R.
@@ -409,8 +410,8 @@ def _fifth_root_radical(av: mpf, frac: int) -> _Float:
     than 2 frac bits under (2h)^2): E's root is then taken on about
     frac + 13 bits, and its exponent carries drop / 5, so a huge a costs
     no more than a = 2^64."""
-    sign, man, exp, bc = av._mpf_
-    drop = max(0, exp + bc - 64)
+    man, exp = a
+    drop = max(0, exp + man.bit_length() - 64)
     a_int = _fixed(man, exp, frac - drop)
     two_h = _fixed(11, 0, frac - drop) + (-a_int if sign else a_int)
     four = 4 << 2 * (frac - drop) if drop <= frac else 0
@@ -430,7 +431,8 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     if not av > -11:
         raise DomainError("closed_form_R requires a > -11, got %s" % av)
     frac = ctx.work_bits + _INT_BITS
-    return _rounded(ctx, *_quo((1, 0), _fifth_root_radical(av, frac), frac + 1))
+    sign, man, exp, _ = av._mpf_
+    return _rounded(ctx, *_quo((1, 0), _fifth_root_radical(sign, (man, exp), frac), frac + 1))
 
 
 def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -488,14 +490,22 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     a bounded width.  E >= 1, the quartic >= 11 and the denominator >= 11,
     so no sum cancels.  g = E |a| / quartic, g^5 and g^5 / den are _mul,
     _quo and _pow of mantissas with their own exponents, a's among them,
-    so a tiny or huge a keeps its relative precision too; the quotient is
-    rounded once to precision_bits.
+    so a tiny or huge a keeps its relative precision too; the quotient
+    (_descended) is rounded once to precision_bits.
     """
     av = to_big(a, ctx)
     if not av > -11:
         raise DomainError("descend_a requires a > -11, got %s" % av)
-    frac = ctx.work_bits + _INT_BITS
-    radical = _fifth_root_radical(av, frac)
+    sign, man, exp, _ = av._mpf_
+    quotient, q_exp = _descended(sign, (man, exp), ctx.work_bits + _INT_BITS)
+    return _rounded(ctx, -quotient if sign else quotient, q_exp)
+
+
+def _descended(sign: int, a: _Float, frac: int) -> _Float:
+    """|Q(a)| for a = (-1)^sign man 2^exp > -11 given as sign and the
+    _Float (man, exp): descend_a's body, unrounded, each mantissa cut to
+    `frac` bits; Q(a) has a's sign."""
+    radical = _fifth_root_radical(sign, a, frac)
     e = _truncated(*radical, frac)
     t = _plus(radical, _quo((1, 0), radical, frac), frac, -1)
     quartic = t
@@ -505,10 +515,8 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     den = e
     for coeff in (1, 2, 3, 5, -3, 2, -1, 1):
         den = _plus_times(den, coeff, e, frac)
-    sign, a_man, a_exp, _ = av._mpf_
-    g = _quo(_mul(e, (a_man, a_exp), frac), quartic, frac)  # E |a| / quartic
-    quotient, exp = _quo(_pow(g, 5, frac), den, frac)
-    return _rounded(ctx, -quotient if sign else quotient, exp)
+    g = _quo(_mul(e, a, frac), quartic, frac)  # E |a| / quartic
+    return _quo(_pow(g, 5, frac), den, frac)
 
 
 def _plus_times(y: _Float, coeff: int, x: _Float, bits: int) -> _Float:

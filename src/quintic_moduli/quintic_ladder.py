@@ -3,38 +3,48 @@
 Everything here revolves around three maps of one positive real variable:
 
     u_star(y)   X with X^2 = (sqrt(1 + 18 y^6 + y^12) - 1)/(2 y^2) + y^4/2,
-                i.e. X = y^2 sqrt(B) with B in [1, 5] formed on integers
-                from u = y^6 (or from y^-6 for y > 1)
+                i.e. X = y^2 sqrt(B(y^6)) with B in [1, 5] formed on
+                integers (_radicand_b) from t = y^6, or from 1/t for t >= 1
     u_map(x)    the positive Y solving
                    x^2/(sqrt5 Y) - sqrt5 Y/x^2 = (Y^3 - 1/Y^3)/sqrt5,
                 i.e. Y = sqrt(z) for the unique positive root z of the cubic
                    x^2 z^3 + 5 z^2 - x^4 z - x^2 = 0,
-                solved as z = x w with c w^3 + 5 w^2 - c w - 1 = 0,
-                c = x^3, whose root lies in (1/sqrt5, 1) for every x > 0,
-                by Newton on integers from a float seed, and gated on
-                that cubic's residual against its largest monomial,
-                evaluated on the integer mantissas of x and y
+                solved as z = x w with P(w) = c w^3 + 5 w^2 - c w - 1 = 0,
+                c = x^3, whose root lies in (1/sqrt5, 1) for every c > 0,
+                by Newton on integers from a float seed, and gated on P's
+                residual against its largest monomial (_cubic_root)
     p_map(x)    u_map( descend_a( u_star(x)^6 ) ^ (1/6) )
 
-p_map carries the class invariant g(r) = (2 k_r k'_r)^(-1/12) one rung up
-the ladder (Theorem 3.3):
+One rung core, _rung, gives p_map in sixth powers and takes no root but
+square roots and descend_a's fifth roots: from t = x^6, u_star(x)^6 =
+t^2 B(t)^3, A is descend_a of that, c = sqrt(A) is the c of u_map at
+A^(1/6), and p_map(x)^6 = c w^3 for the root w of P.  p_map is the core
+and one sixth root; u_map is the core's Newton and gate at c = x^3.
+
+The ladder carries the product s(r) = k_r k'_r = 1/(2 g(r)^12) of the
+class invariant g(r) = (2 k_r k'_r)^(-1/12), where Theorem 3.3,
 
     g(25 r) = g(r) / p_map( g(r/25)/g(r) ),
 
-so each rung's p_map value is the ratio fed to the next.  From
-k k' = 1/(2 g^12) the stable quadratic branch
-k^2 = 2 (k k')^2 / (1 + sqrt(1 - 4 (k k')^2)) gives the smaller modulus:
-k above r = 1, and k' below it, where k is its complement; at r = 1,
-where the branch has a double root, k = k' = sqrt(k k').  Near r = 1 the
-branch amplifies the rounding of k k' by 1/|1 - 2k^2|, and a radicand
-1 - 4 (k k')^2 that rounds below zero is taken as zero.  Each rung is
-certified, relative to its size, against a fresh independent solve of
-the K-ratio equation; nothing is trusted on the radicals' say-so alone.
+reads in sixth powers: with t = (g(r/25)/g(r))^6 = sqrt(s(r)/s(r/25)),
 
-u_star and u_map's Newton carry bigmath_kernel._INT_BITS fractional bits
-beyond work_bits, and u_star switches no working precision.  ladder climbs
-from r0 alone: it checks the start and solves the two seeds, g at r0 and
-at r0/25, unless a caller passes either g in.
+    s(25 r) = s(r) (p^6)^2,      p^6 = p_map(t^(1/6))^6 = _rung(t),
+
+and each rung's p^6 is the next rung's t, so no rung and no seed takes a
+root.  From s the stable quadratic branch
+k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)) gives the smaller modulus: k above
+r = 1, and k' below it, where k is its complement; at r = 1, where the
+branch has a double root, k = k' = sqrt(s).  Near r = 1 the branch
+amplifies the rounding of s by 1/|1 - 2k^2|, and a radicand 1 - 4 s^2
+that rounds below zero is taken as zero.  Each rung is certified,
+relative to its size, against a fresh independent solve of the K-ratio
+equation; nothing is trusted on the radicals' say-so alone.
+
+The rung, the branch and u_star work on integer mantissas with
+bigmath_kernel._INT_BITS fractional bits beyond work_bits, and switch no
+working precision.  ladder climbs from r0 alone: it checks the start and
+solves the two seeds, k k' at r0 and at r0/25, unless a caller passes
+either in.
 """
 
 from __future__ import annotations
@@ -45,7 +55,16 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import mpf_div, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_abs,
+    mpf_div,
+    mpf_mul,
+    mpf_nthroot,
+    mpf_sub,
+    round_nearest,
+)
 
 from .bigmath_kernel import (
     CertificationError,
@@ -53,25 +72,29 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
+    _Float,
     _GATE_INT_BITS,
     _INT_BITS,
     _MAX_ITER,
     _ONE,
-    _complement_raw,
     _fixed,
     _floats,
     _memoised,
     _mul,
+    _pow,
+    _quo,
+    _root,
     _round_to,
     _rounded,
     _solved,
     _sqrt,
+    _sqrt_raw,
     _term_sum,
     _validate_rational,
     solve_singular_modulus,
     to_big,
 )
-from .modular_core import descend_a
+from .modular_core import _descended
 
 __all__ = [
     "BranchError",
@@ -91,9 +114,12 @@ __all__ = [
 #: gives up against the single-solve tolerance; see ladder
 GATE_SLACK_DIGITS = 20
 
+#: 10^GATE_SLACK_DIGITS as a raw mpf, the factor of the ladder's gate scale
+_SLACK = from_int(10 ** GATE_SLACK_DIGITS)
+
 
 class BranchError(RuntimeError):
-    """u_map's root failed its defining relation."""
+    """The root of u_map's cubic failed its defining relation."""
 
 
 @dataclass(frozen=True)
@@ -103,18 +129,18 @@ class LadderStep:
 
     level: int
     r: Fraction
-    x: mpf                # g(r_(j-1)/25) / g(r_(j-1)), fed to p_map
-    p_value: mpf          # p_map(x), the next level's x
-    kkprime: mpf          # k_(r_j) k'_(r_j) = 1/(2 g(r_j)^12) from the ascent
+    x6: mpf               # (g(r_(j-1)/25) / g(r_(j-1)))^6, the rung's t
+    p6: mpf               # p_map(x)^6 = _rung(t), the next level's x6
+    kkprime: mpf          # s = k_(r_j) k'_(r_j) = s(r_(j-1)) p6^2 from the ascent
     k: mpf                # recovered modulus
     oracle_residual: mpf  # |k - independent solve at r_j| (absolute)
 
 
 @dataclass(frozen=True)
 class LadderTrace:
-    gate_exp: int  # each rung's k certifies to a relative 10^-gate_exp
-    seed_g: mpf    # the seed g at r0 the climb used, given or solved
-    seed_g25: mpf  # the seed g at r0/25
+    gate_exp: int          # each rung's k certifies to a relative 10^-gate_exp
+    seed_kkprime: mpf      # the seed k k' at r0 the climb used, given or solved
+    seed_kkprime25: mpf    # the seed k k' at r0/25
     steps: Tuple[LadderStep, ...]
 
 
@@ -158,16 +184,16 @@ def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEX
         return _round_to(ctx, abs(_u_relation(xv, yv)[0]))
 
 
-#: bits of the cubic's root that u_map's float seed is trusted to; the
-#: first Newton level asks for no more than about twice that
+#: bits of the cubic's root that the float seed is trusted to; the first
+#: Newton level asks for no more than about twice that
 _SEED_BITS = 48
 
 
 def _float_seed(c: float) -> float:
     """The root of P(w) = c w^3 + 5 w^2 - c w - 1 in (1/sqrt5, 1) by Newton
     in floats from w = 1, where P = 4, until rounding ends the descent: a
-    few ulps from the root.  c is x^3 as a float: 0 where that underflows,
-    and clamped to 1e300, past which the root rounds to 1."""
+    few ulps from the root.  c is 0 where it underflows a float, and
+    clamped to 1e300, past which the root rounds to 1."""
     c = min(c, 1e300)
     w = 1.0
     for _ in range(_MAX_ITER):
@@ -204,6 +230,59 @@ def _doubling_precisions(bits: int) -> List[int]:
     return precs[::-1]
 
 
+def _cubic_root(c: _Float, frac: int, ctx: PrecisionContext) -> int:
+    """The root w of P(w) = c w^3 + 5 w^2 - c w - 1 in (1/sqrt5, 1) for
+    c > 0, as an integer with `frac` fractional bits, gated.
+
+    P(1/sqrt5) = -4c/(5 sqrt5) < 0 < P(1) = 4, so the root lies in
+    (1/sqrt5, 1) for every c > 0.  The start is a float Newton solve
+    (_float_seed), trusted to 48 bits.  Newton then runs on integers, on c
+    truncated to `frac` fractional bits (the cap of _newton_int, read from
+    c's exponent, where c would pass it): one step per level of
+    _doubling_precisions, each level solving for half the next one's bits
+    plus 8, up to `frac`.  Nothing in the schedule is trusted: P at w must
+    certify against its largest monomial (PrecisionContext.certifies), the
+    four monomials formed on mantissas and summed by _term_sum; otherwise
+    a BranchError is raised carrying all three roots of P."""
+    man, exp = c
+    cap = 2 * frac + 8
+    top = exp + man.bit_length()  # 2^(top - 1) <= c < 2^top
+    ci = _fixed(man, exp, frac) if top - 1 + frac < cap else 1 << cap
+    cut = max(man.bit_length() - 53, 0)  # c as a float, inf past its range
+    cf = math.ldexp(man >> cut, exp + cut) if top < 1000 else math.inf
+    w = _fixed(int(math.ldexp(_float_seed(cf), 64)), -64, frac)
+    for bits in _doubling_precisions(frac):
+        drop = frac - bits
+        w = _newton_int(w >> drop, ci >> drop, bits) << drop
+
+    bits = ctx.work_bits + _GATE_INT_BITS
+    wf = (w, -frac)
+    w2, cw = _mul(wf, wf, bits), _mul(c, wf, bits)
+    res, scale = _term_sum(((1, *_mul(cw, w2, bits)), (5, *w2), (-1, *cw), (-1, 1, 0)), bits)
+    if not ctx.certifies(res, scale):
+        raise _branch_error(c, wf, res / scale)
+    return w
+
+
+def _branch_error(c: _Float, w: _Float, relative: mpf) -> BranchError:
+    """The BranchError for a root w of P that failed its gate, naming the
+    two companion roots: w2 w3 = 1/(c w) and w2 + w3 = -5/c - w."""
+    cv, wv = (mp.make_mpf(from_man_exp(*v)) for v in (c, w))
+    s, prod = -5 / cv - wv, 1 / (cv * wv)
+    disc = s * s - 4 * prod
+    others = (
+        [(s + _sqrt(disc)) / 2, (s - _sqrt(disc)) / 2]
+        if disc >= 0
+        else [mpc(s / 2, _sqrt(-disc) / 2), mpc(s / 2, -_sqrt(-disc) / 2)]
+    )
+    return BranchError(
+        "c w^3 + 5 w^2 - c w - 1 at c = %s: positive root %s fails the defining "
+        "relation (relative residual %s); companion roots %s"
+        % (mp.nstr(cv, 12), mp.nstr(wv, 12), mp.nstr(relative, 6),
+           [mp.nstr(o, 8) for o in others])
+    )
+
+
 def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The positive branch Y(x) of the two-variable quintic relation.
 
@@ -214,61 +293,44 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     whose roots multiply to +1 and sum to -5/x^2, so exactly one is
     positive.  It is solved in the scaled variable w = z/x, where it reads
 
-        P(w) = c w^3 + 5 w^2 - c w - 1 = 0,      c = x^3.
+        P(w) = c w^3 + 5 w^2 - c w - 1 = 0,      c = x^3,
 
-    P(1/sqrt5) = -4c/(5 sqrt5) < 0 < P(1) = 4, so the root lies in
-    (1/sqrt5, 1) for every x > 0.  The start is a float Newton solve
-    (_float_seed), trusted to 48 bits.  Newton then runs on integers, on
-    c = x^3 truncated to work_bits + 32 fractional bits: one step per
-    level of _doubling_precisions, each level solving for half the next
-    one's bits plus 8, up to those work_bits + 32.  Y = sqrt(x w).  Nothing
-    in the schedule is trusted: the defining relation at the returned Y
-    must certify (PrecisionContext.certifies):
-    its residual against its largest term, judged as the cleared cubic
-    x^4 z - 5 z^2 - x^2 z^3 + x^2 at z = Y^2 against its largest monomial
-    (the relation times sqrt5 x^2 Y^3 > 0, so the same ratio), on
-    integers (_cleared_relation).  Otherwise a BranchError is raised
-    carrying all three candidate roots.
+    the cleared cubic divided by -x^2 < 0, so the same relation.  w is
+    _cubic_root at c = x^3, exact from x's mantissa: Newton on integers
+    from a float seed, gated on P against its largest monomial, raising
+    BranchError where the gate fails.  Y = sqrt(x w) at work_bits, rounded
+    to precision_bits.
     """
     with workprec(ctx.work_bits):
         xv = to_big(x, ctx)
         if xv <= 0:
             raise DomainError("u_map requires x > 0, got %s" % xv)
-
         frac = ctx.work_bits + _INT_BITS
-        _, man, exp, bc = xv._mpf_  # x = man 2^exp, so c 2^frac is exact
-        # x^3 >= 2^(3 (exp + bc - 1)): at or past _newton_int's cap, c is the cap
-        cap = 2 * frac + 8
-        c = _fixed(man ** 3, 3 * exp, frac) if 3 * (exp + bc - 1) + frac < cap else 1 << cap
-        xf = float(xv)
-        w = _fixed(*mpf(_float_seed(xf * xf * xf)).man_exp, frac)
-        for bits in _doubling_precisions(frac):
-            drop = frac - bits
-            w = _newton_int(w >> drop, c >> drop, bits) << drop
+        _, man, exp, _ = xv._mpf_
+        w = _cubic_root((man * man * man, 3 * exp), frac, ctx)
+        return _round_to(ctx, _sqrt(xv * mpf((w, -frac))))
 
-        z = xv * mpf((w, -frac))
-        y = _sqrt(z)
-        res, scale = _cleared_relation(xv, y, ctx.work_bits + _GATE_INT_BITS)
-        if not ctx.certifies(res, scale):
-            # deflate to exhibit the companions: z2 z3 = 1/z, z2 + z3 = -5/x^2 - z
-            s, prod = -5 / xv ** 2 - z, 1 / z
-            disc = s ** 2 - 4 * prod
-            others = (
-                [(s + _sqrt(disc)) / 2, (s - _sqrt(disc)) / 2]
-                if disc >= 0
-                else [mpc(s / 2, _sqrt(-disc) / 2), mpc(s / 2, -_sqrt(-disc) / 2)]
-            )
-            raise BranchError(
-                "u_map(%s): positive root %s fails the defining relation "
-                "(relative residual %s); companion roots %s"
-                % (
-                    mp.nstr(xv, 12),
-                    mp.nstr(z, 12),
-                    mp.nstr(abs(res) / scale, 6),
-                    [mp.nstr(o, 8) for o in others],
-                )
-            )
-        return _round_to(ctx, y)
+
+def _radicand_b(t: _Float, frac: int) -> int:
+    """B(t) 2^frac for t > 0, truncated, where u_star(y) = y^2 sqrt(B(y^6)):
+
+        B = (18 + t) / (2 (sqrt(1 + 18t + t^2) + 1)) + 1/2,
+
+    or for t >= 1, with v = 1/t, B = (18v + 1) / (2 (sqrt(v^2 + 18v + 1)
+    + v)) + 1/2, the subtraction in sqrt(1 + 18t + t^2) - 1 rationalized
+    either way.  B lies in [1, 5], so t or v is taken to `frac` fractional
+    bits and B formed on integers there; a t or v below 2^-frac is 0."""
+    man, exp = t
+    one = 1 << frac
+    if man.bit_length() + exp <= 0:  # t < 1
+        u = _fixed(man, exp, frac)
+        rad = one + 18 * u + (u * u >> frac)
+        b = ((18 * one + u) << frac) // (2 * (math.isqrt(rad << frac) + one))
+    else:
+        v = _fixed(1, frac - exp, 0) // man
+        rad = (v * v >> frac) + 18 * v + one
+        b = ((18 * v + one) << frac) // (2 * (math.isqrt(rad << frac) + v))
+    return b + (one >> 1)
 
 
 def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -277,45 +339,51 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         X^2 = (sqrt(1 + 18 y^6 + y^12) - 1) / (2 y^2) + y^4 / 2.
 
     The subtraction is rationalized, so tiny y loses nothing to
-    cancellation: X = y^2 sqrt(B) with u = y^6 and
-
-        B = (18 + u) / (2 (sqrt(1 + 18u + u^2) + 1)) + 1/2,
-
-    or for y > 1, with v = y^-6, B = (18v + 1) / (2 (sqrt(v^2 + 18v + 1)
-    + v)) + 1/2.  B lies in [1, 5], so it is formed on integers with
-    work_bits + 32 fractional bits, each power of y truncated there; y^2
-    is exact from y's mantissa, and X is rounded once.
+    cancellation: X = y^2 sqrt(B) with B = _radicand_b(y^6), formed on
+    integers with work_bits + 32 fractional bits from y^6, which is exact
+    from y's mantissa, as is y^2; X is rounded once.
     """
     yv = to_big(y, ctx)
     if yv <= 0:
         raise DomainError("u_star requires y > 0, got %s" % yv)
     frac = ctx.work_bits + _INT_BITS
-    one = 1 << frac
     _, man, exp, _ = yv._mpf_
     y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
-    if yv <= 1:
-        y2 = _fixed(y2_man, y2_exp, frac)
-        u = (y2 * y2 >> frac) * y2 >> frac
-        rad = one + 18 * u + (u * u >> frac)
-        b = ((18 * one + u) << frac) // (2 * (math.isqrt(rad << frac) + one))
-    else:
-        shift = frac - y2_exp
-        inv2 = (1 << shift) // y2_man if shift >= 0 else 0
-        v = (inv2 * inv2 >> frac) * inv2 >> frac
-        rad = (v * v >> frac) + 18 * v + one
-        b = ((18 * v + one) << frac) // (2 * (math.isqrt(rad << frac) + v))
-    root_b = math.isqrt(b + (one >> 1) << frac)
-    return _rounded(ctx, y2_man * root_b, y2_exp - frac)
+    b = _radicand_b((y2_man * y2_man * y2_man, 3 * y2_exp), frac)
+    return _rounded(ctx, y2_man * math.isqrt(b << frac), y2_exp - frac)
+
+
+def _rung(t: _Float, ctx: PrecisionContext) -> _Float:
+    """p_map(x)^6 from t = x^6 > 0, with no root but square roots and
+    descend_a's fifth roots, each mantissa cut to work_bits + 32 bits.
+
+    u_star(x)^6 = t^2 B(t)^3 (_radicand_b), A = descend_a of that,
+    unrounded (modular_core._descended), and c = sqrt(A) is the c = X^3
+    of u_map at X = A^(1/6); with w = _cubic_root(c), which raises
+    BranchError where P(w) fails its gate, u_map(X) = sqrt(X w), so
+    p_map(x)^6 = X^3 w^3 = c w^3."""
+    frac = ctx.work_bits + _INT_BITS
+    b = (_radicand_b(t, frac), -frac)
+    a = _mul(_mul(t, t, frac), _pow(b, 3, frac), frac)
+    c = _root(_descended(0, a, frac), frac)
+    w = (_cubic_root(c, frac, ctx), -frac)
+    return _mul(c, _pow(w, 3, frac), frac)
 
 
 def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """One rung of the ascent: u_map(descend_a(u_star(x)^6)^(1/6)).
 
     The inner sixth power is an a-value, the descent lowers its level by 25,
-    and u_map converts the descended value back to a twelfth-root ratio."""
-    with workprec(ctx.work_bits):
-        xs = u_star(x, ctx)
-        return u_map(mp.root(descend_a(xs ** 6, ctx), 6), ctx)
+    and u_map converts the descended value back to a twelfth-root ratio.
+    It is the sixth root of _rung(x^6), x^6 exact from x's mantissa,
+    rounded once to precision_bits."""
+    xv = to_big(x, ctx)
+    if xv <= 0:
+        raise DomainError("p_map requires x > 0, got %s" % xv)
+    _, man, exp, _ = xv._mpf_
+    man3 = man * man * man
+    p6 = _rung((man3 * man3, 6 * exp), ctx)
+    return mp.make_mpf(mpf_nthroot(from_man_exp(*p6), 6, ctx.precision_bits, round_nearest))
 
 
 def g_invariant(
@@ -334,12 +402,55 @@ def _g_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return _memoised("g", g_invariant, r_num, r_den, ctx)
 
 
-def _k_branch(pv: mpf) -> mpf:
-    """The smaller of k and k' from p = k k' > 0 on the cancellation-free
-    branch k^2 = 2p^2/(1 + sqrt(1 - 4p^2)), at the ambient precision; a
-    radicand below zero, p > 1/2, is taken as zero."""
-    rad = 1 - 4 * pv ** 2
-    return _sqrt(2 * pv ** 2 / (1 + (_sqrt(rad) if rad > 0 else 0)))
+def _kkprime(r: Fraction, ctx: PrecisionContext) -> mpf:
+    """k k' from the certified solve at max(r, 1/r), as one product of the
+    two mantissas rounded once to precision_bits: k k' is the same at r and
+    1/r, so no nome below r = 1 is taken."""
+    r = max(r, 1 / r)
+    rec = _solved(r.numerator, r.denominator, ctx)
+    (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
+    return _rounded(ctx, k_man * c_man, k_exp + c_exp)
+
+
+def _k_of(s: _Float, r: Fraction, ctx: PrecisionContext) -> mpf:
+    """k at r from s = k k' on integers, rounded once to precision_bits.
+
+    k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)) is the smaller of k^2 and k'^2,
+    with 1 - 4 s^2 in fixed point, taken as zero where it rounds below
+    zero or s^2 >= 1/4 (a bad seed can make s huge).  Above r = 1 it is
+    k^2; below, it is k'^2, capped at 1, and k^2 = 1 - k'^2 is exact on
+    its mantissa, or rounds to 1 where k'^2 lies under
+    2^-(precision_bits + 2) (as bigmath_kernel._complement_raw); at r = 1,
+    k^2 = s."""
+    frac = ctx.work_bits + _INT_BITS
+    prec = ctx.precision_bits
+    if r == 1:
+        k2 = s
+    else:
+        one = 1 << frac
+        man, exp = _mul(s, s, frac)
+        # 4 s^2 >= 1 from s^2 >= 2^-2 on, so a huge s is never put in fixed point
+        rad = max(one - _fixed(man, exp + 2, frac), 0) if exp + man.bit_length() <= -2 else 0
+        k2 = _quo((man, exp + 1), (one + math.isqrt(rad << frac), -frac), frac)
+        if r < 1:
+            man, exp = k2
+            if exp + man.bit_length() <= -(prec + 2):
+                return _ONE
+            k2 = (max((1 << -exp) - man, 0), exp) if exp < 0 else (0, 0)
+    return mp.make_mpf(_sqrt_raw(*k2, prec))
+
+
+def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> str:
+    """The message of a rung whose k missed the oracle's k."""
+    with workprec(ctx.work_bits):
+        return (
+            "ladder level %d (r = %s) missed the oracle by %s "
+            "(relative %s; relative gate 10^-%d; k from k k' "
+            "amplifies errors by 1/|1 - 2k^2| = %s)"
+            % (step.level, step.r, mp.nstr(step.oracle_residual, 8),
+               mp.nstr(step.oracle_residual / k, 8), gate_exp,
+               mp.nstr(1 / abs(1 - 2 * k * k), 3))
+        )
 
 
 def ladder(
@@ -348,27 +459,28 @@ def ladder(
     n: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     *,
-    g_r0: Optional[Real] = None,
-    g_r0_over25: Optional[Real] = None,
+    kkprime_r0: Optional[Real] = None,
+    kkprime_r0_over25: Optional[Real] = None,
 ) -> LadderTrace:
     """Climb n rungs from r0: certified k at 25 r0, 625 r0, ..., 25^n r0.
 
-    The climb carries g (see the module docstring): from x_1 =
-    g(r0/25)/g(r0), rung j takes p_j = p_map(x_j), g_j = g_(j-1)/p_j and
-    x_(j+1) = p_j, so no rung takes a root, and any r0 climbs.
+    The climb carries s = k k' (see the module docstring): from
+    t_1 = sqrt(s(r0)/s(r0/25)), rung j takes p_j^6 = _rung(t_j),
+    s_j = s_(j-1) (p_j^6)^2 and t_(j+1) = p_j^6, each a mantissa of
+    work_bits + 32 bits, so no rung takes a root, and any r0 climbs.  Each
+    level's k comes from s_j by the quadratic branch on integers (_k_of).
 
     The checks come first: r0, n and tol_exp, then any seed given; each
     missing seed is solved only after them, so a bad seed costs no solve.
     No point is checked ahead: a seed or rung past the solver's bound
     raises that solve's DomainError, so a climb with any n stops at its
     first rung past bigmath_kernel._R_MAX.
-    The seeds are g at r0 and at r0/25: a given one must lie in [1, inf)
-    (else DomainError), and a missing one is g_invariant at max(r, 1/r),
-    since g(1/r) = g(r), so no nome below r = 1 is taken.  A given seed is
-    rounded to precision_bits where it is read, as a solved one is, and the
-    trace echoes the seeds the climb starts from, so a replay from the echo
-    is exact; k k' = 1/(2 g^12) carries that rounding twelvefold.  A
-    context with tol_exp <= GATE_SLACK_DIGITS is refused (DomainError): its
+    The seeds are k k' at r0 and at r0/25: a given one must lie in
+    (0, 1/2] (else DomainError), and a missing one is the solve's k k' at
+    max(r, 1/r) (_kkprime).  A given seed is rounded to precision_bits
+    where it is read, as a solved one is, and the trace echoes the seeds
+    the climb starts from, so a replay from the echo is exact.  A context
+    with tol_exp <= GATE_SLACK_DIGITS is refused (DomainError): its
     relative gate would be 10^0 or looser and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
@@ -381,7 +493,7 @@ def ladder(
     checking anything within a few rungs; the 20 digits of slack reflect
     that the certified quantity degrades by a bounded factor per rung while
     tol_exp is calibrated for single solves.  oracle_residual stays
-    absolute.
+    absolute.  A rung whose cubic root fails its gate raises BranchError.
 
     At a level just off r = 1, where k k' is within rounding of 1/2, a
     radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, and
@@ -400,60 +512,53 @@ def ladder(
             % (GATE_SLACK_DIGITS + 1, ctx.tol_exp, GATE_SLACK_DIGITS)
         )
     fr0 = Fraction(r0_num, r0_den)
-    with workprec(ctx.work_bits):
-        seeds = {}
-        # the given seeds are checked before a missing one is solved
-        for name, g, r in sorted(
-            (("g_r0", g_r0, fr0), ("g_r0_over25", g_r0_over25, fr0 / 25)),
-            key=lambda seed: seed[1] is None,
-        ):
-            if g is None:
-                r = max(r, 1 / r)
-                seeds[name] = g_invariant(r.numerator, r.denominator, ctx)
-                continue
-            v = to_big(g, ctx)
-            if not 1 <= v < mp.inf:
-                raise DomainError("%s must lie in [1, inf), got %s" % (name, mp.nstr(v, 12)))
-            seeds[name] = _round_to(ctx, v)
-        seed_g, seed_g25 = seeds["g_r0"], seeds["g_r0_over25"]
+    seeds = {}
+    # the given seeds are checked before a missing one is solved
+    for name, seed, r in sorted(
+        (("kkprime_r0", kkprime_r0, fr0), ("kkprime_r0_over25", kkprime_r0_over25, fr0 / 25)),
+        key=lambda seed: seed[1] is None,
+    ):
+        if seed is None:
+            seeds[name] = _kkprime(r, ctx)
+            continue
+        v = to_big(seed, ctx)
+        if not 0 < v <= 0.5:
+            raise DomainError("%s must lie in (0, 1/2], got %s" % (name, mp.nstr(v, 12)))
+        seeds[name] = _round_to(ctx, v)
+    seed_s, seed_s25 = seeds["kkprime_r0"], seeds["kkprime_r0_over25"]
 
-        steps: List[LadderStep] = []
-        g, x = seed_g, seed_g25 / seed_g
-        for j in range(1, n + 1):
-            rj = fr0 * 25 ** j
-            pv = p_map(x, ctx)
-            g /= pv
-            kk = 1 / (2 * g ** 12)
-            if rj == 1:
-                k_j = _round_to(ctx, _sqrt(kk))
-            elif rj > 1:
-                k_j = _round_to(ctx, _k_branch(kk))
-            else:
-                k_j = _complement_raw(min(_k_branch(kk), _ONE), ctx.precision_bits)
+    frac = ctx.work_bits + _INT_BITS
+    s, s25 = _floats(seed_s, seed_s25)
+    t = _root(_quo(s, s25, frac), frac)
+    steps: List[LadderStep] = []
+    rj = fr0
+    for j in range(1, n + 1):
+        rj *= 25
+        p6 = _rung(t, ctx)
+        s = _mul(s, _mul(p6, p6, frac), frac)
+        k_j = _k_of(s, rj, ctx)
 
-            oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
-            resid = abs(k_j - oracle.k)
-            step = LadderStep(
-                level=j,
-                r=rj,
-                x=_round_to(ctx, x),
-                p_value=pv,
-                kkprime=_round_to(ctx, kk),
-                k=k_j,
-                oracle_residual=_round_to(ctx, resid),
+        oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
+        resid = mp.make_mpf(
+            mpf_abs(mpf_sub(k_j._mpf_, oracle.k._mpf_, ctx.work_bits, round_nearest))
+        )
+        step = LadderStep(
+            level=j,
+            r=rj,
+            x6=_rounded(ctx, *t),
+            p6=_rounded(ctx, *p6),
+            kkprime=_rounded(ctx, *s),
+            k=k_j,
+            oracle_residual=_round_to(ctx, resid),
+        )
+        steps.append(step)
+        if not ctx.certifies(resid, mp.make_mpf(mpf_mul(oracle.k._mpf_, _SLACK))):
+            raise CertificationError(
+                _missed(step, oracle.k, gate_exp, ctx),
+                payload=LadderTrace(gate_exp, seed_s, seed_s25, tuple(steps)),
             )
-            steps.append(step)
-            if not ctx.certifies(resid, oracle.k * 10 ** GATE_SLACK_DIGITS):
-                raise CertificationError(
-                    "ladder level %d (r = %s) missed the oracle by %s "
-                    "(relative %s; relative gate 10^-%d; k from k k' "
-                    "amplifies errors by 1/|1 - 2k^2| = %s)"
-                    % (j, rj, mp.nstr(resid, 8), mp.nstr(resid / oracle.k, 8), gate_exp,
-                       mp.nstr(1 / abs(1 - 2 * oracle.k ** 2), 3)),
-                    payload=LadderTrace(gate_exp, seed_g, seed_g25, tuple(steps)),
-                )
-            x = pv
-        return LadderTrace(gate_exp, seed_g, seed_g25, tuple(steps))
+        t = p6
+    return LadderTrace(gate_exp, seed_s, seed_s25, tuple(steps))
 
 
 def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
@@ -467,10 +572,10 @@ def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
       k_625:  sqrt(1/2 - sqrt(1 - (P'/(161 + 72 sqrt5))^2)/2),
               P' = p_map(161 - 72 sqrt5)
 
-    The certified ascent feeds p_map the invariant ratio
-    x = g(r0/25)/g(r0) and takes g(25 r0) = g(r0)/p_map(x) and
-    k k' = 1/(2 g(25 r0)^12).  The face-value forms feed it x^12 (the same
-    as x = 1 for k_125) and skip the twelfth power of p.  A form
+    The certified ascent (ladder) feeds its rung x^6 for the invariant
+    ratio x = g(r0/25)/g(r0) and takes k k' at 25 r0 as k k' at r0 times
+    p_map(x)^12.  The face-value forms feed p_map x^12 (the same as x = 1
+    for k_125) and skip the twelfth power of p.  A form
     holds when its difference certifies against the oracle k.  Both
     shorthands miss their oracles and are recorded as failing, with the
     measured differences; the canonical ascents certify to full tolerance.

@@ -326,13 +326,14 @@ def power_identities_mpf(k, k25, kp, kp25, K, K25, q, a, f, f2, g, bits):
         )
 
 
-def fifth_root_radical_uncut(av, frac):
+def fifth_root_radical_uncut(sign, a, frac):
     """modular_core._fifth_root_radical as it was before it cut a huge 2h:
-    E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2, as the _Float
-    (E 2^frac, -frac), with every integer bit of a carried."""
+    E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2 for a = (-1)^sign man
+    2^exp given as sign and (man, exp), as the _Float (E 2^frac, -frac),
+    with every integer bit of a carried."""
     from quintic_moduli.modular_core import _root5
 
-    sign, man, exp, _ = av._mpf_
+    man, exp = a
     shift = exp + frac
     a_int = man << shift if shift >= 0 else man >> -shift
     two_h = (11 << frac) + (-a_int if sign else a_int)

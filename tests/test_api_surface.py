@@ -487,38 +487,73 @@ def test_traced_q_series_functions_keep_their_names_and_signatures(module, name,
 
 def test_traced_ladder_keeps_its_name_and_signature():
     # the benchmark traces quintic_ladder.ladder by name; the seeds are
-    # keyword-only overrides of the g values ladder solves itself
+    # keyword-only overrides of the products k k' ladder solves itself
     from quintic_moduli import quintic_ladder
 
     assert quintic_moduli.ladder is quintic_ladder.ladder
     params = inspect.signature(quintic_ladder.ladder).parameters
-    assert list(params) == ["r0_num", "r0_den", "n", "ctx", "g_r0", "g_r0_over25"]
-    assert [params[p].kind for p in ("g_r0", "g_r0_over25")] == [inspect.Parameter.KEYWORD_ONLY] * 2
-    assert params["g_r0"].default is params["g_r0_over25"].default is None
+    assert list(params) == ["r0_num", "r0_den", "n", "ctx", "kkprime_r0", "kkprime_r0_over25"]
+    seeds = ("kkprime_r0", "kkprime_r0_over25")
+    assert [params[p].kind for p in seeds] == [inspect.Parameter.KEYWORD_ONLY] * 2
+    assert params["kkprime_r0"].default is params["kkprime_r0_over25"].default is None
+
+
+def _functions(module: str) -> dict:
+    """The module-level functions of a library module, by name."""
+    return {
+        node.name: node
+        for node in _tree("quintic_moduli." + module).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _called_names(fn: ast.FunctionDef) -> set:
+    return {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
 
 
 def test_ladder_takes_no_root_and_no_seed_complement():
-    # a rung's x is the last rung's p, so ladder takes no mp.root; its one
-    # complement is of a rung's small root (_k_branch, capped at 1), never
-    # of a seed
-    (fn,) = [
-        node
-        for node in _tree("quintic_moduli.quintic_ladder").body
-        if isinstance(node, ast.FunctionDef) and node.name == "ladder"
-    ]
-    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
-    roots = [c.lineno for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "root"]
-    assert not roots, "ladder calls mp.root at lines %s" % roots
-    for c in calls:
-        if isinstance(c.func, ast.Name) and c.func.id == "_complement_raw":
-            arg = c.args[0]
-            branch = [
-                n for n in ast.walk(arg)
-                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_k_branch"
-            ]
-            assert branch, (
-                "ladder takes _complement_raw of %s at line %d" % (ast.unparse(arg), c.lineno)
-            )
+    # the climb carries k k' and sixth powers: ladder and every helper it
+    # reaches in quintic_ladder (its rung, the rung's B and cubic root, the
+    # branch to k, the seeds) take no mp.root, raise nothing to a power
+    # with **, switch no working precision and take no complement; the
+    # messages of a failed rung are off the climb
+    fns = _functions("quintic_ladder")
+    off_climb = {"_missed", "_branch_error"}
+    reached, todo = set(), ["ladder"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted((_called_names(fns[name]) & set(fns)) - reached - off_climb)
+    assert {"_rung", "_radicand_b", "_cubic_root", "_newton_int", "_k_of", "_kkprime"} <= reached
+    for name in sorted(reached):
+        for node in ast.walk(fns[name]):
+            where = "%s line %d" % (name, getattr(node, "lineno", 0))
+            assert not (isinstance(node, ast.Attribute) and node.attr == "root"), where
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)), where
+            assert not (isinstance(node, ast.Name) and node.id in (
+                "workprec", "_complement_raw", "g_invariant", "_g_at", "_k_branch")), where
+
+
+def test_public_maps_share_the_rung_core():
+    # one spelling of the cubic's Newton and gate, and of B: p_map is the
+    # rung core and a sixth root, u_map the core's cubic root, u_star the
+    # core's B; nothing else in the module calls the Newton step or seeds it
+    fns = _functions("quintic_ladder")
+    calls = {name: _called_names(fn) for name, fn in fns.items()}
+    assert "_rung" in calls["p_map"] and "_rung" in calls["ladder"]
+    assert {"_radicand_b", "_cubic_root", "_descended"} <= calls["_rung"]
+    assert "_cubic_root" in calls["u_map"]
+    assert "_radicand_b" in calls["u_star"]
+    for helper in ("_newton_int", "_float_seed", "_doubling_precisions"):
+        assert [name for name, c in calls.items() if helper in c] == ["_cubic_root"], helper
+    for helper in ("_rung", "_cubic_root", "_radicand_b"):
+        users = sorted(name for name, c in calls.items() if helper in c)
+        assert users == {"_rung": ["ladder", "p_map"], "_cubic_root": ["_rung", "u_map"],
+                         "_radicand_b": ["_rung", "u_star"]}[helper], (helper, users)
 
 
 @pytest.mark.parametrize("name", [n for n in _MODULES if n.count(".") and not n.endswith(".cli")])

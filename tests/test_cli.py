@@ -90,24 +90,27 @@ class TestUsageErrors:
         assert calls == []
         return err
 
-    def test_bad_seed_solves_nothing(self, capsys, monkeypatch):
-        err = self._refused_without_a_solve(
-            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-g", "0.5"
-        )
-        assert err == "usage error: g_r0 must lie in [1, inf), got 0.5\n"
+    @pytest.mark.parametrize("flag, name", [("--seed-kkprime", "kkprime_r0"),
+                                            ("--seed-kkprime25", "kkprime_r0_over25")])
+    @pytest.mark.parametrize("seed", ["0.6", "0.0", "-0.25"])
+    def test_bad_seed_solves_nothing(self, capsys, monkeypatch, flag, name, seed):
+        # k k' lies in (0, 1/2], its value at r = 1
+        err = self._refused_without_a_solve(capsys, monkeypatch, "--r0", "5", "--n", "1",
+                                            flag, seed)
+        assert err == "usage error: %s must lie in (0, 1/2], got %s\n" % (name, seed)
 
     def test_bad_seed_prints_a_short_value(self, capsys, monkeypatch):
         # the seed is parsed at precision_bits, but shown to 12 digits
         err = self._refused_without_a_solve(
-            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-g", "1e-5"
+            capsys, monkeypatch, "--r0", "5", "--n", "1", "--seed-kkprime", "1e5"
         )
-        assert err == "usage error: g_r0 must lie in [1, inf), got 1.0e-5\n"
+        assert err == "usage error: kkprime_r0 must lie in (0, 1/2], got 100000.0\n"
         assert len(err) < 100
 
     def test_loose_gate_solves_nothing(self, capsys, monkeypatch):
         err = self._refused_without_a_solve(
             capsys, monkeypatch, "--r0", "1/25", "--n", "1", "--prec", "128",
-            "--tol-exp", "15", "--seed-g25", "0.9999",
+            "--tol-exp", "15", "--seed-kkprime25", "0.9999",
         )
         assert err == (
             "usage error: ladder needs tol_exp >= 21, got 15: its relative "
@@ -119,7 +122,7 @@ class TestUsageErrors:
         [
             (("--n", "0"), "expected a positive integer, got '0'"),
             (("--n", "x"), "expected an integer, got 'x'"),
-            (("--n", "1", "--seed-g", "abc"), "expected a decimal number, got 'abc'"),
+            (("--n", "1", "--seed-kkprime", "abc"), "expected a decimal number, got 'abc'"),
         ],
     )
     def test_argparse_refuses_bad_ladder_values(self, capsys, monkeypatch, argv, message):
@@ -132,9 +135,9 @@ class TestUsageErrors:
         assert err == "usage error: --ids given but empty; registry: %s\n" % ", ".join(REGISTRY)
 
     def test_domain_error_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-g", "0.5")
+        code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "0.6")
         assert code == 2
-        assert "usage error: g_r0 must lie in [1, inf)" in err
+        assert "usage error: kkprime_r0 must lie in (0, 1/2]" in err
 
 
 BITS_256 = ("--prec", "256", "--tol-exp", "55")
@@ -317,20 +320,21 @@ class TestLadder:
             assert abs(str_to_big(k, 512) - direct.k) < mpf(10) ** -100
 
     def test_seed_overrides_reproduce(self, capsys):
-        _, base, _ = run_json(capsys, "ladder", "--r0", "5", "--n", "1", "--json")
-        seeds = (base["ladder"]["seed_g"], base["ladder"]["seed_g25"])
+        # the echoed seeds replayed give the same document
+        _, base, _ = run_json(capsys, "ladder", "--r0", "5", "--n", "2", "--json")
+        seeds = (base["ladder"]["seed_kkprime"], base["ladder"]["seed_kkprime25"])
         _, redo, _ = run_json(
-            capsys, "ladder", "--r0", "5", "--n", "1", "--json",
-            "--seed-g", seeds[0], "--seed-g25", seeds[1],
+            capsys, "ladder", "--r0", "5", "--n", "2", "--json",
+            "--seed-kkprime", seeds[0], "--seed-kkprime25", seeds[1],
         )
-        assert redo["ladder"]["levels"][0]["k"] == base["ladder"]["levels"][0]["k"]
+        assert redo == base
 
-    @pytest.mark.parametrize("r0,seed", [("5", "1.5"), ("1/625", "10")])
+    @pytest.mark.parametrize("r0,seed", [("5", "0.1"), ("1/625", "0.1")])
     def test_bad_seed_trace_on_stdout(self, capsys, r0, seed):
-        # from 1/625 the seed 10 (g is about 22) drives k k' at level 1,
-        # below r = 1, past 1/sqrt2 and the branch past 1
+        # from 1/625 the seed 0.1 (k k' is about 3.5e-17) drives k k' at
+        # level 1, below r = 1, past 1/sqrt2 and the branch past 1
         code, out, _ = run_cli(
-            capsys, "ladder", "--r0", r0, "--n", "1", "--seed-g", seed
+            capsys, "ladder", "--r0", r0, "--n", "1", "--seed-kkprime", seed
         )
         assert code == 4
         assert "certification failure" in out
@@ -538,7 +542,7 @@ _MIXED_REQUESTS = [
     ["frobnicate", "--r", "1"],
     ["verify", "--r", "1", "--ids", "eq5-eta-quotient,k-reciprocal", "--json"],
     ["verify", "--r", "2", "--ids", "eq19-v-descent", "--digits", "12"],
-    ["ladder", "--r0", "5", "--n", "1", "--seed-g", "1.5"],
+    ["ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "0.1"],
 ]
 
 

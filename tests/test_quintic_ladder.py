@@ -35,6 +35,15 @@ def _kkp(rn, rd=1):
         return rec.k * rec.k_comp
 
 
+def _kkp_rounded(rn, rd, bits):
+    """k k' from the solve at rn/rd and `bits` bits, the exact product of
+    the two rounded once to `bits`: the seed ladder solves for itself."""
+    ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+    rec = solve_singular_modulus(rn, rd, ctx)
+    with workprec(bits):
+        return +mp.fmul(rec.k, rec.k_comp, exact=True)
+
+
 class TestUStar:
     def test_at_one(self):
         # X(1)^2 = (sqrt(20)-1)/2 + 1/2 = sqrt(5), so X(1) = 5^(1/4)
@@ -276,8 +285,37 @@ class TestPMap:
             assert p_map(x) > 0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            p_map(0)
+        for x in (0, "-2"):
+            with pytest.raises(DomainError):
+                p_map(x)
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_sixth_power_is_the_rungs(self, bits):
+        # p_map is the rung core at x^6 and one sixth root: its sixth power
+        # lies within a few ulps of the core's p^6, from x = 1e-30 to 1e30
+        ctx = _ctx_at(bits)
+        for e in range(-30, 31, 5):
+            for m in ("1", "3.7"):
+                xv = to_big(m + "e%d" % e, ctx)
+                _, man, exp, _ = xv._mpf_
+                p6 = ql._rung((man ** 6, 6 * exp), ctx)
+                with workprec(2 * bits):
+                    got = p_map(xv, ctx) ** 6
+                    assert abs(got / mpf(p6) - 1) < 8 * mpf(2) ** -bits, xv
+
+    def test_rung_raises_where_the_gate_fails(self, monkeypatch):
+        # a Newton that never moves leaves the float seed's 48 bits: the
+        # rung's gate on c w^3 + 5 w^2 - c w - 1 refuses it, in p_map and in
+        # the ladder's climb alike
+        def stuck(w, c, bits):
+            return w
+
+        assert p_map("0.7") > 0
+        monkeypatch.setattr(ql, "_newton_int", stuck)
+        with pytest.raises(BranchError, match="fails the defining relation"):
+            p_map("0.7")
+        with pytest.raises(BranchError, match="fails the defining relation"):
+            ladder(5, 1, 1)
 
 
 class TestGInvariant:
@@ -312,8 +350,8 @@ class TestLadder:
     def test_two_rungs_from_5(self):
         trace = ladder(5, 1, 2)
         assert isinstance(trace, LadderTrace)
-        # the seeds are g at r0 and r0/25, and g(1/5) = g(5)
-        assert trace.seed_g == trace.seed_g25 == g_invariant(5, 1)
+        # the seeds are k k' at r0 and r0/25, and k k' at 1/5 is k k' at 5
+        assert trace.seed_kkprime == trace.seed_kkprime25 == _kkp_rounded(5, 1, 512)
         assert [s.level for s in trace.steps] == [1, 2]
         gate = mpf(10) ** -100
         for s in trace.steps:
@@ -330,12 +368,15 @@ class TestLadder:
             assert abs(trace.steps[0].k - direct.k) < mpf(10) ** -100
 
     def test_chain_consistency(self):
-        # each rung's x is the last rung's p, bit for bit; the first is
-        # g(1/5)/g(5) = 1
+        # each rung's x6 is the last rung's p6, bit for bit; the first is
+        # (g(1/5)/g(5))^6 = 1, and each kkprime is the last one times p6^2
         steps = ladder(5, 1, 3).steps
-        assert steps[0].x == 1
+        assert steps[0].x6 == 1
         for j in range(1, len(steps)):
-            assert steps[j].x._mpf_ == steps[j - 1].p_value._mpf_
+            assert steps[j].x6._mpf_ == steps[j - 1].p6._mpf_
+            with workprec(2048):
+                want = steps[j - 1].kkprime * steps[j].p6 ** 2
+                assert abs(steps[j].kkprime / want - 1) < 8 * mpf(2) ** -512
 
     @pytest.mark.parametrize("bits", [256, 512])
     @pytest.mark.parametrize("r0", ["1/25", "2/49"])
@@ -364,22 +405,60 @@ class TestLadder:
                 half_pi_root = mp.pi * sqrt(mpf(s.r.numerator) / s.r.denominator) / 2
                 assert abs(s.k - oracle) < oracle * mpf(2) ** (16 - bits) * half_pi_root, s.r
 
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r0", ["7/3", "1/25", "50"])
+    def test_every_rung_to_the_solve_bound_is_within_half_a_sensitivity_ulp(self, r0, bits):
+        # the solved seeds k k' enter each rung's k k' once, rounded once:
+        # up to the last rung under the solver's bound every rung lies
+        # within a relative 2^(-1 - bits) pi sqrt(R)/2 of a solve at twice
+        # the bits, R = max(r, 1/r), the K-ratio's own sensitivity to k
+        # (at most 0.26 of that measured; g seeds, carried twelvefold,
+        # missed by up to 1.48 units at 256 bits and 4.66 at 512)
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        fine = PrecisionContext(precision_bits=2 * bits, tol_exp=ov.TOL_EXP[2 * bits])
+        r0 = Fraction(r0)
+        n = max(j for j in range(1, 40) if r0 * 25 ** j <= bk._R_MAX)
+        assert r0 * 25 ** n > 10 ** 38
+        for s in ladder(r0.numerator, r0.denominator, n, ctx).steps:
+            oracle = solve_singular_modulus(s.r.numerator, s.r.denominator, fine).k
+            big_r = max(s.r, 1 / s.r)
+            with workprec(4 * bits):
+                half_pi_root = mp.pi * sqrt(mpf(big_r.numerator) / big_r.denominator) / 2
+                assert abs(s.k - oracle) < oracle * mpf(2) ** (-1 - bits) * half_pi_root, s.r
+
     def test_bad_seed_fails_certification_with_trace(self):
         with pytest.raises(CertificationError) as ei:
-            ladder(5, 1, 1, g_r0="1.5", g_r0_over25=g_invariant(5, 1))
+            ladder(5, 1, 1, kkprime_r0="0.1", kkprime_r0_over25=_kkp_rounded(5, 1, 512))
         trace = ei.value.payload
         assert isinstance(trace, LadderTrace)
         assert len(trace.steps) == 1
         assert trace.steps[0].oracle_residual > mpf(10) ** -100
 
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_seed_that_makes_kkprime_huge_fails_in_bounded_memory(self, bits, traced_peak):
+        # k k' = 1/2 at r0 = 10^37, where the solve gives about 10^(-2e18):
+        # the first rung's k k' is about 10^(1e17), and 4 (k k')^2 in fixed
+        # point would take about 6e17 bits; the branch reads it as past 1
+        # from its exponent, and the level fails its oracle
+        ctx = _ctx_at(bits)
+
+        def climb():
+            with pytest.raises(CertificationError) as ei:
+                ladder(10 ** 37, 1, 1, ctx, kkprime_r0="0.5")
+            return ei.value.payload
+
+        trace, peak = traced_peak(climb)
+        assert peak < 4 << 20, peak
+        assert trace.steps[0].kkprime > mpf(10) ** 1000
+
     def test_gate_is_relative(self):
-        # k_78125 is about 8e-191: a seed g off by a relative 1e-60 moves it
-        # by far less than an absolute 10^-100 gate, but not by less than
+        # k_78125 is about 8e-191: a seed k k' off by a relative 1e-60 moves
+        # it by far less than an absolute 10^-100 gate, but not by less than
         # the relative 10^-(tol_exp - 20)
         with workprec(600):
-            seed = g_invariant(3125, 1) * (1 + mpf(10) ** -60)
+            seed = _kkp_rounded(3125, 1, 512) * (1 + mpf(10) ** -60)
         with pytest.raises(CertificationError) as ei:
-            ladder(3125, 1, 1, g_r0=seed, g_r0_over25=g_invariant(125, 1))
+            ladder(3125, 1, 1, kkprime_r0=seed, kkprime_r0_over25=_kkp_rounded(125, 1, 512))
         (step,) = ei.value.payload.steps
         assert step.oracle_residual < mpf(10) ** -100
         assert step.oracle_residual > mpf(10) ** -100 * step.k
@@ -388,7 +467,7 @@ class TestLadder:
         with pytest.raises(DomainError):
             ladder(5, 1, 0)
         with pytest.raises(DomainError):
-            ladder(5, 1, 1, g_r0=mpf(0), g_r0_over25=g_invariant(5, 1))
+            ladder(5, 1, 1, kkprime_r0=mpf(0), kkprime_r0_over25=_kkp_rounded(5, 1, 512))
         with pytest.raises(DomainError):
             ladder(0, 1, 1)
         # r0 is checked as the solver checks r: exact positive integers
@@ -399,29 +478,33 @@ class TestLadder:
     @pytest.mark.parametrize(
         "seeds",
         [
-            {"g_r0": "0.5"},
-            {"g_r0_over25": "0.9999"},
-            {"g_r0": "1.2", "g_r0_over25": 0},
-            {"g_r0_over25": "inf"},
+            {"kkprime_r0": "0.6"},
+            {"kkprime_r0_over25": "0.50001"},
+            {"kkprime_r0": "0.2", "kkprime_r0_over25": 0},
+            {"kkprime_r0_over25": "-0.1"},
+            {"kkprime_r0_over25": "inf"},
+            {"kkprime_r0": "nan"},
         ],
     )
     def test_bad_seed_solves_nothing(self, monkeypatch, seeds):
+        # k k' lies in (0, 1/2]; a seed outside is refused before any solve
         calls = []
         for mod in (ql, bk):
             monkeypatch.setattr(mod, "solve_singular_modulus", lambda *a: calls.append(a))
-        with pytest.raises(DomainError, match=r"must lie in \[1, inf\)"):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1/2\]"):
             ladder(5, 1, 1, **seeds)
         assert calls == []
 
     def test_given_seeds_are_echoed_rounded(self):
         # a 100-digit seed is rounded to 256 bits where it is read, so the
-        # climb starts from, and the trace echoes, the g it was printed from
+        # climb starts from, and the trace echoes, the k k' it was printed
+        # from
         ctx = PrecisionContext(precision_bits=256, tol_exp=55)
-        g5, g125 = g_invariant(5, 1, ctx), g_invariant(125, 1, ctx)
+        s5, s125 = _kkp_rounded(5, 1, 256), _kkp_rounded(125, 1, 256)
         with workprec(256):
-            long_g5 = mp.nstr(g5, 100)
-        trace = ladder(125, 1, 1, ctx, g_r0=g125, g_r0_over25=long_g5)
-        assert (trace.seed_g, trace.seed_g25) == (g125, g5)
+            long_s5 = mp.nstr(s5, 100)
+        trace = ladder(125, 1, 1, ctx, kkprime_r0=s125, kkprime_r0_over25=long_s5)
+        assert (trace.seed_kkprime, trace.seed_kkprime25) == (s125, s5)
         assert ladder(125, 1, 1, ctx).steps == trace.steps
 
     @pytest.mark.parametrize("bits", [256, 512])
@@ -432,18 +515,23 @@ class TestLadder:
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         wide = PrecisionContext(precision_bits=2 * bits, tol_exp=ov.TOL_EXP[bits])
         r0 = Fraction(r0)
-        g, g25 = (g_invariant(r.numerator, r.denominator, wide) for r in (r0, r0 / 25))
-        trace = ladder(r0.numerator, r0.denominator, 2, ctx, g_r0=g, g_r0_over25=g25)
-        replay = ladder(
-            r0.numerator, r0.denominator, 2, ctx, g_r0=trace.seed_g, g_r0_over25=trace.seed_g25
+        s, s25 = (
+            _kkp_rounded(max(r, 1 / r).numerator, max(r, 1 / r).denominator, 2 * bits)
+            for r in (r0, r0 / 25)
         )
-        assert replay.steps == trace.steps
+        trace = ladder(r0.numerator, r0.denominator, 2, ctx, kkprime_r0=s, kkprime_r0_over25=s25)
+        assert (trace.seed_kkprime, trace.seed_kkprime25) != (s, s25)
+        replay = ladder(
+            r0.numerator, r0.denominator, 2, ctx,
+            kkprime_r0=trace.seed_kkprime, kkprime_r0_over25=trace.seed_kkprime25,
+        )
+        assert replay == trace
 
     def test_solved_seed_rounding_to_one_is_refused(self):
         # a k seed at 1/625 would round to 1 at 96 bits, where its k' is 0;
-        # the g seed there is g(625), which rounds to nothing degenerate, and
-        # a precision that coarse is still refused on tol_exp 5 first, with
-        # no seed given
+        # the k k' seed there is k k' at 625, which rounds to nothing
+        # degenerate, and a precision that coarse is still refused on
+        # tol_exp 5 first, with no seed given
         ctx = PrecisionContext(precision_bits=96, tol_exp=5)
         with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got 5"):
             ladder(1, 25, 1, ctx)
@@ -456,7 +544,7 @@ class TestLadder:
             monkeypatch.setattr(mod, "solve_singular_modulus", lambda *a: calls.append(a))
         ctx = PrecisionContext(precision_bits=134, tol_exp=tol_exp)
         with pytest.raises(DomainError, match=r"^ladder needs tol_exp >= 21, got %d" % tol_exp):
-            ladder(1, 25, 1, ctx, g_r0_over25="0.9999")
+            ladder(1, 25, 1, ctx, kkprime_r0_over25="0.9999")
         assert calls == []
 
     def test_smallest_gate_climbs(self):
@@ -468,8 +556,8 @@ class TestSeedsBelowOne:
     @pytest.mark.parametrize("bits", [256, 512])
     @pytest.mark.parametrize("r0", ["1/25", "2/49", "1/7"])
     def test_are_solved_at_their_reciprocal(self, r0, bits, monkeypatch):
-        # g(r) = g(1/r), so a seed point below 1 is solved at its
-        # reciprocal and the climb takes no nome below r = 1
+        # k k' is the same at r and 1/r, so a seed point below 1 is solved
+        # at its reciprocal and the climb takes no nome below r = 1
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         r0 = Fraction(r0)
         points = []
@@ -483,8 +571,8 @@ class TestSeedsBelowOne:
         trace = ladder(r0.numerator, r0.denominator, 2, ctx)
         monkeypatch.undo()
         assert points and min(points) >= 1, points
-        for seed, r in ((trace.seed_g, r0), (trace.seed_g25, r0 / 25)):
-            assert seed._mpf_ == g_invariant(r.denominator, r.numerator, ctx)._mpf_
+        for seed, r in ((trace.seed_kkprime, r0), (trace.seed_kkprime25, r0 / 25)):
+            assert seed._mpf_ == _kkp_rounded(r.denominator, r.numerator, bits)._mpf_
 
 
 class TestExampleAudit:
