@@ -62,13 +62,12 @@ taken; nothing else refuses r for its size.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
-``_eta_at`` here, ``modular_core._rrcf_at`` and ``_a_eta_at``, and
-``quintic_ladder._g_at`` key each value on plain ints, (kind, n, d,
-precision_bits, tol_exp) with r = n/d in lowest terms, so f(-q^m) is the
-eta value at m^2 r.  Inside a ``_request_memo()`` scope a lookup computes
-each key once and hands back the same value on every later call; outside
-one it computes.  A scope lives for one call (``run_suite`` opens it),
-never for the process.
+``_eta_at`` here and ``modular_core._rrcf_at`` and ``_a_eta_at`` key each
+value on plain ints, (kind, n, d, precision_bits, tol_exp) with r = n/d in
+lowest terms, so f(-q^m) is the eta value at m^2 r.  Inside a
+``_request_memo()`` scope a lookup computes each key once and hands back
+the same value on every later call; outside one it computes.  A scope lives
+for one call (``run_suite`` opens it), never for the process.
 
 Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
 eta-quotient lookups take their value from a reflected point whose nome

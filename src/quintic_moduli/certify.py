@@ -7,9 +7,9 @@ a polynomial relation, its largest monomial).  Ids are grouped so relations
 that share their solves are computed together; entries within a group report
 the same wall-clock cost.  A checker only computes: it returns each residual
 and its scale keyed by registry id, at the ambient precision, and raises
-nothing.  It reaches every solve, nome, eta value, continued fraction,
-invariant g and eta quotient a through a lookup keyed by the exact rational
-point (f(-q^m) is the eta value at m^2 r), never by a power of a float nome.
+nothing.  It reaches every solve, nome, eta value, continued fraction and
+eta quotient a through a lookup keyed by the exact rational point (f(-q^m)
+is the eta value at m^2 r), never by a power of a float nome.
 run_suite alone sets that precision, opens the request memo the lookups
 share, gates every residual and builds every entry, so one run_suite call
 computes each value once, and a group's cost leaves out what earlier groups
@@ -18,15 +18,17 @@ an abort.  The registry order is canonical: reports list entries in this
 order no matter how the ids were requested.  Entries and reports are plain
 data; the CLI alone turns them into JSON.
 
-eq6, eq7, eq10, eq11, eq31 and the three modulus-pair relations eq13,
-eq14 and eq15 are formed on integer mantissas: each value a
-bigmath_kernel._Float, every product, power, quotient and root of them
-taken by the kernel's mantissa arithmetic (_mul, _pow, _quo, _plus,
-_root) and cut to work_bits + 48 bits, the powers a group needs shared,
-and the terms summed by _term_sum into an exact residual and scale.  eq6,
-eq10 and eq31 are checked in the power they hold in, the 24th, 12th and
--12th, so no cube or twelfth root is taken; the one mpmath root left is
-eq29's sixth, whose u relation reads A = a(4r)^(1/6) itself.  The other checkers evaluate in mpf.
+eq6, eq7, eq10, eq11, eq31, the three modulus-pair relations eq13, eq14
+and eq15 and the ascent ids eq26, eq29, eq30 and eq34 are formed on
+integer mantissas: each value a bigmath_kernel._Float, every product,
+power, quotient and root of them taken by the kernel's mantissa arithmetic
+(_mul, _pow, _quo, _plus, _root) and cut to work_bits + 48 bits, the
+powers a group needs shared, and the terms summed by _term_sum into an
+exact residual and scale.  Each is checked in the power it holds in, so
+certify takes no mpmath root: eq6, eq10 and eq31 in the 24th, 12th and
+-12th, and the ascent ids, as the ladder climbs, in twelfth powers on
+s = k k' from the solves, sharing its _rung, _cubic_root and
+_cubic_residual.  The other checkers evaluate in mpf.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    _Float,
     _GATE_INT_BITS,
     _eta_at,
     _floats,
@@ -52,6 +55,7 @@ from .bigmath_kernel import (
     _request_memo,
     _root,
     _round_to,
+    _rounded,
     _solved,
     _summed,
     _term_sum,
@@ -66,7 +70,7 @@ from .modular_core import (
     descend_a,
     descend_v,
 )
-from .quintic_ladder import _g_at, _u_relation, p_map, u_map
+from .quintic_ladder import _cubic_residual, _cubic_root, _rung, g_invariant
 from .report import to_decimal
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
@@ -284,11 +288,20 @@ def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     return {"eq24-q-descent": _summed(descend_a(a_hi, ctx), -a_lo)}
 
 
+def _kkprime_at(r_num: int, r_den: int, ctx: PrecisionContext, bits: int) -> _Float:
+    """s = k k' from the solve at r itself, cut to `bits` bits: the
+    quantity the ascent law relates, s(r)/s(r') = (g(r')/g(r))^12."""
+    rec = _solved(r_num, r_den, ctx)
+    return _mul(*_floats(rec.k, rec.k_comp), bits)
+
+
 def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # the defining relation at the point the ascent actually visits,
-    # x = g(r/25)/g(r) = (k k' at r / k k' at r/25)^(1/12)
-    x = _g_at(rn, 25 * rd, ctx) / _g_at(rn, rd, ctx)
-    return {"eq26-u-defining": _u_relation(x, u_map(x, ctx))}
+    """u_map's cubic P at the point the ascent visits, x = g(r/25)/g(r), so
+    c = x^3 = (s(r)/s(r/25))^(1/4), at its root rounded as u_map rounds."""
+    b = ctx.work_bits + _GATE_INT_BITS
+    c = _root(_root(_quo(_kkprime_at(rn, rd, ctx, b), _kkprime_at(rn, 25 * rd, ctx, b), b), b), b)
+    (w,) = _floats(_rounded(ctx, *_cubic_root(c, ctx)))
+    return {"eq26-u-defining": _cubic_residual(c, w, b)}
 
 
 def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -296,15 +309,20 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     a_via_eta(4r)^(1/6), since q^2 is the nome of 4r.  It satisfies (i)
     A^6 = a(4r), checked as a_via_eta(4r) against a(4r) from the moduli
     route, and (ii) the u_map defining relation against the invariant ratio
-    V' = g(25r)/g(r).  Reported as one entry, the worse of the two relative
-    to its scale, with both residuals attached."""
+    V' = g(25r)/g(r) = (s(r)/s(25r))^(1/12).  (ii) takes no root of A: with
+    c = A^3 = sqrt(a(4r)) and w the root of P (_cubic_root), u_map(A)^2 =
+    A w, so its twelfth power a(4r) w^6 is judged against s(r)/s(25r).
+    Reported as one entry, the worse of the two relative to its scale, with
+    both residuals attached."""
     a_eta = _a_eta_at(4 * rn, rd, ctx)
     a_4r = _round_to(ctx, a_via_moduli(4 * rn, rd, ctx))
     res_eta, scale_eta = _summed(a_eta, -a_4r)
 
-    v = _g_at(25 * rn, rd, ctx) / _g_at(rn, rd, ctx)
-    A = mp.root(a_eta, 6)
-    res_rel, scale_rel = _u_relation(A, v)
+    b = ctx.work_bits + _GATE_INT_BITS
+    (a,) = _floats(a_eta)
+    w = _cubic_root(_root(a, b), ctx)
+    ratio = _quo(_kkprime_at(rn, rd, ctx, b), _kkprime_at(25 * rn, rd, ctx, b), b)
+    res_rel, scale_rel = _term_sum(((1, *_mul(a, _pow(w, 6, b), b)), (-1, *ratio)), b)
 
     worse = max((res_eta, scale_eta), (res_rel, scale_rel), key=lambda p: abs(p[0]) / p[1])
     return {
@@ -318,13 +336,21 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     }
 
 
+def _ascent_law(ctx: PrecisionContext, *points: Tuple[int, int]) -> Residual:
+    """(residual, scale) of g(mid)/g(lhs) = p_map(g(arg)/g(mid)) in its
+    twelfth power, on s = k k' at the points (n, d) lhs, mid and arg: since
+    (g(r')/g(r))^12 = s(r)/s(r'), it reads s(lhs)/s(mid) = p^12, and with
+    x^6 = t = sqrt(s(mid)/s(arg)), p^6 = p_map(x)^6 = _rung(t)."""
+    b = ctx.work_bits + _GATE_INT_BITS
+    s_lhs, s_mid, s_arg = (_kkprime_at(n, d, ctx, b) for n, d in points)
+    p6 = _rung(_root(_quo(s_mid, s_arg, b), b), ctx)
+    return _term_sum(((1, *_quo(s_lhs, s_mid, b)), (-1, *_mul(p6, p6, b))), b)
+
+
 def _check_thm32(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     """Descent form of the ascent law on class invariants:
-    g(r)/g(r/25) = p_map(g(25r)/g(r))."""
-    g_lo = _g_at(rn, 25 * rd, ctx)
-    g_mid = _g_at(rn, rd, ctx)
-    g_hi = _g_at(25 * rn, rd, ctx)
-    return {"eq30-thm32": _summed(g_mid / g_lo, -p_map(g_hi / g_mid, ctx))}
+    g(r)/g(r/25) = p_map(g(25r)/g(r)), by _ascent_law."""
+    return {"eq30-thm32": _ascent_law(ctx, (rn, 25 * rd), (rn, rd), (25 * rn, rd))}
 
 
 def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -333,18 +359,15 @@ def _check_eq31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     2 k k' = pi^3 sqrt(q) f(-q^2)^6 / K^3 (eq7, with q^2 the nome of 4r).
     No root is taken."""
     rec, b = _solved(rn, rd, ctx), ctx.work_bits + _GATE_INT_BITS
-    g, q, f, K = _floats(_g_at(rn, rd, ctx), rec.q, _eta_at(4 * rn, rd, ctx), rec.K_k)
+    g, q, f, K = _floats(g_invariant(rn, rd, ctx), rec.q, _eta_at(4 * rn, rd, ctx), rec.K_k)
     rhs = _quo(_product(b, _pow(_pi(b), 3, b), _root(q, b), _pow(f, 6, b)), _pow(K, 3, b), b)
     return {"eq31-g-def": _term_sum(((1, *_quo((1, 0), _pow(g, 12, b), b)), (-1, *rhs)), b)}
 
 
 def _check_eq34(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
-    # ascent form on modulus products s = k k', where (s(r)/s(r'))^(1/12) = g(r')/g(r):
-    # (s(25r)/s(r))^(1/12) = p_map((s(r)/s(r/25))^(1/12))
-    g_lo = _g_at(rn, 25 * rd, ctx)
-    g_mid = _g_at(rn, rd, ctx)
-    g_hi = _g_at(25 * rn, rd, ctx)
-    return {"eq34-thm33": _summed(g_mid / g_hi, -p_map(g_lo / g_mid, ctx))}
+    """Ascent form, the step the ladder takes from its seeds:
+    g(25r) = g(r)/p_map(g(r/25)/g(r)), by _ascent_law."""
+    return {"eq34-thm33": _ascent_law(ctx, (25 * rn, rd), (rn, rd), (rn, 25 * rd))}
 
 
 def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:

@@ -59,7 +59,6 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     mpf_abs,
-    mpf_div,
     mpf_mul,
     mpf_nthroot,
     mpf_sub,
@@ -79,7 +78,6 @@ from .bigmath_kernel import (
     _ONE,
     _fixed,
     _floats,
-    _memoised,
     _mul,
     _pow,
     _quo,
@@ -144,44 +142,27 @@ class LadderTrace:
     steps: Tuple[LadderStep, ...]
 
 
-def _cleared_relation(xv: mpf, yv: mpf, bits: int) -> Tuple[mpf, mpf]:
-    """(residual, scale): the cleared cubic x^4 z - 5 z^2 - x^2 z^3 + x^2
-    at z = y^2 and its largest term, exact.
-
-    It is the relation u_map inverts times C = sqrt5 x^2 y^3 > 0, so the
-    ratio of residual to largest term is the relation's own.  The monomials
-    are formed on the mantissas of x and y, each power and product cut to
-    its top `bits` bits, and summed by _term_sum."""
-    x, y = _floats(xv, yv)
-    x2, z = _mul(x, x, bits), _mul(y, y, bits)
-    z2 = _mul(z, z, bits)
-    x4z, x2z3 = _mul(_mul(x2, x2, bits), z, bits), _mul(x2, _mul(z2, z, bits), bits)
-    return _term_sum(((1, *x4z), (-5, *z2), (-1, *x2z3), (1, *x2)), bits)
-
-
-def _u_relation(xv: mpf, yv: mpf) -> Tuple[mpf, mpf]:
-    """(residual, scale) of the relation u_map inverts,
-    x^2/(sqrt5 y) - sqrt5 y/x^2 - y^3/sqrt5 + y^-3/sqrt5, at the ambient
-    precision: the cleared cubic's two values (_cleared_relation at
-    _GATE_INT_BITS bits past it), each divided once by C = sqrt5 x^2 y^3.
-    The scale, its largest term, is >= 1, since the first two multiply
-    to 1."""
-    prec = mp.prec
-    c = (_sqrt(mpf(5)) * xv ** 2 * yv ** 3)._mpf_
-    return tuple(
-        mp.make_mpf(mpf_div(v._mpf_, c, prec, round_nearest))
-        for v in _cleared_relation(xv, yv, prec + _GATE_INT_BITS)
-    )
+def _cubic_residual(c: _Float, w: _Float, bits: int) -> Tuple[mpf, mpf]:
+    """(residual, scale): P(w) = c w^3 + 5 w^2 - c w - 1 and its largest
+    monomial, the four formed on mantissas cut to `bits` bits and summed
+    by _term_sum."""
+    w2, cw = _mul(w, w, bits), _mul(c, w, bits)
+    return _term_sum(((1, *_mul(cw, w2, bits)), (5, *w2), (-1, *cw), (-1, 1, 0)), bits)
 
 
 def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """How far (x, y) is from the relation u_map inverts:
-    |x^2/(sqrt5 y) - sqrt5 y/x^2 - (y^3 - y^-3)/sqrt5|."""
+    |x^2/(sqrt5 y) - sqrt5 y/x^2 - (y^3 - y^-3)/sqrt5| = |P(w)|/(sqrt5 y^3)
+    at c = x^3, w = y^2/x (see u_map), P by _cubic_residual."""
+    xv, yv = to_big(x, ctx), to_big(y, ctx)
+    if xv <= 0 or yv <= 0:
+        raise DomainError("u_defining_residual requires positive arguments")
+    bits = ctx.work_bits + _GATE_INT_BITS
+    (man, exp), yf = _floats(xv, yv)
+    w = _quo(_mul(yf, yf, bits), (man, exp), bits)
+    res, _ = _cubic_residual((man * man * man, 3 * exp), w, bits)
     with workprec(ctx.work_bits):
-        xv, yv = to_big(x, ctx), to_big(y, ctx)
-        if xv <= 0 or yv <= 0:
-            raise DomainError("u_defining_residual requires positive arguments")
-        return _round_to(ctx, abs(_u_relation(xv, yv)[0]))
+        return _round_to(ctx, abs(res) / (_sqrt(mpf(5)) * yv ** 3))
 
 
 #: bits of the cubic's root that the float seed is trusted to; the first
@@ -230,9 +211,9 @@ def _doubling_precisions(bits: int) -> List[int]:
     return precs[::-1]
 
 
-def _cubic_root(c: _Float, frac: int, ctx: PrecisionContext) -> int:
+def _cubic_root(c: _Float, ctx: PrecisionContext) -> _Float:
     """The root w of P(w) = c w^3 + 5 w^2 - c w - 1 in (1/sqrt5, 1) for
-    c > 0, as an integer with `frac` fractional bits, gated.
+    c > 0, with frac = work_bits + 32 fractional bits, gated.
 
     P(1/sqrt5) = -4c/(5 sqrt5) < 0 < P(1) = 4, so the root lies in
     (1/sqrt5, 1) for every c > 0.  The start is a float Newton solve
@@ -244,6 +225,7 @@ def _cubic_root(c: _Float, frac: int, ctx: PrecisionContext) -> int:
     certify against its largest monomial (PrecisionContext.certifies), the
     four monomials formed on mantissas and summed by _term_sum; otherwise
     a BranchError is raised carrying all three roots of P."""
+    frac = ctx.work_bits + _INT_BITS
     man, exp = c
     cap = 2 * frac + 8
     top = exp + man.bit_length()  # 2^(top - 1) <= c < 2^top
@@ -255,13 +237,11 @@ def _cubic_root(c: _Float, frac: int, ctx: PrecisionContext) -> int:
         drop = frac - bits
         w = _newton_int(w >> drop, ci >> drop, bits) << drop
 
-    bits = ctx.work_bits + _GATE_INT_BITS
-    wf = (w, -frac)
-    w2, cw = _mul(wf, wf, bits), _mul(c, wf, bits)
-    res, scale = _term_sum(((1, *_mul(cw, w2, bits)), (5, *w2), (-1, *cw), (-1, 1, 0)), bits)
+    root = (w, -frac)
+    res, scale = _cubic_residual(c, root, ctx.work_bits + _GATE_INT_BITS)
     if not ctx.certifies(res, scale):
-        raise _branch_error(c, wf, res / scale)
-    return w
+        raise _branch_error(c, root, res / scale)
+    return root
 
 
 def _branch_error(c: _Float, w: _Float, relative: mpf) -> BranchError:
@@ -305,10 +285,9 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         xv = to_big(x, ctx)
         if xv <= 0:
             raise DomainError("u_map requires x > 0, got %s" % xv)
-        frac = ctx.work_bits + _INT_BITS
         _, man, exp, _ = xv._mpf_
-        w = _cubic_root((man * man * man, 3 * exp), frac, ctx)
-        return _round_to(ctx, _sqrt(xv * mpf((w, -frac))))
+        w = _cubic_root((man * man * man, 3 * exp), ctx)
+        return _round_to(ctx, _sqrt(xv * mpf(w)))
 
 
 def _radicand_b(t: _Float, frac: int) -> int:
@@ -366,8 +345,7 @@ def _rung(t: _Float, ctx: PrecisionContext) -> _Float:
     b = (_radicand_b(t, frac), -frac)
     a = _mul(_mul(t, t, frac), _pow(b, 3, frac), frac)
     c = _root(_descended(0, a, frac), frac)
-    w = (_cubic_root(c, frac, ctx), -frac)
-    return _mul(c, _pow(w, 3, frac), frac)
+    return _mul(c, _pow(_cubic_root(c, ctx), 3, frac), frac)
 
 
 def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -395,11 +373,6 @@ def g_invariant(
     rec = _solved(r_num, r_den, ctx)
     with workprec(ctx.work_bits):
         return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
-
-
-def _g_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """g_invariant at r, shared within a request scope."""
-    return _memoised("g", g_invariant, r_num, r_den, ctx)
 
 
 def _kkprime(r: Fraction, ctx: PrecisionContext) -> mpf:

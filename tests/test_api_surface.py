@@ -328,10 +328,11 @@ def _functions(name):
     return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
-def test_registry_takes_roots_only_in_eq29_and_integer_checkers_no_powers():
-    # eq6, eq10 and eq31 are checked in the power they hold in; only eq29's
-    # sixth root stays, since its u relation reads A itself.  They, eq7,
-    # the pair relations and eq11 are formed from shared powers on integers
+def test_registry_takes_no_root_and_integer_checkers_no_powers():
+    # eq6, eq10 and eq31 are checked in the power they hold in, and the
+    # ascent ids eq26, eq29, eq30 and eq34 in the powers k k' holds them in,
+    # so certify takes no mpmath root.  They, eq7, the pair relations and
+    # eq11 are formed from shared powers on integers
     functions = _functions("certify")
     roots = sorted(
         (name, node.attr)
@@ -339,19 +340,20 @@ def test_registry_takes_roots_only_in_eq29_and_integer_checkers_no_powers():
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and node.attr in ("root", "cbrt")
     )
-    assert roots == [("_check_thm31", "root")]
+    assert roots == []
     tree = _tree("quintic_moduli.certify")
     assert "cbrt" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     integer = [
         functions[n]
         for n in (
             "_check_eq6", "_check_eq7", "_check_eq10", "_check_eq11", "_check_thm22",
-            "_pair_relations", "_check_eq31",
+            "_pair_relations", "_check_eq26", "_check_thm31", "_check_thm32", "_check_eq31",
+            "_check_eq34", "_ascent_law", "_kkprime_at",
         )
     ]
     integer.append(_functions("modular_core")["_m5_relation"])
     integer.append(_functions("modular_core")["descend_a"])
-    integer.append(_functions("quintic_ladder")["_cleared_relation"])
+    integer.append(_functions("quintic_ladder")["_cubic_residual"])
     powers = [
         (fn.name, node.lineno)
         for fn in integer
@@ -405,7 +407,6 @@ _LOOKUPS = {
     ("bigmath_kernel", "_eta_at"),
     ("modular_core", "_rrcf_at"),
     ("modular_core", "_a_eta_at"),
-    ("quintic_ladder", "_g_at"),
 }
 
 
@@ -420,7 +421,7 @@ def _memoised_calls(fn):
 
 
 def test_only_the_lookups_call_memoised():
-    # values are shared by their exact rational point through six private
+    # values are shared by their exact rational point through five private
     # lookups; every public function computes, inside a request scope too
     callers = set()
     for name in _MODULES:
@@ -449,13 +450,13 @@ def test_one_route_per_lookup(module, name):
 
 
 def test_the_registry_reads_point_values_only_through_lookups():
-    # a direct call would compute the value again outside the request memo
+    # a direct call would compute the value again outside the request memo;
+    # g_invariant is read once per request, by eq31, so it needs no lookup
     behind_lookups = {
         "solve_singular_modulus",
         "nome",
         "eta_f",
         "rrcf_converged",
-        "g_invariant",
         "a_via_eta",
     }
     named = [
@@ -541,7 +542,10 @@ def test_ladder_takes_no_root_and_no_seed_complement():
 def test_public_maps_share_the_rung_core():
     # one spelling of the cubic's Newton and gate, and of B: p_map is the
     # rung core and a sixth root, u_map the core's cubic root, u_star the
-    # core's B; nothing else in the module calls the Newton step or seeds it
+    # core's B; nothing else in the module calls the Newton step or seeds it.
+    # P's residual has one spelling, which the gate and u_defining_residual
+    # share, and the registry's ascent ids call the core, the cubic root and
+    # that residual rather than spelling their own
     fns = _functions("quintic_ladder")
     calls = {name: _called_names(fn) for name, fn in fns.items()}
     assert "_rung" in calls["p_map"] and "_rung" in calls["ladder"]
@@ -550,10 +554,20 @@ def test_public_maps_share_the_rung_core():
     assert "_radicand_b" in calls["u_star"]
     for helper in ("_newton_int", "_float_seed", "_doubling_precisions"):
         assert [name for name, c in calls.items() if helper in c] == ["_cubic_root"], helper
-    for helper in ("_rung", "_cubic_root", "_radicand_b"):
+    for helper in ("_rung", "_cubic_root", "_radicand_b", "_cubic_residual"):
         users = sorted(name for name, c in calls.items() if helper in c)
         assert users == {"_rung": ["ladder", "p_map"], "_cubic_root": ["_rung", "u_map"],
-                         "_radicand_b": ["_rung", "u_star"]}[helper], (helper, users)
+                         "_radicand_b": ["_rung", "u_star"],
+                         "_cubic_residual": ["_cubic_root", "u_defining_residual"]}[helper], (
+            helper, users)
+    registry = {name: _called_names(fn) for name, fn in _functions("certify").items()}
+    for helper, users in (
+        ("_rung", ["_ascent_law"]),
+        ("_cubic_root", ["_check_eq26", "_check_thm31"]),
+        ("_cubic_residual", ["_check_eq26"]),
+    ):
+        assert sorted(name for name, c in registry.items() if helper in c) == users, helper
+        assert helper not in registry, helper
 
 
 @pytest.mark.parametrize("name", [n for n in _MODULES if n.count(".") and not n.endswith(".cli")])

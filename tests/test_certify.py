@@ -96,9 +96,17 @@ class TestRunSuite:
         report = run_suite(3, 2, ids=["eq10-multiplier", "eq13-thm22"])
         assert report.all_pass
 
-    def test_eq34_where_p_map_descends_a_tiny_a(self):
-        # at r = 10^5, p_map descends an a-value near 3e-171
-        assert run_suite(10 ** 5, 1, ids=["eq34-thm33"]).all_pass
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    @pytest.mark.parametrize("r", [Fraction(10 ** 5), Fraction(10 ** 20), Fraction(1, 10 ** 20)])
+    def test_eq34_where_p_map_descends_a_tiny_a(self, r, bits):
+        # at r = 10^5, p_map descends an a-value near 3e-171; at 10^20 and
+        # 1/10^20 the rung's t and the products k k' span hundreds of
+        # billions of binary orders of magnitude
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        ids = ["eq30-thm32", "eq34-thm33"]
+        report = run_suite(r.numerator, r.denominator, ids=ids, ctx=ctx)
+        assert [e.id for e in report.entries] == ids
+        assert report.all_pass
 
     def test_eq11_residual_keeps_full_precision(self):
         # the stored residual is the polynomial residual itself, not a copy
@@ -162,13 +170,13 @@ class TestRequestMemo:
         points = ((5, 1), (20, 1), (125, 1), (500, 1), (1, 5))
         assert sorted(etas) == sorted((nome(n, d),) for n, d in points)
 
-    def test_full_suite_computes_three_invariants_and_three_eta_quotients(self, monkeypatch):
-        # g at r/25, r and 25r (eq26, eq29, eq30, eq31, eq34); a at r (eq5,
-        # eq13, eq24), r/25 (eq24) and 4r (eq29)
-        gs = self._record(monkeypatch, ql, "g_invariant")
+    def test_full_suite_computes_one_invariant_and_three_eta_quotients(self, monkeypatch):
+        # g at r alone (eq31; the ascent ids read k k' from the solves); a at
+        # r (eq5, eq13, eq24), r/25 (eq24) and 4r (eq29)
+        gs = self._record(monkeypatch, certify, "g_invariant")
         quotients = self._record(monkeypatch, mc, "a_via_eta")
         assert run_suite(5, 1).all_pass
-        assert sorted(gs) == [(1, 5), (5, 1), (125, 1)]
+        assert sorted(gs) == [(5, 1)]
         assert sorted(quotients) == [(1, 5), (5, 1), (20, 1)]
 
     def test_smallest_r_sums_its_q_series_only_near_q_0(self, monkeypatch):
@@ -474,7 +482,7 @@ class TestIntegerRelations:
                     ov.m5_relation_mpf(m5, rec.k, rec.k_comp, work),
                     *ov.power_identities_mpf(
                         *quad[:4], rec.K_k, rec25.K_k, rec.q, a, bk._eta_at(rn, rd, ctx),
-                        bk._eta_at(4 * rn, rd, ctx), ql._g_at(rn, rd, ctx), 2 * work,
+                        bk._eta_at(4 * rn, rd, ctx), ql.g_invariant(rn, rd, ctx), 2 * work,
                     ),
                 ]
             names = (
@@ -493,7 +501,8 @@ class TestIntegerRelations:
 class TestPerturbationsFail:
     """A value off by a few digits more than the gate fails the id that
     certifies it: k_25r in eq14 by 10^-(tol_exp - 5), g in eq31 by
-    10^-(tol_exp - 2), relative."""
+    10^-(tol_exp - 2), and k at each solve the ascent ids read by either,
+    relative."""
 
     @staticmethod
     def _perturbed(monkeypatch, module, name, point, digits, field=None):
@@ -523,6 +532,27 @@ class TestPerturbationsFail:
     def test_eq31_fails_a_perturbed_g(self, r, monkeypatch):
         f = Fraction(r)
         assert run_suite(f.numerator, f.denominator, ids=["eq31-g-def"]).all_pass
-        self._perturbed(monkeypatch, ql, "g_invariant", f, 2)
+        self._perturbed(monkeypatch, certify, "g_invariant", f, 2)
         (entry,) = run_suite(f.numerator, f.denominator, ids=["eq31-g-def"]).entries
         assert not entry.passed
+
+    @pytest.mark.parametrize("digits", [5, 2])
+    @pytest.mark.parametrize("r", ["1/100", "7/3", "25", "10000"])
+    @pytest.mark.parametrize(
+        "id_, points",
+        [
+            ("eq30-thm32", (Fraction(1, 25), 1, 25)),
+            ("eq34-thm33", (Fraction(1, 25), 1, 25)),
+            ("eq29-thm31", (1, 25)),
+        ],
+    )
+    def test_ascent_ids_fail_a_perturbed_k(self, id_, points, r, digits, monkeypatch):
+        # eq30 and eq34 read k k' at r/25, r and 25r, eq29 at r and 25r: a k
+        # off at any of them fails the id
+        f = Fraction(r)
+        assert run_suite(f.numerator, f.denominator, ids=[id_]).all_pass
+        for m in points:
+            with monkeypatch.context() as patch:
+                self._perturbed(patch, bk, "solve_singular_modulus", m * f, digits, field="k")
+                (entry,) = run_suite(f.numerator, f.denominator, ids=[id_]).entries
+            assert not entry.passed, m

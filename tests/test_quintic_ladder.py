@@ -35,6 +35,15 @@ def _kkp(rn, rd=1):
         return rec.k * rec.k_comp
 
 
+def _cubic_at(xv, yv, bits):
+    """(residual, scale) of P(w) = c w^3 + 5 w^2 - c w - 1, the cubic u_map
+    solves, at c = x^3 and w = y^2/x: the relation u_map inverts at (x, y)
+    times -sqrt5 y^3, by the shared ql._cubic_residual."""
+    (xm, xe), y = bk._floats(xv, yv)
+    w = bk._quo(bk._mul(y, y, bits), (xm, xe), bits)
+    return ql._cubic_residual((xm * xm * xm, 3 * xe), w, bits)
+
+
 def _kkp_rounded(rn, rd, bits):
     """k k' from the solve at rn/rd and `bits` bits, the exact product of
     the two rounded once to `bits`: the seed ladder solves for itself."""
@@ -130,7 +139,7 @@ class TestUMap:
         y = u_map(x, ctx)
         with workprec(ctx.work_bits):
             xv = to_big(x, ctx)
-            assert ctx.certifies(*ql._u_relation(xv, y))
+            assert ctx.certifies(*_cubic_at(xv, y, ctx.work_bits + ql._GATE_INT_BITS))
             extra = int(3 * abs(mp.log(xv, 2)))
             ref = ov.u_radical(x, bits + extra + 64).real
             assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
@@ -196,7 +205,8 @@ U_STAR_YS = ["1e-100", "1e-30", "1e-5", "0.3", "0.999", "1", "1.001", "2", "13.8
 
 
 class TestIntegerSpellings:
-    """u_star and u_map's gate on integers against their mpf spellings in
+    """u_star, and the residual of P that u_map's gate, eq26 and
+    u_defining_residual share, on integers against their mpf spellings in
     oracle_values."""
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
@@ -208,25 +218,29 @@ class TestIntegerSpellings:
             assert u_star(yv, ctx)._mpf_ == want, y
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
-    def test_u_relation_matches_the_four_terms(self, bits):
-        # at the root, where the terms cancel to the last bits, and off it
+    def test_cubic_residual_matches_the_four_terms(self, bits):
+        # at the root, where the terms cancel to the last bits, and off it:
+        # P and its largest monomial divided by -sqrt5 y^3 are the relation's
+        # four terms summed, and u_defining_residual is their |sum|
         ctx = _ctx_at(bits)
         for x in ("1e-40", "0.003", "0.7", "1", "1.4953", "20", "1e12"):
             xv = to_big(x, ctx)
             y = to_big(u_map(xv, ctx), ctx)
             for yv in (y, y * (1 + mpf(10) ** -30), y * 2):
-                with workprec(ctx.work_bits):
-                    res, scale = ql._u_relation(xv, yv)
+                res, scale = _cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS)
+                got = u_defining_residual(xv, yv, ctx)
                 ref_res, ref_scale = ov.u_relation_terms(xv, yv, 2 * ctx.work_bits)
                 with workprec(2 * ctx.work_bits):
+                    c = -sqrt(5) * yv ** 3
                     bound = mpf(2) ** (8 - ctx.work_bits) * ref_scale
-                    assert abs(res - ref_res) < bound, (x, yv)
-                    assert abs(scale - ref_scale) < bound, (x, yv)
+                    assert abs(res / c - ref_res) < bound, (x, yv)
+                    assert abs(scale / abs(c) - ref_scale) < bound, (x, yv)
+                    assert abs(got - abs(ref_res)) < bound + abs(ref_res) * mpf(2) ** -bits, (x, yv)
 
     @pytest.mark.parametrize("bits", [256, 1024])
     def test_gate_decides_as_the_four_terms_did(self, bits):
-        # y off the root by a relative 10^-(tol_exp + j): the cleared cubic
-        # on integers passes exactly the points the four mpf terms passed,
+        # y off the root by a relative 10^-(tol_exp + j): the cubic P on
+        # integers passes exactly the points the four mpf terms passed,
         # on both sides of the gate
         ctx = _ctx_at(bits)
         decisions = set()
@@ -238,9 +252,7 @@ class TestIntegerSpellings:
                     with workprec(ctx.work_bits):
                         yv = y * (1 + sign * mpf(10) ** -(ctx.tol_exp + j))
                         old = ctx.certifies(*ov.u_relation_terms(xv, yv, ctx.work_bits))
-                    new = ctx.certifies(
-                        *ql._cleared_relation(xv, yv, ctx.work_bits + ql._GATE_INT_BITS)[:2]
-                    )
+                    new = ctx.certifies(*_cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS))
                     assert new == old, (x, j, sign)
                     decisions.add(new)
         assert decisions == {True, False}
