@@ -86,9 +86,8 @@ import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -152,24 +151,35 @@ class CertificationError(RuntimeError):
 GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Immutable numeric policy threaded through every operation."""
+class _Precision(NamedTuple):
+    precision_bits: int  # mantissa bits of every returned value
+    tol_exp: int         # certification threshold is 10**(-tol_exp)
 
-    precision_bits: int = 512  # mantissa bits of every returned value
-    tol_exp: int = 120         # certification threshold is 10**(-tol_exp)
 
-    def __post_init__(self) -> None:
-        if self.precision_bits < 64:
+class PrecisionContext(_Precision):
+    """Immutable numeric policy threaded through every operation: a named
+    tuple (precision_bits, tol_exp), validated on every construction path,
+    _replace and _make included."""
+
+    __slots__ = ()
+
+    def __new__(cls, precision_bits: int = 512, tol_exp: int = 120) -> PrecisionContext:
+        if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.tol_exp <= 0:
+        if tol_exp <= 0:
             raise ValueError("tol_exp must be positive")
         # the acceptance threshold must be representable with room to spare
-        if self.tol_exp * math.log2(10) + GUARD_BITS >= self.precision_bits:
+        if tol_exp * math.log2(10) + GUARD_BITS >= precision_bits:
             raise ValueError(
                 "tol_exp*log2(10) + %d guard bits must stay below precision_bits"
                 % GUARD_BITS
             )
+        return super().__new__(cls, precision_bits, tol_exp)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> PrecisionContext:
+        # the namedtuple _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def work_bits(self) -> int:
@@ -610,8 +620,7 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     return root * ratio * ratio, root_exp + 2 - 2 * frac
 
 
-@dataclass(frozen=True)
-class SingularModulusRecord:
+class SingularModulusRecord(NamedTuple):
     """A certified singular-modulus solve at exact rational r."""
 
     k: mpf          # the modulus in (0,1)

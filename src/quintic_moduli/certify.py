@@ -34,8 +34,7 @@ _cubic_residual.  The other checkers evaluate in mpf.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from mpmath import mpf, workprec
 
@@ -80,26 +79,33 @@ class UsageError(ValueError):
     """A caller asked for something the registry does not contain."""
 
 
-@dataclass
-class IdentityEntry:
+class _Entry(NamedTuple):
+    id: str
+    residual: mpf
+    passed: bool
+    elapsed_ms: int
+    detail: Dict[str, str]
+
+
+class IdentityEntry(_Entry):
     """One certified identity: its registry id, the measured residual,
     whether it certified against the scale in detail["scale"], and cost.
 
     Entries computed together from shared solves (e.g. the three
     modulus-pair relations) carry the same elapsed_ms.  Every looked-up
     value is shared across groups within one run_suite call, so elapsed_ms
-    leaves out the values that earlier groups already paid for.
+    leaves out the values that earlier groups already paid for.  An entry
+    made without detail gets a dict of its own.
     """
 
-    id: str
-    residual: mpf
-    passed: bool
-    elapsed_ms: int = 0
-    detail: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, id, residual, passed, elapsed_ms=0, detail=None) -> IdentityEntry:
+        detail = {} if detail is None else detail
+        return super().__new__(cls, id, residual, passed, elapsed_ms, detail)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """An ordered batch of identity checks at one (r, precision) point."""
 
     entries: List[IdentityEntry]

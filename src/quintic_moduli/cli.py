@@ -21,14 +21,14 @@ failure.  JSON output validates against JSON_SCHEMA below; every number
 crosses as a decimal string with full round-trip digits, so --digits only
 affects the human-readable text mode.  One writer, _json, writes every
 document in one pass, the bytes json.dumps(indent=2) writes for its plain
-data: a result record goes in as its fields in declaration order, and the
-schema takes each record's property list from those same fields.
+data: a result record, a named tuple, goes in as its _fields in
+declaration order, and the schema takes each record's property list from
+those same fields.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import re
 import sys
@@ -73,7 +73,7 @@ def _object(props: dict, optional=()) -> dict:
 def _fields(record, **explicit) -> dict:
     """The record's fields in declaration order, each a decimal string
     unless given explicitly."""
-    return {f.name: explicit.get(f.name, _DECIMAL) for f in dataclasses.fields(record)}
+    return {name: explicit.get(name, _DECIMAL) for name in record._fields}
 
 
 _RATIONAL = _object({
@@ -161,16 +161,12 @@ def _decimal_arg(s: str) -> str:
     return s
 
 
-@functools.cache
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def _json(x, bits: int, pad: str = "\n") -> str:
     """x as json.dumps(indent=2) writes the data it stands for: an mpf as its
-    round-trip decimal at ``bits``, a Fraction as {"num", "den"}, a dataclass
-    as its fields in declaration order.  ``pad`` is the newline and indent
-    of x's line; strings take json's C escape, as the encoder's do."""
+    round-trip decimal at ``bits``, a Fraction as {"num", "den"}, a result
+    record (a named tuple) as its fields in declaration order, and a plain
+    list or tuple as an array.  ``pad`` is the newline and indent of x's
+    line; strings take json's C escape, as the encoder's do."""
     t = type(x)
     if t is mpf:
         return '"' + big_to_str(x, bits) + '"'
@@ -187,7 +183,7 @@ def _json(x, bits: int, pad: str = "\n") -> str:
     if t is Fraction:
         x = {"num": x.numerator, "den": x.denominator}
     elif t is not dict:
-        x = {name: getattr(x, name) for name in _field_names(t)}
+        x = x._asdict()
     body = [_quote(k) + ": " + _json(v, bits, inner) for k, v in x.items()]
     return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
 

@@ -42,8 +42,7 @@ q^(1/5) B_d / A_d, one integer quotient rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from mpmath import mp, mpf, workprec
 
@@ -122,8 +121,7 @@ def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return _memoised("a_eta", a_via_eta, r_num, r_den, ctx)
 
 
-@dataclass(frozen=True)
-class M5Record:
+class M5Record(NamedTuple):
     """The multiplier m5(r) = K(k_25r)/K(k_r) with the residual of the
     degree-6 polynomial at it; nothing here judges that residual."""
 
@@ -131,8 +129,7 @@ class M5Record:
     poly_residual: mpf  # degree-6 polynomial relation evaluated at m5
 
 
-@dataclass(frozen=True)
-class ARecord:
+class ARecord(NamedTuple):
     """a(r) by two independent routes, with their disagreement."""
 
     a: mpf               # certified value: (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3

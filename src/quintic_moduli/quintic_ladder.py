@@ -50,9 +50,8 @@ either in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import (
@@ -120,8 +119,7 @@ class BranchError(RuntimeError):
     """The root of u_map's cubic failed its defining relation."""
 
 
-@dataclass(frozen=True)
-class LadderStep:
+class LadderStep(NamedTuple):
     """One certified rung: level j takes r_(j-1) to r_j = 25 r_(j-1).  r is
     r_j = 25^j r0 exactly, and the one place a level's r is computed."""
 
@@ -134,8 +132,7 @@ class LadderStep:
     oracle_residual: mpf  # |k - independent solve at r_j| (absolute)
 
 
-@dataclass(frozen=True)
-class LadderTrace:
+class LadderTrace(NamedTuple):
     gate_exp: int          # each rung's k certifies to a relative 10^-gate_exp
     seed_kkprime: mpf      # the seed k k' at r0 the climb used, given or solved
     seed_kkprime25: mpf    # the seed k k' at r0/25

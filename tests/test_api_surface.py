@@ -14,7 +14,6 @@ mpmath, only the CLI and the registry import the decimal writer, and only
 the CLI imports json, for its string escape and never for json.dumps."""
 
 import ast
-import dataclasses
 import glob
 import importlib
 import inspect
@@ -65,7 +64,7 @@ def test_every_ctx_parameter_defaults_to_the_default_context():
 
 def test_precision_context_is_precision_and_tolerance_only():
     # the guard bits are the constant bigmath_kernel.GUARD_BITS, not a field
-    assert [f.name for f in dataclasses.fields(PrecisionContext)] == ["precision_bits", "tol_exp"]
+    assert list(PrecisionContext._fields) == ["precision_bits", "tol_exp"]
 
 
 def test_readme_library_example_runs():

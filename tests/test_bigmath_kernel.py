@@ -79,6 +79,20 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(tol_exp=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PrecisionContext(32, 1),
+        lambda: DEFAULT_CONTEXT._replace(precision_bits=32),
+        lambda: PrecisionContext._make((32, 1)),
+    ], ids=["constructor", "_replace", "_make"])
+    def test_every_construction_path_validates(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_replace_and_make_give_contexts(self):
+        for ctx in (DEFAULT_CONTEXT._replace(tol_exp=60), PrecisionContext._make((512, 60))):
+            assert type(ctx) is PrecisionContext
+            assert (ctx.precision_bits, ctx.tol_exp, ctx.work_bits) == (512, 60, 576)
+
 
 def _exact(man, exp):
     """The mpf man * 2^exp, unrounded."""

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from quintic_moduli import (
     CertificationError,
     DEFAULT_CONTEXT,
     REGISTRY,
+    IdentityEntry,
     IdentityReport,
     PrecisionContext,
     UsageError,
@@ -281,6 +281,17 @@ class TestReportSerialization:
             assert got["passed"] is want.passed is True
 
 
+class TestIdentityEntry:
+    def test_defaults_give_each_entry_its_own_detail(self):
+        a, b = (IdentityEntry(id_, mpf(0), True) for id_ in ("eq5-eta-quotient", "k-reciprocal"))
+        assert (a.elapsed_ms, a.detail) == (b.elapsed_ms, b.detail) == (0, {})
+        assert a.detail is not b.detail
+
+    def test_detail_given_is_kept(self):
+        detail = {"scale": "1.0"}
+        assert IdentityEntry("k-reciprocal", mpf(0), True, 3, detail).detail is detail
+
+
 class TestGatedEntry:
     """run_suite's pass rule, on (residual, scale) pairs from one stub group
     standing in for the registry; like a checker, the stub's values are
@@ -515,7 +526,7 @@ class TestPerturbationsFail:
                     factor = 1 + mpf(10) ** -(ctx.tol_exp - digits)
                     if field is None:
                         return value * factor
-                    return dataclasses.replace(value, **{field: getattr(value, field) * factor})
+                    return value._replace(**{field: getattr(value, field) * factor})
             return value
 
         monkeypatch.setattr(module, name, perturbed)

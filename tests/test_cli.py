@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -14,6 +13,7 @@ import quintic_moduli.cli as climod
 from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
 from quintic_moduli.certify import REGISTRY, IdentityEntry
 from quintic_moduli.cli import JSON_SCHEMA, build_parser, main
+from quintic_moduli.quintic_ladder import LadderStep, LadderTrace
 from quintic_moduli.report import big_to_str, str_to_big
 
 import oracle_values as ov
@@ -590,16 +590,30 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: quintic-moduli")
 
+    def test_start_imports_neither_dataclasses_nor_inspect(self):
+        # each costs milliseconds of every CLI process and no certificate needs it
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        code = (
+            "import sys, quintic_moduli.cli as cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.normpath(src)), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
 
 def _plain(x, bits):
     """The plain data a document stands for: an mpf as its round-trip
-    decimal, a Fraction as {"num", "den"}, a dataclass as its fields."""
+    decimal, a Fraction as {"num", "den"}, a record (a named tuple) as its
+    fields, a plain list or tuple as a list."""
     if isinstance(x, mpf):
         return big_to_str(x, bits)
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if dataclasses.is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name), bits) for f in dataclasses.fields(x)}
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {name: _plain(getattr(x, name), bits) for name in x._fields}
     if isinstance(x, dict):
         return {k: _plain(v, bits) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -639,3 +653,14 @@ class TestJsonWriter:
     ], ids=repr)
     def test_edge_documents(self, doc):
         assert climod._json(doc, 256) == json.dumps(_plain(doc, 256), indent=2)
+
+    def test_records_write_as_objects_and_tuples_as_arrays(self):
+        step = LadderStep(1, Fraction(125, 2), *(mpf(v) for v in (2, 3, 4, 5, 6)))
+        trace = LadderTrace(100, mpf(7), mpf(8), (step,))
+        doc = json.loads(climod._json({"trace": trace, "pair": (1, (2, step))}, 64))
+        values = [1, {"num": 125, "den": 2}, "2.0", "3.0", "4.0", "5.0", "6.0"]
+        level = dict(zip(LadderStep._fields, values))
+        assert list(doc["trace"]) == list(LadderTrace._fields)
+        assert list(doc["trace"]["steps"][0]) == list(LadderStep._fields)
+        assert doc["trace"]["steps"] == [level]
+        assert doc["pair"] == [1, [2, level]]
