@@ -110,6 +110,8 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "CertificationError",
+    "BranchError",
+    "UsageError",
     "GUARD_BITS",
     "PrecisionContext",
     "DEFAULT_CONTEXT",
@@ -145,6 +147,14 @@ class CertificationError(RuntimeError):
     def __init__(self, message: str, payload=None):
         super().__init__(message)
         self.payload = payload
+
+
+class BranchError(RuntimeError):
+    """The root of u_map's cubic failed its defining relation."""
+
+
+class UsageError(ValueError):
+    """A caller asked for something the registry does not contain."""
 
 
 #: extra mantissa bits every intermediate carries beyond precision_bits

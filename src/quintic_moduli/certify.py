@@ -41,6 +41,7 @@ from mpmath import mpf, workprec
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    UsageError,
     _Float,
     _GATE_INT_BITS,
     _eta_at,
@@ -73,10 +74,6 @@ from .quintic_ladder import _cubic_residual, _cubic_root, _rung, g_invariant
 from .report import to_decimal
 
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
-
-
-class UsageError(ValueError):
-    """A caller asked for something the registry does not contain."""
 
 
 class _Entry(NamedTuple):

@@ -15,15 +15,22 @@ repeated in-process main() calls pay only for parsing: a known command's
 arguments go straight to its own parser, and only help, a missing or
 unknown command and leftovers reach the top level, which prints for them
 what its parse_args prints.
+Each command loads only the modules it runs: the package registers
+modular_core, quintic_ladder and certify with importlib's LazyLoader, and
+this module calls them through their module names, so `kr` runs none of
+their bodies, `rrcf` runs modular_core's, `ladder` also quintic_ladder's
+and `verify` all three.  Every typed error is bigmath_kernel's, so
+catching one loads nothing.
 Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
-failure.  JSON output validates against JSON_SCHEMA below; every number
-crosses as a decimal string with full round-trip digits, so --digits only
-affects the human-readable text mode.  One writer, _json, writes every
-document in one pass, the bytes json.dumps(indent=2) writes for its plain
-data: a result record, a named tuple, goes in as its _fields in
-declaration order, and the schema takes each record's property list from
-those same fields.
+failure.  JSON output validates against JSON_SCHEMA, which reads the
+ladder's and the registry's records and so is built on its first read;
+every number crosses as a decimal string with full round-trip digits, so
+--digits only affects the human-readable text mode.  One writer, _json,
+writes every document in one pass, the bytes json.dumps(indent=2) writes
+for its plain data: a result record, a named tuple, goes in as its
+_fields in declaration order, and the schema takes each record's property
+list from those same fields.
 """
 
 from __future__ import annotations
@@ -38,19 +45,19 @@ from typing import List, Optional
 
 from mpmath import mp, mpf, workprec
 
+from . import certify, modular_core, quintic_ladder
 from .bigmath_kernel import (
+    BranchError,
     CertificationError,
     ConvergenceError,
     DomainError,
     PrecisionContext,
     SingularModulusRecord,
+    UsageError,
     _round_to,
     nome,
     solve_singular_modulus,
 )
-from .certify import REGISTRY, IdentityEntry, UsageError, run_suite
-from .modular_core import a_value, closed_form_R, rrcf_converged
-from .quintic_ladder import BranchError, LadderStep, LadderTrace, ladder
 from .report import big_to_str, str_to_big
 
 __all__ = ["main", "JSON_SCHEMA"]
@@ -81,50 +88,65 @@ _RATIONAL = _object({
     "den": {"type": "integer", "minimum": 1},
 })
 
-#: published schema for --json output (draft 2020-12)
-JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    **_object({
-        "command": {"enum": ["kr", "ladder", "rrcf", "verify"]},
-        "r": _RATIONAL,
-        "precision_bits": {"type": "integer", "minimum": 64},
-        "tol_exp": {"type": "integer", "minimum": 1},
-        "modulus": _object(_fields(SingularModulusRecord)),
-        "ladder": _object({
-            "n": {"type": "integer", "minimum": 1},
-            "gate_exp": {"type": "integer"},
-            "seed_kkprime": _DECIMAL,
-            "seed_kkprime25": _DECIMAL,
-            "certified": {"type": "boolean"},
-            "levels": {
-                "type": "array",
-                "items": _object(_fields(
-                    LadderStep, level={"type": "integer", "minimum": 1}, r=_RATIONAL
-                )),
-            },
-        }),
-        "rrcf": _object({
-            "closed": _DECIMAL,
-            "truncated": _DECIMAL,
-            "depth": {"type": "integer", "minimum": 1},
-            "difference": _DECIMAL,
-            "a": _DECIMAL,
-        }),
-        "report": _object({
-            "all_pass": {"type": "boolean"},
-            "entries": {
-                "type": "array",
-                "items": _object(_fields(
-                    IdentityEntry,
-                    id={"enum": list(REGISTRY)},
-                    passed={"type": "boolean"},
-                    elapsed_ms={"type": "integer", "minimum": 0},
-                    detail={"type": "object", "additionalProperties": {"type": "string"}},
-                ), optional=("detail",)),
-            },
-        }),
-    }, optional=("modulus", "ladder", "rrcf", "report")),
-}
+
+def _json_schema() -> dict:
+    """The published schema for --json output (draft 2020-12)."""
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        **_object({
+            "command": {"enum": ["kr", "ladder", "rrcf", "verify"]},
+            "r": _RATIONAL,
+            "precision_bits": {"type": "integer", "minimum": 64},
+            "tol_exp": {"type": "integer", "minimum": 1},
+            "modulus": _object(_fields(SingularModulusRecord)),
+            "ladder": _object({
+                "n": {"type": "integer", "minimum": 1},
+                "gate_exp": {"type": "integer"},
+                "seed_kkprime": _DECIMAL,
+                "seed_kkprime25": _DECIMAL,
+                "certified": {"type": "boolean"},
+                "levels": {
+                    "type": "array",
+                    "items": _object(_fields(
+                        quintic_ladder.LadderStep,
+                        level={"type": "integer", "minimum": 1},
+                        r=_RATIONAL,
+                    )),
+                },
+            }),
+            "rrcf": _object({
+                "closed": _DECIMAL,
+                "truncated": _DECIMAL,
+                "depth": {"type": "integer", "minimum": 1},
+                "difference": _DECIMAL,
+                "a": _DECIMAL,
+            }),
+            "report": _object({
+                "all_pass": {"type": "boolean"},
+                "entries": {
+                    "type": "array",
+                    "items": _object(_fields(
+                        certify.IdentityEntry,
+                        id={"enum": list(certify.REGISTRY)},
+                        passed={"type": "boolean"},
+                        elapsed_ms={"type": "integer", "minimum": 0},
+                        detail={"type": "object", "additionalProperties": {"type": "string"}},
+                    ), optional=("detail",)),
+                },
+            }),
+        }, optional=("modulus", "ladder", "rrcf", "report")),
+    }
+
+
+def __getattr__(name: str):
+    # the schema reads the ladder's and the registry's records, so it is
+    # built on its first read, not when the module loads
+    if name == "JSON_SCHEMA":
+        schema = globals()[name] = _json_schema()
+        return schema
+    if name == "REGISTRY":
+        return certify.REGISTRY
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
@@ -215,7 +237,7 @@ def cmd_kr(args, ctx: PrecisionContext) -> int:
     return 0
 
 
-def _render_trace_text(trace: LadderTrace, digits: int) -> None:
+def _render_trace_text(trace: quintic_ladder.LadderTrace, digits: int) -> None:
     for s in trace.steps:
         print(
             "level %d: r = %-12s k = %s   oracle_residual = %s"
@@ -228,13 +250,13 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
         return None if s is None else str_to_big(s, ctx.precision_bits)
 
     try:
-        trace = ladder(
+        trace = quintic_ladder.ladder(
             args.r0.numerator, args.r0.denominator, args.n, ctx,
             kkprime_r0=seed(args.seed_kkprime), kkprime_r0_over25=seed(args.seed_kkprime25),
         )
     except CertificationError as exc:
         print("certification failure: %s" % exc)
-        if isinstance(exc.payload, LadderTrace):
+        if isinstance(exc.payload, quintic_ladder.LadderTrace):
             _render_trace_text(exc.payload, args.digits)
         return 4
 
@@ -269,9 +291,9 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
 
 def cmd_rrcf(args, ctx: PrecisionContext) -> int:
     rn, rd = args.r.numerator, args.r.denominator
-    arec = a_value(rn, rd, ctx)
-    closed = closed_form_R(arec.a, ctx)
-    truncated, depth = rrcf_converged(nome(rn, rd, ctx), ctx)
+    arec = modular_core.a_value(rn, rd, ctx)
+    closed = modular_core.closed_form_R(arec.a, ctx)
+    truncated, depth = modular_core.rrcf_converged(nome(rn, rd, ctx), ctx)
     with workprec(ctx.work_bits):
         diff = _round_to(ctx, abs(closed - truncated))
     if not ctx.certifies(diff, truncated):
@@ -302,8 +324,8 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
     if args.ids:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
         if not ids:
-            raise UsageError("--ids given but empty; registry: %s" % ", ".join(REGISTRY))
-    rep = run_suite(args.r.numerator, args.r.denominator, ids=ids, ctx=ctx)
+            raise UsageError("--ids given but empty; registry: %s" % ", ".join(certify.REGISTRY))
+    rep = certify.run_suite(args.r.numerator, args.r.denominator, ids=ids, ctx=ctx)
     if args.json:
         report = {"all_pass": rep.all_pass, "entries": rep.entries}
         _emit_json("verify", args.r, ctx, "report", report)

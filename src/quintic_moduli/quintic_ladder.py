@@ -65,6 +65,7 @@ from mpmath.libmp import (
 )
 
 from .bigmath_kernel import (
+    BranchError,
     CertificationError,
     DEFAULT_CONTEXT,
     DomainError,
@@ -113,10 +114,6 @@ GATE_SLACK_DIGITS = 20
 
 #: 10^GATE_SLACK_DIGITS as a raw mpf, the factor of the ladder's gate scale
 _SLACK = from_int(10 ** GATE_SLACK_DIGITS)
-
-
-class BranchError(RuntimeError):
-    """The root of u_map's cubic failed its defining relation."""
 
 
 class LadderStep(NamedTuple):

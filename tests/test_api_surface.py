@@ -10,8 +10,9 @@ library, modular_core takes no mpmath root, the registry takes one only
 in eq29 and forms its integer relations with no power operator, only the
 kernel spells the arithmetic of mantissas, each private lookup keys one
 kind on one compute, nothing is assigned into
-mpmath, only the CLI and the registry import the decimal writer, and only
-the CLI imports json, for its string escape and never for json.dumps."""
+mpmath, only the CLI and the registry import the decimal writer, only
+the CLI imports json, for its string escape and never for json.dumps, and
+each typed error is one class, the kernel's."""
 
 import ast
 import glob
@@ -576,6 +577,17 @@ def test_package_exports_every_module_name(name):
     assert set(mod.__all__) <= set(quintic_moduli.__all__)
     moved = [n for n in mod.__all__ if getattr(quintic_moduli, n) is not getattr(mod, n)]
     assert not moved, "%s names differ on the package: %s" % (name, moved)
+
+
+def test_typed_errors_are_one_class_each():
+    # every typed error lives in the kernel, so the CLI catches each one
+    # without loading the module that raises it; the modules that raise
+    # BranchError and UsageError re-export the same class
+    from quintic_moduli import bigmath_kernel, certify, quintic_ladder
+
+    assert quintic_ladder.BranchError is bigmath_kernel.BranchError is quintic_moduli.BranchError
+    assert certify.UsageError is bigmath_kernel.UsageError is quintic_moduli.UsageError
+    assert "BranchError" in quintic_ladder.__all__ and "UsageError" in certify.__all__
 
 
 def _traced_pairs():

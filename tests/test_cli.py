@@ -500,13 +500,15 @@ class TestExitCode3:
 
 
 class TestExitCode4:
+    # the CLI calls each library function through its home module, so the
+    # stub goes there
     def test_branch_failure_maps_to_4(self, capsys, monkeypatch):
-        import quintic_moduli.cli as climod
+        from quintic_moduli import quintic_ladder
 
         def boom(*a, **kw):
             raise BranchError("stubbed branch loss")
 
-        monkeypatch.setattr(climod, "ladder", boom)
+        monkeypatch.setattr(quintic_ladder, "ladder", boom)
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1")
         assert code == 4
         assert "certification failure: stubbed branch loss" in err
@@ -514,15 +516,15 @@ class TestExitCode4:
     def test_rrcf_gap_between_routes_maps_to_4(self, capsys, monkeypatch):
         # the printed difference is judged relative to R: a closed form off
         # by a relative 1e-100 misses the 10^-120 gate
-        import quintic_moduli.cli as climod
+        from quintic_moduli import modular_core
 
-        real = climod.closed_form_R
+        real = modular_core.closed_form_R
 
         def off(a, ctx):
             with workprec(ctx.work_bits):
                 return real(a, ctx) * (1 + mpf(10) ** -100)
 
-        monkeypatch.setattr(climod, "closed_form_R", off)
+        monkeypatch.setattr(modular_core, "closed_form_R", off)
         code, out, err = run_cli(capsys, "rrcf", "--r", "4")
         assert code == 4
         assert out == ""
@@ -590,18 +592,85 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: quintic-moduli")
 
-    def test_start_imports_neither_dataclasses_nor_inspect(self):
-        # each costs milliseconds of every CLI process and no certificate needs it
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-        code = (
-            "import sys, quintic_moduli.cli as cli; cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    @staticmethod
+    def _fresh(code):
+        """What ``code`` prints in a fresh interpreter that imports the
+        package from src/ and, by ``ran()``, lists the deferred modules
+        whose body has run: a module still waiting on its LazyLoader is of
+        the loader's subclass of ModuleType, and reading its type runs
+        nothing."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        prelude = (
+            "import contextlib, io, sys, types\n"
+            "def ran():\n"
+            "    return [m for m in ('modular_core', 'quintic_ladder', 'certify')\n"
+            "            if type(sys.modules['quintic_moduli.' + m]) is types.ModuleType]\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.normpath(src)), timeout=120,
+            [sys.executable, "-c", prelude + code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.normpath(os.path.join(here, "..", "src"))),
+            cwd=os.path.join(here, ".."), timeout=120,
         )
-        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_start_imports_neither_dataclasses_nor_inspect(self):
+        # each costs milliseconds of every CLI process and no certificate
+        # needs it; nor does the start run a deferred module
+        code = (
+            "import quintic_moduli.cli as cli; cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), ran())\n"
+        )
+        assert self._fresh(code) == "[] []\n"
+
+    @pytest.mark.parametrize("argv, code, ran", [
+        (["kr", "--r", "5", "--json"], 0, []),
+        (["kr", "--r", str(10 ** 40)], 2, []),
+        (["rrcf", "--r", "4"], 0, ["modular_core"]),
+        (["ladder", "--r0", "5", "--n", "1"], 0, ["modular_core", "quintic_ladder"]),
+        (["verify", "--r", "1", "--ids", "k-reciprocal"], 0,
+         ["modular_core", "quintic_ladder", "certify"]),
+    ], ids=["kr", "kr-past-the-solve-bound", "rrcf", "ladder", "verify"])
+    def test_a_command_runs_only_the_modules_it_uses(self, argv, code, ran):
+        # a kr past the solve bound is refused with exit 2 before any of them
+        out = self._fresh(
+            "from quintic_moduli.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(%r)\n"
+            "print(code, ran())\n" % argv
+        )
+        assert out == "%d %s\n" % (code, ran)
+
+    def test_star_import_and_dir_cover_every_library_name(self):
+        out = self._fresh(
+            "import quintic_moduli\n"
+            "listed = set(dir(quintic_moduli))\n"
+            "ns = {}\n"
+            "exec('from quintic_moduli import *', ns)\n"
+            "union = {n for m in ('bigmath_kernel', 'modular_core', 'quintic_ladder',\n"
+            "                     'certify', 'report')\n"
+            "         for n in getattr(quintic_moduli, m).__all__}\n"
+            "print(sorted(set(quintic_moduli.__all__) - union),\n"
+            "      sorted(union - set(ns)), sorted(union - listed))\n"
+        )
+        assert out == "['__version__'] [] []\n"
+
+    def test_the_benchmark_tracer_installs_after_a_kr(self):
+        # the tracer wraps functions in every module by sys.modules name, so
+        # a deferred module must be registered there, not merely importable
+        out = self._fresh(
+            "sys.path.insert(0, 'perfbench')\n"
+            "from quintic_moduli.cli import main\n"
+            "from tracer import TRACED, Tracer\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['kr', '--r', '5', '--json'])\n"
+            "Tracer().install()\n"
+            "print([m + '.' + f for m, f in TRACED\n"
+            "       if not hasattr(getattr(sys.modules['quintic_moduli.' + m], f, None),\n"
+            "                      '__wrapped__')])\n"
+        )
+        assert out == "[]\n"
 
 
 def _plain(x, bits):
