@@ -67,7 +67,11 @@ value on plain ints, (kind, n, d, precision_bits, tol_exp) with r = n/d in
 lowest terms, so f(-q^m) is the eta value at m^2 r.  Inside a
 ``_request_memo()`` scope a lookup computes each key once and hands back
 the same value on every later call; outside one it computes.  A scope lives
-for one call (``run_suite`` opens it), never for the process.
+for one call (``run_suite``, ``quintic_ladder.ladder`` and the CLI's
+``rrcf`` open it), never for the process.  The key is always the exact
+point; the nome lookup there takes the nome at 25r or 4r as the fifth
+power or square of the nome at r when the scope holds that one, so only
+the first nome of each chain takes an exp (``_nome`` bounds the chains).
 
 Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
 eta-quotient lookups take their value from a reflected point whose nome
@@ -262,6 +266,11 @@ def _request_memo() -> Iterator[None]:
         _MEMO.reset(token)
 
 
+def _key(kind: str, n: int, d: int, ctx: PrecisionContext) -> tuple:
+    """The memo key of a value of `kind` at r = n/d in lowest terms."""
+    return kind, n, d, ctx.precision_bits, ctx.tol_exp
+
+
 def _memoised(
     kind: str, compute: Callable[..., _T], r_num: int, r_den: int, ctx: PrecisionContext
 ) -> _T:
@@ -275,7 +284,7 @@ def _memoised(
     memo = _MEMO.get()
     if memo is None:
         return compute(n, d, ctx)
-    key = (kind, n, d, ctx.precision_bits, ctx.tol_exp)
+    key = _key(kind, n, d, ctx)
     value = memo.get(key)
     if value is None:
         value = memo[key] = compute(n, d, ctx)
@@ -580,7 +589,8 @@ def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 
 def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """exp(-pi sqrt(r)) at working precision: the one spelling of the nome.
+    """exp(-pi sqrt(r)) at working precision: the one spelling of the
+    nome's exp, which `nome` and the first nome of each chain take (_nome).
 
     pi sqrt(r) is formed on integers with `frac` fractional bits, sqrt(r) by
     math.isqrt of the exact rational and pi from mpmath's cached fixed
@@ -592,10 +602,46 @@ def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     return mp.make_mpf(mpf_exp(from_man_exp(-arg, -frac), ctx.work_bits, round_nearest))
 
 
+#: the largest product of the powers m along one chain of nomes (_nome)
+_NOME_CHAIN_MAX = 1 << 19
+
+
 def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     """The working-precision nome at r, which the solver reads and the eta
-    and continued-fraction lookups round; shared within a request scope."""
-    return _memoised("nome", _exp_nome, r_num, r_den, ctx)
+    and continued-fraction lookups round; shared within a request scope.
+
+    The nome at m^2 r is the nome at r to the m-th power.  So where the
+    open scope already holds the nome at r/25 (m = 5) or, failing that, at
+    r/4 (m = 2), the nome at r is that one to the m-th power, by _pow on
+    its mantissa with _INT_BITS guard bits, rounded once to work_bits;
+    otherwise, and outside a scope, it is _exp_nome's one exp.  A ladder
+    from r0 thus takes the exps of its two seeds, and the nome at each
+    oracle 25^j r0 is a power of the one below.
+
+    A link multiplies its base's relative error by m and adds one rounding
+    of 2^-work_bits, so a nome whose chain's powers multiply to A lies
+    within 2 A units of 2^-work_bits of exp(-pi sqrt(r)), relative.  Each
+    entry holds A beside its nome, and a link that would take A past
+    _NOME_CHAIN_MAX = 2^19 takes a fresh exp instead, so every nome lies
+    within 2^-(work_bits - 20) relative, 44 bits below the rounding to
+    precision_bits.  A chain of m = 5 links is at most 8 long (5^8 =
+    390625), so a climb of 28 rungs takes 5 exps."""
+    return _memoised("nome", _chained_nome, r_num, r_den, ctx)[0]
+
+
+def _chained_nome(n: int, d: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
+    """(nome at r = n/d in lowest terms, the product of the powers along its
+    chain, 1 for an exp): _nome's entry."""
+    memo = _MEMO.get()
+    if memo is not None:
+        for m in (5, 2):
+            g = math.gcd(n, m * m)  # r/m^2 in lowest terms, as m is prime
+            base = memo.get(_key("nome", n // g, d * (m * m // g), ctx))
+            if base is not None and base[1] * m <= _NOME_CHAIN_MAX:
+                _, man, exp, _ = base[0]._mpf_
+                power = _pow((man, exp), m, ctx.work_bits + _INT_BITS)
+                return mp.make_mpf(from_man_exp(*power, ctx.work_bits, round_nearest)), base[1] * m
+    return _exp_nome(n, d, ctx), 1
 
 
 def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:

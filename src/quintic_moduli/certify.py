@@ -9,7 +9,11 @@ the same wall-clock cost.  A checker only computes: it returns each residual
 and its scale keyed by registry id, at the ambient precision, and raises
 nothing.  It reaches every solve, nome, eta value, continued fraction and
 eta quotient a through a lookup keyed by the exact rational point (f(-q^m)
-is the eta value at m^2 r), never by a power of a float nome.
+is the eta value at m^2 r).  The key is always the exact point; the nome
+lookup there (bigmath_kernel._nome) takes the nome at 25r or 4r as the
+fifth power or square of the nome at r when the memo holds that one, so a
+full verify takes 4 exps per request over the benchmark's verify-full set
+(7.5 before) and eq5/eq19/eq24 about 2 (3.25).
 run_suite alone sets that precision, opens the request memo the lookups
 share, gates every residual and builds every entry, so one run_suite call
 computes each value once, and a group's cost leaves out what earlier groups

@@ -54,8 +54,9 @@ from .bigmath_kernel import (
     PrecisionContext,
     SingularModulusRecord,
     UsageError,
+    _nome,
+    _request_memo,
     _round_to,
-    nome,
     solve_singular_modulus,
 )
 from .report import big_to_str, str_to_big
@@ -291,9 +292,11 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
 
 def cmd_rrcf(args, ctx: PrecisionContext) -> int:
     rn, rd = args.r.numerator, args.r.denominator
-    arec = modular_core.a_value(rn, rd, ctx)
-    closed = modular_core.closed_form_R(arec.a, ctx)
-    truncated, depth = modular_core.rrcf_converged(nome(rn, rd, ctx), ctx)
+    with _request_memo():  # the solves, eta values and q share their nomes
+        arec = modular_core.a_value(rn, rd, ctx)
+        closed = modular_core.closed_form_R(arec.a, ctx)
+        q = _round_to(ctx, _nome(rn, rd, ctx))
+    truncated, depth = modular_core.rrcf_converged(q, ctx)
     with workprec(ctx.work_bits):
         diff = _round_to(ctx, abs(closed - truncated))
     if not ctx.certifies(diff, truncated):

@@ -81,6 +81,7 @@ from .bigmath_kernel import (
     _mul,
     _pow,
     _quo,
+    _request_memo,
     _root,
     _round_to,
     _rounded,
@@ -372,7 +373,10 @@ def g_invariant(
 def _kkprime(r: Fraction, ctx: PrecisionContext) -> mpf:
     """k k' from the certified solve at max(r, 1/r), as one product of the
     two mantissas rounded once to precision_bits: k k' is the same at r and
-    1/r, so no nome below r = 1 is taken."""
+    1/r, so no nome below r = 1 is taken.  Inside ladder's request scope
+    the solve's nome joins the scope's chains (bigmath_kernel._nome): for
+    r0 >= 1 the seed's nome at r0 heads the chain whose powers are the
+    oracles' nomes."""
     r = max(r, 1 / r)
     rec = _solved(r.numerator, r.denominator, ctx)
     (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
@@ -420,6 +424,7 @@ def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> s
         )
 
 
+@_request_memo()
 def ladder(
     r0_num: int,
     r0_den: int,
@@ -467,6 +472,12 @@ def ladder(
     below r = 1 a branch root past 1 (from a bad seed) is taken as 1, so
     that level certifies or raises CertificationError naming the
     amplification 1/|1 - 2k^2|, never DomainError.
+
+    A climb runs in its own request scope (bigmath_kernel._request_memo),
+    opened by the decorator, so the oracle at 25^j r0 takes its nome as the
+    fifth power of the nome at 25^(j-1) r0, and a climb of up to 8 rungs
+    pays for two exps, its seeds' (or, from r0 below 1, the seed's at 1/r0
+    and the first oracle's); nothing is kept once it returns.
     """
     _validate_rational(r0_num, r0_den)
     if not isinstance(n, int) or n < 1:

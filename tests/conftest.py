@@ -1,6 +1,7 @@
 import os
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -38,3 +39,20 @@ def traced_peak():
                 tracemalloc.stop()
 
     return call
+
+
+@pytest.fixture
+def exp_points(monkeypatch):
+    """The points r, as Fractions, of each exp the nome lookups take during
+    the test (bigmath_kernel._exp_nome)."""
+    import quintic_moduli.bigmath_kernel as bk
+
+    points = []
+    exp_nome = bk._exp_nome
+
+    def spy(r_num, r_den, ctx):
+        points.append(Fraction(r_num, r_den))
+        return exp_nome(r_num, r_den, ctx)
+
+    monkeypatch.setattr(bk, "_exp_nome", spy)
+    return points

@@ -427,6 +427,24 @@ class TestRrcf:
         assert "0.511428455403703519294633013543" in out
 
 
+class TestExpsPerRequest:
+    @pytest.mark.parametrize(
+        "command,r,exps",
+        [
+            ("kr", "7/3", ["7/3"]),
+            ("kr", "1/13", ["1/13", "13"]),
+            # rrcf's solves at r and 25r, its eta values and its q share
+            # one scope, where the nome at 25r is the fifth power of r's
+            ("rrcf", "7/3", ["7/3"]),
+            ("rrcf", "1/13", ["1/13", "13"]),
+        ],
+    )
+    def test_each_nome_chain_takes_one_exp(self, capsys, exp_points, command, r, exps):
+        code, _, _ = run_cli(capsys, command, "--r", r)
+        assert code == 0
+        assert exp_points == [Fraction(p) for p in exps]
+
+
 class TestVerify:
     def test_subset_json(self, capsys):
         code, payload, _ = run_json(

@@ -587,6 +587,63 @@ class TestSeedsBelowOne:
             assert seed._mpf_ == _kkp_rounded(r.denominator, r.numerator, bits)._mpf_
 
 
+class TestNomeChains:
+    """The ladder's scope holds each nome it takes, and the nome at 25 r is
+    the one at r to the fifth power, so a climb pays for its seeds' exps."""
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize(
+        "r0,exps",
+        [("7/3", ["7/3", "75/7"]), ("1/7", ["7", "25/7"]), ("50", ["50", "2"])],
+    )
+    def test_a_climb_takes_two_exps(self, r0, exps, bits, exp_points):
+        # the seeds at r0 and r0/25 (each at max(r, 1/r)), or, from r0 below
+        # 1, the seed at 1/r0 and the first oracle at 25 r0; every other
+        # nome is a power of one the climb holds
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        r0 = Fraction(r0)
+        ladder(r0.numerator, r0.denominator, 4, ctx)
+        assert exp_points == [Fraction(r) for r in exps]
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r0", ["7/3", "1/25", "50"])
+    def test_deep_chains_keep_every_nome_to_20_bits_of_work(self, r0, bits, monkeypatch, exp_points):
+        # each link of a chain multiplies its base's relative error by 5:
+        # up to the last rung under the solver's bound every nome the climb
+        # takes lies within 2^-(work_bits - 20) of an exp at 200 more bits,
+        # and every oracle's rounded q is the exp route's nome(r).  (An
+        # unbounded chain missed by about 2^64 units of 2^-work_bits at
+        # 512 bits from 7/3, and 2 of its 28 oracles' q differed.)
+        ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+        r0 = Fraction(r0)
+        n = max(j for j in range(1, 40) if r0 * 25 ** j <= bk._R_MAX)
+        nomes, records = [], []
+        lookup, solve = bk._nome, ql.solve_singular_modulus
+
+        def nome_spy(r_num, r_den, c):
+            q = lookup(r_num, r_den, c)
+            nomes.append((Fraction(r_num, r_den), q))
+            return q
+
+        def solve_spy(r_num, r_den, c):
+            records.append((Fraction(r_num, r_den), solve(r_num, r_den, c)))
+            return records[-1][1]
+
+        monkeypatch.setattr(bk, "_nome", nome_spy)
+        monkeypatch.setattr(ql, "solve_singular_modulus", solve_spy)
+        ladder(r0.numerator, r0.denominator, n, ctx)
+        monkeypatch.undo()
+        # a chain of fifth powers stops at 5^8, so 3 more exps start chains
+        assert len(exp_points) == 5 and len(records) == n
+        assert {r for r, _ in records} <= {r for r, _ in nomes}
+        for r, q in nomes:
+            with workprec(ctx.work_bits + 200):
+                exact = mp.exp(-mp.pi * sqrt(mpf(r.numerator) / r.denominator))
+                assert abs(q / exact - 1) < mpf(2) ** (20 - ctx.work_bits), r
+        for r, rec in records:
+            assert rec.q == bk.nome(r.numerator, r.denominator, ctx), r
+
+
 class TestExampleAudit:
     def test_audit(self):
         audit = audit_example_forms()
