@@ -3,7 +3,7 @@ singular-modulus solver, and the eta function f(-q) by Euler's pentagonal
 series.
 
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
-governing :class:`PrecisionContext`; intermediates carry 64 more (GUARD_BITS).
+governing :class:`PrecisionContext`; intermediates carry 64 more (_GUARD_BITS).
 
 Square roots, rounding and the pass rule work on mpf mantissas directly.
 ``_sqrt`` (``_sqrt_raw`` on a mantissa) takes the steps of mpmath's
@@ -55,9 +55,10 @@ bits, and every module forms its products, powers, quotients and roots of
 mantissas with them (the registry's integer checkers, eq11's relation,
 the ladder's rung and u_map's gate, descend_a, closed_form_R and the
 theta quotient's sqrt(q)).
-A relation judged on integers is summed by ``_term_sum``.  A solve refuses
-an r with max(r, 1/r) above ``_R_MAX``, about 4.05e39, where its K-ratio
-would vouch for 20 fewer digits of k than tol_exp, before its nome is
+A relation judged on integers is summed by ``_term_sum``.  A solve gates
+its K-ratio residual times an integer bound on the ratio's sensitivity to
+k, so a pass vouches for tol_exp digits of k at every r.  It refuses an r
+with max(r, 1/r) above ``_R_MAX``, about 4.05e39, before its nome is
 taken; nothing else refuses r for its size.
 
 The public functions always compute.  Values shared within a request are
@@ -116,12 +117,10 @@ __all__ = [
     "CertificationError",
     "BranchError",
     "UsageError",
-    "GUARD_BITS",
     "PrecisionContext",
     "DEFAULT_CONTEXT",
     "SingularModulusRecord",
     "to_big",
-    "complement",
     "agm",
     "elliptic_K",
     "nome",
@@ -162,7 +161,7 @@ class UsageError(ValueError):
 
 
 #: extra mantissa bits every intermediate carries beyond precision_bits
-GUARD_BITS = 64
+_GUARD_BITS = 64
 
 
 class _Precision(NamedTuple):
@@ -183,10 +182,10 @@ class PrecisionContext(_Precision):
         if tol_exp <= 0:
             raise ValueError("tol_exp must be positive")
         # the acceptance threshold must be representable with room to spare
-        if tol_exp * math.log2(10) + GUARD_BITS >= precision_bits:
+        if tol_exp * math.log2(10) + _GUARD_BITS >= precision_bits:
             raise ValueError(
                 "tol_exp*log2(10) + %d guard bits must stay below precision_bits"
-                % GUARD_BITS
+                % _GUARD_BITS
             )
         return super().__new__(cls, precision_bits, tol_exp)
 
@@ -198,7 +197,7 @@ class PrecisionContext(_Precision):
     @property
     def work_bits(self) -> int:
         """Mantissa bits used for intermediate computation."""
-        return self.precision_bits + GUARD_BITS
+        return self.precision_bits + _GUARD_BITS
 
     @staticmethod
     @functools.lru_cache(maxsize=64)
@@ -365,14 +364,6 @@ def _complement_raw(k: mpf, prec: int) -> mpf:
     if 2 * (exp + bc) <= -(prec + 2):
         return _ONE
     return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec))
-
-
-def complement(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """sqrt(1 - x^2) for x in [0, 1], exactly on integers, rounded once."""
-    xv = to_big(x, ctx)
-    if xv < 0 or xv > 1:
-        raise DomainError("complement requires 0 <= x <= 1, got %s" % xv)
-    return _complement_raw(xv, ctx.precision_bits)
 
 
 #: bits every integer kernel carries beyond work_bits, and how close (in
@@ -569,9 +560,11 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 #: the largest R = max(r, 1/r) a solve accepts, floor((2 10^20 / pi)^2).
 #: The smaller modulus of the pair is about 4 e^(-pi sqrt(R)/2), and the
-#: K-ratio residual sees a relative error d in it only as d / (pi sqrt(R)/2).
-#: Past pi sqrt(R)/2 = 10^20 (R about 4.05e39) a solve would vouch for 20
-#: fewer digits of k than tol_exp, the slack the ladder's gate allows.
+#: K-ratio sees a relative error d in it only as d / S, S <= pi sqrt(R)/2,
+#: which the solve's gate multiplies back.  Up to pi sqrt(R)/2 = 10^20
+#: (R about 4.05e39) that product uses 67 of the 128 bits between the
+#: gate and work_bits, and a ladder rung, which loses log10 S digits,
+#: stays within the 20 digits of slack its gate allows.
 _R_MAX = (4 * 10 ** 40 << 512) // pi_fixed(256) ** 2
 
 
@@ -719,12 +712,15 @@ def solve_singular_modulus(
     as before.  Callers must not take elliptic_K of a member that is 1:
     K(1) is infinite and elliptic_K refuses it.
 
-    No integer of the solve grows with r, so its one bound is the
-    certificate's: a relative error d in the small modulus moves the
-    residual only by d / (pi sqrt(R)/2), and an r with max(r, 1/r) above
-    _R_MAX, about 4.05e39, where that costs 20 digits, is refused with
-    DomainError before its nome is taken.  This is the only place r is
-    refused for its size.
+    A relative error d in the small modulus moves the ratio only by d / S,
+    S = 2 k'^2 K K' / pi <= pi sqrt(R)/2 (Legendre's relation), so the gate
+    judges the residual times an integer above S, within 2 of pi sqrt(R)/2,
+    from math.isqrt of the exact rational and the fixed-point pi: a pass
+    vouches for tol_exp digits of k at every R.  The record's residual is
+    the unscaled one.  No integer of the solve grows with r, and an r with
+    max(r, 1/r) above _R_MAX, about 4.05e39, is refused with DomainError
+    before its nome is taken.  This is the only place r is refused for its
+    size.
     """
     _validate_rational(r_num, r_den)
     if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
@@ -749,7 +745,11 @@ def solve_singular_modulus(
     target = math.isqrt((r_num << 2 * frac) // r_den)
     residual = ratio - target
     gap = _rounded(ctx, abs(residual), -frac)
-    if not ctx.certifies(residual, target):
+    # an integer above S: pi sqrt(R)/2 on integers, within 2^-33, floored, plus 2
+    big, small = (r_den, r_num) if reflect else (r_num, r_den)
+    b = (big.bit_length() - small.bit_length()) // 2 + 34
+    s_bound = (pi_fixed(b) * math.isqrt((big << 2 * b) // small) >> 2 * b + 1) + 2
+    if not ctx.certifies(residual * s_bound, target):
         raise ConvergenceError(
             "solve at r=%s/%s left residual %s above tolerance"
             % (r_num, r_den, mp.nstr(gap, 8))

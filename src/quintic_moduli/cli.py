@@ -152,17 +152,33 @@ def __getattr__(name: str):
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
+#: the characters of a bad argument a usage message quotes
+_QUOTED_MAX = 40
+
+
+def _quoted(s: str) -> str:
+    """repr(s), or for a long s the repr of its first _QUOTED_MAX
+    characters, an ellipsis and its length."""
+    if len(s) <= _QUOTED_MAX:
+        return repr(s)
+    return "%r... (%d characters)" % (s[:_QUOTED_MAX], len(s))
+
 
 def _rational_arg(s: str) -> Fraction:
     m = _RATIONAL_RE.match(s.strip())
     if not m:
         raise argparse.ArgumentTypeError(
-            "expected a positive rational like 5 or 3/2, got %r" % s
+            "expected a positive rational like 5 or 3/2, got %s" % _quoted(s)
         )
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # past Python's limit on int() of a decimal string
+        raise argparse.ArgumentTypeError(
+            "rational has too many digits to convert, got %s" % _quoted(s)
+        )
     if num == 0 or den == 0:
-        raise argparse.ArgumentTypeError("rational must be positive, got %r" % s)
+        raise argparse.ArgumentTypeError("rational must be positive, got %s" % _quoted(s))
     return Fraction(num, den)
 
 
@@ -170,9 +186,9 @@ def _positive_int(s: str) -> int:
     try:
         v = int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % s)
+        raise argparse.ArgumentTypeError("expected an integer, got %s" % _quoted(s))
     if v < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % s)
+        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % _quoted(s))
     return v
 
 
@@ -180,7 +196,7 @@ def _decimal_arg(s: str) -> str:
     try:
         mpf(s)
     except Exception:
-        raise argparse.ArgumentTypeError("expected a decimal number, got %r" % s)
+        raise argparse.ArgumentTypeError("expected a decimal number, got %s" % _quoted(s))
     return s
 
 

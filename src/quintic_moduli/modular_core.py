@@ -55,7 +55,6 @@ from .bigmath_kernel import (
     Real,
     SingularModulusRecord,
     _Float,
-    _GATE_INT_BITS,
     _INT_BITS,
     _eta_at,
     _fixed,
@@ -81,8 +80,6 @@ from .bigmath_kernel import (
 
 __all__ = [
     "ARecord",
-    "M5Record",
-    "multiplier_M5",
     "a_value",
     "rrcf_truncated",
     "rrcf_converged",
@@ -119,14 +116,6 @@ def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     """a_via_eta at r, shared within a request scope."""
     return _memoised("a_eta", a_via_eta, r_num, r_den, ctx)
-
-
-class M5Record(NamedTuple):
-    """The multiplier m5(r) = K(k_25r)/K(k_r) with the residual of the
-    degree-6 polynomial at it; nothing here judges that residual."""
-
-    m5: mpf
-    poly_residual: mpf  # degree-6 polynomial relation evaluated at m5
 
 
 class ARecord(NamedTuple):
@@ -171,27 +160,6 @@ def _m5_relation(rec: SingularModulusRecord, m5: mpf, bits: int) -> Tuple[mpf, m
     t = 5 * man - (1 << -exp)
     lhs = (1, *_mul(_pow((t, exp), 4, bits), (t * ((1 << -exp) - man), 2 * exp), bits))
     return _term_sum((lhs, rhs), bits)[0], _term_sum(monomials + [rhs], bits)[1]
-
-
-def multiplier_M5(
-    r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> M5Record:
-    """Multiplier of the degree-5 transformation at exact rational r.
-
-    m5 is *defined* as the ratio K(k_25r)/K(k_r) of two certified solves,
-    never obtained by solving the degree-6 polynomial
-
-        (5 m - 1)^5 (1 - m) - 256 (k_r k'_r)^2 m = 0
-
-    blind (it has six roots and no intrinsic selection rule).  The record
-    carries that polynomial's residual at m5, _m5_relation's on integers,
-    without judging it: the registry's eq11 judges the same residual
-    against its scale.
-    """
-    rec, _, m5 = _m5_solves(r_num, r_den, ctx)
-    res, _ = _m5_relation(rec, m5, ctx.work_bits + _GATE_INT_BITS)
-    with workprec(ctx.work_bits):
-        return M5Record(m5=_round_to(ctx, m5), poly_residual=_round_to(ctx, abs(res)))
 
 
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

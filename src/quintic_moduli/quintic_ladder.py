@@ -99,13 +99,11 @@ __all__ = [
     "BranchError",
     "LadderStep",
     "LadderTrace",
-    "u_defining_residual",
     "u_map",
     "u_star",
     "p_map",
     "g_invariant",
     "ladder",
-    "audit_example_forms",
 ]
 
 
@@ -143,21 +141,6 @@ def _cubic_residual(c: _Float, w: _Float, bits: int) -> Tuple[mpf, mpf]:
     by _term_sum."""
     w2, cw = _mul(w, w, bits), _mul(c, w, bits)
     return _term_sum(((1, *_mul(cw, w2, bits)), (5, *w2), (-1, *cw), (-1, 1, 0)), bits)
-
-
-def u_defining_residual(x: Real, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """How far (x, y) is from the relation u_map inverts:
-    |x^2/(sqrt5 y) - sqrt5 y/x^2 - (y^3 - y^-3)/sqrt5| = |P(w)|/(sqrt5 y^3)
-    at c = x^3, w = y^2/x (see u_map), P by _cubic_residual."""
-    xv, yv = to_big(x, ctx), to_big(y, ctx)
-    if xv <= 0 or yv <= 0:
-        raise DomainError("u_defining_residual requires positive arguments")
-    bits = ctx.work_bits + _GATE_INT_BITS
-    (man, exp), yf = _floats(xv, yv)
-    w = _quo(_mul(yf, yf, bits), (man, exp), bits)
-    res, _ = _cubic_residual((man * man * man, 3 * exp), w, bits)
-    with workprec(ctx.work_bits):
-        return _round_to(ctx, abs(res) / (_sqrt(mpf(5)) * yv ** 3))
 
 
 #: bits of the cubic's root that the float seed is trusted to; the first
@@ -537,55 +520,3 @@ def ladder(
             )
         t = p6
     return LadderTrace(gate_exp, seed_s, seed_s25, tuple(steps))
-
-
-def audit_example_forms(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
-    """Check two traditional closed-form shorthands for k_125 and k_625
-    against certified values, reporting each as data.
-
-    For each target this reports the certified ladder value and the
-    shorthand taken at face value:
-
-      k_125:  sqrt(1/2 - sqrt(1 - (9 - 4 sqrt5) P^2)/2),    P = p_map(1)
-      k_625:  sqrt(1/2 - sqrt(1 - (P'/(161 + 72 sqrt5))^2)/2),
-              P' = p_map(161 - 72 sqrt5)
-
-    The certified ascent (ladder) feeds its rung x^6 for the invariant
-    ratio x = g(r0/25)/g(r0) and takes k k' at 25 r0 as k k' at r0 times
-    p_map(x)^12.  The face-value forms feed p_map x^12 (the same as x = 1
-    for k_125) and skip the twelfth power of p.  A form
-    holds when its difference certifies against the oracle k.  Both
-    shorthands miss their oracles and are recorded as failing, with the
-    measured differences; the canonical ascents certify to full tolerance.
-    """
-
-    def entry(value: mpf, oracle: mpf) -> dict:
-        with workprec(ctx.work_bits):
-            diff = abs(value - oracle)
-        return {
-            "value": _round_to(ctx, value),
-            "oracle": oracle,
-            "difference": _round_to(ctx, diff),
-            "holds": ctx.certifies(diff, oracle),
-        }
-
-    out = {}
-    for r0 in (5, 25):
-        oracle = solve_singular_modulus(25 * r0, 1, ctx).k
-        (step,) = ladder(r0, 1, 1, ctx).steps
-        out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
-
-    with workprec(ctx.work_bits):
-        s5 = _sqrt(mpf(5))
-        p1 = p_map(mpf(1), ctx)
-        verb125 = _sqrt(
-            mpf(1) / 2 - _sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2
-        )
-        out["verbatim_125"] = entry(verb125, out["canonical_125"]["oracle"])
-
-        parg = p_map(161 - 72 * s5, ctx)
-        verb625 = _sqrt(
-            mpf(1) / 2 - _sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2
-        )
-        out["verbatim_625"] = entry(verb625, out["canonical_625"]["oracle"])
-    return out

@@ -23,11 +23,27 @@ The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
 they pin the solver's output against drift but do not certify it on their
 own; the radical builders do.
+
+Two audits that no command runs live here too: ``u_defining_residual``,
+the relation u_map inverts in mpf, and ``audit_example_forms``, the
+printed shorthands for k_125 and k_625 against the certified ascent.  The
+audit reads the library only through its public calls, and both do their
+own arithmetic in mpmath at twice the working bits.  ``TRACED_DELETED`` names
+the functions the benchmark's tracer still lists but the library deleted
+on purpose.
 """
 
 import math
 
 from mpmath import ellipk, jtheta, mp, mpc, mpf, sqrt, workprec
+
+import quintic_moduli as qm
+
+#: (module, function) pairs in perfbench/tracer.py's TRACED that the
+#: library deleted on purpose: no command reached them.  The tests that
+#: hold every traced name to a function assert that each of these does not
+#: resolve and is still listed, so the exemption fails once the list drops it
+TRACED_DELETED = (("modular_core", "multiplier_M5"),)
 
 #: a certifiable tol_exp for each precision the tests sweep
 TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
@@ -271,6 +287,14 @@ def u_relation_terms(x, y, bits):
         return sum(terms), max(abs(t) for t in terms)
 
 
+def u_defining_residual(x, y, bits=1152):
+    """|x^2/(sqrt5 y) - sqrt5 y/x^2 - (y^3 - y^-3)/sqrt5|: how far (x, y)
+    lies from the relation u_map inverts, in mpf at ``bits``, by default
+    twice the working bits of the default context.  u_map's gate judges the
+    cleared cubic on integers instead."""
+    return abs(u_relation_terms(x, y, bits)[0])
+
+
 def _summed(*terms):
     return sum(terms), max(abs(t) for t in terms)
 
@@ -434,4 +458,46 @@ def solve_mpf(r_num, r_den, precision_bits):
             out[name] = +K
     with workprec(precision_bits):
         out["q"] = +q_r
+    return out
+
+
+def audit_example_forms(ctx):
+    """Two printed closed-form shorthands for k_125 and k_625 against
+    certified values, each reported as data: a dict with an entry (value,
+    oracle, difference, holds) per form.
+
+      k_125:  sqrt(1/2 - sqrt(1 - (9 - 4 sqrt5) P^2)/2),    P = p_map(1)
+      k_625:  sqrt(1/2 - sqrt(1 - (P'/(161 + 72 sqrt5))^2)/2),
+              P' = p_map(161 - 72 sqrt5)
+
+    The certified ascent (ladder) feeds its rung x^6 for the invariant
+    ratio x = g(r0/25)/g(r0) and takes k k' at 25 r0 as k k' at r0 times
+    p_map(x)^12.  The face-value forms feed p_map x^12 (the same as x = 1
+    for k_125) and skip the twelfth power of p.  The oracle is the solve at
+    25 r0.  A form holds when its difference lies below 10^-tol_exp times
+    the oracle, compared in mpf at twice the working bits, where the
+    shorthands are evaluated too.  Both shorthands miss their oracles; the
+    canonical ascents certify to full tolerance.
+    """
+    bits = 2 * ctx.work_bits
+
+    def entry(value, oracle):
+        with workprec(bits):
+            diff = abs(value - oracle)
+            holds = diff < mpf(10) ** -ctx.tol_exp * oracle
+        return {"value": value, "oracle": oracle, "difference": diff, "holds": holds}
+
+    out = {}
+    for r0 in (5, 25):
+        oracle = qm.solve_singular_modulus(25 * r0, 1, ctx).k
+        (step,) = qm.ladder(r0, 1, 1, ctx).steps
+        out["canonical_%d" % (25 * r0)] = entry(step.k, oracle)
+    with workprec(bits):
+        s5 = sqrt(mpf(5))
+        p1 = qm.p_map(1, ctx)
+        verb125 = sqrt(mpf(1) / 2 - sqrt(1 - (9 - 4 * s5) * p1 ** 2) / 2)
+        parg = qm.p_map(161 - 72 * s5, ctx)
+        verb625 = sqrt(mpf(1) / 2 - sqrt(1 - (parg / (161 + 72 * s5)) ** 2) / 2)
+    out["verbatim_125"] = entry(verb125, out["canonical_125"]["oracle"])
+    out["verbatim_625"] = entry(verb625, out["canonical_625"]["oracle"])
     return out

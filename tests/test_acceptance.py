@@ -11,16 +11,15 @@ import time
 from mpmath import mp, mpf, sqrt, workprec
 
 from quintic_moduli import (
+    DEFAULT_CONTEXT,
     PrecisionContext,
     REGISTRY,
     a_value,
-    audit_example_forms,
     closed_form_R,
     nome,
     rrcf_converged,
     run_suite,
     solve_singular_modulus,
-    u_defining_residual,
     u_map,
     u_star,
 )
@@ -174,7 +173,7 @@ def test_criterion_5_forward_inverse_grid():
         with workprec(700):
             y = 1 + 2 * mpf(i) / 99
         x = u_star(y)
-        res = u_defining_residual(x, y)
+        res = ov.u_defining_residual(x, y)
         with workprec(700):
             rt = abs(u_map(x) - y)
         worst_def = max(worst_def, res)
@@ -187,7 +186,7 @@ def test_criterion_5_forward_inverse_grid():
 
 
 def test_criterion_6_closed_form_shorthand_audit():
-    audit = audit_example_forms()
+    audit = ov.audit_example_forms(DEFAULT_CONTEXT)
     canon_ok = audit["canonical_125"]["holds"] and audit["canonical_625"]["holds"]
     v125 = audit["verbatim_125"]
     v625 = audit["verbatim_625"]

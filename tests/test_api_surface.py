@@ -1,5 +1,7 @@
 """The public surface stays in step with the code: every exported name
-resolves, so does every function the benchmark's tracer wraps by name,
+resolves, and is used by another module or named in README's Library
+section, no module imports a name it never reads, every function the
+benchmark's tracer wraps by name resolves but those deleted on purpose,
 every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
 listed, the math layers stay below the registry, the tolerance is read by
@@ -26,6 +28,8 @@ import pytest
 import quintic_moduli
 from quintic_moduli import DEFAULT_CONTEXT, PrecisionContext, cli
 from quintic_moduli.certify import REGISTRY
+
+import oracle_values as ov
 
 _README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 _MODULES = (
@@ -64,7 +68,7 @@ def test_every_ctx_parameter_defaults_to_the_default_context():
 
 
 def test_precision_context_is_precision_and_tolerance_only():
-    # the guard bits are the constant bigmath_kernel.GUARD_BITS, not a field
+    # the guard bits are the private constant bigmath_kernel._GUARD_BITS, not a field
     assert list(PrecisionContext._fields) == ["precision_bits", "tol_exp"]
 
 
@@ -323,11 +327,6 @@ def test_modular_core_takes_no_mpmath_root():
     assert not named, "modular_core names root at lines %s" % named
 
 
-def _functions(name):
-    tree = _tree("quintic_moduli." + name)
-    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-
-
 def test_registry_takes_no_root_and_integer_checkers_no_powers():
     # eq6, eq10 and eq31 are checked in the power they hold in, and the
     # ascent ids eq26, eq29, eq30 and eq34 in the powers k k' holds them in,
@@ -543,9 +542,9 @@ def test_public_maps_share_the_rung_core():
     # one spelling of the cubic's Newton and gate, and of B: p_map is the
     # rung core and a sixth root, u_map the core's cubic root, u_star the
     # core's B; nothing else in the module calls the Newton step or seeds it.
-    # P's residual has one spelling, which the gate and u_defining_residual
-    # share, and the registry's ascent ids call the core, the cubic root and
-    # that residual rather than spelling their own
+    # P's residual has one spelling, which the gate and eq26 share, and the
+    # registry's ascent ids call the core, the cubic root and that residual
+    # rather than spelling their own
     fns = _functions("quintic_ladder")
     calls = {name: _called_names(fn) for name, fn in fns.items()}
     assert "_rung" in calls["p_map"] and "_rung" in calls["ladder"]
@@ -558,7 +557,7 @@ def test_public_maps_share_the_rung_core():
         users = sorted(name for name, c in calls.items() if helper in c)
         assert users == {"_rung": ["ladder", "p_map"], "_cubic_root": ["_rung", "u_map"],
                          "_radicand_b": ["_rung", "u_star"],
-                         "_cubic_residual": ["_cubic_root", "u_defining_residual"]}[helper], (
+                         "_cubic_residual": ["_cubic_root"]}[helper], (
             helper, users)
     registry = {name: _called_names(fn) for name, fn in _functions("certify").items()}
     for helper, users in (
@@ -606,6 +605,67 @@ def _traced_pairs():
 @pytest.mark.parametrize("module, name", _traced_pairs())
 def test_every_traced_name_resolves(module, name):
     # the benchmark wraps each (module, function) by name and skips a pair
-    # that no longer resolves, so a rename would zero its per-layer metrics
+    # that no longer resolves, so a rename would zero its per-layer metrics;
+    # a pair deleted on purpose must stay unresolved until the list drops it
     mod = importlib.import_module("quintic_moduli." + module)
-    assert inspect.isfunction(getattr(mod, name, None)), "%s.%s" % (module, name)
+    if (module, name) in ov.TRACED_DELETED:
+        assert not hasattr(mod, name), "%s.%s" % (module, name)
+    else:
+        assert inspect.isfunction(getattr(mod, name, None)), "%s.%s" % (module, name)
+
+
+def test_every_deleted_traced_name_is_still_traced():
+    # the exemption above lapses, and this fails, once the tracer drops it
+    assert set(ov.TRACED_DELETED) <= set(_traced_pairs())
+
+
+def _readme_library_names():
+    """The identifiers README's Library section documents: every word of
+    its example, and each backticked span that is a name or a call of one."""
+    with open(_README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```python\n(.*?)```", section, re.S)
+    names = set(re.findall(r"\w+", example.group(1)))
+    prose = section[:example.start()] + section[example.end():]
+    return names | set(re.findall(r"`(\w+)[(`]", prose))
+
+
+def _names_read_by(name):
+    """Names the module `name` imports from anywhere or reads as an attribute."""
+    names = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", [n for n in _MODULES if n.count(".") and not n.endswith(".cli")])
+def test_every_exported_name_is_used_or_documented(name):
+    # a public name earns its place: another module of the package, the
+    # CLI included, imports or reads it, or README's Library section names
+    # it; a name only the tests call belongs in the tests
+    readers = [n for n in _MODULES if n.count(".") and n != name]
+    used = set().union(*map(_names_read_by, readers)) | _readme_library_names()
+    unused = [n for n in importlib.import_module(name).__all__ if n not in used]
+    assert not unused, "%s exports %s, which nothing uses or documents" % (name, unused)
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_no_module_imports_a_name_it_never_reads(name):
+    # an import that nothing reads is a leftover; a name re-exported
+    # through __all__ and the package's * imports are its use
+    tree = _tree(name)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set(importlib.import_module(name).__all__)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    unread = [n for n in imported if n not in read and n not in exported]
+    assert not unread, "%s imports %s and never reads them" % (name, unread)

@@ -16,15 +16,14 @@ from quintic_moduli import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     a_value,
+    a_via_moduli,
     agm,
     closed_form_R,
-    complement,
     descend_a,
     descend_v,
     elliptic_K,
     eta_f,
     ladder,
-    multiplier_M5,
     nome,
     rrcf_converged,
     rrcf_truncated,
@@ -45,6 +44,12 @@ DEEP_RECIPROCALS = [(1, 800), (1, 2500), (1, 10000)]
 
 def _ctx_at(bits):
     return PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
+
+
+def complement_raw(x, ctx):
+    """The solve's sqrt(1 - x^2), bk._complement_raw, of to_big(x) at
+    precision_bits."""
+    return bk._complement_raw(to_big(x, ctx), ctx.precision_bits)
 
 
 def _ellipk_residual(rec, rn, rd, bits):
@@ -306,7 +311,7 @@ class TestAmbientPrecision:
             (u_star, ("1.3",)),
             (u_star, ("0.45",)),
             (eta_f, ("0.04",)),
-            (complement, ("0.6",)),
+            (complement_raw, ("0.6",)),
             (rrcf_converged, ("0.04",)),
             (rrcf_truncated, ("0.04", 7)),
         ],
@@ -452,21 +457,24 @@ class TestAgmFinish:
 
 
 class TestComplement:
+    """bk._complement_raw, the solve's sqrt(1 - k^2), at the default
+    context's 512 bits."""
+
     def test_pythagorean(self):
         k = to_big("0.1188769458")
         with workprec(600):
-            assert abs(k ** 2 + complement(k) ** 2 - 1) < mpf(10) ** -150
+            assert abs(k ** 2 + bk._complement_raw(k, 512) ** 2 - 1) < mpf(10) ** -150
 
     def test_near_one_keeps_precision(self):
         # k' of a modulus extremely close to 0 must stay exactly 1-ish
         # without the (1-k)(1+k) product collapsing
         k = to_big("1e-100")
         with workprec(600):
-            assert abs(complement(k) - (1 - mpf(10) ** -200 / 2)) < mpf(10) ** -250
+            assert abs(bk._complement_raw(k, 512) - (1 - mpf(10) ** -200 / 2)) < mpf(10) ** -250
 
     def test_endpoints(self):
-        assert complement(0) == 1
-        assert complement(1) == 0
+        assert bk._complement_raw(mpf(0), 512) == 1
+        assert bk._complement_raw(mpf(1), 512) == 0
 
     @pytest.mark.parametrize("prec", [256, 512, 1024, 4096])
     def test_tiny_k_is_the_root_path_on_both_sides_of_the_skip(self, prec):
@@ -485,12 +493,6 @@ class TestComplement:
                     assert bk._complement_raw(k, prec)._mpf_ == root, (top, bc)
                     if top <= last:
                         assert root == mpf(1)._mpf_
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            complement("1.0000001")
-        with pytest.raises(DomainError):
-            complement("-0.5")
 
 
 class TestEllipticK:
@@ -805,7 +807,7 @@ class TestSolvableBound:
     @pytest.mark.parametrize(
         "fn,args,point",
         [
-            (multiplier_M5, (10 ** 39, 1), "25%s/1" % ("0" * 39)),
+            (a_via_moduli, (10 ** 39, 1), "25%s/1" % ("0" * 39)),
             (a_value, (1, 10 ** 41), "1/10%s" % ("0" * 40)),
             (run_suite, (10 ** 38, 1), "10%s/1" % ("0" * 39)),
             (ladder, (5, 1, 10 ** 9), "%d/1" % (5 * 25 ** 28)),
@@ -814,6 +816,34 @@ class TestSolvableBound:
     def test_callers_raise_the_solves_refusal(self, fn, args, point):
         with pytest.raises(DomainError, match="a solve at r = %s would vouch" % point):
             fn(*args)
+
+
+#: R = 10^6, 10^20 and the bound, and their reciprocals
+_WIDE_RS = [Fraction(10 ** 6), Fraction(10 ** 20), Fraction(bk._R_MAX)]
+_WIDE_RS += [1 / r for r in _WIDE_RS]
+
+
+class TestSolveVouchesForTolExpDigits:
+    """The K-ratio moves by only d / S for a relative error d in the small
+    modulus, S = 2 k'^2 K K' / pi <= pi sqrt(R)/2; the solve gates its
+    residual times an integer above S, so a k off by 10^-tol_exp fails at
+    every R."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("r", _WIDE_RS, ids=lambda r: "%d/%d" % (r.numerator, r.denominator))
+    def test_a_small_modulus_off_by_the_tolerance_fails(self, monkeypatch, r, bits, sign):
+        ctx = _ctx_at(bits)
+        bk.solve_singular_modulus(r.numerator, r.denominator, ctx)  # certifies as computed
+        theta_quotient, scale = bk._theta_quotient, 10 ** ctx.tol_exp
+
+        def perturbed(q, ctx):
+            man, exp = theta_quotient(q, ctx)
+            return man * (scale + sign) // scale, exp
+
+        monkeypatch.setattr(bk, "_theta_quotient", perturbed)
+        with pytest.raises(ConvergenceError, match="left residual"):
+            bk.solve_singular_modulus(r.numerator, r.denominator, ctx)
 
 
 class TestSolverDomain:

@@ -18,7 +18,6 @@ from quintic_moduli import (
     IdentityReport,
     PrecisionContext,
     UsageError,
-    multiplier_M5,
     nome,
     run_suite,
 )
@@ -112,7 +111,10 @@ class TestRunSuite:
         # the stored residual is the polynomial residual itself, not a copy
         # re-rounded at mpmath's default 53 bits
         (entry,) = run_suite(5, ids=["eq11-m5-poly"]).entries
-        assert entry.residual == multiplier_M5(5).poly_residual
+        rec, _, m5 = mc._m5_solves(5, 1, DEFAULT_CONTEXT)
+        residual, _ = mc._m5_relation(rec, m5, DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS)
+        with workprec(DEFAULT_CONTEXT.work_bits):
+            assert entry.residual == bk._round_to(DEFAULT_CONTEXT, abs(residual))
 
     def test_deterministic_modulo_timing(self):
         a = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])

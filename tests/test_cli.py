@@ -129,6 +129,31 @@ class TestUsageErrors:
         err = self._refused_without_a_solve(capsys, monkeypatch, "--r0", "5", *argv)
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("kr", "--r", "7" * 5000),
+             "rational has too many digits to convert, got %r... (5000 characters)" % ("7" * 40)),
+            (("kr", "--r", "1/" + "0" * 5000),
+             "rational has too many digits to convert, got %r... (5002 characters)"
+             % ("1/" + "0" * 38)),
+            (("kr", "--r", "x" * 5000),
+             "expected a positive rational like 5 or 3/2, got %r... (5000 characters)" % ("x" * 40)),
+            (("ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "0." + "7" * 100000),
+             "expected a decimal number, got %r... (100002 characters)" % ("0." + "7" * 38)),
+        ],
+        ids=["rational-past-the-int-limit", "denominator-past-the-int-limit", "long-garbage",
+             "long-seed"],
+    )
+    def test_a_long_argument_is_quoted_cut(self, capsys, argv, message):
+        # an argument past Python's 4300-digit int() limit is a usage error
+        # like any bad value, and the usage line quotes its first 40
+        # characters and its length, not the whole argument
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(": error: argument %s: %s\n" % (argv[-2], message))
+        assert len(err) < 400
+
     def test_empty_ids_lists_registry(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--r", "1", "--ids", ",")
         assert (code, out) == (2, "")
@@ -684,11 +709,13 @@ class TestModuleEntryPoint:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['kr', '--r', '5', '--json'])\n"
             "Tracer().install()\n"
-            "print([m + '.' + f for m, f in TRACED\n"
-            "       if not hasattr(getattr(sys.modules['quintic_moduli.' + m], f, None),\n"
-            "                      '__wrapped__')])\n"
+            "homes = {m: sys.modules['quintic_moduli.' + m] for m, _ in TRACED}\n"
+            "print([(m, f, hasattr(homes[m], f)) for m, f in TRACED\n"
+            "       if not hasattr(getattr(homes[m], f, None), '__wrapped__')])\n"
         )
-        assert out == "[]\n"
+        # every traced name is wrapped but those deleted on purpose, which
+        # the list still holds and which resolve to nothing
+        assert out == "%r\n" % [(m, f, False) for m, f in ov.TRACED_DELETED]
 
 
 def _plain(x, bits):

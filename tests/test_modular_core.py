@@ -17,7 +17,6 @@ from quintic_moduli import (
     descend_a,
     descend_v,
     eta_f,
-    multiplier_M5,
     nome,
     rrcf_converged,
     rrcf_truncated,
@@ -32,33 +31,37 @@ import quintic_moduli.modular_core as mc
 TOL = mpf(10) ** -120
 
 
+def _m5(rn, rd):
+    """m5 = K(k_25r)/K(k_r) at the default context, as the moduli route and
+    eq11 read it."""
+    return mc._m5_solves(rn, rd, DEFAULT_CONTEXT)[2]
+
+
 class TestMultiplier:
     def test_r1_radical(self):
         # the K-ratio at r=1 has the closed form (2+sqrt5)/5 (verified to
         # 3e-309 at 1024 bits); note it is a double root of the degree-6
         # polynomial, so root-polishing there is hopeless by design
-        rec = multiplier_M5(1, 1)
         with workprec(600):
-            assert abs(rec.m5 - ov.m5_1_radical()) < TOL
+            assert abs(_m5(1, 1) - ov.m5_1_radical()) < TOL
 
     @pytest.mark.parametrize("rn,rd", [(1, 1), (3, 2), (5, 1)])
     def test_poly_residual(self, rn, rd):
-        rec = multiplier_M5(rn, rd)
-        assert rec.poly_residual < TOL
-        assert mpf(1) / 5 < rec.m5 < 1
+        rec, _, m5 = mc._m5_solves(rn, rd, DEFAULT_CONTEXT)
+        residual, _ = mc._m5_relation(rec, m5, DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS)
+        assert abs(residual) < TOL
+        assert mpf(1) / 5 < m5 < 1
 
     def test_defines_K_ratio(self):
-        rec = multiplier_M5(3, 2)
         lo = solve_singular_modulus(3, 2)
         hi = solve_singular_modulus(75, 2)
         with workprec(600):
-            assert abs(rec.m5 * lo.K_k - hi.K_k) < TOL
+            assert abs(_m5(3, 2) * lo.K_k - hi.K_k) < TOL
 
     def test_reciprocal_point(self):
         # m5(1/5) = 1/sqrt5 (verified to 1e-308 at 1024 bits)
-        rec = multiplier_M5(1, 5)
         with workprec(600):
-            assert abs(rec.m5 - 1 / sqrt(mpf(5))) < TOL
+            assert abs(_m5(1, 5) - 1 / sqrt(mpf(5))) < TOL
 
 
 class TestAValue:
