@@ -68,11 +68,12 @@ value on plain ints, (kind, n, d, precision_bits, tol_exp) with r = n/d in
 lowest terms, so f(-q^m) is the eta value at m^2 r.  Inside a
 ``_request_memo()`` scope a lookup computes each key once and hands back
 the same value on every later call; outside one it computes.  A scope lives
-for one call (``run_suite``, ``quintic_ladder.ladder`` and the CLI's
-``rrcf`` open it), never for the process.  The key is always the exact
-point; the nome lookup there takes the nome at 25r or 4r as the fifth
-power or square of the nome at r when the scope holds that one, so only
-the first nome of each chain takes an exp (``_nome`` bounds the chains).
+for one call (``certify.run_suite``, ``quintic_ladder.ladder`` and
+``modular_core.rrcf_value`` open it), never for the process.  The key is
+always the exact point; the nome lookup there takes the nome at 25r or 4r
+as the fifth power or square of the nome at r when the scope holds that
+one, so only the first nome of each chain takes an exp (``_nome`` bounds
+the chains).
 
 Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
 eta-quotient lookups take their value from a reflected point whose nome
@@ -80,9 +81,9 @@ lies near 0, where a series needs few terms: ``_eta_at`` by Dedekind's
 eta(i/alpha) = sqrt(alpha) eta(i alpha) from the value at 16/r,
 ``modular_core._rrcf_at`` by Ramanujan's reciprocity from 16/r, and
 ``modular_core._a_eta_at`` by the Fricke involution from 16/(25r).  A
-public function that takes r (solve_singular_modulus, nome, a_via_eta and
-all built on them) is accurate at every r; one that takes q (eta_f,
-rrcf_converged, rrcf_truncated) sums at the q it is given.
+public function that takes r (solve_singular_modulus, nome, a_via_eta,
+rrcf_value and all built on them) is accurate at every r; one that takes
+q (eta_f, rrcf_converged, rrcf_truncated) sums at the q it is given.
 """
 
 from __future__ import annotations
@@ -725,8 +726,9 @@ def solve_singular_modulus(
     _validate_rational(r_num, r_den)
     if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
         raise DomainError(
-            "a solve at r = %s/%s would vouch for 20 fewer digits of k than "
-            "tol_exp: max(r, 1/r) must not exceed %d" % (r_num, r_den, _R_MAX)
+            "a solve at r = %s/%s lies past the bound that keeps a ladder rung "
+            "within its gate's 20 digits of slack: max(r, 1/r) must not exceed %d"
+            % (r_num, r_den, _R_MAX)
         )
     reflect = r_num < r_den
     q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record

@@ -122,7 +122,7 @@ Residuals = Dict[str, Residual]
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
-    r_cf = _rrcf_at(rn, rd, ctx)
+    r_cf = _rrcf_at(rn, rd, ctx)[0]
     return {
         "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -_a_eta_at(rn, rd, ctx))
     }
@@ -285,7 +285,7 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # CF-value descent r -> r/25 against a direct evaluation at r/25
-    hi, lo = _rrcf_at(rn, rd, ctx), _rrcf_at(rn, 25 * rd, ctx)
+    hi, lo = _rrcf_at(rn, rd, ctx)[0], _rrcf_at(rn, 25 * rd, ctx)[0]
     return {"eq19-v-descent": _summed(descend_v(hi, ctx), -lo)}
 
 

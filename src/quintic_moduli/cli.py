@@ -8,13 +8,14 @@
 Every command takes --prec BITS, --tol-exp E, --digits D and --json after
 its name, as in `kr --r 5 --json`; before the command they are unrecognized.
 Every modulus is solved once per request; a solve is a theta quotient plus
-two AGMs.  `ladder` parses its two seed overrides and hands them to
-quintic_ladder.ladder, which checks the start and solves any seed not
-given.  The argument parser is built once per process, on first use, so
-repeated in-process main() calls pay only for parsing: a known command's
-arguments go straight to its own parser, and only help, a missing or
-unknown command and leftovers reach the top level, which prints for them
-what its parse_args prints.
+two AGMs.  Every certificate lives in the library: `rrcf` writes the
+record of one call, modular_core.rrcf_value, and `ladder` hands its two
+seed overrides to quintic_ladder.ladder, which checks the start and solves
+any seed not given.  The argument parser is built once per process, on
+first use, so repeated in-process main() calls pay only for parsing: a
+known command's arguments go straight to its own parser, and only help, a
+missing or unknown command and leftovers reach the top level, which prints
+for them what its parse_args prints.
 Each command loads only the modules it runs: the package registers
 modular_core, quintic_ladder and certify with importlib's LazyLoader, and
 this module calls them through their module names, so `kr` runs none of
@@ -43,7 +44,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 
 from . import certify, modular_core, quintic_ladder
 from .bigmath_kernel import (
@@ -54,9 +55,6 @@ from .bigmath_kernel import (
     PrecisionContext,
     SingularModulusRecord,
     UsageError,
-    _nome,
-    _request_memo,
-    _round_to,
     solve_singular_modulus,
 )
 from .report import big_to_str, str_to_big
@@ -115,13 +113,9 @@ def _json_schema() -> dict:
                     )),
                 },
             }),
-            "rrcf": _object({
-                "closed": _DECIMAL,
-                "truncated": _DECIMAL,
-                "depth": {"type": "integer", "minimum": 1},
-                "difference": _DECIMAL,
-                "a": _DECIMAL,
-            }),
+            "rrcf": _object(_fields(
+                modular_core.RRecord, depth={"type": "integer", "minimum": 1},
+            )),
             "report": _object({
                 "all_pass": {"type": "boolean"},
                 "entries": {
@@ -151,6 +145,9 @@ def __getattr__(name: str):
 
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+#: the integers int() and the decimals mpf() read, in any number of digits
+_INT_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+_DECIMAL_RE = re.compile(r"\s*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\s*")
 
 #: the characters of a bad argument a usage message quotes
 _QUOTED_MAX = 40
@@ -164,6 +161,12 @@ def _quoted(s: str) -> str:
     return "%r... (%d characters)" % (s[:_QUOTED_MAX], len(s))
 
 
+def _too_long(kind: str, s: str) -> argparse.ArgumentTypeError:
+    """The usage error for a well-formed `kind` past Python's int() limit."""
+    return argparse.ArgumentTypeError("%s has too many digits to convert, got %s"
+                                      % (kind, _quoted(s)))
+
+
 def _rational_arg(s: str) -> Fraction:
     m = _RATIONAL_RE.match(s.strip())
     if not m:
@@ -173,10 +176,8 @@ def _rational_arg(s: str) -> Fraction:
     try:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
-    except ValueError:  # past Python's limit on int() of a decimal string
-        raise argparse.ArgumentTypeError(
-            "rational has too many digits to convert, got %s" % _quoted(s)
-        )
+    except ValueError:
+        raise _too_long("rational", s)
     if num == 0 or den == 0:
         raise argparse.ArgumentTypeError("rational must be positive, got %s" % _quoted(s))
     return Fraction(num, den)
@@ -186,6 +187,8 @@ def _positive_int(s: str) -> int:
     try:
         v = int(s)
     except ValueError:
+        if _INT_RE.fullmatch(s):
+            raise _too_long("integer", s)
         raise argparse.ArgumentTypeError("expected an integer, got %s" % _quoted(s))
     if v < 1:
         raise argparse.ArgumentTypeError("expected a positive integer, got %s" % _quoted(s))
@@ -196,6 +199,8 @@ def _decimal_arg(s: str) -> str:
     try:
         mpf(s)
     except Exception:
+        if _DECIMAL_RE.fullmatch(s):
+            raise _too_long("decimal number", s)
         raise argparse.ArgumentTypeError("expected a decimal number, got %s" % _quoted(s))
     return s
 
@@ -307,34 +312,16 @@ def cmd_ladder(args, ctx: PrecisionContext) -> int:
 
 
 def cmd_rrcf(args, ctx: PrecisionContext) -> int:
-    rn, rd = args.r.numerator, args.r.denominator
-    with _request_memo():  # the solves, eta values and q share their nomes
-        arec = modular_core.a_value(rn, rd, ctx)
-        closed = modular_core.closed_form_R(arec.a, ctx)
-        q = _round_to(ctx, _nome(rn, rd, ctx))
-    truncated, depth = modular_core.rrcf_converged(q, ctx)
-    with workprec(ctx.work_bits):
-        diff = _round_to(ctx, abs(closed - truncated))
-    if not ctx.certifies(diff, truncated):
-        raise CertificationError(
-            "rrcf at r=%s: closed form and continued fraction differ by %s"
-            % (args.r, mp.nstr(diff, 8))
-        )
+    rec = modular_core.rrcf_value(args.r.numerator, args.r.denominator, ctx)
     if args.json:
-        _emit_json("rrcf", args.r, ctx, "rrcf", {
-            "closed": closed,
-            "truncated": truncated,
-            "depth": depth,
-            "difference": diff,
-            "a": arec.a,
-        })
+        _emit_json("rrcf", args.r, ctx, "rrcf", rec)
     else:
         d = args.digits
         print("command: rrcf   r = %s   precision_bits = %d" % (args.r, ctx.precision_bits))
-        print("closed     = %s" % mp.nstr(closed, d))
-        print("truncated  = %s   (depth %d)" % (mp.nstr(truncated, d), depth))
-        print("difference = %s" % mp.nstr(diff, 8))
-        print("a          = %s" % mp.nstr(arec.a, d))
+        print("closed     = %s" % mp.nstr(rec.closed, d))
+        print("truncated  = %s   (depth %d)" % (mp.nstr(rec.truncated, d), rec.depth))
+        print("difference = %s" % mp.nstr(rec.difference, 8))
+        print("a          = %s" % mp.nstr(rec.a, d))
     return 0
 
 

@@ -17,8 +17,9 @@ Route map (everything is certified by cross-route residuals, never trusted):
     m5(r)  is checked (the registry's eq11) as a root of
            (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X,        [on integers]
 
-Below r = 1/25, a_via_eta and the registry's lookups read a and R at a
-reflected point whose nome lies near 0:
+rrcf_value(r) gates the closed form at a_value(r) against the CF lookup.
+Below r = 1/25, a_via_eta and the lookups (rrcf_value's CF among them)
+read a and R at a reflected point whose nome lies near 0:
 
     a(r)   = 125 / a(16/(25r))                    [Fricke involution, a_via_eta]
     R(r)   = (1 - phi R') / (phi + R'),  R' = R(16/r)
@@ -42,6 +43,7 @@ q^(1/5) B_d / A_d, one integer quotient rounded once.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from mpmath import mp, mpf, workprec
@@ -68,6 +70,7 @@ from .bigmath_kernel import (
     _pow,
     _quo,
     _reflects,
+    _request_memo,
     _round_to,
     _rounded,
     _solved,
@@ -83,6 +86,8 @@ __all__ = [
     "a_value",
     "rrcf_truncated",
     "rrcf_converged",
+    "RRecord",
+    "rrcf_value",
     "closed_form_R",
     "descend_v",
     "descend_a",
@@ -313,23 +318,55 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
 
-def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
-    """R at q = nome(r), shared within a request scope: rrcf_converged's value.
+def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
+    """(R, depth) at q = nome(r) as rrcf_converged gives them, shared within
+    a request scope.
 
     Below _REFLECT_BELOW it comes from R' = R at 16/r, whose nome lies near
     0, by Ramanujan's reciprocity (phi + R(q))(phi + R(q')) = phi sqrt5 for
     q = e^(-2 pi alpha), q' = e^(-2 pi / alpha), alpha = sqrt(r)/2 (Berndt,
-    Ramanujan's Notebooks III, ch. 16).  As phi sqrt5 = phi + 2 and phi^2 =
-    phi + 1, that is R = (1 - phi R') / (phi + R'), free of cancellation."""
+    Ramanujan's Notebooks III, ch. 16), with the depth summed at 16/r.  As
+    phi sqrt5 = phi + 2 and phi^2 = phi + 1, that is R = (1 - phi R') /
+    (phi + R'), free of cancellation."""
     return _memoised("rrcf", _rrcf_by_reciprocity, r_num, r_den, ctx)
 
 
-def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
+def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
     if not _reflects(r_num, r_den):
-        return rrcf_converged(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)[0]
-    far = _rrcf_at(16 * r_den, r_num, ctx)
+        return rrcf_converged(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
+    far, depth = _rrcf_at(16 * r_den, r_num, ctx)
     with workprec(ctx.work_bits):
-        return _round_to(ctx, (1 - mp.phi * far) / (mp.phi + far))
+        return _round_to(ctx, (1 - mp.phi * far) / (mp.phi + far)), depth
+
+
+class RRecord(NamedTuple):
+    """R at q = nome(r) by two routes, with their disagreement."""
+
+    closed: mpf      # closed_form_R(a)
+    truncated: mpf   # the continued fraction; below 1/25 by reciprocity from 16/r
+    depth: int       # the depth it was summed at (16/r's below 1/25)
+    difference: mpf  # |closed - truncated|
+    a: mpf           # a_value(r).a
+
+
+@_request_memo()
+def rrcf_value(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RRecord:
+    """R at q = nome(r) by the closed form at a_value(r) and by the registry's
+    continued fraction (_rrcf_at, which reflects below _REFLECT_BELOW), in
+    one request scope; a difference of 10^-tol_exp * truncated or more raises
+    CertificationError.  a_value runs first, so an r or 25r past the
+    solver's bound is refused (DomainError) before anything else computes."""
+    arec = a_value(r_num, r_den, ctx)
+    closed = closed_form_R(arec.a, ctx)
+    truncated, depth = _rrcf_at(r_num, r_den, ctx)
+    with workprec(ctx.work_bits):
+        diff = _round_to(ctx, abs(closed - truncated))
+    if not ctx.certifies(diff, truncated):
+        raise CertificationError(
+            "rrcf at r=%s: closed form and continued fraction differ by %s"
+            % (Fraction(r_num, r_den), mp.nstr(diff, 8))
+        )
+    return RRecord(closed, truncated, depth, diff, arec.a)
 
 
 def _root5(n: int) -> int:

@@ -13,8 +13,9 @@ in eq29 and forms its integer relations with no power operator, only the
 kernel spells the arithmetic of mantissas, each private lookup keys one
 kind on one compute, nothing is assigned into
 mpmath, only the CLI and the registry import the decimal writer, only
-the CLI imports json, for its string escape and never for json.dumps, and
-each typed error is one class, the kernel's."""
+the CLI imports json, for its string escape and never for json.dumps, the
+CLI reads no private name of the package, and each typed error is one
+class, the kernel's."""
 
 import ast
 import glob
@@ -136,6 +137,28 @@ def test_only_the_cli_and_the_registry_import_report():
     submodules = [n.rsplit(".", 1)[-1] for n in _MODULES if n.count(".")]
     importers = [n for n in submodules if "report" in _imported_names(n)]
     assert importers == ["certify", "cli"]
+
+
+def test_the_cli_imports_no_private_name_from_the_package():
+    # a certificate lives in the library, and a command reaches it by its
+    # public calls: the CLI imports no underscore name of the package and
+    # reads none from the modules it imports
+    tree = _tree("quintic_moduli.cli")
+    package = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "quintic_moduli")
+    ]
+    modules = {alias.asname or alias.name for node in package if not node.module
+               for alias in node.names}
+    private = [alias.name for node in package for alias in node.names
+               if alias.name.startswith("_")]
+    private += [
+        "%s.%s" % (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert modules and not private, "cli reads %s" % private
 
 
 def test_only_the_cli_imports_json_and_none_calls_dumps():

@@ -10,7 +10,14 @@ import pytest
 from mpmath import mp, mpf, sqrt, workprec
 
 import quintic_moduli.cli as climod
-from quintic_moduli import BranchError, ConvergenceError, nome, rrcf_truncated, solve_singular_modulus
+from quintic_moduli import (
+    BranchError,
+    ConvergenceError,
+    nome,
+    rrcf_converged,
+    rrcf_truncated,
+    solve_singular_modulus,
+)
 from quintic_moduli.certify import REGISTRY, IdentityEntry
 from quintic_moduli.cli import JSON_SCHEMA, build_parser, main
 from quintic_moduli.quintic_ladder import LadderStep, LadderTrace
@@ -140,15 +147,27 @@ class TestUsageErrors:
             (("kr", "--r", "x" * 5000),
              "expected a positive rational like 5 or 3/2, got %r... (5000 characters)" % ("x" * 40)),
             (("ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "0." + "7" * 100000),
-             "expected a decimal number, got %r... (100002 characters)" % ("0." + "7" * 38)),
+             "decimal number has too many digits to convert, got %r... (100002 characters)"
+             % ("0." + "7" * 38)),
+            (("ladder", "--r0", "5", "--n", "9" * 5000),
+             "integer has too many digits to convert, got %r... (5000 characters)" % ("9" * 40)),
+            (("kr", "--r", "5", "--prec", "9" * 5000),
+             "integer has too many digits to convert, got %r... (5000 characters)" % ("9" * 40)),
+            (("ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "1e-" + "9" * 5000),
+             "decimal number has too many digits to convert, got %r... (5003 characters)"
+             % ("1e-" + "9" * 37)),
+            (("kr", "--r", "5", "--prec", "9" * 5000 + "x"),
+             "expected an integer, got %r... (5001 characters)" % ("9" * 40)),
         ],
         ids=["rational-past-the-int-limit", "denominator-past-the-int-limit", "long-garbage",
-             "long-seed"],
+             "long-seed", "count-past-the-int-limit", "bits-past-the-int-limit",
+             "seed-exponent-past-the-int-limit", "long-garbage-integer"],
     )
     def test_a_long_argument_is_quoted_cut(self, capsys, argv, message):
         # an argument past Python's 4300-digit int() limit is a usage error
         # like any bad value, and the usage line quotes its first 40
-        # characters and its length, not the whole argument
+        # characters and its length, not the whole argument; a well-formed
+        # one is called too long to convert, not malformed
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith(": error: argument %s: %s\n" % (argv[-2], message))
@@ -170,18 +189,19 @@ BITS_256 = ("--prec", "256", "--tol-exp", "55")
 
 class TestOutsideTheDomain:
     """Only a solve refuses r for its size: max(r, 1/r) above the kernel's
-    _R_MAX, where its K-ratio would vouch for 20 fewer digits of k than
-    tol_exp.  `kr` is refused before any nome or AGM is computed; the other
-    commands run until their first solve past the bound and exit 2 naming
-    that point."""
+    _R_MAX, past which a ladder rung, losing log10 of the K-ratio's
+    sensitivity in digits, would pass its gate's 20 digits of slack.  `kr`
+    is refused before any nome or AGM is computed; the other commands run
+    until their first solve past the bound and exit 2 naming that point."""
 
     @staticmethod
     def _usage_line(point):
         import quintic_moduli.bigmath_kernel as bkmod
 
         return (
-            "usage error: a solve at r = %s would vouch for 20 fewer digits of k "
-            "than tol_exp: max(r, 1/r) must not exceed %d\n" % (point, bkmod._R_MAX)
+            "usage error: a solve at r = %s lies past the bound that keeps a ladder "
+            "rung within its gate's 20 digits of slack: max(r, 1/r) must not exceed %d\n"
+            % (point, bkmod._R_MAX)
         )
 
     @pytest.mark.parametrize("bits", [(), BITS_256])
@@ -451,6 +471,45 @@ class TestRrcf:
         assert code == 0
         assert "0.511428455403703519294633013543" in out
 
+    @pytest.mark.parametrize("r", ["1/1" + "0" * 20, "1/1" + "0" * 37])
+    @pytest.mark.parametrize("bits", [BITS_256, ("--prec", "512", "--tol-exp", "120")])
+    def test_small_r_sums_at_the_reflected_point(self, capsys, r, bits):
+        # below 1/25 the fraction is summed at 16/r, whose nome lies below
+        # e^(-4 pi 10^10), so a few levels converge; at nome(r) itself the
+        # depth would pass the cap of 2^20 levels
+        code, payload, err = run_json(capsys, "rrcf", "--r", r, *bits, "--json")
+        assert (code, err) == (0, "")
+        assert 1 <= payload["rrcf"]["depth"] <= 3
+
+    def test_reflected_value_is_within_8_ulps_of_the_direct_sum(self, capsys):
+        # at r = 1/10^4 the fraction summed at nome(r) takes 161 levels; the
+        # reflected value, which the pinned request prints, takes 3
+        code, payload, _ = run_json(capsys, "rrcf", "--r", "1/10000", "--json")
+        direct, depth = rrcf_converged(nome(1, 10000))
+        assert (code, payload["rrcf"]["depth"], depth) == (0, 3, 161)
+        with workprec(600):
+            gap = abs(str_to_big(payload["rrcf"]["truncated"], 512) - direct)
+            assert gap <= 8 * direct * mpf(2) ** -512
+
+    def test_the_command_is_one_library_call_and_writes_its_record(self, capsys, monkeypatch):
+        # cmd_rrcf reads one name of modular_core, calls it once and writes
+        # the record it returns, field for field
+        from quintic_moduli import modular_core
+
+        reads, records = [], []
+
+        class Recorder:
+            def __getattr__(self, name):
+                reads.append(name)
+                fn = getattr(modular_core, name)
+                return lambda *args: records.append(fn(*args)) or records[-1]
+
+        monkeypatch.setattr(climod, "modular_core", Recorder())
+        code, payload, _ = run_json(capsys, "rrcf", "--r", "1/10000", "--json")
+        assert (code, reads, len(records)) == (0, ["rrcf_value"], 1)
+        assert type(records[0]) is modular_core.RRecord
+        assert payload["rrcf"] == _plain(records[0], 512)
+
 
 class TestExpsPerRequest:
     @pytest.mark.parametrize(
@@ -462,6 +521,9 @@ class TestExpsPerRequest:
             # one scope, where the nome at 25r is the fifth power of r's
             ("rrcf", "7/3", ["7/3"]),
             ("rrcf", "1/13", ["1/13", "13"]),
+            # below 1/25: the solves' r, 1/r and 1/(25r), and the eta
+            # quotient's 16/(25r); the fraction's 16/r is 25 times that
+            ("rrcf", "1/10000", ["1/10000", "10000", "400", "6400"]),
         ],
     )
     def test_each_nome_chain_takes_one_exp(self, capsys, exp_points, command, r, exps):

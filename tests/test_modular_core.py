@@ -172,8 +172,8 @@ class TestRRCFConverged:
         with bk._request_memo():
             first = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
             assert mc._rrcf_at(44, 14, DEFAULT_CONTEXT) is first
-            # the public function computes afresh, to the same value
-            direct, _ = rrcf_converged(nome(22, 7))
+            # the public function computes afresh, to the same value and depth
+            direct = rrcf_converged(nome(22, 7))
             assert direct is not first and direct == first
         again = mc._rrcf_at(22, 7, DEFAULT_CONTEXT)
         assert again is not first and again == first
@@ -512,7 +512,11 @@ class TestReflectedLookups:
     lookups read the value at the reflected point, whose nome lies near 0
     (Dedekind, Ramanujan's reciprocity, the Fricke involution)."""
 
-    LOOKUPS = {"eta": bk._eta_at, "rrcf": mc._rrcf_at, "a": mc._a_eta_at}
+    LOOKUPS = {
+        "eta": bk._eta_at,
+        "rrcf": lambda n, d, ctx: mc._rrcf_at(n, d, ctx)[0],  # (value, depth)
+        "a": mc._a_eta_at,
+    }
 
     @staticmethod
     def _ulps(value, ref, bits, wide):
