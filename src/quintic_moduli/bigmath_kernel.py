@@ -41,21 +41,23 @@ hands back the integer and its exponent.  The solver forms its residual
 from those integers: the quotient of the two legs against sqrt(r) taken by
 math.isqrt from the exact rational, judged by ``certifies`` on integers;
 each K is pi / (2 agm) against mpmath's cached fixed-point pi.  From its
-nome to its record the solve works on integers and mantissas, builds an mpf
-only for each field, rounded once, and never enters ``workprec``; nor do
-agm, elliptic_K, eta_f, closed_form_R, descend_v, descend_a,
-rrcf_converged, rrcf_truncated, u_star, p_map and the ladder's climb, so
-the caller's mp.prec moves no bit of what they return.  The integer
-kernels of the three math modules carry ``_INT_BITS`` bits beyond
-work_bits and reach that fixed point from a mantissa by one conversion,
-``_fixed``.  A value held as a mantissa and an
-exponent (a ``_Float``) has one arithmetic, here: ``_mul``, ``_pow``,
-``_quo``, ``_plus`` and ``_root`` cut each result to a given number of
-bits, and every module forms its products, powers, quotients and roots of
-mantissas with them (the registry's integer checkers, eq11's relation,
-the ladder's rung and u_map's gate, descend_a, closed_form_R and the
-theta quotient's sqrt(q)).
-A relation judged on integers is summed by ``_term_sum``.  A solve gates
+nome to its record the solve works on integers and mantissas and builds an
+mpf only for each field, rounded once.
+
+One rule holds in every module: each value a function returns and each
+residual a gate judges is formed on integers and mantissas and rounded at
+stated bits, so none enters ``workprec`` or reads mp.prec, and the
+caller's mp.prec moves no bit of it.  ``workprec`` is entered only where a
+value enters as text or as a Fraction (``to_big``, report.big_to_str and
+report.str_to_big) and for the message of a ladder rung that missed, and
+mp.prec is read only by ``_sqrt``, for the message of a branch error.  The
+integer kernels carry ``_INT_BITS`` bits beyond work_bits and reach that
+fixed point from a mantissa by one conversion, ``_fixed``.  A value held
+as a mantissa and an exponent (a ``_Float``) has one arithmetic, here:
+``_mul``, ``_pow``, ``_product``, ``_quo``, ``_plus`` and ``_root`` cut
+each result to a given number of bits, and every module forms its
+products, powers, quotients and roots of mantissas with them.  A residual
+is summed by ``_term_sum`` into an exact sum and scale.  A solve gates
 its K-ratio residual times an integer bound on the ratio's sensitivity to
 k, so a pass vouches for tol_exp digits of k at every r.  It refuses an r
 with max(r, 1/r) above ``_R_MAX``, about 4.05e39, before its nome is
@@ -103,6 +105,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_pos,
+    mpf_pow_int,
     round_nearest,
     to_float,
 )
@@ -203,8 +206,7 @@ class PrecisionContext(_Precision):
     @staticmethod
     @functools.lru_cache(maxsize=64)
     def _tolerance(tol_exp: int, work_bits: int) -> mpf:
-        with workprec(work_bits):
-            return mpf(10) ** (-tol_exp)
+        return mp.make_mpf(mpf_pow_int(from_int(10), -tol_exp, work_bits, round_nearest))
 
     def tolerance(self) -> mpf:
         """10**(-tol_exp) as an mpf at working precision, computed once per
@@ -228,13 +230,6 @@ def _abs_raw(x: Union[int, mpf], bits: int) -> tuple:
     """|x| as a raw mpf tuple: an mpf's rounded to nearest at `bits`, as
     abs() rounds it inside workprec(bits); an int's exact, as abs() keeps it."""
     return mpf_abs(x._mpf_, bits, round_nearest) if isinstance(x, mpf) else from_int(abs(x))
-
-
-def _summed(*terms: mpf) -> Tuple[mpf, mpf]:
-    """(sum of the terms, the largest |term|): a residual with the scale
-    certifies judges it by, at the ambient precision.  Summed left to
-    right, so lhs - rhs is _summed(lhs, -rhs) to the bit."""
-    return sum(terms), max(abs(t) for t in terms)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -397,6 +392,11 @@ def _truncated(man: int, exp: int, bits: int) -> _Float:
 def _floats(*values: mpf) -> List[_Float]:
     """Each positive mpf as a _Float."""
     return [v._mpf_[1:3] for v in values]
+
+
+def _at_work_bits(ctx: PrecisionContext, x: _Float) -> mpf:
+    """x rounded once to nearest at work_bits, for its caller to round."""
+    return mp.make_mpf(from_man_exp(*x, ctx.work_bits, round_nearest))
 
 
 def _pi(bits: int) -> _Float:
@@ -634,7 +634,7 @@ def _chained_nome(n: int, d: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
             if base is not None and base[1] * m <= _NOME_CHAIN_MAX:
                 _, man, exp, _ = base[0]._mpf_
                 power = _pow((man, exp), m, ctx.work_bits + _INT_BITS)
-                return mp.make_mpf(from_man_exp(*power, ctx.work_bits, round_nearest)), base[1] * m
+                return _at_work_bits(ctx, power), base[1] * m
     return _exp_nome(n, d, ctx), 1
 
 
@@ -882,10 +882,9 @@ def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 def _eta_by_dedekind(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     if not _reflects(r_num, r_den):
         return eta_f(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
-    # 1/sqrt(sqrt(r)/2) = (4/r)^(1/4) by two integer roots, then one rounding
+    # 1/sqrt(sqrt(r)/2) = (4/r)^(1/4) by two integer roots, then one product
     frac = ctx.work_bits
     quarter = math.isqrt(math.isqrt((4 * r_den << 4 * frac) // r_num))
     prefactor = _exp_nome((4 * r_den - r_num) ** 2, 576 * r_num * r_den, ctx)
     far = _eta_at(16 * r_den, r_num, ctx)
-    with workprec(ctx.work_bits):
-        return _round_to(ctx, prefactor * mpf((quarter, -frac)) * far)
+    return _rounded(ctx, *_product(frac + _INT_BITS, (quarter, -frac), *_floats(prefactor, far)))

@@ -6,33 +6,32 @@ must drive below 10^(-tol_exp) times its scale, the largest term it sums (of
 a polynomial relation, its largest monomial).  Ids are grouped so relations
 that share their solves are computed together; entries within a group report
 the same wall-clock cost.  A checker only computes: it returns each residual
-and its scale keyed by registry id, at the ambient precision, and raises
-nothing.  It reaches every solve, nome, eta value, continued fraction and
-eta quotient a through a lookup keyed by the exact rational point (f(-q^m)
-is the eta value at m^2 r).  The key is always the exact point; the nome
-lookup there (bigmath_kernel._nome) takes the nome at 25r or 4r as the
-fifth power or square of the nome at r when the memo holds that one, so a
-full verify takes 4 exps per request over the benchmark's verify-full set
-(7.5 before) and eq5/eq19/eq24 about 2 (3.25).
-run_suite alone sets that precision, opens the request memo the lookups
-share, gates every residual and builds every entry, so one run_suite call
-computes each value once, and a group's cost leaves out what earlier groups
-already computed.  A residual that misses the gate is a failing entry, never
-an abort.  The registry order is canonical: reports list entries in this
+and its scale keyed by registry id, on mantissas at work_bits +
+_GATE_INT_BITS, and raises nothing.  It reaches every solve, nome, eta
+value, continued fraction and eta quotient a through a lookup keyed by the
+exact rational point (f(-q^m) is the eta value at m^2 r).  The key is
+always the exact point; the nome lookup there (bigmath_kernel._nome) takes
+the nome at 25r or 4r as the fifth power or square of the nome at r when
+the memo holds that one, so a full verify takes 4 exps per request over
+the benchmark's verify-full set (7.5 before) and eq5/eq19/eq24 about 2
+(3.25).  run_suite alone opens the request memo the lookups share, gates
+every residual and builds every entry, so one run_suite call computes each
+value once, and a group's cost leaves out what earlier groups already
+computed.  A residual that misses the gate is a failing entry, never an
+abort.  The registry order is canonical: reports list entries in this
 order no matter how the ids were requested.  Entries and reports are plain
 data; the CLI alone turns them into JSON.
 
-eq6, eq7, eq10, eq11, eq31, the three modulus-pair relations eq13, eq14
-and eq15 and the ascent ids eq26, eq29, eq30 and eq34 are formed on
-integer mantissas: each value a bigmath_kernel._Float, every product,
-power, quotient and root of them taken by the kernel's mantissa arithmetic
-(_mul, _pow, _quo, _plus, _root) and cut to work_bits + 48 bits, the
-powers a group needs shared, and the terms summed by _term_sum into an
-exact residual and scale.  Each is checked in the power it holds in, so
-certify takes no mpmath root: eq6, eq10 and eq31 in the 24th, 12th and
--12th, and the ascent ids, as the ladder climbs, in twelfth powers on
+Every id is formed on integer mantissas: each value a
+bigmath_kernel._Float, every product, power, quotient and root of them
+taken by the kernel's mantissa arithmetic and cut to work_bits + 48 bits,
+the powers a group needs shared, and the terms summed by _term_sum into an
+exact residual and scale, so no checker reads the precision its caller
+set.  Each is checked in the power it holds in, so certify takes no mpmath
+root: eq6, eq10 and eq31 in the 24th, 12th and -12th, and the ascent ids
+eq26, eq29, eq30 and eq34, as the ladder climbs, in twelfth powers on
 s = k k' from the solves, sharing its _rung, _cubic_root and
-_cubic_residual.  The other checkers evaluate in mpf.
+_cubic_residual.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from mpmath import mpf, workprec
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_lt, mpf_mul
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
@@ -48,6 +48,7 @@ from .bigmath_kernel import (
     UsageError,
     _Float,
     _GATE_INT_BITS,
+    _abs_raw,
     _eta_at,
     _floats,
     _mul,
@@ -61,14 +62,12 @@ from .bigmath_kernel import (
     _round_to,
     _rounded,
     _solved,
-    _summed,
     _term_sum,
     _validate_rational,
 )
 from .modular_core import (
     _a_eta_at,
     _m5_relation,
-    _m5_solves,
     _rrcf_at,
     a_via_moduli,
     descend_a,
@@ -122,10 +121,11 @@ Residuals = Dict[str, Residual]
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # continued fraction against the eta quotient: 1/R^5 - 11 - R^5 = a(r)
-    r_cf = _rrcf_at(rn, rd, ctx)[0]
-    return {
-        "eq5-eta-quotient": _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -_a_eta_at(rn, rd, ctx))
-    }
+    b = ctx.work_bits + _GATE_INT_BITS
+    r_cf, a = _floats(_rrcf_at(rn, rd, ctx)[0], _a_eta_at(rn, rd, ctx))
+    r5 = _pow(r_cf, 5, b)
+    terms = ((1, *_quo((1, 0), r5, b)), (-11, 1, 0), (-1, *r5), (-1, *a))
+    return {"eq5-eta-quotient": _term_sum(terms, b)}
 
 
 def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -174,8 +174,9 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # and as r -> 0, where m5 -> 1/5 and (5m - 1)^5 is flat: at r = 1/10^4
     # and 512 bits any m5 within 3.4e-25 of the computed one passes, while
     # m5 - 1/5 = 4.1e-28.  That is the identity's conditioning, not the gate's
-    rec, _, m5 = _m5_solves(rn, rd, ctx)
-    return {"eq11-m5-poly": _m5_relation(rec, m5, ctx.work_bits + _GATE_INT_BITS)}
+    rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
+    b = ctx.work_bits + _GATE_INT_BITS
+    return {"eq11-m5-poly": _m5_relation(rec, _quo(*_floats(rec25.K_k, rec.K_k), b), b)}
 
 
 def _pair_relations(
@@ -262,12 +263,8 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         rec.k, rec25.k, rec.k_comp, rec25.k_comp, _a_eta_at(rn, rd, ctx), rn < rd,
         ctx.work_bits + _GATE_INT_BITS,
     )
-    stated, swapped = abs(stated), abs(swapped)
-    if stated <= swapped:
-        orientation = "stated (u = k_r^(1/4))"
-    else:
-        orientation = "swapped (u = k_25r^(1/4))"
-
+    stated, swapped = (mp.make_mpf(_abs_raw(x, ctx.work_bits)) for x in (stated, swapped))
+    orientation = "stated (u = k_r^(1/4))" if stated <= swapped else "swapped (u = k_25r^(1/4))"
     return {
         "eq13-thm22": eq13,
         "eq14-w-poly": eq14,
@@ -286,13 +283,15 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # CF-value descent r -> r/25 against a direct evaluation at r/25
     hi, lo = _rrcf_at(rn, rd, ctx)[0], _rrcf_at(rn, 25 * rd, ctx)[0]
-    return {"eq19-v-descent": _summed(descend_v(hi, ctx), -lo)}
+    v, v_lo = _floats(descend_v(hi, ctx), lo)
+    return {"eq19-v-descent": _term_sum(((1, *v), (-1, *v_lo)), ctx.work_bits + _GATE_INT_BITS)}
 
 
 def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # a-value descent r -> r/25 against the eta quotient at r/25
     a_hi, a_lo = _a_eta_at(rn, rd, ctx), _a_eta_at(rn, 25 * rd, ctx)
-    return {"eq24-q-descent": _summed(descend_a(a_hi, ctx), -a_lo)}
+    a, lo = _floats(descend_a(a_hi, ctx), a_lo)
+    return {"eq24-q-descent": _term_sum(((1, *a), (-1, *lo)), ctx.work_bits + _GATE_INT_BITS)}
 
 
 def _kkprime_at(r_num: int, r_den: int, ctx: PrecisionContext, bits: int) -> _Float:
@@ -321,26 +320,24 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     A w, so its twelfth power a(4r) w^6 is judged against s(r)/s(25r).
     Reported as one entry, the worse of the two relative to its scale, with
     both residuals attached."""
-    a_eta = _a_eta_at(4 * rn, rd, ctx)
-    a_4r = _round_to(ctx, a_via_moduli(4 * rn, rd, ctx))
-    res_eta, scale_eta = _summed(a_eta, -a_4r)
-
     b = ctx.work_bits + _GATE_INT_BITS
-    (a,) = _floats(a_eta)
+    a, a_4r = _floats(_a_eta_at(4 * rn, rd, ctx), _round_to(ctx, a_via_moduli(4 * rn, rd, ctx)))
+    eta = _term_sum(((1, *a), (-1, *a_4r)), b)
+
     w = _cubic_root(_root(a, b), ctx)
     ratio = _quo(_kkprime_at(rn, rd, ctx, b), _kkprime_at(25 * rn, rd, ctx, b), b)
-    res_rel, scale_rel = _term_sum(((1, *_mul(a, _pow(w, 6, b), b)), (-1, *ratio)), b)
+    rel = _term_sum(((1, *_mul(a, _pow(w, 6, b), b)), (-1, *ratio)), b)
 
-    worse = max((res_eta, scale_eta), (res_rel, scale_rel), key=lambda p: abs(p[0]) / p[1])
-    return {
-        "eq29-thm31": (
-            *worse,
-            {
-                "sixth_power_vs_a(4r)": to_decimal(abs(res_eta), 12),
-                "invariant_ratio_relation": to_decimal(abs(res_rel), 12),
-            },
-        )
+    # the worse relative to its scale, |res| / scale, compared exactly
+    (res_eta, scale_eta), (res_rel, scale_rel) = (
+        (_abs_raw(res, ctx.work_bits), scale._mpf_) for res, scale in (eta, rel)
+    )
+    worse = rel if mpf_lt(mpf_mul(res_eta, scale_rel), mpf_mul(res_rel, scale_eta)) else eta
+    detail = {
+        "sixth_power_vs_a(4r)": to_decimal(mp.make_mpf(res_eta), 12),
+        "invariant_ratio_relation": to_decimal(mp.make_mpf(res_rel), 12),
     }
+    return {"eq29-thm31": (*worse, detail)}
 
 
 def _ascent_law(ctx: PrecisionContext, *points: Tuple[int, int]) -> Residual:
@@ -381,7 +378,8 @@ def _check_reciprocal(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # k_(1/r) = k'_r holds by construction: both solves evaluate the same
     # theta quotient at max(r, 1/r) and swap the pair.  Each side is still
     # certified by its own K-ratio residual inside the solver.
-    return {"k-reciprocal": _summed(_solved(rd, rn, ctx).k, -_solved(rn, rd, ctx).k_comp)}
+    k, kp = _floats(_solved(rd, rn, ctx).k, _solved(rn, rd, ctx).k_comp)
+    return {"k-reciprocal": _term_sum(((1, *k), (-1, *kp)), ctx.work_bits + _GATE_INT_BITS)}
 
 
 #: (ids produced, checker) in canonical order — checker signature
@@ -420,14 +418,14 @@ def run_suite(
     residuals, pass flags and wall-clock cost.
 
     This is the one place a registry entry is made and judged.  The groups
-    run in one scope: working precision ctx.work_bits and one request memo,
-    so each modulus, nome, eta value, continued fraction, invariant g and
-    eta quotient a is computed once per rational point and a group's
-    elapsed_ms leaves out what earlier groups already paid for.  Inside that
-    scope every residual a checker returns meets the one pass rule,
-    ctx.certifies: the entry stores |residual| rounded to precision_bits,
-    passes when |residual| < 10^(-tol_exp) * scale, and keeps the scale in
-    detail["scale"].  A failing residual is reported, not raised.  Nothing
+    run in one request memo, so each modulus, nome, eta value, continued
+    fraction, invariant g and eta quotient a is computed once per rational
+    point and a group's elapsed_ms leaves out what earlier groups already
+    paid for.  Every residual a checker returns meets the one pass rule,
+    ctx.certifies, on |residual| and |scale| rounded to work_bits
+    (_abs_raw): the entry stores |residual| rounded again to
+    precision_bits, passes when |residual| < 10^(-tol_exp) * scale, and
+    keeps the scale in detail["scale"].  A failing residual is reported, not raised.  Nothing
     outlives the call.  The groups solve from r/25 to 100r; a point past the
     solver's bound raises its DomainError from the group that first solves
     there.
@@ -445,17 +443,17 @@ def run_suite(
             )
 
     produced: Dict[str, IdentityEntry] = {}
-    with _request_memo(), workprec(ctx.work_bits):
+    with _request_memo():
         for group_ids, checker in _GROUPS:
             if not wanted.intersection(group_ids):
                 continue
             t0 = time.perf_counter()
             residuals = checker(r_num, r_den, ctx)
             ms = int((time.perf_counter() - t0) * 1000)
-            for id_, (residual, scale, *detail) in residuals.items():
+            for id_, (res, scale, *detail) in residuals.items():
                 if id_ in wanted:
-                    res = abs(residual)
-                    detail = dict(*detail, scale=to_decimal(abs(scale), 12))
+                    res, scale = (mp.make_mpf(_abs_raw(x, ctx.work_bits)) for x in (res, scale))
+                    detail = dict(*detail, scale=to_decimal(scale, 12))
                     produced[id_] = IdentityEntry(
                         id_, _round_to(ctx, res), ctx.certifies(res, scale), ms, detail
                     )

@@ -327,7 +327,7 @@ def cmd_rrcf(args, ctx: PrecisionContext) -> int:
 
 def cmd_verify(args, ctx: PrecisionContext) -> int:
     ids = None
-    if args.ids:
+    if args.ids is not None:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
         if not ids:
             raise UsageError("--ids given but empty; registry: %s" % ", ".join(certify.REGISTRY))

@@ -27,17 +27,13 @@ read a and R at a reflected point whose nome lies near 0:
 
 The closed form and the a-descent share E, a mantissa and an exponent
 (bigmath_kernel._Float) formed on integers: h and sqrt(h^2 + 1) in fixed
-point, the fifth root by integer Newton at doubling precision from a
-float seed.  descend_a takes t = E - 1/E, its quartic, the nine-term
-denominator and the numerator by the kernel's mantissa arithmetic, each
-with its own exponent, and rounds once.  The same
-integer fifth root gives the continued fraction's q^(1/5) and descend_v's
-root, so the module calls no mp.root.  The fixed point carries
-bigmath_kernel._INT_BITS bits beyond work_bits, and closed_form_R,
-descend_v, descend_a, rrcf_converged and rrcf_truncated switch no working
-precision: the continued fraction's bracket is judged as 2^k, k from q's
-exponent and the bit lengths of its integer denominators, and its value is
-q^(1/5) B_d / A_d, one integer quotient rounded once.
+point, the fifth root by integer Newton at doubling precision from a float
+seed, which also gives the CF's q^(1/5) and descend_v's root, so the module
+calls no mp.root.  Every value and gate here keeps the kernel's one rule:
+both routes of a, the CF's value q^(1/5) B_d / A_d and its bracket 2^k,
+reciprocity's phi and each gate's difference are formed on integers and
+mantissas with bigmath_kernel._INT_BITS bits beyond work_bits, and no
+function here switches the working precision.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 
 from .bigmath_kernel import (
     CertificationError,
@@ -58,6 +54,8 @@ from .bigmath_kernel import (
     SingularModulusRecord,
     _Float,
     _INT_BITS,
+    _abs_raw,
+    _at_work_bits,
     _eta_at,
     _fixed,
     _floats,
@@ -68,13 +66,14 @@ from .bigmath_kernel import (
     _nome,
     _plus,
     _pow,
+    _product,
     _quo,
     _reflects,
     _request_memo,
+    _root,
     _round_to,
     _rounded,
     _solved,
-    _sqrt,
     _term_sum,
     _truncated,
     _validate_rational,
@@ -104,18 +103,20 @@ _DEPTH_CAP = 1 << 20
 
 def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The eta quotient a = f(-q)^6 / (q f(-q^5)^6) at q = nome(r), where
-    q^5 is the nome of 25r; unrounded, at the context's working precision.
+    q^5 is the nome of 25r; on mantissas, rounded once to work_bits.
     Below _REFLECT_BELOW it is 125 / a(16/(25r)): a = (eta(tau)/eta(5 tau))^6
     at q = e^(2 pi i tau), and the Fricke involution tau -> -1/(5 tau) of
     Gamma0(5) sends it to 125/a with no other factor, moving q = nome(r) to
     nome(16/(25r)), near 0."""
     _validate_rational(r_num, r_den)
+    b = ctx.work_bits + _INT_BITS
     if _reflects(r_num, r_den):
-        with workprec(ctx.work_bits):
-            return 125 / _a_eta_at(16 * r_den, 25 * r_num, ctx)
-    eta_r, eta_25r = (_eta_at(m * r_num, r_den, ctx) for m in (1, 25))
-    with workprec(ctx.work_bits):
-        return eta_r ** 6 / (_round_to(ctx, _nome(r_num, r_den, ctx)) * eta_25r ** 6)
+        (far,) = _floats(_a_eta_at(16 * r_den, 25 * r_num, ctx))
+        return _at_work_bits(ctx, _quo((125, 0), far, b))
+    eta_r, eta_25r, q = _floats(
+        *(_eta_at(m * r_num, r_den, ctx) for m in (1, 25)), _round_to(ctx, _nome(r_num, r_den, ctx))
+    )
+    return _at_work_bits(ctx, _quo(_pow(eta_r, 6, b), _mul(q, _pow(eta_25r, 6, b), b), b))
 
 
 def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
@@ -131,31 +132,21 @@ class ARecord(NamedTuple):
     cross_residual: mpf  # |via_eta - a|
 
 
-def _m5_solves(
-    r_num: int, r_den: int, ctx: PrecisionContext
-) -> Tuple[SingularModulusRecord, SingularModulusRecord, mpf]:
-    """The solves at r and 25r, and m5 = K(k_25r)/K(k_r) unrounded at
-    work_bits."""
-    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        return rec, rec25, rec25.K_k / rec.K_k
-
-
 #: the coefficients of m^0, ..., m^6 in (5 m - 1)^5 (1 - m)
 _M5_COEFFS = (-1, 26, -275, 1500, -4375, 6250, -3125)
 
 
-def _m5_relation(rec: SingularModulusRecord, m5: mpf, bits: int) -> Tuple[mpf, mpf]:
+def _m5_relation(rec: SingularModulusRecord, m: _Float, bits: int) -> Tuple[mpf, mpf]:
     """(residual, scale) of (5 m - 1)^5 (1 - m) - 256 (k k')^2 m at m = m5
-    in (1/5, 1], for the solve rec at r, on integers, each product cut to
-    `bits` bits and each sum taken by _term_sum.
+    in (1/5, 1], a _Float, for the solve rec at r, on integers, each
+    product cut to `bits` bits and each sum taken by _term_sum.
 
     The residual is the two sides as written: t = 5 m - 1 and 1 - m are
     exact on m5's mantissa, and t^5 (1 - m) is t^4 times the exact
     t (1 - m).  The scale is the largest of the eight monomials of the
     polynomial expanded, from m^j by repeated products of the mantissa,
     not the two sides, which cancel with 1 - m as r grows."""
-    m, k, kp = _floats(m5, rec.k, rec.k_comp)
+    k, kp = _floats(rec.k, rec.k_comp)
     power, monomials = (1, 0), []
     for c in _M5_COEFFS:
         monomials.append((c, *power))
@@ -168,11 +159,14 @@ def _m5_relation(rec: SingularModulusRecord, m5: mpf, bits: int) -> Tuple[mpf, m
 
 
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 with
-    m5 = K(k_25r)/K(k_r), unrounded, at the context's working precision."""
-    rec, rec25, m5 = _m5_solves(r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        return (rec.k_comp / rec25.k_comp) ** 2 * _sqrt(rec.k / rec25.k) * m5 ** -3
+    """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 from the
+    solves at r and 25r, with m5^-3 = (K(k_r)/K(k_25r))^3, on mantissas cut
+    to work_bits + _INT_BITS bits and rounded once to work_bits."""
+    rec, rec25 = _solved(r_num, r_den, ctx), _solved(25 * r_num, r_den, ctx)
+    b = ctx.work_bits + _INT_BITS
+    (k, kp, K), (k25, kp25, K25) = (_floats(x.k, x.k_comp, x.K_k) for x in (rec, rec25))
+    ratios = _pow(_quo(kp, kp25, b), 2, b), _root(_quo(k, k25, b), b), _pow(_quo(K, K25, b), 3, b)
+    return _at_work_bits(ctx, _product(b, *ratios))
 
 
 def a_value(
@@ -190,18 +184,19 @@ def a_value(
     """
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     via_eta = a_via_eta(r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        cross = abs(via_eta - via_moduli)
-        if not ctx.certifies(cross, via_moduli):
-            raise CertificationError(
-                "a(%s/%s): eta and moduli routes disagree by %s"
-                % (r_num, r_den, mp.nstr(cross, 8))
-            )
-        return ARecord(
-            a=_round_to(ctx, via_moduli),
-            via_eta=_round_to(ctx, via_eta),
-            cross_residual=_round_to(ctx, cross),
+    eta, moduli = _floats(via_eta, via_moduli)
+    cross = _term_sum(((1, *eta), (-1, *moduli)), ctx.work_bits + _INT_BITS)[0]
+    cross = mp.make_mpf(_abs_raw(cross, ctx.work_bits))
+    if not ctx.certifies(cross, via_moduli):
+        raise CertificationError(
+            "a(%s/%s): eta and moduli routes disagree by %s"
+            % (r_num, r_den, mp.nstr(cross, 8))
         )
+    return ARecord(
+        a=_round_to(ctx, via_moduli),
+        via_eta=_round_to(ctx, via_eta),
+        cross_residual=_round_to(ctx, cross),
+    )
 
 
 def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -282,13 +277,16 @@ def _rrcf_value(qv: mpf, a: int, b: int, ctx: PrecisionContext) -> mpf:
 
 
 def _rrcf_depth(t: float, work_bits: int) -> int:
-    """rrcf_converged's depth for t = -ln q: two past the smallest d with
-    d(d+1)/2 t >= work_bits ln 2, or 0 where that passes _DEPTH_CAP."""
+    """rrcf_converged's depth for t = -ln q: two past the smallest d >= 1
+    with d(d+1)/2 t >= work_bits ln 2, or 0 where that passes _DEPTH_CAP.
+    d is the ceiling of 4x / (1 + sqrt(1 + 8x)), x = work_bits ln 2 / t,
+    which no small x cancels to 0, as (sqrt(1 + 8x) - 1)/2 would."""
     need = work_bits * math.log(2)
     top = _DEPTH_CAP - 2
     if top * (top + 1) / 2 * t < need:
         return 0
-    return math.ceil((math.sqrt(1 + 8 * need / t) - 1) / 2) + 2
+    x = need / t
+    return max(1, math.ceil(4 * x / (1 + math.sqrt(1 + 8 * x)))) + 2
 
 
 def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mpf, int]:
@@ -335,8 +333,9 @@ def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple
     if not _reflects(r_num, r_den):
         return rrcf_converged(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
     far, depth = _rrcf_at(16 * r_den, r_num, ctx)
-    with workprec(ctx.work_bits):
-        return _round_to(ctx, (1 - mp.phi * far) / (mp.phi + far)), depth
+    frac = ctx.work_bits + _INT_BITS  # R' and phi in fixed point: R lies near 1/phi
+    rf, phi = _fixed(*far._mpf_[1:3], frac), ((1 << frac) + math.isqrt(5 << 2 * frac)) >> 1
+    return _rounded(ctx, ((1 << 2 * frac) - phi * rf) // (phi + rf), -frac), depth
 
 
 class RRecord(NamedTuple):
@@ -359,8 +358,9 @@ def rrcf_value(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     arec = a_value(r_num, r_den, ctx)
     closed = closed_form_R(arec.a, ctx)
     truncated, depth = _rrcf_at(r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        diff = _round_to(ctx, abs(closed - truncated))
+    terms = zip((1, -1), _floats(closed, truncated))
+    diff = _term_sum([(c, *x) for c, x in terms], ctx.work_bits + _INT_BITS)[0]
+    diff = mp.make_mpf(_abs_raw(diff, ctx.precision_bits))
     if not ctx.certifies(diff, truncated):
         raise CertificationError(
             "rrcf at r=%s: closed form and continued fraction differ by %s"

@@ -256,16 +256,15 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     the cleared cubic divided by -x^2 < 0, so the same relation.  w is
     _cubic_root at c = x^3, exact from x's mantissa: Newton on integers
     from a float seed, gated on P against its largest monomial, raising
-    BranchError where the gate fails.  Y = sqrt(x w) at work_bits, rounded
-    to precision_bits.
+    BranchError where the gate fails.  Y = sqrt(x w) is the root of the
+    exact product of the two mantissas, rounded once to precision_bits.
     """
-    with workprec(ctx.work_bits):
-        xv = to_big(x, ctx)
-        if xv <= 0:
-            raise DomainError("u_map requires x > 0, got %s" % xv)
-        _, man, exp, _ = xv._mpf_
-        w = _cubic_root((man * man * man, 3 * exp), ctx)
-        return _round_to(ctx, _sqrt(xv * mpf(w)))
+    xv = to_big(x, ctx)
+    if xv <= 0:
+        raise DomainError("u_map requires x > 0, got %s" % xv)
+    _, man, exp, _ = xv._mpf_
+    w, w_exp = _cubic_root((man * man * man, 3 * exp), ctx)
+    return mp.make_mpf(_sqrt_raw(man * w, exp + w_exp, ctx.precision_bits))
 
 
 def _radicand_b(t: _Float, frac: int) -> int:
@@ -346,11 +345,13 @@ def g_invariant(
     r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> mpf:
     """The class invariant g(r) = (2 k_r k'_r)^(-1/12) from a certified
-    solve.  g(1) = 1, g(1/r) = g(r), and g is increasing in r beyond 1 (the
-    product k k' shrinks from 1/2)."""
+    solve, the twelfth root of 1/(2 k k') rounded once to precision_bits, as
+    p_map takes its sixth root.  g(1) = 1, g(1/r) = g(r), and g is
+    increasing in r beyond 1 (the product k k' shrinks from 1/2)."""
     rec = _solved(r_num, r_den, ctx)
-    with workprec(ctx.work_bits):
-        return _round_to(ctx, 1 / mp.root(2 * rec.k * rec.k_comp, 12))
+    (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
+    inverse = _quo((1, 0), (k_man * c_man, k_exp + c_exp + 1), ctx.work_bits + _INT_BITS)
+    return mp.make_mpf(mpf_nthroot(from_man_exp(*inverse), 12, ctx.precision_bits, round_nearest))
 
 
 def _kkprime(r: Fraction, ctx: PrecisionContext) -> mpf:

@@ -350,6 +350,38 @@ def power_identities_mpf(k, k25, kp, kp25, K, K25, q, a, f, f2, g, bits):
         )
 
 
+def qseries_identities_mpf(r_cf, a, v_desc, r_lo, a_desc, a_lo, bits):
+    """eq5, eq19 and eq24 in mpf at ``bits``, as the registry summed them
+    before they moved to integers: (residual, largest |term|) of
+    1/R^5 - 11 - R^5 - a, of descend_v(R) - R(r/25) and of
+    descend_a(a) - a(r/25), for R = r_cf and a at r, given the two
+    descents' values v_desc and a_desc."""
+    with workprec(bits):
+        return (
+            _summed(1 / r_cf ** 5, -11, -r_cf ** 5, -a),
+            _summed(v_desc, -r_lo),
+            _summed(a_desc, -a_lo),
+        )
+
+
+def thm31_mpf(a, a_moduli, w, k, kp, k25, kp25, bits):
+    """eq29 in mpf at ``bits``: of a(4r) by eta against a(4r) by the
+    moduli, and of a(4r) w^6 against s(r)/s(25r) with s = k k', the
+    (residual, larger |term|) that is larger relative to its scale, the
+    first on a tie."""
+    with workprec(bits):
+        eta = _summed(a, -a_moduli)
+        rel = _summed(a * w ** 6, -(k * kp) / (k25 * kp25))
+        return rel if abs(rel[0]) * eta[1] > abs(eta[0]) * rel[1] else eta
+
+
+def difference_mpf(x, y, bits):
+    """(x - y, max(|x|, |y|)) in mpf at ``bits``: k-reciprocal's spelling
+    before it moved to integers."""
+    with workprec(bits):
+        return _summed(x, -y)
+
+
 def fifth_root_radical_uncut(sign, a, frac):
     """modular_core._fifth_root_radical as it was before it cut a huge 2h:
     E = (h + sqrt(h^2 + 1))^(1/5), h = (11 + a)/2 for a = (-1)^sign man

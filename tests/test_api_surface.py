@@ -201,38 +201,41 @@ def test_tolerance_is_read_only_inside_precision_context(name):
     assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
 
 
-@pytest.mark.parametrize(
-    "module, function",
-    [
-        pytest.param(module, function, id=function)
-        for module, function in [
-            ("bigmath_kernel", "solve_singular_modulus"),
-            ("bigmath_kernel", "_agm_raw"),
-            ("bigmath_kernel", "agm"),
-            ("bigmath_kernel", "elliptic_K"),
-            ("bigmath_kernel", "eta_f"),
-            ("modular_core", "closed_form_R"),
-            ("modular_core", "descend_v"),
-            ("modular_core", "descend_a"),
-            ("modular_core", "rrcf_converged"),
-            ("modular_core", "rrcf_truncated"),
-            ("quintic_ladder", "u_star"),
-        ]
-    ],
-)
-def test_the_solve_never_switches_precision(module, function):
-    # the solve runs on integers and mantissas from its nome to its record,
-    # and each integer kernel, the continued fraction included, from to_big
-    # to its one rounding: no workprec block, and no workprec named at all
-    tree = _tree("quintic_moduli." + module)
-    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
-    named = [
-        n.lineno
-        for n in ast.walk(node)
-        if (isinstance(n, ast.Name) and n.id == "workprec")
-        or (isinstance(n, ast.Attribute) and n.attr == "workprec")
-    ]
-    assert not named, "%s names workprec at lines %s" % (function, named)
+def test_no_function_reads_the_ambient_precision():
+    # every looked-up value and every residual is formed on mantissas and
+    # rounded once at stated bits, so the caller's mp.prec moves no bit of
+    # what a function returns or how a gate judges: workprec is named only
+    # where a value enters as text or as a Fraction, and in the message of
+    # a ladder rung that missed; mp.prec is read only by _sqrt, which is
+    # mp.sqrt at the ambient precision, and which only that message takes
+    package_dir = os.path.dirname(quintic_moduli.__file__)
+    workprec, prec, importers = set(), set(), set()
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom) and "workprec" in {a.name for a in top.names}:
+                importers.add(module)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "workprec") or (
+                    isinstance(node, ast.Attribute) and node.attr == "workprec"
+                ):
+                    workprec.add((module, getattr(top, "name", None)))
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "prec"
+                    and getattr(node.value, "id", None) == "mp"
+                ):
+                    prec.add((module, getattr(top, "name", None)))
+    assert workprec == {
+        ("bigmath_kernel", "to_big"),
+        ("report", "big_to_str"),
+        ("report", "str_to_big"),
+        ("quintic_ladder", "_missed"),
+    }
+    assert importers == {"bigmath_kernel", "report", "quintic_ladder"}
+    assert prec == {("bigmath_kernel", "_sqrt")}
 
 
 def test_one_conversion_to_fixed_point():
@@ -354,7 +357,8 @@ def test_registry_takes_no_root_and_integer_checkers_no_powers():
     # eq6, eq10 and eq31 are checked in the power they hold in, and the
     # ascent ids eq26, eq29, eq30 and eq34 in the powers k k' holds them in,
     # so certify takes no mpmath root.  They, eq7, the pair relations and
-    # eq11 are formed from shared powers on integers
+    # eq11 are formed from shared powers on integers, and eq5, eq19, eq24,
+    # k-reciprocal and the two routes of a and their gates on mantissas
     functions = _functions("certify")
     roots = sorted(
         (name, node.attr)
@@ -370,11 +374,14 @@ def test_registry_takes_no_root_and_integer_checkers_no_powers():
         for n in (
             "_check_eq6", "_check_eq7", "_check_eq10", "_check_eq11", "_check_thm22",
             "_pair_relations", "_check_eq26", "_check_thm31", "_check_thm32", "_check_eq31",
-            "_check_eq34", "_ascent_law", "_kkprime_at",
+            "_check_eq34", "_ascent_law", "_kkprime_at", "_check_eq5", "_check_eq19",
+            "_check_eq24", "_check_reciprocal",
         )
     ]
-    integer.append(_functions("modular_core")["_m5_relation"])
-    integer.append(_functions("modular_core")["descend_a"])
+    integer += [
+        _functions("modular_core")[n]
+        for n in ("_m5_relation", "descend_a", "a_via_eta", "a_via_moduli", "a_value", "rrcf_value")
+    ]
     integer.append(_functions("quintic_ladder")["_cubic_residual"])
     powers = [
         (fn.name, node.lineno)

@@ -16,6 +16,7 @@ from quintic_moduli import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     a_value,
+    a_via_eta,
     a_via_moduli,
     agm,
     closed_form_R,
@@ -23,13 +24,17 @@ from quintic_moduli import (
     descend_v,
     elliptic_K,
     eta_f,
+    g_invariant,
     ladder,
     nome,
+    p_map,
     rrcf_converged,
     rrcf_truncated,
+    rrcf_value,
     run_suite,
     solve_singular_modulus,
     to_big,
+    u_map,
     u_star,
 )
 
@@ -294,9 +299,10 @@ class TestMantissaArithmetic:
 
 
 class TestAmbientPrecision:
-    """The integer kernels switch no working precision: they compute on
-    integers after to_big and round once, so the caller's mp.prec moves no
-    bit of what they return."""
+    """The integer kernels and the values built on them switch no working
+    precision: they compute on integers and mantissas after to_big and
+    round at stated bits, so the caller's mp.prec moves no bit of what they
+    return, records included."""
 
     @pytest.mark.parametrize("as_mpf", [False, True], ids=["str", "mpf"])
     @pytest.mark.parametrize("bits", [512, 1024])
@@ -314,6 +320,15 @@ class TestAmbientPrecision:
             (complement_raw, ("0.6",)),
             (rrcf_converged, ("0.04",)),
             (rrcf_truncated, ("0.04", 7)),
+            (a_via_eta, (7, 3)),
+            (a_via_eta, (1, 100)),
+            (a_via_moduli, (7, 3)),
+            (a_value, (1, 13)),
+            (rrcf_value, (7, 3)),
+            (rrcf_value, (1, 100)),
+            (u_map, ("1.3",)),
+            (g_invariant, (7, 3)),
+            (p_map, ("1.3",)),
         ],
         ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)),
     )
@@ -324,8 +339,8 @@ class TestAmbientPrecision:
             with workprec(4 * bits):
                 args = tuple(mpf(a) if isinstance(a, str) else a for a in args)
 
-        def raw(out):  # rrcf_converged returns (value, depth)
-            return (out[0]._mpf_, out[1]) if isinstance(out, tuple) else out._mpf_
+        def raw(out):  # rrcf_converged's (value, depth) and the records field by field
+            return tuple(map(raw, out)) if isinstance(out, tuple) else getattr(out, "_mpf_", out)
 
         got = [raw(fn(*args, ctx))]
         for prec in (53, 8000):

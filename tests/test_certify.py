@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.certify as certify
@@ -111,8 +112,9 @@ class TestRunSuite:
         # the stored residual is the polynomial residual itself, not a copy
         # re-rounded at mpmath's default 53 bits
         (entry,) = run_suite(5, ids=["eq11-m5-poly"]).entries
-        rec, _, m5 = mc._m5_solves(5, 1, DEFAULT_CONTEXT)
-        residual, _ = mc._m5_relation(rec, m5, DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS)
+        bits = DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS
+        rec, rec25 = (bk.solve_singular_modulus(m * 5, 1) for m in (1, 25))
+        residual, _ = mc._m5_relation(rec, bk._quo(*bk._floats(rec25.K_k, rec.K_k), bits), bits)
         with workprec(DEFAULT_CONTEXT.work_bits):
             assert entry.residual == bk._round_to(DEFAULT_CONTEXT, abs(residual))
 
@@ -391,10 +393,10 @@ class TestSuiteDomain:
         # at r = 10^1000 the nome lies below 2^-(2^1024), where -ln q is no
         # float.  run_suite refuses an r that large for its solving ids, so
         # the q-series checkers are called as it calls them: in one request
-        # memo at working precision
+        # memo, at whatever precision the caller has set
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         checks = (certify._check_eq5, certify._check_eq19, certify._check_eq24)
-        with bk._request_memo(), workprec(ctx.work_bits):
+        with bk._request_memo():
             residuals = [check(10 ** 1000, 1, ctx) for check in checks]
             got = {i: ctx.certifies(*v) for group in residuals for i, v in group.items()}
         assert got == dict.fromkeys(QSERIES_IDS, True)
@@ -463,46 +465,60 @@ GRID = ["1/10000", "1/100", "1/13", "1/2", "1", "7/3", "5", "300", "10000", "100
 
 
 class TestIntegerRelations:
-    """eq6, eq7, eq10, eq11, eq31 and the pair relations eq13, eq14 and
-    eq15, formed on integers, against mpf spellings in oracle_values: the
-    earlier ones of eq7, eq11 and the pair relations, and eq6, eq10 and
-    eq31 in the powers they are now checked in."""
+    """Every registry residual is formed on integer mantissas; each is held
+    against an mpf spelling in oracle_values: the earlier ones of eq5, eq7,
+    eq11, eq19, eq24, eq29, k-reciprocal and the pair relations, and eq6,
+    eq10 and eq31 in the powers they are now checked in."""
 
     @pytest.mark.parametrize("bits", [256, 512, 1024])
     def test_residuals_match_the_mpf_spellings(self, bits):
         ctx = PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
         work = ctx.work_bits
+        gate = work + bk._GATE_INT_BITS
+        checker = {i: check for ids, check in certify._GROUPS for i in ids}
+        ids = (
+            "eq6-eta8", "eq7-eta2", "eq10-multiplier", "eq31-g-def", "eq5-eta-quotient",
+            "eq19-v-descent", "eq24-q-descent", "eq29-thm31", "k-reciprocal",
+        )
         for r in GRID:
             f = Fraction(r)
             rn, rd = f.numerator, f.denominator
-            with bk._request_memo(), workprec(work):
-                rec, rec25, m5 = mc._m5_solves(rn, rd, ctx)
+            with bk._request_memo():
+                rec, rec25 = bk._solved(rn, rd, ctx), bk._solved(25 * rn, rd, ctx)
+                m5 = bk._quo(*bk._floats(rec25.K_k, rec.K_k), gate)
                 a = mc._a_eta_at(rn, rd, ctx)
                 quad = (rec.k, rec25.k, rec.k_comp, rec25.k_comp, a, rn < rd)
                 got = [
-                    *certify._pair_relations(*quad, work + bk._GATE_INT_BITS),
-                    mc._m5_relation(rec, m5, work + bk._GATE_INT_BITS),
-                    *(
-                        check(rn, rd, ctx)[i]
-                        for check, i in (
-                            (certify._check_eq6, "eq6-eta8"),
-                            (certify._check_eq7, "eq7-eta2"),
-                            (certify._check_eq10, "eq10-multiplier"),
-                            (certify._check_eq31, "eq31-g-def"),
-                        )
-                    ),
+                    *certify._pair_relations(*quad, gate),
+                    mc._m5_relation(rec, m5, gate),
+                    *(checker[i](rn, rd, ctx)[i][:2] for i in ids),
                 ]
+                r_cf = mc._rrcf_at(rn, rd, ctx)[0]
+                a_4r = mc._a_eta_at(4 * rn, rd, ctx)
+                w = ql._cubic_root(bk._root(*bk._floats(a_4r), gate), ctx)
                 want = [
                     *ov.pair_relations_mpf(*quad, work),
-                    ov.m5_relation_mpf(m5, rec.k, rec.k_comp, work),
+                    ov.m5_relation_mpf(mp.make_mpf(from_man_exp(*m5)), rec.k, rec.k_comp, work),
                     *ov.power_identities_mpf(
                         *quad[:4], rec.K_k, rec25.K_k, rec.q, a, bk._eta_at(rn, rd, ctx),
                         bk._eta_at(4 * rn, rd, ctx), ql.g_invariant(rn, rd, ctx), 2 * work,
                     ),
+                    *ov.qseries_identities_mpf(
+                        r_cf, a, mc.descend_v(r_cf, ctx), mc._rrcf_at(rn, 25 * rd, ctx)[0],
+                        mc.descend_a(a, ctx), mc._a_eta_at(rn, 25 * rd, ctx), 2 * work,
+                    ),
+                    ov.thm31_mpf(
+                        a_4r, bk._round_to(ctx, mc.a_via_moduli(4 * rn, rd, ctx)),
+                        mp.make_mpf(from_man_exp(*w)),
+                        rec.k, rec.k_comp, rec25.k, rec25.k_comp, 2 * work,
+                    ),
+                    ov.difference_mpf(bk._solved(rd, rn, ctx).k, rec.k_comp, 2 * work),
                 ]
             names = (
-                "eq13", "eq14", "eq15 stated", "eq15 swapped", "eq11", "eq6", "eq7", "eq10", "eq31"
+                "eq13", "eq14", "eq15 stated", "eq15 swapped", "eq11", "eq6", "eq7", "eq10", "eq31",
+                "eq5", "eq19", "eq24", "eq29", "k-reciprocal",
             )
+            assert len(got) == len(want) == len(names)
             for name, (res, scale), (ref_res, ref_scale) in zip(names, got, want):
                 with workprec(2 * work):
                     bound = mpf(2) ** (8 - work) * ref_scale
@@ -511,6 +527,32 @@ class TestIntegerRelations:
                 assert ctx.certifies(res, scale) == ctx.certifies(ref_res, ref_scale), (r, name)
             report = run_suite(rn, rd, ctx=ctx)
             assert report.all_pass, (r, [e.id for e in report.entries if not e.passed])
+
+
+class TestCheckersReadNoAmbientPrecision:
+    """A checker forms its residual and scale on mantissas at stated bits,
+    so it returns the same values at any mp.prec, in or out of run_suite."""
+
+    @pytest.mark.parametrize("r", ["7/3", "1/13", "1000000"])
+    def test_same_bits_in_and_out_of_run_suite(self, r, monkeypatch):
+        f = Fraction(r)
+        rn, rd = f.numerator, f.denominator
+
+        def raw(residuals):
+            return {i: (v[0]._mpf_, v[1]._mpf_, *v[2:]) for i, v in residuals.items()}
+
+        for ids, check in certify._GROUPS:
+            # run_suite on this group alone, so that its request memo fills
+            # in the same order as the memo opened below
+            inside = []
+            with monkeypatch.context() as patch:
+                patch.setattr(certify, "_GROUPS", ((ids, lambda *a: inside.append(check(*a)) or inside[-1]),))
+                run_suite(rn, rd, ids=ids)
+            outside = []
+            for prec in (53, 8000):
+                with workprec(prec), bk._request_memo():
+                    outside.append(raw(check(rn, rd, DEFAULT_CONTEXT)))
+            assert outside[0] == outside[1] == raw(inside[0]), (r, ids)
 
 
 class TestPerturbationsFail:

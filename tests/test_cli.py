@@ -173,8 +173,10 @@ class TestUsageErrors:
         assert err.endswith(": error: argument %s: %s\n" % (argv[-2], message))
         assert len(err) < 400
 
-    def test_empty_ids_lists_registry(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--r", "1", "--ids", ",")
+    @pytest.mark.parametrize("ids", [",", ""], ids=["comma", "empty-string"])
+    def test_empty_ids_lists_registry(self, capsys, ids):
+        # an empty --ids is given, not absent: it names no id, and is refused
+        code, out, err = run_cli(capsys, "verify", "--r", "1", "--ids", ids)
         assert (code, out) == (2, "")
         assert err == "usage error: --ids given but empty; registry: %s\n" % ", ".join(REGISTRY)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, sqrt, workprec
+from mpmath.libmp import from_man_exp
 
 from quintic_moduli import (
     CertificationError,
@@ -31,10 +32,20 @@ import quintic_moduli.modular_core as mc
 TOL = mpf(10) ** -120
 
 
+#: the bits of eq11's products and quotients at the default context
+_EQ11_BITS = DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS
+
+
+def _m5_float(rn, rd):
+    """m5 = K(k_25r)/K(k_r) at the default context as eq11 forms it: the
+    quotient of the two solves' K as a _Float of about _EQ11_BITS bits."""
+    lo, hi = (solve_singular_modulus(m * rn, rd) for m in (1, 25))
+    return bk._quo(*bk._floats(hi.K_k, lo.K_k), _EQ11_BITS)
+
+
 def _m5(rn, rd):
-    """m5 = K(k_25r)/K(k_r) at the default context, as the moduli route and
-    eq11 read it."""
-    return mc._m5_solves(rn, rd, DEFAULT_CONTEXT)[2]
+    """eq11's m5 as an mpf, exact."""
+    return mp.make_mpf(from_man_exp(*_m5_float(rn, rd)))
 
 
 class TestMultiplier:
@@ -47,10 +58,10 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("rn,rd", [(1, 1), (3, 2), (5, 1)])
     def test_poly_residual(self, rn, rd):
-        rec, _, m5 = mc._m5_solves(rn, rd, DEFAULT_CONTEXT)
-        residual, _ = mc._m5_relation(rec, m5, DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS)
+        rec = solve_singular_modulus(rn, rd)
+        residual, _ = mc._m5_relation(rec, _m5_float(rn, rd), _EQ11_BITS)
         assert abs(residual) < TOL
-        assert mpf(1) / 5 < m5 < 1
+        assert mpf(1) / 5 < _m5(rn, rd) < 1
 
     def test_defines_K_ratio(self):
         lo = solve_singular_modulus(3, 2)
@@ -160,6 +171,18 @@ class TestRRCFConverged:
             assert min(end, before) - slack <= deep <= max(end, before) + slack
             assert abs(val - deep) < ctx.tolerance()
 
+    @pytest.mark.parametrize("t", [4e19, math.inf])
+    def test_depth_keeps_d_at_a_tiny_need(self, t):
+        # x = need / t lies below the float epsilon, or is 0: d = 1 is the
+        # smallest d with d(d+1)/2 t >= need, and the depth is two past it.
+        # (sqrt(1 + 8x) - 1)/2 would cancel to 0 and give depth 2
+        assert mc._rrcf_depth(t, 576) == 3
+
+    def test_rrcf_value_reports_that_depth(self):
+        # below 1/25 rrcf sums at 16/r: at r = 1/10^37, t = pi sqrt(16/r)
+        # is about 4e19
+        assert mc.rrcf_value(1, 10 ** 37).depth == 3
+
     def test_domain(self):
         for q in (0, 1, "1.5", "-0.2"):
             with pytest.raises(DomainError):
@@ -240,7 +263,8 @@ class TestNomeBelowTheFloatRange:
         assert bk._neg_ln(q) == math.inf
         assert eta_f(q, ctx) == 1
         val, depth = rrcf_converged(q, ctx)
-        assert depth == 2
+        # d = 1 already meets the need, and the depth is two past it
+        assert depth == 3
         assert rrcf_truncated(q, depth, ctx) == rrcf_truncated(q, 1, ctx) == val
         with workprec(ctx.work_bits):
             assert abs(val / mp.root(q, 5) - 1) < mpf(2) ** (1 - bits)
