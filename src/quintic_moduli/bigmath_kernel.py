@@ -24,9 +24,9 @@ Quantities handled here:
     f(-q)            Euler-type product prod_{n>=1} (1 - q^n), summed as
                      Euler's pentagonal series
 
-The solver evaluates k_r in closed form as a theta quotient, summed on
-integers, and certifies it through the K-ratio.  With k' = sqrt(1 - k^2),
-the root of an exact integer, one has
+The solver evaluates k_r in closed form as a theta quotient, from the sums
+E = theta3(q^4) and O = theta2(q^4) on integers, and certifies it through
+the K-ratio.  With k' = sqrt(1 - k^2), the root of an exact integer, one has
 
     K(k)  = pi / (2 agm(1, k')),     K(k') = pi / (2 agm(1, k)),
 
@@ -181,6 +181,8 @@ class PrecisionContext(_Precision):
     __slots__ = ()
 
     def __new__(cls, precision_bits: int = 512, tol_exp: int = 120) -> PrecisionContext:
+        if not isinstance(precision_bits, int) or not isinstance(tol_exp, int):
+            raise ValueError("precision_bits and tol_exp must be integers")
         if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if tol_exp <= 0:
@@ -303,14 +305,17 @@ def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Accepts int, float, decimal string, Fraction, and mpf.  An mpf is
     rounded to nearest on its mantissa, as mpf(x) rounds it inside
     workprec(work_bits).  Fractions are divided at working precision rather
-    than round-tripped through decimal.
+    than round-tripped through decimal.  +-inf and nan raise DomainError:
+    every public function that takes a Real reads it here.
     """
     if isinstance(x, mpf):
-        return mp.make_mpf(mpf_pos(x._mpf_, ctx.work_bits, round_nearest))
-    with workprec(ctx.work_bits):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
-        return mpf(x)
+        x = mp.make_mpf(mpf_pos(x._mpf_, ctx.work_bits, round_nearest))
+    else:
+        with workprec(ctx.work_bits):
+            x = mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
+    if not x._mpf_[1] and x._mpf_[2]:  # no mantissa but an exponent: +-inf, nan
+        raise DomainError("expected a finite real, got %s" % x)
+    return x
 
 
 def _sqrt(x: mpf) -> mpf:
@@ -484,11 +489,15 @@ def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     such step, so they are few.  After that both sit on the scale that gives
     the larger one those bits.  The steps stop once
     |a - b| < 2^(-(work_bits + 40)/4) a and return
-    (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit up to a term
-    5 e^4 (a + b) / 128 with e = (a - b)/(a + b), below 2^-(work_bits + 47)
-    relative: under the integer scale's last bit.  Stopping at
-    2^(-(work_bits + 40)/2) instead would leave (a - b)^2 / (8 (a + b))
-    itself under that bit, one step later.
+    (a + b)/2 - (a - b)^2 / (8 (a + b)), the limit of those integers up to
+    a term 5 e^4 (a + b) / 128 with e = (a - b)/(a + b), below
+    2^-(work_bits + 47) relative.  Stopping at 2^(-(work_bits + 40)/2)
+    instead would leave (a - b)^2 / (8 (a + b)) itself under that bit, one
+    step later.  The limit's error is set where b goes onto a's scale: b,
+    up to 2^gap below a (gap <= _INT_BITS), keeps bits - gap bits, and the
+    AGM sees that relative error through 1/ln 2^(gap + 2), so the limit lies
+    within 2^32 / ln 2^34 < 2^28 units of 2^-(work_bits + 32) relative
+    (measured up to 6e7 at _R_MAX), over 60 bits below precision_bits.
     """
     bits = ctx.work_bits + _INT_BITS
     (ma, ea), (mb, eb) = a.man_exp, b.man_exp
@@ -640,34 +649,46 @@ def _chained_nome(n: int, d: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
 
 def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     """(theta2(q)/theta3(q))^2 as (M, e), the value M 2^e, for
-    0 < q <= e^-pi, as
+    0 < q <= e^-pi, summed at q^4:
 
-        4 sqrt(q) (S2 / (1 + 2 S3))^2,   S2 = sum_{n>=0} q^(n(n+1)),
-                                         S3 = sum_{n>=1} q^(n^2).
+        E = theta3(q^4) = 1 + 2 sum_{n>=1} q^(4n^2),
+        O = theta2(q^4) = 2 q S,   S = sum_{n>=0} q^(4n(n+1)),
 
-    Both sums run in one pass on integers with work_bits + _INT_BITS
-    fractional bits, their terms alternating along the exponents
-    0, 1, 2, 4, 6, 9, 12, ...: each is the last times the running power q^n.
-    S2 and 1 + 2 S3 lie in [1, 1.1), so the fixed point keeps their
-    relative precision.  sqrt(q), which can lie far below 2^-work_bits
-    (q = e^(-1000 pi) at r = 10^6), is _root of q's mantissa and exponent,
-    to as many bits.
+    so theta3(q) = E + O and theta4(q) = E - O, and Jacobi's
+    theta3^4 = theta2^4 + theta4^4 gives
+
+        (theta2/theta3)^2 = sqrt(16 q E S (E^2 + O^2)) / (E + O)^2
+
+    (Borwein & Borwein, Pi and the AGM, ch. 2).  Both sums run in one pass
+    on integers with work_bits + _INT_BITS fractional bits, their terms
+    alternating along the exponents 0, 1, 2, 4, 6, 9, ... of q^4 (two
+    squarings of q's fixed point).  E and S lie just above 1, so the fixed
+    point keeps their relative precision; O enters only E + O and
+    E^2 + O^2 = (E + O)^2 - 4 q E S, where its absolute error suffices.
+    The root is _root of q's mantissa times 16 E S (E^2 + O^2), so a q far
+    below 2^-work_bits (e^(-1000 pi) at r = 10^6) still gives 4 sqrt(q).
     """
     frac = ctx.work_bits + _INT_BITS
     one = 1 << frac
     _, man, exp, _ = q._mpf_
     qi = _fixed(man, exp, frac)
-    s2, s3 = 0, 0
-    term, qn = one, one  # q^(n(n+1)) and q^n, from n = 0
+    q4 = qi * qi >> frac
+    q4 = q4 * q4 >> frac
+    s, e = 0, 0
+    term, qn = one, one  # q^(4n(n+1)) and q^(4n), from n = 0
     while term:
-        s2 += term
-        qn = qn * qi >> frac
-        term = term * qn >> frac  # q^((n+1)^2)
-        s3 += term
-        term = term * qn >> frac  # q^((n+1)(n+2))
-    ratio = (s2 << frac) // (one + 2 * s3)
-    root, root_exp = _root((man, exp), frac)
-    return root * ratio * ratio, root_exp + 2 - 2 * frac
+        s += term
+        qn = qn * q4 >> frac
+        term = term * qn >> frac  # q^(4(n+1)^2)
+        e += term
+        term = term * qn >> frac  # q^(4(n+1)(n+2))
+    e = one + 2 * e
+    es = e * s >> frac
+    plus = e + (2 * qi * s >> frac)
+    square = plus * plus >> frac
+    x = es * (square - (4 * qi * es >> frac)) >> frac  # E S (E^2 + O^2)
+    root, root_exp = _root((man * x, exp + 4 - frac), frac)
+    return (root << frac) // square, root_exp
 
 
 class SingularModulusRecord(NamedTuple):
@@ -687,9 +708,9 @@ def solve_singular_modulus(
     """Evaluate k_r at exact rational r and certify its K-ratio residual.
 
     Evaluation is the theta quotient k = (theta2(q)/theta3(q))^2 at the nome
-    q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi, as
-    4 sqrt(q) (S2/(1 + 2 S3))^2 with both theta series and sqrt(q) summed
-    and rooted in one integer pass (_theta_quotient), rounded once.  That
+    q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi, from the theta
+    series at q^4, summed in one integer pass and rooted with q's mantissa
+    (_theta_quotient), rounded once.  That
     gives the modulus nearer 0; its complement sqrt(1 - k^2) is the square
     root of an exact integer, rounded once.  For r < 1 the pair is swapped
     (k_r = k'_(1/r)), so the small modulus of either orientation keeps its

@@ -17,7 +17,9 @@ in mpf arithmetic, kept as oracles for the integer ones that replaced them:
 the integer versions must give the same bits once both are rounded to the
 output precision, or, for a relation's residual, lie within a few units of
 the working precision times its scale.  ``fifth_root_radical_uncut`` is
-the integer radical as it was before it cut a huge a.
+the integer radical as it was before it cut a huge a, and
+``theta_quotient_direct`` the theta quotient's direct sum at q, before
+the library summed it at q^4.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -439,6 +441,31 @@ def _agm_mpf_head(a, b, work):
         ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
     gap, total = ia - ib, ia + ib
     return total - gap * gap // (4 * total), unit - 1
+
+
+def theta_quotient_direct(q, work_bits):
+    """(theta2(q)/theta3(q))^2 as (M, e), the value M 2^e, as the library
+    summed it before it summed at q^4: 4 sqrt(q) (S2 / (1 + 2 S3))^2 with
+    S2 = sum_{n>=0} q^(n(n+1)) and S3 = sum_{n>=1} q^(n^2) in one pass on
+    integers with work_bits + 32 fractional bits, and sqrt(q) by
+    math.isqrt of q's mantissa to as many bits."""
+    frac = work_bits + 32
+    one = 1 << frac
+    _, man, exp, _ = q._mpf_
+    qi = man << exp + frac if exp + frac >= 0 else man >> -(exp + frac)
+    s2, s3 = 0, 0
+    term, qn = one, one
+    while term:
+        s2 += term
+        qn = qn * qi >> frac
+        term = term * qn >> frac
+        s3 += term
+        term = term * qn >> frac
+    ratio = (s2 << frac) // (one + 2 * s3)
+    shift = 2 * frac - man.bit_length()
+    shift += (exp - shift) & 1
+    root = math.isqrt(man << shift if shift >= 0 else man >> -shift)
+    return root * ratio * ratio, (exp - shift) // 2 + 2 - 2 * frac
 
 
 def solve_mpf(r_num, r_den, precision_bits):

@@ -240,8 +240,7 @@ def test_no_function_reads_the_ambient_precision():
 
 def test_one_conversion_to_fixed_point():
     # man 2^exp to an integer with frac fractional bits has one spelling,
-    # bigmath_kernel._fixed (report ports mpmath's to_digits_exp and calls
-    # its libmp.to_fixed): no other shift-left-else-shift-right expression
+    # bigmath_kernel._fixed: no other shift-left-else-shift-right expression
     package_dir = os.path.dirname(quintic_moduli.__file__)
     found = []
     for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):

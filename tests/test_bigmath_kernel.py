@@ -85,6 +85,13 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(precision_bits=512, tol_exp=200)
 
+    @pytest.mark.parametrize("args", [(100.5, 10), (512, 10.5), (512.0, 10)])
+    def test_rejects_non_integers(self, args):
+        # a fractional tol_exp would read as 10^-floor; fractional bits
+        # would fail inside the solve
+        with pytest.raises(ValueError, match="must be integers"):
+            PrecisionContext(*args)
+
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             PrecisionContext(tol_exp=0)
@@ -349,6 +356,42 @@ class TestAmbientPrecision:
         assert got[0] == got[1] == got[2]
 
 
+class TestNonFinite:
+    """Every public function that takes a Real reads it through to_big,
+    which refuses +-inf and nan with DomainError: before, u_map, u_star,
+    p_map and descend_a returned 0.0 at +inf, closed_form_R(inf) 1/phi,
+    elliptic_K(nan) pi/2, and agm ran 10 000 steps into ConvergenceError."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", math.inf, -math.inf, math.nan,
+                                       mp.inf, -mp.inf, mp.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: to_big(x),
+            lambda x: agm(1, x),
+            lambda x: agm(x, 1),
+            lambda x: elliptic_K(x),
+            lambda x: eta_f(x),
+            lambda x: rrcf_truncated(x, 7),
+            lambda x: rrcf_converged(x),
+            lambda x: closed_form_R(x),
+            lambda x: descend_v(x),
+            lambda x: descend_a(x),
+            lambda x: u_map(x),
+            lambda x: u_star(x),
+            lambda x: p_map(x),
+            lambda x: ladder(5, 1, 1, kkprime_r0=x),
+            lambda x: ladder(5, 1, 1, kkprime_r0_over25=x),
+        ],
+        ids=["to_big", "agm-b", "agm-a", "elliptic_K", "eta_f", "rrcf_truncated",
+             "rrcf_converged", "closed_form_R", "descend_v", "descend_a", "u_map",
+             "u_star", "p_map", "ladder-kkprime_r0", "ladder-kkprime_r0_over25"],
+    )
+    def test_refused(self, call, value):
+        with pytest.raises(DomainError, match="^expected a finite real"):
+            call(value)
+
+
 class TestRawQ:
     """The q-series read q's raw tuple: whether 0 < q < 1, and -ln q as the
     very float the mpf expression gave."""
@@ -444,6 +487,19 @@ class TestAgmFinish:
     """The integer phase stops at |a - b| < 2^(-(work_bits + 40)/4) a and
     adds the closing term -(a - b)^2 / (8 (a + b)); what it leaves out is
     below the guard bits."""
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_limit_within_its_documented_bound(self, bits):
+        # b loses up to _INT_BITS bits where it goes onto a's scale, and
+        # agm(1, k) sees that through 1/ln 2^34: below 2^28 units of
+        # 2^-(work_bits + 32), where the closing term alone is below 2^-15
+        ctx = _ctx_at(bits)
+        for r in (1, 10 ** 6, 10 ** 20, bk._R_MAX):
+            k = solve_singular_modulus(r, 1, ctx).k
+            man, exp = bk._agm_raw(mpf(1), k, ctx)
+            with workprec(ctx.work_bits + 300):
+                err = abs(mp.ldexp(mpf(man), exp) / mp.agm(1, k) - 1)
+                assert err < mpf(2) ** (28 - ctx.work_bits - 32), (r, bits)
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_solver_legs_match_mp_agm(self, bits):
@@ -680,6 +736,20 @@ class TestThetaQuotient:
         # and a few ulps apart at working precision, where each side rounds
         with workprec(ctx.work_bits + 64):
             assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 4096])
+    @pytest.mark.parametrize("r", ["1", "7/3", "10", "100", "10000", "1000000",
+                                   "100000000000000000000", str(bk._R_MAX)])
+    def test_sum_at_q4_matches_the_direct_sum(self, r, bits):
+        # theta3(q) = theta3(q^4) + theta2(q^4) and Jacobi's identity give
+        # the quotient from sums at q^4; the direct sum at q is the oracle
+        ctx = _ctx_at(bits)
+        r = Fraction(r)
+        q = bk._exp_nome(r.numerator, r.denominator, ctx)
+        got, ref = bk._theta_quotient(q, ctx), ov.theta_quotient_direct(q, ctx.work_bits)
+        assert bk._rounded(ctx, *got) == bk._rounded(ctx, *ref)
+        with workprec(ctx.work_bits + 64):
+            assert abs(_exact(*got) / _exact(*ref) - 1) < mpf(2) ** -(ctx.work_bits + 16)
 
 
 class TestIntegerSolve:

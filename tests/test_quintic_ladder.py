@@ -494,7 +494,7 @@ class TestLadder:
         calls = []
         for mod in (ql, bk):
             monkeypatch.setattr(mod, "solve_singular_modulus", lambda *a: calls.append(a))
-        with pytest.raises(DomainError, match=r"must lie in \(0, 1/2\]"):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1/2\]|finite real"):
             ladder(5, 1, 1, **seeds)
         assert calls == []
 

@@ -4,6 +4,8 @@ back to the same bits; to_decimal(x, 12), the registry's detail strings,
 is mp.nstr(x, 12)."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
@@ -71,6 +73,27 @@ def test_a_decimal_past_cpythons_digit_limit():
     bits = 20000
     x = _rounded(random.Random(1).getrandbits(bits) | 1, -bits, bits)
     assert big_to_str(x, bits) == mp.nstr(x, roundtrip_digits(bits))
+
+
+@pytest.mark.parametrize("bits", [4096, 20000])
+def test_a_decimal_under_the_smallest_digit_limit(bits):
+    # 640 is the smallest int-to-str limit CPython lets a process set;
+    # 4096 bits write 1238 digits, 20000 bits 6025
+    x = _rounded(random.Random(bits).getrandbits(bits) | 1, -bits, bits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert big_to_str(x, bits) == mp.nstr(x, roundtrip_digits(bits))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_fraction_is_divided_at_the_precision():
+    # as to_big converts it: one division at precision_bits
+    for bits in (64, 512):
+        with workprec(bits):
+            third = mpf(1) / 3
+        assert big_to_str(Fraction(1, 3), bits) == big_to_str(third, bits)
 
 
 def test_short_decimals_are_nstr():
