@@ -5,13 +5,11 @@ series.
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
 governing :class:`PrecisionContext`; intermediates carry 64 more (_GUARD_BITS).
 
-Square roots, rounding and the pass rule work on mpf mantissas directly.
-``_sqrt`` (``_sqrt_raw`` on a mantissa) takes the steps of mpmath's
-``mpf_sqrt`` with its integer root from ``math.isqrt``; ``_round_to``,
-``to_big`` of an mpf and ``PrecisionContext.certifies`` call mpmath's
-``libmp`` rounding primitives at the bits they need instead of entering a
-``workprec`` block.  Each gives the same bits as ``mp.sqrt``, ``+x`` or
-the mpf operators would, and no module calls ``mp.sqrt``.
+Square roots, rounding and the pass rule work on mpf mantissas directly:
+``_sqrt_raw`` takes the steps of mpmath's ``mpf_sqrt`` with its integer
+root from ``math.isqrt``, and ``_round_to``, ``_at_bits`` and
+``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding
+primitives at the bits they need.  No module calls ``mp.sqrt``.
 
 Quantities handled here:
 
@@ -44,24 +42,23 @@ each K is pi / (2 agm) against mpmath's cached fixed-point pi.  From its
 nome to its record the solve works on integers and mantissas and builds an
 mpf only for each field, rounded once.
 
-One rule holds in every module: each value a function returns and each
-residual a gate judges is formed on integers and mantissas and rounded at
-stated bits, so none enters ``workprec`` or reads mp.prec, and the
-caller's mp.prec moves no bit of it.  ``workprec`` is entered only where a
-value enters as text or as a Fraction (``to_big``, report.big_to_str and
-report.str_to_big) and for the message of a ladder rung that missed, and
-mp.prec is read only by ``_sqrt``, for the message of a branch error.  The
-integer kernels carry ``_INT_BITS`` bits beyond work_bits and reach that
-fixed point from a mantissa by one conversion, ``_fixed``.  A value held
-as a mantissa and an exponent (a ``_Float``) has one arithmetic, here:
-``_mul``, ``_pow``, ``_product``, ``_quo``, ``_plus`` and ``_root`` cut
-each result to a given number of bits, and every module forms its
-products, powers, quotients and roots of mantissas with them.  A residual
-is summed by ``_term_sum`` into an exact sum and scale.  A solve gates
-its K-ratio residual times an integer bound on the ratio's sensitivity to
-k, so a pass vouches for tol_exp digits of k at every r.  It refuses an r
-with max(r, 1/r) above ``_R_MAX``, about 4.05e39, before its nome is
-taken; nothing else refuses r for its size.
+One rule holds in every module, without exception: each value a function
+returns, each residual a gate judges and each number a message prints is
+formed on integers and mantissas and rounded at stated bits, so no module
+switches or reads mpmath's ambient precision.  A value enters by one
+conversion, ``_at_bits`` (``to_big``, report.big_to_str and str_to_big,
+a given ladder seed).  The integer kernels carry ``_INT_BITS`` bits beyond
+work_bits and reach that fixed point from a mantissa by one conversion,
+``_fixed``.  A value held as a mantissa and an exponent (a ``_Float``)
+has one arithmetic, here: ``_mul``, ``_pow``, ``_product``, ``_quo``,
+``_plus`` and ``_root`` cut each result to a given number of bits, and
+every module forms its products, powers, quotients and roots of
+mantissas with them.  A residual is summed by ``_term_sum`` into an
+exact sum and scale.  A solve gates its K-ratio residual times an integer
+bound on the ratio's sensitivity to k, so a pass vouches for tol_exp
+digits of k at every r.  It refuses an r with max(r, 1/r) above
+``_R_MAX``, about 4.05e39, before its nome is taken; nothing else refuses
+r for its size.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -97,10 +94,11 @@ from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
     from_man_exp,
+    from_rational,
     mpf_abs,
     mpf_lt,
     mpf_mul,
@@ -220,8 +218,8 @@ class PrecisionContext(_Precision):
         """The one pass rule: |residual| < 10**(-tol_exp) * |scale| at working
         precision, where scale is the size of the terms the residual sums.
 
-        It rounds as the mpf operators do inside workprec(work_bits), on the
-        mantissas directly: each absolute value of an mpf and the product to
+        It rounds as the mpf operators do at work_bits, on the mantissas
+        directly: each absolute value of an mpf and the product to
         work_bits, while an int enters exactly."""
         bits = self.work_bits
         bound = mpf_mul(self.tolerance()._mpf_, _abs_raw(scale, bits), bits, round_nearest)
@@ -230,7 +228,7 @@ class PrecisionContext(_Precision):
 
 def _abs_raw(x: Union[int, mpf], bits: int) -> tuple:
     """|x| as a raw mpf tuple: an mpf's rounded to nearest at `bits`, as
-    abs() rounds it inside workprec(bits); an int's exact, as abs() keeps it."""
+    abs() rounds it at `bits`; an int's exact, as abs() keeps it."""
     return mpf_abs(x._mpf_, bits, round_nearest) if isinstance(x, mpf) else from_int(abs(x))
 
 
@@ -290,7 +288,7 @@ def _memoised(
 
 def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
     """Round x to nearest at the context's output precision: what `+x`
-    gives inside workprec(precision_bits), on the mantissa directly."""
+    gives at precision_bits, on the mantissa directly."""
     return mp.make_mpf(mpf_pos(x._mpf_, ctx.precision_bits, round_nearest))
 
 
@@ -299,35 +297,29 @@ def _rounded(ctx: PrecisionContext, man: int, exp: int) -> mpf:
     return mp.make_mpf(from_man_exp(man, exp, ctx.precision_bits, round_nearest))
 
 
+def _at_bits(x: Real, bits: int) -> mpf:
+    """x rounded once to nearest at `bits`: an mpf on its mantissa, a
+    Fraction by one correctly rounded division, anything else as mpf()
+    reads it at those bits.  The one place a value becomes an mpf."""
+    if isinstance(x, mpf):
+        return mp.make_mpf(mpf_pos(x._mpf_, bits, round_nearest))
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
+    return mpf(x, prec=bits, rounding=round_nearest)
+
+
 def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Convert ``x`` to an mpf at the context's working precision.
 
-    Accepts int, float, decimal string, Fraction, and mpf.  An mpf is
-    rounded to nearest on its mantissa, as mpf(x) rounds it inside
-    workprec(work_bits).  Fractions are divided at working precision rather
-    than round-tripped through decimal.  +-inf and nan raise DomainError:
-    every public function that takes a Real reads it here.
+    Accepts int, float, decimal string, Fraction and mpf, each rounded once
+    to nearest at work_bits (``_at_bits``; a Fraction by one division).
+    +-inf and nan raise DomainError: every public function that takes a
+    Real reads it here.
     """
-    if isinstance(x, mpf):
-        x = mp.make_mpf(mpf_pos(x._mpf_, ctx.work_bits, round_nearest))
-    else:
-        with workprec(ctx.work_bits):
-            x = mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
+    x = _at_bits(x, ctx.work_bits)
     if not x._mpf_[1] and x._mpf_[2]:  # no mantissa but an exponent: +-inf, nan
         raise DomainError("expected a finite real, got %s" % x)
     return x
-
-
-def _sqrt(x: mpf) -> mpf:
-    """mp.sqrt(x) for a real mpf x >= 0 at the ambient precision, bit for bit
-    (_sqrt_raw on its mantissa).  A negative x raises DomainError, where
-    mp.sqrt would return a complex root."""
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        raise DomainError("square root of a negative number: %s" % x)
-    if not man:  # 0, +inf and nan are their own roots
-        return x
-    return mp.make_mpf(_sqrt_raw(man, exp, mp.prec))
 
 
 def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
@@ -373,7 +365,7 @@ def _complement_raw(k: mpf, prec: int) -> mpf:
 _INT_BITS = 32
 
 #: the AGM's first operand in K(x) = pi / (2 agm(1, sqrt(1 - x^2)))
-_ONE = mpf(1)
+_ONE = mp.make_mpf(from_int(1))
 
 
 def _fixed(man: int, exp: int, frac: int) -> int:
@@ -815,8 +807,8 @@ def _neg_ln(x: mpf) -> float:
     log1p of 1 - x, formed exactly on the mantissa and rounded once to a
     float as float(mpf) rounds it; it returns 0.0 when x is within 2^-1074
     of 1.  Below it is -(ln man + exp ln 2), or inf where exp passes the
-    float range, below about 2^-(2^1024).  The caller's mp.prec moves no
-    bit of either.
+    float range, below about 2^-(2^1024).  The caller's ambient precision
+    moves no bit of either.
     """
     _, man, exp, bc = x._mpf_
     if exp + bc == 0 and man != 1:

@@ -197,7 +197,7 @@ def _positive_int(s: str) -> int:
 
 def _decimal_arg(s: str) -> str:
     try:
-        mpf(s)
+        str_to_big(s, 53)  # whether s parses does not depend on the bits
     except Exception:
         if _DECIMAL_RE.fullmatch(s):
             raise _too_long("decimal number", s)

@@ -53,11 +53,12 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
     from_man_exp,
     mpf_abs,
+    mpf_div,
     mpf_mul,
     mpf_nthroot,
     mpf_sub,
@@ -76,6 +77,7 @@ from .bigmath_kernel import (
     _INT_BITS,
     _MAX_ITER,
     _ONE,
+    _at_bits,
     _fixed,
     _floats,
     _mul,
@@ -86,7 +88,6 @@ from .bigmath_kernel import (
     _round_to,
     _rounded,
     _solved,
-    _sqrt,
     _sqrt_raw,
     _term_sum,
     _validate_rational,
@@ -202,7 +203,7 @@ def _cubic_root(c: _Float, ctx: PrecisionContext) -> _Float:
     plus 8, up to `frac`.  Nothing in the schedule is trusted: P at w must
     certify against its largest monomial (PrecisionContext.certifies), the
     four monomials formed on mantissas and summed by _term_sum; otherwise
-    a BranchError is raised carrying all three roots of P."""
+    a BranchError is raised (_branch_error)."""
     frac = ctx.work_bits + _INT_BITS
     man, exp = c
     cap = 2 * frac + 8
@@ -218,26 +219,18 @@ def _cubic_root(c: _Float, ctx: PrecisionContext) -> _Float:
     root = (w, -frac)
     res, scale = _cubic_residual(c, root, ctx.work_bits + _GATE_INT_BITS)
     if not ctx.certifies(res, scale):
-        raise _branch_error(c, root, res / scale)
+        raise _branch_error(c, root, mpf_div(res._mpf_, scale._mpf_, ctx.work_bits, round_nearest))
     return root
 
 
-def _branch_error(c: _Float, w: _Float, relative: mpf) -> BranchError:
-    """The BranchError for a root w of P that failed its gate, naming the
-    two companion roots: w2 w3 = 1/(c w) and w2 + w3 = -5/c - w."""
+def _branch_error(c: _Float, w: _Float, relative: tuple) -> BranchError:
+    """The BranchError for a root w of P that failed its gate.  P's signs
+    change once, so w is its one positive root: no other is a branch."""
     cv, wv = (mp.make_mpf(from_man_exp(*v)) for v in (c, w))
-    s, prod = -5 / cv - wv, 1 / (cv * wv)
-    disc = s * s - 4 * prod
-    others = (
-        [(s + _sqrt(disc)) / 2, (s - _sqrt(disc)) / 2]
-        if disc >= 0
-        else [mpc(s / 2, _sqrt(-disc) / 2), mpc(s / 2, -_sqrt(-disc) / 2)]
-    )
     return BranchError(
         "c w^3 + 5 w^2 - c w - 1 at c = %s: positive root %s fails the defining "
-        "relation (relative residual %s); companion roots %s"
-        % (mp.nstr(cv, 12), mp.nstr(wv, 12), mp.nstr(relative, 6),
-           [mp.nstr(o, 8) for o in others])
+        "relation (relative residual %s)"
+        % (mp.nstr(cv, 12), mp.nstr(wv, 12), mp.nstr(mp.make_mpf(relative), 6))
     )
 
 
@@ -396,16 +389,19 @@ def _k_of(s: _Float, r: Fraction, ctx: PrecisionContext) -> mpf:
 
 
 def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> str:
-    """The message of a rung whose k missed the oracle's k."""
-    with workprec(ctx.work_bits):
-        return (
-            "ladder level %d (r = %s) missed the oracle by %s "
-            "(relative %s; relative gate 10^-%d; k from k k' "
-            "amplifies errors by 1/|1 - 2k^2| = %s)"
-            % (step.level, step.r, mp.nstr(step.oracle_residual, 8),
-               mp.nstr(step.oracle_residual / k, 8), gate_exp,
-               mp.nstr(1 / abs(1 - 2 * k * k), 3))
-        )
+    """The message of a rung whose k missed the oracle's k: its relative
+    miss and 1/|1 - 2k^2|, each operation rounded at work_bits."""
+    bits, one = ctx.work_bits, _ONE._mpf_
+    relative = mpf_div(step.oracle_residual._mpf_, k._mpf_, bits, round_nearest)
+    two_k2 = mpf_mul(mpf_mul(from_int(2), k._mpf_), k._mpf_, bits, round_nearest)
+    gain = mpf_div(one, mpf_abs(mpf_sub(one, two_k2, bits, round_nearest)), bits, round_nearest)
+    return (
+        "ladder level %d (r = %s) missed the oracle by %s "
+        "(relative %s; relative gate 10^-%d; k from k k' "
+        "amplifies errors by 1/|1 - 2k^2| = %s)"
+        % (step.level, step.r, mp.nstr(step.oracle_residual, 8),
+           mp.nstr(mp.make_mpf(relative), 8), gate_exp, mp.nstr(mp.make_mpf(gain), 3))
+    )
 
 
 @_request_memo()
@@ -483,10 +479,11 @@ def ladder(
         if seed is None:
             seeds[name] = _kkprime(r, ctx)
             continue
-        v = to_big(seed, ctx)
+        # rounded once, at precision_bits; to_big, exact on it, refuses inf and nan
+        v = to_big(_at_bits(seed, ctx.precision_bits), ctx)
         if not 0 < v <= 0.5:
             raise DomainError("%s must lie in (0, 1/2], got %s" % (name, mp.nstr(v, 12)))
-        seeds[name] = _round_to(ctx, v)
+        seeds[name] = v
     seed_s, seed_s25 = seeds["kkprime_r0"], seeds["kkprime_r0_over25"]
 
     frac = ctx.work_bits + _INT_BITS

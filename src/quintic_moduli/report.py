@@ -15,10 +15,10 @@ both to that oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from mpmath import mpf, workprec
+from mpmath import mpf
 from mpmath.libmp import to_str
+
+from .bigmath_kernel import _at_bits
 
 __all__ = ["roundtrip_digits", "big_to_str", "to_decimal", "str_to_big"]
 
@@ -32,12 +32,10 @@ def roundtrip_digits(precision_bits: int) -> int:
 def big_to_str(x, precision_bits: int) -> str:
     """x as a decimal with roundtrip_digits(precision_bits) significant
     digits: mp.nstr(x, roundtrip_digits(precision_bits)), byte for byte.
-    A value that is not an mpf is converted at precision_bits as
-    bigmath_kernel.to_big converts it, a Fraction by one division."""
-    # never mpf(x) at ambient precision: that would silently re-round x
+    A value that is not an mpf is first rounded once to precision_bits by
+    bigmath_kernel._at_bits, a Fraction by one correctly rounded division."""
     if not isinstance(x, mpf):
-        with workprec(precision_bits):
-            x = mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else +mpf(x)
+        x = _at_bits(x, precision_bits)
     return to_decimal(x, roundtrip_digits(precision_bits))
 
 
@@ -48,5 +46,5 @@ def to_decimal(x: mpf, dps: int) -> str:
 
 
 def str_to_big(s: str, precision_bits: int) -> mpf:
-    with workprec(precision_bits):
-        return +mpf(s)
+    """The decimal s rounded once to nearest at precision_bits."""
+    return _at_bits(s, precision_bits)

@@ -202,40 +202,31 @@ def test_tolerance_is_read_only_inside_precision_context(name):
 
 
 def test_no_function_reads_the_ambient_precision():
-    # every looked-up value and every residual is formed on mantissas and
-    # rounded once at stated bits, so the caller's mp.prec moves no bit of
-    # what a function returns or how a gate judges: workprec is named only
-    # where a value enters as text or as a Fraction, and in the message of
-    # a ladder rung that missed; mp.prec is read only by _sqrt, which is
-    # mp.sqrt at the ambient precision, and which only that message takes
+    # every value, every residual and every number a message prints is
+    # formed on mantissas and rounded at stated bits, and a value enters by
+    # one conversion, bigmath_kernel._at_bits: no module switches mpmath's
+    # working precision, reads it, or builds an mpc at it
     package_dir = os.path.dirname(quintic_moduli.__file__)
-    workprec, prec, importers = set(), set(), set()
+    switches, reads = set(), set()
     for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
         module = os.path.basename(path)[:-3]
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
-            if isinstance(top, ast.ImportFrom) and "workprec" in {a.name for a in top.names}:
-                importers.add(module)
+            where = (module, getattr(top, "name", None))
             for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "workprec") or (
-                    isinstance(node, ast.Attribute) and node.attr == "workprec"
-                ):
-                    workprec.add((module, getattr(top, "name", None)))
+                names = {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set()
+                names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+                if names & {"workprec", "workdps", "extraprec", "extradps", "mpc"}:
+                    switches.add(where)
                 elif (
                     isinstance(node, ast.Attribute)
-                    and node.attr == "prec"
+                    and node.attr in ("prec", "dps")
                     and getattr(node.value, "id", None) == "mp"
                 ):
-                    prec.add((module, getattr(top, "name", None)))
-    assert workprec == {
-        ("bigmath_kernel", "to_big"),
-        ("report", "big_to_str"),
-        ("report", "str_to_big"),
-        ("quintic_ladder", "_missed"),
-    }
-    assert importers == {"bigmath_kernel", "report", "quintic_ladder"}
-    assert prec == {("bigmath_kernel", "_sqrt")}
+                    reads.add(where)
+    assert switches == set()
+    assert reads == set()
 
 
 def test_one_conversion_to_fixed_point():
@@ -296,7 +287,7 @@ def test_no_module_calls_jtheta():
 
 
 def test_no_module_calls_mp_sqrt_or_patches_mpmath():
-    # every square root goes through bigmath_kernel._sqrt, and no module
+    # every square root goes through bigmath_kernel._sqrt_raw, and no module
     # assigns into mpmath, so the tests' mpmath oracles stay mpmath's own
     package_dir = os.path.dirname(quintic_moduli.__file__)
     found = []

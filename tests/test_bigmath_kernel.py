@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, quad, sqrt, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt, round_nearest
 
 from quintic_moduli import (
     BranchError,
@@ -40,6 +40,8 @@ from quintic_moduli import (
 
 import oracle_values as ov
 import quintic_moduli.bigmath_kernel as bk
+import quintic_moduli.quintic_ladder as ql
+from quintic_moduli.report import big_to_str, str_to_big
 
 TOL = mpf(10) ** -120
 
@@ -136,18 +138,14 @@ def _kernel_inputs(bits, seed):
 
 
 class TestMantissaKernels:
-    """_sqrt, _round_to, to_big and certifies give the very bits of the
+    """_sqrt_raw, _round_to, to_big and certifies give the very bits of the
     mpmath operations they replace."""
 
     @pytest.mark.parametrize("bits", [64, 576, 1088, 4160])
-    def test_sqrt_is_mp_sqrt(self, bits):
+    def test_sqrt_raw_is_mpf_sqrt(self, bits):
         for x in _kernel_inputs(bits, bits):
-            with workprec(bits):
-                assert bk._sqrt(x)._mpf_ == mp.sqrt(x)._mpf_, x._mpf_
-
-    def test_sqrt_refuses_a_negative(self):
-        with pytest.raises(DomainError):
-            bk._sqrt(mpf(-2))
+            _, man, exp, _ = x._mpf_
+            assert bk._sqrt_raw(man, exp, bits) == mpf_sqrt(x._mpf_, bits, round_nearest), x._mpf_
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_rounding_is_pos_and_mpf(self, bits):
@@ -165,6 +163,17 @@ class TestMantissaKernels:
             third = mpf(1) / 3
         assert to_big(Fraction(1, 3), ctx)._mpf_ == third._mpf_
         assert third != bk._round_to(ctx, third)
+
+    def test_a_fraction_is_rounded_once(self):
+        # one correctly rounded division, where dividing the rounded
+        # numerator by the rounded denominator would round three times
+        ctx = PrecisionContext(precision_bits=192, tol_exp=30)
+        assert ctx.work_bits == 256
+        rng = random.Random(700)
+        for _ in range(2000):
+            n, d = rng.getrandbits(700) | 1 << 699, rng.getrandbits(690) | 1 << 689
+            want = from_rational(n, d, ctx.work_bits, round_nearest)
+            assert to_big(Fraction(n, d), ctx)._mpf_ == want, (n, d)
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_certifies_is_the_workprec_comparison(self, bits):
@@ -305,11 +314,20 @@ class TestMantissaArithmetic:
             assert _exact_value(scale) == max(map(abs, cut))
 
 
+def _error_text(call):
+    """The text of the BranchError or CertificationError that call raises."""
+    try:
+        call()
+    except (BranchError, CertificationError) as e:
+        return str(e)
+    raise AssertionError("no error raised")
+
+
 class TestAmbientPrecision:
     """The integer kernels and the values built on them switch no working
     precision: they compute on integers and mantissas after to_big and
     round at stated bits, so the caller's mp.prec moves no bit of what they
-    return, records included."""
+    return, records included, nor of a conversion or an error's text."""
 
     @pytest.mark.parametrize("as_mpf", [False, True], ids=["str", "mpf"])
     @pytest.mark.parametrize("bits", [512, 1024])
@@ -354,6 +372,38 @@ class TestAmbientPrecision:
             with workprec(prec):
                 got.append(raw(fn(*args, ctx)))
         assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: to_big("0.1", _ctx_at(256))._mpf_,
+            lambda: to_big(0.1, _ctx_at(256))._mpf_,
+            lambda: to_big(Fraction(2 ** 700 + 1, 3 ** 441), _ctx_at(256))._mpf_,
+            lambda: str_to_big("0.1", 256)._mpf_,
+            lambda: big_to_str(Fraction(2 ** 700 + 1, 3 ** 441), 256),
+            # a rung's miss: its relative miss and 1/|1 - 2k^2|
+            lambda: _error_text(lambda: ladder(5, 1, 1, kkprime_r0="0.1")),
+        ],
+        ids=["to_big-str", "to_big-float", "to_big-Fraction", "str_to_big",
+             "big_to_str-Fraction", "missed"],
+    )
+    def test_conversions_and_messages(self, case):
+        got = [case()]
+        for prec in (53, 8000):
+            with workprec(prec):
+                got.append(case())
+        assert got[0] == got[1] == got[2]
+
+    def test_branch_error_text(self, monkeypatch):
+        # a Newton that never moves fails the cubic's gate: the message's
+        # numbers are rounded at stated bits
+        monkeypatch.setattr(ql, "_newton_int", lambda w, c, bits: w)
+        got = [_error_text(lambda: u_map("1.25"))]
+        for prec in (53, 8000):
+            with workprec(prec):
+                got.append(_error_text(lambda: u_map("1.25")))
+        assert got[0] == got[1] == got[2]
+        assert got[0].endswith("fails the defining relation (relative residual 2.07208e-17)")
 
 
 class TestNonFinite:

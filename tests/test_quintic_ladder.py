@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt, workprec
+from mpmath.libmp import from_man_exp
 
 from quintic_moduli import (
     BranchError,
@@ -250,7 +251,7 @@ class TestIntegerSpellings:
 
     def test_u_map_raises_where_the_gate_fails(self, monkeypatch):
         # a Newton that never moves leaves the float seed's 48 bits, which
-        # the gate refuses with a BranchError naming the companion roots
+        # the gate refuses with a BranchError
         def stuck(w, c, bits):
             return w
 
@@ -509,6 +510,17 @@ class TestLadder:
         trace = ladder(125, 1, 1, ctx, kkprime_r0=s125, kkprime_r0_over25=long_s5)
         assert (trace.seed_kkprime, trace.seed_kkprime25) == (s125, s5)
         assert ladder(125, 1, 1, ctx).steps == trace.steps
+
+    def test_a_given_seed_is_rounded_once(self):
+        # m + ulp/2 + 2^-70 ulp, m even, lies above the midpoint: one
+        # rounding to 256 bits gives m + ulp, where rounding first to
+        # work_bits would land on the midpoint and then on m
+        ctx = PrecisionContext(precision_bits=256, tol_exp=55)
+        _, man, exp, bc = _kkp_rounded(5, 1, 256)._mpf_
+        m, e = (man << (256 - bc)) & ~1, exp - (256 - bc)
+        seed = (m + Fraction(1, 2) + Fraction(1, 2 ** 70)) * Fraction(2) ** e
+        trace = ladder(5, 1, 1, ctx, kkprime_r0=seed, kkprime_r0_over25=_kkp_rounded(5, 1, 256))
+        assert trace.seed_kkprime._mpf_ == from_man_exp(m + 1, e)
 
     @pytest.mark.parametrize("bits", [256, 512])
     @pytest.mark.parametrize("r0", ["5", "1/25"])

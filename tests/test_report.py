@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_neg, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, round_nearest
 
 from quintic_moduli.report import big_to_str, roundtrip_digits, str_to_big, to_decimal
 
@@ -94,6 +94,16 @@ def test_a_fraction_is_divided_at_the_precision():
         with workprec(bits):
             third = mpf(1) / 3
         assert big_to_str(Fraction(1, 3), bits) == big_to_str(third, bits)
+
+
+def test_a_fraction_is_rounded_once():
+    # one correctly rounded division at precision_bits, the value to_big
+    # would give at those bits
+    rng = random.Random(700)
+    for _ in range(2000):
+        n, d = rng.getrandbits(700) | 1 << 699, rng.getrandbits(690) | 1 << 689
+        want = mp.make_mpf(from_rational(n, d, 256, round_nearest))
+        assert big_to_str(Fraction(n, d), 256) == big_to_str(want, 256), (n, d)
 
 
 def test_short_decimals_are_nstr():
