@@ -24,23 +24,23 @@ Quantities handled here:
 
 The solver evaluates k_r in closed form as a theta quotient, from the sums
 E = theta3(q^4) and O = theta2(q^4) on integers, and certifies it through
-the K-ratio.  With k' = sqrt(1 - k^2), the root of an exact integer, one has
+the K-ratio.  The pass gives the modulus nearer 0, s, and theta3(q)^2 =
+(E + O)^2; with s' = sqrt(1 - s^2), the root of an exact integer,
 
-    K(k)  = pi / (2 agm(1, k')),     K(k') = pi / (2 agm(1, k)),
+    K(s) = (pi/2) theta3(q)^2 (Jacobi),     K(s') = pi / (2 agm(1, s)),
 
-so the certified ratio K(k')/K(k) = agm(1, k')/agm(1, k) is assembled from
-the two AGM legs directly, without ever forming 1 - k'^2.
+so the certified ratio K(s)/K(s') = agm(1, s) theta3(q)^2, or its inverse,
+takes one AGM leg: the theta and AGM routes meet only in its residual.
 
 The AGM runs on integers, from its first step: while a and b lie far apart
 each is an integer of work_bits + 32 bits with its own exponent, so no
 integer grows with r; once |a - b| < 2^(-(work_bits + 40)/4) a it returns
 (a + b)/2 - (a - b)^2 / (8 (a + b)), whose error is of order (a - b)^4, and
 hands back the integer and its exponent.  The solver forms its residual
-from those integers: the quotient of the two legs against sqrt(r) taken by
-math.isqrt from the exact rational, judged by ``certifies`` on integers;
-each K is pi / (2 agm) against mpmath's cached fixed-point pi.  From its
-nome to its record the solve works on integers and mantissas and builds an
-mpf only for each field, rounded once.
+from that integer times theta3^2's against sqrt(r) by math.isqrt of the
+exact rational, judged by ``certifies`` on integers, and each K against
+mpmath's cached fixed-point pi.  From its nome to its record the solve
+works on integers and mantissas and builds an mpf only for each field.
 
 One rule holds in every module, without exception: each value a function
 returns, each residual a gate judges and each number a message prints is
@@ -639,8 +639,8 @@ def _chained_nome(n: int, d: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
     return _exp_nome(n, d, ctx), 1
 
 
-def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
-    """(theta2(q)/theta3(q))^2 as (M, e), the value M 2^e, for
+def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[_Float, _Float]:
+    """((theta2(q)/theta3(q))^2, theta3(q)^2), each a _Float, for
     0 < q <= e^-pi, summed at q^4:
 
         E = theta3(q^4) = 1 + 2 sum_{n>=1} q^(4n^2),
@@ -659,6 +659,8 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     E^2 + O^2 = (E + O)^2 - 4 q E S, where its absolute error suffices.
     The root is _root of q's mantissa times 16 E S (E^2 + O^2), so a q far
     below 2^-work_bits (e^(-1000 pi) at r = 10^6) still gives 4 sqrt(q).
+    theta3^2 = (E + O)^2 comes back with its work_bits + _INT_BITS
+    fractional bits: (pi/2) theta3^2 is K of the quotient (Jacobi).
     """
     frac = ctx.work_bits + _INT_BITS
     one = 1 << frac
@@ -680,7 +682,7 @@ def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
     square = plus * plus >> frac
     x = es * (square - (4 * qi * es >> frac)) >> frac  # E S (E^2 + O^2)
     root, root_exp = _root((man * x, exp + 4 - frac), frac)
-    return (root << frac) // square, root_exp
+    return ((root << frac) // square, root_exp), (square, -frac)
 
 
 class SingularModulusRecord(NamedTuple):
@@ -691,7 +693,7 @@ class SingularModulusRecord(NamedTuple):
     q: mpf          # nome exp(-pi sqrt(r))
     K_k: mpf        # K(k)
     K_kcomp: mpf    # K(k_comp)
-    residual: mpf   # |K(k_comp)/K(k) - sqrt(r)| evaluated at the stored pair
+    residual: mpf   # |K(k_comp)/K(k) - sqrt(r)|, from K_k and K_kcomp before rounding
 
 
 def solve_singular_modulus(
@@ -702,39 +704,40 @@ def solve_singular_modulus(
     Evaluation is the theta quotient k = (theta2(q)/theta3(q))^2 at the nome
     q = e^(-pi sqrt(R)), R = max(r, 1/r), so q <= e^-pi, from the theta
     series at q^4, summed in one integer pass and rooted with q's mantissa
-    (_theta_quotient), rounded once.  That
-    gives the modulus nearer 0; its complement sqrt(1 - k^2) is the square
-    root of an exact integer, rounded once.  For r < 1 the pair is swapped
-    (k_r = k'_(1/r)), so the small modulus of either orientation keeps its
-    relative precision.
+    (_theta_quotient), rounded once.  That gives the modulus nearer 0; its
+    complement sqrt(1 - k^2) is the square root of an exact integer,
+    rounded once.  For r < 1 the pair is swapped (k_r = k'_(1/r)), so the
+    small modulus of either orientation keeps its relative precision.
 
-    The returned record stores values rounded to ``precision_bits``; the
-    residual |agm(1, k')/agm(1, k) - sqrt(r)| is computed from the rounded
-    pair, must certify against sqrt(r), or ConvergenceError is raised, and
-    the same two AGM legs give K(k) and K(k').  The residual is formed on
-    integers: the quotient of the two legs' integers, and sqrt(r) by
-    math.isqrt of the exact rational, both with work_bits + 32 fractional
-    bits (more for r < 1, so that sqrt(r) keeps as many significant bits).
-    Each K is one integer quotient against mpmath's cached fixed-point pi.
-    The whole solve runs on integers and mantissas: it builds an mpf only
-    for each record field, rounded once, and never switches precision.
+    The returned record stores values rounded to ``precision_bits``.  K of
+    the small modulus is Jacobi's (pi/2) theta3(q)^2 from the same pass, and
+    K of the big one pi / (2 agm(1, small)), from one AGM leg at the rounded
+    small modulus.  K(small)/K(big) = agm(1, small) theta3^2 is K(k')/K(k)
+    for r < 1 and its reciprocal for r >= 1; the residual |K(k')/K(k) -
+    sqrt(r)| must certify against sqrt(r), or ConvergenceError is raised.
+    Both are formed on integers, sqrt(r) by math.isqrt of the exact
+    rational, with work_bits + 32 fractional bits plus half the bit-length
+    gap of r's numerator and denominator, so that the product, about
+    1/sqrt(R), keeps work_bits + 32 bits on either side of r = 1.  The
+    whole solve runs on integers and mantissas: it builds an mpf only for
+    each record field, rounded once, and never switches precision.
 
     Either member of the pair may be the correctly rounded 1: k_comp from
     r = 12962 at 512 bits (3291 at 256), k from r = 1/12962 (1/3291).  The
-    other member keeps its digits (k = 2.6e-682 at r = 10^6)
-    and gives the other K through its own AGM leg, so the K-ratio certifies
-    as before.  Callers must not take elliptic_K of a member that is 1:
-    K(1) is infinite and elliptic_K refuses it.
+    small member keeps its digits (k = 2.6e-682 at r = 10^6), and its AGM
+    leg gives the other K.  Callers must not take elliptic_K of a member
+    that is 1: K(1) is infinite and elliptic_K refuses it.
 
-    A relative error d in the small modulus moves the ratio only by d / S,
-    S = 2 k'^2 K K' / pi <= pi sqrt(R)/2 (Legendre's relation), so the gate
-    judges the residual times an integer above S, within 2 of pi sqrt(R)/2,
-    from math.isqrt of the exact rational and the fixed-point pi: a pass
-    vouches for tol_exp digits of k at every R.  The record's residual is
-    the unscaled one.  No integer of the solve grows with r, and an r with
-    max(r, 1/r) above _R_MAX, about 4.05e39, is refused with DomainError
-    before its nome is taken.  This is the only place r is refused for its
-    size.
+    A relative error d in the small modulus moves the ratio by about d / S,
+    S = 2 k'^2 K K' / pi <= pi sqrt(R)/2 (Legendre's relation), from R = 7
+    up, and by 0.457 d at R = 1, as theta3^2 does not see it.  So the gate
+    judges the residual times an integer above S, within 2 of pi sqrt(R)/2
+    (3 at R = 1), from math.isqrt of the exact rational and the fixed-point
+    pi: a pass vouches for tol_exp digits of k at every R.  The record's
+    residual is the unscaled one.  No integer of the solve grows with r,
+    and an r with max(r, 1/r) above _R_MAX, about 4.05e39, is refused with
+    DomainError before its nome is taken.  This is the only place r is
+    refused for its size.
     """
     _validate_rational(r_num, r_den)
     if r_num > _R_MAX * r_den or r_den > _R_MAX * r_num:
@@ -747,16 +750,17 @@ def solve_singular_modulus(
     q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
     # the theta quotient runs at the nome of max(r, 1/r)
     q = _nome(r_den, r_num, ctx) if reflect else q_r
-    small = _rounded(ctx, *_theta_quotient(q, ctx))
+    quotient, (square, square_exp) = _theta_quotient(q, ctx)
+    small = _rounded(ctx, *quotient)
     big = _complement_raw(small, ctx.precision_bits)
     k, k_comp = (big, small) if reflect else (small, big)
 
-    man_k, exp_k = _agm_raw(_ONE, k, ctx)  # pi / (2 K(k'))
-    man_c, exp_c = _agm_raw(_ONE, k_comp, ctx)  # pi / (2 K(k))
-    # agm_c / agm_k and sqrt(r), both with `frac` fractional bits
-    frac = ctx.work_bits + _INT_BITS + max(0, r_den.bit_length() - r_num.bit_length()) // 2
-    shift = frac + exp_c - exp_k
-    ratio = (man_c << max(shift, 0)) // (man_k << max(-shift, 0))
+    man, exp = _agm_raw(_ONE, small, ctx)  # pi / (2 K(big))
+    # K(small)/K(big) = agm(1, small) theta3^2, the K-ratio for r < 1 and its
+    # reciprocal for r >= 1; it and sqrt(r) with `frac` fractional bits
+    frac = ctx.work_bits + _INT_BITS + abs(r_num.bit_length() - r_den.bit_length()) // 2
+    x = _fixed(man * square, exp + square_exp, frac)
+    ratio = x if reflect else (1 << 2 * frac) // x
     target = math.isqrt((r_num << 2 * frac) // r_den)
     residual = ratio - target
     gap = _rounded(ctx, abs(residual), -frac)
@@ -769,14 +773,10 @@ def solve_singular_modulus(
             "solve at r=%s/%s left residual %s above tolerance"
             % (r_num, r_den, mp.nstr(gap, 8))
         )
-    return SingularModulusRecord(
-        k=k,
-        k_comp=k_comp,
-        q=_round_to(ctx, q_r),
-        K_k=_rounded(ctx, *_half_pi_over(man_c, exp_c, ctx)),
-        K_kcomp=_rounded(ctx, *_half_pi_over(man_k, exp_k, ctx)),
-        residual=gap,
-    )
+    K_small = _rounded(ctx, *_mul(_pi(frac), (square, square_exp - 1), frac))
+    K_big = _rounded(ctx, *_half_pi_over(man, exp, ctx))
+    K_k, K_kcomp = (K_big, K_small) if reflect else (K_small, K_big)
+    return SingularModulusRecord(k, k_comp, _round_to(ctx, q_r), K_k, K_kcomp, gap)
 
 
 def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:

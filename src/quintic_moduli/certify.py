@@ -40,7 +40,7 @@ import time
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_lt, mpf_mul
+from mpmath.libmp import mpf_abs, mpf_lt, mpf_mul
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
@@ -263,7 +263,7 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
         rec.k, rec25.k, rec.k_comp, rec25.k_comp, _a_eta_at(rn, rd, ctx), rn < rd,
         ctx.work_bits + _GATE_INT_BITS,
     )
-    stated, swapped = (mp.make_mpf(_abs_raw(x, ctx.work_bits)) for x in (stated, swapped))
+    stated, swapped = (mp.make_mpf(mpf_abs(x._mpf_)) for x in (stated, swapped))  # exact
     orientation = "stated (u = k_r^(1/4))" if stated <= swapped else "swapped (u = k_25r^(1/4))"
     return {
         "eq13-thm22": eq13,
@@ -421,14 +421,14 @@ def run_suite(
     run in one request memo, so each modulus, nome, eta value, continued
     fraction, invariant g and eta quotient a is computed once per rational
     point and a group's elapsed_ms leaves out what earlier groups already
-    paid for.  Every residual a checker returns meets the one pass rule,
-    ctx.certifies, on |residual| and |scale| rounded to work_bits
-    (_abs_raw): the entry stores |residual| rounded again to
-    precision_bits, passes when |residual| < 10^(-tol_exp) * scale, and
-    keeps the scale in detail["scale"].  A failing residual is reported, not raised.  Nothing
-    outlives the call.  The groups solve from r/25 to 100r; a point past the
-    solver's bound raises its DomainError from the group that first solves
-    there.
+    paid for.  Every residual a checker returns, exact as _term_sum sums
+    it, meets the one pass rule, ctx.certifies, which rounds |residual|
+    and |scale| to work_bits itself: the entry passes when |residual| <
+    10^(-tol_exp) * scale, stores |residual| rounded once to precision_bits
+    and keeps |scale| in detail["scale"].  A failing residual is reported,
+    not raised.  Nothing outlives the call.  The groups solve from r/25 to
+    100r; a point past the solver's bound raises its DomainError from the
+    group that first solves there.
     """
     _validate_rational(r_num, r_den)
     if ids is None:
@@ -452,10 +452,9 @@ def run_suite(
             ms = int((time.perf_counter() - t0) * 1000)
             for id_, (res, scale, *detail) in residuals.items():
                 if id_ in wanted:
-                    res, scale = (mp.make_mpf(_abs_raw(x, ctx.work_bits)) for x in (res, scale))
+                    scale = mp.make_mpf(_abs_raw(scale, ctx.work_bits))
                     detail = dict(*detail, scale=to_decimal(scale, 12))
-                    produced[id_] = IdentityEntry(
-                        id_, _round_to(ctx, res), ctx.certifies(res, scale), ms, detail
-                    )
+                    gap = mp.make_mpf(_abs_raw(res, ctx.precision_bits))
+                    produced[id_] = IdentityEntry(id_, gap, ctx.certifies(res, scale), ms, detail)
 
     return IdentityReport([produced[i] for i in REGISTRY if i in produced])

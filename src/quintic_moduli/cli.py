@@ -8,7 +8,7 @@
 Every command takes --prec BITS, --tol-exp E, --digits D and --json after
 its name, as in `kr --r 5 --json`; before the command they are unrecognized.
 Every modulus is solved once per request; a solve is a theta quotient plus
-two AGMs.  Every certificate lives in the library: `rrcf` writes the
+one AGM.  Every certificate lives in the library: `rrcf` writes the
 record of one call, modular_core.rrcf_value, and `ladder` hands its two
 seed overrides to quintic_ladder.ladder, which checks the start and solves
 any seed not given.  The argument parser is built once per process, on
@@ -22,7 +22,8 @@ this module calls them through their module names, so `kr` runs none of
 their bodies, `rrcf` runs modular_core's, `ladder` also quintic_ladder's
 and `verify` all three.  Every typed error is bigmath_kernel's, so
 catching one loads nothing.
-Exit codes: 0 success, 2 usage, 3 convergence failure (an iteration ran out
+Exit codes: 0 success, 2 usage (or a stdout closed before the output was
+written, which ends quietly), 3 convergence failure (an iteration ran out
 of budget or a solve's K-ratio residual missed tolerance), 4 certification
 failure.  JSON output validates against JSON_SCHEMA, which reads the
 ladder's and the registry's records and so is built on its first read;
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -404,6 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit cannot raise again, and end as a usage error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+
+
+def _main(argv: Optional[List[str]]) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:

@@ -186,16 +186,16 @@ def a_value(
     via_eta = a_via_eta(r_num, r_den, ctx)
     eta, moduli = _floats(via_eta, via_moduli)
     cross = _term_sum(((1, *eta), (-1, *moduli)), ctx.work_bits + _INT_BITS)[0]
-    cross = mp.make_mpf(_abs_raw(cross, ctx.work_bits))
+    gap = mp.make_mpf(_abs_raw(cross, ctx.precision_bits))
     if not ctx.certifies(cross, via_moduli):
         raise CertificationError(
             "a(%s/%s): eta and moduli routes disagree by %s"
-            % (r_num, r_den, mp.nstr(cross, 8))
+            % (r_num, r_den, mp.nstr(gap, 8))
         )
     return ARecord(
         a=_round_to(ctx, via_moduli),
         via_eta=_round_to(ctx, via_eta),
-        cross_residual=_round_to(ctx, cross),
+        cross_residual=gap,
     )
 
 
@@ -360,13 +360,13 @@ def rrcf_value(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     truncated, depth = _rrcf_at(r_num, r_den, ctx)
     terms = zip((1, -1), _floats(closed, truncated))
     diff = _term_sum([(c, *x) for c, x in terms], ctx.work_bits + _INT_BITS)[0]
-    diff = mp.make_mpf(_abs_raw(diff, ctx.precision_bits))
+    gap = mp.make_mpf(_abs_raw(diff, ctx.precision_bits))
     if not ctx.certifies(diff, truncated):
         raise CertificationError(
             "rrcf at r=%s: closed form and continued fraction differ by %s"
-            % (Fraction(r_num, r_den), mp.nstr(diff, 8))
+            % (Fraction(r_num, r_den), mp.nstr(gap, 8))
         )
-    return RRecord(closed, truncated, depth, diff, arec.a)
+    return RRecord(closed, truncated, depth, gap, arec.a)
 
 
 def _root5(n: int) -> int:

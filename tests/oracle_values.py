@@ -150,6 +150,13 @@ def theta_quotient(q, bits):
         return (jtheta(2, 0, q) / jtheta(3, 0, q)) ** 2
 
 
+def theta3_squared(q, bits):
+    """theta3(q)^2 through mpmath's ``jtheta`` at ``bits``: 2/pi times K of
+    the modulus whose nome is q (Jacobi)."""
+    with workprec(bits):
+        return jtheta(3, 0, mpf(q)) ** 2
+
+
 def eta_product(q, bits):
     """f(-q) = prod_{n>=1} (1 - q^n) by direct multiplication, until
     q^n < 2^-bits, in integer fixed point; rounded to ``bits``.
@@ -478,8 +485,11 @@ def solve_mpf(r_num, r_den, precision_bits):
     S3 on integers with work + 32 fractional bits and is 4 sqrt(q)
     (S2/(1 + 2 S3))^2 in mpf at work bits, rounded again to precision_bits;
     the complement is sqrt((1 - k)(1 + k)) in mpf at work bits, rounded
-    again; the AGM legs take their wide-gap steps in mpf (_agm_mpf_head).
-    The residual is left out: only its low digits depend on the spelling.
+    again; K of the larger modulus is pi / (2 agm(1, small)), the AGM
+    taking its wide-gap steps in mpf (_agm_mpf_head), and K of the smaller
+    is Jacobi's (pi/2) theta3(q)^2 through mpmath's ``jtheta`` at work + 64
+    bits.  The residual is left out: only its low digits depend on the
+    spelling.
     """
     work = precision_bits + 64
     frac = work + 32
@@ -508,16 +518,15 @@ def solve_mpf(r_num, r_den, precision_bits):
     with workprec(precision_bits):
         big = +big
     k, k_comp = (big, small) if reflect else (small, big)
-    out = {"k": k, "k_comp": k_comp}
-    for name, leg in (("K_k", k_comp), ("K_kcomp", k)):
-        man, exp = _agm_mpf_head(1, leg, work)
-        with workprec(work + 64):
-            K = mp.pi / (2 * mp.ldexp(mpf(man), exp))
-        with workprec(precision_bits):
-            out[name] = +K
+    man, exp = _agm_mpf_head(1, small, work)
+    with workprec(work + 64):
+        K_big = mp.pi / (2 * mp.ldexp(mpf(man), exp))
+        K_small = mp.pi / 2 * jtheta(3, 0, q_big) ** 2
     with workprec(precision_bits):
-        out["q"] = +q_r
-    return out
+        K_big, K_small = +K_big, +K_small
+        q_r = +q_r
+    K_k, K_kcomp = (K_big, K_small) if reflect else (K_small, K_big)
+    return {"k": k, "k_comp": k_comp, "K_k": K_k, "K_kcomp": K_kcomp, "q": q_r}
 
 
 def audit_example_forms(ctx):

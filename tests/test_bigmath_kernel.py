@@ -780,12 +780,14 @@ class TestThetaQuotient:
         r = Fraction(r)
         with workprec(ctx.work_bits):
             q = bk._exp_nome(r.numerator, r.denominator, ctx)
-            got = _exact(*bk._theta_quotient(q, ctx))
-        ref = ov.theta_quotient(q, ctx.work_bits)
-        assert bk._round_to(ctx, got) == bk._round_to(ctx, ref)
-        # and a few ulps apart at working precision, where each side rounds
-        with workprec(ctx.work_bits + 64):
-            assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
+            quotient, square = bk._theta_quotient(q, ctx)
+        # the quotient and theta3^2, the square it divides by
+        for got, ref in ((_exact(*quotient), ov.theta_quotient(q, ctx.work_bits)),
+                         (_exact(*square), ov.theta3_squared(q, ctx.work_bits))):
+            assert bk._round_to(ctx, got) == bk._round_to(ctx, ref)
+            # and a few ulps apart at working precision, where each side rounds
+            with workprec(ctx.work_bits + 64):
+                assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
 
     @pytest.mark.parametrize("bits", [256, 512, 1024, 4096])
     @pytest.mark.parametrize("r", ["1", "7/3", "10", "100", "10000", "1000000",
@@ -796,7 +798,7 @@ class TestThetaQuotient:
         ctx = _ctx_at(bits)
         r = Fraction(r)
         q = bk._exp_nome(r.numerator, r.denominator, ctx)
-        got, ref = bk._theta_quotient(q, ctx), ov.theta_quotient_direct(q, ctx.work_bits)
+        got, ref = bk._theta_quotient(q, ctx)[0], ov.theta_quotient_direct(q, ctx.work_bits)
         assert bk._rounded(ctx, *got) == bk._rounded(ctx, *ref)
         with workprec(ctx.work_bits + 64):
             assert abs(_exact(*got) / _exact(*ref) - 1) < mpf(2) ** -(ctx.work_bits + 16)
@@ -805,8 +807,9 @@ class TestThetaQuotient:
 class TestIntegerSolve:
     """The solve on integers from nome to record gives every field but the
     residual the bits of its earlier mpf spelling (ov.solve_mpf): the mpf
-    wide-gap AGM head, the mpf complement and the theta quotient rounded
-    twice.  Only the residual's low digits may differ, where an AGM leg
+    wide-gap AGM head, the mpf complement, the theta quotient rounded
+    twice, and K of the small modulus as (pi/2) theta3^2 from mpmath's
+    jtheta.  Only the residual's low digits may differ, where the AGM leg
     takes wide-gap steps."""
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
@@ -953,19 +956,20 @@ class TestSolvableBound:
             fn(*args)
 
 
-#: R = 10^6, 10^20 and the bound, and their reciprocals
-_WIDE_RS = [Fraction(10 ** 6), Fraction(10 ** 20), Fraction(bk._R_MAX)]
-_WIDE_RS += [1 / r for r in _WIDE_RS]
+#: R = 1, 7/3, 7, 100, 10^6, 10^20 and the bound, and their reciprocals
+_WIDE_RS = [Fraction(r) for r in ("7/3", "7", "100", "1000000", "1" + "0" * 20, str(bk._R_MAX))]
+_WIDE_RS = [Fraction(1)] + _WIDE_RS + [1 / r for r in _WIDE_RS]
 
 
 class TestSolveVouchesForTolExpDigits:
-    """The K-ratio moves by only d / S for a relative error d in the small
-    modulus, S = 2 k'^2 K K' / pi <= pi sqrt(R)/2; the solve gates its
-    residual times an integer above S, so a k off by 10^-tol_exp fails at
-    every R."""
+    """The K-ratio moves by only about d / S for a relative error d in the
+    small modulus, S = 2 k'^2 K K' / pi <= pi sqrt(R)/2, and at R = 1 by
+    0.457 d, as K of the small modulus comes from theta3^2 and only the AGM
+    leg sees d; the solve gates its residual times an integer above S, so a
+    k off by 10^-tol_exp fails at every R."""
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
-    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
     @pytest.mark.parametrize("r", _WIDE_RS, ids=lambda r: "%d/%d" % (r.numerator, r.denominator))
     def test_a_small_modulus_off_by_the_tolerance_fails(self, monkeypatch, r, bits, sign):
         ctx = _ctx_at(bits)
@@ -973,12 +977,45 @@ class TestSolveVouchesForTolExpDigits:
         theta_quotient, scale = bk._theta_quotient, 10 ** ctx.tol_exp
 
         def perturbed(q, ctx):
-            man, exp = theta_quotient(q, ctx)
-            return man * (scale + sign) // scale, exp
+            (man, exp), square = theta_quotient(q, ctx)
+            return (man * (scale + sign) // scale, exp), square  # theta3^2 as computed
 
         monkeypatch.setattr(bk, "_theta_quotient", perturbed)
         with pytest.raises(ConvergenceError, match="left residual"):
             bk.solve_singular_modulus(r.numerator, r.denominator, ctx)
+
+
+class TestOneAgmLeg:
+    """A solve runs one AGM leg, agm(1, small), for K of the larger modulus,
+    and takes K of the small one as (pi/2) theta3^2 from its theta pass."""
+
+    @pytest.mark.parametrize("r", [(7, 3), (3, 7), (1, 1), (10 ** 6, 1), (1, 10 ** 6)])
+    def test_one_agm_and_one_quotient_by_pi(self, monkeypatch, r):
+        calls = []
+        for name in ("_agm_raw", "_half_pi_over"):
+            def spy(*args, _name=name, _fn=getattr(bk, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(bk, name, spy)
+        rec = bk.solve_singular_modulus(*r, _ctx_at(512))
+        assert sorted(calls) == ["_agm_raw", "_half_pi_over"]
+        assert 0 < min(rec.k, rec.k_comp) <= max(rec.k, rec.k_comp) <= 1
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 2048, 4096])
+    def test_K_of_the_small_modulus_within_an_ulp(self, bits):
+        # K(small) = (pi/2) theta3^2 against mpmath's ellipk at the exact
+        # modulus, from jtheta, at twice the bits
+        ctx = PrecisionContext(bits, 50)
+        for big in (1, 7, 100, 10 ** 4, 10 ** 6, 10 ** 12, 10 ** 20):
+            for rn, rd in ((big, 1), (1, big)):
+                rec = solve_singular_modulus(rn, rd, ctx)
+                got = rec.K_k if rn >= rd else rec.K_kcomp
+                with workprec(2 * bits):
+                    q = mp.exp(-mp.pi * sqrt(mpf(big)))
+                    K = mp.ellipk(ov.theta_quotient(q, 2 * bits) ** 2)
+                    ulp = mp.ldexp(1, mp.mag(got) - bits)
+                    assert abs(got - K) <= ulp, (bits, rn, rd)
 
 
 class TestSolverDomain:

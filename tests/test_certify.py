@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_abs
 
 import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.certify as certify
@@ -115,8 +115,7 @@ class TestRunSuite:
         bits = DEFAULT_CONTEXT.work_bits + bk._GATE_INT_BITS
         rec, rec25 = (bk.solve_singular_modulus(m * 5, 1) for m in (1, 25))
         residual, _ = mc._m5_relation(rec, bk._quo(*bk._floats(rec25.K_k, rec.K_k), bits), bits)
-        with workprec(DEFAULT_CONTEXT.work_bits):
-            assert entry.residual == bk._round_to(DEFAULT_CONTEXT, abs(residual))
+        assert entry.residual._mpf_ == mpf_abs(residual._mpf_, DEFAULT_CONTEXT.precision_bits)
 
     def test_deterministic_modulo_timing(self):
         a = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
@@ -347,6 +346,19 @@ class TestGatedEntry:
         assert got["eq15-depressed"].detail == dict(detail, scale="3.0")
         assert got["eq15-depressed"].id == "eq15-depressed"
         assert got["eq6-eta8"].detail == {"scale": "2.0"}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_residual_is_rounded_once(self, monkeypatch, sign):
+        # V = (A 2^65 + 2^64 - 1) 2^-365 lies below A + 1/2 units of 2^-300,
+        # so at 256 bits it rounds to A; rounded first to the 320 work bits
+        # it would be A + 1/2 units, a tie, and then A + 1
+        ctx, A = PrecisionContext(256, 55), (1 << 255) + 1
+        V = mp.make_mpf(from_man_exp(sign * ((A << 65) + (1 << 64) - 1), -365))
+        monkeypatch.setattr(
+            certify, "_GROUPS", ((("eq6-eta8",), lambda rn, rd, ctx: {"eq6-eta8": (V, mpf(1))}),)
+        )
+        (entry,) = run_suite(1, 1, ctx=ctx).entries
+        assert entry.residual._mpf_ == from_man_exp(A, -300)
 
     def test_tiny_scale_tightens_the_gate(self, monkeypatch):
         # 10^-130 is below the bare 10^-120, but not 10^-120 of a value of

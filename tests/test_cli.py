@@ -680,13 +680,28 @@ class TestModuleEntryPoint:
     """``python -m quintic_moduli.cli``: one process per call."""
 
     @staticmethod
-    def _run(*argv):
+    def _run(*argv, stdout=subprocess.PIPE):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
         return subprocess.run(
             [sys.executable, "-m", "quintic_moduli.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
         )
+
+    @pytest.mark.parametrize("argv", [
+        ("kr", "--r", "2", "--json"),
+        ("ladder", "--r0", "2", "--n", "8", "--prec", "4096", "--tol-exp", "900", "--json"),
+    ])
+    def test_a_closed_stdout_ends_quietly(self, argv):
+        # the reader of the pipe is gone before the first byte: no
+        # BrokenPipeError traceback, and a code the README lists
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._run(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, "")
 
     def test_kr_json_matches_in_process(self, capsys):
         proc = self._run("kr", "--r", "5", "--json")
