@@ -71,8 +71,10 @@ for one call (``certify.run_suite``, ``quintic_ladder.ladder`` and
 ``modular_core.rrcf_value`` open it), never for the process.  The key is
 always the exact point; the nome lookup there takes the nome at 25r or 4r
 as the fifth power or square of the nome at r when the scope holds that
-one, so only the first nome of each chain takes an exp (``_nome`` bounds
-the chains).
+one, and a solve at r = n/d < 1 takes the nomes at r and 1/r as the n-th
+and d-th powers of the nome at 1/(nd), in a scope or out of one.  So only
+the first nome of each chain takes an exp, and a reflected solve takes one
+(``_nome`` bounds the chains, ``_reflected_nomes`` forms the pair).
 
 Below ``_REFLECT_BELOW`` (r = 1/25) the eta, continued-fraction and
 eta-quotient lookups take their value from a reflected point whose nome
@@ -611,7 +613,9 @@ def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     its mantissa with _INT_BITS guard bits, rounded once to work_bits;
     otherwise, and outside a scope, it is _exp_nome's one exp.  A ladder
     from r0 thus takes the exps of its two seeds, and the nome at each
-    oracle 25^j r0 is a power of the one below.
+    oracle 25^j r0 is a power of the one below.  A solve at r = n/d < 1
+    links its two nomes, at r and 1/r, to the nome at 1/(nd) by m = n and
+    m = d (_reflected_nomes), and stores them here.
 
     A link multiplies its base's relative error by m and adds one rounding
     of 2^-work_bits, so a nome whose chain's powers multiply to A lies
@@ -626,17 +630,55 @@ def _nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 
 def _chained_nome(n: int, d: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
     """(nome at r = n/d in lowest terms, the product of the powers along its
-    chain, 1 for an exp): _nome's entry."""
+    chain, 1 for an exp): _nome's entry, linked from r/25 or r/4.  The
+    entries a reflected solve stores (_reflected_nomes) have the same form,
+    so a link from them counts on from their n or d."""
     memo = _MEMO.get()
     if memo is not None:
         for m in (5, 2):
             g = math.gcd(n, m * m)  # r/m^2 in lowest terms, as m is prime
             base = memo.get(_key("nome", n // g, d * (m * m // g), ctx))
             if base is not None and base[1] * m <= _NOME_CHAIN_MAX:
-                _, man, exp, _ = base[0]._mpf_
-                power = _pow((man, exp), m, ctx.work_bits + _INT_BITS)
-                return _at_work_bits(ctx, power), base[1] * m
+                return _link(base[0], m, ctx), base[1] * m
     return _exp_nome(n, d, ctx), 1
+
+
+def _link(y: mpf, m: int, ctx: PrecisionContext) -> mpf:
+    """y^m for a working-precision nome y: _pow on its mantissa with
+    _INT_BITS guard bits, rounded once to work_bits.  One link of a chain."""
+    _, man, exp, _ = y._mpf_
+    return _at_work_bits(ctx, _pow((man, exp), m, ctx.work_bits + _INT_BITS))
+
+
+def _reflected_nomes(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(nome at r, nome at 1/r) for r = r_num/r_den < 1: a reflected solve's
+    pair, from one exp.
+
+    With r = n/d in lowest terms, sqrt(1/r) = sqrt(r) / r, and both are
+    multiples of 1/sqrt(nd): the nome y at 1/(nd) gives q(r) = y^n and
+    q(1/r) = y^d.  y is _nome's lookup at 1/(nd), and each power is a link
+    of _nome's chains (_link) with m = n or m = d, so the two nomes carry
+    the chain products A n and A d, A being y's (1 for an exp).  In a scope
+    they are stored as _nome's entries at r and 1/r, so later links (25r,
+    4/r, ...) count on from them.  Where the scope already holds the nome
+    at 1/r, or at r with n > 1 (at n = 1 that nome is y), or where A d
+    would pass _NOME_CHAIN_MAX, each nome is _nome's own lookup, as a chain
+    past its budget takes a fresh exp."""
+    g = math.gcd(r_num, r_den)
+    n, d = r_num // g, r_den // g
+    memo = _MEMO.get()
+    near, far = _key("nome", n, d, ctx), _key("nome", d, n, ctx)
+    held = memo is not None and (far in memo or n > 1 and near in memo)
+    if d <= _NOME_CHAIN_MAX and not held:
+        y = _nome(1, n * d, ctx)
+        chain = 1 if memo is None else memo[_key("nome", 1, n * d, ctx)][1]
+        if chain * d <= _NOME_CHAIN_MAX:
+            q_r, q = _link(y, n, ctx), _link(y, d, ctx)
+            if memo is not None:
+                memo.setdefault(near, (q_r, chain * n))  # at n = 1 the key is y's, kept
+                memo[far] = q, chain * d
+            return q_r, q
+    return _nome(n, d, ctx), _nome(d, n, ctx)
 
 
 def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[_Float, _Float]:
@@ -707,7 +749,11 @@ def solve_singular_modulus(
     (_theta_quotient), rounded once.  That gives the modulus nearer 0; its
     complement sqrt(1 - k^2) is the square root of an exact integer,
     rounded once.  For r < 1 the pair is swapped (k_r = k'_(1/r)), so the
-    small modulus of either orientation keeps its relative precision.
+    small modulus of either orientation keeps its relative precision.  The
+    record's q is the nome at r itself.  For r = n/d < 1 in lowest terms
+    the two nomes are y^n and y^d, y = e^(-pi / sqrt(nd)), from one exp
+    (_reflected_nomes), two links of _nome's chains within its bound; for
+    r >= 1 they are one nome.
 
     The returned record stores values rounded to ``precision_bits``.  K of
     the small modulus is Jacobi's (pi/2) theta3(q)^2 from the same pass, and
@@ -747,9 +793,9 @@ def solve_singular_modulus(
             % (r_num, r_den, _R_MAX)
         )
     reflect = r_num < r_den
-    q_r = _nome(r_num, r_den, ctx)  # the nome of r itself, for the record
-    # the theta quotient runs at the nome of max(r, 1/r)
-    q = _nome(r_den, r_num, ctx) if reflect else q_r
+    # the nome of r itself, for the record, and the nome of max(r, 1/r), at
+    # which the theta quotient runs
+    q_r, q = _reflected_nomes(r_num, r_den, ctx) if reflect else (_nome(r_num, r_den, ctx),) * 2
     quotient, (square, square_exp) = _theta_quotient(q, ctx)
     small = _rounded(ctx, *quotient)
     big = _complement_raw(small, ctx.precision_bits)

@@ -1018,6 +1018,83 @@ class TestOneAgmLeg:
                     assert abs(got - K) <= ulp, (bits, rn, rd)
 
 
+#: reflected points n/d: small n, large n and d, and d at the chain budget
+#: 2^19 and one past it, where the pair falls back to an exp each
+_REFLECTED = [
+    (1, 2), (1, 13), (3, 7), (9, 10), (7, 615), (1, 10 ** 4), (9, 10 ** 5 + 3),
+    (99991, 99997), (1, 1 << 19), (5, 1 << 19), ((1 << 19) - 1, 1 << 19), (1, (1 << 19) + 1),
+]
+
+
+class TestReflectedNomes:
+    """A solve at r = n/d < 1 takes the nomes at r and 1/r as y^n and y^d,
+    y the nome at 1/(nd): two links of _nome's chains, each within 2 A units
+    of 2^-work_bits of its exp, A its chain product."""
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 2048, 4096])
+    def test_the_pair_lies_within_its_chain_bound(self, bits, exp_points):
+        ctx = PrecisionContext(bits, 50)
+        for n, d in _REFLECTED:
+            del exp_points[:]
+            q_r, q = bk._reflected_nomes(n, d, ctx)
+            chained = d <= bk._NOME_CHAIN_MAX
+            exps = [Fraction(1, n * d)] if chained else [Fraction(n, d), Fraction(d, n)]
+            assert exp_points == exps
+            for got, (a, b), chain in ((q_r, (n, d), n), (q, (d, n), d)):
+                with workprec(2 * ctx.work_bits):
+                    exact = mp.exp(-mp.pi * sqrt(mpf(a) / b))
+                    error = abs(got / exact - 1) * mpf(2) ** ctx.work_bits
+                assert error <= 2 * (chain if chained else 1), (n, d, a, b, error)
+
+    def test_a_scope_holds_both_nomes_as_chain_links(self, exp_points):
+        ctx = DEFAULT_CONTEXT
+        with bk._request_memo():
+            q_r, q = bk._reflected_nomes(14, 1230, ctx)  # r = 7/615
+            memo = bk._MEMO.get()
+            assert memo[bk._key("nome", 1, 4305, ctx)][1] == 1
+            assert memo[bk._key("nome", 7, 615, ctx)] == (q_r, 7)
+            assert memo[bk._key("nome", 615, 7, ctx)] == (q, 615)
+            assert bk._nome(7, 615, ctx) is q_r and bk._nome(615, 7, ctx) is q
+            # a link from 1/r counts on from its 615: 25/r is its fifth power
+            bk._nome(15375, 7, ctx)
+            assert memo[bk._key("nome", 15375, 7, ctx)][1] == 5 * 615
+        assert exp_points == [Fraction(1, 4305)]
+
+    def test_a_held_nome_keeps_its_value(self, exp_points):
+        ctx = DEFAULT_CONTEXT
+        with bk._request_memo():
+            held = bk._nome(3, 7, ctx)
+            # the nome at r is held and n > 1: each nome is _nome's lookup
+            assert bk._reflected_nomes(3, 7, ctx)[0] is held
+            # at r = 1/d the held nome at r is y itself, and 1/r its d-th power
+            base = bk._nome(1, 13, ctx)
+            assert bk._reflected_nomes(1, 13, ctx)[1] is bk._nome(13, 1, ctx)
+            assert bk._nome(1, 13, ctx) is base
+        assert exp_points == [Fraction(3, 7), Fraction(7, 3), Fraction(1, 13)]
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    @pytest.mark.parametrize("r", [(1, 2), (1, 13), (3, 7), (7, 615), (1, 10 ** 4), (5, 1 << 19)],
+                             ids=lambda r: "%d/%d" % r)
+    def test_a_base_off_by_the_tolerance_fails_the_solve(self, monkeypatch, r, bits, sign):
+        # y off by 10^-tol_exp moves the nome at 1/r by d times that, and the
+        # small modulus by about half of it
+        ctx = _ctx_at(bits)
+        n, d = r
+        bk.solve_singular_modulus(n, d, ctx)  # certifies as computed
+        exp_nome, scale, perturbed = bk._exp_nome, 10 ** ctx.tol_exp, []
+
+        def off(r_num, r_den, c):
+            _, man, exp, _ = exp_nome(r_num, r_den, c)._mpf_
+            perturbed.append((r_num, r_den))
+            return mp.make_mpf(from_man_exp(man * (scale + sign) // scale, exp))
+
+        monkeypatch.setattr(bk, "_exp_nome", off)
+        with pytest.raises(ConvergenceError, match="left residual"):
+            bk.solve_singular_modulus(n, d, ctx)
+        assert perturbed == [(1, n * d)]
+
+
 class TestSolverDomain:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(

@@ -513,23 +513,35 @@ class TestRrcf:
         assert payload["rrcf"] == _plain(records[0], 512)
 
 
+#: (request, the points of the exps it takes, in order)
+_EXPS = [
+    ("kr --r 7/3", ["7/3"]),
+    # a reflected solve at r = n/d takes one exp, at 1/(nd): the nomes at r
+    # and 1/r are its n-th and d-th powers
+    ("kr --r 1/13", ["1/13"]),
+    ("kr --r 7/615 --prec 4096 --tol-exp 960", ["1/4305"]),
+    # d = 2^19 + 1 is past the chain budget, so r and 1/r take an exp each
+    ("kr --r 1/524288", ["1/524288"]),
+    ("kr --r 1/524289", ["1/524289", "524289"]),
+    # rrcf's solves at r and 25r, its eta values and its q share one scope,
+    # where the nome at 25r is the fifth power of r's
+    ("rrcf --r 7/3", ["7/3"]),
+    ("rrcf --r 1/13", ["1/13"]),
+    # below 1/25: the solves' r (whose 1/r is its 10000th power) and 25r
+    # (a fifth power of r's), and the eta quotient's 16/(25r); the
+    # fraction's 16/r is 25 times that
+    ("rrcf --r 1/10000", ["1/10000", "6400"]),
+    # verify reads the nome at r before it solves there: at r = 1/d that
+    # nome is the base of 1/r's, at r = n/d with n > 1 it is not
+    ("verify --r 1/13", ["1/13", "5200", "208", "1/325", "13/4"]),
+    ("verify --r 3/7", ["3/7", "7/3", "2800/3", "112/3", "1/525"]),
+]
+
+
 class TestExpsPerRequest:
-    @pytest.mark.parametrize(
-        "command,r,exps",
-        [
-            ("kr", "7/3", ["7/3"]),
-            ("kr", "1/13", ["1/13", "13"]),
-            # rrcf's solves at r and 25r, its eta values and its q share
-            # one scope, where the nome at 25r is the fifth power of r's
-            ("rrcf", "7/3", ["7/3"]),
-            ("rrcf", "1/13", ["1/13", "13"]),
-            # below 1/25: the solves' r, 1/r and 1/(25r), and the eta
-            # quotient's 16/(25r); the fraction's 16/r is 25 times that
-            ("rrcf", "1/10000", ["1/10000", "10000", "400", "6400"]),
-        ],
-    )
-    def test_each_nome_chain_takes_one_exp(self, capsys, exp_points, command, r, exps):
-        code, _, _ = run_cli(capsys, command, "--r", r)
+    @pytest.mark.parametrize("request_,exps", _EXPS, ids=[argv for argv, _ in _EXPS])
+    def test_each_nome_chain_takes_one_exp(self, capsys, exp_points, request_, exps):
+        code, _, _ = run_cli(capsys, *request_.split())
         assert code == 0
         assert exp_points == [Fraction(p) for p in exps]
 
