@@ -11,10 +11,11 @@ _GATE_INT_BITS, and raises nothing.  It reaches every solve, nome, eta
 value, continued fraction and eta quotient a through a lookup keyed by the
 exact rational point (f(-q^m) is the eta value at m^2 r).  The key is
 always the exact point; the nome lookup there (bigmath_kernel._nome) takes
-the nome at 25r or 4r as the fifth power or square of the nome at r when
-the memo holds that one, so a full verify takes 4 exps per request over
-the benchmark's verify-full set (7.5 before) and eq5/eq19/eq24 about 2
-(3.25).  run_suite alone opens the request memo the lookups share, gates
+the nome at r = n/d as the m-th power of a held nome at r/m^2, m = 5, 2
+or n, and below 1 it first takes the nome at 1/(nd), whose n-th and d-th
+powers are the nomes at r and 1/r.  So a full verify takes 3.1 to 3.2
+exps per request over the benchmark's verify-full sets (7.5 with no
+chains) and eq5/eq19/eq24 about 2.2 (3.25).  run_suite alone opens the request memo the lookups share, gates
 every residual and builds every entry, so one run_suite call computes each
 value once, and a group's cost leaves out what earlier groups already
 computed.  A residual that misses the gate is a failing entry, never an

@@ -460,7 +460,7 @@ def ladder(
     and the first oracle's); nothing is kept once it returns.
     """
     _validate_rational(r0_num, r0_den)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("n must be a positive integer")
     gate_exp = ctx.tol_exp - GATE_SLACK_DIGITS
     if gate_exp < 1:

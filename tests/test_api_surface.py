@@ -11,7 +11,8 @@ to fixed point, mpmath's theta functions and square root stay out of the
 library, modular_core takes no mpmath root, the registry takes one only
 in eq29 and forms its integer relations with no power operator, only the
 kernel spells the arithmetic of mantissas, each private lookup keys one
-kind on one compute, nothing is assigned into
+kind on one compute, one function picks each nome's route and one stores
+into the request memo, nothing is assigned into
 mpmath, only the CLI and the registry import the decimal writer, only
 the CLI imports json, for its string escape and never for json.dumps, the
 CLI reads no private name of the package, and each typed error is one
@@ -466,6 +467,71 @@ def test_one_route_per_lookup(module, name):
     kind, compute = call.args[:2]
     assert isinstance(kind, ast.Constant) and isinstance(kind.value, str)
     assert isinstance(compute, ast.Name)
+
+
+def _module_functions(name):
+    """(name, node) of each top-level function and method of a module."""
+    for node in _tree(name).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, fn.name), fn
+
+
+def _memo_stores(fn):
+    """Lines where fn stores into the dict of the open request memo: an
+    item assignment, or a mutating method, on _MEMO.get() or a name bound
+    to it."""
+    def is_memo_get(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and getattr(node.func.value, "id", None) == "_MEMO"
+        )
+
+    bound = {
+        t.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and is_memo_get(node.value)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def is_memo(node):
+        return is_memo_get(node) or isinstance(node, ast.Name) and node.id in bound
+
+    mutators = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+    return [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and is_memo(node.value)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in mutators and is_memo(node.func.value)
+    ]
+
+
+def test_one_function_routes_each_nome_and_one_stores_into_the_memo():
+    # _chained_nome alone decides whether a nome is a link of a chain or an
+    # exp: no other function links nomes, only `nome`, the chains and the
+    # eta prefactor take an exp, and every value enters the memo through
+    # _memoised, so no second path keeps its own entries or budget
+    callers = {"_link": set(), "_exp_nome": set()}
+    stores = {}
+    for module in _MODULES:
+        for name, fn in _module_functions(module):
+            for callee in _called_names(fn) & set(callers):
+                callers[callee].add(name)
+            if _memo_stores(fn):
+                stores[name] = _memo_stores(fn)
+    assert callers == {
+        "_link": {"_chained_nome"},
+        "_exp_nome": {"nome", "_chained_nome", "_eta_by_dedekind"},
+    }
+    assert list(stores) == ["_memoised"], stores
 
 
 def test_the_registry_reads_point_values_only_through_lookups():

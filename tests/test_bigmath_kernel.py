@@ -94,6 +94,17 @@ class TestPrecisionContext:
         with pytest.raises(ValueError, match="must be integers"):
             PrecisionContext(*args)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PrecisionContext(512, True),
+        lambda: PrecisionContext(True, 10),
+        lambda: DEFAULT_CONTEXT._replace(tol_exp=True),
+        lambda: PrecisionContext._make((512, False)),
+    ], ids=["tol_exp", "precision_bits", "_replace", "_make"])
+    def test_rejects_bools(self, make):
+        # a bool is an int in Python, but no count of bits or digits
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             PrecisionContext(tol_exp=0)
@@ -1019,7 +1030,7 @@ class TestOneAgmLeg:
 
 
 #: reflected points n/d: small n, large n and d, and d at the chain budget
-#: 2^19 and one past it, where the pair falls back to an exp each
+#: 2^19 and one past it, where r and 1/r fall back to an exp each
 _REFLECTED = [
     (1, 2), (1, 13), (3, 7), (9, 10), (7, 615), (1, 10 ** 4), (9, 10 ** 5 + 3),
     (99991, 99997), (1, 1 << 19), (5, 1 << 19), ((1 << 19) - 1, 1 << 19), (1, (1 << 19) + 1),
@@ -1027,16 +1038,18 @@ _REFLECTED = [
 
 
 class TestReflectedNomes:
-    """A solve at r = n/d < 1 takes the nomes at r and 1/r as y^n and y^d,
-    y the nome at 1/(nd): two links of _nome's chains, each within 2 A units
-    of 2^-work_bits of its exp, A its chain product."""
+    """In a scope the nome lookup at r = n/d < 1 takes the nome y at 1/(nd)
+    first, so the nomes at r and 1/r are y^n and y^d: two links of _nome's
+    chains, each within 2 A units of 2^-work_bits of its exp, A its chain
+    product.  A solve opens a scope where none is open."""
 
     @pytest.mark.parametrize("bits", [256, 512, 1024, 2048, 4096])
     def test_the_pair_lies_within_its_chain_bound(self, bits, exp_points):
         ctx = PrecisionContext(bits, 50)
         for n, d in _REFLECTED:
             del exp_points[:]
-            q_r, q = bk._reflected_nomes(n, d, ctx)
+            with bk._request_memo():
+                q_r, q = bk._nome(n, d, ctx), bk._nome(d, n, ctx)
             chained = d <= bk._NOME_CHAIN_MAX
             exps = [Fraction(1, n * d)] if chained else [Fraction(n, d), Fraction(d, n)]
             assert exp_points == exps
@@ -1049,28 +1062,39 @@ class TestReflectedNomes:
     def test_a_scope_holds_both_nomes_as_chain_links(self, exp_points):
         ctx = DEFAULT_CONTEXT
         with bk._request_memo():
-            q_r, q = bk._reflected_nomes(14, 1230, ctx)  # r = 7/615
+            rec = bk.solve_singular_modulus(14, 1230, ctx)  # r = 7/615
             memo = bk._MEMO.get()
             assert memo[bk._key("nome", 1, 4305, ctx)][1] == 1
-            assert memo[bk._key("nome", 7, 615, ctx)] == (q_r, 7)
-            assert memo[bk._key("nome", 615, 7, ctx)] == (q, 615)
+            q_r, chain_r = memo[bk._key("nome", 7, 615, ctx)]
+            q, chain = memo[bk._key("nome", 615, 7, ctx)]
+            assert (chain_r, chain) == (7, 615)
+            assert rec.q == bk._round_to(ctx, q_r)
             assert bk._nome(7, 615, ctx) is q_r and bk._nome(615, 7, ctx) is q
             # a link from 1/r counts on from its 615: 25/r is its fifth power
             bk._nome(15375, 7, ctx)
             assert memo[bk._key("nome", 15375, 7, ctx)][1] == 5 * 615
         assert exp_points == [Fraction(1, 4305)]
 
-    def test_a_held_nome_keeps_its_value(self, exp_points):
+    def test_a_nome_read_before_the_solve_is_its_base(self, exp_points):
+        # the eta lookups of verify --r 3/7 read the nome at r first: the
+        # solve then links 1/r from the same base and takes no exp
         ctx = DEFAULT_CONTEXT
         with bk._request_memo():
             held = bk._nome(3, 7, ctx)
-            # the nome at r is held and n > 1: each nome is _nome's lookup
-            assert bk._reflected_nomes(3, 7, ctx)[0] is held
-            # at r = 1/d the held nome at r is y itself, and 1/r its d-th power
+            assert exp_points == [Fraction(1, 21)]
+            assert bk.solve_singular_modulus(3, 7, ctx).q == bk._round_to(ctx, held)
+            assert bk._MEMO.get()[bk._key("nome", 7, 3, ctx)][1] == 7
+            # at r = 1/d the nome at r is the base, and 1/r its d-th power
             base = bk._nome(1, 13, ctx)
-            assert bk._reflected_nomes(1, 13, ctx)[1] is bk._nome(13, 1, ctx)
+            bk.solve_singular_modulus(1, 13, ctx)
+            assert bk._MEMO.get()[bk._key("nome", 13, 1, ctx)][1] == 13
             assert bk._nome(1, 13, ctx) is base
-        assert exp_points == [Fraction(3, 7), Fraction(7, 3), Fraction(1, 13)]
+        assert exp_points == [Fraction(1, 21), Fraction(1, 13)]
+
+    def test_a_solve_outside_a_scope_takes_one_exp_in_its_own(self, exp_points):
+        bk.solve_singular_modulus(3, 7)
+        assert exp_points == [Fraction(1, 21)]
+        assert bk._MEMO.get() is None
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
     @pytest.mark.parametrize("bits", [256, 512, 1024])

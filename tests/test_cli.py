@@ -531,10 +531,13 @@ _EXPS = [
     # (a fifth power of r's), and the eta quotient's 16/(25r); the
     # fraction's 16/r is 25 times that
     ("rrcf --r 1/10000", ["1/10000", "6400"]),
-    # verify reads the nome at r before it solves there: at r = 1/d that
-    # nome is the base of 1/r's, at r = n/d with n > 1 it is not
-    ("verify --r 1/13", ["1/13", "5200", "208", "1/325", "13/4"]),
-    ("verify --r 3/7", ["3/7", "7/3", "2800/3", "112/3", "1/525"]),
+    # verify reads the nome at r before it solves there: that lookup takes
+    # the base at 1/(nd), so 1/r is a link; at r = 1/13, 4r = 4/13 takes the
+    # nome at 1/52 first, so 13/4 is a link too
+    ("verify --r 1/13", ["1/13", "1/52", "5200", "208", "1/325"]),
+    ("verify --r 3/7", ["1/21", "2800/3", "112/3", "1/525"]),
+    ("verify --r 2/3", ["1/6", "600", "24", "1/150"]),
+    ("verify --r 7/3", ["7/3", "1/525"]),
 ]
 
 

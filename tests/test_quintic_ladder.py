@@ -470,6 +470,10 @@ class TestLadder:
     def test_domain(self):
         with pytest.raises(DomainError):
             ladder(5, 1, 0)
+        # a bool is an int in Python, but no count of rungs
+        for n in (True, False):
+            with pytest.raises(DomainError, match="n must be a positive integer"):
+                ladder(7, 3, n)
         with pytest.raises(DomainError):
             ladder(5, 1, 1, kkprime_r0=mpf(0), kkprime_r0_over25=_kkp_rounded(5, 1, 512))
         with pytest.raises(DomainError):
