@@ -9,7 +9,10 @@ Square roots, rounding and the pass rule work on mpf mantissas directly:
 ``_sqrt_raw`` takes the steps of mpmath's ``mpf_sqrt`` with its integer
 root from ``math.isqrt``, and ``_round_to``, ``_at_bits`` and
 ``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding
-primitives at the bits they need.  No module calls ``mp.sqrt``.
+primitives at the bits they need.  No module calls ``mp.sqrt``.  Each
+quantity of a solve's pair (k, k') has one spelling, here, for every
+module: ``_complement`` takes sqrt(1 - x) of a modulus's square x, and
+``_kkprime`` the product s = k k'.
 
 Quantities handled here:
 
@@ -329,9 +332,9 @@ def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return x
 
 
-def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
-    """sqrt(man 2^exp) for an integer man >= 0 as a raw mpf rounded once to
-    nearest at `prec`: what mpmath's libmpf.mpf_sqrt gives under
+def _sqrt_raw(man: int, exp: int, prec: int) -> mpf:
+    """sqrt(man 2^exp) for an integer man >= 0, an mpf rounded once to
+    nearest at `prec`: the bits mpmath's libmpf.mpf_sqrt gives under
     round-nearest, with the floor root from math.isqrt, which is C, where
     mpmath's pure-Python backend takes it in Python.  The root is taken to
     at least prec + 2 bits, and an inexact one gets a sticky bit below it,
@@ -347,23 +350,7 @@ def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
     if root * root != m:
         root = (root << 1) + 1
         shift += 2
-    return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
-
-
-def _complement_raw(k: mpf, prec: int) -> mpf:
-    """sqrt(1 - k^2) for 0 <= k <= 1, rounded once to nearest at `prec`
-    bits.  With k = m 2^e, 1 - k^2 = (2^(-2e) - m^2) 2^(2e) is an exact
-    integer times a power of two, so nothing cancels for k near 1 and
-    nothing is lost for a tiny k.
-
-    That integer is about 2|e| bits wide, so a tiny k skips it: k <
-    2^(e + bc), and where 2 (e + bc) <= -(prec + 2), k^2 < 2^-(prec + 2)
-    puts sqrt(1 - k^2) within a quarter of an ulp below 1, which rounds
-    to 1."""
-    _, man, exp, bc = k._mpf_
-    if 2 * (exp + bc) <= -(prec + 2):
-        return _ONE
-    return mp.make_mpf(_sqrt_raw((1 << -2 * exp) - man * man, 2 * exp, prec))
+    return mp.make_mpf(from_man_exp(root, (exp - shift) // 2, prec, round_nearest))
 
 
 #: bits every integer kernel carries beyond work_bits, and how close (in
@@ -371,7 +358,8 @@ def _complement_raw(k: mpf, prec: int) -> mpf:
 #: wide-gap phase
 _INT_BITS = 32
 
-#: the AGM's first operand in K(x) = pi / (2 agm(1, sqrt(1 - x^2)))
+#: the AGM's first operand in K(x) = pi / (2 agm(1, sqrt(1 - x^2))), and
+#: the complement of a tiny square (_complement)
 _ONE = mp.make_mpf(from_int(1))
 
 
@@ -385,6 +373,22 @@ def _fixed(man: int, exp: int, frac: int) -> int:
 #: a value man 2^exp with man >= 0 as (man, exp): the operand of the
 #: mantissa arithmetic below
 _Float = Tuple[int, int]
+
+
+def _complement(square: _Float, prec: int) -> mpf:
+    """sqrt(1 - x) for the square x = man 2^exp >= 0 of a modulus, rounded
+    once to nearest at `prec` bits: k' from k^2, or k from k'^2.  With
+    exp < 0, 1 - x = (2^(-exp) - man) 2^exp is an exact integer times a
+    power of two, so nothing cancels for x near 1 and nothing is lost for a
+    tiny x.
+
+    That integer is about |exp| bits wide, so a tiny x skips it: x <
+    2^-(prec + 2) puts sqrt(1 - x) within an eighth of an ulp below 1,
+    which rounds to 1, as x = 0 gives.  An x >= 1 gives 0."""
+    man, exp = square
+    if not man or exp + man.bit_length() <= -(prec + 2):
+        return _ONE
+    return _sqrt_raw(max((1 << -exp) - man, 0) if exp < 0 else 0, exp, prec)
 
 
 def _truncated(man: int, exp: int, bits: int) -> _Float:
@@ -563,7 +567,8 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     xv = to_big(x, ctx)
     if xv < 0 or xv >= 1:
         raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
-    man, exp = _agm_raw(_ONE, _complement_raw(xv, ctx.work_bits), ctx)
+    _, man, exp, _ = xv._mpf_
+    man, exp = _agm_raw(_ONE, _complement((man * man, 2 * exp), ctx.work_bits), ctx)
     return _rounded(ctx, *_half_pi_over(man, exp, ctx))
 
 
@@ -578,7 +583,10 @@ _R_MAX = (4 * 10 ** 40 << 512) // pi_fixed(256) ** 2
 
 
 def _validate_rational(r_num: int, r_den: int) -> None:
-    if not isinstance(r_num, int) or not isinstance(r_den, int):
+    # a bool is an int to isinstance, but no term of a rational
+    if type(r_num) is bool or type(r_den) is bool or not (
+        isinstance(r_num, int) and isinstance(r_den, int)
+    ):
         raise DomainError("r must be given as exact integers r_num/r_den")
     if r_num <= 0 or r_den <= 0:
         raise DomainError("r must be positive: got %s/%s" % (r_num, r_den))
@@ -776,7 +784,8 @@ def solve_singular_modulus(
         q = _nome(r_den, r_num, ctx) if reflect else q_r
     quotient, (square, square_exp) = _theta_quotient(q, ctx)
     small = _rounded(ctx, *quotient)
-    big = _complement_raw(small, ctx.precision_bits)
+    _, man, exp, _ = small._mpf_
+    big = _complement((man * man, 2 * exp), ctx.precision_bits)
     k, k_comp = (big, small) if reflect else (small, big)
 
     man, exp = _agm_raw(_ONE, small, ctx)  # pi / (2 K(big))
@@ -806,6 +815,15 @@ def solve_singular_modulus(
 def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:
     """The solve at r, shared within a request scope."""
     return _memoised("solve", solve_singular_modulus, r_num, r_den, ctx)
+
+
+def _kkprime(r_num: int, r_den: int, ctx: PrecisionContext) -> _Float:
+    """s = k k' at r, the exact product of the shared solve's k and k'
+    mantissas: the quantity the ladder climbs on (s = 1/(2 g^12)), which
+    each caller rounds or cuts to its own bits."""
+    rec = _solved(r_num, r_den, ctx)
+    (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
+    return k_man * c_man, k_exp + c_exp
 
 
 #: hard cap on the largest power q^n the eta series may have to reach;

@@ -15,13 +15,14 @@ the nome at r = n/d as the m-th power of a held nome at r/m^2, m = 5, 2
 or n, and below 1 it first takes the nome at 1/(nd), whose n-th and d-th
 powers are the nomes at r and 1/r.  So a full verify takes 3.1 to 3.2
 exps per request over the benchmark's verify-full sets (7.5 with no
-chains) and eq5/eq19/eq24 about 2.2 (3.25).  run_suite alone opens the request memo the lookups share, gates
-every residual and builds every entry, so one run_suite call computes each
-value once, and a group's cost leaves out what earlier groups already
-computed.  A residual that misses the gate is a failing entry, never an
-abort.  The registry order is canonical: reports list entries in this
-order no matter how the ids were requested.  Entries and reports are plain
-data; the CLI alone turns them into JSON.
+chains) and eq5/eq19/eq24 about 2.2 (3.25).  run_suite alone opens the
+request memo the lookups share, gates every residual and builds every
+entry, so one run_suite call computes each value once, and a group's cost
+leaves out what earlier groups already computed.  A residual that misses
+the gate is a failing entry, never an abort.  The registry order is
+canonical: reports list entries in this order no matter how the ids were
+requested.  Entries and reports are plain data; the CLI alone turns them
+into JSON.
 
 Every id is formed on integer mantissas: each value a
 bigmath_kernel._Float, every product, power, quotient and root of them
@@ -32,7 +33,10 @@ set.  Each is checked in the power it holds in, so certify takes no mpmath
 root: eq6, eq10 and eq31 in the 24th, 12th and -12th, and the ascent ids
 eq26, eq29, eq30 and eq34, as the ladder climbs, in twelfth powers on
 s = k k' from the solves, sharing its _rung, _cubic_root and
-_cubic_residual.
+_cubic_residual.  eq7 reads that s too, and eq11 holds the multiplier
+m5 = K(k_25r)/K(k_r) as a root of (5 m - 1)^5 (1 - m) = 256 s^2 m
+(_m5_relation).  Each reads s from bigmath_kernel._kkprime, the solve's
+exact product, through _kkprime_at.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .bigmath_kernel import (
     _abs_raw,
     _eta_at,
     _floats,
+    _kkprime,
     _mul,
     _pi,
     _plus,
@@ -64,11 +69,11 @@ from .bigmath_kernel import (
     _rounded,
     _solved,
     _term_sum,
+    _truncated,
     _validate_rational,
 )
 from .modular_core import (
     _a_eta_at,
-    _m5_relation,
     _rrcf_at,
     a_via_moduli,
     descend_a,
@@ -80,30 +85,21 @@ from .report import to_decimal
 __all__ = ["IdentityEntry", "IdentityReport", "REGISTRY", "UsageError", "run_suite"]
 
 
-class _Entry(NamedTuple):
-    id: str
-    residual: mpf
-    passed: bool
-    elapsed_ms: int
-    detail: Dict[str, str]
-
-
-class IdentityEntry(_Entry):
+class IdentityEntry(NamedTuple):
     """One certified identity: its registry id, the measured residual,
     whether it certified against the scale in detail["scale"], and cost.
 
     Entries computed together from shared solves (e.g. the three
     modulus-pair relations) carry the same elapsed_ms.  Every looked-up
     value is shared across groups within one run_suite call, so elapsed_ms
-    leaves out the values that earlier groups already paid for.  An entry
-    made without detail gets a dict of its own.
+    leaves out the values that earlier groups already paid for.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, id, residual, passed, elapsed_ms=0, detail=None) -> IdentityEntry:
-        detail = {} if detail is None else detail
-        return super().__new__(cls, id, residual, passed, elapsed_ms, detail)
+    id: str
+    residual: mpf
+    passed: bool
+    elapsed_ms: int
+    detail: Dict[str, str]
 
 
 class IdentityReport(NamedTuple):
@@ -141,8 +137,9 @@ def _check_eq6(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 def _check_eq7(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # f(-q^2)^6 = 2 k k' K^3 / (pi^3 sqrt(q)), with q^2 the nome of 4r
     rec, b = _solved(rn, rd, ctx), ctx.work_bits + _GATE_INT_BITS
-    k, kp, K, q, f2 = _floats(rec.k, rec.k_comp, rec.K_k, rec.q, _eta_at(4 * rn, rd, ctx))
-    rhs = _quo(_product(b, k, kp, _pow(K, 3, b)), _mul(_pow(_pi(b), 3, b), _root(q, b), b), b)
+    K, q, f2 = _floats(rec.K_k, rec.q, _eta_at(4 * rn, rd, ctx))
+    num = _mul(_kkprime_at(rn, rd, ctx, b), _pow(K, 3, b), b)
+    rhs = _quo(num, _mul(_pow(_pi(b), 3, b), _root(q, b), b), b)
     return {"eq7-eta2": _term_sum(((1, *_pow(f2, 6, b)), (-2, *rhs)), b)}
 
 
@@ -177,7 +174,33 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     # m5 - 1/5 = 4.1e-28.  That is the identity's conditioning, not the gate's
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
     b = ctx.work_bits + _GATE_INT_BITS
-    return {"eq11-m5-poly": _m5_relation(rec, _quo(*_floats(rec25.K_k, rec.K_k), b), b)}
+    m = _quo(*_floats(rec25.K_k, rec.K_k), b)
+    return {"eq11-m5-poly": _m5_relation(_kkprime_at(rn, rd, ctx, b), m, b)}
+
+
+#: the coefficients of m^0, ..., m^6 in (5 m - 1)^5 (1 - m)
+_M5_COEFFS = (-1, 26, -275, 1500, -4375, 6250, -3125)
+
+
+def _m5_relation(s: _Float, m: _Float, bits: int) -> Tuple[mpf, mpf]:
+    """(residual, scale) of (5 m - 1)^5 (1 - m) - 256 s^2 m at m = m5 in
+    (1/5, 1] and s = k k' at r, both _Float, on integers, each product cut
+    to `bits` bits and each sum taken by _term_sum.
+
+    The residual is the two sides as written: t = 5 m - 1 and 1 - m are
+    exact on m5's mantissa, and t^5 (1 - m) is t^4 times the exact
+    t (1 - m).  The scale is the largest of the eight monomials of the
+    polynomial expanded, from m^j by repeated products of the mantissa,
+    not the two sides, which cancel with 1 - m as r grows."""
+    power, monomials = (1, 0), []
+    for c in _M5_COEFFS:
+        monomials.append((c, *power))
+        power = _mul(power, m, bits)
+    rhs = (-256, *_mul(_pow(s, 2, bits), m, bits))
+    man, exp = m
+    t = 5 * man - (1 << -exp)
+    lhs = (1, *_mul(_pow((t, exp), 4, bits), (t * ((1 << -exp) - man), 2 * exp), bits))
+    return _term_sum((lhs, rhs), bits)[0], _term_sum(monomials + [rhs], bits)[1]
 
 
 def _pair_relations(
@@ -296,10 +319,10 @@ def _check_eq24(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 
 
 def _kkprime_at(r_num: int, r_den: int, ctx: PrecisionContext, bits: int) -> _Float:
-    """s = k k' from the solve at r itself, cut to `bits` bits: the
-    quantity the ascent law relates, s(r)/s(r') = (g(r')/g(r))^12."""
-    rec = _solved(r_num, r_den, ctx)
-    return _mul(*_floats(rec.k, rec.k_comp), bits)
+    """s = k k' at r itself (bigmath_kernel._kkprime), cut to `bits` bits:
+    the quantity the ascent law relates, s(r)/s(r') = (g(r')/g(r))^12, and
+    eq7 and eq11 read."""
+    return _truncated(*_kkprime(r_num, r_den, ctx), bits)
 
 
 def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:

@@ -14,8 +14,8 @@ Route map (everything is certified by cross-route residuals, never trusted):
                           as one integer quotient]
            = 1/E,  E = (h + sqrt(h^2 + 1))^(1/5),  h = (11 + a)/2
                                                            [closed form]
-    m5(r)  is checked (the registry's eq11) as a root of
-           (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X,        [on integers]
+    m5(r)  is checked as a root of
+           (5X - 1)^5 (1 - X) = 256 (k_r k'_r)^2 X        [certify's eq11]
 
 rrcf_value(r) gates the closed form at a_value(r) against the CF lookup.
 Below r = 1/25, a_via_eta and the lookups (rrcf_value's CF among them)
@@ -51,7 +51,6 @@ from .bigmath_kernel import (
     DomainError,
     PrecisionContext,
     Real,
-    SingularModulusRecord,
     _Float,
     _INT_BITS,
     _abs_raw,
@@ -132,32 +131,6 @@ class ARecord(NamedTuple):
     cross_residual: mpf  # |via_eta - a|
 
 
-#: the coefficients of m^0, ..., m^6 in (5 m - 1)^5 (1 - m)
-_M5_COEFFS = (-1, 26, -275, 1500, -4375, 6250, -3125)
-
-
-def _m5_relation(rec: SingularModulusRecord, m: _Float, bits: int) -> Tuple[mpf, mpf]:
-    """(residual, scale) of (5 m - 1)^5 (1 - m) - 256 (k k')^2 m at m = m5
-    in (1/5, 1], a _Float, for the solve rec at r, on integers, each
-    product cut to `bits` bits and each sum taken by _term_sum.
-
-    The residual is the two sides as written: t = 5 m - 1 and 1 - m are
-    exact on m5's mantissa, and t^5 (1 - m) is t^4 times the exact
-    t (1 - m).  The scale is the largest of the eight monomials of the
-    polynomial expanded, from m^j by repeated products of the mantissa,
-    not the two sides, which cancel with 1 - m as r grows."""
-    k, kp = _floats(rec.k, rec.k_comp)
-    power, monomials = (1, 0), []
-    for c in _M5_COEFFS:
-        monomials.append((c, *power))
-        power = _mul(power, m, bits)
-    rhs = (-256, *_mul(_pow(_mul(k, kp, bits), 2, bits), m, bits))
-    man, exp = m
-    t = 5 * man - (1 << -exp)
-    lhs = (1, *_mul(_pow((t, exp), 4, bits), (t * ((1 << -exp) - man), 2 * exp), bits))
-    return _term_sum((lhs, rhs), bits)[0], _term_sum(monomials + [rhs], bits)[1]
-
-
 def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """The moduli route a = (k'_r/k'_25r)^2 sqrt(k_r/k_25r) m5^-3 from the
     solves at r and 25r, with m5^-3 = (K(k_r)/K(k_25r))^3, on mantissas cut
@@ -209,7 +182,7 @@ def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT)
     truncations of its `depth` levels, and read by _rrcf_value as one
     integer quotient, rounded once.
     """
-    if not isinstance(depth, int) or depth < 1:
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise DomainError("depth must be a positive integer")
     if depth > _DEPTH_CAP:
         raise DomainError("depth %d exceeds the %d cap" % (depth, _DEPTH_CAP))

@@ -78,8 +78,10 @@ from .bigmath_kernel import (
     _MAX_ITER,
     _ONE,
     _at_bits,
+    _complement,
     _fixed,
     _floats,
+    _kkprime,
     _mul,
     _pow,
     _quo,
@@ -87,7 +89,6 @@ from .bigmath_kernel import (
     _root,
     _round_to,
     _rounded,
-    _solved,
     _sqrt_raw,
     _term_sum,
     _validate_rational,
@@ -257,7 +258,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise DomainError("u_map requires x > 0, got %s" % xv)
     _, man, exp, _ = xv._mpf_
     w, w_exp = _cubic_root((man * man * man, 3 * exp), ctx)
-    return mp.make_mpf(_sqrt_raw(man * w, exp + w_exp, ctx.precision_bits))
+    return _sqrt_raw(man * w, exp + w_exp, ctx.precision_bits)
 
 
 def _radicand_b(t: _Float, frac: int) -> int:
@@ -338,26 +339,13 @@ def g_invariant(
     r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> mpf:
     """The class invariant g(r) = (2 k_r k'_r)^(-1/12) from a certified
-    solve, the twelfth root of 1/(2 k k') rounded once to precision_bits, as
+    solve, the twelfth root of 1/(2 s) for the solve's exact product
+    s = k k' (bigmath_kernel._kkprime), rounded once to precision_bits, as
     p_map takes its sixth root.  g(1) = 1, g(1/r) = g(r), and g is
     increasing in r beyond 1 (the product k k' shrinks from 1/2)."""
-    rec = _solved(r_num, r_den, ctx)
-    (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
-    inverse = _quo((1, 0), (k_man * c_man, k_exp + c_exp + 1), ctx.work_bits + _INT_BITS)
+    man, exp = _kkprime(r_num, r_den, ctx)
+    inverse = _quo((1, 0), (man, exp + 1), ctx.work_bits + _INT_BITS)
     return mp.make_mpf(mpf_nthroot(from_man_exp(*inverse), 12, ctx.precision_bits, round_nearest))
-
-
-def _kkprime(r: Fraction, ctx: PrecisionContext) -> mpf:
-    """k k' from the certified solve at max(r, 1/r), as one product of the
-    two mantissas rounded once to precision_bits: k k' is the same at r and
-    1/r, so no nome below r = 1 is taken.  Inside ladder's request scope
-    the solve's nome joins the scope's chains (bigmath_kernel._nome): for
-    r0 >= 1 the seed's nome at r0 heads the chain whose powers are the
-    oracles' nomes."""
-    r = max(r, 1 / r)
-    rec = _solved(r.numerator, r.denominator, ctx)
-    (k_man, k_exp), (c_man, c_exp) = _floats(rec.k, rec.k_comp)
-    return _rounded(ctx, k_man * c_man, k_exp + c_exp)
 
 
 def _k_of(s: _Float, r: Fraction, ctx: PrecisionContext) -> mpf:
@@ -366,26 +354,19 @@ def _k_of(s: _Float, r: Fraction, ctx: PrecisionContext) -> mpf:
     k^2 = 2 s^2 / (1 + sqrt(1 - 4 s^2)) is the smaller of k^2 and k'^2,
     with 1 - 4 s^2 in fixed point, taken as zero where it rounds below
     zero or s^2 >= 1/4 (a bad seed can make s huge).  Above r = 1 it is
-    k^2; below, it is k'^2, capped at 1, and k^2 = 1 - k'^2 is exact on
-    its mantissa, or rounds to 1 where k'^2 lies under
-    2^-(precision_bits + 2) (as bigmath_kernel._complement_raw); at r = 1,
+    k^2, and k its root; below, it is k'^2, and k = sqrt(1 - k'^2) is
+    bigmath_kernel._complement of it, 0 for a k'^2 past 1; at r = 1,
     k^2 = s."""
     frac = ctx.work_bits + _INT_BITS
     prec = ctx.precision_bits
     if r == 1:
-        k2 = s
-    else:
-        one = 1 << frac
-        man, exp = _mul(s, s, frac)
-        # 4 s^2 >= 1 from s^2 >= 2^-2 on, so a huge s is never put in fixed point
-        rad = max(one - _fixed(man, exp + 2, frac), 0) if exp + man.bit_length() <= -2 else 0
-        k2 = _quo((man, exp + 1), (one + math.isqrt(rad << frac), -frac), frac)
-        if r < 1:
-            man, exp = k2
-            if exp + man.bit_length() <= -(prec + 2):
-                return _ONE
-            k2 = (max((1 << -exp) - man, 0), exp) if exp < 0 else (0, 0)
-    return mp.make_mpf(_sqrt_raw(*k2, prec))
+        return _sqrt_raw(*s, prec)
+    one = 1 << frac
+    man, exp = _mul(s, s, frac)
+    # 4 s^2 >= 1 from s^2 >= 2^-2 on, so a huge s is never put in fixed point
+    rad = max(one - _fixed(man, exp + 2, frac), 0) if exp + man.bit_length() <= -2 else 0
+    k2 = _quo((man, exp + 1), (one + math.isqrt(rad << frac), -frac), frac)
+    return _sqrt_raw(*k2, prec) if r > 1 else _complement(k2, prec)
 
 
 def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> str:
@@ -428,12 +409,13 @@ def ladder(
     raises that solve's DomainError, so a climb with any n stops at its
     first rung past bigmath_kernel._R_MAX.
     The seeds are k k' at r0 and at r0/25: a given one must lie in
-    (0, 1/2] (else DomainError), and a missing one is the solve's k k' at
-    max(r, 1/r) (_kkprime).  A given seed is rounded to precision_bits
-    where it is read, as a solved one is, and the trace echoes the seeds
-    the climb starts from, so a replay from the echo is exact.  A context
-    with tol_exp <= GATE_SLACK_DIGITS is refused (DomainError): its
-    relative gate would be 10^0 or looser and pass any k.
+    (0, 1/2] (else DomainError), and a missing one is the solve's exact
+    k k' (bigmath_kernel._kkprime) at max(r, 1/r), where a solve reads one
+    nome.  A given seed is rounded to precision_bits where it is read, as a
+    solved one is, and the trace echoes the seeds the climb starts from, so
+    a replay from the echo is exact.  A context with tol_exp <=
+    GATE_SLACK_DIGITS is refused (DomainError): its relative gate would be
+    10^0 or looser and pass any k.
 
     Every level's k is checked against an independent K-ratio solve; a
     level whose |k_j - k_oracle| does not certify against
@@ -477,7 +459,8 @@ def ladder(
         key=lambda seed: seed[1] is None,
     ):
         if seed is None:
-            seeds[name] = _kkprime(r, ctx)
+            r = max(r, 1 / r)  # s(1/r) = s(r), and a solve at R >= 1 reads one nome
+            seeds[name] = _rounded(ctx, *_kkprime(r.numerator, r.denominator, ctx))
             continue
         # rounded once, at precision_bits; to_big, exact on it, refuses inf and nan
         v = to_big(_at_bits(seed, ctx.precision_bits), ctx)

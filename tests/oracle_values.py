@@ -11,15 +11,16 @@ for u_map.  None of them shares code with the library.
 The mpf reference spellings after them (``u_star_mpf``,
 ``fifth_root_radical_mpf``, ``descend_a_horner``, ``u_relation_terms``,
 ``pair_relations_mpf``, ``m5_relation_mpf``, ``power_identities_mpf``,
-``agm_two_phase`` and
-``solve_mpf``) are the library's earlier evaluations of the same formulas
-in mpf arithmetic, kept as oracles for the integer ones that replaced them:
-the integer versions must give the same bits once both are rounded to the
-output precision, or, for a relation's residual, lie within a few units of
-the working precision times its scale.  ``fifth_root_radical_uncut`` is
-the integer radical as it was before it cut a huge a, and
-``theta_quotient_direct`` the theta quotient's direct sum at q, before
-the library summed it at q^4.
+``agm_two_phase`` and ``solve_mpf``) are the library's earlier
+evaluations of the same formulas in mpf arithmetic, kept as oracles for
+the integer ones that replaced them: the integer versions must give the
+same bits once both are rounded to the output precision, or, for a
+relation's residual, lie within a few units of the working precision
+times its scale.  ``fifth_root_radical_uncut`` is the integer radical as
+it was before it cut a huge a, ``theta_quotient_direct`` the theta
+quotient's direct sum at q, before the library summed it at q^4, and
+``complement_of_k`` sqrt(1 - k^2) as the library took it from k, before
+its complement took the square.
 
 The frozen moduli ``K5``, ``K_FIFTH`` and ``K25`` are theta-quotient
 values, and the library's solver evaluates the same theta quotient, so
@@ -38,6 +39,7 @@ on purpose.
 import math
 
 from mpmath import ellipk, jtheta, mp, mpc, mpf, sqrt, workprec
+from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
 
 import quintic_moduli as qm
 
@@ -426,6 +428,18 @@ def agm_two_phase(a, b, precision_bits):
         while abs(ia - ib) << (precision_bits - 32) >= ia:
             ia, ib = (ia + ib) >> 1, math.isqrt(ia * ib)
         return mpf((ia + ib, unit - 1))
+
+
+def complement_of_k(k, prec):
+    """sqrt(1 - k^2) for an mpf 0 <= k <= 1, rounded once to nearest at
+    `prec` bits, as the library spelled it from k before its complement
+    took the square: with k = m 2^e of bc bits, 1 where 2 (e + bc) <=
+    -(prec + 2), else mpmath's root of the exact (2^(-2e) - m^2) 2^(2e)."""
+    _, man, exp, bc = k._mpf_
+    if 2 * (exp + bc) <= -(prec + 2):
+        return mpf(1)
+    square = from_man_exp((1 << -2 * exp) - man * man, 2 * exp)
+    return mp.make_mpf(mpf_sqrt(square, prec, round_nearest))
 
 
 def _agm_mpf_head(a, b, work):

@@ -365,13 +365,13 @@ def test_registry_takes_no_root_and_integer_checkers_no_powers():
         for n in (
             "_check_eq6", "_check_eq7", "_check_eq10", "_check_eq11", "_check_thm22",
             "_pair_relations", "_check_eq26", "_check_thm31", "_check_thm32", "_check_eq31",
-            "_check_eq34", "_ascent_law", "_kkprime_at", "_check_eq5", "_check_eq19",
-            "_check_eq24", "_check_reciprocal",
+            "_check_eq34", "_ascent_law", "_kkprime_at", "_m5_relation", "_check_eq5",
+            "_check_eq19", "_check_eq24", "_check_reciprocal",
         )
     ]
     integer += [
         _functions("modular_core")[n]
-        for n in ("_m5_relation", "descend_a", "a_via_eta", "a_via_moduli", "a_value", "rrcf_value")
+        for n in ("descend_a", "a_via_eta", "a_via_moduli", "a_value", "rrcf_value")
     ]
     integer.append(_functions("quintic_ladder")["_cubic_residual"])
     powers = [
@@ -534,6 +534,35 @@ def test_one_function_routes_each_nome_and_one_stores_into_the_memo():
     assert list(stores) == ["_memoised"], stores
 
 
+def test_one_function_forms_each_quantity_of_the_modulus_pair():
+    # s = k k' is the kernel's _kkprime, which the ladder, g_invariant and
+    # the registry's one cut of it call; sqrt(1 - x) of a modulus's square
+    # is the kernel's _complement, which the solve, elliptic_K and the
+    # ladder's branch below r = 1 call; eq11's relation lives beside eq11
+    watched = ("_kkprime", "_complement", "_m5_relation")
+    callers = {name: set() for name in watched}
+    defined = {name: set() for name in watched}
+    for module in _MODULES:
+        short = module.rsplit(".", 1)[-1]
+        for name, fn in _module_functions(module):
+            for callee in _called_names(fn) & set(watched):
+                callers[callee].add((short, name))
+            if name in defined:
+                defined[name].add(short)
+    assert defined == {
+        "_kkprime": {"bigmath_kernel"},
+        "_complement": {"bigmath_kernel"},
+        "_m5_relation": {"certify"},
+    }
+    assert callers == {
+        "_kkprime": {("quintic_ladder", "ladder"), ("quintic_ladder", "g_invariant"),
+                     ("certify", "_kkprime_at")},
+        "_complement": {("bigmath_kernel", "solve_singular_modulus"),
+                        ("bigmath_kernel", "elliptic_K"), ("quintic_ladder", "_k_of")},
+        "_m5_relation": {("certify", "_check_eq11")},
+    }
+
+
 def test_the_registry_reads_point_values_only_through_lookups():
     # a direct call would compute the value again outside the request memo;
     # g_invariant is read once per request, by eq31, so it needs no lookup
@@ -604,9 +633,10 @@ def _called_names(fn: ast.FunctionDef) -> set:
 def test_ladder_takes_no_root_and_no_seed_complement():
     # the climb carries k k' and sixth powers: ladder and every helper it
     # reaches in quintic_ladder (its rung, the rung's B and cubic root, the
-    # branch to k, the seeds) take no mp.root, raise nothing to a power
-    # with **, switch no working precision and take no complement; the
-    # messages of a failed rung are off the climb
+    # branch to k) take no mp.root, raise nothing to a power with ** and
+    # switch no working precision; only the branch takes a complement, of
+    # its own k'^2 below r = 1, never of a seed; the messages of a failed
+    # rung are off the climb
     fns = _functions("quintic_ladder")
     off_climb = {"_missed", "_branch_error"}
     reached, todo = set(), ["ladder"]
@@ -614,14 +644,30 @@ def test_ladder_takes_no_root_and_no_seed_complement():
         name = todo.pop()
         reached.add(name)
         todo += sorted((_called_names(fns[name]) & set(fns)) - reached - off_climb)
-    assert {"_rung", "_radicand_b", "_cubic_root", "_newton_int", "_k_of", "_kkprime"} <= reached
+    assert {"_rung", "_radicand_b", "_cubic_root", "_newton_int", "_k_of"} <= reached
     for name in sorted(reached):
         for node in ast.walk(fns[name]):
             where = "%s line %d" % (name, getattr(node, "lineno", 0))
             assert not (isinstance(node, ast.Attribute) and node.attr == "root"), where
             assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)), where
             assert not (isinstance(node, ast.Name) and node.id in (
-                "workprec", "_complement_raw", "g_invariant", "_g_at", "_k_branch")), where
+                "workprec", "g_invariant", "_g_at", "_k_branch")), where
+            if name != "_k_of":
+                assert not (isinstance(node, ast.Name) and node.id == "_complement"), where
+    # the branch's k'^2 is the quotient it forms itself
+    branch = {
+        t.id: node.value
+        for node in ast.walk(fns["_k_of"])
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    (call,) = [
+        node for node in ast.walk(fns["_k_of"])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_complement"
+    ]
+    square = call.args[0]
+    assert isinstance(square, ast.Name) and getattr(branch[square.id].func, "id", None) == "_quo"
 
 
 def test_public_maps_share_the_rung_core():

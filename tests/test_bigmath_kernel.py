@@ -40,6 +40,7 @@ from quintic_moduli import (
 
 import oracle_values as ov
 import quintic_moduli.bigmath_kernel as bk
+import quintic_moduli.modular_core as mc
 import quintic_moduli.quintic_ladder as ql
 from quintic_moduli.report import big_to_str, str_to_big
 
@@ -53,10 +54,16 @@ def _ctx_at(bits):
     return PrecisionContext(precision_bits=bits, tol_exp=ov.TOL_EXP[bits])
 
 
-def complement_raw(x, ctx):
-    """The solve's sqrt(1 - x^2), bk._complement_raw, of to_big(x) at
-    precision_bits."""
-    return bk._complement_raw(to_big(x, ctx), ctx.precision_bits)
+def _complement_of(k, prec):
+    """sqrt(1 - k^2) for an mpf k, bk._complement of k's mantissa squared,
+    as the solve and elliptic_K take it."""
+    _, man, exp, _ = k._mpf_
+    return bk._complement((man * man, 2 * exp), prec)
+
+
+def complement(x, ctx):
+    """The solve's sqrt(1 - x^2) of to_big(x) at precision_bits."""
+    return _complement_of(to_big(x, ctx), ctx.precision_bits)
 
 
 def _ellipk_residual(rec, rn, rd, bits):
@@ -124,6 +131,38 @@ class TestPrecisionContext:
             assert (ctx.precision_bits, ctx.tol_exp, ctx.work_bits) == (512, 60, 576)
 
 
+class TestBoolIsNotARational:
+    """A bool is an int to isinstance, but no term of a rational r, nor a
+    depth: every entry point that takes r, and rrcf_truncated's depth,
+    refuses it with DomainError rather than reading True as 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_singular_modulus(True, 3),
+        lambda: solve_singular_modulus(3, True),
+        lambda: nome(True, 3),
+        lambda: ladder(7, True, 1),
+        lambda: run_suite(True, 3, ids=["k-reciprocal"]),
+        lambda: a_via_eta(True, 2),
+        lambda: a_via_moduli(2, True),
+        lambda: a_value(True, 2),
+        lambda: rrcf_value(True, 2),
+        lambda: g_invariant(True, 3),
+        lambda: bk._solved(True, 3, DEFAULT_CONTEXT),
+        lambda: bk._nome(3, True, DEFAULT_CONTEXT),
+        lambda: bk._eta_at(True, 3, DEFAULT_CONTEXT),
+        lambda: mc._rrcf_at(True, 3, DEFAULT_CONTEXT),
+        lambda: mc._a_eta_at(True, 3, DEFAULT_CONTEXT),
+        lambda: rrcf_truncated("0.04", True),
+    ], ids=[
+        "solve-num", "solve-den", "nome", "ladder", "run_suite", "a_via_eta", "a_via_moduli",
+        "a_value", "rrcf_value", "g_invariant", "_solved", "_nome", "_eta_at", "_rrcf_at",
+        "_a_eta_at", "rrcf_truncated-depth",
+    ])
+    def test_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
 def _exact(man, exp):
     """The mpf man * 2^exp, unrounded."""
     return mp.make_mpf(from_man_exp(man, exp))
@@ -156,7 +195,8 @@ class TestMantissaKernels:
     def test_sqrt_raw_is_mpf_sqrt(self, bits):
         for x in _kernel_inputs(bits, bits):
             _, man, exp, _ = x._mpf_
-            assert bk._sqrt_raw(man, exp, bits) == mpf_sqrt(x._mpf_, bits, round_nearest), x._mpf_
+            want = mpf_sqrt(x._mpf_, bits, round_nearest)
+            assert bk._sqrt_raw(man, exp, bits)._mpf_ == want, x._mpf_
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
     def test_rounding_is_pos_and_mpf(self, bits):
@@ -353,7 +393,7 @@ class TestAmbientPrecision:
             (u_star, ("1.3",)),
             (u_star, ("0.45",)),
             (eta_f, ("0.04",)),
-            (complement_raw, ("0.6",)),
+            (complement, ("0.6",)),
             (rrcf_converged, ("0.04",)),
             (rrcf_truncated, ("0.04", 7)),
             (a_via_eta, (7, 3)),
@@ -581,7 +621,7 @@ class TestAgmFinish:
         for k in _finish_moduli(ctx):
             ref = ov.agm_two_phase(1, k, bits)
             with workprec(ctx.work_bits):
-                ref_K = mp.pi / (2 * ov.agm_two_phase(1, bk._complement_raw(k, ctx.work_bits), bits))
+                ref_K = mp.pi / (2 * ov.agm_two_phase(1, _complement_of(k, ctx.work_bits), bits))
             with workprec(bits):
                 assert agm(1, k, ctx)._mpf_ == (+ref)._mpf_, k
                 if k < 1:
@@ -589,42 +629,65 @@ class TestAgmFinish:
 
 
 class TestComplement:
-    """bk._complement_raw, the solve's sqrt(1 - k^2), at the default
-    context's 512 bits."""
+    """bk._complement, sqrt(1 - x) of a modulus's square x, at the default
+    context's 512 bits unless a test says otherwise."""
 
     def test_pythagorean(self):
         k = to_big("0.1188769458")
         with workprec(600):
-            assert abs(k ** 2 + bk._complement_raw(k, 512) ** 2 - 1) < mpf(10) ** -150
+            assert abs(k ** 2 + _complement_of(k, 512) ** 2 - 1) < mpf(10) ** -150
 
     def test_near_one_keeps_precision(self):
         # k' of a modulus extremely close to 0 must stay exactly 1-ish
         # without the (1-k)(1+k) product collapsing
         k = to_big("1e-100")
         with workprec(600):
-            assert abs(bk._complement_raw(k, 512) - (1 - mpf(10) ** -200 / 2)) < mpf(10) ** -250
+            assert abs(_complement_of(k, 512) - (1 - mpf(10) ** -200 / 2)) < mpf(10) ** -250
 
     def test_endpoints(self):
-        assert bk._complement_raw(mpf(0), 512) == 1
-        assert bk._complement_raw(mpf(1), 512) == 0
+        # x = 0 gives 1, and every x >= 1 gives 0
+        assert bk._complement((0, 0), 512) == bk._complement((0, -900), 512) == 1
+        for x in ((1, 0), (4, -2), (3, -1), (5, 3), (1 << 600 | 1, -600)):
+            assert bk._complement(x, 512)._mpf_ == mpf(0)._mpf_, x
 
     @pytest.mark.parametrize("prec", [256, 512, 1024, 4096])
-    def test_tiny_k_is_the_root_path_on_both_sides_of_the_skip(self, prec):
-        # k = m 2^e with e + bc at the last exponent that skips the root
-        # (2 (e + bc) <= -(prec + 2)) and one above it: both give the bits
-        # of the exact root, and on the skipping side that is 1
+    def test_tiny_square_is_the_root_path_on_both_sides_of_the_skip(self, prec):
+        # x = m 2^e with e + bc at the last exponent that skips the root
+        # (e + bc <= -(prec + 2)) and above it: both give the bits of
+        # mpmath's root of the exact 1 - x, and on the skipping side that is 1
         rng = random.Random(prec)
-        last = -(prec + 2) // 2
-        for top in (last - 40, last, last + 1, last + 2):
+        last = -(prec + 2)
+        for top in (last - 40, last, last + 1, last + 2, last + 3):
             for bc in (1, 2, 53, prec, 2 * prec + 3):
                 man = 1 << bc - 1 | rng.getrandbits(bc - 1) | 1 if bc > 1 else 1
                 for m in (man, (1 << bc) - 1 or 1):
-                    k = mp.make_mpf(from_man_exp(m, top - bc))
-                    _, k_man, k_exp, _ = k._mpf_
-                    root = bk._sqrt_raw((1 << -2 * k_exp) - k_man * k_man, 2 * k_exp, prec)
-                    assert bk._complement_raw(k, prec)._mpf_ == root, (top, bc)
+                    exp = top - bc
+                    exact = from_man_exp((1 << -exp) - m, exp)
+                    root = mpf_sqrt(exact, prec, round_nearest)
+                    assert bk._complement((m, exp), prec)._mpf_ == root, (top, bc)
                     if top <= last:
                         assert root == mpf(1)._mpf_
+
+    @pytest.mark.parametrize("prec", [64, 65, 577, 1088, 2049, 4160])
+    def test_square_gives_the_bits_of_the_complement_of_k(self, prec):
+        # the complement of k's mantissa squared against the earlier
+        # spelling from k itself: at k = 0 and 1, with k^2 on both sides of
+        # 2^-(prec + 2) (at odd prec the square's skip is one bit looser,
+        # and both sides of that bit give 1), near 1 and at random
+        rng = random.Random(prec)
+        ks = [mpf(0), mpf(1)]
+        for top in range(-(prec + 2) // 2 - 3, -(prec + 2) // 2 + 4):
+            for bc in (1, 2, 3, 53, prec // 2, prec, prec + 7):
+                for m in (1 << bc - 1, (1 << bc) - 1 or 1, 1 << bc - 1 | rng.getrandbits(bc - 1)):
+                    ks.append(mp.make_mpf(from_man_exp(m, top - bc)))
+        ks += [mp.make_mpf(from_man_exp((1 << j) - 1, -j)) for j in (1, 2, 30, prec, prec + 5)]
+        ks += [mp.make_mpf(from_man_exp((1 << prec) - rng.getrandbits(40), -prec))
+               for _ in range(20)]
+        for _ in range(200):
+            bits = rng.randint(1, prec + 70)
+            ks.append(_exact(rng.getrandbits(bits) | 1, -bits - rng.randint(0, 3 * prec)))
+        for k in ks:
+            assert _complement_of(k, prec)._mpf_ == ov.complement_of_k(k, prec)._mpf_, k._mpf_
 
 
 class TestEllipticK:

@@ -854,7 +854,7 @@ class TestJsonWriter:
         {},
         [],
         {"detail": {}, "entries": [], "levels": ()},
-        IdentityEntry("k-reciprocal", mpf(0), True),
+        IdentityEntry("k-reciprocal", mpf(0), True, 0, {}),
         [None, True, False, 0, -7, 10 ** 40, Fraction(22, 7), [[]], [{}]],
         {'quote " slash \\ tab \t': "\u00fc \u221e \U0001d70b \x7f \x00"},
         {"mpf": [mpf(1) / 3, mpf(-2.5), mpf("1e-400"), mpf("inf"), mpf("-inf"), mpf("nan")]},

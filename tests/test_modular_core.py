@@ -27,6 +27,7 @@ from quintic_moduli import (
 
 import oracle_values as ov
 import quintic_moduli.bigmath_kernel as bk
+import quintic_moduli.certify as certify
 import quintic_moduli.modular_core as mc
 
 TOL = mpf(10) ** -120
@@ -59,7 +60,8 @@ class TestMultiplier:
     @pytest.mark.parametrize("rn,rd", [(1, 1), (3, 2), (5, 1)])
     def test_poly_residual(self, rn, rd):
         rec = solve_singular_modulus(rn, rd)
-        residual, _ = mc._m5_relation(rec, _m5_float(rn, rd), _EQ11_BITS)
+        s = bk._mul(*bk._floats(rec.k, rec.k_comp), _EQ11_BITS)
+        residual, _ = certify._m5_relation(s, _m5_float(rn, rd), _EQ11_BITS)
         assert abs(residual) < TOL
         assert mpf(1) / 5 < _m5(rn, rd) < 1
 

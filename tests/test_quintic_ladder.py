@@ -335,6 +335,24 @@ class TestGInvariant:
         assert g_invariant(1, 1) < g_invariant(5, 1) < g_invariant(25, 1)
 
 
+class TestKKPrime:
+    """bk._kkprime, the one spelling of s = k k': the exact product of the
+    solve's two mantissas, at r and at 1/r alike."""
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_rounded_and_cut_as_its_callers_read_it(self, bits):
+        ctx = _ctx_at(bits)
+        cut = ctx.work_bits + bk._GATE_INT_BITS
+        for r in (Fraction(1), Fraction(2), Fraction(7, 3), Fraction(1, 13), Fraction(5),
+                  Fraction(300), Fraction(10 ** 4), Fraction(10 ** 6), Fraction(9, 10 ** 4)):
+            for rn, rd in ((r.numerator, r.denominator), (r.denominator, r.numerator)):
+                s = bk._kkprime(rn, rd, ctx)
+                rec = solve_singular_modulus(rn, rd, ctx)
+                assert bk._rounded(ctx, *s) == _kkp_rounded(rn, rd, bits), (rn, rd)
+                assert bk._truncated(*s, cut) == bk._mul(*bk._floats(rec.k, rec.k_comp), cut)
+                assert s == bk._kkprime(rd, rn, ctx), (rn, rd)
+
+
 class TestAscendOnce:
     """One rung, ladder(..., n=1): the ascended product k k' against a
     direct solve at 25 r0."""
