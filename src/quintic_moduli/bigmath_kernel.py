@@ -7,7 +7,7 @@ governing :class:`PrecisionContext`; intermediates carry 64 more (_GUARD_BITS).
 
 Square roots, rounding and the pass rule work on mpf mantissas directly:
 ``_sqrt_raw`` takes the steps of mpmath's ``mpf_sqrt`` with its integer
-root from ``math.isqrt``, and ``_round_to``, ``_at_bits`` and
+root from ``math.isqrt``, and ``_at_bits`` and
 ``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding
 primitives at the bits they need.  No module calls ``mp.sqrt``.  Each
 quantity of a solve's pair (k, k') has one spelling, here, for every
@@ -48,20 +48,26 @@ works on integers and mantissas and builds an mpf only for each field.
 One rule holds in every module, without exception: each value a function
 returns, each residual a gate judges and each number a message prints is
 formed on integers and mantissas and rounded at stated bits, so no module
-switches or reads mpmath's ambient precision.  A value enters by one
-conversion, ``_at_bits`` (``to_big``, report.big_to_str and str_to_big,
-a given ladder seed).  The integer kernels carry ``_INT_BITS`` bits beyond
-work_bits and reach that fixed point from a mantissa by one conversion,
-``_fixed``.  A value held as a mantissa and an exponent (a ``_Float``)
-has one arithmetic, here: ``_mul``, ``_pow``, ``_product``, ``_quo``,
-``_plus`` and ``_root`` cut each result to a given number of bits, and
-every module forms its products, powers, quotients and roots of
-mantissas with them.  A residual is summed by ``_term_sum`` into an
-exact sum and scale.  A solve gates its K-ratio residual times an integer
-bound on the ratio's sensitivity to k, so a pass vouches for tol_exp
-digits of k at every r.  It refuses an r with max(r, 1/r) above
-``_R_MAX``, about 4.05e39, before its nome is taken; nothing else refuses
-r for its size.
+switches or reads mpmath's ambient precision.  A value becomes an mpf
+at stated bits by one rounding, ``_at_bits`` (of an mpf, a ``_Float``,
+a Fraction or anything mpf() reads), and each value a function hands
+back by ``_rounded``, _at_bits at precision_bits.  A gate that shows its
+residual takes the gap and its pass flag from one call,
+``PrecisionContext.verdict``; only the solve, which gates its residual
+times an integer bound but shows it unscaled, judges on its own
+integers.  A message quotes r by ``_term_text``, a term past Python's
+4300-digit int-to-str limit by its bit length.  The integer kernels
+carry ``_INT_BITS`` bits beyond work_bits and reach that fixed point
+from a mantissa by one conversion, ``_fixed``.  A value held as a
+mantissa and an exponent (a ``_Float``) has one arithmetic, here:
+``_mul``, ``_pow``, ``_product``, ``_quo``, ``_plus`` and ``_root`` cut
+each result to a given number of bits, and every module forms its
+products, powers, quotients and roots of mantissas with them.  A
+residual is summed by ``_term_sum`` into an exact sum and scale.  A
+solve gates its K-ratio residual times an integer bound on the ratio's
+sensitivity to k, so a pass vouches for tol_exp digits of k at every r.
+It refuses an r with max(r, 1/r) above ``_R_MAX``, about 4.05e39,
+before its nome is taken; nothing else refuses r for its size.
 
 The public functions always compute.  Values shared within a request are
 looked up by their exact rational point r: ``_solved``, ``_nome`` and
@@ -235,6 +241,12 @@ class PrecisionContext(_Precision):
         bound = mpf_mul(self.tolerance()._mpf_, _abs_raw(scale, bits), bits, round_nearest)
         return mpf_lt(_abs_raw(residual, bits), bound)
 
+    def verdict(self, residual: Union[int, mpf], scale: Union[int, mpf]) -> Tuple[mpf, bool]:
+        """(|residual| rounded once to precision_bits, certifies(residual,
+        scale)): the gap a gate shows and whether it passes, from the same
+        operands.  Every gate that shows its residual takes both here."""
+        return mp.make_mpf(_abs_raw(residual, self.precision_bits)), self.certifies(residual, scale)
+
 
 def _abs_raw(x: Union[int, mpf], bits: int) -> tuple:
     """|x| as a raw mpf tuple: an mpf's rounded to nearest at `bits`, as
@@ -296,23 +308,26 @@ def _memoised(
     return value
 
 
-def _round_to(ctx: PrecisionContext, x: mpf) -> mpf:
-    """Round x to nearest at the context's output precision: what `+x`
-    gives at precision_bits, on the mantissa directly."""
-    return mp.make_mpf(mpf_pos(x._mpf_, ctx.precision_bits, round_nearest))
+#: a value man 2^exp with man >= 0 as (man, exp): the operand of the
+#: mantissa arithmetic below
+_Float = Tuple[int, int]
 
 
-def _rounded(ctx: PrecisionContext, man: int, exp: int) -> mpf:
-    """man 2^exp rounded once to nearest at the context's output precision."""
-    return mp.make_mpf(from_man_exp(man, exp, ctx.precision_bits, round_nearest))
+def _rounded(ctx: PrecisionContext, x: Union[mpf, _Float]) -> mpf:
+    """x, an mpf or a _Float, rounded once to nearest at the context's
+    output precision: how every value a function hands back is rounded."""
+    return _at_bits(x, ctx.precision_bits)
 
 
-def _at_bits(x: Real, bits: int) -> mpf:
+def _at_bits(x: Union[Real, _Float], bits: int) -> mpf:
     """x rounded once to nearest at `bits`: an mpf on its mantissa, a
-    Fraction by one correctly rounded division, anything else as mpf()
-    reads it at those bits.  The one place a value becomes an mpf."""
+    _Float (man, exp) as man 2^exp, a Fraction by one correctly rounded
+    division, anything else as mpf() reads it at those bits.  The one
+    place a value is rounded to an mpf, at any bits."""
     if isinstance(x, mpf):
         return mp.make_mpf(mpf_pos(x._mpf_, bits, round_nearest))
+    if isinstance(x, tuple):
+        return mp.make_mpf(from_man_exp(*x, bits, round_nearest))
     if isinstance(x, Fraction):
         return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
     return mpf(x, prec=bits, rounding=round_nearest)
@@ -370,11 +385,6 @@ def _fixed(man: int, exp: int, frac: int) -> int:
     return man << shift if shift >= 0 else man >> -shift
 
 
-#: a value man 2^exp with man >= 0 as (man, exp): the operand of the
-#: mantissa arithmetic below
-_Float = Tuple[int, int]
-
-
 def _complement(square: _Float, prec: int) -> mpf:
     """sqrt(1 - x) for the square x = man 2^exp >= 0 of a modulus, rounded
     once to nearest at `prec` bits: k' from k^2, or k from k'^2.  With
@@ -400,11 +410,6 @@ def _truncated(man: int, exp: int, bits: int) -> _Float:
 def _floats(*values: mpf) -> List[_Float]:
     """Each positive mpf as a _Float."""
     return [v._mpf_[1:3] for v in values]
-
-
-def _at_work_bits(ctx: PrecisionContext, x: _Float) -> mpf:
-    """x rounded once to nearest at work_bits, for its caller to round."""
-    return mp.make_mpf(from_man_exp(*x, ctx.work_bits, round_nearest))
 
 
 def _pi(bits: int) -> _Float:
@@ -550,7 +555,7 @@ def agm(a: Real, b: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     av, bv = to_big(a, ctx), to_big(b, ctx)
     if av <= 0 or bv <= 0:
         raise DomainError("agm requires positive operands")
-    return _rounded(ctx, *_agm_raw(av, bv, ctx))
+    return _rounded(ctx, _agm_raw(av, bv, ctx))
 
 
 def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -569,7 +574,7 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
     _, man, exp, _ = xv._mpf_
     man, exp = _agm_raw(_ONE, _complement((man * man, 2 * exp), ctx.work_bits), ctx)
-    return _rounded(ctx, *_half_pi_over(man, exp, ctx))
+    return _rounded(ctx, _half_pi_over(man, exp, ctx))
 
 
 #: the largest R = max(r, 1/r) a solve accepts, floor((2 10^20 / pi)^2).
@@ -582,6 +587,20 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 _R_MAX = (4 * 10 ** 40 << 512) // pi_fixed(256) ** 2
 
 
+def _term_text(x: Union[int, Fraction]) -> str:
+    """str(x) for an int or a Fraction, each term past Python's
+    int-to-str limit given by its bit length instead: how every message
+    quotes r or a term of it."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            return "%s/%s" % (_term_text(x.numerator), _term_text(x.denominator))
+        x = x.numerator
+    try:
+        return str(x)
+    except ValueError:
+        return "%s<%d-bit integer>" % ("-" if x < 0 else "", x.bit_length())
+
+
 def _validate_rational(r_num: int, r_den: int) -> None:
     # a bool is an int to isinstance, but no term of a rational
     if type(r_num) is bool or type(r_den) is bool or not (
@@ -589,13 +608,13 @@ def _validate_rational(r_num: int, r_den: int) -> None:
     ):
         raise DomainError("r must be given as exact integers r_num/r_den")
     if r_num <= 0 or r_den <= 0:
-        raise DomainError("r must be positive: got %s/%s" % (r_num, r_den))
+        raise DomainError("r must be positive: got %s/%s" % (_term_text(r_num), _term_text(r_den)))
 
 
 def nome(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """q = exp(-pi sqrt(r)) in (0,1) for exact rational r = r_num/r_den > 0."""
     _validate_rational(r_num, r_den)
-    return _round_to(ctx, _exp_nome(r_num, r_den, ctx))
+    return _rounded(ctx, _exp_nome(r_num, r_den, ctx))
 
 
 def _exp_nome(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
@@ -661,7 +680,7 @@ def _link(y: mpf, m: int, ctx: PrecisionContext) -> mpf:
     """y^m for a working-precision nome y: _pow on its mantissa with
     _INT_BITS guard bits, rounded once to work_bits.  One link of a chain."""
     _, man, exp, _ = y._mpf_
-    return _at_work_bits(ctx, _pow((man, exp), m, ctx.work_bits + _INT_BITS))
+    return _at_bits(_pow((man, exp), m, ctx.work_bits + _INT_BITS), ctx.work_bits)
 
 
 def _theta_quotient(q: mpf, ctx: PrecisionContext) -> Tuple[_Float, _Float]:
@@ -774,7 +793,7 @@ def solve_singular_modulus(
         raise DomainError(
             "a solve at r = %s/%s lies past the bound that keeps a ladder rung "
             "within its gate's 20 digits of slack: max(r, 1/r) must not exceed %d"
-            % (r_num, r_den, _R_MAX)
+            % (_term_text(r_num), _term_text(r_den), _R_MAX)
         )
     reflect = r_num < r_den
     # the nome of r itself, for the record, and the nome of max(r, 1/r), at
@@ -783,7 +802,7 @@ def solve_singular_modulus(
         q_r = _nome(r_num, r_den, ctx)
         q = _nome(r_den, r_num, ctx) if reflect else q_r
     quotient, (square, square_exp) = _theta_quotient(q, ctx)
-    small = _rounded(ctx, *quotient)
+    small = _rounded(ctx, quotient)
     _, man, exp, _ = small._mpf_
     big = _complement((man * man, 2 * exp), ctx.precision_bits)
     k, k_comp = (big, small) if reflect else (small, big)
@@ -796,7 +815,7 @@ def solve_singular_modulus(
     ratio = x if reflect else (1 << 2 * frac) // x
     target = math.isqrt((r_num << 2 * frac) // r_den)
     residual = ratio - target
-    gap = _rounded(ctx, abs(residual), -frac)
+    gap = _rounded(ctx, (abs(residual), -frac))
     # an integer above S: pi sqrt(R)/2 on integers, within 2^-33, floored, plus 2
     big, small = (r_den, r_num) if reflect else (r_num, r_den)
     b = (big.bit_length() - small.bit_length()) // 2 + 34
@@ -804,12 +823,12 @@ def solve_singular_modulus(
     if not ctx.certifies(residual * s_bound, target):
         raise ConvergenceError(
             "solve at r=%s/%s left residual %s above tolerance"
-            % (r_num, r_den, mp.nstr(gap, 8))
+            % (_term_text(r_num), _term_text(r_den), mp.nstr(gap, 8))
         )
-    K_small = _rounded(ctx, *_mul(_pi(frac), (square, square_exp - 1), frac))
-    K_big = _rounded(ctx, *_half_pi_over(man, exp, ctx))
+    K_small = _rounded(ctx, _mul(_pi(frac), (square, square_exp - 1), frac))
+    K_big = _rounded(ctx, _half_pi_over(man, exp, ctx))
     K_k, K_kcomp = (K_big, K_small) if reflect else (K_small, K_big)
-    return SingularModulusRecord(k, k_comp, _round_to(ctx, q_r), K_k, K_kcomp, gap)
+    return SingularModulusRecord(k, k_comp, _rounded(ctx, q_r), K_k, K_kcomp, gap)
 
 
 def _solved(r_num: int, r_den: int, ctx: PrecisionContext) -> SingularModulusRecord:
@@ -902,7 +921,7 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             step = step * q3 >> frac
             qk = qk * qi >> frac
             odd = not odd
-    return _rounded(ctx, acc, -frac)
+    return _rounded(ctx, (acc, -frac))
 
 
 #: below this r the eta, continued-fraction and eta-quotient lookups take
@@ -936,10 +955,10 @@ def _eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
 
 def _eta_by_dedekind(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
     if not _reflects(r_num, r_den):
-        return eta_f(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
+        return eta_f(_rounded(ctx, _nome(r_num, r_den, ctx)), ctx)
     # 1/sqrt(sqrt(r)/2) = (4/r)^(1/4) by two integer roots, then one product
     frac = ctx.work_bits
     quarter = math.isqrt(math.isqrt((4 * r_den << 4 * frac) // r_num))
     prefactor = _exp_nome((4 * r_den - r_num) ** 2, 576 * r_num * r_den, ctx)
     far = _eta_at(16 * r_den, r_num, ctx)
-    return _rounded(ctx, *_product(frac + _INT_BITS, (quarter, -frac), *_floats(prefactor, far)))
+    return _rounded(ctx, _product(frac + _INT_BITS, (quarter, -frac), *_floats(prefactor, far)))

@@ -65,7 +65,6 @@ from .bigmath_kernel import (
     _quo,
     _request_memo,
     _root,
-    _round_to,
     _rounded,
     _solved,
     _term_sum,
@@ -330,7 +329,7 @@ def _check_eq26(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     c = x^3 = (s(r)/s(r/25))^(1/4), at its root rounded as u_map rounds."""
     b = ctx.work_bits + _GATE_INT_BITS
     c = _root(_root(_quo(_kkprime_at(rn, rd, ctx, b), _kkprime_at(rn, 25 * rd, ctx, b), b), b), b)
-    (w,) = _floats(_rounded(ctx, *_cubic_root(c, ctx)))
+    (w,) = _floats(_rounded(ctx, _cubic_root(c, ctx)))
     return {"eq26-u-defining": _cubic_residual(c, w, b)}
 
 
@@ -345,7 +344,7 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     Reported as one entry, the worse of the two relative to its scale, with
     both residuals attached."""
     b = ctx.work_bits + _GATE_INT_BITS
-    a, a_4r = _floats(_a_eta_at(4 * rn, rd, ctx), _round_to(ctx, a_via_moduli(4 * rn, rd, ctx)))
+    a, a_4r = _floats(_a_eta_at(4 * rn, rd, ctx), _rounded(ctx, a_via_moduli(4 * rn, rd, ctx)))
     eta = _term_sum(((1, *a), (-1, *a_4r)), b)
 
     w = _cubic_root(_root(a, b), ctx)
@@ -437,34 +436,36 @@ def run_suite(
 ) -> IdentityReport:
     """Evaluate the requested identity residuals at exact rational r.
 
-    ids=None runs the full registry.  Unknown ids raise UsageError naming
-    the registry.  Entries come back in registry order with measured
-    residuals, pass flags and wall-clock cost.
+    ids=None runs the full registry.  Unknown ids, no id at all and a
+    string in place of a list of ids raise UsageError naming the registry,
+    so a report always certifies something.  Entries come back in registry
+    order with measured residuals, pass flags and wall-clock cost.
 
     This is the one place a registry entry is made and judged.  The groups
     run in one request memo, so each modulus, nome, eta value, continued
     fraction, invariant g and eta quotient a is computed once per rational
     point and a group's elapsed_ms leaves out what earlier groups already
     paid for.  Every residual a checker returns, exact as _term_sum sums
-    it, meets the one pass rule, ctx.certifies, which rounds |residual|
-    and |scale| to work_bits itself: the entry passes when |residual| <
-    10^(-tol_exp) * scale, stores |residual| rounded once to precision_bits
-    and keeps |scale| in detail["scale"].  A failing residual is reported,
-    not raised.  Nothing outlives the call.  The groups solve from r/25 to
-    100r; a point past the solver's bound raises its DomainError from the
-    group that first solves there.
+    it, takes the one verdict, ctx.verdict: the entry passes by the one
+    pass rule, ctx.certifies, which rounds |residual| and |scale| to
+    work_bits itself, when |residual| < 10^(-tol_exp) * scale, stores
+    |residual| rounded once to precision_bits and keeps |scale| in
+    detail["scale"].  A failing residual is reported, not raised.  Nothing
+    outlives the call.  The groups solve from r/25 to 100r; a point past
+    the solver's bound raises its DomainError from the group that first
+    solves there.
     """
     _validate_rational(r_num, r_den)
-    if ids is None:
-        wanted = set(REGISTRY)
-    else:
-        wanted = set(ids)
-        unknown = sorted(wanted - set(REGISTRY))
-        if unknown:
-            raise UsageError(
-                "unknown identity id(s) %s; registry: %s"
-                % (", ".join(unknown), ", ".join(REGISTRY))
-            )
+    # a string is an iterable of its characters, never of ids
+    wanted = set(REGISTRY if ids is None else () if isinstance(ids, str) else ids)
+    unknown = sorted(wanted - set(REGISTRY))
+    if unknown or not wanted:
+        problem = (
+            "unknown identity id(s) " + ", ".join(unknown) if unknown
+            else "ids must be a list of ids, not a string" if isinstance(ids, str)
+            else "no identity id given"
+        )
+        raise UsageError("%s; registry: %s" % (problem, ", ".join(REGISTRY)))
 
     produced: Dict[str, IdentityEntry] = {}
     with _request_memo():
@@ -476,9 +477,9 @@ def run_suite(
             ms = int((time.perf_counter() - t0) * 1000)
             for id_, (res, scale, *detail) in residuals.items():
                 if id_ in wanted:
+                    gap, passed = ctx.verdict(res, scale)
                     scale = mp.make_mpf(_abs_raw(scale, ctx.work_bits))
                     detail = dict(*detail, scale=to_decimal(scale, 12))
-                    gap = mp.make_mpf(_abs_raw(res, ctx.precision_bits))
-                    produced[id_] = IdentityEntry(id_, gap, ctx.certifies(res, scale), ms, detail)
+                    produced[id_] = IdentityEntry(id_, gap, passed, ms, detail)
 
     return IdentityReport([produced[i] for i in REGISTRY if i in produced])

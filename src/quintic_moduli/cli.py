@@ -10,8 +10,10 @@ its name, as in `kr --r 5 --json`; before the command they are unrecognized.
 Every modulus is solved once per request; a solve is a theta quotient plus
 one AGM.  Every certificate lives in the library: `rrcf` writes the
 record of one call, modular_core.rrcf_value, and `ladder` hands its two
-seed overrides to quintic_ladder.ladder, which checks the start and solves
-any seed not given.  The argument parser is built once per process, on
+seed overrides, the decimal strings as given, to quintic_ladder.ladder,
+which rounds each once, checks the start and solves any seed not given;
+`verify` hands its ids to certify.run_suite, which refuses a list that
+names none.  The argument parser is built once per process, on
 first use, so repeated in-process main() calls pay only for parsing: a
 known command's arguments go straight to its own parser, and only help, a
 missing or unknown command and leftovers reach the top level, which prints
@@ -154,6 +156,12 @@ _DECIMAL_RE = re.compile(r"\s*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\s*")
 #: the characters of a bad argument a usage message quotes
 _QUOTED_MAX = 40
 
+#: the most digits a term of a rational argument may have: the points a
+#: command prints or solves, 25^j r for j <= 56 below the solver's bound,
+#: 100r and r/25, add at most 80 digits, and Python's int() and str() stop
+#: at 4300
+_TERM_DIGITS_MAX = 4200
+
 
 def _quoted(s: str) -> str:
     """repr(s), or for a long s the repr of its first _QUOTED_MAX
@@ -175,11 +183,9 @@ def _rational_arg(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             "expected a positive rational like 5 or 3/2, got %s" % _quoted(s)
         )
-    try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-    except ValueError:
+    if max(len(m.group(1)), len(m.group(2) or "")) > _TERM_DIGITS_MAX:
         raise _too_long("rational", s)
+    num, den = int(m.group(1)), int(m.group(2) or 1)
     if num == 0 or den == 0:
         raise argparse.ArgumentTypeError("rational must be positive, got %s" % _quoted(s))
     return Fraction(num, den)
@@ -270,13 +276,10 @@ def _render_trace_text(trace: quintic_ladder.LadderTrace, digits: int) -> None:
 
 
 def cmd_ladder(args, ctx: PrecisionContext) -> int:
-    def seed(s: Optional[str]) -> Optional[mpf]:
-        return None if s is None else str_to_big(s, ctx.precision_bits)
-
     try:
         trace = quintic_ladder.ladder(
             args.r0.numerator, args.r0.denominator, args.n, ctx,
-            kkprime_r0=seed(args.seed_kkprime), kkprime_r0_over25=seed(args.seed_kkprime25),
+            kkprime_r0=args.seed_kkprime, kkprime_r0_over25=args.seed_kkprime25,
         )
     except CertificationError as exc:
         print("certification failure: %s" % exc)
@@ -328,11 +331,7 @@ def cmd_rrcf(args, ctx: PrecisionContext) -> int:
 
 
 def cmd_verify(args, ctx: PrecisionContext) -> int:
-    ids = None
-    if args.ids is not None:
-        ids = [s.strip() for s in args.ids.split(",") if s.strip()]
-        if not ids:
-            raise UsageError("--ids given but empty; registry: %s" % ", ".join(certify.REGISTRY))
+    ids = None if args.ids is None else [s.strip() for s in args.ids.split(",") if s.strip()]
     rep = certify.run_suite(args.r.numerator, args.r.denominator, ids=ids, ctx=ctx)
     if args.json:
         report = {"all_pass": rep.all_pass, "entries": rep.entries}

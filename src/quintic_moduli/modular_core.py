@@ -53,8 +53,7 @@ from .bigmath_kernel import (
     Real,
     _Float,
     _INT_BITS,
-    _abs_raw,
-    _at_work_bits,
+    _at_bits,
     _eta_at,
     _fixed,
     _floats,
@@ -70,9 +69,9 @@ from .bigmath_kernel import (
     _reflects,
     _request_memo,
     _root,
-    _round_to,
     _rounded,
     _solved,
+    _term_text,
     _term_sum,
     _truncated,
     _validate_rational,
@@ -111,11 +110,11 @@ def a_via_eta(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     b = ctx.work_bits + _INT_BITS
     if _reflects(r_num, r_den):
         (far,) = _floats(_a_eta_at(16 * r_den, 25 * r_num, ctx))
-        return _at_work_bits(ctx, _quo((125, 0), far, b))
+        return _at_bits(_quo((125, 0), far, b), ctx.work_bits)
     eta_r, eta_25r, q = _floats(
-        *(_eta_at(m * r_num, r_den, ctx) for m in (1, 25)), _round_to(ctx, _nome(r_num, r_den, ctx))
+        *(_eta_at(m * r_num, r_den, ctx) for m in (1, 25)), _rounded(ctx, _nome(r_num, r_den, ctx))
     )
-    return _at_work_bits(ctx, _quo(_pow(eta_r, 6, b), _mul(q, _pow(eta_25r, 6, b), b), b))
+    return _at_bits(_quo(_pow(eta_r, 6, b), _mul(q, _pow(eta_25r, 6, b), b), b), ctx.work_bits)
 
 
 def _a_eta_at(r_num: int, r_den: int, ctx: PrecisionContext) -> mpf:
@@ -139,7 +138,7 @@ def a_via_moduli(r_num: int, r_den: int, ctx: PrecisionContext = DEFAULT_CONTEXT
     b = ctx.work_bits + _INT_BITS
     (k, kp, K), (k25, kp25, K25) = (_floats(x.k, x.k_comp, x.K_k) for x in (rec, rec25))
     ratios = _pow(_quo(kp, kp25, b), 2, b), _root(_quo(k, k25, b), b), _pow(_quo(K, K25, b), 3, b)
-    return _at_work_bits(ctx, _product(b, *ratios))
+    return _at_bits(_product(b, *ratios), ctx.work_bits)
 
 
 def a_value(
@@ -157,19 +156,23 @@ def a_value(
     """
     via_moduli = a_via_moduli(r_num, r_den, ctx)
     via_eta = a_via_eta(r_num, r_den, ctx)
-    eta, moduli = _floats(via_eta, via_moduli)
-    cross = _term_sum(((1, *eta), (-1, *moduli)), ctx.work_bits + _INT_BITS)[0]
-    gap = mp.make_mpf(_abs_raw(cross, ctx.precision_bits))
-    if not ctx.certifies(cross, via_moduli):
-        raise CertificationError(
-            "a(%s/%s): eta and moduli routes disagree by %s"
-            % (r_num, r_den, mp.nstr(gap, 8))
-        )
-    return ARecord(
-        a=_round_to(ctx, via_moduli),
-        via_eta=_round_to(ctx, via_eta),
-        cross_residual=gap,
-    )
+    gap = _routes_agree(via_eta, via_moduli, ctx, "a(%s/%s): eta and moduli routes disagree",
+                        r_num, r_den)
+    return ARecord(a=_rounded(ctx, via_moduli), via_eta=_rounded(ctx, via_eta), cross_residual=gap)
+
+
+def _routes_agree(x: mpf, y: mpf, ctx: PrecisionContext, what: str, *r) -> mpf:
+    """The gate of two routes to one positive value: x - y formed by
+    _term_sum and judged against y (PrecisionContext.verdict).  Returns
+    |x - y| rounded once to precision_bits; a difference that fails raises
+    CertificationError, "<what> by <gap>", with `what` formatted only then,
+    each of the terms r quoted by _term_text."""
+    xf, yf = _floats(x, y)
+    diff = _term_sum(((1, *xf), (-1, *yf)), ctx.work_bits + _INT_BITS)[0]
+    gap, passed = ctx.verdict(diff, y)
+    if not passed:
+        raise CertificationError("%s by %s" % (what % tuple(map(_term_text, r)), mp.nstr(gap, 8)))
+    return gap
 
 
 def rrcf_truncated(q: Real, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -246,7 +249,7 @@ def _rrcf_value(qv: mpf, a: int, b: int, ctx: PrecisionContext) -> mpf:
     1], so the quotient keeps about that many bits."""
     _, man, exp, _ = qv._mpf_
     q5, e = _root5_of(man, exp, ctx.work_bits + _INT_BITS)
-    return _rounded(ctx, q5 * b // a, e)
+    return _rounded(ctx, (q5 * b // a, e))
 
 
 def _rrcf_depth(t: float, work_bits: int) -> int:
@@ -304,11 +307,11 @@ def _rrcf_at(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
 
 def _rrcf_by_reciprocity(r_num: int, r_den: int, ctx: PrecisionContext) -> Tuple[mpf, int]:
     if not _reflects(r_num, r_den):
-        return rrcf_converged(_round_to(ctx, _nome(r_num, r_den, ctx)), ctx)
+        return rrcf_converged(_rounded(ctx, _nome(r_num, r_den, ctx)), ctx)
     far, depth = _rrcf_at(16 * r_den, r_num, ctx)
     frac = ctx.work_bits + _INT_BITS  # R' and phi in fixed point: R lies near 1/phi
     rf, phi = _fixed(*far._mpf_[1:3], frac), ((1 << frac) + math.isqrt(5 << 2 * frac)) >> 1
-    return _rounded(ctx, ((1 << 2 * frac) - phi * rf) // (phi + rf), -frac), depth
+    return _rounded(ctx, (((1 << 2 * frac) - phi * rf) // (phi + rf), -frac)), depth
 
 
 class RRecord(NamedTuple):
@@ -331,14 +334,9 @@ def rrcf_value(r_num: int, r_den: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     arec = a_value(r_num, r_den, ctx)
     closed = closed_form_R(arec.a, ctx)
     truncated, depth = _rrcf_at(r_num, r_den, ctx)
-    terms = zip((1, -1), _floats(closed, truncated))
-    diff = _term_sum([(c, *x) for c, x in terms], ctx.work_bits + _INT_BITS)[0]
-    gap = mp.make_mpf(_abs_raw(diff, ctx.precision_bits))
-    if not ctx.certifies(diff, truncated):
-        raise CertificationError(
-            "rrcf at r=%s: closed form and continued fraction differ by %s"
-            % (Fraction(r_num, r_den), mp.nstr(gap, 8))
-        )
+    gap = _routes_agree(closed, truncated, ctx,
+                        "rrcf at r=%s: closed form and continued fraction differ",
+                        Fraction(r_num, r_den))
     return RRecord(closed, truncated, depth, gap, arec.a)
 
 
@@ -407,7 +405,7 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise DomainError("closed_form_R requires a > -11, got %s" % av)
     frac = ctx.work_bits + _INT_BITS
     sign, man, exp, _ = av._mpf_
-    return _rounded(ctx, *_quo((1, 0), _fifth_root_radical(sign, (man, exp), frac), frac + 1))
+    return _rounded(ctx, _quo((1, 0), _fifth_root_radical(sign, (man, exp), frac), frac + 1))
 
 
 def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -434,7 +432,7 @@ def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     for n_coeff, d_coeff in ((-3, 2), (4, 4), (-2, 3), (1, 1)):
         num = (num * vi >> frac) + n_coeff * one
         den = (den * vi >> frac) + d_coeff * one
-    return _rounded(ctx, *_root5_of(v_man * num, v_exp, frac, den))
+    return _rounded(ctx, _root5_of(v_man * num, v_exp, frac, den))
 
 
 def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -473,7 +471,7 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise DomainError("descend_a requires a > -11, got %s" % av)
     sign, man, exp, _ = av._mpf_
     quotient, q_exp = _descended(sign, (man, exp), ctx.work_bits + _INT_BITS)
-    return _rounded(ctx, -quotient if sign else quotient, q_exp)
+    return _rounded(ctx, (-quotient if sign else quotient, q_exp))
 
 
 def _descended(sign: int, a: _Float, frac: int) -> _Float:

@@ -87,10 +87,10 @@ from .bigmath_kernel import (
     _quo,
     _request_memo,
     _root,
-    _round_to,
     _rounded,
     _sqrt_raw,
     _term_sum,
+    _term_text,
     _validate_rational,
     solve_singular_modulus,
     to_big,
@@ -112,9 +112,6 @@ __all__ = [
 #: digits the ladder's relative gate 10^-(tol_exp - GATE_SLACK_DIGITS)
 #: gives up against the single-solve tolerance; see ladder
 GATE_SLACK_DIGITS = 20
-
-#: 10^GATE_SLACK_DIGITS as a raw mpf, the factor of the ladder's gate scale
-_SLACK = from_int(10 ** GATE_SLACK_DIGITS)
 
 
 class LadderStep(NamedTuple):
@@ -300,7 +297,7 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     _, man, exp, _ = yv._mpf_
     y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
     b = _radicand_b((y2_man * y2_man * y2_man, 3 * y2_exp), frac)
-    return _rounded(ctx, y2_man * math.isqrt(b << frac), y2_exp - frac)
+    return _rounded(ctx, (y2_man * math.isqrt(b << frac), y2_exp - frac))
 
 
 def _rung(t: _Float, ctx: PrecisionContext) -> _Float:
@@ -380,7 +377,7 @@ def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> s
         "ladder level %d (r = %s) missed the oracle by %s "
         "(relative %s; relative gate 10^-%d; k from k k' "
         "amplifies errors by 1/|1 - 2k^2| = %s)"
-        % (step.level, step.r, mp.nstr(step.oracle_residual, 8),
+        % (step.level, _term_text(step.r), mp.nstr(step.oracle_residual, 8),
            mp.nstr(mp.make_mpf(relative), 8), gate_exp, mp.nstr(mp.make_mpf(gain), 3))
     )
 
@@ -417,17 +414,20 @@ def ladder(
     GATE_SLACK_DIGITS is refused (DomainError): its relative gate would be
     10^0 or looser and pass any k.
 
-    Every level's k is checked against an independent K-ratio solve; a
-    level whose |k_j - k_oracle| does not certify against
-    k_oracle 10^GATE_SLACK_DIGITS (a relative gate
-    10^-(tol_exp - GATE_SLACK_DIGITS)) raises CertificationError with the
-    partial trace (including the failing step) as payload; the trace's
-    gate_exp records that exponent.  The gate is relative because k shrinks
-    like 4 e^(-pi sqrt(r)/2) up the ladder, so an absolute one stops
-    checking anything within a few rungs; the 20 digits of slack reflect
-    that the certified quantity degrades by a bounded factor per rung while
-    tol_exp is calibrated for single solves.  oracle_residual stays
-    absolute.  A rung whose cubic root fails its gate raises BranchError.
+    Every level's k is checked against an independent K-ratio solve by
+    the one pass rule at gate_exp = tol_exp - GATE_SLACK_DIGITS: the
+    verdict (PrecisionContext.verdict) of the context at tol_exp =
+    gate_exp on the miss k_j - k_oracle, taken at work_bits, against
+    k_oracle.  A level passes when |miss| < 10^-gate_exp k_oracle, and
+    shows |miss| rounded once as its oracle_residual; one that fails
+    raises CertificationError with the partial trace (including the
+    failing step) as payload; the trace's gate_exp records that exponent.
+    The gate is relative because k shrinks like 4 e^(-pi sqrt(r)/2) up
+    the ladder, so an absolute one stops checking anything within a few
+    rungs; the 20 digits of slack reflect that the certified quantity
+    degrades by a bounded factor per rung while tol_exp is calibrated for
+    single solves.  oracle_residual stays absolute.  A rung whose cubic
+    root fails its gate raises BranchError.
 
     At a level just off r = 1, where k k' is within rounding of 1/2, a
     radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, and
@@ -460,7 +460,7 @@ def ladder(
     ):
         if seed is None:
             r = max(r, 1 / r)  # s(1/r) = s(r), and a solve at R >= 1 reads one nome
-            seeds[name] = _rounded(ctx, *_kkprime(r.numerator, r.denominator, ctx))
+            seeds[name] = _rounded(ctx, _kkprime(r.numerator, r.denominator, ctx))
             continue
         # rounded once, at precision_bits; to_big, exact on it, refuses inf and nan
         v = to_big(_at_bits(seed, ctx.precision_bits), ctx)
@@ -469,6 +469,7 @@ def ladder(
         seeds[name] = v
     seed_s, seed_s25 = seeds["kkprime_r0"], seeds["kkprime_r0_over25"]
 
+    gate = ctx._replace(tol_exp=gate_exp)
     frac = ctx.work_bits + _INT_BITS
     s, s25 = _floats(seed_s, seed_s25)
     t = _root(_quo(s, s25, frac), frac)
@@ -481,20 +482,19 @@ def ladder(
         k_j = _k_of(s, rj, ctx)
 
         oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
-        resid = mp.make_mpf(
-            mpf_abs(mpf_sub(k_j._mpf_, oracle.k._mpf_, ctx.work_bits, round_nearest))
-        )
+        miss = mp.make_mpf(mpf_sub(k_j._mpf_, oracle.k._mpf_, ctx.work_bits, round_nearest))
+        gap, passed = gate.verdict(miss, oracle.k)
         step = LadderStep(
             level=j,
             r=rj,
-            x6=_rounded(ctx, *t),
-            p6=_rounded(ctx, *p6),
-            kkprime=_rounded(ctx, *s),
+            x6=_rounded(ctx, t),
+            p6=_rounded(ctx, p6),
+            kkprime=_rounded(ctx, s),
             k=k_j,
-            oracle_residual=_round_to(ctx, resid),
+            oracle_residual=gap,
         )
         steps.append(step)
-        if not ctx.certifies(resid, mp.make_mpf(mpf_mul(oracle.k._mpf_, _SLACK))):
+        if not passed:
             raise CertificationError(
                 _missed(step, oracle.k, gate_exp, ctx),
                 payload=LadderTrace(gate_exp, seed_s, seed_s25, tuple(steps)),

@@ -12,8 +12,9 @@ library, modular_core takes no mpmath root, the registry takes one only
 in eq29 and forms its integer relations with no power operator, only the
 kernel spells the arithmetic of mantissas, each private lookup keys one
 kind on one compute, one function picks each nome's route and one stores
-into the request memo, nothing is assigned into
-mpmath, only the CLI and the registry import the decimal writer, only
+into the request memo, the kernel alone rounds a value or the residual a
+gate shows and every such gate takes its verdict there, nothing is
+assigned into mpmath, only the CLI and the registry import the decimal writer, only
 the CLI imports json, for its string escape and never for json.dumps, the
 CLI reads no private name of the package, and each typed error is one
 class, the kernel's."""
@@ -561,6 +562,50 @@ def test_one_function_forms_each_quantity_of_the_modulus_pair():
                         ("bigmath_kernel", "elliptic_K"), ("quintic_ladder", "_k_of")},
         "_m5_relation": {("certify", "_check_eq11")},
     }
+
+
+def _verdict_reachers(module):
+    """The functions of a module that reach a .verdict call, directly or
+    through the module's own functions."""
+    fns = dict(_module_functions(module))
+    reach = {
+        name for name, fn in fns.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "verdict" for node in ast.walk(fn))
+    }
+    grown = True
+    while grown:
+        more = {name for name, fn in fns.items() if _called_names(fn) & reach} - reach
+        reach |= more
+        grown = bool(more)
+    return reach
+
+
+def test_one_rounding_and_one_verdict_in_the_kernel():
+    # a value becomes an mpf at stated bits through _at_bits, and at
+    # precision_bits through _rounded; a gate that shows its residual takes
+    # the gap and the pass flag from PrecisionContext.verdict; a given
+    # ladder seed is rounded once, where the ladder reads it
+    from quintic_moduli import bigmath_kernel, quintic_ladder
+
+    gone = [(mod.__name__, name) for mod, name in (
+        (bigmath_kernel, "_round_to"), (bigmath_kernel, "_at_work_bits"),
+        (quintic_ladder, "_SLACK"),
+    ) if hasattr(mod, name)]
+    assert not gone, gone
+    assert list(inspect.signature(bigmath_kernel._rounded).parameters) == ["ctx", "x"]
+    for module in (m for m in _MODULES if m.count(".") and m != bigmath_kernel.__name__):
+        at_precision = [
+            node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_abs_raw"
+            and any(getattr(arg, "attr", None) == "precision_bits" for arg in node.args)
+        ]
+        assert not at_precision, "%s rounds a residual itself at lines %s" % (module, at_precision)
+    assert {"run_suite"} <= _verdict_reachers("quintic_moduli.certify")
+    assert {"ladder"} <= _verdict_reachers("quintic_moduli.quintic_ladder")
+    assert {"a_value", "rrcf_value"} <= _verdict_reachers("quintic_moduli.modular_core")
+    cmd_ladder = dict(_module_functions("quintic_moduli.cli"))["cmd_ladder"]
+    assert not {"str_to_big", "seed"} & (_called_names(cmd_ladder) | {
+        node.name for node in ast.walk(cmd_ladder) if isinstance(node, ast.FunctionDef)})
 
 
 def test_the_registry_reads_point_values_only_through_lookups():

@@ -188,7 +188,7 @@ def _kernel_inputs(bits, seed):
 
 
 class TestMantissaKernels:
-    """_sqrt_raw, _round_to, to_big and certifies give the very bits of the
+    """_sqrt_raw, _rounded, to_big and certifies give the very bits of the
     mpmath operations they replace."""
 
     @pytest.mark.parametrize("bits", [64, 576, 1088, 4160])
@@ -204,7 +204,7 @@ class TestMantissaKernels:
         for x in _kernel_inputs(bits, bits) + _kernel_inputs(ctx.work_bits, bits + 1):
             for v in (x, -x):
                 with workprec(ctx.precision_bits):
-                    assert bk._round_to(ctx, v)._mpf_ == (+v)._mpf_, v._mpf_
+                    assert bk._rounded(ctx, v)._mpf_ == (+v)._mpf_, v._mpf_
                 with workprec(ctx.work_bits):
                     assert to_big(v, ctx)._mpf_ == mpf(v)._mpf_, v._mpf_
 
@@ -213,7 +213,7 @@ class TestMantissaKernels:
         with workprec(ctx.work_bits):
             third = mpf(1) / 3
         assert to_big(Fraction(1, 3), ctx)._mpf_ == third._mpf_
-        assert third != bk._round_to(ctx, third)
+        assert third != bk._rounded(ctx, third)
 
     def test_a_fraction_is_rounded_once(self):
         # one correctly rounded division, where dividing the rounded
@@ -858,7 +858,7 @@ class TestThetaQuotient:
         # the quotient and theta3^2, the square it divides by
         for got, ref in ((_exact(*quotient), ov.theta_quotient(q, ctx.work_bits)),
                          (_exact(*square), ov.theta3_squared(q, ctx.work_bits))):
-            assert bk._round_to(ctx, got) == bk._round_to(ctx, ref)
+            assert bk._rounded(ctx, got) == bk._rounded(ctx, ref)
             # and a few ulps apart at working precision, where each side rounds
             with workprec(ctx.work_bits + 64):
                 assert abs(got / ref - 1) < mpf(2) ** (4 - ctx.work_bits)
@@ -873,7 +873,7 @@ class TestThetaQuotient:
         r = Fraction(r)
         q = bk._exp_nome(r.numerator, r.denominator, ctx)
         got, ref = bk._theta_quotient(q, ctx)[0], ov.theta_quotient_direct(q, ctx.work_bits)
-        assert bk._rounded(ctx, *got) == bk._rounded(ctx, *ref)
+        assert bk._rounded(ctx, got) == bk._rounded(ctx, ref)
         with workprec(ctx.work_bits + 64):
             assert abs(_exact(*got) / _exact(*ref) - 1) < mpf(2) ** -(ctx.work_bits + 16)
 
@@ -1131,7 +1131,7 @@ class TestReflectedNomes:
             q_r, chain_r = memo[bk._key("nome", 7, 615, ctx)]
             q, chain = memo[bk._key("nome", 615, 7, ctx)]
             assert (chain_r, chain) == (7, 615)
-            assert rec.q == bk._round_to(ctx, q_r)
+            assert rec.q == bk._rounded(ctx, q_r)
             assert bk._nome(7, 615, ctx) is q_r and bk._nome(615, 7, ctx) is q
             # a link from 1/r counts on from its 615: 25/r is its fifth power
             bk._nome(15375, 7, ctx)
@@ -1145,7 +1145,7 @@ class TestReflectedNomes:
         with bk._request_memo():
             held = bk._nome(3, 7, ctx)
             assert exp_points == [Fraction(1, 21)]
-            assert bk.solve_singular_modulus(3, 7, ctx).q == bk._round_to(ctx, held)
+            assert bk.solve_singular_modulus(3, 7, ctx).q == bk._rounded(ctx, held)
             assert bk._MEMO.get()[bk._key("nome", 7, 3, ctx)][1] == 7
             # at r = 1/d the nome at r is the base, and 1/r its d-th power
             base = bk._nome(1, 13, ctx)
@@ -1197,6 +1197,47 @@ class TestSolverDomain:
         except (DomainError, ConvergenceError, BranchError, CertificationError):
             return
         assert _ellipk_residual(rec, r.numerator, r.denominator, bits) < ctx.tolerance()
+
+
+class TestTermsPastTheIntStrLimit:
+    """A term of r past Python's 4300-digit int-to-str limit is quoted by its
+    bit length in every message (bigmath_kernel._term_text), so each refusal
+    and each failed gate raises its own typed error, never the ValueError of
+    formatting it."""
+
+    HUGE = 10 ** 5000
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["past-the-bound", "negative"])
+    @pytest.mark.parametrize("call", [
+        lambda n: solve_singular_modulus(n, 1),
+        lambda n: ladder(n, 1, 1),
+        # the full registry sums eq5's q-series first, for seconds at this r
+        lambda n: run_suite(n, 1) if n < 0 else run_suite(n, 1, ids=["eq10-multiplier"]),
+        lambda n: rrcf_value(n, 1),
+    ], ids=["solve", "ladder", "run_suite", "rrcf_value"])
+    def test_refusal_quotes_the_term_by_its_size(self, call, sign):
+        with pytest.raises(DomainError) as info:
+            call(sign * self.HUGE)
+        assert type(info.value) is DomainError
+        assert ("-" if sign < 0 else "") + "<16610-bit integer>/1" in str(info.value)
+
+    def test_a_missed_rung_quotes_its_point_by_size(self):
+        # a seed far off the solved one misses level 1 at r near 1
+        with pytest.raises(CertificationError, match=r"^ladder level 1 \(r = <16610-bit "
+                           r"integer>/<16605-bit integer>\) missed the oracle"):
+            ladder(self.HUGE + 1, self.HUGE, 1, kkprime_r0="0.3")
+
+    def test_a_failed_route_gate_quotes_its_point_by_size(self, monkeypatch):
+        closed = mc.closed_form_R
+        monkeypatch.setattr(mc, "closed_form_R", lambda a, ctx: closed(a, ctx) * 2)
+        with pytest.raises(CertificationError, match=r"^rrcf at r=<16610-bit integer>/"
+                           r"<16610-bit integer>: closed form and continued fraction differ by "):
+            rrcf_value(self.HUGE + 1, self.HUGE)
+
+    def test_a_term_within_the_limit_is_its_decimal(self):
+        assert bk._term_text(-10 ** 4000) == "-1" + "0" * 4000
+        assert bk._term_text(Fraction(10 ** 4000, 3)) == "1" + "0" * 4000 + "/3"
+        assert bk._term_text(Fraction(self.HUGE, 1)) == "<16610-bit integer>"
 
 
 class TestEtaF:

@@ -92,6 +92,19 @@ class TestRunSuite:
         # the error teaches the valid vocabulary
         assert "k-reciprocal" in msg and "eq34-thm33" in msg
 
+    @pytest.mark.parametrize("ids, problem", [
+        ([], "no identity id given"),
+        ((), "no identity id given"),
+        ("eq5-eta-quotient", "ids must be a list of ids, not a string"),
+        ("", "ids must be a list of ids, not a string"),
+    ], ids=["empty-list", "empty-tuple", "string", "empty-string"])
+    def test_a_request_that_names_no_id_is_refused(self, ids, problem):
+        # an empty report would pass with nothing certified, and a string
+        # is a sequence of characters, never of ids
+        with pytest.raises(UsageError) as ei:
+            run_suite(3, 1, ids=ids)
+        assert str(ei.value) == "%s; registry: %s" % (problem, ", ".join(REGISTRY))
+
     def test_rational_r(self):
         report = run_suite(3, 2, ids=["eq10-multiplier", "eq13-thm22"])
         assert report.all_pass
@@ -516,7 +529,7 @@ class TestIntegerRelations:
                         mc.descend_a(a, ctx), mc._a_eta_at(rn, 25 * rd, ctx), 2 * work,
                     ),
                     ov.thm31_mpf(
-                        a_4r, bk._round_to(ctx, mc.a_via_moduli(4 * rn, rd, ctx)),
+                        a_4r, bk._rounded(ctx, mc.a_via_moduli(4 * rn, rd, ctx)),
                         mp.make_mpf(from_man_exp(*w)),
                         rec.k, rec.k_comp, rec25.k, rec25.k_comp, 2 * work,
                     ),

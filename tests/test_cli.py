@@ -1,4 +1,8 @@
+import contextlib
+import functools
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,8 +11,10 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, sqrt, workprec
 
+import quintic_moduli.bigmath_kernel as bk
 import quintic_moduli.cli as climod
 from quintic_moduli import (
     BranchError,
@@ -173,12 +179,22 @@ class TestUsageErrors:
         assert err.endswith(": error: argument %s: %s\n" % (argv[-2], message))
         assert len(err) < 400
 
+    @pytest.mark.parametrize("mode", [("--json",), ()], ids=["json", "text"])
+    def test_a_term_past_4200_digits_is_refused(self, capsys, mode):
+        # a term int() still reads would be printed times 25^j at a rung, and
+        # Python's str() and repr() of an int stop at 4300 digits
+        r0 = "9" * 4300 + "/" + "9" * 4299 + "8"
+        code, out, err = run_cli(capsys, "ladder", "--r0", r0, "--n", "1", *mode)
+        assert (code, out) == (2, "")
+        assert err.endswith(": error: argument --r0: rational has too many digits to convert, "
+                            "got %r... (8601 characters)\n" % ("9" * 40))
+
     @pytest.mark.parametrize("ids", [",", ""], ids=["comma", "empty-string"])
     def test_empty_ids_lists_registry(self, capsys, ids):
         # an empty --ids is given, not absent: it names no id, and is refused
         code, out, err = run_cli(capsys, "verify", "--r", "1", "--ids", ids)
         assert (code, out) == (2, "")
-        assert err == "usage error: --ids given but empty; registry: %s\n" % ", ".join(REGISTRY)
+        assert err == "usage error: no identity id given; registry: %s\n" % ", ".join(REGISTRY)
 
     def test_domain_error_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ladder", "--r0", "5", "--n", "1", "--seed-kkprime", "0.6")
@@ -250,6 +266,140 @@ class TestOutsideTheDomain:
         )
         assert (code, err) == (0, "")
         assert out.endswith("3/3 identities passed\n")
+
+
+def _max_tol_exp(bits):
+    """The largest tol_exp PrecisionContext accepts at `bits`."""
+    tol = math.ceil((bits - bk._GUARD_BITS) / math.log2(10))
+    while tol * math.log2(10) + bk._GUARD_BITS >= bits:
+        tol -= 1
+    return tol
+
+
+def _k_jtheta(r, bits):
+    """k at r through mpmath's jtheta at `bits` (oracle_values.theta_quotient
+    at the nome of max(r, 1/r)), complemented below r = 1, where k is near 1."""
+    big = max(r, 1 / r)
+    with workprec(bits):
+        q = mp.exp(-mp.pi * sqrt(mpf(big.numerator) / big.denominator))
+    small = ov.theta_quotient(q, bits)
+    with workprec(bits):
+        return small if r >= 1 else sqrt((1 - small) * (1 + small))
+
+
+def _rrcf_oracle(r, bits):
+    """R at the nome of r by the continued fraction at `bits`, summed
+    backward (oracle_values.rrcf_backward), below r = 1/25 at 16/r and
+    carried back by Ramanujan's reciprocity."""
+    if r < Fraction(1, 25):
+        far = _rrcf_oracle(16 / r, bits)
+        with workprec(bits):
+            phi = (1 + sqrt(5)) / 2
+            return (1 - phi * far) / (phi + far)
+    with workprec(bits + 64):
+        q = mp.exp(-mp.pi * sqrt(mpf(r.numerator) / r.denominator))
+    # q^(d(d+1)/2) < 2^-(bits + 64) from d = sqrt(2 (bits + 64) ln2 / -ln q)
+    depth = math.isqrt(math.ceil(2 * (bits + 64) * math.log(2) / (math.pi * math.sqrt(r)))) + 2
+    return ov.rrcf_backward(q, depth, bits + 64)
+
+
+#: r log-uniform over [1/_R_MAX, _R_MAX], each an exact binary float
+_LOG_R_MAX = math.log(bk._R_MAX)
+_R = st.floats(-_LOG_R_MAX, _LOG_R_MAX).map(lambda x: Fraction(math.exp(x)))
+_BITS = st.integers(256, 4096)
+
+
+def _domain_examples(**fixed):
+    """@example at r just past the solve's bound either way, rationals of
+    hundreds of digits and a pair of 4200-digit terms, the longest the CLI
+    reads; `fixed` gives the test's other arguments."""
+    return lambda test: functools.reduce(
+        lambda t, point: example(r=point[0], bits=point[1], **fixed)(t), _DOMAIN_POINTS, test)
+
+
+_DOMAIN_POINTS = (
+    (Fraction(bk._R_MAX + 1), 256),
+    (Fraction(1, bk._R_MAX + 1), 4096),
+    (Fraction(bk._R_MAX), 512),
+    (Fraction(3 ** 600 + 1, 3 ** 600), 1024),
+    (Fraction(2 ** 1000 + 1, 2 ** 1000 * 5 ** 50), 4096),
+    (Fraction(7 * 10 ** 300 + 1, 10 ** 300), 256),
+    (Fraction(int("9" * 4200), int("9" * 4199 + "8")), 4096),
+)
+
+
+def _domain_run(command, r, bits, *argv):
+    """cli.main on `command` at r, at `bits` and the largest tol_exp the
+    guard allows, with --json: (exit code, document or None, tol_exp).  The
+    exit code is 0, 2, 3 or 4, and a failure names its type on stderr."""
+    tol = _max_tol_exp(bits)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--r0" if command == "ladder" else "--r",
+                     "%d/%d" % (r.numerator, r.denominator), *argv, "--json",
+                     "--prec", str(bits), "--tol-exp", str(tol)])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    if code:
+        assert re.match(r"(usage error|convergence failure|certification failure): ",
+                        err.getvalue()), (code, err.getvalue(), out.getvalue()[:200])
+        return code, None, tol
+    payload = json.loads(out.getvalue())
+    jsonschema.validate(payload, JSON_SCHEMA)
+    return code, payload, tol
+
+
+class TestDomainClaim:
+    """Every command over the whole solve domain, r log-uniform over
+    [1/_R_MAX, _R_MAX] and a little past it, at 256 to 4096 bits with the
+    tightest tolerance the precision guard allows: each request ends with
+    exit 0, 2, 3 or 4, a failure names its type, and a success holds the
+    value mpmath's jtheta (or the continued fraction) gives at twice the
+    bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=12, database=None)
+    @given(r=_R, bits=_BITS)
+    @_domain_examples()
+    def test_kr(self, r, bits):
+        code, payload, tol = _domain_run("kr", r, bits)
+        if code == 0:
+            k, want = str_to_big(payload["modulus"]["k"], bits), _k_jtheta(r, 2 * bits)
+            with workprec(2 * bits):
+                assert abs(k - want) < mpf(10) ** -tol * want
+
+    @settings(derandomize=True, deadline=None, max_examples=8, database=None)
+    @given(r=_R, bits=_BITS, n=st.integers(1, 3))
+    @_domain_examples(n=2)
+    def test_ladder(self, r, bits, n):
+        code, payload, tol = _domain_run("ladder", r, bits, "--n", str(n))
+        if code == 0:
+            gate = payload["ladder"]["gate_exp"]
+            assert gate == tol - 20
+            for level in payload["ladder"]["levels"]:
+                rj = Fraction(level["r"]["num"], level["r"]["den"])
+                k, want = str_to_big(level["k"], bits), _k_jtheta(rj, 2 * bits)
+                with workprec(2 * bits):
+                    assert abs(k - want) < mpf(10) ** -gate * want, rj
+
+    @settings(derandomize=True, deadline=None, max_examples=8, database=None)
+    @given(r=_R, bits=_BITS)
+    @_domain_examples()
+    def test_rrcf(self, r, bits):
+        code, payload, tol = _domain_run("rrcf", r, bits)
+        if code == 0:
+            want = _rrcf_oracle(r, 2 * bits)
+            for field in ("closed", "truncated"):
+                got = str_to_big(payload["rrcf"][field], bits)
+                with workprec(2 * bits):
+                    assert abs(got - want) < 2 * mpf(10) ** -tol * want, field
+
+    @settings(derandomize=True, deadline=None, max_examples=6, database=None)
+    @given(r=_R, bits=_BITS)
+    @_domain_examples()
+    def test_verify(self, r, bits):
+        code, payload, _ = _domain_run("verify", r, bits)
+        if code == 0:
+            assert payload["report"]["all_pass"] is True
+            assert [e["id"] for e in payload["report"]["entries"]] == list(REGISTRY)
 
 
 class TestKr:

@@ -348,7 +348,7 @@ class TestKKPrime:
             for rn, rd in ((r.numerator, r.denominator), (r.denominator, r.numerator)):
                 s = bk._kkprime(rn, rd, ctx)
                 rec = solve_singular_modulus(rn, rd, ctx)
-                assert bk._rounded(ctx, *s) == _kkp_rounded(rn, rd, bits), (rn, rd)
+                assert bk._rounded(ctx, s) == _kkp_rounded(rn, rd, bits), (rn, rd)
                 assert bk._truncated(*s, cut) == bk._mul(*bk._floats(rec.k, rec.k_comp), cut)
                 assert s == bk._kkprime(rd, rn, ctx), (rn, rd)
 
