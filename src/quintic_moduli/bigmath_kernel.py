@@ -8,7 +8,7 @@ governing :class:`PrecisionContext`; intermediates carry 64 more (_GUARD_BITS).
 Square roots, rounding and the pass rule work on mpf mantissas directly:
 ``_sqrt_raw`` takes the steps of mpmath's ``mpf_sqrt`` with its integer
 root from ``math.isqrt``, and ``_at_bits`` and
-``PrecisionContext.certifies`` call mpmath's ``libmp`` rounding
+``PrecisionContext.verdict`` call mpmath's ``libmp`` rounding
 primitives at the bits they need.  No module calls ``mp.sqrt``.  Each
 quantity of a solve's pair (k, k') has one spelling, here, for every
 module: ``_complement`` takes sqrt(1 - x) of a modulus's square x, and
@@ -41,7 +41,7 @@ integer grows with r; once |a - b| < 2^(-(work_bits + 40)/4) a it returns
 (a + b)/2 - (a - b)^2 / (8 (a + b)), whose error is of order (a - b)^4, and
 hands back the integer and its exponent.  The solver forms its residual
 from that integer times theta3^2's against sqrt(r) by math.isqrt of the
-exact rational, judged by ``certifies`` on integers, and each K against
+exact rational, judged by ``verdict`` on that pair, and each K against
 mpmath's cached fixed-point pi.  From its nome to its record the solve
 works on integers and mantissas and builds an mpf only for each field.
 
@@ -51,19 +51,19 @@ formed on integers and mantissas and rounded at stated bits, so no module
 switches or reads mpmath's ambient precision.  A value becomes an mpf
 at stated bits by one rounding, ``_at_bits`` (of an mpf, a ``_Float``,
 a Fraction or anything mpf() reads), and each value a function hands
-back by ``_rounded``, _at_bits at precision_bits.  A gate that shows its
-residual takes the gap and its pass flag from one call,
-``PrecisionContext.verdict``; only the solve, which gates its residual
-times an integer bound but shows it unscaled, judges on its own
-integers.  A message quotes r by ``_term_text``, a term past Python's
-4300-digit int-to-str limit by its bit length.  The integer kernels
+back by ``_rounded``, _at_bits at precision_bits.  Every gate takes its
+pass flag, and the gap it shows, from the one pass rule,
+``PrecisionContext.verdict``.  A message quotes r by ``_term_text``, a
+term past Python's 4300-digit int-to-str limit by its bit length, and a
+refused real by ``mp.nstr`` at 15 digits.  The integer kernels
 carry ``_INT_BITS`` bits beyond work_bits and reach that fixed point
 from a mantissa by one conversion, ``_fixed``.  A value held as a
 mantissa and an exponent (a ``_Float``) has one arithmetic, here:
 ``_mul``, ``_pow``, ``_product``, ``_quo``, ``_plus`` and ``_root`` cut
 each result to a given number of bits, and every module forms its
 products, powers, quotients and roots of mantissas with them.  A
-residual is summed by ``_term_sum`` into an exact sum and scale.  A
+residual is summed by ``_term_sum`` into an exact sum and scale, each a
+mantissa and an exponent, as the verdict reads them.  A
 solve gates its K-ratio residual times an integer bound on the ratio's
 sensitivity to k, so a pass vouches for tol_exp digits of k at every r.
 It refuses an r with max(r, 1/r) above ``_R_MAX``, about 4.05e39,
@@ -117,6 +117,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_pos,
     mpf_pow_int,
+    normalize,
     round_nearest,
     to_float,
 )
@@ -230,28 +231,32 @@ class PrecisionContext(_Precision):
         per request."""
         return self._tolerance(self.tol_exp, self.work_bits)
 
-    def certifies(self, residual: mpf, scale: mpf) -> bool:
-        """The one pass rule: |residual| < 10**(-tol_exp) * |scale| at working
-        precision, where scale is the size of the terms the residual sums.
-
-        It rounds as the mpf operators do at work_bits, on the mantissas
-        directly: each absolute value of an mpf and the product to
-        work_bits, while an int enters exactly."""
+    def verdict(self, residual: Operand, scale: Operand, times: int = 1) -> Tuple[mpf, bool]:
+        """The one pass rule: (|residual| rounded once to precision_bits,
+        whether times |residual| < 10**(-tol_exp) |scale|), the gap a gate
+        shows and its pass flag, from the same operands.  scale is the size
+        of the terms the residual sums, and times an integer bound on the
+        residual's sensitivity to the value it certifies: the solve's bound
+        above S, 1 elsewhere.  Each operand is an mpf, an int, or a pair
+        (man, exp) with man of either sign, as _term_sum sums it, read by
+        _size: the comparison rounds as the mpf operators do at work_bits."""
         bits = self.work_bits
-        bound = mpf_mul(self.tolerance()._mpf_, _abs_raw(scale, bits), bits, round_nearest)
-        return mpf_lt(_abs_raw(residual, bits), bound)
+        bound = mpf_mul(self.tolerance()._mpf_, self._size(scale, 1, bits), bits, round_nearest)
+        passed = mpf_lt(self._size(residual, times, bits), bound)
+        return mp.make_mpf(self._size(residual, 1, self.precision_bits)), passed
 
-    def verdict(self, residual: Union[int, mpf], scale: Union[int, mpf]) -> Tuple[mpf, bool]:
-        """(|residual| rounded once to precision_bits, certifies(residual,
-        scale)): the gap a gate shows and whether it passes, from the same
-        operands.  Every gate that shows its residual takes both here."""
-        return mp.make_mpf(_abs_raw(residual, self.precision_bits)), self.certifies(residual, scale)
-
-
-def _abs_raw(x: Union[int, mpf], bits: int) -> tuple:
-    """|x| as a raw mpf tuple: an mpf's rounded to nearest at `bits`, as
-    abs() rounds it at `bits`; an int's exact, as abs() keeps it."""
-    return mpf_abs(x._mpf_, bits, round_nearest) if isinstance(x, mpf) else from_int(abs(x))
+    @staticmethod
+    def _size(x: Operand, times: int, bits: int) -> tuple:
+        """times |x| as a raw mpf, rounded once to nearest at `bits` as the
+        mpf operators round it: a pair (man, exp) as man 2^exp (its bit
+        count by int.bit_length, which is C), an mpf on its mantissa, an
+        int exactly."""
+        if isinstance(x, tuple):
+            man = abs(x[0]) * times
+            return normalize(0, man, x[1], man.bit_length(), bits, round_nearest)
+        if isinstance(x, mpf):
+            return mpf_mul(mpf_abs(x._mpf_), from_int(times), bits, round_nearest)
+        return from_int(abs(x) * times)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -312,6 +317,10 @@ def _memoised(
 #: mantissa arithmetic below
 _Float = Tuple[int, int]
 
+#: an operand of PrecisionContext.verdict: an mpf, an int, or (man, exp)
+#: with man of either sign
+Operand = Union[int, mpf, Tuple[int, int]]
+
 
 def _rounded(ctx: PrecisionContext, x: Union[mpf, _Float]) -> mpf:
     """x, an mpf or a _Float, rounded once to nearest at the context's
@@ -343,7 +352,7 @@ def to_big(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     x = _at_bits(x, ctx.work_bits)
     if not x._mpf_[1] and x._mpf_[2]:  # no mantissa but an exponent: +-inf, nan
-        raise DomainError("expected a finite real, got %s" % x)
+        raise DomainError("expected a finite real, got %s" % mp.nstr(x, 15))
     return x
 
 
@@ -466,20 +475,18 @@ def _root(x: _Float, bits: int) -> _Float:
 _GATE_INT_BITS = 48
 
 
-def _term_sum(terms: Iterable[Tuple[int, int, int]], bits: int) -> Tuple[mpf, mpf]:
+def _term_sum(terms: Iterable[Tuple[int, int, int]], bits: int) -> Tuple[Tuple[int, int], _Float]:
     """(sum, largest |term|) of terms c man 2^exp, given as (c, man, exp)
-    with man >= 0 and a small integer c: a residual with the scale
-    certifies judges it by.  Each man 2^exp is cut to its top `bits` bits
+    with man >= 0 and a small integer c: a residual with the scale the
+    verdict judges it by.  Each man 2^exp is cut to its top `bits` bits
     and put on the scale that gives the largest nonzero one `bits` bits,
-    and the integers, times their c, are summed; both results are exact
-    mpf values of that scale."""
+    and the integers, times their c, are summed.  Both results are exact
+    pairs (man, exp) on that scale, the sum's man of either sign, so their
+    quotient is their mantissas'."""
     cut = [(c, *_truncated(man, exp, bits)) for c, man, exp in terms]
     unit = max((man.bit_length() + exp for _, man, exp in cut if man), default=0) - bits
     fixed = [c * _fixed(man, exp, -unit) for c, man, exp in cut]
-    return (
-        mp.make_mpf(from_man_exp(sum(fixed), unit)),
-        mp.make_mpf(from_man_exp(max(map(abs, fixed)), unit)),
-    )
+    return (sum(fixed), unit), (max(map(abs, fixed)), unit)
 
 
 def _agm_raw(a: mpf, b: mpf, ctx: PrecisionContext) -> Tuple[int, int]:
@@ -571,7 +578,7 @@ def elliptic_K(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     xv = to_big(x, ctx)
     if xv < 0 or xv >= 1:
-        raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % xv)
+        raise DomainError("elliptic_K requires 0 <= x < 1, got %s" % mp.nstr(xv, 15))
     _, man, exp, _ = xv._mpf_
     man, exp = _agm_raw(_ONE, _complement((man * man, 2 * exp), ctx.work_bits), ctx)
     return _rounded(ctx, _half_pi_over(man, exp, ctx))
@@ -779,11 +786,12 @@ def solve_singular_modulus(
 
     A relative error d in the small modulus moves the ratio by about d / S,
     S = 2 k'^2 K K' / pi <= pi sqrt(R)/2 (Legendre's relation), from R = 7
-    up, and by 0.457 d at R = 1, as theta3^2 does not see it.  So the gate
-    judges the residual times an integer above S, within 2 of pi sqrt(R)/2
-    (3 at R = 1), from math.isqrt of the exact rational and the fixed-point
-    pi: a pass vouches for tol_exp digits of k at every R.  The record's
-    residual is the unscaled one.  No integer of the solve grows with r,
+    up, and by 0.457 d at R = 1, as theta3^2 does not see it.  So the
+    verdict judges the residual times an integer above S (its `times`),
+    within 2 of pi sqrt(R)/2 (3 at R = 1), from math.isqrt of the exact
+    rational and the fixed-point pi: a pass vouches for tol_exp digits of k
+    at every R.  The record's residual is the unscaled one, the gap the
+    verdict shows.  No integer of the solve grows with r,
     and an r with max(r, 1/r) above _R_MAX, about 4.05e39, is refused with
     DomainError before its nome is taken.  This is the only place r is
     refused for its size.
@@ -814,13 +822,12 @@ def solve_singular_modulus(
     x = _fixed(man * square, exp + square_exp, frac)
     ratio = x if reflect else (1 << 2 * frac) // x
     target = math.isqrt((r_num << 2 * frac) // r_den)
-    residual = ratio - target
-    gap = _rounded(ctx, (abs(residual), -frac))
     # an integer above S: pi sqrt(R)/2 on integers, within 2^-33, floored, plus 2
     big, small = (r_den, r_num) if reflect else (r_num, r_den)
     b = (big.bit_length() - small.bit_length()) // 2 + 34
     s_bound = (pi_fixed(b) * math.isqrt((big << 2 * b) // small) >> 2 * b + 1) + 2
-    if not ctx.certifies(residual * s_bound, target):
+    gap, passed = ctx.verdict((ratio - target, -frac), (target, -frac), s_bound)
+    if not passed:
         raise ConvergenceError(
             "solve at r=%s/%s left residual %s above tolerance"
             % (_term_text(r_num), _term_text(r_den), mp.nstr(gap, 8))
@@ -895,7 +902,7 @@ def eta_f(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     qv = to_big(q, ctx)
     if not _in_open_unit(qv):
-        raise DomainError("eta_f requires 0 < q < 1, got %s" % qv)
+        raise DomainError("eta_f requires 0 < q < 1, got %s" % mp.nstr(qv, 15))
     t = _neg_ln(qv)
     # the sum reaches q^n < 2^-bits at n = bits ln2 / t; the cap test is
     # that bound times t^2, so that t = 0 is refused too

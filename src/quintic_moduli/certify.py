@@ -7,36 +7,39 @@ a polynomial relation, its largest monomial).  Ids are grouped so relations
 that share their solves are computed together; entries within a group report
 the same wall-clock cost.  A checker only computes: it returns each residual
 and its scale keyed by registry id, on mantissas at work_bits +
-_GATE_INT_BITS, and raises nothing.  It reaches every solve, nome, eta
-value, continued fraction and eta quotient a through a lookup keyed by the
-exact rational point (f(-q^m) is the eta value at m^2 r).  The key is
-always the exact point; the nome lookup there (bigmath_kernel._nome) takes
-the nome at r = n/d as the m-th power of a held nome at r/m^2, m = 5, 2
-or n, and below 1 it first takes the nome at 1/(nd), whose n-th and d-th
-powers are the nomes at r and 1/r.  So a full verify takes 3.1 to 3.2
+_GATE_INT_BITS, with any residual its entry's detail attaches, and writes
+and raises nothing.  It reaches every solve, nome, eta value, continued
+fraction and eta quotient a through a lookup keyed by the exact rational
+point (f(-q^m) is the eta value at m^2 r).  The key is always the exact
+point; the nome lookup there (bigmath_kernel._nome) takes the nome at
+r = n/d as the m-th power of a held nome at r/m^2, m = 5, 2 or n, and
+below 1 it first takes the nome at 1/(nd), whose n-th and d-th powers
+are the nomes at r and 1/r.  So a full verify takes 3.1 to 3.2
 exps per request over the benchmark's verify-full sets (7.5 with no
 chains) and eq5/eq19/eq24 about 2.2 (3.25).  run_suite alone opens the
-request memo the lookups share, gates every residual and builds every
-entry, so one run_suite call computes each value once, and a group's cost
-leaves out what earlier groups already computed.  A residual that misses
-the gate is a failing entry, never an abort.  The registry order is
-canonical: reports list entries in this order no matter how the ids were
-requested.  Entries and reports are plain data; the CLI alone turns them
-into JSON.
+request memo the lookups share and runs the checkers in it, so one
+run_suite call computes each value once, and a group's cost leaves out
+what earlier groups already computed; then it gates every residual by
+the one pass rule, PrecisionContext.verdict, and builds every entry.  A
+residual that misses the gate is a failing entry, never an abort.  The
+registry order is canonical: reports list entries in this order no matter
+how the ids were requested.  Entries and reports are plain data; the CLI
+alone turns them into JSON.
 
 Every id is formed on integer mantissas: each value a
 bigmath_kernel._Float, every product, power, quotient and root of them
 taken by the kernel's mantissa arithmetic and cut to work_bits + 48 bits,
 the powers a group needs shared, and the terms summed by _term_sum into an
-exact residual and scale, so no checker reads the precision its caller
-set.  Each is checked in the power it holds in, so certify takes no mpmath
-root: eq6, eq10 and eq31 in the 24th, 12th and -12th, and the ascent ids
-eq26, eq29, eq30 and eq34, as the ladder climbs, in twelfth powers on
-s = k k' from the solves, sharing its _rung, _cubic_root and
-_cubic_residual.  eq7 reads that s too, and eq11 holds the multiplier
-m5 = K(k_25r)/K(k_r) as a root of (5 m - 1)^5 (1 - m) = 256 s^2 m
-(_m5_relation).  Each reads s from bigmath_kernel._kkprime, the solve's
-exact product, through _kkprime_at.
+exact residual and scale, each a mantissa and an exponent that the verdict
+reads as they are, so no checker reads the precision its caller set and
+certify compares no mpf.  Each is checked in the power it holds in, so
+certify takes no mpmath root: eq6, eq10 and eq31 in the 24th, 12th and
+-12th, and the ascent ids eq26, eq29, eq30 and eq34, as the ladder
+climbs, in twelfth powers on s = k k' from the solves, sharing its
+_rung, _cubic_root and _cubic_residual.  eq7 reads that s too, and eq11
+holds the multiplier m5 = K(k_25r)/K(k_r) as a root of
+(5 m - 1)^5 (1 - m) = 256 s^2 m (_m5_relation).  Each reads s from
+bigmath_kernel._kkprime, the solve's exact product, through _kkprime_at.
 """
 
 from __future__ import annotations
@@ -44,16 +47,16 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_abs, mpf_lt, mpf_mul
+from mpmath import mpf
 
 from .bigmath_kernel import (
     DEFAULT_CONTEXT,
+    Operand,
     PrecisionContext,
     UsageError,
     _Float,
     _GATE_INT_BITS,
-    _abs_raw,
+    _at_bits,
     _eta_at,
     _floats,
     _kkprime,
@@ -111,8 +114,9 @@ class IdentityReport(NamedTuple):
         return all(e.passed for e in self.entries)
 
 
-#: (residual, scale), or (residual, scale, the detail strings its entry carries)
-Residual = Union[Tuple[mpf, mpf], Tuple[mpf, mpf, Dict[str, str]]]
+#: (residual, scale) as _term_sum sums them, or (residual, scale, the detail
+#: its entry carries: a string, or a residual run_suite writes as a decimal)
+Residual = Union[Tuple[Operand, Operand], Tuple[Operand, Operand, Dict[str, Union[str, Operand]]]]
 Residuals = Dict[str, Residual]
 
 def _check_eq5(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -181,7 +185,7 @@ def _check_eq11(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
 _M5_COEFFS = (-1, 26, -275, 1500, -4375, 6250, -3125)
 
 
-def _m5_relation(s: _Float, m: _Float, bits: int) -> Tuple[mpf, mpf]:
+def _m5_relation(s: _Float, m: _Float, bits: int) -> Residual:
     """(residual, scale) of (5 m - 1)^5 (1 - m) - 256 s^2 m at m = m5 in
     (1/5, 1] and s = k k' at r, both _Float, on integers, each product cut
     to `bits` bits and each sum taken by _term_sum.
@@ -280,27 +284,22 @@ def _check_thm22(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
                       that orientation, but numerically it is the *swap* that
                       vanishes, so the swap is the one judged; both are
                       evaluated, and the probe details name the smaller.
+                      The two sum the same terms, so they share one
+                      exponent and their mantissas compare exactly.
     """
     rec, rec25 = _solved(rn, rd, ctx), _solved(25 * rn, rd, ctx)
     eq13, eq14, (stated, _), (swapped, scale15) = _pair_relations(
         rec.k, rec25.k, rec.k_comp, rec25.k_comp, _a_eta_at(rn, rd, ctx), rn < rd,
         ctx.work_bits + _GATE_INT_BITS,
     )
-    stated, swapped = (mp.make_mpf(mpf_abs(x._mpf_)) for x in (stated, swapped))  # exact
-    orientation = "stated (u = k_r^(1/4))" if stated <= swapped else "swapped (u = k_25r^(1/4))"
-    return {
-        "eq13-thm22": eq13,
-        "eq14-w-poly": eq14,
-        "eq15-depressed": (
-            swapped,
-            scale15,
-            {
-                "vanishing_orientation": orientation,
-                "stated_residual": to_decimal(stated, 12),
-                "swapped_residual": to_decimal(swapped, 12),
-            },
-        ),
+    stated_smaller = abs(stated[0]) <= abs(swapped[0])
+    orientation = "stated (u = k_r^(1/4))" if stated_smaller else "swapped (u = k_25r^(1/4))"
+    detail = {
+        "vanishing_orientation": orientation,
+        "stated_residual": stated,
+        "swapped_residual": swapped,
     }
+    return {"eq13-thm22": eq13, "eq14-w-poly": eq14, "eq15-depressed": (swapped, scale15, detail)}
 
 
 def _check_eq19(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
@@ -341,8 +340,9 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     V' = g(25r)/g(r) = (s(r)/s(25r))^(1/12).  (ii) takes no root of A: with
     c = A^3 = sqrt(a(4r)) and w the root of P (_cubic_root), u_map(A)^2 =
     A w, so its twelfth power a(4r) w^6 is judged against s(r)/s(25r).
-    Reported as one entry, the worse of the two relative to its scale, with
-    both residuals attached."""
+    Reported as one entry, the worse of the two relative to its scale,
+    |residual| / scale compared exactly on the mantissas (a sum and its
+    scale share one exponent), with both residuals attached."""
     b = ctx.work_bits + _GATE_INT_BITS
     a, a_4r = _floats(_a_eta_at(4 * rn, rd, ctx), _rounded(ctx, a_via_moduli(4 * rn, rd, ctx)))
     eta = _term_sum(((1, *a), (-1, *a_4r)), b)
@@ -351,15 +351,9 @@ def _check_thm31(rn: int, rd: int, ctx: PrecisionContext) -> Residuals:
     ratio = _quo(_kkprime_at(rn, rd, ctx, b), _kkprime_at(25 * rn, rd, ctx, b), b)
     rel = _term_sum(((1, *_mul(a, _pow(w, 6, b), b)), (-1, *ratio)), b)
 
-    # the worse relative to its scale, |res| / scale, compared exactly
-    (res_eta, scale_eta), (res_rel, scale_rel) = (
-        (_abs_raw(res, ctx.work_bits), scale._mpf_) for res, scale in (eta, rel)
-    )
-    worse = rel if mpf_lt(mpf_mul(res_eta, scale_rel), mpf_mul(res_rel, scale_eta)) else eta
-    detail = {
-        "sixth_power_vs_a(4r)": to_decimal(mp.make_mpf(res_eta), 12),
-        "invariant_ratio_relation": to_decimal(mp.make_mpf(res_rel), 12),
-    }
+    ((res_eta, _), (scale_eta, _)), ((res_rel, _), (scale_rel, _)) = eta, rel
+    worse = rel if abs(res_eta) * scale_rel < abs(res_rel) * scale_eta else eta
+    detail = {"sixth_power_vs_a(4r)": eta[0], "invariant_ratio_relation": rel[0]}
     return {"eq29-thm31": (*worse, detail)}
 
 
@@ -441,19 +435,21 @@ def run_suite(
     so a report always certifies something.  Entries come back in registry
     order with measured residuals, pass flags and wall-clock cost.
 
-    This is the one place a registry entry is made and judged.  The groups
-    run in one request memo, so each modulus, nome, eta value, continued
-    fraction, invariant g and eta quotient a is computed once per rational
-    point and a group's elapsed_ms leaves out what earlier groups already
-    paid for.  Every residual a checker returns, exact as _term_sum sums
-    it, takes the one verdict, ctx.verdict: the entry passes by the one
-    pass rule, ctx.certifies, which rounds |residual| and |scale| to
-    work_bits itself, when |residual| < 10^(-tol_exp) * scale, stores
-    |residual| rounded once to precision_bits and keeps |scale| in
-    detail["scale"].  A failing residual is reported, not raised.  Nothing
+    This is the one place a registry entry is made and judged, in two
+    phases.  First every requested group's checker runs, in one request
+    memo, so each modulus, nome, eta value, continued fraction, invariant g
+    and eta quotient a is computed once per rational point and a group's
+    elapsed_ms leaves out what earlier groups already paid for.  Then each
+    entry is judged and written.  Every residual a checker returns, exact
+    as _term_sum sums it, takes the one pass rule, ctx.verdict, which
+    rounds |residual| and |scale| to work_bits itself: the entry passes
+    when |residual| < 10^(-tol_exp) * scale and stores |residual| rounded
+    once to precision_bits.  Its detail writes |scale|, and each residual
+    a checker attaches, rounded once to work_bits, as a 12-digit decimal
+    (_decimal).  A failing residual is reported, not raised.  Nothing
     outlives the call.  The groups solve from r/25 to 100r; a point past
     the solver's bound raises its DomainError from the group that first
-    solves there.
+    solves there, before any entry is judged or written.
     """
     _validate_rational(r_num, r_den)
     # a string is an iterable of its characters, never of ids
@@ -467,19 +463,29 @@ def run_suite(
         )
         raise UsageError("%s; registry: %s" % (problem, ", ".join(REGISTRY)))
 
-    produced: Dict[str, IdentityEntry] = {}
+    computed: List[Tuple[Residuals, int]] = []
     with _request_memo():
         for group_ids, checker in _GROUPS:
-            if not wanted.intersection(group_ids):
-                continue
-            t0 = time.perf_counter()
-            residuals = checker(r_num, r_den, ctx)
-            ms = int((time.perf_counter() - t0) * 1000)
-            for id_, (res, scale, *detail) in residuals.items():
-                if id_ in wanted:
-                    gap, passed = ctx.verdict(res, scale)
-                    scale = mp.make_mpf(_abs_raw(scale, ctx.work_bits))
-                    detail = dict(*detail, scale=to_decimal(scale, 12))
-                    produced[id_] = IdentityEntry(id_, gap, passed, ms, detail)
+            if wanted.intersection(group_ids):
+                t0 = time.perf_counter()
+                residuals = checker(r_num, r_den, ctx)
+                computed.append((residuals, int((time.perf_counter() - t0) * 1000)))
 
+    produced: Dict[str, IdentityEntry] = {}
+    for residuals, ms in computed:
+        for id_, (res, scale, *detail) in residuals.items():
+            if id_ in wanted:
+                gap, passed = ctx.verdict(res, scale)
+                detail = {
+                    name: v if isinstance(v, str) else _decimal(v, ctx)
+                    for name, v in dict(*detail, scale=scale).items()
+                }
+                produced[id_] = IdentityEntry(id_, gap, passed, ms, detail)
     return IdentityReport([produced[i] for i in REGISTRY if i in produced])
+
+
+def _decimal(x: Operand, ctx: PrecisionContext) -> str:
+    """|x| rounded once to work_bits, as a decimal of 12 significant
+    digits: how an entry's detail writes its scale and the residuals its
+    checker attaches.  The writer puts a sign before the digits of |x|."""
+    return to_decimal(_at_bits(x, ctx.work_bits), 12).lstrip("-")

@@ -169,7 +169,7 @@ def _routes_agree(x: mpf, y: mpf, ctx: PrecisionContext, what: str, *r) -> mpf:
     each of the terms r quoted by _term_text."""
     xf, yf = _floats(x, y)
     diff = _term_sum(((1, *xf), (-1, *yf)), ctx.work_bits + _INT_BITS)[0]
-    gap, passed = ctx.verdict(diff, y)
+    gap, passed = ctx.verdict(diff, yf)
     if not passed:
         raise CertificationError("%s by %s" % (what % tuple(map(_term_text, r)), mp.nstr(gap, 8)))
     return gap
@@ -273,10 +273,11 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
     continued fraction is evaluated once, forward, at d + 2 (_rrcf_depth).
     The value is returned only if 2^k, a bound on the bracket of its last
     two convergents taken from q's exponent and the bit lengths of B_d and
-    B_(d-1) (_bracket_exp), certifies against T_d >= 1; otherwise, or if
-    d + 2 would pass the depth cap (q too close to 1), ConvergenceError is
-    raised.  At d + 2 the bracket lies more than 128 + (2d + 3) log2(1/q)
-    bits under the gate, so the bound's few bits of slack never decide.
+    B_(d-1) (_bracket_exp), passes the verdict against T_d >= 1, the pair
+    (1, k) against (1, 0); otherwise, or if d + 2 would pass the depth cap
+    (q too close to 1), ConvergenceError is raised.  At d + 2 the bracket
+    lies more than 128 + (2d + 3) log2(1/q) bits under the gate, so the
+    bound's few bits of slack never decide.
     The value is _rrcf_value's one quotient; no working precision is set.
     """
     qv = to_big(q, ctx)
@@ -286,8 +287,7 @@ def rrcf_converged(q: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Tuple[mp
     depth = _rrcf_depth(t, ctx.work_bits)
     if depth:
         a, b, b_prev, frac = _rrcf_forward(qv, depth, ctx)
-        bound = mp.make_mpf((0, 1, _bracket_exp(qv, t, depth, b, b_prev, frac), 1))
-        if ctx.certifies(bound, 1):
+        if ctx.verdict((1, _bracket_exp(qv, t, depth, b, b_prev, frac)), (1, 0))[1]:
             return _rrcf_value(qv, a, b, ctx), depth
     raise ConvergenceError("continued fraction did not stabilize (q too close to 1?)")
 
@@ -402,7 +402,7 @@ def closed_form_R(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     refused."""
     av = to_big(a, ctx)
     if not av > -11:
-        raise DomainError("closed_form_R requires a > -11, got %s" % av)
+        raise DomainError("closed_form_R requires a > -11, got %s" % mp.nstr(av, 15))
     frac = ctx.work_bits + _INT_BITS
     sign, man, exp, _ = av._mpf_
     return _rounded(ctx, _quo((1, 0), _fifth_root_radical(sign, (man, exp), frac), frac + 1))
@@ -423,7 +423,7 @@ def descend_v(v: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     vv = to_big(v, ctx)
     if not (0 < vv < 1):
-        raise DomainError("descend_v requires 0 < v < 1, got %s" % vv)
+        raise DomainError("descend_v requires 0 < v < 1, got %s" % mp.nstr(vv, 15))
     frac = ctx.work_bits + _INT_BITS
     one = 1 << frac
     _, v_man, v_exp, _ = vv._mpf_
@@ -468,7 +468,7 @@ def descend_a(a: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     av = to_big(a, ctx)
     if not av > -11:
-        raise DomainError("descend_a requires a > -11, got %s" % av)
+        raise DomainError("descend_a requires a > -11, got %s" % mp.nstr(av, 15))
     sign, man, exp, _ = av._mpf_
     quotient, q_exp = _descended(sign, (man, exp), ctx.work_bits + _INT_BITS)
     return _rounded(ctx, (-quotient if sign else quotient, q_exp))

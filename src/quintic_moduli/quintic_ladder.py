@@ -134,7 +134,7 @@ class LadderTrace(NamedTuple):
     steps: Tuple[LadderStep, ...]
 
 
-def _cubic_residual(c: _Float, w: _Float, bits: int) -> Tuple[mpf, mpf]:
+def _cubic_residual(c: _Float, w: _Float, bits: int) -> Tuple[_Float, _Float]:
     """(residual, scale): P(w) = c w^3 + 5 w^2 - c w - 1 and its largest
     monomial, the four formed on mantissas cut to `bits` bits and summed
     by _term_sum."""
@@ -199,9 +199,11 @@ def _cubic_root(c: _Float, ctx: PrecisionContext) -> _Float:
     c's exponent, where c would pass it): one step per level of
     _doubling_precisions, each level solving for half the next one's bits
     plus 8, up to `frac`.  Nothing in the schedule is trusted: P at w must
-    certify against its largest monomial (PrecisionContext.certifies), the
-    four monomials formed on mantissas and summed by _term_sum; otherwise
-    a BranchError is raised (_branch_error)."""
+    pass the verdict (PrecisionContext.verdict) against its largest
+    monomial, the four monomials formed on mantissas and summed by
+    _term_sum; otherwise a BranchError is raised (_branch_error), quoting
+    P over that monomial, one correctly rounded quotient of their
+    mantissas, which share one exponent."""
     frac = ctx.work_bits + _INT_BITS
     man, exp = c
     cap = 2 * frac + 8
@@ -216,19 +218,19 @@ def _cubic_root(c: _Float, ctx: PrecisionContext) -> _Float:
 
     root = (w, -frac)
     res, scale = _cubic_residual(c, root, ctx.work_bits + _GATE_INT_BITS)
-    if not ctx.certifies(res, scale):
-        raise _branch_error(c, root, mpf_div(res._mpf_, scale._mpf_, ctx.work_bits, round_nearest))
+    if not ctx.verdict(res, scale)[1]:
+        raise _branch_error(c, root, _at_bits(Fraction(res[0], scale[0]), ctx.work_bits))
     return root
 
 
-def _branch_error(c: _Float, w: _Float, relative: tuple) -> BranchError:
+def _branch_error(c: _Float, w: _Float, relative: mpf) -> BranchError:
     """The BranchError for a root w of P that failed its gate.  P's signs
     change once, so w is its one positive root: no other is a branch."""
     cv, wv = (mp.make_mpf(from_man_exp(*v)) for v in (c, w))
     return BranchError(
         "c w^3 + 5 w^2 - c w - 1 at c = %s: positive root %s fails the defining "
         "relation (relative residual %s)"
-        % (mp.nstr(cv, 12), mp.nstr(wv, 12), mp.nstr(mp.make_mpf(relative), 6))
+        % (mp.nstr(cv, 12), mp.nstr(wv, 12), mp.nstr(relative, 6))
     )
 
 
@@ -252,7 +254,7 @@ def u_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     xv = to_big(x, ctx)
     if xv <= 0:
-        raise DomainError("u_map requires x > 0, got %s" % xv)
+        raise DomainError("u_map requires x > 0, got %s" % mp.nstr(xv, 15))
     _, man, exp, _ = xv._mpf_
     w, w_exp = _cubic_root((man * man * man, 3 * exp), ctx)
     return _sqrt_raw(man * w, exp + w_exp, ctx.precision_bits)
@@ -292,7 +294,7 @@ def u_star(y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     yv = to_big(y, ctx)
     if yv <= 0:
-        raise DomainError("u_star requires y > 0, got %s" % yv)
+        raise DomainError("u_star requires y > 0, got %s" % mp.nstr(yv, 15))
     frac = ctx.work_bits + _INT_BITS
     _, man, exp, _ = yv._mpf_
     y2_man, y2_exp = man * man, 2 * exp  # y^2, exactly
@@ -325,7 +327,7 @@ def p_map(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     rounded once to precision_bits."""
     xv = to_big(x, ctx)
     if xv <= 0:
-        raise DomainError("p_map requires x > 0, got %s" % xv)
+        raise DomainError("p_map requires x > 0, got %s" % mp.nstr(xv, 15))
     _, man, exp, _ = xv._mpf_
     man3 = man * man * man
     p6 = _rung((man3 * man3, 6 * exp), ctx)
@@ -417,11 +419,12 @@ def ladder(
     Every level's k is checked against an independent K-ratio solve by
     the one pass rule at gate_exp = tol_exp - GATE_SLACK_DIGITS: the
     verdict (PrecisionContext.verdict) of the context at tol_exp =
-    gate_exp on the miss k_j - k_oracle, taken at work_bits, against
-    k_oracle.  A level passes when |miss| < 10^-gate_exp k_oracle, and
-    shows |miss| rounded once as its oracle_residual; one that fails
-    raises CertificationError with the partial trace (including the
-    failing step) as payload; the trace's gate_exp records that exponent.
+    gate_exp on the miss k_j - k_oracle, formed by _term_sum as the
+    two-route gates form theirs, against k_oracle.  A level passes when
+    |miss| < 10^-gate_exp k_oracle, and shows |miss| rounded once as its
+    oracle_residual; one that fails raises CertificationError with the
+    partial trace (including the failing step) as payload; the trace's
+    gate_exp records that exponent.
     The gate is relative because k shrinks like 4 e^(-pi sqrt(r)/2) up
     the ladder, so an absolute one stops checking anything within a few
     rungs; the 20 digits of slack reflect that the certified quantity
@@ -482,8 +485,8 @@ def ladder(
         k_j = _k_of(s, rj, ctx)
 
         oracle = solve_singular_modulus(rj.numerator, rj.denominator, ctx)
-        miss = mp.make_mpf(mpf_sub(k_j._mpf_, oracle.k._mpf_, ctx.work_bits, round_nearest))
-        gap, passed = gate.verdict(miss, oracle.k)
+        k_f, oracle_f = _floats(k_j, oracle.k)
+        gap, passed = gate.verdict(_term_sum(((1, *k_f), (-1, *oracle_f)), frac)[0], oracle_f)
         step = LadderStep(
             level=j,
             r=rj,

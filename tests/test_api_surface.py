@@ -13,9 +13,9 @@ in eq29 and forms its integer relations with no power operator, only the
 kernel spells the arithmetic of mantissas, each private lookup keys one
 kind on one compute, one function picks each nome's route and one stores
 into the request memo, the kernel alone rounds a value or the residual a
-gate shows and every such gate takes its verdict there, nothing is
-assigned into mpmath, only the CLI and the registry import the decimal writer, only
-the CLI imports json, for its string escape and never for json.dumps, the
+gate shows and every gate takes its pass flag from the one verdict,
+nothing is assigned into mpmath, only the CLI and the registry import
+the decimal writer, only the CLI imports json, for its string escape and never for json.dumps, the
 CLI reads no private name of the package, and each typed error is one
 class, the kernel's."""
 
@@ -186,7 +186,7 @@ def test_only_the_cli_imports_json_and_none_calls_dumps():
 
 @pytest.mark.parametrize("name", _MODULES)
 def test_tolerance_is_read_only_inside_precision_context(name):
-    # PrecisionContext.certifies is the one pass rule; a comparison against
+    # PrecisionContext.verdict is the one pass rule; a comparison against
     # the tolerance anywhere else would be a second one
     tree = _tree(name)
     inside = set()
@@ -606,6 +606,43 @@ def test_one_rounding_and_one_verdict_in_the_kernel():
     cmd_ladder = dict(_module_functions("quintic_moduli.cli"))["cmd_ladder"]
     assert not {"str_to_big", "seed"} & (_called_names(cmd_ladder) | {
         node.name for node in ast.walk(cmd_ladder) if isinstance(node, ast.FunctionDef)})
+
+
+def test_every_gate_calls_the_one_pass_rule():
+    # PrecisionContext.verdict is the only pass rule: certifies and
+    # _abs_raw are gone, _term_sum hands its sum and scale to the verdict as
+    # mantissas with no mpf built, only the kernel compares mpf values
+    # (mpf_lt), and each gate takes its pass flag from a .verdict call of
+    # its own
+    from quintic_moduli import bigmath_kernel
+
+    assert not hasattr(PrecisionContext, "certifies")
+    assert not hasattr(bigmath_kernel, "_abs_raw")
+    term_sum = _functions("bigmath_kernel")["_term_sum"]
+    builders = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(term_sum)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    } & {"mpf", "make_mpf", "from_man_exp", "_at_bits", "_rounded"}
+    assert not builders, builders
+    comparers = {
+        module for module in _MODULES for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "mpf_lt" for a in node.names)
+    }
+    assert comparers == {"quintic_moduli.bigmath_kernel"}
+    gates = {
+        "bigmath_kernel": ["solve_singular_modulus"],
+        "quintic_ladder": ["_cubic_root", "ladder"],
+        "modular_core": ["rrcf_converged", "_routes_agree"],
+        "certify": ["run_suite"],
+    }
+    for module, names in gates.items():
+        functions = _functions(module)
+        for name in names:
+            assert any(
+                isinstance(node, ast.Attribute) and node.attr == "verdict"
+                for node in ast.walk(functions[name])
+            ), "%s.%s takes no verdict" % (module, name)
 
 
 def test_the_registry_reads_point_values_only_through_lookups():

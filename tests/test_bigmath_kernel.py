@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -188,8 +189,8 @@ def _kernel_inputs(bits, seed):
 
 
 class TestMantissaKernels:
-    """_sqrt_raw, _rounded, to_big and certifies give the very bits of the
-    mpmath operations they replace."""
+    """_sqrt_raw, _rounded, to_big and the verdict give the very bits of
+    the mpmath operations they replace."""
 
     @pytest.mark.parametrize("bits", [64, 576, 1088, 4160])
     def test_sqrt_raw_is_mpf_sqrt(self, bits):
@@ -227,7 +228,7 @@ class TestMantissaKernels:
             assert to_big(Fraction(n, d), ctx)._mpf_ == want, (n, d)
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
-    def test_certifies_is_the_workprec_comparison(self, bits):
+    def test_verdict_is_the_workprec_comparison(self, bits):
         ctx = _ctx_at(bits)
 
         def old(residual, scale):
@@ -243,20 +244,43 @@ class TestMantissaKernels:
                 ulp = mpf(2) ** (-ctx.work_bits)
                 cases += [(bound, s), (-bound, s), (bound * (1 - ulp), s), (bound * (1 + ulp), s)]
             cases += [(0, s), (mpf(0), s), (_exact(rng.getrandbits(bits) | 1, -2 * bits), s)]
-        verdicts = [ctx.certifies(r, s) for r, s in cases]
+        verdicts = [ctx.verdict(r, s)[1] for r, s in cases]
         assert verdicts == [old(r, s) for r, s in cases]
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_a_pair_and_times_judge_as_the_mpf_operators_do(self, bits):
+        # a pair (man, exp) of either sign is read as the exact value
+        # man 2^exp: times its |residual| rounds once at work_bits, as an
+        # unrounded mpf times an int does, and its |scale| as abs() rounds
+        # it there; the gap is |residual| rounded once to precision_bits
+        ctx = _ctx_at(bits)
+        rng = random.Random(bits + 1)
+        decisions = set()
+        for times in (1, 3, 10 ** 20 + 7):
+            for _ in range(40):
+                scale = (rng.choice((1, -1)) * rng.getrandbits(2 * bits), rng.randint(-900, 900))
+                with workprec(ctx.work_bits):
+                    bound = ctx.tolerance() * abs(_exact(*scale))
+                # times |residual| from 3/2 units of the bound's last bit
+                # below it to 1 above, where a half unit rounds to even
+                _, man, exp, _ = bound._mpf_
+                shift = rng.randint(1, 80)
+                for half_units, d in itertools.product(range(-3, 3), (-1, 0, 1)):
+                    top = ((2 * man + half_units) << shift) // (2 * times) + d
+                    residual = (rng.choice((1, -1)) * top, exp - shift)
+                    with workprec(ctx.work_bits):
+                        old = abs(_exact(*residual) * times) < ctx.tolerance() * abs(_exact(*scale))
+                    gap, passed = ctx.verdict(residual, scale, times)
+                    assert passed == old, (times, residual, scale)
+                    assert gap._mpf_ == bk._rounded(ctx, (abs(residual[0]), residual[1]))._mpf_
+                    decisions.add(passed)
+        assert decisions == {True, False}
 
 
 def _value(x):
     """man 2^exp, given as (man, exp), as an exact Fraction."""
     return Fraction(x[0]) * Fraction(2) ** x[1]
-
-
-def _exact_value(v):
-    """The mpf v as an exact Fraction."""
-    sign, man, exp, _ = v._mpf_
-    return (-1) ** sign * _value((man, exp))
 
 
 def _floats_at(bits, seed):
@@ -361,8 +385,8 @@ class TestMantissaArithmetic:
             tops = [man.bit_length() + exp for _, man, exp in terms if man]
             unit = Fraction(2) ** ((max(tops) if tops else 0) - bits)
             cut = [c * (_value((man, exp)) // unit) * unit for c, man, exp in terms]
-            assert _exact_value(total) == sum(cut)
-            assert _exact_value(scale) == max(map(abs, cut))
+            assert _value(total) == sum(cut)
+            assert _value(scale) == max(map(abs, cut))
 
 
 def _error_text(call):
@@ -455,6 +479,36 @@ class TestAmbientPrecision:
                 got.append(_error_text(lambda: u_map("1.25")))
         assert got[0] == got[1] == got[2]
         assert got[0].endswith("fails the defining relation (relative residual 2.07208e-17)")
+
+    @pytest.mark.parametrize(
+        "fn, x, quoted",
+        [
+            (to_big, "inf", "+inf"),
+            (elliptic_K, Fraction(4, 3), "1.33333333333333"),
+            (eta_f, Fraction(4, 3), "1.33333333333333"),
+            (closed_form_R, Fraction(-37, 3), "-12.3333333333333"),
+            (descend_v, Fraction(4, 3), "1.33333333333333"),
+            (descend_a, Fraction(-37, 3), "-12.3333333333333"),
+            (u_map, Fraction(-1, 3), "-0.333333333333333"),
+            (u_star, Fraction(-1, 3), "-0.333333333333333"),
+            (p_map, Fraction(-1, 3), "-0.333333333333333"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_refusal_text(self, fn, x, quoted):
+        # a refused real is quoted at 15 significant digits, as str() gives
+        # it at mpmath's default, whatever mp.dps the caller has set
+        def text():
+            with pytest.raises(DomainError) as err:
+                fn(x)
+            return str(err.value)
+
+        got = [text()]
+        for dps in (5, 40):
+            with mp.workdps(dps):
+                got.append(text())
+        assert got[0] == got[1] == got[2]
+        assert got[0].endswith(", got " + quoted)
 
 
 class TestNonFinite:
@@ -918,7 +972,7 @@ class TestKRoundsToOne:
         assert rec.k_comp == solve_singular_modulus(rd, rn, ctx).k
         assert 0 < rec.k_comp < rec.k
         with workprec(ctx.work_bits):
-            assert ctx.certifies(rec.residual, sqrt(mpf(rn) / rd))
+            assert ctx.verdict(rec.residual, sqrt(mpf(rn) / rd))[1]
         assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
 
     @pytest.mark.parametrize("rn,rd,bits", [(1, 3000, 256), (1, 12000, 512)])

@@ -129,7 +129,18 @@ class TestRunSuite:
         rec, rec25 = (bk.solve_singular_modulus(m * 5, 1) for m in (1, 25))
         s = bk._mul(*bk._floats(rec.k, rec.k_comp), bits)
         residual, _ = certify._m5_relation(s, bk._quo(*bk._floats(rec25.K_k, rec.K_k), bits), bits)
-        assert entry.residual._mpf_ == mpf_abs(residual._mpf_, DEFAULT_CONTEXT.precision_bits)
+        want = mpf_abs(from_man_exp(*residual), DEFAULT_CONTEXT.precision_bits)
+        assert entry.residual._mpf_ == want
+
+    def test_a_refusal_writes_no_decimal(self, monkeypatch):
+        # past the solve bound eq5's checker runs, and eq6's solve refuses
+        # before any entry is judged or written: eq5's scale, about
+        # 2^(1.4 10^2100) at r = 10^4199, is never turned into a decimal
+        written = []
+        monkeypatch.setattr(certify, "to_decimal", lambda x, dps: written.append(x) or "")
+        with pytest.raises(bk.DomainError, match="past the bound"):
+            run_suite(10 ** 4199, 1)
+        assert written == []
 
     def test_deterministic_modulo_timing(self):
         a = run_suite(2, 1, ids=["eq6-eta8", "eq7-eta2"])
@@ -252,7 +263,8 @@ class TestThm22:
 
         def stub(*args):
             eq13, eq14, (_, scale), _ = pair_relations(*args)
-            return eq13, eq14, (mpf(0), scale), (scale / 2, scale)
+            man, exp = scale
+            return eq13, eq14, ((0, exp), scale), ((man, exp - 1), scale)
 
         monkeypatch.setattr(certify, "_pair_relations", stub)
         (entry,) = run_suite(1, 1, ids=["eq15-depressed"]).entries
@@ -419,7 +431,7 @@ class TestSuiteDomain:
         checks = (certify._check_eq5, certify._check_eq19, certify._check_eq24)
         with bk._request_memo():
             residuals = [check(10 ** 1000, 1, ctx) for check in checks]
-            got = {i: ctx.certifies(*v) for group in residuals for i, v in group.items()}
+            got = {i: ctx.verdict(*v)[1] for group in residuals for i, v in group.items()}
         assert got == dict.fromkeys(QSERIES_IDS, True)
 
 
@@ -540,12 +552,13 @@ class TestIntegerRelations:
                 "eq5", "eq19", "eq24", "eq29", "k-reciprocal",
             )
             assert len(got) == len(want) == len(names)
-            for name, (res, scale), (ref_res, ref_scale) in zip(names, got, want):
+            for name, pair, (ref_res, ref_scale) in zip(names, got, want):
+                res, scale = (mp.make_mpf(from_man_exp(*x)) for x in pair)
                 with workprec(2 * work):
                     bound = mpf(2) ** (8 - work) * ref_scale
                     assert abs(res - ref_res) < bound, (r, name)
                     assert abs(scale - ref_scale) < bound, (r, name)
-                assert ctx.certifies(res, scale) == ctx.certifies(ref_res, ref_scale), (r, name)
+                assert ctx.verdict(*pair)[1] == ctx.verdict(ref_res, ref_scale)[1], (r, name)
             report = run_suite(rn, rd, ctx=ctx)
             assert report.all_pass, (r, [e.id for e in report.entries if not e.passed])
 
@@ -559,9 +572,6 @@ class TestCheckersReadNoAmbientPrecision:
         f = Fraction(r)
         rn, rd = f.numerator, f.denominator
 
-        def raw(residuals):
-            return {i: (v[0]._mpf_, v[1]._mpf_, *v[2:]) for i, v in residuals.items()}
-
         for ids, check in certify._GROUPS:
             # run_suite on this group alone, so that its request memo fills
             # in the same order as the memo opened below
@@ -572,8 +582,8 @@ class TestCheckersReadNoAmbientPrecision:
             outside = []
             for prec in (53, 8000):
                 with workprec(prec), bk._request_memo():
-                    outside.append(raw(check(rn, rd, DEFAULT_CONTEXT)))
-            assert outside[0] == outside[1] == raw(inside[0]), (r, ids)
+                    outside.append(check(rn, rd, DEFAULT_CONTEXT))
+            assert outside[0] == outside[1] == inside[0], (r, ids)
 
 
 class TestPerturbationsFail:

@@ -241,6 +241,10 @@ class TestOutsideTheDomain:
         [
             (("verify", "--r", "1" + "0" * 38), "1" + "0" * 40 + "/1"),
             (("verify", "--r", "1/1" + "0" * 39), "1/25" + "0" * 39),
+            # the CLI's longest term: eq5 computes, eq6's solve refuses
+            pytest.param(
+                ("verify", "--r", "1" + "0" * 4199), "1" + "0" * 4199 + "/1", id="verify-10^4199"
+            ),
             (("rrcf", "--r", "2" + "0" * 38), "5" + "0" * 39 + "/1"),
             (("ladder", "--r0", "1" + "0" * 39, "--n", "1"), "25" + "0" * 39 + "/1"),
             (("ladder", "--r0", "1/1" + "0" * 39, "--n", "1"), "25" + "0" * 39 + "/1"),

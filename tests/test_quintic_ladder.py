@@ -139,7 +139,7 @@ class TestUMap:
         y = u_map(x, ctx)
         with workprec(ctx.work_bits):
             xv = to_big(x, ctx)
-            assert ctx.certifies(*_cubic_at(xv, y, ctx.work_bits + ql._GATE_INT_BITS))
+            assert ctx.verdict(*_cubic_at(xv, y, ctx.work_bits + ql._GATE_INT_BITS))[1]
             extra = int(3 * abs(mp.log(xv, 2)))
             ref = ov.u_radical(x, bits + extra + 64).real
             assert abs(y / ref - 1) < mpf(2) ** (8 - bits)
@@ -221,7 +221,10 @@ class TestIntegerSpellings:
             xv = to_big(x, ctx)
             y = to_big(u_map(xv, ctx), ctx)
             for yv in (y, y * (1 + mpf(10) ** -30), y * 2):
-                res, scale = _cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS)
+                res, scale = (
+                    mp.make_mpf(from_man_exp(*v))
+                    for v in _cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS)
+                )
                 ref_res, ref_scale = ov.u_relation_terms(xv, yv, 2 * ctx.work_bits)
                 with workprec(2 * ctx.work_bits):
                     c = -sqrt(5) * yv ** 3
@@ -243,8 +246,8 @@ class TestIntegerSpellings:
                 for sign in (1, -1):
                     with workprec(ctx.work_bits):
                         yv = y * (1 + sign * mpf(10) ** -(ctx.tol_exp + j))
-                        old = ctx.certifies(*ov.u_relation_terms(xv, yv, ctx.work_bits))
-                    new = ctx.certifies(*_cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS))
+                        old = ctx.verdict(*ov.u_relation_terms(xv, yv, ctx.work_bits))[1]
+                    new = ctx.verdict(*_cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS))[1]
                     assert new == old, (x, j, sign)
                     decisions.add(new)
         assert decisions == {True, False}
