@@ -5,14 +5,15 @@ series.
 All values are radix-2 floats (mpmath ``mpf``) rounded to the precision of the
 governing :class:`PrecisionContext`; intermediates carry 64 more (_GUARD_BITS).
 
-Square roots, rounding and the pass rule work on mpf mantissas directly:
-``_sqrt_raw`` takes the steps of mpmath's ``mpf_sqrt`` with its integer
-root from ``math.isqrt``, and ``_at_bits`` and
-``PrecisionContext.verdict`` call mpmath's ``libmp`` rounding
-primitives at the bits they need.  No module calls ``mp.sqrt``.  Each
-quantity of a solve's pair (k, k') has one spelling, here, for every
-module: ``_complement`` takes sqrt(1 - x) of a modulus's square x, and
-``_kkprime`` the product s = k k'.
+Square roots and rounding work on mpf mantissas directly: ``_sqrt_raw``
+takes the steps of mpmath's ``mpf_sqrt`` with its integer root from
+``math.isqrt``, and ``_at_bits`` calls mpmath's ``libmp`` rounding
+primitives at the bits it needs.  The pass rule,
+``PrecisionContext.verdict``, rounds nothing: it compares integers
+exactly.  No module calls ``mp.sqrt``.  Each quantity of a solve's pair
+(k, k') has one spelling, here, for every module: ``_complement`` takes
+sqrt(1 - x) of a modulus's square x, and ``_kkprime`` the product
+s = k k'.
 
 Quantities handled here:
 
@@ -49,13 +50,14 @@ One rule holds in every module, without exception: each value a function
 returns, each residual a gate judges and each number a message prints is
 formed on integers and mantissas and rounded at stated bits, so no module
 switches or reads mpmath's ambient precision.  A value becomes an mpf
-at stated bits by one rounding, ``_at_bits`` (of an mpf, a ``_Float``,
-a Fraction or anything mpf() reads), and each value a function hands
-back by ``_rounded``, _at_bits at precision_bits.  Every gate takes its
-pass flag, and the gap it shows, from the one pass rule,
-``PrecisionContext.verdict``.  A message quotes r by ``_term_text``, a
-term past Python's 4300-digit int-to-str limit by its bit length, and a
-refused real by ``mp.nstr`` at 15 digits.  The integer kernels
+at stated bits by one rounding, ``_at_bits`` (of an mpf, a pair
+(man, exp), a Fraction or anything mpf() reads), and each value a
+function hands back by ``_rounded``, _at_bits at precision_bits.  Every
+gate takes its pass flag, and the gap it shows, from the one pass rule,
+``PrecisionContext.verdict``, exact on the integers of its two pairs.
+A message quotes r by ``_term_text``, a term past Python's 4300-digit
+int-to-str limit by its bit length, and a refused real by ``mp.nstr`` at
+15 digits.  The integer kernels
 carry ``_INT_BITS`` bits beyond work_bits and reach that fixed point
 from a mantissa by one conversion, ``_fixed``.  A value held as a
 mantissa and an exponent (a ``_Float``) has one arithmetic, here:
@@ -100,7 +102,6 @@ q (eta_f, rrcf_converged, rrcf_truncated) sums at the q it is given.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
@@ -112,11 +113,7 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_rational,
-    mpf_abs,
-    mpf_lt,
-    mpf_mul,
     mpf_pos,
-    mpf_pow_int,
     normalize,
     round_nearest,
     to_float,
@@ -202,8 +199,10 @@ class PrecisionContext(_Precision):
             raise ValueError("precision_bits must be >= 64")
         if tol_exp <= 0:
             raise ValueError("tol_exp must be positive")
-        # the acceptance threshold must be representable with room to spare
-        if tol_exp * math.log2(10) + _GUARD_BITS >= precision_bits:
+        # the acceptance threshold must be representable with room to spare;
+        # log2(10) > 1, so the integer test refuses first what the float
+        # product would, and a tol_exp past the float range never reaches it
+        if tol_exp >= precision_bits or tol_exp * math.log2(10) + _GUARD_BITS >= precision_bits:
             raise ValueError(
                 "tol_exp*log2(10) + %d guard bits must stay below precision_bits"
                 % _GUARD_BITS
@@ -220,43 +219,27 @@ class PrecisionContext(_Precision):
         """Mantissa bits used for intermediate computation."""
         return self.precision_bits + _GUARD_BITS
 
-    @staticmethod
-    @functools.lru_cache(maxsize=64)
-    def _tolerance(tol_exp: int, work_bits: int) -> mpf:
-        return mp.make_mpf(mpf_pow_int(from_int(10), -tol_exp, work_bits, round_nearest))
-
-    def tolerance(self) -> mpf:
-        """10**(-tol_exp) as an mpf at working precision, computed once per
-        (tol_exp, work_bits) for the process: the CLI makes a new context
-        per request."""
-        return self._tolerance(self.tol_exp, self.work_bits)
-
     def verdict(self, residual: Operand, scale: Operand, times: int = 1) -> Tuple[mpf, bool]:
         """The one pass rule: (|residual| rounded once to precision_bits,
         whether times |residual| < 10**(-tol_exp) |scale|), the gap a gate
         shows and its pass flag, from the same operands.  scale is the size
         of the terms the residual sums, and times an integer bound on the
         residual's sensitivity to the value it certifies: the solve's bound
-        above S, 1 elsewhere.  Each operand is an mpf, an int, or a pair
-        (man, exp) with man of either sign, as _term_sum sums it, read by
-        _size: the comparison rounds as the mpf operators do at work_bits."""
-        bits = self.work_bits
-        bound = mpf_mul(self.tolerance()._mpf_, self._size(scale, 1, bits), bits, round_nearest)
-        passed = mpf_lt(self._size(residual, times, bits), bound)
-        return mp.make_mpf(self._size(residual, 1, self.precision_bits)), passed
-
-    @staticmethod
-    def _size(x: Operand, times: int, bits: int) -> tuple:
-        """times |x| as a raw mpf, rounded once to nearest at `bits` as the
-        mpf operators round it: a pair (man, exp) as man 2^exp (its bit
-        count by int.bit_length, which is C), an mpf on its mantissa, an
-        int exactly."""
-        if isinstance(x, tuple):
-            man = abs(x[0]) * times
-            return normalize(0, man, x[1], man.bit_length(), bits, round_nearest)
-        if isinstance(x, mpf):
-            return mpf_mul(mpf_abs(x._mpf_), from_int(times), bits, round_nearest)
-        return from_int(abs(x) * times)
+        above S, 1 elsewhere.  Each operand is a pair (man, exp), man 2^exp
+        with man of either sign, as _term_sum sums it.  The comparison is
+        exact: times |m_r| 10^tol_exp 2^(e_r - e_s) against |m_s|, decided
+        by bit lengths and shifted only where those tie, so no integer
+        grows with the exponent gap.  A zero scale fails every residual."""
+        (man, exp), (s_man, s_exp) = residual, scale
+        lhs, rhs, shift = abs(man) * times * 10 ** self.tol_exp, abs(s_man), exp - s_exp
+        top = lhs.bit_length() + shift - rhs.bit_length()
+        if not (lhs and rhs):
+            passed = lhs < rhs
+        elif top:
+            passed = top < 0
+        else:
+            passed = lhs << shift < rhs if shift >= 0 else lhs < rhs << -shift
+        return _at_bits((abs(man), exp), self.precision_bits), passed
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -317,26 +300,28 @@ def _memoised(
 #: mantissa arithmetic below
 _Float = Tuple[int, int]
 
-#: an operand of PrecisionContext.verdict: an mpf, an int, or (man, exp)
-#: with man of either sign
-Operand = Union[int, mpf, Tuple[int, int]]
+#: an operand of PrecisionContext.verdict: (man, exp) with man of either sign
+Operand = Tuple[int, int]
 
 
-def _rounded(ctx: PrecisionContext, x: Union[mpf, _Float]) -> mpf:
-    """x, an mpf or a _Float, rounded once to nearest at the context's
+def _rounded(ctx: PrecisionContext, x: Union[mpf, Operand]) -> mpf:
+    """x, an mpf or a pair (man, exp), rounded once to nearest at the context's
     output precision: how every value a function hands back is rounded."""
     return _at_bits(x, ctx.precision_bits)
 
 
-def _at_bits(x: Union[Real, _Float], bits: int) -> mpf:
-    """x rounded once to nearest at `bits`: an mpf on its mantissa, a
-    _Float (man, exp) as man 2^exp, a Fraction by one correctly rounded
-    division, anything else as mpf() reads it at those bits.  The one
-    place a value is rounded to an mpf, at any bits."""
+def _at_bits(x: Union[Real, Operand], bits: int) -> mpf:
+    """x rounded once to nearest at `bits`: an mpf on its mantissa, a pair
+    (man, exp) as man 2^exp (its bit count by int.bit_length, which is C,
+    where mpmath's pure-Python from_man_exp counts in Python), a Fraction
+    by one correctly rounded division, anything else as mpf() reads it at
+    those bits.  The one place a value is rounded to an mpf, at any bits."""
     if isinstance(x, mpf):
         return mp.make_mpf(mpf_pos(x._mpf_, bits, round_nearest))
     if isinstance(x, tuple):
-        return mp.make_mpf(from_man_exp(*x, bits, round_nearest))
+        man, exp = x
+        sign, man = (1, -man) if man < 0 else (0, man)
+        return mp.make_mpf(normalize(sign, man, exp, man.bit_length(), bits, round_nearest))
     if isinstance(x, Fraction):
         return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
     return mpf(x, prec=bits, rounding=round_nearest)

@@ -31,13 +31,13 @@ bigmath_kernel._Float, every product, power, quotient and root of them
 taken by the kernel's mantissa arithmetic and cut to work_bits + 48 bits,
 the powers a group needs shared, and the terms summed by _term_sum into an
 exact residual and scale, each a mantissa and an exponent that the verdict
-reads as they are, so no checker reads the precision its caller set and
-certify compares no mpf.  Each is checked in the power it holds in, so
-certify takes no mpmath root: eq6, eq10 and eq31 in the 24th, 12th and
--12th, and the ascent ids eq26, eq29, eq30 and eq34, as the ladder
-climbs, in twelfth powers on s = k k' from the solves, sharing its
-_rung, _cubic_root and _cubic_residual.  eq7 reads that s too, and eq11
-holds the multiplier m5 = K(k_25r)/K(k_r) as a root of
+compares exactly, on integers, so no checker reads the precision its
+caller set and nothing rounds before a pass is decided.  Each is checked
+in the power it holds in, so certify takes no mpmath root: eq6, eq10 and
+eq31 in the 24th, 12th and -12th, and the ascent ids eq26, eq29, eq30
+and eq34, as the ladder climbs, in twelfth powers on s = k k' from the
+solves, sharing its _rung, _cubic_root and _cubic_residual.  eq7 reads
+that s too, and eq11 holds the multiplier m5 = K(k_25r)/K(k_r) as a root of
 (5 m - 1)^5 (1 - m) = 256 s^2 m (_m5_relation).  Each reads s from
 bigmath_kernel._kkprime, the solve's exact product, through _kkprime_at.
 """
@@ -114,8 +114,9 @@ class IdentityReport(NamedTuple):
         return all(e.passed for e in self.entries)
 
 
-#: (residual, scale) as _term_sum sums them, or (residual, scale, the detail
-#: its entry carries: a string, or a residual run_suite writes as a decimal)
+#: (residual, scale), pairs (man, exp) as _term_sum sums them, or
+#: (residual, scale, the detail its entry carries: a string, or a pair
+#: run_suite writes as a decimal)
 Residual = Union[Tuple[Operand, Operand], Tuple[Operand, Operand, Dict[str, Union[str, Operand]]]]
 Residuals = Dict[str, Residual]
 
@@ -442,9 +443,9 @@ def run_suite(
     elapsed_ms leaves out what earlier groups already paid for.  Then each
     entry is judged and written.  Every residual a checker returns, exact
     as _term_sum sums it, takes the one pass rule, ctx.verdict, which
-    rounds |residual| and |scale| to work_bits itself: the entry passes
-    when |residual| < 10^(-tol_exp) * scale and stores |residual| rounded
-    once to precision_bits.  Its detail writes |scale|, and each residual
+    compares it with its scale exactly: the entry passes when
+    |residual| < 10^(-tol_exp) * scale and stores |residual| rounded once
+    to precision_bits.  Its detail writes |scale|, and each residual
     a checker attaches, rounded once to work_bits, as a 12-digit decimal
     (_decimal).  A failing residual is reported, not raised.  Nothing
     outlives the call.  The groups solve from r/25 to 100r; a point past
@@ -487,5 +488,5 @@ def run_suite(
 def _decimal(x: Operand, ctx: PrecisionContext) -> str:
     """|x| rounded once to work_bits, as a decimal of 12 significant
     digits: how an entry's detail writes its scale and the residuals its
-    checker attaches.  The writer puts a sign before the digits of |x|."""
-    return to_decimal(_at_bits(x, ctx.work_bits), 12).lstrip("-")
+    checker attaches."""
+    return to_decimal(_at_bits((abs(x[0]), x[1]), ctx.work_bits), 12)

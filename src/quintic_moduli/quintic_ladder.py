@@ -370,17 +370,23 @@ def _k_of(s: _Float, r: Fraction, ctx: PrecisionContext) -> mpf:
 
 def _missed(step: LadderStep, k: mpf, gate_exp: int, ctx: PrecisionContext) -> str:
     """The message of a rung whose k missed the oracle's k: its relative
-    miss and 1/|1 - 2k^2|, each operation rounded at work_bits."""
+    miss and how k's spelling from k k' scales an error of k k' (_k_of),
+    each operation rounded at work_bits.  Off r = 1 that is 1/|1 - 2k^2|,
+    evaluated at the oracle's k; at r = 1, where 1 - 2k^2 is zero but for
+    rounding, k = sqrt(k k') halves it."""
     bits, one = ctx.work_bits, _ONE._mpf_
     relative = mpf_div(step.oracle_residual._mpf_, k._mpf_, bits, round_nearest)
-    two_k2 = mpf_mul(mpf_mul(from_int(2), k._mpf_), k._mpf_, bits, round_nearest)
-    gain = mpf_div(one, mpf_abs(mpf_sub(one, two_k2, bits, round_nearest)), bits, round_nearest)
+    if step.r == 1:
+        spelling = "k = sqrt(k k') at r = 1 halves its relative error"
+    else:
+        two_k2 = mpf_mul(mpf_mul(from_int(2), k._mpf_), k._mpf_, bits, round_nearest)
+        gain = mpf_div(one, mpf_abs(mpf_sub(one, two_k2, bits, round_nearest)), bits, round_nearest)
+        spelling = "k from k k' amplifies errors by 1/|1 - 2k^2| = " + mp.nstr(mp.make_mpf(gain), 3)
     return (
         "ladder level %d (r = %s) missed the oracle by %s "
-        "(relative %s; relative gate 10^-%d; k from k k' "
-        "amplifies errors by 1/|1 - 2k^2| = %s)"
+        "(relative %s; relative gate 10^-%d; %s)"
         % (step.level, _term_text(step.r), mp.nstr(step.oracle_residual, 8),
-           mp.nstr(mp.make_mpf(relative), 8), gate_exp, mp.nstr(mp.make_mpf(gain), 3))
+           mp.nstr(mp.make_mpf(relative), 8), gate_exp, spelling)
     )
 
 
@@ -436,7 +442,8 @@ def ladder(
     radicand 1 - 4 (k k')^2 that rounds below zero is taken as zero, and
     below r = 1 a branch root past 1 (from a bad seed) is taken as 1, so
     that level certifies or raises CertificationError naming the
-    amplification 1/|1 - 2k^2|, never DomainError.
+    amplification 1/|1 - 2k^2| (at r = 1 itself, where k = sqrt(k k'),
+    naming that spelling, which halves the error), never DomainError.
 
     A climb runs in its own request scope (bigmath_kernel._request_memo),
     opened by the decorator, so the oracle at 25^j r0 takes its nome as the

@@ -39,7 +39,7 @@ on purpose.
 import math
 
 from mpmath import ellipk, jtheta, mp, mpc, mpf, sqrt, workprec
-from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_pow_int, mpf_sqrt, round_nearest
 
 import quintic_moduli as qm
 
@@ -51,6 +51,21 @@ TRACED_DELETED = (("modular_core", "multiplier_M5"),)
 
 #: a certifiable tol_exp for each precision the tests sweep
 TOL_EXP = {256: 55, 512: 120, 1024: 240, 4096: 960}
+
+
+def tolerance(ctx):
+    """10^-tol_exp rounded once to nearest at the context's work_bits: the
+    bound the tests compare their oracles' errors against."""
+    return mp.make_mpf(mpf_pow_int(from_int(10), -ctx.tol_exp, ctx.work_bits, round_nearest))
+
+
+def pair(x):
+    """An mpf or an int as the exact pair (man, exp), man of either sign,
+    that PrecisionContext.verdict reads."""
+    if isinstance(x, int):
+        return x, 0
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
 
 # complete elliptic integral K(1/sqrt2) via tanh-sinh quadrature of
 # 1/sqrt(1 - x^2/2)/sqrt(1-x^2) on [0,1], 160 digits

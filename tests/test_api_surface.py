@@ -4,13 +4,14 @@ section, no module imports a name it never reads, every function the
 benchmark's tracer wraps by name resolves but those deleted on purpose,
 every ctx parameter defaults to DEFAULT_CONTEXT, the README's
 library example runs as written, the registry ids agree wherever they are
-listed, the math layers stay below the registry, the tolerance is read by
-the one pass rule alone, neither the solve nor the integer kernels switch
-precision, the integer kernels share one guard constant and one conversion
-to fixed point, mpmath's theta functions and square root stay out of the
-library, modular_core takes no mpmath root, the registry takes one only
-in eq29 and forms its integer relations with no power operator, only the
-kernel spells the arithmetic of mantissas, each private lookup keys one
+listed, the math layers stay below the registry, the threshold 10^tol_exp
+is formed by the one pass rule alone, which compares pairs exactly,
+neither the solve nor the integer kernels switch precision, the integer
+kernels share one guard constant and one conversion to fixed point,
+mpmath's theta functions and square root stay out of the library,
+modular_core takes no mpmath root, the registry takes one only in eq29
+and forms its integer relations with no power operator, only the kernel
+spells the arithmetic of mantissas, each private lookup keys one
 kind on one compute, one function picks each nome's route and one stores
 into the request memo, the kernel alone rounds a value or the residual a
 gate shows and every gate takes its pass flag from the one verdict,
@@ -25,6 +26,7 @@ import importlib
 import inspect
 import os
 import re
+import typing
 
 import pytest
 
@@ -184,23 +186,39 @@ def test_only_the_cli_imports_json_and_none_calls_dumps():
     assert not dumps, "json.dump(s) named at %s" % dumps
 
 
-@pytest.mark.parametrize("name", _MODULES)
-def test_tolerance_is_read_only_inside_precision_context(name):
-    # PrecisionContext.verdict is the one pass rule; a comparison against
-    # the tolerance anywhere else would be a second one
-    tree = _tree(name)
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "PrecisionContext":
-            inside.update(map(id, ast.walk(node)))
-    readers = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in ("tolerance", "_tolerance")
-        and id(node) not in inside
-    ]
-    assert not readers, "%s reads the tolerance at lines %s" % (name, readers)
+def test_the_threshold_is_formed_only_in_the_verdict():
+    # PrecisionContext.verdict is the one pass rule: a power 10 ** tol_exp
+    # anywhere else would be a second one
+    formed = []
+    for module in _MODULES:
+        for fn in ast.walk(_tree(module)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            formed += [
+                (module, fn.name, node.lineno) for node in ast.walk(fn)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and getattr(node.left, "value", None) == 10
+                and any(getattr(n, "attr", getattr(n, "id", None)) == "tol_exp"
+                        for n in ast.walk(node.right))
+            ]
+    assert [(m, f) for m, f, _ in formed] == [("quintic_moduli.bigmath_kernel", "verdict")], formed
+
+
+def test_the_verdict_is_exact_on_pairs():
+    # no cached rounded tolerance, no rounding of an operand, no mpf or int
+    # operand: verdict compares the integers of two pairs (man, exp)
+    from quintic_moduli import bigmath_kernel
+
+    kept = [n for n in ("tolerance", "_tolerance", "_size") if hasattr(PrecisionContext, n)]
+    assert not kept, kept
+    importers = sorted(
+        (module, a.name) for module in _MODULES for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) for a in node.names
+        if a.name in ("mpf_lt", "mpf_pow_int")
+    )
+    assert not importers, importers
+    hints = typing.get_type_hints(PrecisionContext.verdict, vars(bigmath_kernel))
+    assert hints["residual"] == hints["scale"] == typing.Tuple[int, int]
 
 
 def test_no_function_reads_the_ambient_precision():
@@ -611,9 +629,8 @@ def test_one_rounding_and_one_verdict_in_the_kernel():
 def test_every_gate_calls_the_one_pass_rule():
     # PrecisionContext.verdict is the only pass rule: certifies and
     # _abs_raw are gone, _term_sum hands its sum and scale to the verdict as
-    # mantissas with no mpf built, only the kernel compares mpf values
-    # (mpf_lt), and each gate takes its pass flag from a .verdict call of
-    # its own
+    # mantissas with no mpf built, no module compares mpf values (mpf_lt),
+    # and each gate takes its pass flag from a .verdict call of its own
     from quintic_moduli import bigmath_kernel
 
     assert not hasattr(PrecisionContext, "certifies")
@@ -629,7 +646,7 @@ def test_every_gate_calls_the_one_pass_rule():
         module for module in _MODULES for node in ast.walk(_tree(module))
         if isinstance(node, ast.ImportFrom) and any(a.name == "mpf_lt" for a in node.names)
     }
-    assert comparers == {"quintic_moduli.bigmath_kernel"}
+    assert comparers == set()
     gates = {
         "bigmath_kernel": ["solve_singular_modulus"],
         "quintic_ladder": ["_cubic_root", "ladder"],

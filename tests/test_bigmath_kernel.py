@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import time
@@ -81,10 +80,13 @@ class TestPrecisionContext:
         assert ctx.tol_exp == 120
         assert ctx.work_bits == 576
 
-    def test_tolerance_value(self):
+    def test_the_threshold_is_exactly_10_to_the_minus_tol_exp(self):
+        # 2^-120 times 10^120 is 5^120: a residual of 2^-120 against a scale
+        # of 5^120 lies at the threshold, not within a rounding of it
         ctx = PrecisionContext()
-        with workprec(600):
-            assert abs(ctx.tolerance() - mpf(10) ** -120) < mpf(10) ** -290
+        assert not ctx.verdict((1, -120), (5 ** 120, 0))[1]
+        assert ctx.verdict((1, -120), (5 ** 120 + 1, 0))[1]
+        assert not ctx.verdict((-1, -121), (5 ** 120, -1))[1]
 
     def test_rejects_tiny_precision(self):
         with pytest.raises(ValueError):
@@ -94,6 +96,13 @@ class TestPrecisionContext:
         # 10^-200 needs ~664 bits plus guard; 512 cannot certify it
         with pytest.raises(ValueError):
             PrecisionContext(precision_bits=512, tol_exp=200)
+
+    @pytest.mark.parametrize("tol_exp", [512, 10 ** 400])
+    def test_rejects_a_tol_exp_of_precision_bits_or_more_on_integers(self, tol_exp):
+        # 10^400 times log2(10) overflows a float; tol_exp >= precision_bits
+        # is refused before that product, as it would refuse it
+        with pytest.raises(ValueError, match="guard bits must stay below precision_bits"):
+            PrecisionContext(precision_bits=512, tol_exp=tol_exp)
 
     @pytest.mark.parametrize("args", [(100.5, 10), (512, 10.5), (512.0, 10)])
     def test_rejects_non_integers(self, args):
@@ -228,54 +237,81 @@ class TestMantissaKernels:
             assert to_big(Fraction(n, d), ctx)._mpf_ == want, (n, d)
 
     @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
-    def test_verdict_is_the_workprec_comparison(self, bits):
+    def test_verdict_is_the_exact_comparison(self, bits):
+        # pairs (man, exp) of either sign and times 1, 3 and 10^20 + 7,
+        # from far off the bound to a few units of the residual's last bit
+        # either side of it, against the rule on exact Fractions; the gap
+        # is |residual| rounded once to precision_bits
         ctx = _ctx_at(bits)
-
-        def old(residual, scale):
-            with workprec(ctx.work_bits):
-                return abs(residual) < ctx.tolerance() * abs(scale)
-
         rng = random.Random(bits)
-        scales = [11, -11, 3 ** 400, 3 ** 4001, mpf(0)] + _kernel_inputs(ctx.work_bits, bits)[::7]
-        cases = []
-        for s in scales:
-            with workprec(ctx.work_bits):
-                bound = ctx.tolerance() * abs(s)
-                ulp = mpf(2) ** (-ctx.work_bits)
-                cases += [(bound, s), (-bound, s), (bound * (1 - ulp), s), (bound * (1 + ulp), s)]
-            cases += [(0, s), (mpf(0), s), (_exact(rng.getrandbits(bits) | 1, -2 * bits), s)]
-        verdicts = [ctx.verdict(r, s)[1] for r, s in cases]
-        assert verdicts == [old(r, s) for r, s in cases]
-        assert True in verdicts and False in verdicts
-
-    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
-    def test_a_pair_and_times_judge_as_the_mpf_operators_do(self, bits):
-        # a pair (man, exp) of either sign is read as the exact value
-        # man 2^exp: times its |residual| rounds once at work_bits, as an
-        # unrounded mpf times an int does, and its |scale| as abs() rounds
-        # it there; the gap is |residual| rounded once to precision_bits
-        ctx = _ctx_at(bits)
-        rng = random.Random(bits + 1)
         decisions = set()
         for times in (1, 3, 10 ** 20 + 7):
             for _ in range(40):
                 scale = (rng.choice((1, -1)) * rng.getrandbits(2 * bits), rng.randint(-900, 900))
-                with workprec(ctx.work_bits):
-                    bound = ctx.tolerance() * abs(_exact(*scale))
-                # times |residual| from 3/2 units of the bound's last bit
-                # below it to 1 above, where a half unit rounds to even
-                _, man, exp, _ = bound._mpf_
-                shift = rng.randint(1, 80)
-                for half_units, d in itertools.product(range(-3, 3), (-1, 0, 1)):
-                    top = ((2 * man + half_units) << shift) // (2 * times) + d
-                    residual = (rng.choice((1, -1)) * top, exp - shift)
-                    with workprec(ctx.work_bits):
-                        old = abs(_exact(*residual) * times) < ctx.tolerance() * abs(_exact(*scale))
+                bound = abs(_value(scale)) / (times * 10 ** ctx.tol_exp)  # of |residual|
+                shift = rng.randint(1, 2 * bits)
+                near = math.floor(bound * 2 ** shift)
+                mans = [near + d for d in range(-3, 4)] + [rng.getrandbits(bits), near << 40, 1]
+                for man in mans:
+                    residual = (rng.choice((1, -1)) * man, -shift)
                     gap, passed = ctx.verdict(residual, scale, times)
-                    assert passed == old, (times, residual, scale)
-                    assert gap._mpf_ == bk._rounded(ctx, (abs(residual[0]), residual[1]))._mpf_
+                    exact = times * abs(_value(residual)) * 10 ** ctx.tol_exp < abs(_value(scale))
+                    assert passed == exact, (times, residual, scale)
+                    assert gap._mpf_ == from_man_exp(abs(residual[0]), -shift, bits, round_nearest)
                     decisions.add(passed)
         assert decisions == {True, False}
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_a_residual_at_the_bound_fails(self, bits):
+        # 1 against 10^tol_exp is exactly at the bound; one unit of the
+        # residual's last bit under it passes, and so does 1 against one
+        # unit more of scale
+        ctx = _ctx_at(bits)
+        at = 10 ** ctx.tol_exp
+        assert not ctx.verdict((1, 0), (at, 0))[1]
+        assert not ctx.verdict((-1, 0), (-at, 0))[1]
+        assert not ctx.verdict((1, 5), (at, 5))[1]
+        assert not ctx.verdict((1, 0), (3 * at, 0), 3)[1]
+        assert ctx.verdict(((1 << bits) - 1, -bits), (at, 0))[1]
+        assert ctx.verdict((1, 0), (at + 1, 0))[1]
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    def test_zero_operands(self, bits):
+        # a zero scale fails every residual, zero included; a zero residual
+        # passes every nonzero scale, at any exponent either side
+        ctx = _ctx_at(bits)
+        for exp in (0, -10 ** 20, 10 ** 20):
+            for man in (0, 1, -1, 10 ** 400):
+                assert not ctx.verdict((man, exp), (0, 0))[1]
+                assert not ctx.verdict((man, 0), (0, exp))[1]
+            for s_man in (1, -1, 10 ** 400):
+                gap, passed = ctx.verdict((0, exp), (s_man, -exp))
+                assert passed and gap == 0
+
+    @pytest.mark.parametrize("bits", sorted(ov.TOL_EXP))
+    @pytest.mark.parametrize("gap", [10 ** 20, -10 ** 20])
+    def test_a_wide_exponent_gap_decides_at_once(self, bits, gap, traced_peak):
+        # the continued fraction's bracket near the solve bound lies about
+        # 10^20 bits under its scale: the verdict decides by bit lengths,
+        # so no integer grows with the gap
+        ctx = _ctx_at(bits)
+        cases = [
+            ((1, gap), (1, 0), gap < 0),
+            ((-(3 ** 500), 0), (7, gap), gap > 0),
+            ((1, -gap), (10 ** ctx.tol_exp + 1, -gap), True),
+        ]
+        for residual, scale, want in cases:
+            (_, passed), peak = traced_peak(ctx.verdict, residual, scale)
+            assert passed == want, (residual, scale)
+            assert peak < 1 << 20, peak
+            spent = min(_seconds(ctx.verdict, residual, scale) for _ in range(5))
+            assert spent < 1e-3, spent
+
+
+def _seconds(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def _value(x):
@@ -828,7 +864,7 @@ class TestSolver:
         # mpmath's ellipk shares no code with the solver's theta/agm route
         ctx = _ctx_at(bits)
         rec = solve_singular_modulus(rn, rd, ctx)
-        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, rn, rd, bits) < ov.tolerance(ctx)
 
     def test_record_invariants(self):
         rec = solve_singular_modulus(3, 2)
@@ -843,10 +879,10 @@ class TestSolver:
             for rn, rd in DEEP_RECIPROCALS:
                 rec = solve_singular_modulus(rn, rd, ctx)
                 assert 0 < rec.k_comp < rec.k < 1
-                assert rec.residual < ctx.tolerance()
+                assert rec.residual < ov.tolerance(ctx)
                 with workprec(2 * bits):
                     ratio = rec.K_kcomp / rec.K_k
-                    assert abs(ratio - sqrt(mpf(rn) / rd)) < ctx.tolerance()
+                    assert abs(ratio - sqrt(mpf(rn) / rd)) < ov.tolerance(ctx)
 
     def test_reciprocal_symmetry(self):
         # k'_r = k_(1/r), relative to the size of k'_r (it is tiny for small r)
@@ -857,7 +893,7 @@ class TestSolver:
             rec = solve_singular_modulus(rn, rd, ctx)
             inv = solve_singular_modulus(rd, rn, ctx)
             with workprec(2 * bits):
-                assert abs(inv.k - rec.k_comp) <= rec.k_comp * ctx.tolerance()
+                assert abs(inv.k - rec.k_comp) <= rec.k_comp * ov.tolerance(ctx)
 
     def test_monotone_decreasing_in_r(self):
         ks = [solve_singular_modulus(n, d).k for n, d in [(1, 1), (3, 2), (2, 1), (5, 1), (7, 1)]]
@@ -950,12 +986,6 @@ class TestIntegerSolve:
             for name, value in ref.items():
                 assert getattr(rec, name)._mpf_ == value._mpf_, (str(r), name)
 
-    def test_the_tolerance_is_computed_once_per_precision(self):
-        # contexts made apart share one value: the CLI makes one per request
-        a, b = PrecisionContext(512, 120), PrecisionContext(512, 120)
-        assert a is not b and a.tolerance() is b.tolerance()
-        assert PrecisionContext(1024, 120).tolerance() is not a.tolerance()
-
 
 class TestKRoundsToOne:
     """Below some r the reflected k = sqrt(1 - k'^2) is the correctly
@@ -972,15 +1002,15 @@ class TestKRoundsToOne:
         assert rec.k_comp == solve_singular_modulus(rd, rn, ctx).k
         assert 0 < rec.k_comp < rec.k
         with workprec(ctx.work_bits):
-            assert ctx.verdict(rec.residual, sqrt(mpf(rn) / rd))[1]
-        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
+            assert ctx.verdict(ov.pair(rec.residual), ov.pair(sqrt(mpf(rn) / rd)))[1]
+        assert _ellipk_residual(rec, rn, rd, bits) < ov.tolerance(ctx)
 
     @pytest.mark.parametrize("rn,rd,bits", [(1, 3000, 256), (1, 12000, 512)])
     def test_just_above_still_certifies(self, rn, rd, bits):
         ctx = _ctx_at(bits)
         rec = solve_singular_modulus(rn, rd, ctx)
         assert 0 < rec.k_comp < rec.k < 1
-        assert _ellipk_residual(rec, rn, rd, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, rn, rd, bits) < ov.tolerance(ctx)
 
 
 class TestKCompRoundsToOne:
@@ -995,7 +1025,7 @@ class TestKCompRoundsToOne:
         assert (rec.k_comp == 1) is k_comp_is_one
         assert rec.k_comp <= 1
         assert 0 < rec.k < 1
-        assert rec.residual < ctx.tolerance()
+        assert rec.residual < ov.tolerance(ctx)
 
 
 class TestSolvableBound:
@@ -1250,7 +1280,7 @@ class TestSolverDomain:
             rec = solve_singular_modulus(r.numerator, r.denominator, ctx)
         except (DomainError, ConvergenceError, BranchError, CertificationError):
             return
-        assert _ellipk_residual(rec, r.numerator, r.denominator, bits) < ctx.tolerance()
+        assert _ellipk_residual(rec, r.numerator, r.denominator, bits) < ov.tolerance(ctx)
 
 
 class TestTermsPastTheIntStrLimit:

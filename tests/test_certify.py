@@ -320,31 +320,36 @@ class TestIdentityEntry:
 
 class TestGatedEntry:
     """run_suite's pass rule, on (residual, scale) pairs from one stub group
-    standing in for the registry; like a checker, the stub's values are
-    formed at working precision."""
+    standing in for the registry; like a checker, the stub hands on each
+    value as a pair (man, exp), an mpf formed at working precision as its
+    exact pair (ov.pair)."""
 
     @staticmethod
     def _judge(monkeypatch, residuals):
         def stub(rn, rd, ctx):
-            return residuals
+            return {
+                i: tuple(ov.pair(v) if isinstance(v, mpf) else v for v in value)
+                for i, value in residuals.items()
+            }
 
         monkeypatch.setattr(certify, "_GROUPS", ((("eq6-eta8", "eq15-depressed"), stub),))
         return {e.id: e for e in run_suite(1, 1, ids=list(residuals)).entries}
 
     def test_residual_at_the_tolerance_fails(self, monkeypatch):
-        ctx = DEFAULT_CONTEXT
-        with workprec(ctx.work_bits):
-            tol, one = ctx.tolerance(), mpf(1)
-            got = self._judge(
-                monkeypatch, {"eq6-eta8": (tol, one), "eq15-depressed": (tol / 2, one)}
-            )
+        # 1 against a scale of 10^tol_exp lies exactly at the bound, and
+        # 1 - 2^-600 one unit of its last bit under it
+        scale = (10 ** DEFAULT_CONTEXT.tol_exp, 0)
+        got = self._judge(
+            monkeypatch,
+            {"eq6-eta8": ((1, 0), scale), "eq15-depressed": (((1 << 600) - 1, -600), scale)},
+        )
         assert not got["eq6-eta8"].passed
         assert got["eq15-depressed"].passed
 
     def test_negative_residual_is_stored_as_its_absolute_value(self, monkeypatch):
         ctx = DEFAULT_CONTEXT
         with workprec(ctx.work_bits):
-            tol, one = ctx.tolerance(), mpf(1)
+            tol, one = ov.tolerance(ctx), mpf(1)
             got = self._judge(
                 monkeypatch,
                 {"eq6-eta8": (-tol / 2, one), "eq15-depressed": (tol / 2, one)},
@@ -374,9 +379,9 @@ class TestGatedEntry:
         # so at 256 bits it rounds to A; rounded first to the 320 work bits
         # it would be A + 1/2 units, a tie, and then A + 1
         ctx, A = PrecisionContext(256, 55), (1 << 255) + 1
-        V = mp.make_mpf(from_man_exp(sign * ((A << 65) + (1 << 64) - 1), -365))
+        V = (sign * ((A << 65) + (1 << 64) - 1), -365)
         monkeypatch.setattr(
-            certify, "_GROUPS", ((("eq6-eta8",), lambda rn, rd, ctx: {"eq6-eta8": (V, mpf(1))}),)
+            certify, "_GROUPS", ((("eq6-eta8",), lambda rn, rd, ctx: {"eq6-eta8": (V, (1, 0))}),)
         )
         (entry,) = run_suite(1, 1, ctx=ctx).entries
         assert entry.residual._mpf_ == from_man_exp(A, -300)
@@ -558,7 +563,8 @@ class TestIntegerRelations:
                     bound = mpf(2) ** (8 - work) * ref_scale
                     assert abs(res - ref_res) < bound, (r, name)
                     assert abs(scale - ref_scale) < bound, (r, name)
-                assert ctx.verdict(*pair)[1] == ctx.verdict(ref_res, ref_scale)[1], (r, name)
+                assert ctx.verdict(*pair)[1] == ctx.verdict(ov.pair(ref_res), ov.pair(ref_scale))[1], (
+                    r, name)
             report = run_suite(rn, rd, ctx=ctx)
             assert report.all_pass, (r, [e.id for e in report.entries if not e.passed])
 

@@ -171,7 +171,7 @@ class TestRRCFConverged:
             assert abs(val - end) <= end * mpf(2) ** (1 - bits)
             slack = deep * mpf(2) ** (16 - hi)
             assert min(end, before) - slack <= deep <= max(end, before) + slack
-            assert abs(val - deep) < ctx.tolerance()
+            assert abs(val - deep) < ov.tolerance(ctx)
 
     @pytest.mark.parametrize("t", [4e19, math.inf])
     def test_depth_keeps_d_at_a_tiny_need(self, t):
@@ -237,7 +237,7 @@ class TestRRCFConverged:
         t = bk._neg_ln(q)
         _, b, b_prev, frac = mc._rrcf_forward(q, 3, ctx)
         bound = mpf(2) ** mc._bracket_exp(q, t, 3, b, b_prev, frac)
-        assert not ctx.verdict(bound, 1)[1]
+        assert not ctx.verdict(ov.pair(bound), (1, 0))[1]
         hi = ctx.work_bits + 64
         with workprec(hi):
             r3, r2 = (ov.rrcf_backward(q, d, hi) for d in (3, 2))

@@ -9,7 +9,11 @@ and a `verify` of the q-series identities alone at r = 1/2, which reads R
 directly at 1/2 and through reciprocity at 1/50.  Three more reach past r =
 10^6: `kr` at r = 10^20, a `verify` of the q-series identities at r =
 10^11, which solves nothing, and `kr` just above the solver's bound, which
-is refused.  Beside them stand the parse paths: top-level and per-command
+is refused.  Four more end at a rung that misses its oracle (exit 4):
+a bad seed whose first rung is r = 1, in text and JSON at 512 and at 1024
+bits, and a seed of 10^-300000 whose first rung is r = 25; and one more
+asks for a --tol-exp of 401 digits, which is refused (exit 2).  Beside
+them stand the parse paths: top-level and per-command
 help, a missing or unknown command, a missing or bad value, leftover
 arguments, an option before the command, a flag conflict and abbreviated
 options.  Help and usage lines are written at a fixed width of 80 columns.
@@ -50,6 +54,16 @@ _RANGE_PATHS = [
 ]
 
 
+#: requests that end at a missed rung (exit 4) or a tol_exp past any precision
+_FAILURE_PATHS = [
+    ["ladder", "--r0", "1/25", "--n", "1", "--seed-kkprime", "0.3", *prec, *mode]
+    for prec in ([], ["--prec", "1024", "--tol-exp", "200"]) for mode in ([], ["--json"])
+] + [
+    ["ladder", "--r0", "1", "--n", "1", "--seed-kkprime", "1e-300000"],
+    ["kr", "--r", "2", "--tol-exp", "1" + "0" * 400],
+]
+
+
 #: requests that exercise the argument parser rather than the math
 _PARSE_PATHS = [
     ["--help"],
@@ -87,7 +101,7 @@ def _requests():
         for mode in ([], ["--json"]):
             argv = shape + ["--prec", str(bits), "--tol-exp", str(ov.TOL_EXP[bits])] + mode
             out.append((" ".join(argv), argv))
-    extra = _CF_PATHS + _RANGE_PATHS + _PARSE_PATHS
+    extra = _CF_PATHS + _RANGE_PATHS + _FAILURE_PATHS + _PARSE_PATHS
     return out + [(" ".join(argv) or "(no arguments)", argv) for argv in extra]
 
 

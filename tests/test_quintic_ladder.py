@@ -246,7 +246,7 @@ class TestIntegerSpellings:
                 for sign in (1, -1):
                     with workprec(ctx.work_bits):
                         yv = y * (1 + sign * mpf(10) ** -(ctx.tol_exp + j))
-                        old = ctx.verdict(*ov.u_relation_terms(xv, yv, ctx.work_bits))[1]
+                        old = ctx.verdict(*map(ov.pair, ov.u_relation_terms(xv, yv, ctx.work_bits)))[1]
                     new = ctx.verdict(*_cubic_at(xv, yv, ctx.work_bits + ql._GATE_INT_BITS))[1]
                     assert new == old, (x, j, sign)
                     decisions.add(new)
@@ -458,6 +458,19 @@ class TestLadder:
         assert isinstance(trace, LadderTrace)
         assert len(trace.steps) == 1
         assert trace.steps[0].oracle_residual > mpf(10) ** -100
+
+    def test_a_miss_at_r_one_names_its_spelling_not_rounding_noise(self):
+        # at r = 1, 1 - 2k^2 is zero but for the oracle's rounding, so
+        # 1/|1 - 2k^2| there read about 2^precision_bits; k = sqrt(k k')
+        # halves an error of k k', and the message says so at every precision
+        texts = []
+        for bits in (256, 512, 1024):
+            with pytest.raises(CertificationError) as ei:
+                ladder(1, 25, 1, PrecisionContext(bits, 55), kkprime_r0="0.3")
+            texts.append(str(ei.value))
+        assert texts[0] == texts[1] == texts[2]
+        assert "k = sqrt(k k') at r = 1 halves its relative error" in texts[0]
+        assert "1 - 2k^2" not in texts[0]
 
     @pytest.mark.parametrize("bits", [256, 512])
     def test_seed_that_makes_kkprime_huge_fails_in_bounded_memory(self, bits, traced_peak):
